@@ -65,12 +65,10 @@ fn vgg_cfg(workers: usize, shards: usize) -> ThreadedConfig {
         scheduler: SchedulerKind::Fifo,
         link_bps: None,
         check_invariants: false,
-        ps_restart_at_iter: None,
         checkpoint_period: 4,
         checkpoint_retention: 2,
         fault_plan: Default::default(),
         retry: prophet::net::RetryPolicy::paper_default(),
-        agg_threads: 0,
     }
 }
 

@@ -144,7 +144,9 @@ impl Mlp {
         panic!("parameter tensor {id} out of range");
     }
 
-    /// Classification accuracy on `(x, labels)`.
+    /// Classification accuracy on `(x, labels)`. Logits are ranked by
+    /// [`f32::total_cmp`], so a diverged model whose logits are NaN still
+    /// scores (its NaN rows are almost surely wrong) instead of panicking.
     pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         let logits = self.forward(x);
         let mut correct = 0usize;
@@ -153,7 +155,7 @@ impl Mlp {
             let pred = row
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
                 .unwrap();
             if pred == label {
@@ -254,5 +256,18 @@ mod tests {
         let labels: Vec<usize> = (0..10).map(|i| i % 3).collect();
         let acc = m.accuracy(&x, &labels);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn accuracy_of_nan_logits_is_a_value_not_a_panic() {
+        // A diverged model: one output bias is NaN, so every row carries a
+        // NaN logit. Ranking must still pick an argmax.
+        let mut m = Mlp::new(&[4, 8, 3], 7);
+        m.set_param(3, &[f32::NAN, 0.0, 0.0]);
+        let x = Tensor::from_vec(6, 4, vec![0.5; 24]);
+        let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
+        assert!(m.forward(&x).row(0)[0].is_nan());
+        let acc = m.accuracy(&x, &labels);
+        assert!((0.0..=1.0).contains(&acc), "accuracy {acc}");
     }
 }

@@ -15,11 +15,15 @@
 //!   bucket emulating link bandwidth, and the PS thread running SGD. Proves
 //!   the schedulers order real bytes without changing what is computed.
 //!
+//! The fault, membership and checkpoint rules both runtimes obey are written
+//! once, in [`protocol`]; each runtime only drives them with its own clock.
+//!
 //! Both enforce the same BSP contract: the parameter server aggregates a
 //! gradient once every worker's push for the iteration has arrived, and a
 //! worker's forward pass consumes parameters strictly in priority order.
 
 pub mod chaos;
+pub mod protocol;
 pub mod sim;
 pub mod threaded;
 

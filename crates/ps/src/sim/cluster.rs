@@ -12,13 +12,14 @@
 
 use super::config::{ClusterConfig, SyncMode};
 use super::metrics::{ElasticStats, FaultStats, GradTransferLog, RunResult};
+use crate::protocol::{CheckpointSchedule, GenChain, Generation, Membership, Windows};
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
     BandwidthMonitor, FlowEnd, KilledFlow, NetEvent, Network, NodeId, NodeSpec, Topology,
 };
 use prophet_sim::{
-    rehome_modular, Duration, EventQueue, FaultKind, FaultSpec, InvariantChecker, RateSeries,
-    SimTime, SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
+    rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
+    SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -40,9 +41,9 @@ enum Ev {
     SampleTick,
     /// Scheduled capacity change (dynamic-network experiments).
     BandwidthChange { bps: f64 },
-    /// Fault `idx` of the plan becomes active.
+    /// Fault window `idx` of the plan opens.
     FaultBegin { idx: usize },
-    /// Fault `idx` of the plan clears (link restored, shard restarted).
+    /// Fault window `idx` of the plan closes (link restored, shard restarted).
     FaultFinish { idx: usize },
     /// A lane's retry backoff expired; try to start its next message.
     LaneKick { key: (usize, usize, Dir) },
@@ -97,6 +98,30 @@ struct SimGen {
     /// Written corrupt under a `CheckpointCorrupt` spec; detected only
     /// when a restore verifies the generation.
     corrupt: bool,
+}
+
+impl SimGen {
+    fn new(snap_bytes: u64, corrupt: bool) -> Self {
+        SimGen {
+            snap_bytes,
+            seg_bytes: 0,
+            corrupt,
+        }
+    }
+}
+
+impl Generation for SimGen {
+    fn intact(&self) -> bool {
+        !self.corrupt
+    }
+
+    fn restore_bytes(&self) -> u64 {
+        self.snap_bytes + self.seg_bytes
+    }
+
+    fn absorb_ledger(&mut self, newer: Self) {
+        self.seg_bytes += newer.seg_bytes;
+    }
 }
 
 /// A transmission lane: one persistent connection per `(worker, shard,
@@ -198,6 +223,10 @@ struct Cluster {
     // Fault-injection state. All of it is inert when the plan is empty:
     // no fault event is enqueued, no RNG drawn, no timeout scheduled —
     // the run is bit-identical to a build without this layer.
+    /// The plan's transient windows. The per-node fields below cache its
+    /// answers between `FaultBegin`/`FaultFinish` events, which refresh
+    /// them through the one query.
+    windows: Windows,
     node_down: Vec<bool>,
     node_degrade: Vec<f64>,
     node_base_bps: Vec<f64>,
@@ -223,19 +252,18 @@ struct Cluster {
     fault_stats: FaultStats,
 
     // Elastic-membership state (permanent faults). Inert when the plan has
-    // no permanent events: `permanent` is false, every membership check is
-    // skipped, and the owner table is the classic `g % ps_shards` mapping.
-    /// Any `WorkerFail`/`ShardFail`/`WorkerJoin` in the plan.
-    permanent: bool,
+    // no permanent events: the timetable answers statically, no boundary
+    // event ever fires, and the owner table is the classic `g % ps_shards`
+    // mapping.
+    /// Who takes part in which iteration and who owns which tensor then.
+    mem: Membership,
+    /// Shard deaths / admissions of `mem` already fired (both lists are in
+    /// firing order).
+    deaths_fired: usize,
+    joins_fired: usize,
     /// Gradient → owning shard. Starts as `g % ps_shards`; `ShardFail`
     /// re-homes the dead shard's tensors onto survivors.
     owner: Vec<usize>,
-    /// Iteration each worker permanently fails at (it completes iterations
-    /// `active_from..fail_at`), `None` for workers that never fail.
-    fail_at: Vec<Option<u64>>,
-    /// First iteration each worker participates in: 0 for the initial
-    /// membership, the join iteration for `WorkerJoin` slots.
-    active_from: Vec<u64>,
     /// Joiner slots whose admission has fired.
     joined: Vec<bool>,
     /// Workers whose eviction has fired.
@@ -247,19 +275,16 @@ struct Cluster {
     shard_blocked_until: Vec<SimTime>,
     /// Cluster-wide membership epoch (bumped once per permanent event).
     membership_epoch: u64,
-    /// Checkpointing armed (plan contains a `ShardFail`). Unarmed runs do
-    /// zero checkpoint work, keeping them bit-identical to pre-elastic
-    /// builds.
-    ckpt_armed: bool,
-    /// Per-shard retained snapshot generations, oldest → newest. The first
-    /// entry starts as the implicit iteration-0 checkpoint (the shard's
-    /// owned parameters); `take_checkpoint` pushes new generations and
-    /// garbage-collects beyond `cfg.checkpoint_retention`, never dropping
-    /// the only intact one.
-    ckpt_gens: Vec<Vec<SimGen>>,
-    /// Shards whose scheduled `CheckpointCorrupt` has already damaged a
-    /// generation (the spec corrupts exactly one snapshot write).
-    ckpt_corrupt_done: Vec<bool>,
+    /// Per-shard retained snapshot generations. Checkpointing is armed —
+    /// the vector non-empty — only when the plan contains a `ShardFail`;
+    /// unarmed runs do zero checkpoint work, keeping them bit-identical to
+    /// pre-elastic builds. Each chain starts from the implicit iteration-0
+    /// checkpoint (the shard's owned parameters); `take_checkpoint` pushes
+    /// new generations.
+    ckpt_gens: Vec<GenChain<SimGen>>,
+    /// Per-shard cadence and one-shot `CheckpointCorrupt` (empty when
+    /// unarmed).
+    ckpt_sched: Vec<CheckpointSchedule>,
     /// Barriers closed per iteration, to detect iteration completion for
     /// the checkpoint cadence.
     barrier_counts: HashMap<u64, usize>,
@@ -291,10 +316,17 @@ struct Cluster {
 
 const UNSET: SimTime = SimTime::MAX;
 
-/// Is a fault window active at `now`? Half-open `[at, until)`: a window is
-/// live at its begin event and already over at its finish event.
-fn window_active(f: &FaultSpec, now: SimTime) -> bool {
-    f.at() <= now && now < f.until()
+/// The part of a message bound for one shard: `(shard, total bytes,
+/// (gradient, bytes) pieces)`.
+type ShardGroup = (usize, u64, Vec<(usize, u64)>);
+
+/// Parameter bytes each of `shards` shards owns under `owner`.
+fn owned_bytes(owner: &[usize], sizes: &[u64], shards: usize) -> Vec<u64> {
+    let mut owned = vec![0u64; shards];
+    for (g, &o) in owner.iter().enumerate() {
+        owned[o] += sizes[g];
+    }
+    owned
 }
 
 impl Cluster {
@@ -305,10 +337,20 @@ impl Cluster {
         // is empty or adaptation is off).
         cfg.retry = cfg.effective_retry();
         let shards = cfg.ps_shards;
+        let n = cfg.job.num_gradients();
+        // The modular re-home rule over survivors: a pure function of the
+        // permanent membership.
+        let mem = Membership::new(
+            &cfg.fault_plan,
+            cfg.workers,
+            total_iters,
+            (0..n).map(|g| g % shards).collect(),
+            |owner, dead_so_far, dead| rehome_modular(owner, shards, dead_so_far, dead),
+        );
         // `WorkerJoin` slots are provisioned up front (dense ids above the
         // initial membership) but stay silent until their admission fires.
-        let joiners = cfg.fault_plan.joined_workers();
-        let total_workers = cfg.workers + joiners;
+        let total_workers = mem.total_workers();
+        let joiners = total_workers - cfg.workers;
         let mut topo = Topology::new();
         for _ in 0..shards {
             topo.add_node(NodeSpec::symmetric(cfg.ps_bps));
@@ -317,7 +359,6 @@ impl Cluster {
             topo.add_node(NodeSpec::symmetric(cfg.worker_bandwidth(w)));
         }
         let mut net = Network::new(topo, cfg.tcp);
-        net.set_full_resolve(cfg.net_full_resolve);
         let checker = cfg.check_invariants.then(|| {
             InvariantChecker::new(cfg.workers, cfg.sync == SyncMode::Bsp)
                 .with_shards(shards)
@@ -330,7 +371,6 @@ impl Cluster {
             net.record_events(true);
         }
         let master = Xoshiro256StarStar::new(cfg.seed);
-        let n = cfg.job.num_gradients();
         let workers: Vec<WorkerRt> = (0..total_workers)
             .map(|w| WorkerRt {
                 node: NodeId(shards + w),
@@ -380,45 +420,38 @@ impl Cluster {
         // own substream so adding faults never perturbs compute jitter.
         let fault_rng = master.substream(u64::MAX ^ cfg.fault_plan.seed);
         let stall_until = vec![SimTime::ZERO; total_workers];
-        let permanent = cfg.fault_plan.has_permanent();
-        let owner: Vec<usize> = (0..n).map(|g| g % shards).collect();
-        let fail_at: Vec<Option<u64>> = (0..total_workers)
-            .map(|w| cfg.fault_plan.worker_fail_at(w))
-            .collect();
-        let active_from: Vec<u64> = (0..total_workers)
-            .map(|w| cfg.fault_plan.worker_join_at(w).unwrap_or(0))
-            .collect();
-        let ckpt_armed = cfg.fault_plan.has_shard_fail();
+        let owner = mem.owner_at(0).to_vec();
         // The initial parameters are an implicit iteration-0 checkpoint:
         // a shard failing before the first periodic snapshot restores the
         // full owned state plus the ledger accrued since time zero.
-        let mut ckpt_gens: Vec<Vec<SimGen>> = vec![Vec::new(); shards];
-        if ckpt_armed {
-            let mut owned = vec![0u64; shards];
-            for (g, &o) in owner.iter().enumerate() {
-                owned[o] += sizes[g];
-            }
-            for (s, gens) in ckpt_gens.iter_mut().enumerate() {
-                gens.push(SimGen {
-                    snap_bytes: owned[s],
-                    seg_bytes: 0,
-                    corrupt: false,
-                });
-            }
-        }
+        let armed_shards = if cfg.fault_plan.has_shard_fail() {
+            shards
+        } else {
+            0
+        };
+        let ckpt_gens = owned_bytes(&owner, &sizes, shards)
+            .into_iter()
+            .take(armed_shards)
+            .map(|snap_bytes| {
+                GenChain::new(SimGen::new(snap_bytes, false), cfg.checkpoint_retention)
+            })
+            .collect();
+        let ckpt_sched = (0..armed_shards)
+            .map(|s| CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period))
+            .collect();
         Cluster {
-            permanent,
+            windows: Windows::new(&cfg.fault_plan, shards),
+            mem,
+            deaths_fired: 0,
+            joins_fired: 0,
             owner,
-            fail_at,
-            active_from,
             joined: vec![false; total_workers],
             evicted: vec![false; total_workers],
             shard_dead: vec![false; shards],
             shard_blocked_until: vec![SimTime::ZERO; shards],
             membership_epoch: 0,
-            ckpt_armed,
             ckpt_gens,
-            ckpt_corrupt_done: vec![false; shards],
+            ckpt_sched,
             barrier_counts: HashMap::new(),
             elastic: ElasticStats::default(),
             node_down: vec![false; nodes],
@@ -466,32 +499,20 @@ impl Cluster {
         }
     }
 
-    fn shard_of(&self, grad: usize) -> NodeId {
-        NodeId(self.owner[grad])
-    }
-
     fn num_grads(&self) -> usize {
         self.sizes.len()
     }
 
     // ---- elastic membership ---------------------------------------------
 
-    /// Does worker `w` participate in the barrier of `iter`? A worker is a
-    /// member of exactly the iterations `active_from..fail_at`.
-    fn member_at(&self, w: usize, iter: u64) -> bool {
-        self.active_from[w] <= iter && self.fail_at[w].is_none_or(|k| iter < k)
-    }
-
-    /// BSP barrier size for `iter` under the plan's membership schedule.
-    fn expected_workers(&self, iter: u64) -> usize {
-        (0..self.workers.len())
-            .filter(|&w| self.member_at(w, iter))
-            .count()
+    /// Is worker `w` a joiner slot whose admission has not fired yet?
+    fn awaiting_admission(&self, w: usize) -> bool {
+        w >= self.cfg.workers && !self.joined[w]
     }
 
     /// Is worker `w` currently a live participant (admitted, not evicted)?
     fn participating(&self, w: usize) -> bool {
-        !self.evicted[w] && (self.active_from[w] == 0 || self.joined[w])
+        !self.evicted[w] && !self.awaiting_admission(w)
     }
 
     /// Has worker `w` nothing left to contribute? Evicted workers are done
@@ -499,13 +520,7 @@ impl Cluster {
     /// blocks nobody (if the run ends before its join iteration is ever
     /// begun, it simply never existed).
     fn worker_done(&self, w: usize) -> bool {
-        if self.evicted[w] {
-            return true;
-        }
-        if self.active_from[w] > 0 && !self.joined[w] {
-            return true;
-        }
-        self.workers[w].iters_done >= self.total_iters
+        !self.participating(w) || self.workers[w].iters_done >= self.total_iters
     }
 
     // ---- typed event stream ---------------------------------------------
@@ -581,12 +596,9 @@ impl Cluster {
     }
 
     fn run(mut self) -> RunResult {
-        for w in 0..self.workers.len() {
-            // Joiner slots have no iteration zero: their first IterBegin is
-            // scheduled by their admission.
-            if self.active_from[w] > 0 {
-                continue;
-            }
+        // Joiner slots have no iteration zero: their first IterBegin is
+        // scheduled by their admission.
+        for w in 0..self.cfg.workers {
             self.queue.schedule(SimTime::ZERO, Ev::IterBegin { w });
         }
         self.queue
@@ -597,18 +609,12 @@ impl Cluster {
             self.queue
                 .schedule(SimTime::ZERO + at, Ev::BandwidthChange { bps });
         }
-        if self.has_faults() {
-            for (idx, f) in self.cfg.fault_plan.faults.clone().iter().enumerate() {
-                // Iteration-indexed specs (the permanent membership trio
-                // plus `CheckpointCorrupt`) fire at the BSP boundary they
-                // name, never as timer windows: their `at()`/`until()` are
-                // both time zero by construction.
-                if !f.is_windowed() {
-                    continue;
-                }
-                self.queue.schedule(f.at(), Ev::FaultBegin { idx });
-                self.queue.schedule(f.until(), Ev::FaultFinish { idx });
-            }
+        // Only the transient windows run on timers; iteration-indexed specs
+        // fire at the BSP boundary they name.
+        for (idx, win) in self.windows.all().iter().enumerate() {
+            let (at, until) = (SimTime::from_nanos(win.start), SimTime::from_nanos(win.end));
+            self.queue.schedule(at, Ev::FaultBegin { idx });
+            self.queue.schedule(until, Ev::FaultFinish { idx });
         }
 
         while let Some((now, ev)) = self.queue.pop() {
@@ -706,9 +712,7 @@ impl Cluster {
         // worker begins their iteration — an instant at which every
         // barrier of the previous iteration has closed, so no aggregation
         // state is in flight on the failing shard.
-        if self.permanent {
-            self.fire_boundary_events(now, iter);
-        }
+        self.fire_boundary_events(now, iter);
         {
             let wk = &mut self.workers[w];
             wk.iter = iter;
@@ -856,7 +860,7 @@ impl Cluster {
                 self.transfer_logs.push(logs);
             }
             let done_now = self.workers[w].iters_done;
-            if self.permanent && self.fail_at[w] == Some(done_now) {
+            if self.mem.leaves_at(w) == Some(done_now) {
                 // This was the worker's last iteration: it leaves at the
                 // boundary (no in-flight state — its transfers all
                 // completed for the forward pass to have run).
@@ -935,7 +939,7 @@ impl Cluster {
         for w in 0..self.workers.len() {
             // Evicted workers and not-yet-admitted joiners have no
             // scheduler to feed (and nothing to measure).
-            if self.permanent && !self.participating(w) {
+            if !self.participating(w) {
                 continue;
             }
             // Aggregate achieved uplink rate since the last tick: bytes
@@ -1024,7 +1028,6 @@ impl Cluster {
     /// Put a scheduler task on the wire, splitting it per PS shard.
     fn launch(&mut self, now: SimTime, w: usize, task: TransferTask) {
         let iter = self.workers[w].iter;
-        let node = self.workers[w].node;
         // First-byte bookkeeping for the push logs, plus wire-busy
         // accounting for the bandwidth estimator.
         let mut first_touch: Vec<usize> = Vec::new();
@@ -1074,19 +1077,7 @@ impl Cluster {
                 );
             }
         }
-        // Group pieces by destination shard: (shard, total bytes, pieces).
-        type ShardGroup = (NodeId, u64, Vec<(usize, u64)>);
-        let mut by_shard: Vec<ShardGroup> = Vec::new();
-        for &(g, b) in &task.pieces {
-            let shard = self.shard_of(g);
-            match by_shard.iter_mut().find(|(s, _, _)| *s == shard) {
-                Some((_, bytes, pieces)) => {
-                    *bytes += b;
-                    pieces.push((g, b));
-                }
-                None => by_shard.push((shard, b, vec![(g, b)])),
-            }
-        }
+        let by_shard = self.group_by_owner(&task.pieces);
         if by_shard.is_empty() {
             // A zero-piece task is a scheduler bug; fail loudly in debug.
             debug_assert!(false, "scheduler issued an empty task");
@@ -1108,34 +1099,62 @@ impl Cluster {
             },
         );
         for (shard, bytes, pieces) in by_shard {
-            let (src, dst) = match dir {
-                Dir::Push => (node, shard),
-                Dir::Pull => (shard, node),
-            };
-            let tag = self.next_flow_tag;
-            self.next_flow_tag += 1;
-            self.flow_task.insert(tag, task_id);
-            let key = (w, shard.0, dir);
-            self.lanes
-                .entry(key)
-                .or_insert_with(Lane::new)
-                .queue
-                .push_back(QueuedMsg {
-                    tag,
-                    bytes,
-                    src,
-                    dst,
-                    task_id,
-                    pieces,
-                    attempt: 0,
-                    doomed: false,
-                    corrupted: false,
-                });
+            let key = (w, shard, dir);
+            self.enqueue(key, task_id, bytes, pieces, 0);
             self.kick_lane(now, key);
         }
         // Flows started on idle lanes appended to the net ledger at `now`;
         // hand them to the sinks while the instant is still current.
         self.forward_net_events_up_to(now);
+    }
+
+    /// Group `pieces` by owning shard, in first-seen order.
+    fn group_by_owner(&self, pieces: &[(usize, u64)]) -> Vec<ShardGroup> {
+        let mut groups: Vec<ShardGroup> = Vec::new();
+        for &(g, b) in pieces {
+            let shard = self.owner[g];
+            match groups.iter_mut().find(|(s, _, _)| *s == shard) {
+                Some((_, bytes, pieces)) => {
+                    *bytes += b;
+                    pieces.push((g, b));
+                }
+                None => groups.push((shard, b, vec![(g, b)])),
+            }
+        }
+        groups
+    }
+
+    /// Queue one message of task `task_id` at the back of lane `key` under
+    /// a fresh flow tag.
+    fn enqueue(
+        &mut self,
+        key: (usize, usize, Dir),
+        task_id: u64,
+        bytes: u64,
+        pieces: Vec<(usize, u64)>,
+        attempt: u32,
+    ) {
+        let (worker, shard) = (self.workers[key.0].node, NodeId(key.1));
+        let (src, dst) = match key.2 {
+            Dir::Push => (worker, shard),
+            Dir::Pull => (shard, worker),
+        };
+        let tag = self.next_flow_tag;
+        self.next_flow_tag += 1;
+        self.flow_task.insert(tag, task_id);
+        let msg = QueuedMsg {
+            tag,
+            bytes,
+            src,
+            dst,
+            task_id,
+            pieces,
+            attempt,
+            doomed: false,
+            corrupted: false,
+        };
+        let lane = self.lanes.entry(key).or_insert_with(Lane::new);
+        lane.queue.push_back(msg);
     }
 
     /// Start the next queued message on a lane if it is idle, past any
@@ -1393,11 +1412,6 @@ impl Cluster {
 
     fn on_push_bytes(&mut self, now: SimTime, w: usize, iter: u64, g: usize, b: u64) {
         let nworkers = self.workers.len();
-        let expected = if self.permanent {
-            self.expected_workers(iter)
-        } else {
-            nworkers
-        };
         let entry = self.agg.entry((iter, g)).or_insert_with(|| AggState {
             per_worker_bytes: vec![0; nworkers],
             workers_done: 0,
@@ -1409,22 +1423,11 @@ impl Cluster {
         );
         if entry.per_worker_bytes[w] == self.sizes[g] {
             entry.workers_done += 1;
-            let all_arrived = entry.workers_done == expected;
+            let arrived = entry.workers_done;
             if w == 0 {
                 self.workers[0].push_end[g] = now;
             }
-            if let Some(c) = self.retry_counts.remove(&(w, iter, g)) {
-                self.fault_stats.recoveries += 1;
-                self.emit(
-                    now,
-                    TraceEvent::Recovered {
-                        worker: w,
-                        iter,
-                        grad: g,
-                        attempts: c,
-                    },
-                );
-            }
+            self.close_retry_episode(now, w, iter, g);
             self.emit(
                 now,
                 TraceEvent::PushEnd {
@@ -1438,7 +1441,7 @@ impl Cluster {
                     // Asynchronous: this worker's gradient is applied on
                     // arrival; it pulls the fresh parameters immediately,
                     // waiting for nobody.
-                    if all_arrived {
+                    if arrived == self.mem.expected(iter) {
                         self.agg.remove(&(iter, g));
                     }
                     self.workers[w].sched.param_ready(now, g);
@@ -1446,15 +1449,15 @@ impl Cluster {
                 }
                 SyncMode::Bsp => {
                     // A barrier the survivors satisfied may still be waiting
-                    // on an eviction: worker j with `fail_at[j] <= iter` is
-                    // excluded from `expected_workers(iter)`, but its
-                    // MembershipChange only fires once j *finishes* iteration
-                    // `fail_at[j] - 1` — and a stall on j can push that past
-                    // the survivors' sprint ahead. Completing now would emit
+                    // on an eviction: a worker leaving at or before `iter` is
+                    // not among its expected members, but its
+                    // MembershipChange only fires once it *finishes* its last
+                    // iteration — and a stall can push that past the
+                    // survivors' sprint ahead. Completing now would emit
                     // Barrier before the eviction epoch, which the checker
                     // (rightly) rejects. Defer; `evict_worker`'s sweep closes
                     // it the instant the epoch opens.
-                    if all_arrived && !(self.permanent && self.pending_worker_fail(iter)) {
+                    if self.mem.may_close(iter, arrived, &self.evicted) {
                         self.complete_barrier(now, iter, g);
                     }
                 }
@@ -1467,11 +1470,11 @@ impl Cluster {
     fn complete_barrier(&mut self, now: SimTime, iter: u64, g: usize) {
         self.agg.remove(&(iter, g));
         self.emit(now, TraceEvent::Barrier { iter, grad: g });
-        if self.ckpt_armed {
+        if !self.ckpt_gens.is_empty() {
             self.note_barrier_closed(now, iter, g);
         }
         for w2 in 0..self.workers.len() {
-            if self.permanent && !self.member_at(w2, iter) {
+            if !self.mem.is_member(w2, iter) {
                 continue;
             }
             debug_assert_eq!(
@@ -1497,18 +1500,7 @@ impl Cluster {
                 wk.pull_end[g] = now;
                 wk.iter
             };
-            if let Some(c) = self.retry_counts.remove(&(w, iter, g)) {
-                self.fault_stats.recoveries += 1;
-                self.emit(
-                    now,
-                    TraceEvent::Recovered {
-                        worker: w,
-                        iter,
-                        grad: g,
-                        attempts: c,
-                    },
-                );
-            }
+            self.close_retry_episode(now, w, iter, g);
             self.emit(
                 now,
                 TraceEvent::PullEnd {
@@ -1551,229 +1543,89 @@ impl Cluster {
         self.has_faults() && now < self.stall_until[w]
     }
 
-    /// The node a spec's trace events are attributed to (`usize::MAX` for
-    /// the global `MsgLoss`/`PayloadCorrupt`; stalls use the worker's
-    /// topology node).
-    fn fault_trace_node(&self, spec: &FaultSpec) -> usize {
-        match *spec {
-            FaultSpec::LinkDown { node, .. } | FaultSpec::LinkDegrade { node, .. } => node,
-            FaultSpec::MsgLoss { .. } | FaultSpec::PayloadCorrupt { .. } => usize::MAX,
-            FaultSpec::ShardCrash { shard, .. }
-            | FaultSpec::ShardFail { shard, .. }
-            | FaultSpec::CheckpointCorrupt { shard, .. } => shard,
-            FaultSpec::WorkerStall { worker, .. }
-            | FaultSpec::WorkerFail { worker, .. }
-            | FaultSpec::WorkerJoin { worker, .. } => self.cfg.ps_shards + worker,
+    /// Re-derive the cached state `kind` windows drive on `node` from the
+    /// one [`Windows`] query — called when such a window opens or closes,
+    /// so overlapping windows can neither stack past the worst one nor
+    /// un-fault a node another window still covers. Returns whether `node`
+    /// is up (link kinds only).
+    fn refresh_fault_state(&mut self, now: SimTime, kind: FaultKind, node: usize) -> bool {
+        let ns = now.as_nanos();
+        let worst = self.windows.worst_at(kind, &[node], ns);
+        let until = self.windows.active_until(kind, &[node], ns);
+        let until = until.map_or(SimTime::ZERO, SimTime::from_nanos);
+        match kind {
+            FaultKind::LinkDown | FaultKind::ShardCrash => {
+                // A transient window closing must never resurrect a node a
+                // permanent `ShardFail` already killed for good.
+                let perma_dead = node < self.cfg.ps_shards && self.shard_dead[node];
+                let down = |k| self.windows.active_until(k, &[node], ns).is_some();
+                self.node_down[node] =
+                    perma_dead || down(FaultKind::LinkDown) || down(FaultKind::ShardCrash);
+                return !self.node_down[node];
+            }
+            FaultKind::LinkDegrade => {
+                self.node_degrade[node] = worst.unwrap_or(1.0);
+                self.apply_node_cap(now, node);
+            }
+            FaultKind::MsgLoss => (self.loss_rate, self.loss_until) = (worst.unwrap_or(0.0), until),
+            FaultKind::PayloadCorrupt => {
+                (self.corrupt_rate, self.corrupt_until) = (worst.unwrap_or(0.0), until);
+            }
+            FaultKind::WorkerStall => self.stall_until[node - self.cfg.ps_shards] = until,
+            _ => unreachable!("iteration-indexed faults are never window-scheduled"),
         }
-    }
-
-    /// Is any `LinkDown`/`ShardCrash` window covering `node` active at
-    /// `now`? Windows are half-open `[at, until)`, so a finish event at
-    /// `until` sees its own window as inactive.
-    fn any_down_window(&self, now: SimTime, node: usize) -> bool {
-        self.cfg.fault_plan.faults.iter().any(|f| {
-            window_active(f, now)
-                && match *f {
-                    FaultSpec::LinkDown { node: n, .. } => n == node,
-                    FaultSpec::ShardCrash { shard, .. } => shard == node,
-                    _ => false,
-                }
-        })
-    }
-
-    /// Effective degrade factor on `node`: the minimum over active
-    /// `LinkDegrade` windows (overlaps stack as "worst wins"), 1.0 if none.
-    fn active_degrade(&self, now: SimTime, node: usize) -> f64 {
-        self.cfg
-            .fault_plan
-            .faults
-            .iter()
-            .fold(1.0f64, |acc, f| match *f {
-                FaultSpec::LinkDegrade {
-                    node: n, factor, ..
-                } if n == node && window_active(f, now) => acc.min(factor),
-                _ => acc,
-            })
-    }
-
-    /// Effective loss `(rate, until)` over active `MsgLoss` windows: the
-    /// worst rate, covering until the last window closes.
-    fn active_loss(&self, now: SimTime) -> (f64, SimTime) {
-        self.cfg
-            .fault_plan
-            .faults
-            .iter()
-            .fold((0.0f64, SimTime::ZERO), |(rate, until), f| match *f {
-                FaultSpec::MsgLoss { rate: r, .. } if window_active(f, now) => {
-                    (rate.max(r), until.max(f.until()))
-                }
-                _ => (rate, until),
-            })
-    }
-
-    /// Effective corruption `(rate, until)` over active `PayloadCorrupt`
-    /// windows, mirroring [`Cluster::active_loss`].
-    fn active_corrupt(&self, now: SimTime) -> (f64, SimTime) {
-        self.cfg
-            .fault_plan
-            .faults
-            .iter()
-            .fold((0.0f64, SimTime::ZERO), |(rate, until), f| match *f {
-                FaultSpec::PayloadCorrupt { rate: r, .. } if window_active(f, now) => {
-                    (rate.max(r), until.max(f.until()))
-                }
-                _ => (rate, until),
-            })
+        false
     }
 
     fn on_fault_begin(&mut self, now: SimTime, idx: usize) {
-        let spec = self.cfg.fault_plan.faults[idx];
-        let key = (spec.kind(), self.fault_trace_node(&spec));
-        let count = self.fault_active.entry(key).or_insert(0);
+        let win = self.windows.all()[idx];
+        let count = self.fault_active.entry((win.kind, win.node)).or_insert(0);
         *count += 1;
         if *count == 1 {
             self.emit(
                 now,
                 TraceEvent::FaultStart {
-                    kind: key.0,
-                    node: key.1,
+                    kind: win.kind,
+                    node: win.node,
                 },
             );
         }
-        match spec {
-            FaultSpec::LinkDown { node, .. } => {
-                self.node_down[node] = true;
-                let kills = self.net.kill_flows_touching(now, NodeId(node));
-                self.fail_flows(now, kills);
-            }
-            FaultSpec::LinkDegrade { node, factor, .. } => {
-                // Overlapping degrades stack as "worst wins".
-                self.node_degrade[node] = self.node_degrade[node].min(factor);
-                self.apply_node_cap(now, node);
-            }
-            FaultSpec::MsgLoss { rate, .. } => {
-                self.loss_rate = self.loss_rate.max(rate);
-                self.loss_until = self.loss_until.max(spec.until());
-            }
-            FaultSpec::ShardCrash { shard, .. } => {
-                self.node_down[shard] = true;
-                let kills = self.net.kill_flows_touching(now, NodeId(shard));
-                self.fail_flows(now, kills);
-                self.wipe_shard_state(now, shard);
-            }
-            FaultSpec::WorkerStall { worker, .. } => {
-                // A shorter overlapping stall must not cut a longer one off.
-                self.stall_until[worker] = self.stall_until[worker].max(spec.until());
-            }
-            FaultSpec::PayloadCorrupt { rate, .. } => {
-                self.corrupt_rate = self.corrupt_rate.max(rate);
-                self.corrupt_until = self.corrupt_until.max(spec.until());
-            }
-            FaultSpec::WorkerFail { .. }
-            | FaultSpec::ShardFail { .. }
-            | FaultSpec::WorkerJoin { .. }
-            | FaultSpec::CheckpointCorrupt { .. } => {
-                unreachable!("iteration-indexed faults are never window-scheduled")
+        self.refresh_fault_state(now, win.kind, win.node);
+        if matches!(win.kind, FaultKind::LinkDown | FaultKind::ShardCrash) {
+            let kills = self.net.kill_flows_touching(now, NodeId(win.node));
+            self.fail_flows(now, kills);
+            if win.kind == FaultKind::ShardCrash {
+                self.wipe_shard_state(now, win.node);
             }
         }
     }
 
     fn on_fault_finish(&mut self, now: SimTime, idx: usize) {
-        let spec = self.cfg.fault_plan.faults[idx];
-        let key = (spec.kind(), self.fault_trace_node(&spec));
+        let win = self.windows.all()[idx];
         let count = self
             .fault_active
-            .get_mut(&key)
+            .get_mut(&(win.kind, win.node))
             .expect("fault finished without starting");
         *count -= 1;
         // The trace pair closes when the last same-(kind, node) window does;
         // node state restores only once *no* window (of any kind) still
-        // holds it down — both recomputed from the plan, not toggled, so
-        // overlapping windows cannot un-fault a still-faulted node.
+        // holds it down.
         let last = *count == 0;
-        match spec {
-            FaultSpec::LinkDown { node, .. } | FaultSpec::ShardCrash { shard: node, .. } => {
-                // A transient window closing must never resurrect a node a
-                // permanent `ShardFail` already killed for good.
-                let perma_dead = node < self.cfg.ps_shards && self.shard_dead[node];
-                let up = !self.any_down_window(now, node) && !perma_dead;
-                if up {
-                    self.node_down[node] = false;
-                    self.cold_restart_lanes(node);
-                }
-                if last {
-                    self.emit(
-                        now,
-                        TraceEvent::FaultEnd {
-                            kind: key.0,
-                            node: key.1,
-                        },
-                    );
-                }
-                if up {
-                    self.kick_lanes_touching(now, node);
-                }
-            }
-            FaultSpec::LinkDegrade { node, .. } => {
-                self.node_degrade[node] = self.active_degrade(now, node);
-                self.apply_node_cap(now, node);
-                if last {
-                    self.emit(
-                        now,
-                        TraceEvent::FaultEnd {
-                            kind: key.0,
-                            node: key.1,
-                        },
-                    );
-                }
-            }
-            FaultSpec::MsgLoss { .. } => {
-                let (rate, until) = self.active_loss(now);
-                self.loss_rate = rate;
-                self.loss_until = until;
-                if last {
-                    self.emit(
-                        now,
-                        TraceEvent::FaultEnd {
-                            kind: key.0,
-                            node: key.1,
-                        },
-                    );
-                }
-            }
-            FaultSpec::WorkerStall { .. } => {
-                // `stall_until` is the max over windows already; nothing to
-                // restore.
-                if last {
-                    self.emit(
-                        now,
-                        TraceEvent::FaultEnd {
-                            kind: key.0,
-                            node: key.1,
-                        },
-                    );
-                }
-            }
-            FaultSpec::PayloadCorrupt { .. } => {
-                let (rate, until) = self.active_corrupt(now);
-                self.corrupt_rate = rate;
-                self.corrupt_until = until;
-                if last {
-                    self.emit(
-                        now,
-                        TraceEvent::FaultEnd {
-                            kind: key.0,
-                            node: key.1,
-                        },
-                    );
-                }
-            }
-            FaultSpec::WorkerFail { .. }
-            | FaultSpec::ShardFail { .. }
-            | FaultSpec::WorkerJoin { .. }
-            | FaultSpec::CheckpointCorrupt { .. } => {
-                unreachable!("iteration-indexed faults are never window-scheduled")
-            }
+        let up = self.refresh_fault_state(now, win.kind, win.node);
+        if up {
+            self.cold_restart_lanes(win.node);
+        }
+        if last {
+            self.emit(
+                now,
+                TraceEvent::FaultEnd {
+                    kind: win.kind,
+                    node: win.node,
+                },
+            );
+        }
+        if up {
+            self.kick_lanes_touching(now, win.node);
         }
     }
 
@@ -1857,12 +1709,26 @@ impl Cluster {
     /// Re-queue a failed message under a fresh tag with one more attempt,
     /// back its lane off, and void the stamps of the gradients it carried.
     fn fail_message(&mut self, now: SimTime, key: (usize, usize, Dir), mut msg: QueuedMsg) {
+        self.void_message(now, key, &mut msg);
+        msg.tag = self.next_flow_tag;
+        self.next_flow_tag += 1;
+        self.flow_task.insert(msg.tag, msg.task_id);
+        let delay = self.cfg.retry.delay(msg.attempt);
+        let until = now + delay;
+        let lane = self.lanes.get_mut(&key).expect("lane exists");
+        lane.queue.push_front(msg);
+        if until > lane.blocked_until {
+            lane.blocked_until = until;
+        }
+        self.queue.schedule(until, Ev::LaneKick { key });
+    }
+
+    /// A message failed in flight: retire its flow tag, count one more
+    /// attempt against it, its worker and its scheduler, and open a retry
+    /// step for every gradient it carried. The caller re-queues it.
+    fn void_message(&mut self, now: SimTime, key: (usize, usize, Dir), msg: &mut QueuedMsg) {
         let (w, _, dir) = key;
         self.flow_task.remove(&msg.tag);
-        let tag = self.next_flow_tag;
-        self.next_flow_tag += 1;
-        self.flow_task.insert(tag, msg.task_id);
-        msg.tag = tag;
         msg.attempt += 1;
         msg.doomed = false;
         msg.corrupted = false;
@@ -1873,17 +1739,26 @@ impl Cluster {
             (t.iter, t.task.clone())
         };
         self.workers[w].sched.transfer_failed(now, &task);
-        for &(g, _) in &msg.pieces.clone() {
+        for &(g, _) in &msg.pieces {
             self.note_retry(now, w, iter, g, dir);
         }
-        let delay = self.cfg.retry.delay(msg.attempt);
-        let until = now + delay;
-        let lane = self.lanes.get_mut(&key).expect("lane exists");
-        lane.queue.push_front(msg);
-        if until > lane.blocked_until {
-            lane.blocked_until = until;
+    }
+
+    /// `(w, iter, g)` finally delivered: close its retry episode, if one is
+    /// open.
+    fn close_retry_episode(&mut self, now: SimTime, w: usize, iter: u64, g: usize) {
+        if let Some(attempts) = self.retry_counts.remove(&(w, iter, g)) {
+            self.fault_stats.recoveries += 1;
+            self.emit(
+                now,
+                TraceEvent::Recovered {
+                    worker: w,
+                    iter,
+                    grad: g,
+                    attempts,
+                },
+            );
         }
-        self.queue.schedule(until, Ev::LaneKick { key });
     }
 
     /// Record one retry step for `(w, iter, g)` and void its stamps so the
@@ -1927,7 +1802,7 @@ impl Cluster {
         let mut wiped: Vec<((u64, usize), Vec<u64>)> = self
             .agg
             .iter()
-            .filter(|((_, g), _)| self.shard_of(*g).0 == shard)
+            .filter(|((_, g), _)| self.owner[*g] == shard)
             .map(|(&k, st)| (k, st.per_worker_bytes.clone()))
             .collect();
         wiped.sort_by_key(|&(k, _)| k);
@@ -1956,26 +1831,7 @@ impl Cluster {
                         replay: true,
                     },
                 );
-                let tag = self.next_flow_tag;
-                self.next_flow_tag += 1;
-                self.flow_task.insert(tag, task_id);
-                let key = (w, shard, Dir::Push);
-                let node = self.workers[w].node;
-                self.lanes
-                    .entry(key)
-                    .or_insert_with(Lane::new)
-                    .queue
-                    .push_back(QueuedMsg {
-                        tag,
-                        bytes: b,
-                        src: node,
-                        dst: NodeId(shard),
-                        task_id,
-                        pieces: vec![(g, b)],
-                        attempt: 1,
-                        doomed: false,
-                        corrupted: false,
-                    });
+                self.enqueue((w, shard, Dir::Push), task_id, b, vec![(g, b)], 1);
                 // No kick — the shard is down; restart kicks the lanes.
             }
         }
@@ -1987,23 +1843,20 @@ impl Cluster {
     /// `at_iter <= iter`: shard failures first, then admissions, each in
     /// node-id order — a fixed order, so runs are deterministic.
     fn fire_boundary_events(&mut self, now: SimTime, iter: u64) {
-        for s in 0..self.cfg.ps_shards {
-            if self.shard_dead[s] {
-                continue;
+        while let Some(death) = self.mem.shard_deaths().get(self.deaths_fired) {
+            if death.at_iter > iter {
+                break;
             }
-            if let Some(k) = self.cfg.fault_plan.shard_fail_at(s) {
-                if k <= iter {
-                    self.fail_shard(now, s, k);
-                }
-            }
+            let (s, at_iter, owner) = (death.shard, death.at_iter, death.owner.clone());
+            self.deaths_fired += 1;
+            self.fail_shard(now, s, at_iter, owner);
         }
-        for w in 0..self.workers.len() {
-            if self.joined[w] || self.active_from[w] == 0 {
-                continue;
+        while let Some(&(at_iter, w)) = self.mem.joins().get(self.joins_fired) {
+            if at_iter > iter {
+                break;
             }
-            if self.active_from[w] <= iter {
-                self.admit_worker(now, w);
-            }
+            self.joins_fired += 1;
+            self.admit_worker(now, w, at_iter);
         }
     }
 
@@ -2037,21 +1890,13 @@ impl Cluster {
     /// Boundary semantics mean no in-flight state: its final iteration's
     /// transfers all completed for the forward pass to have finished.
     fn evict_worker(&mut self, now: SimTime, w: usize) {
-        let at_iter = self.fail_at[w].expect("eviction without a fail spec");
+        let at_iter = self.mem.leaves_at(w).expect("eviction without a fail spec");
         self.evicted[w] = true;
         self.elastic.evicted_workers += 1;
         self.open_epoch(now, FaultKind::WorkerFail, w, at_iter);
         // Barriers the departed worker was the last missing member of
         // close right now — everyone surviving already pushed.
         self.sweep_barriers(now);
-    }
-
-    /// Is some worker with `fail_at <= iter` still awaiting eviction? While
-    /// one is, no iteration-`iter` barrier may close: the Barrier event must
-    /// trail that worker's WorkerFail epoch in the trace.
-    fn pending_worker_fail(&self, iter: u64) -> bool {
-        (0..self.workers.len())
-            .any(|w| self.fail_at[w].is_some_and(|k| k <= iter) && !self.evicted[w])
     }
 
     /// Close every open barrier the shrunken membership already satisfies,
@@ -2061,9 +1906,7 @@ impl Cluster {
         let mut ready: Vec<(u64, usize)> = self
             .agg
             .iter()
-            .filter(|(&(iter, _), st)| {
-                st.workers_done == self.expected_workers(iter) && !self.pending_worker_fail(iter)
-            })
+            .filter(|(&(iter, _), st)| self.mem.may_close(iter, st.workers_done, &self.evicted))
             .map(|(&k, _)| k)
             .collect();
         ready.sort_unstable();
@@ -2076,8 +1919,7 @@ impl Cluster {
     /// pulling the full model (modelled as a provisioning delay at the
     /// joiner's NIC rate, off the training fabric), then runs iterations
     /// `k..` as a full barrier member.
-    fn admit_worker(&mut self, now: SimTime, j: usize) {
-        let k = self.active_from[j];
+    fn admit_worker(&mut self, now: SimTime, j: usize, k: u64) {
         self.joined[j] = true;
         {
             let wk = &mut self.workers[j];
@@ -2093,10 +1935,10 @@ impl Cluster {
     }
 
     /// Shard `s` dies for good at the boundary of iteration `at_iter`: its
-    /// tensors re-home to survivors, which rebuild the adopted state from
-    /// the last checkpoint plus the post-checkpoint byte ledger before
-    /// serving anything new.
-    fn fail_shard(&mut self, now: SimTime, s: usize, at_iter: u64) {
+    /// tensors re-home to survivors per `next_owner`, which rebuild the
+    /// adopted state from the last checkpoint plus the post-checkpoint byte
+    /// ledger before serving anything new.
+    fn fail_shard(&mut self, now: SimTime, s: usize, at_iter: u64, next_owner: Vec<usize>) {
         self.shard_dead[s] = true;
         self.node_down[s] = true;
         self.elastic.failed_shards += 1;
@@ -2123,14 +1965,8 @@ impl Cluster {
             lane.active = false;
             lane.last_end = now;
         }
-        // Re-home the dead shard's tensors (the modular rule over
-        // survivors — a pure function of permanent membership, so the
-        // threaded runtime derives the identical placement).
-        let dead: Vec<usize> = (0..self.cfg.ps_shards)
-            .filter(|&x| self.shard_dead[x])
-            .collect();
-        let from = self.owner.clone();
-        rehome_modular(&mut self.owner, self.cfg.ps_shards, &dead, s);
+        // Re-home the dead shard's tensors onto the timetable's next table.
+        let from = std::mem::replace(&mut self.owner, next_owner);
         let mut adopters: Vec<usize> = Vec::new();
         for (g, &prev) in from.iter().enumerate() {
             if prev == self.owner[g] {
@@ -2156,30 +1992,22 @@ impl Cluster {
         // newest generation and the cost collapses to the classic
         // `snapshot + ledger`, which is what keeps the exact-ns fault
         // goldens byte-for-byte unchanged.
-        let gens = std::mem::take(&mut self.ckpt_gens[s]);
-        let mut restore = 0u64;
-        let mut depth = 0u64;
-        let mut intact = None;
-        for (i, g) in gens.iter().enumerate().rev() {
-            restore += g.snap_bytes;
-            if g.corrupt {
-                depth += 1;
-            } else {
-                intact = Some(i);
-                break;
-            }
-        }
-        let intact = intact.expect("no intact checkpoint generation for failed shard");
-        for g in &gens[intact..] {
-            restore += g.seg_bytes;
-        }
-        if depth > 0 {
+        let fb = self.ckpt_gens[s]
+            .fallback()
+            .expect("no intact checkpoint generation for failed shard");
+        if fb.depth > 0 {
             self.elastic.restore_fallbacks += 1;
-            self.elastic.fallback_depth += depth;
-            self.emit(now, TraceEvent::RestoreFallback { shard: s, depth });
+            self.elastic.fallback_depth += fb.depth;
+            self.emit(
+                now,
+                TraceEvent::RestoreFallback {
+                    shard: s,
+                    depth: fb.depth,
+                },
+            );
         }
-        self.elastic.restore_bytes += restore;
-        let delay = Duration::from_secs_f64(restore as f64 / self.cfg.ps_bps);
+        self.elastic.restore_bytes += fb.bytes;
+        let delay = Duration::from_secs_f64(fb.bytes as f64 / self.cfg.ps_bps);
         self.elastic.recovery_ns += delay.as_nanos();
         let until = now + delay;
         for &a in &adopters {
@@ -2215,21 +2043,7 @@ impl Cluster {
     /// that is never coming back would burn the whole capped-exponential
     /// schedule per message for nothing.
     fn reroute_message(&mut self, now: SimTime, key: (usize, usize, Dir), mut msg: QueuedMsg) {
-        let (w, _, dir) = key;
-        self.flow_task.remove(&msg.tag);
-        self.fault_stats.retried_bytes += msg.bytes;
-        self.workers[w].failures_since_tick += 1;
-        let (iter, task) = {
-            let t = self.tasks.get(&msg.task_id).expect("unknown task");
-            (t.iter, t.task.clone())
-        };
-        self.workers[w].sched.transfer_failed(now, &task);
-        for &(g, _) in &msg.pieces.clone() {
-            self.note_retry(now, w, iter, g, dir);
-        }
-        msg.attempt += 1;
-        msg.doomed = false;
-        msg.corrupted = false;
+        self.void_message(now, key, &mut msg);
         debug_assert_eq!(
             self.cfg.retry.delay_to(msg.attempt, true),
             Duration::ZERO,
@@ -2239,49 +2053,14 @@ impl Cluster {
         // maps one dead shard onto one survivor, but stay general). One
         // message becomes `groups.len()`, so the owning task's outstanding
         // subflow count grows by the difference.
-        type Group = (usize, u64, Vec<(usize, u64)>);
-        let mut groups: Vec<Group> = Vec::new();
-        for &(g, b) in &msg.pieces {
-            let a = self.owner[g];
-            match groups.iter_mut().find(|(s2, _, _)| *s2 == a) {
-                Some((_, bytes, pieces)) => {
-                    *bytes += b;
-                    pieces.push((g, b));
-                }
-                None => groups.push((a, b, vec![(g, b)])),
-            }
-        }
+        let groups = self.group_by_owner(&msg.pieces);
         self.tasks
             .get_mut(&msg.task_id)
             .expect("unknown task")
             .subflows_remaining += groups.len() - 1;
-        let wnode = self.workers[w].node;
-        let attempt = msg.attempt;
-        let task_id = msg.task_id;
         for (a, bytes, pieces) in groups {
-            let tag = self.next_flow_tag;
-            self.next_flow_tag += 1;
-            self.flow_task.insert(tag, task_id);
-            let (src, dst) = match dir {
-                Dir::Push => (wnode, NodeId(a)),
-                Dir::Pull => (NodeId(a), wnode),
-            };
-            let newkey = (w, a, dir);
-            self.lanes
-                .entry(newkey)
-                .or_insert_with(Lane::new)
-                .queue
-                .push_back(QueuedMsg {
-                    tag,
-                    bytes,
-                    src,
-                    dst,
-                    task_id,
-                    pieces,
-                    attempt,
-                    doomed: false,
-                    corrupted: false,
-                });
+            let newkey = (key.0, a, key.2);
+            self.enqueue(newkey, msg.task_id, bytes, pieces, msg.attempt);
             self.kick_lane(now, newkey);
         }
     }
@@ -2290,74 +2069,27 @@ impl Cluster {
     /// append to its owning shard's post-checkpoint ledger, and the last
     /// barrier of a period-aligned iteration triggers a snapshot.
     fn note_barrier_closed(&mut self, now: SimTime, iter: u64, g: usize) {
-        let s = self.owner[g];
-        if let Some(gen) = self.ckpt_gens[s].last_mut() {
-            gen.seg_bytes += self.sizes[g];
-        }
+        self.ckpt_gens[self.owner[g]].newest_mut().seg_bytes += self.sizes[g];
         let done = self.barrier_counts.entry(iter).or_insert(0);
         *done += 1;
         if *done == self.num_grads() {
             self.barrier_counts.remove(&iter);
-            if (iter + 1) % self.cfg.checkpoint_period == 0 {
-                self.take_checkpoint(now, iter);
-            }
+            self.take_checkpoint(now, iter);
         }
     }
 
-    /// Snapshot every surviving shard's parameter state as of `iter` and
-    /// reset its ledger.
+    /// Iteration `iter` closed: snapshot every surviving shard whose cadence
+    /// is due, opening a fresh ledger segment.
     fn take_checkpoint(&mut self, now: SimTime, iter: u64) {
-        let mut owned = vec![0u64; self.cfg.ps_shards];
-        for (g, &o) in self.owner.iter().enumerate() {
-            owned[o] += self.sizes[g];
-        }
+        let owned = owned_bytes(&self.owner, &self.sizes, self.cfg.ps_shards);
         for (s, &bytes) in owned.iter().enumerate() {
-            if self.shard_dead[s] {
+            if self.shard_dead[s] || !self.ckpt_sched[s].due(iter) {
                 continue;
             }
-            // `CheckpointCorrupt { shard, at_iter }` poisons the first
-            // snapshot written at or after that iteration boundary — the
-            // snapshot covering through `iter` is written at boundary
-            // `iter + 1` — and only that one (one-shot), so the newest
-            // *older* generation stays intact for the fallback walk.
-            let corrupt = !self.ckpt_corrupt_done[s]
-                && self
-                    .cfg
-                    .fault_plan
-                    .checkpoint_corrupt_at(s)
-                    .is_some_and(|k| iter + 1 >= k);
-            if corrupt {
-                self.ckpt_corrupt_done[s] = true;
-                self.elastic.corrupt_snapshots += 1;
-            }
-            self.ckpt_gens[s].push(SimGen {
-                snap_bytes: bytes,
-                seg_bytes: 0,
-                corrupt,
-            });
-            // Retention GC, mirroring `DurableStore`'s scrub rule: collect
-            // oldest-first while more than one intact generation remains,
-            // then corrupted generations (a removed corrupt generation's
-            // ledger segment merges into its older neighbour, which still
-            // needs those entries for replay), and never collect the only
-            // intact one — a corrupted newest snapshot must always leave a
-            // verified fallback target behind.
-            let keep = self.cfg.checkpoint_retention.max(1);
-            let gens = &mut self.ckpt_gens[s];
-            while gens.len() > keep {
-                let intact = gens.iter().filter(|g| !g.corrupt).count();
-                if intact > 1 {
-                    gens.remove(0);
-                } else if let Some(i) = gens.iter().position(|g| g.corrupt) {
-                    let seg = gens[i].seg_bytes;
-                    gens.remove(i);
-                    if i > 0 {
-                        gens[i - 1].seg_bytes += seg;
-                    }
-                } else {
-                    break;
-                }
-            }
+            let corrupt = self.ckpt_sched[s].poisons(iter);
+            self.ckpt_sched[s].round_written(iter);
+            self.elastic.corrupt_snapshots += corrupt as u64;
+            self.ckpt_gens[s].push(SimGen::new(bytes, corrupt));
             self.elastic.checkpoints += 1;
             self.emit(now, TraceEvent::Checkpoint { shard: s, iter });
         }
@@ -2457,6 +2189,18 @@ impl Cluster {
 pub fn run_cluster(cfg: &ClusterConfig, iters: u64) -> RunResult {
     assert!(iters > 0, "zero iterations");
     Cluster::new(cfg.clone(), iters).run()
+}
+
+/// [`run_cluster`] with the fluid network in full-resolve mode (every
+/// re-allocation re-solves every connected component): the oracle
+/// `tests/integration_incremental_golden.rs` holds the incremental engine
+/// bit-identical to. A test hook, not a deployment choice.
+#[doc(hidden)]
+pub fn run_cluster_full_resolve(cfg: &ClusterConfig, iters: u64) -> RunResult {
+    assert!(iters > 0, "zero iterations");
+    let mut cluster = Cluster::new(cfg.clone(), iters);
+    cluster.net.set_full_resolve(true);
+    cluster.run()
 }
 
 #[cfg(test)]

@@ -87,7 +87,10 @@ pub struct ClusterConfig {
     pub worker_compute_scale: Vec<(usize, f64)>,
     /// Deterministic fault schedule. An **empty** plan is inert by
     /// construction: no fault event is ever enqueued, so the run is
-    /// bit-identical to a build without the fault layer.
+    /// bit-identical to a build without the fault layer. How the plan is
+    /// read — active windows, per-iteration membership, checkpoint
+    /// generations — is [`crate::protocol`]'s, the same rules the threaded
+    /// runtime runs.
     pub fault_plan: FaultPlan,
     /// Backoff/timeout policy applied to messages killed or lost by the
     /// fault plan. Irrelevant (never consulted) when the plan is empty.
@@ -100,25 +103,20 @@ pub struct ClusterConfig {
     /// default already covers are bit-identical either way. Off restores
     /// the hazardous flat behaviour (kept for the regression test).
     pub adapt_retry_timeout: bool,
-    /// Run the fluid network in full-resolve mode: every re-allocation
-    /// re-solves every connected component instead of only the dirty ones.
-    /// This is the oracle the incremental engine is golden-tested against —
-    /// both modes share the identical fill path, so `FlowEnd` timestamps
-    /// and rates must be bit-identical. Default off (incremental); only
-    /// the golden-equality suite turns it on.
-    pub net_full_resolve: bool,
     /// Shard-checkpoint cadence in iterations: each shard snapshots its
     /// parameter state every `checkpoint_period` completed iterations
     /// (the initial parameters are an implicit iteration-0 checkpoint).
     /// Checkpoints are only armed when the fault plan contains a
     /// `ShardFail` — an unarmed run does zero checkpoint work, keeping
-    /// empty-plan runs bit-identical to pre-elastic builds.
+    /// empty-plan runs bit-identical to pre-elastic builds
+    /// ([`crate::protocol::CheckpointSchedule`]).
     pub checkpoint_period: u64,
     /// Verified checkpoint generations to retain per shard (the durable
     /// store's GC horizon). A `CheckpointCorrupt` fault can poison the
     /// newest snapshot, so restores fall back to older generations; GC
     /// keeps the last `checkpoint_retention` of them — never collecting
-    /// the only intact one — and collects the rest. Must be ≥ 1.
+    /// the only intact one — and collects the rest
+    /// ([`crate::protocol::GenChain`]). Must be ≥ 1.
     pub checkpoint_retention: usize,
 }
 
@@ -155,7 +153,6 @@ impl ClusterConfig {
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
             adapt_retry_timeout: true,
-            net_full_resolve: false,
             checkpoint_period: 4,
             checkpoint_retention: 2,
         }

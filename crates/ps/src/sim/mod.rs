@@ -12,5 +12,7 @@ mod config;
 mod metrics;
 
 pub use cluster::run_cluster;
+#[doc(hidden)]
+pub use cluster::run_cluster_full_resolve;
 pub use config::{ClusterConfig, SyncMode};
 pub use metrics::{ElasticStats, FaultStats, GradTransferLog, RunResult};

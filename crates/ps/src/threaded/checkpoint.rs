@@ -19,16 +19,17 @@
 //! `CheckpointCorrupt` fault silently flips a bit in the newest snapshot;
 //! [`DurableStore::restore`] detects the damage (recomputed CRC disagrees)
 //! and *falls back* to the next-older generation, paying a longer ledger
-//! replay instead of serving poison. GC (bounded by the `retention` knob)
-//! scrubs generations the same way and never collects the only intact one.
+//! replay instead of serving poison. Retention GC and the fallback walk are
+//! [`GenChain`]'s — the one rule the simulator's byte-cost model runs too —
+//! with this store's CRC scrub as the intactness test.
 //!
-//! The store is dormant (`armed = false`, zero allocation, zero locking on
-//! the hot path) unless the fault plan actually kills a shard — mirroring
-//! the simulator, whose checkpoint machinery only arms under
-//! `FaultPlan::has_shard_fail`.
+//! The store is dormant (zero allocation, zero locking on the hot path)
+//! unless the fault plan actually kills a shard — mirroring the simulator,
+//! whose checkpoint machinery only arms under `FaultPlan::has_shard_fail`.
 
 use super::runtime::PsOptimizer;
 use super::wire::crc32;
+use crate::protocol::{GenChain, Generation};
 use prophet_minidnn::{Adam, Sgd};
 use std::sync::Mutex;
 
@@ -79,8 +80,9 @@ pub(crate) fn params_crc(values: &[f32]) -> u32 {
 }
 
 /// One snapshot generation of a tensor: the durable bytes, the iteration
-/// they cover through, and the checksum they were written under.
-struct Generation {
+/// they cover through, the checksum they were written under, and the
+/// ledger segment of updates applied since.
+struct Snapshot {
     params: Vec<f32>,
     opt: OptState,
     /// Iteration the snapshot covers through (`None` = the initial,
@@ -89,25 +91,24 @@ struct Generation {
     /// CRC32 of `params` at write time; a recomputed mismatch at restore
     /// or GC time means the generation is corrupted and must be skipped.
     crc: u32,
+    /// `(iter, mean gradient, crc)` entries applied after this snapshot
+    /// and before the next one, in application order.
+    ledger: Vec<(u64, Vec<f32>, u32)>,
 }
 
-impl Generation {
-    /// Scrub: do the stored bytes still match the checksum they were
-    /// written under?
+impl Generation for Snapshot {
     fn intact(&self) -> bool {
         params_crc(&self.params) == self.crc
     }
-}
 
-/// One tensor's durable state: retained snapshot generations, oldest
-/// first, and the ledger of mean gradients applied since the oldest one.
-struct TensorCkpt {
-    gens: Vec<Generation>,
-    /// `(iter, mean gradient, crc)` entries in application order. Entries
-    /// at iterations a retained generation already covers are truncated;
-    /// what remains is exactly the replay tail for the *oldest* retained
-    /// generation (newer generations replay a suffix of it).
-    ledger: Vec<(u64, Vec<f32>, u32)>,
+    fn restore_bytes(&self) -> u64 {
+        let elems = self.params.len() + self.ledger.iter().map(|e| e.1.len()).sum::<usize>();
+        elems as u64 * 4
+    }
+
+    fn absorb_ledger(&mut self, mut newer: Self) {
+        self.ledger.append(&mut newer.ledger);
+    }
 }
 
 /// What [`DurableStore::restore`] hands back, plus its cost accounting.
@@ -129,14 +130,14 @@ pub(crate) struct Restored {
 /// The durable tier shards checkpoint into and adopters restore from.
 ///
 /// Sharded by tensor (one mutex per tensor), so two shards checkpointing
-/// concurrently never contend. Every method is a no-op when the store is
-/// not armed; [`DurableStore::restore`] panics instead — restoring from a
-/// store that recorded nothing is a bug worth dying loudly over.
+/// concurrently never contend. Which generations are retained and which
+/// one a restore starts from is [`GenChain`]'s rule; this store holds the
+/// bytes. Every method is a no-op when the store is not armed;
+/// [`DurableStore::restore`] panics instead — restoring from a store that
+/// recorded nothing is a bug worth dying loudly over.
 pub(crate) struct DurableStore {
-    armed: bool,
-    /// Verified generations to retain per tensor (GC horizon), ≥ 1.
-    retention: usize,
-    slots: Vec<Mutex<TensorCkpt>>,
+    /// One chain per tensor; empty when the store is dormant.
+    slots: Vec<Mutex<GenChain<Snapshot>>>,
 }
 
 impl DurableStore {
@@ -151,69 +152,57 @@ impl DurableStore {
         lr: f32,
         retention: usize,
     ) -> Self {
-        assert!(retention >= 1, "checkpoint retention must be ≥ 1");
-        let slots = if armed {
-            init.iter()
-                .map(|p| {
-                    Mutex::new(TensorCkpt {
-                        gens: vec![Generation {
-                            params: p.clone(),
-                            opt: OptState::fresh(opt_cfg, lr, p.len()),
-                            upto: None,
-                            crc: params_crc(p),
-                        }],
-                        ledger: Vec::new(),
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        DurableStore {
-            armed,
-            retention,
-            slots,
-        }
+        let init = if armed { init } else { &[] };
+        let slots = init
+            .iter()
+            .map(|p| {
+                let initial = Snapshot {
+                    params: p.clone(),
+                    opt: OptState::fresh(opt_cfg, lr, p.len()),
+                    upto: None,
+                    crc: params_crc(p),
+                    ledger: Vec::new(),
+                };
+                Mutex::new(GenChain::new(initial, retention))
+            })
+            .collect();
+        DurableStore { slots }
     }
 
     /// Whether the checkpoint machinery is live.
     pub(crate) fn armed(&self) -> bool {
-        self.armed
+        !self.slots.is_empty()
+    }
+
+    fn slot(&self, g: usize) -> std::sync::MutexGuard<'_, GenChain<Snapshot>> {
+        self.slots[g]
+            .lock()
+            .expect("a checkpointing thread panicked")
     }
 
     /// Record the mean gradient a barrier applied to tensor `g` at `iter`.
     /// Must be called for every applied update while armed — the ledger is
     /// the replay log that carries a restore past its snapshot.
     pub(crate) fn note_update(&self, g: usize, iter: u64, mean: &[f32]) {
-        if !self.armed {
+        if !self.armed() {
             return;
         }
-        let mut slot = self.slots[g].lock().unwrap();
+        let mut slot = self.slot(g);
+        let ledger = &mut slot.newest_mut().ledger;
         debug_assert!(
-            slot.ledger.last().is_none_or(|&(i, _, _)| i < iter),
+            ledger.last().is_none_or(|&(i, _, _)| i < iter),
             "ledger for tensor {g} out of order"
         );
-        slot.ledger.push((iter, mean.to_vec(), params_crc(mean)));
+        ledger.push((iter, mean.to_vec(), params_crc(mean)));
     }
 
-    /// Snapshot tensor `g` as of (the end of) `iter`.
-    #[cfg(test)]
-    pub(crate) fn checkpoint(&self, g: usize, iter: u64, params: &[f32], opt: &OptState) {
-        self.checkpoint_with(g, iter, params, opt, false);
-    }
-
-    /// [`DurableStore::checkpoint`] with a fault hook: when `poison` is
-    /// set, one bit of the *stored* copy is flipped after its checksum was
-    /// computed — the silent-corruption model of `CheckpointCorrupt`. The
-    /// live tensor is untouched; only the durable generation is damaged,
-    /// and only a verified restore can tell.
-    ///
-    /// After the push, GC trims the tensor back to `retention` generations:
-    /// oldest-first while more than one intact generation remains, then
-    /// corrupted generations, and it stops rather than collect the last
-    /// intact one. The ledger is truncated to the replay tail of the
-    /// oldest retained generation.
-    pub(crate) fn checkpoint_with(
+    /// Snapshot tensor `g` as of (the end of) `iter` as a new generation;
+    /// [`GenChain::push`] then trims the tensor back to its retention.
+    /// When `poison` is set, one bit of the *stored* copy is flipped after
+    /// its checksum was computed — the silent-corruption model of
+    /// `CheckpointCorrupt`. The live tensor is untouched; only the durable
+    /// generation is damaged, and only a verified restore can tell.
+    pub(crate) fn checkpoint(
         &self,
         g: usize,
         iter: u64,
@@ -221,79 +210,49 @@ impl DurableStore {
         opt: &OptState,
         poison: bool,
     ) {
-        if !self.armed {
+        if !self.armed() {
             return;
         }
-        let mut slot = self.slots[g].lock().unwrap();
         let crc = params_crc(params);
         let mut stored = params.to_vec();
         if poison && !stored.is_empty() {
             stored[0] = f32::from_bits(stored[0].to_bits() ^ 1);
         }
-        slot.gens.push(Generation {
+        self.slot(g).push(Snapshot {
             params: stored,
             opt: opt.clone(),
             upto: Some(iter),
             crc,
+            ledger: Vec::new(),
         });
-        while slot.gens.len() > self.retention {
-            let intact = slot.gens.iter().filter(|g| g.intact()).count();
-            if intact > 1 {
-                slot.gens.remove(0);
-            } else if let Some(i) = slot.gens.iter().position(|g| !g.intact()) {
-                slot.gens.remove(i);
-            } else {
-                break;
-            }
-        }
-        if let Some(upto) = slot.gens[0].upto {
-            slot.ledger.retain(|&(i, _, _)| i > upto);
-        }
     }
 
-    /// Rebuild tensor `g`'s state: walk the generations newest-first,
-    /// verifying each snapshot against its checksum and skipping corrupted
-    /// ones (every skipped snapshot is still paid for in bytes — it was
-    /// read before it could be rejected), then clone the newest intact
-    /// generation and replay the ledger entries past it, verifying each
-    /// entry's checksum as it is applied.
+    /// Rebuild tensor `g`'s state: clone the generation
+    /// [`GenChain::fallback`] chose and replay every ledger entry past it,
+    /// verifying each entry's checksum as it is applied.
     pub(crate) fn restore(&self, g: usize) -> Restored {
-        assert!(self.armed, "restore from a dormant store");
-        let slot = self.slots[g].lock().unwrap();
-        let mut bytes = 0u64;
-        let mut depth = 0u64;
-        let mut chosen = None;
-        for (i, gen) in slot.gens.iter().enumerate().rev() {
-            bytes += (gen.params.len() * 4) as u64;
-            if gen.intact() {
-                chosen = Some(i);
-                break;
-            }
-            depth += 1;
-        }
-        let gen = &slot.gens[chosen.expect("no intact checkpoint generation")];
-        let mut params = gen.params.clone();
-        let mut opt = gen.opt.clone();
-        let mut last = gen.upto;
-        for (iter, mean, crc) in &slot.ledger {
-            if gen.upto.is_some_and(|u| *iter <= u) {
-                continue;
-            }
+        assert!(self.armed(), "restore from a dormant store");
+        let slot = self.slot(g);
+        let fb = slot.fallback().expect("no intact checkpoint generation");
+        let walked = &slot.gens()[fb.intact..];
+        let mut params = walked[0].params.clone();
+        let mut opt = walked[0].opt.clone();
+        let mut upto = walked[0].upto;
+        for (iter, mean, crc) in walked.iter().flat_map(|gen| &gen.ledger) {
             assert_eq!(
                 params_crc(mean),
                 *crc,
                 "corrupt ledger entry for tensor {g} at iteration {iter}"
             );
             opt.step(&mut params, mean);
-            last = Some(*iter);
-            bytes += (mean.len() * 4) as u64;
+            upto = Some(*iter);
         }
         Restored {
             params,
             opt,
-            upto: last,
-            bytes,
-            depth,
+            upto,
+            bytes: fb.bytes,
+            depth: fb.depth,
         }
     }
 }
@@ -317,7 +276,7 @@ mod tests {
             live_o.step(&mut live_p, g);
             store.note_update(0, i as u64, g);
             if i + 1 == ckpt_after {
-                store.checkpoint(0, i as u64, &live_p, &live_o);
+                store.checkpoint(0, i as u64, &live_p, &live_o, false);
             }
         }
         let r = store.restore(0);
@@ -384,7 +343,13 @@ mod tests {
         assert!(!store.armed());
         assert!(store.slots.is_empty());
         store.note_update(0, 0, &[1.0; 4]); // no-op, must not panic
-        store.checkpoint(0, 0, &[1.0; 4], &OptState::fresh(PsOptimizer::Adam, 0.1, 4));
+        store.checkpoint(
+            0,
+            0,
+            &[1.0; 4],
+            &OptState::fresh(PsOptimizer::Adam, 0.1, 4),
+            false,
+        );
     }
 
     #[test]
@@ -410,7 +375,7 @@ mod tests {
             o.step(&mut p, &g);
             store.note_update(0, i, &g);
         }
-        store.checkpoint(0, 3, &p, &o);
+        store.checkpoint(0, 3, &p, &o, false);
         // Post-checkpoint restore replays nothing: bytes = newest snapshot.
         let r = store.restore(0);
         assert_eq!(r.upto, Some(3));
@@ -434,10 +399,10 @@ mod tests {
             o.step(&mut p, &g);
             store.note_update(0, i, &g);
             if i == 1 {
-                store.checkpoint(0, i, &p, &o);
+                store.checkpoint(0, i, &p, &o, false);
             }
             if i == 4 {
-                store.checkpoint_with(0, i, &p, &o, true); // poisoned
+                store.checkpoint(0, i, &p, &o, true); // poisoned
             }
         }
         let r = store.restore(0);
@@ -465,14 +430,15 @@ mod tests {
             let g = vec![0.5f32; 2];
             o.step(&mut p, &g);
             store.note_update(0, i, &g);
-            store.checkpoint_with(0, i, &p, &o, true); // always poisoned
+            store.checkpoint(0, i, &p, &o, true); // always poisoned
         }
         {
-            let slot = store.slots[0].lock().unwrap();
-            assert_eq!(slot.gens.len(), 1, "retention 1 must hold");
-            assert!(slot.gens[0].intact(), "GC collected the intact gen");
-            assert_eq!(slot.gens[0].upto, None, "the initial gen must survive");
-            assert_eq!(slot.ledger.len(), 4, "full replay tail must survive");
+            let slot = store.slot(0);
+            let gens = slot.gens();
+            assert_eq!(gens.len(), 1, "retention 1 must hold");
+            assert!(gens[0].intact(), "GC collected the intact gen");
+            assert_eq!(gens[0].upto, None, "the initial gen must survive");
+            assert_eq!(gens[0].ledger.len(), 4, "full replay tail must survive");
         }
         // Recovery is still bit-exact from the initial gen + full replay.
         let r = store.restore(0);
@@ -482,10 +448,13 @@ mod tests {
             p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
         // A clean checkpoint finally displaces the initial generation.
-        store.checkpoint(0, 3, &p, &o);
-        let slot = store.slots[0].lock().unwrap();
-        assert_eq!(slot.gens.len(), 1);
-        assert_eq!(slot.gens[0].upto, Some(3));
-        assert!(slot.ledger.is_empty(), "ledger truncated to the new gen");
+        store.checkpoint(0, 3, &p, &o, false);
+        let slot = store.slot(0);
+        assert_eq!(slot.gens().len(), 1);
+        assert_eq!(slot.gens()[0].upto, Some(3));
+        assert!(
+            slot.gens()[0].ledger.is_empty(),
+            "ledger truncated to the new gen"
+        );
     }
 }

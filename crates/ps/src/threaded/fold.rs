@@ -12,16 +12,6 @@
 //! path uses, so results stay bit-identical (signed zeros, NaN payloads
 //! and all) while the accumulator block stays L1-resident across all
 //! worker streams instead of being re-walked once per worker.
-//!
-//! The parallel variant splits the accumulator into contiguous
-//! block-aligned chunks, one thread per chunk, each folding **all**
-//! workers in fixed order over its own range — per-element order is again
-//! unchanged, and the per-worker whole-payload CRC is recovered from the
-//! per-chunk partial states with [`super::wire::crc32::shift`] (the CRC
-//! register update is affine, so chunk states combine exactly). It is
-//! gated on tensor size and host parallelism: on a single-core box the
-//! extra threads only add scheduling latency, so the auto setting keeps
-//! the fold sequential there.
 
 use super::wire::crc32;
 use bytes::Bytes;
@@ -29,10 +19,6 @@ use bytes::Bytes;
 /// Elements per fold block: `FUSE_BLOCK / 4` bytes' worth, so each full
 /// block feeds the 4-way interleaved CRC kernel one round while resident.
 const BLOCK_ELEMS: usize = 2048;
-
-/// Tensors below this element count never engage the parallel fold — the
-/// spawn/join latency outweighs the fold itself.
-const PAR_MIN_ELEMS: usize = 1 << 20;
 
 /// One worker's staged whole-tensor payload at a deferred-verify barrier.
 pub(super) struct WorkerPayload<'a> {
@@ -49,84 +35,31 @@ pub(super) struct WorkerPayload<'a> {
 }
 
 /// Fold every whole-tensor payload into `acc` (which the caller zeroed),
-/// verifying each payload's CRC in the same traversal. `chunks` > 1
-/// splits the accumulator across that many threads when the tensor is
-/// large enough to amortise them.
-pub(super) fn fold_whole_deferred(payloads: &[WorkerPayload<'_>], acc: &mut [f32], chunks: usize) {
+/// verifying each payload's CRC in the same traversal: advance `acc` one
+/// block at a time, folding every worker's matching payload window in
+/// fixed worker order and streaming each worker's bytes into its CRC
+/// state.
+pub(super) fn fold_whole_deferred(payloads: &[WorkerPayload<'_>], acc: &mut [f32]) {
     let n = acc.len();
     for p in payloads {
         assert_eq!(p.bytes.len(), n * 4, "payload/accumulator mismatch");
     }
-    if chunks <= 1 || n < PAR_MIN_ELEMS {
-        let mut states = vec![crc32::begin(); payloads.len()];
-        fold_block_major(payloads, acc, 0, &mut states);
-        for (p, s) in payloads.iter().zip(states) {
-            check(p, crc32::finish(s));
-        }
-        return;
-    }
-    // Block-aligned chunk boundaries, ceil-distributed.
-    let per = n.div_ceil(chunks).div_ceil(BLOCK_ELEMS) * BLOCK_ELEMS;
-    let mut bounds: Vec<(usize, usize)> = Vec::new(); // (elem_off, len)
-    let mut off = 0;
-    while off < n {
-        let len = per.min(n - off);
-        bounds.push((off, len));
-        off += len;
-    }
-    // Per-chunk, per-worker CRC partials from the zero state; chunk
-    // threads never touch each other's accumulator range.
-    let partials: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        let mut rest = &mut *acc;
-        for &(elem_off, len) in &bounds {
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            handles.push(s.spawn(move || {
-                let mut states = vec![0u32; payloads.len()];
-                fold_block_major(payloads, head, elem_off, &mut states);
-                states
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fold chunk thread panicked"))
-            .collect()
-    });
-    // Recombine each worker's whole-payload CRC from the chunk partials:
-    // s := shift(s, |chunk|) ^ partial, left to right — exactly the
-    // streaming state the sequential fold would have produced.
-    for (w, p) in payloads.iter().enumerate() {
-        let mut s = crc32::begin();
-        for (c, &(_, len)) in bounds.iter().enumerate() {
-            s = crc32::shift(s, len * 4) ^ partials[c][w];
-        }
-        check(p, crc32::finish(s));
-    }
-}
-
-/// The shared inner fold: advance `acc` one block at a time, folding every
-/// worker's matching payload window in fixed worker order, streaming each
-/// worker's bytes into its CRC state. `elem_off` positions `acc` within
-/// the whole tensor (non-zero for parallel chunks).
-fn fold_block_major(
-    payloads: &[WorkerPayload<'_>],
-    acc: &mut [f32],
-    elem_off: usize,
-    states: &mut [u32],
-) {
+    let mut states = vec![crc32::begin(); payloads.len()];
     let mut bo = 0;
-    while bo < acc.len() {
-        let be = (bo + BLOCK_ELEMS).min(acc.len());
+    while bo < n {
+        let be = (bo + BLOCK_ELEMS).min(n);
         let ac = &mut acc[bo..be];
         for (st, p) in states.iter_mut().zip(payloads) {
-            let bc = &p.bytes[(elem_off + bo) * 4..(elem_off + be) * 4];
+            let bc = &p.bytes[bo * 4..be * 4];
             *st = crc32::update(*st, bc);
             for (a, c) in ac.iter_mut().zip(bc.chunks_exact(4)) {
                 *a += f32::from_le_bytes(c.try_into().unwrap());
             }
         }
         bo = be;
+    }
+    for (p, s) in payloads.iter().zip(states) {
+        check(p, crc32::finish(s));
     }
 }
 
@@ -194,48 +127,10 @@ mod tests {
                 })
                 .collect();
             let mut acc = vec![0.0f32; n];
-            fold_whole_deferred(&payloads, &mut acc, 1);
+            fold_whole_deferred(&payloads, &mut acc);
             let reference = eager_fold(&wires, n);
             for (a, r) in acc.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), r.to_bits(), "fold diverged at n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fold_matches_sequential_bit_for_bit() {
-        // Force the parallel path (tensor above the gate, chunks > 1) and
-        // pin it to the sequential fold, CRC verification included.
-        let n = PAR_MIN_ELEMS + 12_345; // ragged final chunk
-        let tensors: Vec<Vec<f32>> = (0..3)
-            .map(|w| {
-                (0..n)
-                    .map(|i| ((i ^ (w * 7919)) as f32) * 0.001 - 500.0)
-                    .collect()
-            })
-            .collect();
-        let (wires, crcs) = payloads_for(&tensors);
-        let payloads: Vec<WorkerPayload<'_>> = wires
-            .iter()
-            .zip(&crcs)
-            .enumerate()
-            .map(|(w, (b, &crc))| WorkerPayload {
-                bytes: b,
-                crc,
-                worker: w,
-            })
-            .collect();
-        let mut seq = vec![0.0f32; n];
-        fold_whole_deferred(&payloads, &mut seq, 1);
-        for chunks in [2usize, 3, 7] {
-            let mut par = vec![0.0f32; n];
-            fold_whole_deferred(&payloads, &mut par, chunks);
-            for (p, s) in par.iter().zip(&seq) {
-                assert_eq!(
-                    p.to_bits(),
-                    s.to_bits(),
-                    "parallel fold diverged at {chunks} chunks"
-                );
             }
         }
     }
@@ -254,6 +149,6 @@ mod tests {
             worker: 0,
         }];
         let mut acc = vec![0.0f32; 4096];
-        fold_whole_deferred(&payloads, &mut acc, 1);
+        fold_whole_deferred(&payloads, &mut acc);
     }
 }

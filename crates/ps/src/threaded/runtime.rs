@@ -69,14 +69,15 @@ use super::wire::{
     accumulate_f32_le, acks_checksum, crc32, encode_f32_into_crc, fused_crc_accumulate,
     fused_crc_apply, Ack, FrameHeader, ToPs, ToWorker,
 };
+use crate::protocol::{CheckpointSchedule, Membership, Window, Windows, CLUSTER};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap};
 use prophet_minidnn::{Dataset, Mlp};
 use prophet_net::RetryPolicy;
 use prophet_sim::{
-    Duration as SimDuration, FaultKind, FaultPlan, FaultSpec, InvariantChecker, SimTime,
-    TraceEvent, TraceSink, Xoshiro256StarStar,
+    Duration as SimDuration, FaultKind, FaultPlan, InvariantChecker, SimTime, TraceEvent,
+    TraceSink, Xoshiro256StarStar,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,21 +131,20 @@ pub struct ThreadedConfig {
     /// Collect the typed event stream and run the cross-stack
     /// [`InvariantChecker`] over it after the run (panics on violation).
     pub check_invariants: bool,
-    /// Crash-restart each PS shard the moment the first push of this
-    /// iteration arrives at it: the shard's in-flight aggregation state is
-    /// wiped (parameters and optimiser state persist), its epoch bumps,
-    /// and every worker re-pushes that shard's unacknowledged gradients.
-    pub ps_restart_at_iter: Option<u64>,
     /// Fault schedule, sharing the simulator's [`FaultPlan`] type. Times
     /// are real-time offsets from run start; node `s < ps_shards` is PS
     /// shard `s`, node `ps_shards + w` is worker `w`. An empty plan leaves
-    /// every fault path dormant.
+    /// every fault path dormant. How the plan is read — which windows are
+    /// active, who is a member of which iteration, which checkpoint
+    /// generation a restore starts from — is [`crate::protocol`]'s, the
+    /// same rules the simulator runs; `ShardCrash` is the one crash path.
     pub fault_plan: FaultPlan,
     /// Ack-timeout/backoff policy for push slices whose ack never arrives
     /// (only consulted when the plan is non-empty).
     pub retry: RetryPolicy,
     /// Checkpoint cadence in iterations: each shard snapshots its tensors
-    /// into the durable store after iterations `period-1, 2·period-1, …`.
+    /// into the durable store after iterations `period-1, 2·period-1, …`
+    /// ([`crate::protocol::CheckpointSchedule`]).
     /// Only consulted when the fault plan kills a shard permanently (the
     /// store stays dormant otherwise — see [`FaultPlan::has_shard_fail`]).
     pub checkpoint_period: u64,
@@ -152,14 +152,8 @@ pub struct ThreadedConfig {
     /// (its GC horizon). A `CheckpointCorrupt` fault can poison the newest
     /// generation, so restores fall back to older ones; GC keeps the last
     /// `checkpoint_retention` — never collecting the only intact one — and
-    /// collects the rest. Must be ≥ 1.
+    /// collects the rest ([`crate::protocol::GenChain`]). Must be ≥ 1.
     pub checkpoint_retention: usize,
-    /// Accumulator chunks the deferred barrier fold may split a large
-    /// tensor across (each chunk folds all workers in fixed order, so the
-    /// result stays bit-identical at any setting — see [`super::fold`]).
-    /// `0` = auto (host parallelism, capped; resolves to sequential on a
-    /// single-core box), `1` = always sequential, `n` = force `n` chunks.
-    pub agg_threads: usize,
 }
 
 impl ThreadedConfig {
@@ -179,12 +173,10 @@ impl ThreadedConfig {
             scheduler,
             link_bps: None,
             check_invariants: true,
-            ps_restart_at_iter: None,
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
             checkpoint_period: 4,
             checkpoint_retention: 2,
-            agg_threads: 0,
         }
     }
 }
@@ -298,65 +290,38 @@ pub struct WorkerPhases {
     pub wait_ns: u64,
 }
 
-/// One scheduled link fault window, in nanoseconds since run start.
-#[derive(Debug, Clone, Copy)]
-struct LinkWindow {
-    start_ns: u64,
-    end_ns: u64,
-    /// `None` = outage (`LinkDown`), `Some(f)` = `LinkDegrade` by `f`.
-    factor: Option<f64>,
-}
-
 /// A crude token-bucket link emulator: sending `bytes` blocks the sender
-/// until the link would have drained them. Fault windows freeze it
-/// (`LinkDown`) or scale its drain rate (`LinkDegrade`).
+/// until the link would have drained them. The plan's link windows freeze
+/// it (`LinkDown`) or scale its drain rate (`LinkDegrade`).
 struct RateLimiter {
     bps: Option<f64>,
     debt_ns: u64,
     last: Instant,
     /// Run-start instant the fault windows are relative to.
     start: Instant,
-    windows: Vec<LinkWindow>,
+    windows: Arc<Windows>,
+    /// The nodes whose link windows hit this sender: its own, plus every
+    /// PS shard's, whose links all of the worker's transfers traverse.
+    nodes: Vec<usize>,
 }
 
 impl RateLimiter {
-    fn new(bps: Option<f64>, start: Instant, windows: Vec<LinkWindow>) -> Self {
+    /// The link of worker `w` in a `shards`-shard topology.
+    fn new(
+        bps: Option<f64>,
+        start: Instant,
+        windows: Arc<Windows>,
+        w: usize,
+        shards: usize,
+    ) -> Self {
         RateLimiter {
             bps,
             debt_ns: 0,
             last: Instant::now(),
             start,
             windows,
+            nodes: (0..shards).chain([shards + w]).collect(),
         }
-    }
-
-    /// Link fault windows relevant to worker `w` in a `shards`-shard
-    /// topology: its own node (`shards + w`) plus every PS-shard node
-    /// `< shards`, whose links all of the worker's transfers traverse.
-    fn windows_for(plan: &FaultPlan, w: usize, shards: usize) -> Vec<LinkWindow> {
-        plan.faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultSpec::LinkDown { node, at, dur } if node < shards || node == shards + w => {
-                    Some(LinkWindow {
-                        start_ns: at.as_nanos(),
-                        end_ns: (at + dur).as_nanos(),
-                        factor: None,
-                    })
-                }
-                FaultSpec::LinkDegrade {
-                    node,
-                    at,
-                    factor,
-                    dur,
-                } if node < shards || node == shards + w => Some(LinkWindow {
-                    start_ns: at.as_nanos(),
-                    end_ns: (at + dur).as_nanos(),
-                    factor: Some(factor),
-                }),
-                _ => None,
-            })
-            .collect()
     }
 
     fn acquire(&mut self, bytes: u64) {
@@ -368,13 +333,10 @@ impl RateLimiter {
         // Freeze through any active outage window, even on an unlimited
         // link (an outage is absolute).
         loop {
-            let now_ns = self.start.elapsed().as_nanos() as u64;
+            let now_ns = ns_since(self.start);
             let frozen_until = self
                 .windows
-                .iter()
-                .filter(|win| win.factor.is_none() && win.start_ns <= now_ns && now_ns < win.end_ns)
-                .map(|win| win.end_ns)
-                .max();
+                .active_until(FaultKind::LinkDown, &self.nodes, now_ns);
             let Some(end_ns) = frozen_until else { break };
             std::thread::sleep(StdDuration::from_nanos(end_ns - now_ns));
         }
@@ -385,13 +347,10 @@ impl RateLimiter {
         self.debt_ns = self.debt_ns.saturating_sub(elapsed);
         // Degrade windows scale the drain rate; the factor at send time
         // prices the whole message (windows are not integrated across).
-        let now_ns = self.start.elapsed().as_nanos() as u64;
         let factor = self
             .windows
-            .iter()
-            .filter(|win| win.start_ns <= now_ns && now_ns < win.end_ns)
-            .filter_map(|win| win.factor)
-            .fold(1.0_f64, f64::min);
+            .worst_at(FaultKind::LinkDegrade, &self.nodes, ns_since(self.start))
+            .unwrap_or(1.0);
         self.debt_ns += (bytes as f64 / (bps * factor) * 1e9) as u64;
         // Sleep off any debt beyond a small burst allowance.
         const BURST_NS: u64 = 200_000;
@@ -399,6 +358,11 @@ impl RateLimiter {
             std::thread::sleep(StdDuration::from_nanos(self.debt_ns - BURST_NS));
         }
     }
+}
+
+/// Nanoseconds since run start — the clock [`Windows`] is ticked with.
+fn ns_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
 }
 
 fn now_since(epoch: Instant) -> SimTime {
@@ -533,136 +497,6 @@ impl MembershipClock {
     }
 }
 
-/// The run's membership timetable, derived once from the fault plan and
-/// shared read-only by every thread. Permanent events are
-/// iteration-indexed, so which workers participate in iteration `i` and
-/// which shard owns tensor `g` at iteration `i` are pure functions of the
-/// plan — this is the deterministic recovery contract: two runs under the
-/// same plan walk the identical membership timetable.
-///
-/// Events scheduled at `at_iter >= iterations` never take effect (the run
-/// ends first) and are dropped here, matching the simulator, which fires
-/// boundary events only when the boundary is actually crossed.
-struct Membership {
-    /// Any permanent event in the plan? When false every accessor reduces
-    /// to the static fault-free answer and no elastic state is allocated.
-    elastic: bool,
-    /// Initial workers (`cfg.workers`).
-    initial_workers: usize,
-    /// Initial workers + joiner slots (dense ids from `initial_workers`).
-    total_workers: usize,
-    /// Live member ids per iteration, ascending (empty when not elastic).
-    members_at: Vec<Vec<usize>>,
-    /// `(first_iter, owner_table)` ascending — one extra entry per distinct
-    /// shard-death boundary. Deaths sharing a boundary are folded into one
-    /// entry so a tensor re-homes in a single hop from its pre-boundary
-    /// owner to a surviving shard.
-    owner_epochs: Vec<(u64, Vec<usize>)>,
-    /// `(worker, fail_iter)` for evictions that take effect mid-run. A
-    /// barrier for iteration `>= fail_iter` may not close until the
-    /// worker's [`ToPs::Leave`] arrived (the eviction epoch is open).
-    fails: Vec<(usize, u64)>,
-}
-
-impl Membership {
-    fn build(plan: &FaultPlan, workers: usize, iterations: u64, map: &ShardMap) -> Self {
-        let elastic = plan.has_permanent();
-        let total_workers = workers + plan.joined_workers();
-        let mut owner_epochs = vec![(0u64, map.owner_table().to_vec())];
-        if elastic {
-            // Fold same-boundary deaths into one epoch entry: shards dying
-            // together are evicted in id order (deterministic), but the
-            // published table is the post-group one, so every re-home is a
-            // single hop onto a shard that survives the boundary.
-            let mut deaths: Vec<(u64, usize)> = plan
-                .faults
-                .iter()
-                .filter_map(|f| match *f {
-                    FaultSpec::ShardFail { shard, at_iter } if at_iter < iterations => {
-                        Some((at_iter, shard))
-                    }
-                    _ => None,
-                })
-                .collect();
-            deaths.sort_unstable();
-            let mut work = map.clone();
-            let mut i = 0;
-            while i < deaths.len() {
-                let boundary = deaths[i].0;
-                while i < deaths.len() && deaths[i].0 == boundary {
-                    work.rebalance_evict(deaths[i].1);
-                    i += 1;
-                }
-                owner_epochs.push((boundary, work.owner_table().to_vec()));
-            }
-        }
-        let members_at = if elastic {
-            (0..iterations)
-                .map(|i| {
-                    (0..total_workers)
-                        .filter(|&w| {
-                            let from = if w < workers {
-                                0
-                            } else {
-                                plan.worker_join_at(w).expect("joiner without a join spec")
-                            };
-                            let until = if w < workers {
-                                plan.worker_fail_at(w).unwrap_or(u64::MAX)
-                            } else {
-                                u64::MAX
-                            };
-                            from <= i && i < until
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let fails = (0..workers)
-            .filter_map(|w| {
-                plan.worker_fail_at(w)
-                    .filter(|&k| k < iterations)
-                    .map(|k| (w, k))
-            })
-            .collect();
-        Membership {
-            elastic,
-            initial_workers: workers,
-            total_workers,
-            members_at,
-            owner_epochs,
-            fails,
-        }
-    }
-
-    /// Tensor owner table in force during iteration `iter`.
-    fn owner_at(&self, iter: u64) -> &[usize] {
-        let mut cur = &self.owner_epochs[0].1;
-        for (k, table) in &self.owner_epochs {
-            if *k <= iter {
-                cur = table;
-            } else {
-                break;
-            }
-        }
-        cur
-    }
-
-    /// Number of workers whose pushes iteration `iter`'s barriers await.
-    fn expected_count(&self, iter: u64) -> usize {
-        if !self.elastic {
-            return self.initial_workers;
-        }
-        self.members_at[iter as usize].len()
-    }
-
-    /// The live member ids of iteration `iter` (elastic runs only).
-    fn members(&self, iter: u64) -> &[usize] {
-        &self.members_at[iter as usize]
-    }
-}
-
 /// One push slice awaiting its ack.
 struct Unacked {
     iter: u64,
@@ -673,54 +507,51 @@ struct Unacked {
     deadline: Instant,
 }
 
-/// Per-worker view of the fault plan: loss/stall windows, the doom RNG,
-/// and the in-flight ack ledger that drives timeout retransmissions.
-struct WorkerFaults {
+/// A worker's sending side: the token-bucket link, the loss and corruption
+/// draws every push makes, and the in-flight ack ledger that drives
+/// timeout retransmissions.
+struct Uplink {
     /// Whether any fault machinery is live (empty plan = all paths dormant,
     /// and the worker blocks on `recv` exactly as the fault-free build).
     active: bool,
-    /// `MsgLoss` windows `(start_ns, end_ns, rate)`.
-    loss: Vec<(u64, u64, f64)>,
-    /// `WorkerStall` windows `(start_ns, end_ns)` for this worker.
-    stalls: Vec<(u64, u64)>,
+    windows: Arc<Windows>,
+    limiter: RateLimiter,
+    /// Loss doom draws.
     rng: Xoshiro256StarStar,
+    corrupt: CorruptInjector,
+    /// Tampered in-flight copies come from their own pool so the arena
+    /// pool's counters stay an exact function of the fault-free data path
+    /// (mirrors the shard-side `tamper_pool`; dormant without corruption).
+    tamper_pool: ArenaPool,
     retry: RetryPolicy,
     unacked: Vec<Unacked>,
     messages_lost: u64,
+    bytes_pushed: u64,
 }
 
-impl WorkerFaults {
-    fn new(w: usize, plan: &FaultPlan, retry: RetryPolicy) -> Self {
-        let loss = plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultSpec::MsgLoss { rate, at, dur } => {
-                    Some((at.as_nanos(), (at + dur).as_nanos(), rate))
-                }
-                _ => None,
-            })
-            .collect();
-        let stalls = plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultSpec::WorkerStall { worker, at, dur } if worker == w => {
-                    Some((at.as_nanos(), (at + dur).as_nanos()))
-                }
-                _ => None,
-            })
-            .collect();
-        WorkerFaults {
+impl Uplink {
+    /// The uplink of worker `w` in a `shards`-shard topology.
+    fn new(
+        w: usize,
+        shards: usize,
+        cfg: &ThreadedConfig,
+        windows: Arc<Windows>,
+        start: Instant,
+    ) -> Self {
+        let plan = &cfg.fault_plan;
+        Uplink {
             active: !plan.is_empty(),
-            loss,
-            stalls,
+            limiter: RateLimiter::new(cfg.link_bps, start, Arc::clone(&windows), w, shards),
             // Loss draws come from a per-worker substream of the *plan*
             // seed, so two workers never share a doom sequence.
             rng: Xoshiro256StarStar::new(plan.seed ^ 0x7EA1_FA17).substream(w as u64),
-            retry,
+            corrupt: CorruptInjector::new(plan, Arc::clone(&windows), (shards + w) as u64),
+            tamper_pool: ArenaPool::new(),
+            windows,
+            retry: cfg.retry,
             unacked: Vec::new(),
             messages_lost: 0,
+            bytes_pushed: 0,
         }
     }
 
@@ -729,17 +560,59 @@ impl WorkerFaults {
     /// what is computed stays bit-identical because every loss is retried
     /// and aggregation is order-independent per worker buffer.
     fn doomed(&mut self, start: Instant) -> bool {
-        if self.loss.is_empty() {
-            return false;
-        }
-        let now_ns = start.elapsed().as_nanos() as u64;
         let rate = self
-            .loss
-            .iter()
-            .filter(|&&(s, e, _)| s <= now_ns && now_ns < e)
-            .map(|&(_, _, r)| r)
-            .fold(0.0_f64, f64::max);
-        rate > 0.0 && self.rng.next_f64() < rate
+            .windows
+            .worst_at(FaultKind::MsgLoss, &[CLUSTER], ns_since(start));
+        rate.is_some_and(|r| r > 0.0 && self.rng.next_f64() < r)
+    }
+
+    /// Send one push slice: pay the link, doom-draw against the loss
+    /// windows, transmit (unless doomed), and register the slice in the ack
+    /// ledger. The payload is a zero-copy window of the iteration arena.
+    fn push_slice(
+        &mut self,
+        ctx: &DriveCtx<'_>,
+        grad: usize,
+        offset_elems: usize,
+        len_elems: usize,
+    ) {
+        let bytes = (len_elems * 4) as u64;
+        self.limiter.acquire(bytes);
+        self.bytes_pushed += bytes;
+        let shard = ctx.owner[grad];
+        let epoch = ctx.ps_epochs[shard].get();
+        if self.doomed(ctx.epoch) {
+            self.messages_lost += 1;
+        } else {
+            let lo = ctx.grad_off[grad] + offset_elems * 4;
+            let clean = ctx.arena.slice(lo..lo + len_elems * 4);
+            let cached =
+                (offset_elems == 0 && len_elems == ctx.tensor_elems[grad]).then(|| FrameHeader {
+                    len: (len_elems * 4) as u32,
+                    crc: ctx.grad_crc[grad],
+                });
+            // Damage lands on a pooled copy: the clean arena window stays
+            // pristine for any later retransmission.
+            let (data, frame) = match self.corrupt.draw(ctx.epoch, true) {
+                Some(style) => self.corrupt.tamper(style, &clean, &mut self.tamper_pool),
+                None => {
+                    let frame = cached.unwrap_or_else(|| FrameHeader::for_payload(&clean));
+                    (clean, frame)
+                }
+            };
+            ctx.txs[shard]
+                .send(ToPs::Push {
+                    worker: ctx.w,
+                    iter: ctx.iter,
+                    grad,
+                    offset_elems,
+                    data,
+                    epoch,
+                    frame,
+                })
+                .expect("ps shard hung up");
+        }
+        self.track(ctx.iter, grad, offset_elems, len_elems, epoch);
     }
 
     fn track(&mut self, iter: u64, grad: usize, offset_elems: usize, len_elems: usize, epoch: u64) {
@@ -772,16 +645,11 @@ impl WorkerFaults {
     fn stall_if_scheduled(&self, node: usize, start: Instant, log: &mut ThreadLog) {
         let mut stalled = false;
         loop {
-            let now_ns = start.elapsed().as_nanos() as u64;
-            let Some(end_ns) = self
-                .stalls
-                .iter()
-                .filter(|&&(s, e)| s <= now_ns && now_ns < e)
-                .map(|&(_, e)| e)
-                .max()
-            else {
-                break;
-            };
+            let now_ns = ns_since(start);
+            let stall = self
+                .windows
+                .active_until(FaultKind::WorkerStall, &[node], now_ns);
+            let Some(end_ns) = stall else { break };
             if !stalled {
                 stalled = true;
                 log.emit(TraceEvent::FaultStart {
@@ -813,32 +681,21 @@ enum Tamper {
     NanPoison,
 }
 
-/// Per-node view of the plan's `PayloadCorrupt` windows. Draws whether an
-/// outgoing data frame is damaged in flight and applies the damage to a
-/// pooled *copy*, leaving the clean source bytes untouched — a NACKed
-/// slice retransmits bit-exactly from the original arena window.
+/// Per-node corruption injector. Draws against the plan's `PayloadCorrupt`
+/// windows whether an outgoing data frame is damaged in flight and applies
+/// the damage to a pooled *copy*, leaving the clean source bytes untouched
+/// — a NACKed slice retransmits bit-exactly from the original arena window.
 ///
 /// Like the loss doom draws, corruption draws come from a dedicated
 /// substream of the plan seed (tagged by topology node), so adding a
 /// corruption window never perturbs any other random stream.
 struct CorruptInjector {
-    /// `(start_ns, end_ns, rate)` corruption windows.
-    windows: Vec<(u64, u64, f64)>,
+    windows: Arc<Windows>,
     rng: Xoshiro256StarStar,
 }
 
 impl CorruptInjector {
-    fn new(plan: &FaultPlan, node: u64) -> Self {
-        let windows = plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultSpec::PayloadCorrupt { rate, at, dur } => {
-                    Some((at.as_nanos(), (at + dur).as_nanos(), rate))
-                }
-                _ => None,
-            })
-            .collect();
+    fn new(plan: &FaultPlan, windows: Arc<Windows>, node: u64) -> Self {
         CorruptInjector {
             windows,
             rng: Xoshiro256StarStar::new(plan.seed ^ 0xB17F_11B5).substream(node),
@@ -850,16 +707,9 @@ impl CorruptInjector {
     /// poisoning models a gradient-value hazard, so only push payloads
     /// draw it — pulls and acks damage the frame, never the semantics.
     fn draw(&mut self, start: Instant, nan_ok: bool) -> Option<Tamper> {
-        if self.windows.is_empty() {
-            return None;
-        }
-        let now_ns = start.elapsed().as_nanos() as u64;
         let rate = self
             .windows
-            .iter()
-            .filter(|&&(s, e, _)| s <= now_ns && now_ns < e)
-            .map(|&(_, _, r)| r)
-            .fold(0.0_f64, f64::max);
+            .worst_at(FaultKind::PayloadCorrupt, &[CLUSTER], ns_since(start))?;
         if rate <= 0.0 || self.rng.next_f64() >= rate {
             return None;
         }
@@ -906,28 +756,6 @@ impl CorruptInjector {
                 let frame = FrameHeader::for_payload(&copy);
                 (copy.freeze(), frame)
             }
-        }
-    }
-}
-
-/// Frame one outgoing data payload: draw against the corruption windows,
-/// tamper a pooled copy if drawn, and return `(wire bytes, header)`. The
-/// clean source `Bytes` stays pristine for any later retransmission.
-/// `cached` is the payload's already-known frame header (computed while
-/// the bytes were encoded); when present, the clean path re-reads nothing.
-fn frame_payload(
-    corrupt: &mut CorruptInjector,
-    pool: &mut ArenaPool,
-    start: Instant,
-    nan_ok: bool,
-    clean: Bytes,
-    cached: Option<FrameHeader>,
-) -> (Bytes, FrameHeader) {
-    match corrupt.draw(start, nan_ok) {
-        Some(style) => corrupt.tamper(style, &clean, pool),
-        None => {
-            let frame = cached.unwrap_or_else(|| FrameHeader::for_payload(&clean));
-            (clean, frame)
         }
     }
 }
@@ -1016,17 +844,24 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     let cfg = Arc::new(cfg.clone());
 
     // The membership timetable: who participates in which iteration and
-    // who owns which tensor when — a pure function of the fault plan.
-    let mem = Arc::new(Membership::build(
+    // who owns which tensor when — a pure function of the fault plan. A
+    // dead shard's tensors re-home by load onto the survivors.
+    let mut rebalanced = ShardMap::clone(&map);
+    let mem = Arc::new(Membership::new(
         &cfg.fault_plan,
         cfg.workers,
         cfg.iterations,
-        &map,
+        map.owner_table().to_vec(),
+        |owner, _, dead| {
+            rebalanced.rebalance_evict(dead);
+            owner.copy_from_slice(rebalanced.owner_table());
+        },
     ));
+    let windows = Arc::new(Windows::new(&cfg.fault_plan, shards));
     let clock = Arc::new(MembershipClock::new());
     // Arm the durable store only when some shard actually dies mid-run;
     // otherwise every checkpoint/ledger call is a dormant no-op.
-    let armed = mem.owner_epochs.len() > 1;
+    let armed = !mem.shard_deaths().is_empty();
     // The durable store's initial snapshot is only materialised when a
     // shard death actually arms it.
     let store_init: Vec<Vec<f32>> = if armed {
@@ -1054,7 +889,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     }
     let mut worker_txs: Vec<Sender<ToWorker>> = Vec::new();
     let mut worker_rxs: Vec<Option<Receiver<ToWorker>>> = Vec::new();
-    for _ in 0..mem.total_workers {
+    for _ in 0..mem.total_workers() {
         let (tx, rx) = unbounded::<ToWorker>();
         worker_txs.push(tx);
         worker_rxs.push(Some(rx));
@@ -1080,15 +915,16 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         let mut owned_from = Vec::new();
         let mut adopted_from = Vec::new();
         let mut init: Vec<Vec<f32>> = Vec::new();
+        let owner_epochs = mem.owner_epochs();
         for g in 0..n_tensors {
-            for (idx, (k, table)) in mem.owner_epochs.iter().enumerate() {
+            for (idx, &(k, table)) in owner_epochs.iter().enumerate() {
                 if table[g] == s {
                     ever.push(g);
-                    owned_from.push(*k);
+                    owned_from.push(k);
                     adopted_from.push(if idx == 0 {
                         usize::MAX
                     } else {
-                        mem.owner_epochs[idx - 1].1[g]
+                        owner_epochs[idx - 1].1[g]
                     });
                     init.push(if idx == 0 {
                         template.param_slices()[g].to_vec()
@@ -1099,12 +935,9 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
                 }
             }
         }
-        let die_at = cfg
-            .fault_plan
-            .shard_fail_at(s)
-            .filter(|&k| k < cfg.iterations);
         let cfg = Arc::clone(&cfg);
         let mem = Arc::clone(&mem);
+        let windows = Arc::clone(&windows);
         let clock = Arc::clone(&clock);
         let store = Arc::clone(&store);
         let tensor_elems = Arc::clone(&tensor_elems);
@@ -1115,14 +948,14 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         shard_handles.push(std::thread::spawn(move || {
             ShardRt::new(
                 s,
-                cfg,
+                &cfg,
                 mem,
+                windows,
                 clock,
                 store,
                 ever,
                 owned_from,
                 adopted_from,
-                die_at,
                 tensor_elems,
                 init,
                 worker_txs,
@@ -1143,6 +976,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         let tensor_elems = Arc::clone(&tensor_elems);
         let sizes_bytes = Arc::clone(&sizes_bytes);
         let mem = Arc::clone(&mem);
+        let windows = Arc::clone(&windows);
         let clock = Arc::clone(&clock);
         let gate = Arc::clone(&gate);
         let rx = rx_slot.take().unwrap();
@@ -1156,6 +990,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
                 tensor_elems,
                 sizes_bytes,
                 mem,
+                windows,
                 clock,
                 gate,
                 txs,
@@ -1186,7 +1021,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         let out = h.join().expect("worker panicked");
         for (j, l) in out.losses.iter().enumerate() {
             let i = out.from + j as u64;
-            losses_acc[i as usize] += l / mem.expected_count(i) as f32;
+            losses_acc[i as usize] += l / mem.expected(i) as f32;
         }
         bytes_pushed += out.bytes_pushed;
         messages_lost += out.messages_lost;
@@ -1324,7 +1159,6 @@ struct DeferredPull {
 /// sweep runs only when a `Leave` arrives — not after every message.
 struct ShardRt {
     s: usize,
-    cfg: Arc<ThreadedConfig>,
     mem: Arc<Membership>,
     clock: Arc<MembershipClock>,
     store: Arc<DurableStore>,
@@ -1341,6 +1175,8 @@ struct ShardRt {
     /// it before the run ends.
     die_at: Option<u64>,
     dead: bool,
+    /// This shard's time-triggered `ShardCrash` windows, earliest first.
+    crashes: Vec<Window>,
     /// Per-worker eviction notices received.
     left: Vec<bool>,
     /// Parameters per local tensor; adopted slots are empty until restored.
@@ -1387,18 +1223,11 @@ struct ShardRt {
     /// workers consult acks only when their fault machinery is live, so an
     /// empty plan makes every ack pure overhead).
     acks_enabled: bool,
-    /// Resolved accumulator chunk count for the deferred barrier fold
-    /// (from [`ThreadedConfig::agg_threads`]; 1 = sequential).
-    agg_chunks: usize,
-    /// First iteration boundary whose snapshot write this shard corrupts
-    /// (`CheckpointCorrupt`), if the plan schedules one.
-    ckpt_corrupt_at: Option<u64>,
-    /// The one-shot corruption already happened.
-    ckpt_corrupt_done: bool,
+    /// Checkpoint cadence and the one-shot `CheckpointCorrupt`.
+    ckpt: CheckpointSchedule,
     restore_fallbacks: u64,
     fallback_depth: u64,
     cur_epoch: u64,
-    restart_pending: Option<u64>,
     /// `(iter, barriers closed at iter)` — BSP admits pushes for `iter+1`
     /// only after every `iter` barrier closed, so one pair tracks
     /// iteration completion.
@@ -1417,14 +1246,14 @@ impl ShardRt {
     #[allow(clippy::too_many_arguments)]
     fn new(
         s: usize,
-        cfg: Arc<ThreadedConfig>,
+        cfg: &ThreadedConfig,
         mem: Arc<Membership>,
+        windows: Arc<Windows>,
         clock: Arc<MembershipClock>,
         store: Arc<DurableStore>,
         ever: Vec<usize>,
         owned_from: Vec<u64>,
         adopted_from: Vec<usize>,
-        die_at: Option<u64>,
         tensor_elems: Arc<Vec<usize>>,
         params: Vec<Vec<f32>>,
         worker_txs: Vec<Sender<ToWorker>>,
@@ -1447,7 +1276,7 @@ impl ShardRt {
                 iter: 0,
                 active: false,
                 complete: 0,
-                recv: (0..mem.total_workers)
+                recv: (0..mem.total_workers())
                     .map(|_| WorkerRecv {
                         slices: Vec::new(),
                         received_elems: 0,
@@ -1463,23 +1292,17 @@ impl ShardRt {
                 frame: None,
             })
             .collect();
-        let restart_pending = cfg.ps_restart_at_iter;
-        let corrupt = CorruptInjector::new(&cfg.fault_plan, s as u64);
+        let crashes = windows.schedule(FaultKind::ShardCrash, &[s]);
+        let corrupt = CorruptInjector::new(&cfg.fault_plan, windows, s as u64);
         let nan_guard = cfg.fault_plan.has_corruption();
         let eager_verify = cfg.fault_plan.has_corruption();
         let acks_enabled = !cfg.fault_plan.is_empty();
-        let agg_chunks = match cfg.agg_threads {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(4),
-            n => n,
-        };
-        let ckpt_corrupt_at = cfg.fault_plan.checkpoint_corrupt_at(s);
+        let ckpt = CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period);
+        let die_at = mem.shard_dies_at(s);
         ShardRt {
             s,
-            pending: vec![Vec::new(); mem.total_workers],
-            left: vec![false; mem.total_workers],
+            pending: vec![Vec::new(); mem.total_workers()],
+            left: vec![false; mem.total_workers()],
             corrupt,
             tamper_pool: ArenaPool::new(),
             corrupt_frames: 0,
@@ -1487,12 +1310,9 @@ impl ShardRt {
             nan_guard,
             eager_verify,
             acks_enabled,
-            agg_chunks,
-            ckpt_corrupt_at,
-            ckpt_corrupt_done: false,
+            ckpt,
             restore_fallbacks: 0,
             fallback_depth: 0,
-            cfg,
             mem,
             clock,
             store,
@@ -1502,6 +1322,7 @@ impl ShardRt {
             adopted_from,
             die_at,
             dead: false,
+            crashes,
             params,
             opts,
             restored,
@@ -1516,7 +1337,6 @@ impl ShardRt {
             pull_recycles: 0,
             restore_bytes: 0,
             cur_epoch: 0,
-            restart_pending,
             iter_done: (0, 0),
             worker_txs,
             gate,
@@ -1537,16 +1357,6 @@ impl ShardRt {
     /// that closes the iteration on this shard.
     fn owned_count_at(&self, iter: u64) -> usize {
         self.owned_from.iter().filter(|&&from| from <= iter).count()
-    }
-
-    /// May a barrier for `iter` close? Every worker evicted at or before
-    /// `iter` must have delivered its [`ToPs::Leave`] first, so the
-    /// barrier's trace event lands after the eviction epoch.
-    fn leave_ok(&self, iter: u64) -> bool {
-        self.mem
-            .fails
-            .iter()
-            .all(|&(w, k)| k > iter || self.left[w])
     }
 
     /// Materialise an adopted tensor from the durable store: bit-exact
@@ -1641,13 +1451,6 @@ impl ShardRt {
         epoch: u64,
         frame: FrameHeader,
     ) {
-        if self.restart_pending.is_some_and(|k| iter >= k) {
-            // Legacy iteration-triggered restart: instant comeback. The
-            // triggering push dies with the old incarnation.
-            self.restart_pending = None;
-            self.crash_restart(StdDuration::ZERO);
-            return;
-        }
         if epoch != self.cur_epoch {
             // A pre-crash push that raced the restart broadcast.
             return;
@@ -1760,7 +1563,7 @@ impl ShardRt {
             // complete this barrier (the other enabler, a Leave notice,
             // triggers its own sweep), so check here instead of scanning
             // every slot after every message.
-            if self.slots[l].complete == self.mem.expected_count(iter) && self.leave_ok(iter) {
+            if self.mem.may_close(iter, self.slots[l].complete, &self.left) {
                 self.finish_barrier(l);
             }
         }
@@ -1776,7 +1579,7 @@ impl ShardRt {
                 continue;
             }
             let iter = self.slots[l].iter;
-            if self.slots[l].complete == self.mem.expected_count(iter) && self.leave_ok(iter) {
+            if self.mem.may_close(iter, self.slots[l].complete, &self.left) {
                 self.finish_barrier(l);
             }
         }
@@ -1842,7 +1645,7 @@ impl ShardRt {
                         worker: w,
                     })
                     .collect();
-                fold::fold_whole_deferred(&payloads, acc, self.agg_chunks);
+                fold::fold_whole_deferred(&payloads, acc);
                 for r in &mut slot.recv {
                     r.slices.clear();
                     r.received_elems = 0;
@@ -1870,7 +1673,7 @@ impl ShardRt {
             slot.active = false;
             slot.complete = 0;
         }
-        let inv = 1.0 / self.mem.expected_count(iter) as f32;
+        let inv = 1.0 / self.mem.expected(iter) as f32;
         let acc = &mut self.acc_buf[..size];
         for m in acc.iter_mut() {
             *m *= inv;
@@ -1898,19 +1701,17 @@ impl ShardRt {
         }
         self.encode_pull_cache(l);
         self.tlog.emit(TraceEvent::Barrier { iter, grad: g });
-        let checkpoint_due = self.store.armed() && (iter + 1) % self.cfg.checkpoint_period == 0;
+        let checkpoint_due = self.store.armed() && self.ckpt.due(iter);
         if checkpoint_due {
             // A scheduled CheckpointCorrupt poisons every snapshot written
-            // in the first cadence round at-or-after its iteration (the
-            // whole generation is damaged, matching the sim's model).
-            let poison =
-                !self.ckpt_corrupt_done && self.ckpt_corrupt_at.is_some_and(|k| iter + 1 >= k);
-            self.store.checkpoint_with(
+            // in its cadence round (the whole generation is damaged,
+            // matching the sim's model).
+            self.store.checkpoint(
                 g,
                 iter,
                 &self.params[l],
-                self.opts[l].as_ref().unwrap(),
-                poison,
+                self.opts[l].as_ref().expect("barrier on unrestored tensor"),
+                self.ckpt.poisons(iter),
             );
         }
         // Iteration-close bookkeeping.
@@ -1921,11 +1722,7 @@ impl ShardRt {
         }
         if self.iter_done.1 == self.owned_count_at(iter) {
             if checkpoint_due {
-                if !self.ckpt_corrupt_done && self.ckpt_corrupt_at.is_some_and(|k| iter + 1 >= k) {
-                    // The corruption fired for every tensor of this
-                    // cadence round; it is one-shot.
-                    self.ckpt_corrupt_done = true;
-                }
+                self.ckpt.round_written(iter);
                 self.tlog.emit(TraceEvent::Checkpoint {
                     shard: self.s,
                     iter,
@@ -1946,27 +1743,15 @@ impl ShardRt {
         if gated {
             self.gate.release();
         }
-        if self.mem.elastic {
-            for &w in self.mem.members(iter) {
-                // An iteration member cannot exit before receiving every
-                // one of its ParamReady deliveries.
-                self.worker_txs[w]
-                    .send(ToWorker::ParamReady {
-                        grad: g,
-                        epoch: self.cur_epoch,
-                    })
-                    .expect("member hung up before barrier");
-            }
-        } else {
-            for tx in &self.worker_txs {
-                // A worker that already exited is a bug — every worker
-                // needs every update.
-                tx.send(ToWorker::ParamReady {
+        for &w in self.mem.members(iter) {
+            // An iteration member cannot exit before receiving every one
+            // of its ParamReady deliveries.
+            self.worker_txs[w]
+                .send(ToWorker::ParamReady {
                     grad: g,
                     epoch: self.cur_epoch,
                 })
-                .expect("worker hung up before barrier");
-            }
+                .expect("member hung up before barrier");
         }
         self.drain_deferred();
     }
@@ -2137,22 +1922,6 @@ impl ShardRt {
     /// complete inline in the push handler), flush acks at the cap or
     /// when idle.
     fn run(mut self, rx: Receiver<ToPs>) -> ShardOut {
-        // Time-triggered crash schedule for THIS shard, earliest first.
-        let mut crashes: Vec<(u64, StdDuration)> = self
-            .cfg
-            .fault_plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultSpec::ShardCrash {
-                    shard,
-                    at,
-                    restart_after,
-                } if shard == self.s => Some((at.as_nanos(), to_std(restart_after))),
-                _ => None,
-            })
-            .collect();
-        crashes.sort_unstable();
         let mut next_crash = 0usize;
 
         'serve: loop {
@@ -2166,12 +1935,11 @@ impl ShardRt {
                 Err(TryRecvError::Empty) => {
                     self.flush_acks();
                     let t_idle = Instant::now();
-                    let got = if next_crash < crashes.len() {
+                    let got = if let Some(crash) = self.crashes.get(next_crash) {
                         // Block no longer than the next scheduled crash —
                         // an idle channel must not postpone it.
-                        let now_ns = self.start.elapsed().as_nanos() as u64;
                         let wait = StdDuration::from_nanos(
-                            crashes[next_crash].0.saturating_sub(now_ns).max(1),
+                            crash.start.saturating_sub(ns_since(self.start)).max(1),
                         );
                         match rx.recv_timeout(wait) {
                             Ok(m) => Some(m),
@@ -2195,12 +1963,11 @@ impl ShardRt {
                 }
                 Err(TryRecvError::Disconnected) => break 'serve,
             };
-            if next_crash < crashes.len()
-                && self.start.elapsed().as_nanos() as u64 >= crashes[next_crash].0
-            {
-                let downtime = crashes[next_crash].1;
-                next_crash += 1;
-                self.crash_restart(downtime);
+            if let Some(&crash) = self.crashes.get(next_crash) {
+                if ns_since(self.start) >= crash.start {
+                    next_crash += 1;
+                    self.crash_restart(StdDuration::from_nanos(crash.end - crash.start));
+                }
             }
             let Some(msg) = msg else { continue };
             self.phases.msgs += 1;
@@ -2247,7 +2014,7 @@ impl ShardRt {
         );
         // Hand back exactly the tensors this shard owns in the final
         // membership epoch: adopted ones included, lost ones excluded.
-        let final_owner = self.mem.owner_epochs.last().unwrap().1.clone();
+        let final_owner = self.mem.owner_at(u64::MAX).to_vec();
         let mut out_params = Vec::new();
         for l in 0..self.ever.len() {
             let g = self.ever[l];
@@ -2296,67 +2063,33 @@ struct DriveCtx<'a> {
     ps_epochs: &'a [Cell<u64>],
 }
 
-/// Send one push slice: pay the link, doom-draw against the loss windows,
-/// transmit (unless doomed), and register the slice in the ack ledger.
-/// The payload is a zero-copy window of the iteration arena.
-#[allow(clippy::too_many_arguments)]
-fn send_push_slice(
-    ctx: &DriveCtx<'_>,
-    faults: &mut WorkerFaults,
-    corrupt: &mut CorruptInjector,
-    pool: &mut ArenaPool,
-    limiter: &mut RateLimiter,
-    bytes_pushed: &mut u64,
-    grad: usize,
-    offset_elems: usize,
-    len_elems: usize,
-) {
-    let bytes = (len_elems * 4) as u64;
-    limiter.acquire(bytes);
-    *bytes_pushed += bytes;
-    let shard = ctx.owner[grad];
-    let epoch = ctx.ps_epochs[shard].get();
-    if faults.doomed(ctx.epoch) {
-        faults.messages_lost += 1;
-    } else {
-        let lo = ctx.grad_off[grad] + offset_elems * 4;
-        let clean = ctx.arena.slice(lo..lo + len_elems * 4);
-        let cached =
-            (offset_elems == 0 && len_elems == ctx.tensor_elems[grad]).then(|| FrameHeader {
-                len: (len_elems * 4) as u32,
-                crc: ctx.grad_crc[grad],
-            });
-        let (data, frame) = frame_payload(corrupt, pool, ctx.epoch, true, clean, cached);
-        ctx.txs[shard]
-            .send(ToPs::Push {
-                worker: ctx.w,
-                iter: ctx.iter,
-                grad,
-                offset_elems,
-                data,
-                epoch,
-                frame,
-            })
-            .expect("ps shard hung up");
-    }
-    faults.track(ctx.iter, grad, offset_elems, len_elems, epoch);
+/// Open one retry step for gradient `g`: count the attempt and re-stamp
+/// the push start the failed attempt voided.
+fn note_repush(ctx: &DriveCtx<'_>, attempts: &mut [u32], tlog: &mut ThreadLog, g: usize) {
+    attempts[g] += 1;
+    tlog.emit(TraceEvent::RetryAttempt {
+        worker: ctx.w,
+        iter: ctx.iter,
+        grad: g,
+        attempt: attempts[g],
+    });
+    tlog.emit(TraceEvent::PushStart {
+        worker: ctx.w,
+        iter: ctx.iter,
+        grad: g,
+    });
 }
 
 /// Issue tasks until the scheduler pauses. Pushes complete synchronously
 /// (blocking send, like P3's transport); at most one pull task is awaited
 /// at a time.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     ctx: &DriveCtx<'_>,
     sched: &mut Box<dyn CommScheduler>,
     push_sent: &mut [usize],
     pull_recv: &mut [usize],
     inflight_pull: &mut Option<(prophet_core::TransferTask, usize)>,
-    limiter: &mut RateLimiter,
-    bytes_pushed: &mut u64,
-    faults: &mut WorkerFaults,
-    corrupt: &mut CorruptInjector,
-    pool: &mut ArenaPool,
+    up: &mut Uplink,
     tlog: &mut ThreadLog,
 ) {
     while inflight_pull.is_none() {
@@ -2376,17 +2109,7 @@ fn drive(
                             grad: g,
                         });
                     }
-                    send_push_slice(
-                        ctx,
-                        faults,
-                        corrupt,
-                        pool,
-                        limiter,
-                        bytes_pushed,
-                        g,
-                        off,
-                        elems,
-                    );
+                    up.push_slice(ctx, g, off, elems);
                 }
                 sched.task_done(now_since(ctx.epoch), &task);
             }
@@ -2424,81 +2147,27 @@ fn drive(
 /// one gradient coalesce, as the simulator's message retries do). The next
 /// deadline stretches by the policy's exponential backoff. Payloads are
 /// re-sliced from the iteration arena — retransmission copies nothing.
-#[allow(clippy::too_many_arguments)]
-fn resend_expired(
-    ctx: &DriveCtx<'_>,
-    faults: &mut WorkerFaults,
-    corrupt: &mut CorruptInjector,
-    pool: &mut ArenaPool,
-    attempts: &mut [u32],
-    limiter: &mut RateLimiter,
-    bytes_pushed: &mut u64,
-    tlog: &mut ThreadLog,
-) {
+fn resend_expired(ctx: &DriveCtx<'_>, up: &mut Uplink, attempts: &mut [u32], tlog: &mut ThreadLog) {
     let now = Instant::now();
-    let due: Vec<usize> = (0..faults.unacked.len())
-        .filter(|&i| faults.unacked[i].deadline <= now)
-        .collect();
-    if due.is_empty() {
+    if !up.unacked.iter().any(|u| u.deadline <= now) {
         return;
     }
+    let (due, live): (Vec<Unacked>, Vec<Unacked>) = std::mem::take(&mut up.unacked)
+        .into_iter()
+        .partition(|u| u.deadline <= now);
+    up.unacked = live;
     let mut grads_hit: Vec<usize> = Vec::new();
-    for &i in &due {
-        let g = faults.unacked[i].grad;
-        if !grads_hit.contains(&g) {
-            grads_hit.push(g);
+    for u in &due {
+        if !grads_hit.contains(&u.grad) {
+            grads_hit.push(u.grad);
         }
     }
     for &g in &grads_hit {
-        attempts[g] += 1;
-        tlog.emit(TraceEvent::RetryAttempt {
-            worker: ctx.w,
-            iter: ctx.iter,
-            grad: g,
-            attempt: attempts[g],
-        });
-        tlog.emit(TraceEvent::PushStart {
-            worker: ctx.w,
-            iter: ctx.iter,
-            grad: g,
-        });
-        let backoff = to_std(faults.retry.delay(attempts[g]));
-        let timeout = to_std(faults.retry.timeout);
-        let shard = ctx.owner[g];
-        for &i in &due {
-            if faults.unacked[i].grad != g {
-                continue;
-            }
-            let (off, len) = (faults.unacked[i].offset_elems, faults.unacked[i].len_elems);
-            let bytes = (len * 4) as u64;
-            limiter.acquire(bytes);
-            *bytes_pushed += bytes;
-            let epoch = ctx.ps_epochs[shard].get();
-            if faults.doomed(ctx.epoch) {
-                faults.messages_lost += 1;
-            } else {
-                let lo = ctx.grad_off[g] + off * 4;
-                let clean = ctx.arena.slice(lo..lo + len * 4);
-                let cached = (off == 0 && len == ctx.tensor_elems[g]).then(|| FrameHeader {
-                    len: (len * 4) as u32,
-                    crc: ctx.grad_crc[g],
-                });
-                let (data, frame) = frame_payload(corrupt, pool, ctx.epoch, true, clean, cached);
-                ctx.txs[shard]
-                    .send(ToPs::Push {
-                        worker: ctx.w,
-                        iter: ctx.iter,
-                        grad: g,
-                        offset_elems: off,
-                        data,
-                        epoch,
-                        frame,
-                    })
-                    .expect("ps shard hung up mid-retry");
-            }
-            let u = &mut faults.unacked[i];
-            u.epoch = epoch;
-            u.deadline = now + timeout + backoff;
+        note_repush(ctx, attempts, tlog, g);
+        let backoff = to_std(up.retry.delay(attempts[g]));
+        for u in due.iter().filter(|u| u.grad == g) {
+            up.push_slice(ctx, g, u.offset_elems, u.len_elems);
+            up.unacked.last_mut().expect("just tracked").deadline += backoff;
         }
     }
 }
@@ -2573,6 +2242,7 @@ fn worker_thread(
     tensor_elems: Arc<Vec<usize>>,
     sizes_bytes: Arc<Vec<u64>>,
     mem: Arc<Membership>,
+    windows: Arc<Windows>,
     clock: Arc<MembershipClock>,
     gate: Arc<ComputeGate>,
     txs: Vec<Sender<ToPs>>,
@@ -2584,20 +2254,7 @@ fn worker_thread(
     let shards = txs.len();
     let node = shards + w; // this worker's trace/fault node id
     let is_joiner = w >= cfg.workers;
-    let my_from = if is_joiner {
-        cfg.fault_plan
-            .worker_join_at(w)
-            .expect("joiner without a WorkerJoin spec")
-    } else {
-        0
-    };
-    let my_until = if is_joiner {
-        cfg.iterations
-    } else {
-        cfg.fault_plan
-            .worker_fail_at(w)
-            .map_or(cfg.iterations, |k| k.min(cfg.iterations))
-    };
+    let (my_from, my_until) = mem.span(w);
     if my_from >= my_until {
         // A joiner scheduled past the horizon: never admitted, forever
         // silent (its announced epoch simply never opens).
@@ -2614,23 +2271,12 @@ fn worker_thread(
             phases: WorkerPhases::default(),
         };
     }
-    let evicted = !is_joiner
-        && cfg
-            .fault_plan
-            .worker_fail_at(w)
-            .is_some_and(|k| k < cfg.iterations);
+    let evicted = mem.leaves_at(w).is_some();
     let mut model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     let mut sched: Box<dyn CommScheduler> =
         cfg.scheduler.build_from_sizes(sizes_bytes.as_ref().clone());
-    let mut limiter = RateLimiter::new(
-        cfg.link_bps,
-        epoch,
-        RateLimiter::windows_for(&cfg.fault_plan, w, shards),
-    );
-    let mut faults = WorkerFaults::new(w, &cfg.fault_plan, cfg.retry);
-    let mut corrupt = CorruptInjector::new(&cfg.fault_plan, node as u64);
+    let mut up = Uplink::new(w, shards, &cfg, windows, epoch);
     let mut losses = Vec::with_capacity((my_until - my_from) as usize);
-    let mut bytes_pushed = 0u64;
     let mut corrupt_frames = 0u64;
     let mut nack_bytes = 0u64;
     let mut phases = WorkerPhases::default();
@@ -2667,7 +2313,7 @@ fn worker_thread(
                     data,
                     frame,
                 } => {
-                    limiter.acquire(data.len() as u64);
+                    up.limiter.acquire(data.len() as u64);
                     if !frame.verify(&data) {
                         // Damaged bootstrap reply: re-request the whole
                         // tensor. Counted but not traced — a worker
@@ -2719,10 +2365,6 @@ fn worker_thread(
     let mut grad_crc = vec![0u32; n]; // whole-tensor payload CRC per tensor
     let arena_bytes: usize = tensor_elems.iter().map(|&e| e * 4).sum();
     let mut pool = ArenaPool::new();
-    // Tampered in-flight copies come from their own pool so the arena
-    // pool's counters stay an exact function of the fault-free data path
-    // (mirrors the shard-side `tamper_pool`; dormant without corruption).
-    let mut tamper_pool = ArenaPool::new();
     let mut arena: Option<Bytes> = None;
     // Verify pull replies at receive only under a corruption plan; without
     // one the frame CRC is checked inside the fused decode-into-parameters
@@ -2738,11 +2380,11 @@ fn worker_thread(
         let t_begin = now_since(epoch);
         tlog.emit(TraceEvent::IterBegin { worker: w, iter });
         sched.iteration_begin(t_begin, iter);
-        if faults.active {
-            faults.stall_if_scheduled(node, epoch, &mut tlog);
+        if up.active {
+            up.stall_if_scheduled(node, epoch, &mut tlog);
             // Any straggler entries are long-acked by the BSP barrier that
             // let the previous iteration finish.
-            faults.unacked.clear();
+            up.unacked.clear();
         }
         push_sent.fill(0);
         pull_recv.fill(0);
@@ -2815,11 +2457,7 @@ fn worker_thread(
                 &mut push_sent,
                 &mut pull_recv,
                 &mut inflight_pull,
-                &mut limiter,
-                &mut bytes_pushed,
-                &mut faults,
-                &mut corrupt,
-                &mut tamper_pool,
+                &mut up,
                 &mut tlog,
             );
         }
@@ -2834,8 +2472,8 @@ fn worker_thread(
         // blocks outright.
         while !pulled.iter().all(|&p| p) {
             let t_wait = Instant::now();
-            let msg = if faults.active {
-                let wait = match faults.unacked.iter().map(|u| u.deadline).min() {
+            let msg = if up.active {
+                let wait = match up.unacked.iter().map(|u| u.deadline).min() {
                     Some(d) => d
                         .saturating_duration_since(Instant::now())
                         .max(StdDuration::from_micros(50)),
@@ -2862,7 +2500,7 @@ fn worker_thread(
                     // The barrier proves every slice arrived; drop any
                     // still-tracked ones (their acks may be behind this
                     // message in the channel).
-                    faults.unacked.retain(|u| u.grad != grad);
+                    up.unacked.retain(|u| u.grad != grad);
                     if attempts[grad] > 0 {
                         tlog.emit(TraceEvent::Recovered {
                             worker: w,
@@ -2889,13 +2527,13 @@ fn worker_thread(
                             data: false,
                         });
                         let now = Instant::now();
-                        let timeout = to_std(faults.retry.timeout);
-                        for u in &mut faults.unacked {
+                        let timeout = to_std(up.retry.timeout);
+                        for u in &mut up.unacked {
                             u.deadline = u.deadline.max(now + timeout);
                         }
                     } else {
                         for a in &acks {
-                            faults.ack(a.iter, a.grad, a.offset_elems, a.len_elems, a.epoch);
+                            up.ack(a.iter, a.grad, a.offset_elems, a.len_elems, a.epoch);
                         }
                     }
                 }
@@ -2905,7 +2543,7 @@ fn worker_thread(
                     // the nack is stale (previous iteration, or the
                     // barrier already closed over an intact duplicate) or
                     // the slice is no longer tracked.
-                    let tracked = faults.unacked.iter().position(|u| {
+                    let tracked = up.unacked.iter().position(|u| {
                         u.iter == nack.iter
                             && u.grad == nack.grad
                             && u.offset_elems == nack.offset_elems
@@ -2913,32 +2551,11 @@ fn worker_thread(
                     });
                     if nack.iter == iter && !param_ready_seen[nack.grad] {
                         if let Some(i) = tracked {
-                            faults.unacked.swap_remove(i);
+                            up.unacked.swap_remove(i);
                             let g = nack.grad;
-                            attempts[g] += 1;
-                            tlog.emit(TraceEvent::RetryAttempt {
-                                worker: w,
-                                iter,
-                                grad: g,
-                                attempt: attempts[g],
-                            });
-                            tlog.emit(TraceEvent::PushStart {
-                                worker: w,
-                                iter,
-                                grad: g,
-                            });
+                            note_repush(&ctx, &mut attempts, &mut tlog, g);
                             nack_bytes += (nack.len_elems * 4) as u64;
-                            send_push_slice(
-                                &ctx,
-                                &mut faults,
-                                &mut corrupt,
-                                &mut tamper_pool,
-                                &mut limiter,
-                                &mut bytes_pushed,
-                                g,
-                                nack.offset_elems,
-                                nack.len_elems,
-                            );
+                            up.push_slice(&ctx, g, nack.offset_elems, nack.len_elems);
                         }
                     }
                 }
@@ -2948,7 +2565,7 @@ fn worker_thread(
                     data,
                     frame,
                 }) => {
-                    limiter.acquire(data.len() as u64);
+                    up.limiter.acquire(data.len() as u64);
                     let t_apply = Instant::now();
                     if eager_pull && !frame.verify(&data) {
                         // Damaged parameter slice: nothing lands in the
@@ -3049,48 +2666,18 @@ fn worker_thread(
                     });
                     // Slices addressed to the dead incarnation will never
                     // be acked; the whole-prefix re-push replaces them.
-                    faults.unacked.retain(|u| owner[u.grad] != shard);
+                    up.unacked.retain(|u| owner[u.grad] != shard);
                     for g in 0..n {
                         if owner[g] != shard || push_sent[g] == 0 || param_ready_seen[g] {
                             continue;
                         }
-                        attempts[g] += 1;
-                        tlog.emit(TraceEvent::RetryAttempt {
-                            worker: w,
-                            iter,
-                            grad: g,
-                            attempt: attempts[g],
-                        });
-                        tlog.emit(TraceEvent::PushStart {
-                            worker: w,
-                            iter,
-                            grad: g,
-                        });
-                        send_push_slice(
-                            &ctx,
-                            &mut faults,
-                            &mut corrupt,
-                            &mut tamper_pool,
-                            &mut limiter,
-                            &mut bytes_pushed,
-                            g,
-                            0,
-                            push_sent[g],
-                        );
+                        note_repush(&ctx, &mut attempts, &mut tlog, g);
+                        up.push_slice(&ctx, g, 0, push_sent[g]);
                     }
                 }
             }
-            if faults.active {
-                resend_expired(
-                    &ctx,
-                    &mut faults,
-                    &mut corrupt,
-                    &mut tamper_pool,
-                    &mut attempts,
-                    &mut limiter,
-                    &mut bytes_pushed,
-                    &mut tlog,
-                );
+            if up.active {
+                resend_expired(&ctx, &mut up, &mut attempts, &mut tlog);
             }
             drive(
                 &ctx,
@@ -3098,11 +2685,7 @@ fn worker_thread(
                 &mut push_sent,
                 &mut pull_recv,
                 &mut inflight_pull,
-                &mut limiter,
-                &mut bytes_pushed,
-                &mut faults,
-                &mut corrupt,
-                &mut tamper_pool,
+                &mut up,
                 &mut tlog,
             );
         }
@@ -3125,8 +2708,8 @@ fn worker_thread(
     WorkerOut {
         losses,
         from: my_from,
-        bytes_pushed,
-        messages_lost: faults.messages_lost,
+        bytes_pushed: up.bytes_pushed,
+        messages_lost: up.messages_lost,
         events: tlog.into_events(),
         arena_allocs: pool.allocated,
         arena_recycles: pool.recycled,
@@ -3139,11 +2722,17 @@ fn worker_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_sim::Duration;
+    use prophet_sim::{Duration, FaultSpec};
+
+    /// A worker-0 limiter in a 1-shard topology under `faults`.
+    fn limiter(bps: Option<f64>, faults: Vec<FaultSpec>) -> RateLimiter {
+        let windows = Arc::new(Windows::new(&FaultPlan::new(faults), 1));
+        RateLimiter::new(bps, Instant::now(), windows, 0, 1)
+    }
 
     #[test]
     fn rate_limiter_unlimited_is_instant() {
-        let mut l = RateLimiter::new(None, Instant::now(), Vec::new());
+        let mut l = limiter(None, Vec::new());
         let t0 = Instant::now();
         l.acquire(100_000_000);
         assert!(t0.elapsed().as_millis() < 50);
@@ -3152,7 +2741,7 @@ mod tests {
     #[test]
     fn rate_limiter_throttles() {
         // 1 MB at 10 MB/s should take ~100 ms.
-        let mut l = RateLimiter::new(Some(10e6), Instant::now(), Vec::new());
+        let mut l = limiter(Some(10e6), Vec::new());
         let t0 = Instant::now();
         l.acquire(1_000_000);
         let ms = t0.elapsed().as_millis();
@@ -3163,13 +2752,15 @@ mod tests {
     fn rate_limiter_degrade_window_scales_rate() {
         // 500 KB at 10 MB/s is ~50 ms clean; a 0.25 factor window makes it
         // ~200 ms while active.
-        let start = Instant::now();
-        let windows = vec![LinkWindow {
-            start_ns: 0,
-            end_ns: u64::MAX,
-            factor: Some(0.25),
-        }];
-        let mut l = RateLimiter::new(Some(10e6), start, windows);
+        let mut l = limiter(
+            Some(10e6),
+            vec![FaultSpec::LinkDegrade {
+                node: 1, // worker 0's own link
+                at: SimTime::ZERO,
+                factor: 0.25,
+                dur: Duration::from_secs(3600),
+            }],
+        );
         let t0 = Instant::now();
         l.acquire(500_000);
         let ms = t0.elapsed().as_millis();
@@ -3178,13 +2769,14 @@ mod tests {
 
     #[test]
     fn rate_limiter_outage_window_freezes_sender() {
-        let start = Instant::now();
-        let windows = vec![LinkWindow {
-            start_ns: 0,
-            end_ns: 60_000_000, // down for the first 60 ms
-            factor: None,
-        }];
-        let mut l = RateLimiter::new(None, start, windows);
+        let mut l = limiter(
+            None,
+            vec![FaultSpec::LinkDown {
+                node: 0, // the PS link: down for the first 60 ms
+                at: SimTime::ZERO,
+                dur: Duration::from_millis(60),
+            }],
+        );
         let t0 = Instant::now();
         l.acquire(4);
         let ms = t0.elapsed().as_millis();
@@ -3192,73 +2784,9 @@ mod tests {
     }
 
     #[test]
-    fn windows_for_maps_topology_nodes() {
-        let at = SimTime::ZERO + Duration::from_millis(10);
-        let plan = FaultPlan::new(vec![
-            FaultSpec::LinkDown {
-                node: 0, // PS shard 0: hits every worker
-                at,
-                dur: Duration::from_millis(5),
-            },
-            FaultSpec::LinkDegrade {
-                node: 2, // worker 1 (1-shard topology)
-                at,
-                factor: 0.5,
-                dur: Duration::from_millis(5),
-            },
-        ]);
-        assert_eq!(RateLimiter::windows_for(&plan, 0, 1).len(), 1);
-        assert_eq!(RateLimiter::windows_for(&plan, 1, 1).len(), 2);
-    }
-
-    #[test]
-    fn windows_for_respects_shard_count() {
-        let at = SimTime::ZERO + Duration::from_millis(10);
-        // In a 2-shard topology node 1 is PS shard 1 (shared by everyone)
-        // and node 2 is worker 0, not worker 1.
-        let plan = FaultPlan::new(vec![
-            FaultSpec::LinkDown {
-                node: 1,
-                at,
-                dur: Duration::from_millis(5),
-            },
-            FaultSpec::LinkDegrade {
-                node: 2,
-                at,
-                factor: 0.5,
-                dur: Duration::from_millis(5),
-            },
-        ]);
-        assert_eq!(RateLimiter::windows_for(&plan, 0, 2).len(), 2);
-        assert_eq!(RateLimiter::windows_for(&plan, 1, 2).len(), 1);
-    }
-
-    #[test]
-    fn worker_faults_collects_per_worker_windows() {
-        let at = SimTime::ZERO + Duration::from_millis(1);
-        let plan = FaultPlan::new(vec![
-            FaultSpec::MsgLoss {
-                rate: 0.5,
-                at,
-                dur: Duration::from_millis(2),
-            },
-            FaultSpec::WorkerStall {
-                worker: 1,
-                at,
-                dur: Duration::from_millis(2),
-            },
-        ]);
-        let f0 = WorkerFaults::new(0, &plan, RetryPolicy::paper_default());
-        let f1 = WorkerFaults::new(1, &plan, RetryPolicy::paper_default());
-        assert!(f0.active && f1.active);
-        assert_eq!(f0.loss.len(), 1);
-        assert!(f0.stalls.is_empty());
-        assert_eq!(f1.stalls.len(), 1);
-    }
-
-    #[test]
     fn empty_plan_leaves_fault_machinery_dormant() {
-        let mut f = WorkerFaults::new(0, &FaultPlan::empty(), RetryPolicy::paper_default());
+        let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
+        let mut f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), Instant::now());
         assert!(!f.active);
         let start = Instant::now();
         assert!(!f.doomed(start));

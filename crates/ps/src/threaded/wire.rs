@@ -233,57 +233,6 @@ pub mod crc32 {
         !crc
     }
 
-    /// XOR-accumulate the matrix columns selected by `v`'s set bits.
-    #[inline]
-    fn mat_apply(m: &[u32; 32], mut v: u32) -> u32 {
-        let mut acc = 0u32;
-        let mut bit = 0;
-        while v != 0 {
-            if v & 1 != 0 {
-                acc ^= m[bit];
-            }
-            v >>= 1;
-            bit += 1;
-        }
-        acc
-    }
-
-    /// Advance a streaming state across `len` zero bytes — the runtime
-    /// analogue of the compile-time `SHIFT` operator, for arbitrary
-    /// lengths (zlib's `crc32_combine` construction: square the
-    /// one-zero-byte matrix along the binary expansion of `len`).
-    ///
-    /// The register update is affine in the state, so states computed
-    /// independently over adjacent chunks combine exactly:
-    /// `update(s, ab) == shift(update(s, a), b.len()) ^ update(0, b)`.
-    /// This is what lets the parallel barrier fold checksum disjoint
-    /// accumulator ranges on separate threads and still produce the
-    /// sequential whole-payload CRC bit-for-bit.
-    pub fn shift(crc: u32, len: usize) -> u32 {
-        // One zero byte as a GF(2) matrix (column i = image of bit i).
-        let mut m = [0u32; 32];
-        for (i, col) in m.iter_mut().enumerate() {
-            let r = 1u32 << i;
-            *col = (r >> 8) ^ TABLES[0][(r & 0xFF) as usize];
-        }
-        let mut v = crc;
-        let mut n = len;
-        while n != 0 {
-            if n & 1 != 0 {
-                v = mat_apply(&m, v);
-            }
-            n >>= 1;
-            if n != 0 {
-                let mut sq = [0u32; 32];
-                for (i, col) in sq.iter_mut().enumerate() {
-                    *col = mat_apply(&m, m[i]);
-                }
-                m = sq;
-            }
-        }
-        v
-    }
-
     /// One-shot checksum of `bytes`.
     pub fn checksum(bytes: &[u8]) -> u32 {
         finish(update(begin(), bytes))
@@ -727,36 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_shift_matches_streaming_over_zeros() {
-        // shift(s, n) must equal feeding n literal zero bytes.
-        let zeros = vec![0u8; 5000];
-        for n in [0usize, 1, 7, 8, 63, 2048, 2049, 4096, 5000] {
-            let s = crc32::update(crc32::begin(), b"seed material");
-            assert_eq!(
-                crc32::shift(s, n),
-                crc32::update(s, &zeros[..n]),
-                "shift disagrees with zero-feed at n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn crc32_shift_combines_split_chunks() {
-        // The affine-combine identity the parallel fold relies on:
-        // update(s, ab) == shift(update(s, a), |b|) ^ update(0, b).
-        let data: Vec<u8> = (0..40_000u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
-            .collect();
-        for split in [0usize, 1, 9, 4096, 8192, 20_000, 39_999, 40_000] {
-            let (a, b) = data.split_at(split);
-            let whole = crc32::update(crc32::begin(), &data);
-            let combined =
-                crc32::shift(crc32::update(crc32::begin(), a), b.len()) ^ crc32::update(0, b);
-            assert_eq!(whole, combined, "combine identity broke at split {split}");
-        }
-    }
-
-    #[test]
     fn fused_accumulate_matches_separate_passes() {
         let values: Vec<f32> = (0..10_000).map(|i| (i as f32).sin()).collect();
         let wire = encode_f32(&values);
@@ -900,23 +819,6 @@ mod tests {
                 let mut acc = vec![0.0f32; values.len()];
                 prop_assert!(!verify_accumulate(truncated, &frame, &mut acc));
                 prop_assert!(acc.iter().all(|&a| a == 0.0));
-            }
-
-            /// Runtime shift ≡ compile-time combine for arbitrary splits:
-            /// checksum a split payload chunkwise and recombine.
-            #[test]
-            fn shift_combines_arbitrary_splits(
-                data in prop::collection::vec(0u8..=255, 0..20_000),
-                split_num in 0usize..1000,
-            ) {
-                let split = if data.is_empty() { 0 } else { split_num % (data.len() + 1) };
-                let (a, b) = data.split_at(split);
-                let whole = crc32::checksum(&data);
-                let combined = crc32::finish(
-                    crc32::shift(crc32::update(crc32::begin(), a), b.len())
-                        ^ crc32::update(0, b),
-                );
-                prop_assert_eq!(whole, combined);
             }
         }
     }

@@ -352,14 +352,6 @@ impl FaultPlan {
         })
     }
 
-    /// The iteration shard `s` permanently fails at, if any.
-    pub fn shard_fail_at(&self, s: usize) -> Option<u64> {
-        self.faults.iter().find_map(|f| match *f {
-            FaultSpec::ShardFail { shard, at_iter } if shard == s => Some(at_iter),
-            _ => None,
-        })
-    }
-
     /// The iteration worker `w` joins at, if `w` is a joiner.
     pub fn worker_join_at(&self, w: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {
@@ -615,7 +607,6 @@ mod tests {
         assert_eq!(plan.joined_workers(), 1);
         assert_eq!(plan.worker_fail_at(0), Some(2));
         assert_eq!(plan.worker_fail_at(1), None);
-        assert_eq!(plan.shard_fail_at(1), Some(3));
         assert_eq!(plan.worker_join_at(3), Some(4));
         assert!(!FaultPlan::empty().has_permanent());
     }

@@ -75,4 +75,9 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
         cargo run --offline --release -q -p prophet-bench --bin repro -- ext_integrity 42 50 > /dev/null
 fi
 
+echo "==> code size (scripts/loc.sh → loc.txt; CI uploads it)"
+# Not a gate: the non-test line counts and public config-field counts that
+# subtractive PRs are judged by, as a number from a command.
+./scripts/loc.sh | tee loc.txt
+
 echo "==> OK ($tier)"

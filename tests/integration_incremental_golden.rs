@@ -1,8 +1,9 @@
 //! End-to-end golden equality: incremental dirty-component re-allocation
 //! vs the full-resolve oracle, through the whole cluster engine.
 //!
-//! [`ClusterConfig::net_full_resolve`] flips the fluid network into a mode
-//! where every re-allocation re-solves every connected component. Both
+//! `run_cluster_full_resolve` (a `#[doc(hidden)]` test hook) runs the
+//! cluster over the fluid network in full-resolve mode, where every
+//! re-allocation re-solves every connected component. Both
 //! modes share the identical per-component fill path, so a run must be
 //! **bit-identical** either way — `FlowEnd` timestamps, iteration times,
 //! training rates, fault counters, typed spans, everything. These tests
@@ -13,7 +14,7 @@
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
-use prophet::ps::sim::{run_cluster, ClusterConfig, RunResult};
+use prophet::ps::sim::{run_cluster, run_cluster_full_resolve, ClusterConfig, RunResult};
 use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
 fn cell(kind: SchedulerKind) -> ClusterConfig {
@@ -27,11 +28,9 @@ fn ms(v: u64) -> SimTime {
 }
 
 /// Run `cfg` in both allocator modes and assert the results agree bitwise.
-fn assert_modes_identical(mut cfg: ClusterConfig, iters: u64, label: &str) {
-    cfg.net_full_resolve = false;
+fn assert_modes_identical(cfg: ClusterConfig, iters: u64, label: &str) {
     let inc = run_cluster(&cfg, iters);
-    cfg.net_full_resolve = true;
-    let full = run_cluster(&cfg, iters);
+    let full = run_cluster_full_resolve(&cfg, iters);
     assert_identical(&inc, &full, label);
 }
 

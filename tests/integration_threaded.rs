@@ -160,25 +160,32 @@ fn invariant_checker_is_wired_into_threaded_runs() {
 
 #[test]
 fn injected_ps_restart_recovers_without_corrupting_training() {
-    // A PS crash-restart mid-run wipes in-flight aggregation state; the
-    // epoch protocol must re-deliver every lost gradient, and because the
+    // A PS crash-restart wipes in-flight aggregation state; the epoch
+    // protocol must re-deliver every lost gradient, and because the
     // replayed bytes are identical, the final model must be bit-identical
-    // to an undisturbed run.
+    // to an undisturbed run. The shard goes down at time zero for longer
+    // than the workers need to push iteration 0, so those pushes are
+    // addressed to the dead incarnation and must all be re-pushed.
     for kind in [
         SchedulerKind::Fifo,
         SchedulerKind::P3 {
-            partition_bytes: 1 << 10, // many partitions: crash lands mid-tensor
+            partition_bytes: 1 << 10, // many partitions per iteration
         },
     ] {
         let label = kind.label();
         let mut cfg = ThreadedConfig::small(3, kind);
         cfg.global_batch = 48;
         cfg.iterations = 8;
-        cfg.ps_restart_at_iter = Some(3);
+        cfg.retry = fast_retry();
+        cfg.fault_plan = FaultPlan::new(vec![FaultSpec::ShardCrash {
+            shard: 0,
+            at: SimTime::ZERO,
+            restart_after: Duration::from_millis(40),
+        }]);
         let crashed = run_threaded_training(&cfg);
         assert!(
             crashed.retries > 0,
-            "{label}: restart at iteration 3 caused no re-pushes"
+            "{label}: the restart caused no re-pushes"
         );
         assert!(crashed.events_checked > 0, "{label}: checker not wired");
         assert_eq!(
@@ -235,9 +242,8 @@ fn message_loss_is_retried_until_params_match() {
 
 #[test]
 fn timed_shard_crash_recovers_bit_identically() {
-    // A wall-clock-triggered PS crash (the plan-driven flavour, as opposed
-    // to the iteration-triggered `ps_restart_at_iter`): the link is slowed
-    // so the run is long enough for the crash to land mid-training.
+    // A PS crash landing mid-training: the link is slowed so the run is
+    // long enough for the crash to hit an iteration in flight.
     let mut cfg = ThreadedConfig::small(2, SchedulerKind::Fifo);
     cfg.link_bps = Some(5e5); // ~5 ms of wire per iteration
     cfg.retry = fast_retry();
