@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
+use prophet::net::NetStats;
 use prophet::ps::sim::{run_cluster, ClusterConfig};
 use std::hint::black_box;
 
@@ -31,6 +32,9 @@ fn bench_sim_scale(c: &mut Criterion) {
     let quick = c.is_quick();
     let scales = if quick { &SCALES[..1] } else { SCALES };
 
+    // The engine's work counters per cell: exact per seed, so one run's
+    // worth says what every sample did.
+    let mut counts: Vec<(String, NetStats)> = Vec::new();
     let mut g = c.benchmark_group("iteration");
     g.sample_size(3);
     for &w in scales {
@@ -38,11 +42,17 @@ fn bench_sim_scale(c: &mut Criterion) {
             SchedulerKind::Fifo,
             SchedulerKind::ProphetOracle(prophet::core::ProphetConfig::paper_default(1.25e9)),
         ] {
-            let label = kind.label().to_string();
-            let cfg = cell(w, kind.clone());
-            g.bench_function(&format!("{label}_{w}"), |b| {
-                b.iter(|| black_box(run_cluster(&cfg, 2).duration))
+            let id = format!("{}_{w}", kind.label());
+            let cfg = cell(w, kind);
+            let mut stats = NetStats::default();
+            g.bench_function(&id, |b| {
+                b.iter(|| {
+                    let r = run_cluster(&cfg, 2);
+                    stats = r.net_stats;
+                    black_box(r.duration)
+                })
             });
+            counts.push((id, stats));
         }
     }
     g.finish();
@@ -50,7 +60,37 @@ fn bench_sim_scale(c: &mut Criterion) {
     if quick {
         return;
     }
-    let json = stats_to_json(c.stats(), &[]);
+    // Host-time ratios (which survive the host's speed modes; wall times do
+    // not) and the counters per delivered message.
+    let median = |id: &str| {
+        c.stats()
+            .iter()
+            .find(|s| s.group == "iteration" && s.id == id)
+            .map_or(f64::NAN, |s| s.median_ns)
+    };
+    let mut derived: Vec<(String, f64)> = Vec::new();
+    for &w in scales {
+        derived.push((
+            format!("oracle_over_fifo_host_ratio_{w}"),
+            median(&format!("prophet-oracle_{w}")) / median(&format!("mxnet-fifo_{w}")),
+        ));
+    }
+    for (id, s) in &counts {
+        let msgs = s.completions as f64;
+        for (name, count) in [
+            ("refills", s.refills),
+            ("flows_refilled", s.flows_refilled),
+            ("fill_rounds", s.fill_rounds),
+            ("rate_changes", s.rate_changes),
+            ("index_pushes", s.index_pushes),
+            ("index_stale_pops", s.index_stale_pops),
+            ("split_checks", s.split_checks),
+        ] {
+            derived.push((format!("{id}_{name}_per_msg"), count as f64 / msgs));
+        }
+    }
+    let derived: Vec<(&str, f64)> = derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let json = stats_to_json(c.stats(), &derived);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_scale.json");
     std::fs::write(path, json).expect("write BENCH_sim_scale.json");
     println!("wrote {path}");

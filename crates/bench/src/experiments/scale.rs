@@ -29,7 +29,21 @@ pub fn ext_scale() -> ExperimentOutput {
          ordering from the testbed survives to 1024 workers, and the \
          simulator itself stays tractable — host wall-clock per run is the \
          engineering claim the incremental allocator is pinned on.",
-        &["workers", "strategy", "iter_ms", "sim_s", "host_ms"],
+        &[
+            "workers",
+            "strategy",
+            "iter_ms",
+            "sim_s",
+            "host_ms",
+            "msgs",
+            "refills",
+            "flows_refilled",
+            "fill_rounds",
+            "rate_changes",
+            "index_pushes",
+            "index_stale_pops",
+            "split_checks",
+        ],
     );
     for &workers in SCALES {
         let lineup: Vec<SchedulerKind> =
@@ -48,19 +62,41 @@ pub fn ext_scale() -> ExperimentOutput {
                 .last()
                 .map(|d| d.as_secs_f64() * 1e3)
                 .unwrap_or(f64::NAN);
-            out.row(vec![
+            let n = r.net_stats;
+            let mut row = vec![
                 workers.to_string(),
                 label,
                 format!("{iter_ms:.1}"),
                 format!("{:.3}", r.duration.as_secs_f64()),
                 format!("{:.0}", host.as_secs_f64() * 1e3),
-            ]);
+            ];
+            row.extend(
+                [
+                    n.completions,
+                    n.refills,
+                    n.flows_refilled,
+                    n.fill_rounds,
+                    n.rate_changes,
+                    n.index_pushes,
+                    n.index_stale_pops,
+                    n.split_checks,
+                ]
+                .map(|c| c.to_string()),
+            );
+            out.row(row);
         }
     }
     out.notes = "Host wall-clock is hardware-dependent; the column exists \
                  for order-of-magnitude tracking (a 1024-worker iteration \
                  simulates in seconds, where the pre-incremental engine \
-                 drowned in duplicate wake events and full re-solves). \
+                 drowned in duplicate wake events and full re-solves). The \
+                 columns from `msgs` on are the network engine's own work \
+                 counters (`NetStats`), exact per seed: messages delivered, \
+                 component fills and the rates they handed out, filling \
+                 rounds, rates that actually changed, completion-index \
+                 pushes and stale pops (both track fills, not rate \
+                 changes), and departures that needed a connectivity \
+                 search. \
                  Simulated iteration time scaling with workers reflects the \
                  per-gradient fan-in onto its home shard, which caps \
                  per-worker throughput at `shard_bps / workers`."

@@ -41,7 +41,7 @@ pub mod tcp;
 pub mod topology;
 
 pub use monitor::BandwidthMonitor;
-pub use network::{FlowEnd, FlowId, KilledFlow, NetEvent, Network};
+pub use network::{FlowEnd, FlowId, KilledFlow, NetEvent, NetStats, Network};
 pub use retry::RetryPolicy;
 pub use tcp::TcpModel;
 pub use topology::{NodeId, NodeSpec, Topology};

@@ -23,36 +23,43 @@
 //!
 //! # Scaling architecture
 //!
-//! The engine is built to stay cheap at thousand-worker clusters:
+//! The engine is built so that its cost follows what *changed*, not how
+//! much is in flight:
 //!
 //! * **Component-incremental re-allocation.** Flows are grouped into
 //!   connected components (flows sharing no node never couple). A flow
-//!   arrival eagerly merges the components its endpoints belong to; a
-//!   departure marks its component *dirty*, and the next re-allocation
-//!   re-partitions only dirty components (lazy split) and re-fills only
-//!   them via [`maxmin::fill_component`]. Untouched components keep their
-//!   rates — which is sound because a component's allocation is a pure
-//!   function of its own flows and node capacities. The full-resolve
-//!   oracle ([`Network::set_full_resolve`]) marks *every* component dirty
-//!   on every re-allocation and flows through the identical code path, so
-//!   the incremental engine is bit-identical by construction; the golden
-//!   suite exists to catch dirty-tracking omissions.
-//! * **Indexed event lookup.** Completion and phase-transition instants
-//!   live in lazy-invalidation binary heaps keyed `(time, flow id, slot)`
-//!   instead of being recomputed by O(#flows) scans. An entry is stale
-//!   when its flow is gone or its stored time no longer matches the flow's
-//!   current prediction; stale entries are discarded on pop. The `(time,
-//!   id)` ordering hands completions back in flow-start order for free.
+//!   arrival merges the components its endpoints belong to; a departure
+//!   splits its component on the spot if (and only if) it was a bridge —
+//!   decided by a two-ended search from the departed flow's endpoints that
+//!   costs a few hops when they are still connected and the smaller part
+//!   when they are not. Either marks the component *dirty*, and the next
+//!   re-allocation re-fills only dirty components. Untouched components
+//!   keep their rates — which is sound because a component's allocation is
+//!   a pure function of its own flows and node capacities. The
+//!   full-resolve oracle ([`Network::set_full_resolve`]) marks *every*
+//!   component dirty on every re-allocation and flows through the
+//!   identical code path, so the incremental engine is bit-identical by
+//!   construction; the golden suite exists to catch dirty-tracking
+//!   omissions.
+//! * **Persistent fill state.** The flow graph as progressive filling needs
+//!   it (per-link member lists, open-flow counts, capacities) is maintained
+//!   per arrival, departure, phase transition and capacity change rather
+//!   than rebuilt per fill, and the fill itself works link by link (see
+//!   [`crate::maxmin`]).
+//! * **Component-level completion index.** A fill already visits every
+//!   member, so it also notes the earliest predicted completion among them;
+//!   the index holds one entry per *fill*, not one per rate change. Harvest
+//!   scans only components whose entry is due. Phase transitions keep a
+//!   per-flow lazy-invalidation heap — rate changes do not churn it.
 //! * **Slab storage + lazy integration.** Flows live in a slab (stable
-//!   slot indices, O(1) removal via a free list, no `Vec::remove`
-//!   shifting), and each flow's byte position is integrated lazily — only
-//!   when its rate changes, it completes, or it is killed — from a
-//!   per-flow `last_sync` watermark. Completion instants are *predicted*
-//!   once per rate change from the fractional residual
-//!   ([`Duration::for_bytes_f64`]), so a sub-byte remainder never delays
-//!   or duplicates a completion.
+//!   slot indices, O(1) removal via a free list), and each flow's byte
+//!   position is integrated lazily — only when its rate changes, it
+//!   completes, or it is killed — from a per-flow `last_sync` watermark.
+//!   Completion instants are *predicted* once per rate change from the
+//!   fractional residual ([`Duration::for_bytes_f64`]), so a sub-byte
+//!   remainder never delays or duplicates a completion.
 
-use crate::maxmin::{self, FlowDemand, Scratch};
+use crate::maxmin::FillState;
 use crate::tcp::TcpModel;
 use crate::topology::{NodeId, NodeSpec, Topology};
 use prophet_sim::{Duration, SimTime};
@@ -79,6 +86,17 @@ enum Phase {
     Steady,
 }
 
+impl Phase {
+    /// The rate cap this phase puts on its flow.
+    fn cap_bps(self) -> f64 {
+        match self {
+            Phase::Setup { .. } => 0.0,
+            Phase::Ramp { cap_bps, .. } => cap_bps,
+            Phase::Steady => f64::INFINITY,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct FlowState {
     id: FlowId,
@@ -86,33 +104,60 @@ struct FlowState {
     dst: NodeId,
     total: f64,
     remaining: f64,
-    rate: f64,
     phase: Phase,
     started: SimTime,
     tag: u64,
     /// Byte-integration watermark: `remaining` is exact as of this instant.
     last_sync: SimTime,
-    /// Predicted completion under the current rate (`SimTime::MAX` while
-    /// the flow isn't moving payload). Recomputed only when the rate
-    /// actually changes, which keeps the full/incremental engines in
-    /// lockstep.
-    pred_end: SimTime,
-    /// Connected component this flow belongs to.
-    comp: u32,
 }
 
-/// One connected component of the flow graph.
-#[derive(Debug, Clone, Default)]
+/// The two things a fill asks of *every* member — what rate it had, when it
+/// was due — kept out of [`FlowState`] in a dense array of their own so a
+/// fill over a thousand flows reads a few cache-resident kilobytes.
+#[derive(Debug, Clone, Copy)]
+struct Pace {
+    rate: f64,
+    /// Predicted completion under `rate` (`SimTime::MAX` while the flow
+    /// isn't moving payload). Recomputed only when the rate actually
+    /// changes, which keeps the full/incremental engines in lockstep.
+    pred_end: SimTime,
+}
+
+impl Pace {
+    const IDLE: Pace = Pace {
+        rate: 0.0,
+        pred_end: SimTime::MAX,
+    };
+}
+
+impl FlowState {
+    /// Bring the byte position up to `clock` at `rate`, crediting the moved
+    /// bytes to the endpoints' counters.
+    fn integrate(&mut self, rate: f64, clock: SimTime, tx_base: &mut [f64], rx_base: &mut [f64]) {
+        let dt = clock.saturating_since(self.last_sync).as_secs_f64();
+        self.last_sync = clock;
+        if dt > 0.0 && rate > 0.0 {
+            let moved = (rate * dt).min(self.remaining);
+            self.remaining -= moved;
+            tx_base[self.src.0] += moved;
+            rx_base[self.dst.0] += moved;
+        }
+    }
+}
+
+/// One connected component of the flow graph: a set of nodes. Its flows
+/// are the ones the fill state lists at those nodes.
+#[derive(Debug, Clone)]
 struct Comp {
-    /// Member slots, ascending by [`FlowId`] (= flow-start order).
-    flows: Vec<u32>,
+    /// Member nodes, in no particular order (`node_pos` indexes into this).
+    nodes: Vec<u32>,
     live: bool,
     /// Queued for re-fill at the next [`Network::reallocate`].
     dirty: bool,
-    /// A member departed since the last connectivity check, so the re-fill
-    /// must re-partition before filling. Attaches and phase transitions
-    /// never disconnect anything, so their re-fills skip the union-find.
-    maybe_split: bool,
+    /// Names the completion-index entry the last fill pushed (the earliest
+    /// `pred_end` among the members, if any is moving); entries carrying
+    /// any other stamp are stale.
+    stamp: u64,
 }
 
 fn transition_time(f: &FlowState) -> Option<SimTime> {
@@ -193,9 +238,29 @@ pub struct FlowEnd {
     pub finished: SimTime,
 }
 
-/// Lazy-invalidation heap entry: `(instant, flow id, slot)`. Ordered by
-/// `(instant, id)` so simultaneous events resolve in flow-start order.
-type EventEntry = Reverse<(SimTime, u64, u32)>;
+/// How much work the engine did, as plain counts. Exact per input, so
+/// tests and benches can assert on them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Component fills run.
+    pub refills: u64,
+    /// Rates handed out by those fills (one per member past its handshake).
+    pub flows_refilled: u64,
+    /// Progressive-filling rounds inside them.
+    pub fill_rounds: u64,
+    /// Rates that came out bitwise different, each costing a byte
+    /// integration and a completion re-prediction.
+    pub rate_changes: u64,
+    /// Entries pushed on the completion index.
+    pub index_pushes: u64,
+    /// Entries popped from it that a later fill had superseded.
+    pub index_stale_pops: u64,
+    /// Departures that needed a connectivity search (both endpoints kept
+    /// other flows).
+    pub split_checks: u64,
+    /// Flows that delivered their last byte.
+    pub completions: u64,
+}
 
 /// The fluid network engine. See the module docs for the driving contract.
 #[derive(Debug, Clone)]
@@ -203,6 +268,8 @@ pub struct Network {
     topo: Topology,
     tcp: TcpModel,
     slots: Vec<Option<FlowState>>,
+    /// Rate and predicted completion of the flow in each slot.
+    pace: Vec<Pace>,
     free_slots: Vec<u32>,
     n_active: usize,
     next_id: u64,
@@ -211,90 +278,76 @@ pub struct Network {
     /// Cached `max(uplink, downlink)` over all nodes: the Ramp → Steady
     /// threshold. Recomputed when a node spec changes.
     max_cap: f64,
+    /// The flow graph as progressive filling sees it, keyed by slot.
+    fill: FillState,
     // Component bookkeeping.
     comps: Vec<Comp>,
     free_comps: Vec<u32>,
     /// Component owning each node (`NO_COMP` when the node has no flows).
     node_comp: Vec<u32>,
-    /// Active flow endpoints per node (self-loops count twice).
-    node_flows: Vec<u32>,
+    /// Each owned node's position in its component's `nodes`.
+    node_pos: Vec<u32>,
     /// Components queued for re-fill.
     dirty: Vec<u32>,
     full_resolve: bool,
     // Event index.
-    completions: BinaryHeap<EventEntry>,
-    transitions: BinaryHeap<EventEntry>,
+    /// `(earliest member completion, stamp, component)`, one per fill.
+    completions: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Lazy-invalidation entries `(instant, flow id, slot)`.
+    transitions: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    stamps: u64,
     // Byte accounting: integrated-up-to-`last_sync` base per node; the
     // in-flight accrual since then is reconstructed on read.
     tx_base: Vec<f64>,
     rx_base: Vec<f64>,
     record_events: bool,
     events: Vec<(SimTime, NetEvent)>,
+    stats: NetStats,
     // Reusable buffers (never carry results between calls).
-    scratch: Scratch,
-    demand_buf: Vec<FlowDemand>,
-    rate_buf: Vec<f64>,
-    part_idx: Vec<u32>,
-    uf_parent: Vec<u32>,
-    uf_epoch: Vec<u64>,
-    uf_round: u64,
-    part_map: Vec<u32>,
-    part_map_epoch: Vec<u64>,
-}
-
-fn uf_find(parent: &mut [u32], x: u32) -> u32 {
-    let mut root = x;
-    while parent[root as usize] != root {
-        root = parent[root as usize];
-    }
-    let mut cur = x;
-    while parent[cur as usize] != root {
-        let next = parent[cur as usize];
-        parent[cur as usize] = root;
-        cur = next;
-    }
-    root
+    /// `(pred_end, flow id, slot)` of the flows being harvested.
+    due: Vec<(SimTime, u64, u32)>,
+    side: Vec<u32>,
 }
 
 impl Network {
     /// A network over `topo` with transport behaviour `tcp`.
     pub fn new(topo: Topology, tcp: TcpModel) -> Self {
         let n = topo.len();
-        let max_cap = topo
-            .iter()
-            .map(|(_, s)| s.uplink_bps.max(s.downlink_bps))
-            .fold(0.0f64, f64::max);
+        let mut fill = FillState::default();
+        fill.ensure_nodes(n);
+        let mut max_cap = 0.0f64;
+        for (node, spec) in topo.iter() {
+            fill.set_node_caps(node.0 as u32, spec.uplink_bps, spec.downlink_bps);
+            max_cap = max_cap.max(spec.uplink_bps.max(spec.downlink_bps));
+        }
         Network {
             topo,
             tcp,
             slots: Vec::new(),
+            pace: Vec::new(),
             free_slots: Vec::new(),
             n_active: 0,
             next_id: 0,
             clock: SimTime::ZERO,
             version: 0,
             max_cap,
+            fill,
             comps: Vec::new(),
             free_comps: Vec::new(),
             node_comp: vec![NO_COMP; n],
-            node_flows: vec![0; n],
+            node_pos: vec![0; n],
             dirty: Vec::new(),
             full_resolve: false,
             completions: BinaryHeap::new(),
             transitions: BinaryHeap::new(),
+            stamps: 0,
             tx_base: vec![0.0; n],
             rx_base: vec![0.0; n],
             record_events: false,
             events: Vec::new(),
-            scratch: Scratch::default(),
-            demand_buf: Vec::new(),
-            rate_buf: Vec::new(),
-            part_idx: Vec::new(),
-            uf_parent: vec![0; n],
-            uf_epoch: vec![0; n],
-            uf_round: 0,
-            part_map: vec![0; n],
-            part_map_epoch: vec![0; n],
+            stats: NetStats::default(),
+            due: Vec::new(),
+            side: Vec::new(),
         }
     }
 
@@ -350,13 +403,18 @@ impl Network {
         self.n_active
     }
 
+    /// Work counters since construction.
+    pub fn stats(&self) -> NetStats {
+        self.stats
+    }
+
     /// Cumulative bytes sent by `node` up to the engine clock (payload
     /// only; handshakes are latency, not volume).
     pub fn tx_bytes(&self, node: NodeId) -> f64 {
         let mut total = self.tx_base[node.0];
-        for f in self.slots.iter().flatten() {
-            if f.src == node && f.rate > 0.0 {
-                total += f.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
+        for (f, pace) in self.slots.iter().zip(&self.pace) {
+            if let Some(f) = f.as_ref().filter(|f| f.src == node && pace.rate > 0.0) {
+                total += pace.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
             }
         }
         total
@@ -365,9 +423,9 @@ impl Network {
     /// Cumulative bytes received by `node` up to the engine clock.
     pub fn rx_bytes(&self, node: NodeId) -> f64 {
         let mut total = self.rx_base[node.0];
-        for f in self.slots.iter().flatten() {
-            if f.dst == node && f.rate > 0.0 {
-                total += f.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
+        for (f, pace) in self.slots.iter().zip(&self.pace) {
+            if let Some(f) = f.as_ref().filter(|f| f.dst == node && pace.rate > 0.0) {
+                total += pace.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
             }
         }
         total
@@ -420,25 +478,24 @@ impl Network {
             self.initial_phase(now)
         };
         let slot = self.alloc_slot();
-        self.slots[slot as usize] = Some(FlowState {
+        let flow = FlowState {
             id,
             src,
             dst,
             total: bytes as f64,
             remaining: (bytes as f64).max(0.0),
-            rate: 0.0,
             phase,
             started: now,
             tag,
             last_sync: now,
-            pred_end: SimTime::MAX,
-            comp: NO_COMP,
-        });
-        self.n_active += 1;
-        self.attach_flow(slot);
-        if let Some(t) = transition_time(self.slots[slot as usize].as_ref().unwrap()) {
+        };
+        if let Some(t) = transition_time(&flow) {
             self.transitions.push(Reverse((t, id.0, slot)));
         }
+        self.slots[slot as usize] = Some(flow);
+        self.pace[slot as usize] = Pace::IDLE;
+        self.n_active += 1;
+        self.attach_flow(slot);
         if self.record_events {
             self.events.push((
                 now,
@@ -487,6 +544,8 @@ impl Network {
     pub fn set_node_spec(&mut self, now: SimTime, node: NodeId, spec: NodeSpec) -> Vec<FlowEnd> {
         let done = self.advance_to(now);
         self.topo.set_spec(node, spec);
+        self.fill
+            .set_node_caps(node.0 as u32, spec.uplink_bps, spec.downlink_bps);
         self.max_cap = self
             .topo
             .iter()
@@ -514,16 +573,16 @@ impl Network {
             done.is_empty(),
             "kill_flow raced past unharvested completions"
         );
-        // Earliest-started match, as before the slab rewrite.
-        let mut best: Option<(u64, u32)> = None;
-        for (s, f) in self.slots.iter().enumerate() {
-            if let Some(f) = f {
-                if f.tag == tag && best.is_none_or(|(id, _)| f.id.0 < id) {
-                    best = Some((f.id.0, s as u32));
-                }
-            }
-        }
-        let (_, slot) = best?;
+        // Earliest-started match.
+        let (_, slot) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(s, f)| {
+                f.as_ref()
+                    .and_then(|f| (f.tag == tag).then_some((f.id.0, s as u32)))
+            })
+            .min()?;
         Some(self.remove_killed(now, slot))
     }
 
@@ -534,16 +593,16 @@ impl Network {
     pub fn kill_flows_touching(&mut self, now: SimTime, node: NodeId) -> Vec<KilledFlow> {
         let done = self.advance_to(now);
         debug_assert!(done.is_empty(), "kill raced past unharvested completions");
+        let n = node.0 as u32;
         let mut victims: Vec<(u64, u32)> = self
-            .slots
+            .fill
+            .flows_from(n)
             .iter()
-            .enumerate()
-            .filter_map(|(s, f)| {
-                f.as_ref()
-                    .and_then(|f| (f.src == node || f.dst == node).then_some((f.id.0, s as u32)))
-            })
+            .chain(self.fill.flows_into(n))
+            .map(|&s| (self.flow(s).id.0, s))
             .collect();
         victims.sort_unstable();
+        victims.dedup(); // a self-loop is listed at both links
         victims
             .into_iter()
             .map(|(_, s)| self.remove_killed(now, s))
@@ -551,8 +610,12 @@ impl Network {
     }
 
     fn remove_killed(&mut self, now: SimTime, slot: u32) -> KilledFlow {
-        self.integrate_flow(slot);
-        let f = self.slots[slot as usize].as_ref().unwrap();
+        let clock = self.clock;
+        let f = self.slots[slot as usize]
+            .as_mut()
+            .expect("killing a dead flow");
+        let rate = self.pace[slot as usize].rate;
+        f.integrate(rate, clock, &mut self.tx_base, &mut self.rx_base);
         let killed = KilledFlow {
             tag: f.tag,
             src: f.src,
@@ -625,11 +688,7 @@ impl Network {
             if processed {
                 self.reallocate();
             }
-            let before = completed.len();
-            while let Some(slot) = self.pop_completion_due(seg_end) {
-                self.harvest(slot, seg_end, &mut completed);
-            }
-            if completed.len() > before {
+            if self.harvest_due(seg_end, &mut completed) {
                 self.reallocate();
                 processed = true;
             }
@@ -643,37 +702,16 @@ impl Network {
     /// Earliest valid transition entry, pruning stale ones.
     fn peek_transition(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, id, slot))) = self.transitions.peek() {
-            if self.transition_entry_valid(t, id, slot) {
+            let valid = match self.slots[slot as usize].as_ref() {
+                Some(f) if f.id.0 == id => transition_time(f) == Some(t),
+                _ => false,
+            };
+            if valid {
                 return Some(t);
             }
             self.transitions.pop();
         }
         None
-    }
-
-    /// Earliest valid completion entry, pruning stale ones.
-    fn peek_completion(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((t, id, slot))) = self.completions.peek() {
-            if self.completion_entry_valid(t, id, slot) {
-                return Some(t);
-            }
-            self.completions.pop();
-        }
-        None
-    }
-
-    fn transition_entry_valid(&self, t: SimTime, id: u64, slot: u32) -> bool {
-        match self.slots[slot as usize].as_ref() {
-            Some(f) if f.id.0 == id => transition_time(f) == Some(t),
-            _ => false,
-        }
-    }
-
-    fn completion_entry_valid(&self, t: SimTime, id: u64, slot: u32) -> bool {
-        match self.slots[slot as usize].as_ref() {
-            Some(f) if f.id.0 == id => f.pred_end == t,
-            _ => false,
-        }
     }
 
     fn pop_transition_due(&mut self, t: SimTime) -> Option<u32> {
@@ -686,14 +724,48 @@ impl Network {
         }
     }
 
-    fn pop_completion_due(&mut self, t: SimTime) -> Option<u32> {
-        match self.peek_completion() {
-            Some(et) if et <= t => {
-                let Reverse((_, _, slot)) = self.completions.pop().unwrap();
-                Some(slot)
+    /// Earliest completion among the components whose index entry is
+    /// current, pruning superseded entries.
+    fn peek_completion(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((t, stamp, c))) = self.completions.peek() {
+            let comp = &self.comps[c as usize];
+            if comp.live && comp.stamp == stamp {
+                return Some(t);
             }
-            _ => None,
+            self.completions.pop();
+            self.stats.index_stale_pops += 1;
         }
+        None
+    }
+
+    /// Complete every flow predicted to end at or before `t`, in
+    /// `(pred_end, flow id)` order — flow-start order within an instant.
+    /// Only components whose index entry is due are scanned, and each of
+    /// those is about to be re-filled anyway. True if anything completed.
+    fn harvest_due(&mut self, t: SimTime, out: &mut Vec<FlowEnd>) -> bool {
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(et) = self.peek_completion() {
+            if et > t {
+                break;
+            }
+            let Reverse((_, _, c)) = self.completions.pop().unwrap();
+            for &g in &self.comps[c as usize].nodes {
+                for &s in self.fill.flows_from(g) {
+                    let pred_end = self.pace[s as usize].pred_end;
+                    if pred_end <= t {
+                        due.push((pred_end, self.flow(s).id.0, s));
+                    }
+                }
+            }
+        }
+        due.sort_unstable();
+        for &(_, _, slot) in &due {
+            self.harvest(slot, t, out);
+        }
+        let any = !due.is_empty();
+        due.clear();
+        self.due = due;
+        any
     }
 
     /// Apply one setup-completion or window-doubling transition due at `t`.
@@ -701,10 +773,11 @@ impl Network {
         let rtt = self.tcp.rtt_s;
         let cwnd = self.tcp.init_cwnd_bytes;
         let max_cap = self.max_cap;
+        let rate = self.pace[slot as usize].rate;
         let f = self.slots[slot as usize].as_mut().unwrap();
         // Was the outgoing phase cap actually binding? A Ramp doubling (or
         // Ramp→Steady) only ever *raises* the flow's demand cap. In the
-        // fill, a non-binding cap's residual is never the round minimum, so
+        // fill, a non-binding cap's headroom is never the round minimum, so
         // raising it further cannot perturb a single arithmetic step — the
         // re-fill would reproduce every rate bit for bit. Cap-limited flows
         // are pinned to exactly `cap_bps`, so `rate >= cap` is a precise
@@ -712,7 +785,7 @@ impl Network {
         // fan-in components from being re-solved once per flow per RTT.
         let binding = match f.phase {
             Phase::Setup { .. } => true, // demand goes 0 → positive: real change
-            Phase::Ramp { cap_bps, .. } => f.rate >= cap_bps,
+            Phase::Ramp { cap_bps, .. } => rate >= cap_bps,
             Phase::Steady => true,
         };
         match f.phase {
@@ -740,12 +813,11 @@ impl Network {
             }
             Phase::Steady => unreachable!("transition entry for a Steady flow survived"),
         }
-        let id = f.id.0;
-        let comp = f.comp;
-        let next = transition_time(f);
-        if let Some(nt) = next {
-            self.transitions.push(Reverse((nt, id, slot)));
+        if let Some(nt) = transition_time(f) {
+            self.transitions.push(Reverse((nt, f.id.0, slot)));
         }
+        self.fill.set_cap(slot, f.phase.cap_bps());
+        let comp = self.node_comp[f.src.0];
         // Setup→Ramp releases the flow (demand 0 → positive) and a binding
         // Ramp cap that doubles genuinely frees rate: both need a re-fill.
         // A non-binding cap that rises leaves the fill arithmetic — and so
@@ -757,8 +829,12 @@ impl Network {
 
     /// Complete the flow in `slot` at instant `t`.
     fn harvest(&mut self, slot: u32, t: SimTime, out: &mut Vec<FlowEnd>) {
-        self.integrate_flow(slot);
-        let f = self.slots[slot as usize].as_ref().unwrap();
+        let clock = self.clock;
+        let f = self.slots[slot as usize]
+            .as_mut()
+            .expect("harvesting a dead flow");
+        let rate = self.pace[slot as usize].rate;
+        f.integrate(rate, clock, &mut self.tx_base, &mut self.rx_base);
         debug_assert!(
             f.remaining <= EPS_BYTES,
             "harvested flow still holds {} bytes",
@@ -775,6 +851,7 @@ impl Network {
         let delivered = f.total - f.remaining;
         self.detach_flow(slot);
         self.free_slot(slot);
+        self.stats.completions += 1;
         if self.record_events {
             self.events.push((
                 t,
@@ -789,41 +866,10 @@ impl Network {
         out.push(end);
     }
 
-    /// Bring one flow's byte position up to the engine clock.
-    fn integrate_flow(&mut self, slot: u32) {
-        let clock = self.clock;
-        let (moved, src, dst) = {
-            let f = self.slots[slot as usize].as_mut().unwrap();
-            let dt = clock.saturating_since(f.last_sync).as_secs_f64();
-            f.last_sync = clock;
-            if dt > 0.0 && f.rate > 0.0 {
-                let moved = (f.rate * dt).min(f.remaining);
-                f.remaining -= moved;
-                (moved, f.src.0, f.dst.0)
-            } else {
-                return;
-            }
-        };
-        self.tx_base[src] += moved;
-        self.rx_base[dst] += moved;
-    }
-
-    /// Set a flow's rate and refresh its completion prediction.
-    fn set_rate(&mut self, slot: u32, rate: f64) {
-        let clock = self.clock;
-        let (pred, id) = {
-            let f = self.slots[slot as usize].as_mut().unwrap();
-            f.rate = rate;
-            f.pred_end = if rate > 0.0 && !matches!(f.phase, Phase::Setup { .. }) {
-                clock + Duration::for_bytes_f64(f.remaining, rate)
-            } else {
-                SimTime::MAX
-            };
-            (f.pred_end, f.id.0)
-        };
-        if pred != SimTime::MAX {
-            self.completions.push(Reverse((pred, id, slot)));
-        }
+    fn flow(&self, slot: u32) -> &FlowState {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("fill state lists a dead flow")
     }
 
     // ------------------------------------------------------------------
@@ -835,6 +881,7 @@ impl Network {
             s
         } else {
             self.slots.push(None);
+            self.pace.push(Pace::IDLE);
             (self.slots.len() - 1) as u32
         }
     }
@@ -845,23 +892,34 @@ impl Network {
         self.n_active -= 1;
     }
 
+    fn next_stamp(&mut self) -> u64 {
+        self.stamps += 1;
+        self.stamps
+    }
+
     fn alloc_comp(&mut self) -> u32 {
-        if let Some(c) = self.free_comps.pop() {
-            let comp = &mut self.comps[c as usize];
-            comp.flows.clear();
-            comp.live = true;
-            comp.dirty = false;
-            comp.maybe_split = false;
-            c
-        } else {
+        let c = self.free_comps.pop().unwrap_or_else(|| {
             self.comps.push(Comp {
-                flows: Vec::new(),
-                live: true,
+                nodes: Vec::new(),
+                live: false,
                 dirty: false,
-                maybe_split: false,
+                stamp: 0,
             });
             (self.comps.len() - 1) as u32
-        }
+        });
+        let stamp = self.next_stamp();
+        let comp = &mut self.comps[c as usize];
+        comp.live = true;
+        comp.stamp = stamp;
+        c
+    }
+
+    fn free_comp(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        debug_assert!(comp.nodes.is_empty());
+        comp.live = false;
+        comp.dirty = false;
+        self.free_comps.push(c);
     }
 
     fn mark_dirty(&mut self, c: u32) {
@@ -872,44 +930,54 @@ impl Network {
         }
     }
 
-    /// Insert a freshly started flow into the component structure,
-    /// merging the components of its endpoints if they differ.
+    fn join_comp(&mut self, node: usize, c: u32) {
+        let nodes = &mut self.comps[c as usize].nodes;
+        self.node_comp[node] = c;
+        self.node_pos[node] = nodes.len() as u32;
+        nodes.push(node as u32);
+    }
+
+    fn leave_comp(&mut self, node: usize) {
+        let nodes = &mut self.comps[self.node_comp[node] as usize].nodes;
+        let pos = self.node_pos[node] as usize;
+        nodes.swap_remove(pos);
+        if let Some(&moved) = nodes.get(pos) {
+            self.node_pos[moved as usize] = pos as u32;
+        }
+        self.node_comp[node] = NO_COMP;
+    }
+
+    /// Insert a freshly started flow into the fill state and the component
+    /// structure, merging the components of its endpoints if they differ.
     fn attach_flow(&mut self, slot: u32) {
-        let (src, dst, in_setup) = {
-            let f = self.slots[slot as usize].as_ref().unwrap();
-            (f.src.0, f.dst.0, matches!(f.phase, Phase::Setup { .. }))
-        };
+        let f = self.flow(slot);
+        let (src, dst, cap) = (f.src.0, f.dst.0, f.phase.cap_bps());
+        self.fill.attach(slot, src as u32, dst as u32, cap);
         let ca = self.node_comp[src];
         let cb = self.node_comp[dst];
-        let mut merged = false;
+        let merged = ca != NO_COMP && cb != NO_COMP && ca != cb;
         let comp = match (ca != NO_COMP, cb != NO_COMP) {
             (false, false) => self.alloc_comp(),
             (true, false) => ca,
             (false, true) => cb,
             (true, true) if ca == cb => ca,
-            (true, true) => {
-                merged = true;
-                self.merge_comps(ca, cb)
-            }
+            (true, true) => self.merge_comps(ca, cb),
         };
-        // The new flow has the largest id so far, so pushing keeps the
-        // member list id-sorted.
-        self.comps[comp as usize].flows.push(slot);
-        self.slots[slot as usize].as_mut().unwrap().comp = comp;
-        self.node_comp[src] = comp;
-        self.node_comp[dst] = comp;
-        self.node_flows[src] += 1;
-        self.node_flows[dst] += 1;
-        // A flow still in TCP setup has a zero demand cap: the fill freezes
-        // it at rate 0 immediately, and a frozen zero contributes nothing —
-        // no counts, no cap terms, no increments — so adding it leaves
-        // every other rate bit-identical and the re-fill can be skipped.
-        // Its own rate field is already the 0.0 the fill would write. The
-        // exception is a start that *bridges* two components: the oracle
-        // groups by connectivity regardless of caps, so the merged
-        // population must be re-filled as one to keep its delta sequence —
-        // and therefore its bits — identical to the oracle's.
-        if merged || !in_setup {
+        for node in [src, dst] {
+            if self.node_comp[node] == NO_COMP {
+                self.join_comp(node, comp);
+            }
+        }
+        // A flow still in TCP setup has a zero demand cap: the fill leaves
+        // it at rate 0, and a frozen zero contributes nothing — no counts,
+        // no cap terms, no increments — so adding it leaves every other
+        // rate bit-identical and the re-fill can be skipped. Its own rate
+        // field is already the 0.0 the fill would write. The exception is a
+        // start that *bridges* two components: the oracle groups by
+        // connectivity regardless of caps, so the merged population must be
+        // re-filled as one to keep its delta sequence — and therefore its
+        // bits — identical to the oracle's.
+        if merged || cap > 0.0 {
             self.mark_dirty(comp);
         }
     }
@@ -917,81 +985,56 @@ impl Network {
     /// Merge two components, keeping the larger; returns the survivor.
     fn merge_comps(&mut self, a: u32, b: u32) -> u32 {
         let (keep, gone) =
-            if self.comps[a as usize].flows.len() >= self.comps[b as usize].flows.len() {
+            if self.comps[a as usize].nodes.len() >= self.comps[b as usize].nodes.len() {
                 (a, b)
             } else {
                 (b, a)
             };
-        let gone_flows = std::mem::take(&mut self.comps[gone as usize].flows);
-        let kept_flows = std::mem::take(&mut self.comps[keep as usize].flows);
-        // Two-pointer merge keeps the member list id-sorted.
-        let mut merged = Vec::with_capacity(kept_flows.len() + gone_flows.len());
-        {
-            let slots = &self.slots;
-            let fid = |s: u32| slots[s as usize].as_ref().unwrap().id.0;
-            let (mut i, mut j) = (0, 0);
-            while i < kept_flows.len() && j < gone_flows.len() {
-                if fid(kept_flows[i]) < fid(gone_flows[j]) {
-                    merged.push(kept_flows[i]);
-                    i += 1;
-                } else {
-                    merged.push(gone_flows[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&kept_flows[i..]);
-            merged.extend_from_slice(&gone_flows[j..]);
+        let mut moving = std::mem::take(&mut self.comps[gone as usize].nodes);
+        for &g in &moving {
+            self.join_comp(g as usize, keep);
         }
-        self.comps[keep as usize].flows = merged;
-        for &s in &gone_flows {
-            let (src, dst) = {
-                let f = self.slots[s as usize].as_mut().unwrap();
-                f.comp = keep;
-                (f.src.0, f.dst.0)
-            };
-            self.node_comp[src] = keep;
-            self.node_comp[dst] = keep;
-        }
-        let gone_comp = &mut self.comps[gone as usize];
-        gone_comp.live = false;
-        gone_comp.dirty = false;
-        let gone_split = std::mem::replace(&mut gone_comp.maybe_split, false);
-        self.comps[keep as usize].maybe_split |= gone_split;
-        self.free_comps.push(gone);
+        moving.clear();
+        self.comps[gone as usize].nodes = moving;
+        self.free_comp(gone);
         keep
     }
 
-    /// Remove a flow from its component and the node bookkeeping.
+    /// Remove a flow from the fill state and the component structure,
+    /// splitting its component if the flow was a bridge.
     fn detach_flow(&mut self, slot: u32) {
-        let (id, src, dst, comp) = {
-            let f = self.slots[slot as usize].as_ref().unwrap();
-            (f.id.0, f.src.0, f.dst.0, f.comp)
-        };
-        let pos = {
-            let slots = &self.slots;
-            self.comps[comp as usize]
-                .flows
-                .binary_search_by(|&s| slots[s as usize].as_ref().unwrap().id.0.cmp(&id))
-                .expect("flow missing from its component")
-        };
-        self.comps[comp as usize].flows.remove(pos);
+        let f = self.flow(slot);
+        let (src, dst) = (f.src.0, f.dst.0);
+        let c = self.node_comp[src];
+        self.fill.detach(slot);
         for node in [src, dst] {
-            self.node_flows[node] -= 1;
-            if self.node_flows[node] == 0 {
-                self.node_comp[node] = NO_COMP;
+            if self.node_comp[node] != NO_COMP && self.fill.degree(node as u32) == 0 {
+                self.leave_comp(node);
             }
         }
-        if self.comps[comp as usize].flows.is_empty() {
-            let c = &mut self.comps[comp as usize];
-            c.live = false;
-            c.dirty = false;
-            c.maybe_split = false;
-            self.free_comps.push(comp);
-        } else {
-            // The survivors' rates change (they may also have split into
-            // disconnected parts — resolved lazily at the next refill).
-            self.comps[comp as usize].maybe_split = true;
-            self.mark_dirty(comp);
+        if self.comps[c as usize].nodes.is_empty() {
+            self.free_comp(c);
+            return;
+        }
+        // The survivors' rates change.
+        self.mark_dirty(c);
+        // One departure from a connected component can disconnect it only
+        // if both endpoints keep other flows (a leaf edge never splits) and
+        // no other path joins them. Deciding now, one departure at a time,
+        // is what keeps that rule sound: every component is connected
+        // whenever a flow leaves it.
+        if src != dst && self.node_comp[src] == c && self.node_comp[dst] == c {
+            self.stats.split_checks += 1;
+            let mut side = std::mem::take(&mut self.side);
+            if self.fill.severed(src as u32, dst as u32, &mut side) {
+                let part = self.alloc_comp();
+                for &g in &side {
+                    self.leave_comp(g as usize);
+                    self.join_comp(g as usize, part);
+                }
+                self.mark_dirty(part);
+            }
+            self.side = side;
         }
     }
 
@@ -1015,135 +1058,130 @@ impl Network {
                 continue;
             }
             self.comps[c as usize].dirty = false;
-            self.refill(c);
+            self.fill_comp(c);
         }
         queue.clear();
         self.dirty = queue;
-    }
-
-    /// Re-partition one dirty component (splitting if a departure
-    /// disconnected it) and re-fill each resulting part.
-    fn refill(&mut self, c: u32) {
-        // Only a departure can disconnect a component: attaches and phase
-        // transitions never remove an edge. If no member left since the
-        // last connectivity check, the component is still connected and
-        // the union-find pass would just rediscover a single part.
-        if !self.comps[c as usize].maybe_split {
-            self.fill_comp(c);
-            return;
-        }
-        self.comps[c as usize].maybe_split = false;
-        let list = std::mem::take(&mut self.comps[c as usize].flows);
-        self.uf_round += 1;
-        let round = self.uf_round;
-        for &s in &list {
-            let (src, dst) = {
-                let f = self.slots[s as usize].as_ref().unwrap();
-                (f.src.0, f.dst.0)
-            };
-            for g in [src, dst] {
-                if self.uf_epoch[g] != round {
-                    self.uf_parent[g] = g as u32;
-                    self.uf_epoch[g] = round;
-                }
-            }
-            let ra = uf_find(&mut self.uf_parent, src as u32);
-            let rb = uf_find(&mut self.uf_parent, dst as u32);
-            if ra != rb {
-                self.uf_parent[ra as usize] = rb;
-            }
-        }
-        self.part_idx.clear();
-        let mut nparts: u32 = 0;
-        for &s in &list {
-            let src = self.slots[s as usize].as_ref().unwrap().src.0;
-            let root = uf_find(&mut self.uf_parent, src as u32) as usize;
-            if self.part_map_epoch[root] != round {
-                self.part_map_epoch[root] = round;
-                self.part_map[root] = nparts;
-                nparts += 1;
-            }
-            self.part_idx.push(self.part_map[root]);
-        }
-        if nparts <= 1 {
-            self.comps[c as usize].flows = list;
-            self.fill_comp(c);
-            return;
-        }
-        // Split: part 0 stays in `c`, the rest get fresh components. The
-        // id-sorted order is preserved because each part takes its members
-        // in list order.
-        let mut part_comp: Vec<u32> = Vec::with_capacity(nparts as usize);
-        part_comp.push(c);
-        for _ in 1..nparts {
-            part_comp.push(self.alloc_comp());
-        }
-        for (k, &s) in list.iter().enumerate() {
-            let pc = part_comp[self.part_idx[k] as usize];
-            self.comps[pc as usize].flows.push(s);
-            let (src, dst) = {
-                let f = self.slots[s as usize].as_mut().unwrap();
-                f.comp = pc;
-                (f.src.0, f.dst.0)
-            };
-            self.node_comp[src] = pc;
-            self.node_comp[dst] = pc;
-        }
-        for &pc in &part_comp.clone() {
-            self.fill_comp(pc);
-        }
+        #[cfg(debug_assertions)]
+        self.audit();
     }
 
     /// Run progressive filling over one component and apply the resulting
     /// rates, re-predicting completions only for flows whose rate actually
-    /// changed (bitwise).
+    /// changed (bitwise), and index the component under the earliest of its
+    /// members' predictions.
     fn fill_comp(&mut self, c: u32) {
-        if self.comps[c as usize].flows.is_empty() {
-            return;
-        }
-        let mut demands = std::mem::take(&mut self.demand_buf);
-        let mut rates = std::mem::take(&mut self.rate_buf);
-        demands.clear();
-        {
-            let slots = &self.slots;
-            for &s in &self.comps[c as usize].flows {
-                let f = slots[s as usize].as_ref().unwrap();
-                demands.push(FlowDemand {
-                    src: f.src,
-                    dst: f.dst,
-                    cap_bps: match f.phase {
-                        Phase::Setup { .. } => 0.0,
-                        Phase::Ramp { cap_bps, .. } => cap_bps,
-                        Phase::Steady => f64::INFINITY,
-                    },
-                });
-            }
-        }
-        rates.clear();
-        rates.resize(demands.len(), 0.0);
-        maxmin::fill_component(&self.topo, &demands, &mut rates, &mut self.scratch);
-        for (k, &new_rate) in rates.iter().enumerate() {
-            let s = self.comps[c as usize].flows[k];
-            let cur = self.slots[s as usize].as_ref().unwrap().rate;
-            if new_rate.to_bits() != cur.to_bits() {
+        let nodes = std::mem::take(&mut self.comps[c as usize].nodes);
+        let clock = self.clock;
+        let mut earliest = SimTime::MAX;
+        let Self {
+            fill,
+            slots,
+            pace,
+            tx_base,
+            rx_base,
+            stats,
+            ..
+        } = self;
+        let (rounds, rated) = fill.fill(&nodes, |slot, rate| {
+            let pace = &mut pace[slot as usize];
+            if rate.to_bits() != pace.rate.to_bits() {
+                stats.rate_changes += 1;
+                let f = slots[slot as usize]
+                    .as_mut()
+                    .expect("fill state lists a dead flow");
                 // Integrate at the old rate up to now, then switch.
-                self.integrate_flow(s);
-                self.set_rate(s, new_rate);
+                f.integrate(pace.rate, clock, tx_base, rx_base);
+                pace.rate = rate;
+                pace.pred_end = if rate > 0.0 {
+                    clock + Duration::for_bytes_f64(f.remaining, rate)
+                } else {
+                    SimTime::MAX
+                };
+            }
+            earliest = earliest.min(pace.pred_end);
+        });
+        stats.refills += 1;
+        stats.fill_rounds += rounds;
+        stats.flows_refilled += rated;
+        let stamp = self.next_stamp();
+        let comp = &mut self.comps[c as usize];
+        comp.nodes = nodes;
+        comp.stamp = stamp;
+        if earliest != SimTime::MAX {
+            self.completions.push(Reverse((earliest, stamp, c)));
+            self.stats.index_pushes += 1;
+        }
+    }
+
+    /// Rebuild what the incremental bookkeeping maintains — the fill
+    /// state's view of every flow, the partition into components, each
+    /// clean component's earliest prediction — from the slots, and assert
+    /// the two agree. Debug builds run it after every re-allocation, so
+    /// every test exercises attach/merge/split/kill/transition/
+    /// `set_node_spec` maintenance.
+    #[cfg(debug_assertions)]
+    fn audit(&mut self) {
+        let live: Vec<(u32, &FlowState)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(s, f)| f.as_ref().map(|f| (s as u32, f)))
+            .collect();
+        assert_eq!(live.len(), self.n_active);
+        let view = live
+            .iter()
+            .map(|&(s, f)| (s, f.src.0 as u32, f.dst.0 as u32, f.phase.cap_bps()));
+        self.fill.audit(&self.topo, view);
+
+        let mut earliest = vec![SimTime::MAX; self.comps.len()];
+        for &(s, f) in &live {
+            let at = &mut earliest[self.node_comp[f.src.0] as usize];
+            *at = (*at).min(self.pace[s as usize].pred_end);
+        }
+        let tag = self.fill.new_tag();
+        let mut reach = Vec::new();
+        let mut owned = 0;
+        for (c, comp) in self.comps.iter().enumerate() {
+            if !comp.live {
+                continue;
+            }
+            assert!(!comp.nodes.is_empty(), "live component {c} is empty");
+            for (pos, &g) in comp.nodes.iter().enumerate() {
+                assert_eq!(self.node_comp[g as usize], c as u32);
+                assert_eq!(self.node_pos[g as usize], pos as u32);
+                assert!(self.fill.degree(g) > 0, "idle node {g} in component {c}");
+            }
+            self.fill.component_of(comp.nodes[0], tag, &mut reach);
+            let mut have = comp.nodes.clone();
+            have.sort_unstable();
+            reach.sort_unstable();
+            assert_eq!(have, reach, "component {c} is not one connected part");
+            owned += have.len();
+            if !comp.dirty {
+                let indexed = self
+                    .completions
+                    .iter()
+                    .find(|e| e.0 .1 == comp.stamp)
+                    .map_or(SimTime::MAX, |e| e.0 .0);
+                assert_eq!(indexed, earliest[c], "component {c} mis-indexed");
             }
         }
-        self.demand_buf = demands;
-        self.rate_buf = rates;
+        let busy = (0..self.node_comp.len())
+            .filter(|&g| self.fill.degree(g as u32) > 0)
+            .count();
+        assert_eq!(owned, busy, "a node with flows belongs to no component");
     }
 
     /// Instantaneous rate of a flow (testing/diagnostics). `&mut self`:
     /// observing a rate resolves any deferred re-fills first.
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.reallocate();
-        self.slots
+        let slot = self
+            .slots
             .iter()
-            .flatten()
-            .find(|f| f.id == id)
-            .map(|f| f.rate)
+            .position(|f| f.as_ref().is_some_and(|f| f.id == id))?;
+        Some(self.pace[slot].rate)
     }
 
     /// Time the flow was started (testing/diagnostics).
@@ -1527,6 +1565,87 @@ mod tests {
                 .collect::<Vec<_>>(),
             "rates diverged"
         );
+    }
+
+    #[test]
+    fn same_instant_completions_come_back_in_flow_start_order() {
+        // Tags 0 and 2 share node 4's downlink (one component), tag 1 is a
+        // component of its own, and all three finish at t = 1 s; tags 3 and
+        // 4, two more components, finish together at t = 2 s. The
+        // placeholder flow is started first and killed last so that the
+        // shared component lists its nodes — and so scans its members — in
+        // the reverse of flow-start order.
+        let mut net = ideal_net(10, 1024.0);
+        let t0 = SimTime::ZERO;
+        net.start_flow(t0, NodeId(2), NodeId(4), 1 << 20, 99);
+        net.start_flow(t0, NodeId(3), NodeId(4), 512, 0);
+        net.start_flow(t0, NodeId(0), NodeId(1), 1024, 1);
+        net.start_flow(t0, NodeId(2), NodeId(4), 512, 2);
+        net.start_flow(t0, NodeId(5), NodeId(6), 2048, 3);
+        net.start_flow(t0, NodeId(8), NodeId(9), 2048, 4);
+        net.kill_flow(t0, 99).expect("placeholder in flight");
+        let secs = |s: u64| SimTime::ZERO + Duration::from_secs(s);
+        let want: Vec<(u64, SimTime)> = vec![
+            (0, secs(1)),
+            (1, secs(1)),
+            (2, secs(1)),
+            (3, secs(2)),
+            (4, secs(2)),
+        ];
+        let ends = |done: Vec<FlowEnd>| -> Vec<(u64, SimTime)> {
+            done.iter().map(|d| (d.tag, d.finished)).collect()
+        };
+        // Woken at each event...
+        assert_eq!(ends(net.clone().run_to_completion()), want);
+        // ...or overshooting both completion instants in one call.
+        assert_eq!(ends(net.advance_to(secs(5))), want);
+        assert_eq!(net.active_flows(), 0);
+    }
+
+    #[test]
+    fn completion_index_is_pushed_per_fill_not_per_rate_change() {
+        // Eight flows fan into one sink and finish one after another; every
+        // departure re-rates all the survivors.
+        let mut net = ideal_net(9, 1000.0);
+        for w in 1..9usize {
+            net.start_flow(
+                SimTime::ZERO,
+                NodeId(w),
+                NodeId(0),
+                1000 * w as u64,
+                w as u64,
+            );
+        }
+        assert_eq!(net.run_to_completion().len(), 8);
+        let s = net.stats();
+        assert_eq!(s.completions, 8);
+        assert_eq!(s.refills, 8, "one fill per instant");
+        assert_eq!(s.rate_changes, 8 + 7 + 6 + 5 + 4 + 3 + 2 + 1);
+        assert_eq!(s.index_pushes, s.refills);
+        assert!(s.index_stale_pops <= s.refills);
+        // A star never splits: every departure leaves its worker idle.
+        assert_eq!(s.split_checks, 0);
+    }
+
+    #[test]
+    fn bridge_departure_splits_and_detour_does_not() {
+        // 0 → 1 and 2 → 3 are joined only by the bridge 0 → 3.
+        let mut net = ideal_net(4, 1000.0);
+        let a = net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30, 0);
+        let b = net.start_flow(SimTime::ZERO, NodeId(2), NodeId(3), 1 << 30, 1);
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(3), 1 << 30, 2);
+        assert_eq!(net.flow_rate(a), Some(500.0));
+        assert_eq!(net.flow_rate(b), Some(500.0));
+        net.kill_flow(SimTime::ZERO, 2).unwrap();
+        assert_eq!(net.stats().split_checks, 1);
+        assert_eq!(net.flow_rate(a), Some(1000.0));
+        assert_eq!(net.flow_rate(b), Some(1000.0));
+        // Two components now: starting a flow in one leaves the other's
+        // rate alone, and the debug-build audit has checked the partition
+        // after every step.
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30, 3);
+        assert_eq!(net.flow_rate(a), Some(500.0));
+        assert_eq!(net.flow_rate(b), Some(1000.0));
     }
 
     #[test]

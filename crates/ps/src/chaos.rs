@@ -580,6 +580,7 @@ mod tests {
             fault_stats: FaultStats::default(),
             shard_spans: vec![],
             elastic: ElasticStats::default(),
+            net_stats: Default::default(),
         }
     }
 

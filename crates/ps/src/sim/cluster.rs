@@ -312,6 +312,8 @@ struct Cluster {
     degraded_transitions: Vec<(SimTime, bool)>,
     warmup_end_time: Option<SimTime>,
     post_warmup_gpu: TimeWeighted,
+    /// Reusable buffer for [`Cluster::launch`]'s per-shard split.
+    shard_groups: Vec<ShardGroup>,
 }
 
 const UNSET: SimTime = SimTime::MAX;
@@ -496,6 +498,7 @@ impl Cluster {
             degraded_transitions: Vec::new(),
             warmup_end_time: None,
             post_warmup_gpu: TimeWeighted::new(SimTime::ZERO, 0.0),
+            shard_groups: Vec::new(),
         }
     }
 
@@ -605,7 +608,7 @@ impl Cluster {
             .schedule(SimTime::ZERO + self.cfg.monitor_period, Ev::MonitorTick);
         self.queue
             .schedule(SimTime::ZERO + self.cfg.sample_window, Ev::SampleTick);
-        for &(at, bps) in &self.cfg.bandwidth_schedule.clone() {
+        for &(at, bps) in &self.cfg.bandwidth_schedule {
             self.queue
                 .schedule(SimTime::ZERO + at, Ev::BandwidthChange { bps });
         }
@@ -1030,57 +1033,45 @@ impl Cluster {
         let iter = self.workers[w].iter;
         // First-byte bookkeeping for the push logs, plus wire-busy
         // accounting for the bandwidth estimator.
-        let mut first_touch: Vec<usize> = Vec::new();
         if task.dir == Dir::Push {
-            {
-                let wk = &mut self.workers[w];
-                if wk.push_active == 0 {
-                    wk.busy_start = now;
-                }
-                wk.push_active += 1;
+            let wk = &mut self.workers[w];
+            if wk.push_active == 0 {
+                wk.busy_start = now;
             }
-            for &(g, _) in &task.pieces {
-                let wk = &mut self.workers[w];
-                if wk.push_start[g] == UNSET {
-                    wk.push_start[g] = now;
-                    first_touch.push(g);
-                }
-            }
-            for g in first_touch {
-                self.needs_stamp.remove(&(w, g, Dir::Push));
-                self.emit(
-                    now,
+            wk.push_active += 1;
+        }
+        for &(g, _) in &task.pieces {
+            let wk = &mut self.workers[w];
+            let (start, ev) = match task.dir {
+                Dir::Push => (
+                    &mut wk.push_start[g],
                     TraceEvent::PushStart {
                         worker: w,
                         iter,
                         grad: g,
                     },
-                );
-            }
-        } else {
-            for &(g, _) in &task.pieces {
-                let wk = &mut self.workers[w];
-                if wk.pull_start[g] == UNSET {
-                    wk.pull_start[g] = now;
-                    first_touch.push(g);
-                }
-            }
-            for g in first_touch {
-                self.needs_stamp.remove(&(w, g, Dir::Pull));
-                self.emit(
-                    now,
+                ),
+                Dir::Pull => (
+                    &mut wk.pull_start[g],
                     TraceEvent::PullStart {
                         worker: w,
                         iter,
                         grad: g,
                     },
-                );
+                ),
+            };
+            if *start == UNSET {
+                *start = now;
+                self.needs_stamp.remove(&(w, g, task.dir));
+                self.emit(now, ev);
             }
         }
-        let by_shard = self.group_by_owner(&task.pieces);
+        let mut by_shard = std::mem::take(&mut self.shard_groups);
+        self.group_by_owner(&task.pieces, &mut by_shard);
         if by_shard.is_empty() {
             // A zero-piece task is a scheduler bug; fail loudly in debug.
             debug_assert!(false, "scheduler issued an empty task");
+            self.shard_groups = by_shard;
             return;
         }
         let task_id = self.next_task_id;
@@ -1098,19 +1089,20 @@ impl Cluster {
                 replay: false,
             },
         );
-        for (shard, bytes, pieces) in by_shard {
+        for (shard, bytes, pieces) in by_shard.drain(..) {
             let key = (w, shard, dir);
             self.enqueue(key, task_id, bytes, pieces, 0);
             self.kick_lane(now, key);
         }
+        self.shard_groups = by_shard;
         // Flows started on idle lanes appended to the net ledger at `now`;
         // hand them to the sinks while the instant is still current.
         self.forward_net_events_up_to(now);
     }
 
-    /// Group `pieces` by owning shard, in first-seen order.
-    fn group_by_owner(&self, pieces: &[(usize, u64)]) -> Vec<ShardGroup> {
-        let mut groups: Vec<ShardGroup> = Vec::new();
+    /// Group `pieces` by owning shard into `groups`, in first-seen order.
+    fn group_by_owner(&self, pieces: &[(usize, u64)], groups: &mut Vec<ShardGroup>) {
+        groups.clear();
         for &(g, b) in pieces {
             let shard = self.owner[g];
             match groups.iter_mut().find(|(s, _, _)| *s == shard) {
@@ -1121,7 +1113,6 @@ impl Cluster {
                 None => groups.push((shard, b, vec![(g, b)])),
             }
         }
-        groups
     }
 
     /// Queue one message of task `task_id` at the back of lane `key` under
@@ -1224,7 +1215,7 @@ impl Cluster {
             // Re-stamp pieces whose start a failed attempt voided.
             if msg.attempt > 0 {
                 let iter = self.tasks.get(&msg.task_id).expect("unknown task").iter;
-                for &(g, _) in &msg.pieces.clone() {
+                for &(g, _) in &msg.pieces {
                     if self.needs_stamp.remove(&(key.0, g, key.2)) {
                         let wk = &mut self.workers[key.0];
                         let ev = match key.2 {
@@ -1349,7 +1340,7 @@ impl Cluster {
             // A crash replay bypasses the scheduler: the strategy already
             // got `task_done` when the original delivery completed — only
             // the PS-side aggregation state is being reconstructed.
-            for (g, b) in inflight.task.pieces.clone() {
+            for &(g, b) in &inflight.task.pieces {
                 self.on_push_bytes(now, w, iter, g, b);
             }
             self.pump(now, w);
@@ -1385,8 +1376,7 @@ impl Cluster {
                         now,
                     );
                 }
-                let pieces = inflight.task.pieces.clone();
-                for (g, b) in pieces {
+                for &(g, b) in &inflight.task.pieces {
                     self.on_push_bytes(now, w, iter, g, b);
                 }
             }
@@ -1401,8 +1391,7 @@ impl Cluster {
                         now,
                     );
                 }
-                let pieces = inflight.task.pieces.clone();
-                for (g, b) in pieces {
+                for &(g, b) in &inflight.task.pieces {
                     self.on_pull_bytes(now, w, g, b);
                 }
             }
@@ -2053,7 +2042,8 @@ impl Cluster {
         // maps one dead shard onto one survivor, but stay general). One
         // message becomes `groups.len()`, so the owning task's outstanding
         // subflow count grows by the difference.
-        let groups = self.group_by_owner(&msg.pieces);
+        let mut groups = Vec::new();
+        self.group_by_owner(&msg.pieces, &mut groups);
         self.tasks
             .get_mut(&msg.task_id)
             .expect("unknown task")
@@ -2181,6 +2171,7 @@ impl Cluster {
             fault_stats,
             shard_spans,
             elastic: self.elastic,
+            net_stats: self.net.stats(),
         }
     }
 }
@@ -2253,6 +2244,25 @@ mod tests {
         let r = run_cluster(&base(kind), 4);
         assert_eq!(r.iter_times.len(), 4);
         assert!(r.rate > 0.0);
+    }
+
+    #[test]
+    fn completion_index_traffic_follows_fills_not_rate_changes() {
+        // A 32 × 32 oracle cell: every worker talks to every shard, so the
+        // flow graph is a few large components whose every fill re-rates
+        // many members. The completion index must see one entry per fill,
+        // not one per re-rated flow — and the counts are exact per seed.
+        let kind = SchedulerKind::ProphetOracle(ProphetConfig::paper_default(1.25e9));
+        let mut cfg =
+            ClusterConfig::paper_cell(32, 10.0, TrainingJob::paper_setup("resnet18", 16), kind);
+        cfg.ps_shards = 32;
+        cfg.warmup_iters = 1;
+        let s = run_cluster(&cfg, 2).net_stats;
+        assert!(s.completions > 0 && s.refills > 0, "{s:?}");
+        assert!(s.rate_changes > 4 * s.refills, "cell too tame: {s:?}");
+        assert!(s.index_pushes <= s.refills + s.completions, "{s:?}");
+        assert!(s.index_stale_pops <= s.refills, "{s:?}");
+        assert_eq!(s, run_cluster(&cfg, 2).net_stats, "counts must repeat");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! What a cluster run reports — the raw material of every figure.
 
+use prophet_net::NetStats;
 use prophet_sim::{Duration, GradSpan, ShardSpan, SimTime, TraceRecorder};
 
 /// Per-gradient transfer timing for one worker/iteration (Fig. 11's rows).
@@ -156,6 +157,10 @@ pub struct RunResult {
     /// Elastic-membership counters; all zero when the plan has no
     /// permanent events.
     pub elastic: ElasticStats,
+    /// The network engine's work counters (fills, rate changes,
+    /// completion-index traffic). Exact per seed, like everything else a
+    /// run computes; host time is not.
+    pub net_stats: NetStats,
 }
 
 impl RunResult {
@@ -235,6 +240,7 @@ mod tests {
             fault_stats: FaultStats::default(),
             shard_spans: vec![],
             elastic: ElasticStats::default(),
+            net_stats: Default::default(),
         }
     }
 

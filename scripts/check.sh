@@ -46,7 +46,7 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     cargo bench --offline -q -p prophet-bench --bench threaded -- --test > /dev/null
     cargo bench --offline -q -p prophet-bench --bench plan_cost -- --test > /dev/null
 
-    echo "==> perf gate (pinned floors over BENCH_threaded.json)"
+    echo "==> perf gate (pinned bounds over BENCH_threaded/sim_scale/maxmin.json)"
     ./scripts/perf_gate.sh
 fi
 
