@@ -12,7 +12,9 @@
 
 use super::config::{ClusterConfig, SyncMode};
 use super::metrics::{ElasticStats, FaultStats, GradTransferLog, RunResult};
-use crate::protocol::{CheckpointSchedule, GenChain, Generation, Membership, Windows};
+use crate::protocol::{
+    Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Outbox, Windows,
+};
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
     BandwidthMonitor, FlowEnd, KilledFlow, NetEvent, Network, NodeId, NodeSpec, Topology,
@@ -21,7 +23,7 @@ use prophet_sim::{
     rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
     SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug)]
 enum Ev {
@@ -75,13 +77,12 @@ struct QueuedMsg {
     pieces: Vec<(usize, u64)>,
     /// Failed sends so far; drives the backoff (0 = original send).
     attempt: u32,
-    /// Marked lost by `MsgLoss`: completes on the wire, delivery discarded.
-    doomed: bool,
-    /// Marked corrupted by `PayloadCorrupt`: completes on the wire, fails
-    /// the receiver's integrity check, and is retransmitted via the NACK
-    /// path (modelled as the same fail-and-requeue machinery as a loss,
-    /// but detected — and counted — at delivery).
-    corrupted: bool,
+    /// The loss or corruption window this send drew a hit in, if any.
+    /// Either way it completes on the wire; a lost message's delivery is
+    /// then discarded, a corrupt one fails the receiver's integrity check
+    /// and is retransmitted via the NACK path (the same fail-and-requeue
+    /// machinery as a loss, but detected — and counted — at delivery).
+    fate: Option<FaultKind>,
 }
 
 /// One retained snapshot generation of a shard's durable state, in the
@@ -189,11 +190,9 @@ struct WorkerRt {
     push_end: Vec<SimTime>,
     pull_start: Vec<SimTime>,
     pull_end: Vec<SimTime>,
-}
-
-struct AggState {
-    per_worker_bytes: Vec<u64>,
-    workers_done: usize,
+    /// Retry episodes of this worker's transfers (the flows *are* the
+    /// acks here, so the tracked-send half stays empty).
+    outbox: Outbox,
 }
 
 struct Cluster {
@@ -202,8 +201,9 @@ struct Cluster {
     queue: EventQueue<Ev>,
     net: Network,
     workers: Vec<WorkerRt>,
-    /// `(iteration, gradient)` → aggregation progress.
-    agg: HashMap<(u64, usize), AggState>,
+    /// The BSP barrier ledger: aggregation progress per `(iteration,
+    /// gradient)`, in bytes, and which evictions have fired.
+    barriers: Barriers,
     /// Flow tag → task id.
     flow_task: HashMap<u64, u64>,
     tasks: HashMap<u64, InFlightTask>,
@@ -231,24 +231,12 @@ struct Cluster {
     node_degrade: Vec<f64>,
     node_base_bps: Vec<f64>,
     stall_until: Vec<SimTime>,
-    loss_rate: f64,
-    loss_until: SimTime,
-    /// Effective `PayloadCorrupt` rate / window end, mirroring the
-    /// `loss_rate`/`loss_until` pair.
-    corrupt_rate: f64,
-    corrupt_until: SimTime,
     /// Active windows per `(kind, trace node)`. Chaos plans overlap windows
     /// of the same kind on the same node (bursts, repeated crashes); the
     /// trace contract is one `FaultStart`/`FaultEnd` pair per episode, so
     /// starts are emitted on 0→1 and ends on 1→0 of this count.
     fault_active: HashMap<(FaultKind, usize), u32>,
     fault_rng: Xoshiro256StarStar,
-    /// Retries so far per `(worker, iter, grad)` episode; an entry is
-    /// closed (removed) when the gradient finally delivers (`Recovered`).
-    retry_counts: HashMap<(usize, u64, usize), u32>,
-    /// `(worker, grad, dir)` whose PushStart/PullStart was voided by a
-    /// retry and must be re-stamped when the re-send hits the wire.
-    needs_stamp: HashSet<(usize, usize, Dir)>,
     fault_stats: FaultStats,
 
     // Elastic-membership state (permanent faults). Inert when the plan has
@@ -266,8 +254,6 @@ struct Cluster {
     owner: Vec<usize>,
     /// Joiner slots whose admission has fired.
     joined: Vec<bool>,
-    /// Workers whose eviction has fired.
-    evicted: Vec<bool>,
     /// Shards that failed permanently.
     shard_dead: Vec<bool>,
     /// Adopting shards replaying a dead shard's checkpoint + ledger may
@@ -285,9 +271,6 @@ struct Cluster {
     /// Per-shard cadence and one-shot `CheckpointCorrupt` (empty when
     /// unarmed).
     ckpt_sched: Vec<CheckpointSchedule>,
-    /// Barriers closed per iteration, to detect iteration completion for
-    /// the checkpoint cadence.
-    barrier_counts: HashMap<u64, usize>,
     elastic: ElasticStats,
 
     // Typed event stream sinks (the cross-stack trace/invariant layer).
@@ -336,7 +319,7 @@ impl Cluster {
         cfg.validate();
         // Bake the link-adapted ack timeout in once so every consultation
         // of `cfg.retry` below sees the same deadline (no-op when the plan
-        // is empty or adaptation is off).
+        // is empty).
         cfg.retry = cfg.effective_retry();
         let shards = cfg.ps_shards;
         let n = cfg.job.num_gradients();
@@ -398,6 +381,7 @@ impl Cluster {
                 push_end: vec![UNSET; n],
                 pull_start: vec![UNSET; n],
                 pull_end: vec![UNSET; n],
+                outbox: Outbox::default(),
             })
             .collect();
         let sizes = cfg.job.sizes();
@@ -448,33 +432,25 @@ impl Cluster {
             joins_fired: 0,
             owner,
             joined: vec![false; total_workers],
-            evicted: vec![false; total_workers],
             shard_dead: vec![false; shards],
             shard_blocked_until: vec![SimTime::ZERO; shards],
             membership_epoch: 0,
             ckpt_gens,
             ckpt_sched,
-            barrier_counts: HashMap::new(),
             elastic: ElasticStats::default(),
             node_down: vec![false; nodes],
             node_degrade: vec![1.0; nodes],
             node_base_bps,
             stall_until,
-            loss_rate: 0.0,
-            loss_until: SimTime::ZERO,
-            corrupt_rate: 0.0,
-            corrupt_until: SimTime::ZERO,
             fault_active: HashMap::new(),
             fault_rng,
-            retry_counts: HashMap::new(),
-            needs_stamp: HashSet::new(),
             fault_stats: FaultStats::default(),
             cfg,
             total_iters,
             queue: EventQueue::new(),
             net,
             workers,
-            agg: HashMap::new(),
+            barriers: Barriers::new(total_workers, sizes.clone()),
             flow_task: HashMap::new(),
             tasks: HashMap::new(),
             lanes: HashMap::new(),
@@ -515,7 +491,7 @@ impl Cluster {
 
     /// Is worker `w` currently a live participant (admitted, not evicted)?
     fn participating(&self, w: usize) -> bool {
-        !self.evicted[w] && !self.awaiting_admission(w)
+        !self.barriers.has_left(w) && !self.awaiting_admission(w)
     }
 
     /// Has worker `w` nothing left to contribute? Evicted workers are done
@@ -732,11 +708,7 @@ impl Cluster {
             wk.iter_start = now;
             wk.gpu.set(now, 1.0); // backward compute starts immediately
             wk.sched.iteration_begin(now, iter);
-        }
-        if self.has_faults() {
-            // Episode hygiene: drop retry state from completed iterations.
-            self.retry_counts
-                .retain(|&(w2, i, _), _| w2 != w || i >= iter);
+            wk.outbox.begin_iter(iter);
         }
         self.emit(now, TraceEvent::IterBegin { worker: w, iter });
         if w == 0 {
@@ -1041,30 +1013,7 @@ impl Cluster {
             wk.push_active += 1;
         }
         for &(g, _) in &task.pieces {
-            let wk = &mut self.workers[w];
-            let (start, ev) = match task.dir {
-                Dir::Push => (
-                    &mut wk.push_start[g],
-                    TraceEvent::PushStart {
-                        worker: w,
-                        iter,
-                        grad: g,
-                    },
-                ),
-                Dir::Pull => (
-                    &mut wk.pull_start[g],
-                    TraceEvent::PullStart {
-                        worker: w,
-                        iter,
-                        grad: g,
-                    },
-                ),
-            };
-            if *start == UNSET {
-                *start = now;
-                self.needs_stamp.remove(&(w, g, task.dir));
-                self.emit(now, ev);
-            }
+            self.stamp_start(now, w, iter, g, task.dir);
         }
         let mut by_shard = std::mem::take(&mut self.shard_groups);
         self.group_by_owner(&task.pieces, &mut by_shard);
@@ -1098,6 +1047,29 @@ impl Cluster {
         // Flows started on idle lanes appended to the net ledger at `now`;
         // hand them to the sinks while the instant is still current.
         self.forward_net_events_up_to(now);
+    }
+
+    /// The first byte of `(w, iter, g)`'s transfer hits the wire — for the
+    /// first time, or again after a failed attempt voided the stamp (it
+    /// stays void exactly until the re-send): stamp its start.
+    fn stamp_start(&mut self, now: SimTime, w: usize, iter: u64, g: usize, dir: Dir) {
+        let wk = &mut self.workers[w];
+        let (worker, grad) = (w, g);
+        let (start, ev) = match dir {
+            Dir::Push => (
+                &mut wk.push_start[g],
+                TraceEvent::PushStart { worker, iter, grad },
+            ),
+            Dir::Pull => (
+                &mut wk.pull_start[g],
+                TraceEvent::PullStart { worker, iter, grad },
+            ),
+        };
+        if *start == UNSET {
+            *start = now;
+            wk.outbox.restamp(iter, g, dir);
+            self.emit(now, ev);
+        }
     }
 
     /// Group `pieces` by owning shard into `groups`, in first-seen order.
@@ -1141,8 +1113,7 @@ impl Cluster {
             task_id,
             pieces,
             attempt,
-            doomed: false,
-            corrupted: false,
+            fate: None,
         };
         let lane = self.lanes.entry(key).or_insert_with(Lane::new);
         lane.queue.push_back(msg);
@@ -1188,60 +1159,14 @@ impl Cluster {
             (msg, warm)
         };
         if faults {
-            // During a loss window every (re)send is lost with the plan's
-            // probability: the bytes cross the wire but the receiver never
-            // acknowledges them.
-            if now < self.loss_until
-                && self.loss_rate > 0.0
-                && self.fault_rng.next_f64() < self.loss_rate
-            {
-                msg.doomed = true;
-                self.fault_stats.messages_lost += 1;
-            }
-            // During a corruption window every surviving (re)send is
-            // bit-flipped/truncated in flight with the plan's probability:
-            // the bytes cross the wire, the receiver's CRC check rejects
-            // the frame, and the NACK forces a full retransmit. Drawn
-            // *after* (and only for messages that escaped) the loss draw so
-            // plans without `PayloadCorrupt` leave the fault RNG stream —
-            // and therefore every existing exact-ns golden — untouched.
-            if !msg.doomed
-                && now < self.corrupt_until
-                && self.corrupt_rate > 0.0
-                && self.fault_rng.next_f64() < self.corrupt_rate
-            {
-                msg.corrupted = true;
-            }
+            let rng = &mut self.fault_rng;
+            msg.fate = self.windows.send_fate(now.as_nanos(), |_| rng.next_f64());
+            self.fault_stats.messages_lost += (msg.fate == Some(FaultKind::MsgLoss)) as u64;
             // Re-stamp pieces whose start a failed attempt voided.
             if msg.attempt > 0 {
                 let iter = self.tasks.get(&msg.task_id).expect("unknown task").iter;
                 for &(g, _) in &msg.pieces {
-                    if self.needs_stamp.remove(&(key.0, g, key.2)) {
-                        let wk = &mut self.workers[key.0];
-                        let ev = match key.2 {
-                            Dir::Push => {
-                                if wk.push_start[g] == UNSET {
-                                    wk.push_start[g] = now;
-                                }
-                                TraceEvent::PushStart {
-                                    worker: key.0,
-                                    iter,
-                                    grad: g,
-                                }
-                            }
-                            Dir::Pull => {
-                                if wk.pull_start[g] == UNSET {
-                                    wk.pull_start[g] = now;
-                                }
-                                TraceEvent::PullStart {
-                                    worker: key.0,
-                                    iter,
-                                    grad: g,
-                                }
-                            }
-                        };
-                        self.emit(now, ev);
-                    }
+                    self.stamp_start(now, key.0, iter, g, key.2);
                 }
             }
             // Every send is covered by an ack timeout; a stale timeout
@@ -1292,33 +1217,20 @@ impl Cluster {
             lane.last_end = end.finished;
             lane.current.take()
         };
-        if let Some(m) = msg {
-            if m.doomed {
-                // The bytes crossed the wire but the loss window ate the
-                // message: deliver nothing and retry the send.
-                self.fault_stats.wasted_bytes += m.bytes as f64;
-                self.fail_message(end.finished, key, m);
-                return;
-            }
-            if m.corrupted {
-                // The bytes crossed the wire but arrived damaged: the
-                // receiver's CRC verify rejects the frame at delivery time,
-                // NACKs, and the sender retransmits from its still-clean
-                // buffer — cost-wise identical to a lost message plus an
-                // attributable detection event.
-                self.fault_stats.wasted_bytes += m.bytes as f64;
+        if let Some(m) = msg.filter(|m| m.fate.is_some()) {
+            // The bytes crossed the wire, but the loss window ate the
+            // message or it arrived damaged: deliver nothing and retry the
+            // send — for a corrupt frame after the receiver's CRC verify
+            // rejected it at delivery time, an attributable detection.
+            self.fault_stats.wasted_bytes += m.bytes as f64;
+            if m.fate == Some(FaultKind::PayloadCorrupt) {
                 self.fault_stats.frames_corrupted += 1;
-                self.emit(
-                    end.finished,
-                    TraceEvent::FrameCorrupt {
-                        node: m.dst.0,
-                        bytes: m.bytes,
-                        data: true,
-                    },
-                );
-                self.fail_message(end.finished, key, m);
-                return;
+                let (node, bytes) = (m.dst.0, m.bytes);
+                let data = true;
+                self.emit(end.finished, TraceEvent::FrameCorrupt { node, bytes, data });
             }
+            self.fail_message(end.finished, key, m);
+            return;
         }
         self.flow_task.remove(&end.tag);
         self.kick_lane(end.finished, key);
@@ -1400,67 +1312,54 @@ impl Cluster {
     }
 
     fn on_push_bytes(&mut self, now: SimTime, w: usize, iter: u64, g: usize, b: u64) {
-        let nworkers = self.workers.len();
-        let entry = self.agg.entry((iter, g)).or_insert_with(|| AggState {
-            per_worker_bytes: vec![0; nworkers],
-            workers_done: 0,
-        });
-        entry.per_worker_bytes[w] += b;
-        debug_assert!(
-            entry.per_worker_bytes[w] <= self.sizes[g],
-            "worker {w} over-pushed gradient {g}"
+        let arrival = self.barriers.arrive(&self.mem, iter, g, w, None, b);
+        let Arrival::WorkerDone { closes } = arrival else {
+            return;
+        };
+        if w == 0 {
+            self.workers[0].push_end[g] = now;
+        }
+        self.close_retry_episode(now, w, iter, g);
+        self.emit(
+            now,
+            TraceEvent::PushEnd {
+                worker: w,
+                iter,
+                grad: g,
+            },
         );
-        if entry.per_worker_bytes[w] == self.sizes[g] {
-            entry.workers_done += 1;
-            let arrived = entry.workers_done;
-            if w == 0 {
-                self.workers[0].push_end[g] = now;
-            }
-            self.close_retry_episode(now, w, iter, g);
-            self.emit(
-                now,
-                TraceEvent::PushEnd {
-                    worker: w,
-                    iter,
-                    grad: g,
-                },
-            );
-            match self.cfg.sync {
-                SyncMode::Asp => {
-                    // Asynchronous: this worker's gradient is applied on
-                    // arrival; it pulls the fresh parameters immediately,
-                    // waiting for nobody.
-                    if arrived == self.mem.expected(iter) {
-                        self.agg.remove(&(iter, g));
-                    }
-                    self.workers[w].sched.param_ready(now, g);
-                    self.pump(now, w);
+        match self.cfg.sync {
+            SyncMode::Asp => {
+                // Asynchronous: this worker's gradient is applied on
+                // arrival; it pulls the fresh parameters immediately,
+                // waiting for nobody.
+                if closes {
+                    self.barriers.close(iter, g, self.num_grads());
                 }
-                SyncMode::Bsp => {
-                    // A barrier the survivors satisfied may still be waiting
-                    // on an eviction: a worker leaving at or before `iter` is
-                    // not among its expected members, but its
-                    // MembershipChange only fires once it *finishes* its last
-                    // iteration — and a stall can push that past the
-                    // survivors' sprint ahead. Completing now would emit
-                    // Barrier before the eviction epoch, which the checker
-                    // (rightly) rejects. Defer; `evict_worker`'s sweep closes
-                    // it the instant the epoch opens.
-                    if self.mem.may_close(iter, arrived, &self.evicted) {
-                        self.complete_barrier(now, iter, g);
-                    }
-                }
+                self.workers[w].sched.param_ready(now, g);
+                self.pump(now, w);
             }
+            // A barrier the survivors satisfied may still wait on an eviction
+            // (`Membership::may_close`) a stall pushed past their sprint
+            // ahead; `evict_worker` closes it the instant the epoch opens.
+            SyncMode::Bsp if closes => self.complete_barrier(now, iter, g),
+            SyncMode::Bsp => {}
         }
     }
 
     /// BSP barrier for `(iter, g)` reached: parameters updated, every
     /// member of the iteration may pull.
     fn complete_barrier(&mut self, now: SimTime, iter: u64, g: usize) {
-        self.agg.remove(&(iter, g));
+        let iteration_closed = self.barriers.close(iter, g, self.num_grads());
         self.emit(now, TraceEvent::Barrier { iter, grad: g });
         if !self.ckpt_gens.is_empty() {
-            self.note_barrier_closed(now, iter, g);
+            // The tensor's bytes append to its owning shard's
+            // post-checkpoint ledger; the iteration's last barrier triggers
+            // the snapshot round.
+            self.ckpt_gens[self.owner[g]].newest_mut().seg_bytes += self.sizes[g];
+            if iteration_closed {
+                self.take_checkpoint(now, iter);
+            }
         }
         for w2 in 0..self.workers.len() {
             if !self.mem.is_member(w2, iter) {
@@ -1556,10 +1455,8 @@ impl Cluster {
                 self.node_degrade[node] = worst.unwrap_or(1.0);
                 self.apply_node_cap(now, node);
             }
-            FaultKind::MsgLoss => (self.loss_rate, self.loss_until) = (worst.unwrap_or(0.0), until),
-            FaultKind::PayloadCorrupt => {
-                (self.corrupt_rate, self.corrupt_until) = (worst.unwrap_or(0.0), until);
-            }
+            // Asked per send (`Windows::send_fate`); nothing to cache.
+            FaultKind::MsgLoss | FaultKind::PayloadCorrupt => {}
             FaultKind::WorkerStall => self.stall_until[node - self.cfg.ps_shards] = until,
             _ => unreachable!("iteration-indexed faults are never window-scheduled"),
         }
@@ -1719,8 +1616,7 @@ impl Cluster {
         let (w, _, dir) = key;
         self.flow_task.remove(&msg.tag);
         msg.attempt += 1;
-        msg.doomed = false;
-        msg.corrupted = false;
+        msg.fate = None;
         self.fault_stats.retried_bytes += msg.bytes;
         self.workers[w].failures_since_tick += 1;
         let (iter, task) = {
@@ -1736,7 +1632,7 @@ impl Cluster {
     /// `(w, iter, g)` finally delivered: close its retry episode, if one is
     /// open.
     fn close_retry_episode(&mut self, now: SimTime, w: usize, iter: u64, g: usize) {
-        if let Some(attempts) = self.retry_counts.remove(&(w, iter, g)) {
+        if let Some(attempts) = self.workers[w].outbox.delivered(iter, g) {
             self.fault_stats.recoveries += 1;
             self.emit(
                 now,
@@ -1754,22 +1650,17 @@ impl Cluster {
     /// re-send re-stamps them. Coalesced: while the gradient is already
     /// awaiting a re-stamp, further failures join the episode silently.
     fn note_retry(&mut self, now: SimTime, w: usize, iter: u64, g: usize, dir: Dir) {
-        if !self.needs_stamp.insert((w, g, dir)) {
+        let wk = &mut self.workers[w];
+        let Some(attempt) = wk.outbox.fail(iter, g, dir) else {
             return;
-        }
-        {
-            let wk = &mut self.workers[w];
-            match dir {
-                Dir::Push => {
-                    wk.push_start[g] = UNSET;
-                    wk.push_end[g] = UNSET;
-                }
-                Dir::Pull => wk.pull_start[g] = UNSET,
+        };
+        match dir {
+            Dir::Push => {
+                wk.push_start[g] = UNSET;
+                wk.push_end[g] = UNSET;
             }
+            Dir::Pull => wk.pull_start[g] = UNSET,
         }
-        let c = self.retry_counts.entry((w, iter, g)).or_insert(0);
-        *c += 1;
-        let attempt = *c;
         self.fault_stats.retries += 1;
         self.emit(
             now,
@@ -1788,41 +1679,29 @@ impl Cluster {
     /// their barrier arrivals) and replay messages are synthesised outside
     /// the schedulers, which already saw `task_done` for those bytes.
     fn wipe_shard_state(&mut self, now: SimTime, shard: usize) {
-        let mut wiped: Vec<((u64, usize), Vec<u64>)> = self
-            .agg
-            .iter()
-            .filter(|((_, g), _)| self.owner[*g] == shard)
-            .map(|(&k, st)| (k, st.per_worker_bytes.clone()))
-            .collect();
-        wiped.sort_by_key(|&(k, _)| k);
-        for ((iter, g), per_worker) in wiped {
-            self.agg.remove(&(iter, g));
-            for (w, &b) in per_worker.iter().enumerate() {
-                if b == 0 {
-                    continue;
-                }
-                self.fault_stats.replays += 1;
-                self.fault_stats.retried_bytes += b;
-                self.workers[w].failures_since_tick += 1;
-                let task = TransferTask::slice(Dir::Push, g, b);
-                self.workers[w].sched.transfer_failed(now, &task);
-                self.note_retry(now, w, iter, g, Dir::Push);
-                let task_id = self.next_task_id;
-                self.next_task_id += 1;
-                self.tasks.insert(
-                    task_id,
-                    InFlightTask {
-                        worker: w,
-                        iter,
-                        task,
-                        started: now,
-                        subflows_remaining: 1,
-                        replay: true,
-                    },
-                );
-                self.enqueue((w, shard, Dir::Push), task_id, b, vec![(g, b)], 1);
-                // No kick — the shard is down; restart kicks the lanes.
-            }
+        let owner = &self.owner;
+        for (iter, g, w, b) in self.barriers.wipe(|g| owner[g] == shard) {
+            self.fault_stats.replays += 1;
+            self.fault_stats.retried_bytes += b;
+            self.workers[w].failures_since_tick += 1;
+            let task = TransferTask::slice(Dir::Push, g, b);
+            self.workers[w].sched.transfer_failed(now, &task);
+            self.note_retry(now, w, iter, g, Dir::Push);
+            let task_id = self.next_task_id;
+            self.next_task_id += 1;
+            self.tasks.insert(
+                task_id,
+                InFlightTask {
+                    worker: w,
+                    iter,
+                    task,
+                    started: now,
+                    subflows_remaining: 1,
+                    replay: true,
+                },
+            );
+            self.enqueue((w, shard, Dir::Push), task_id, b, vec![(g, b)], 1);
+            // No kick — the shard is down; restart kicks the lanes.
         }
     }
 
@@ -1880,26 +1759,13 @@ impl Cluster {
     /// transfers all completed for the forward pass to have finished.
     fn evict_worker(&mut self, now: SimTime, w: usize) {
         let at_iter = self.mem.leaves_at(w).expect("eviction without a fail spec");
-        self.evicted[w] = true;
+        // Barriers the departed worker was the last missing member of
+        // close right now — after the epoch opens; the worker is gone
+        // before it does.
+        let closable = self.barriers.leave(&self.mem, w);
         self.elastic.evicted_workers += 1;
         self.open_epoch(now, FaultKind::WorkerFail, w, at_iter);
-        // Barriers the departed worker was the last missing member of
-        // close right now — everyone surviving already pushed.
-        self.sweep_barriers(now);
-    }
-
-    /// Close every open barrier the shrunken membership already satisfies,
-    /// in deterministic key order — skipping iterations still gated on a
-    /// not-yet-fired eviction.
-    fn sweep_barriers(&mut self, now: SimTime) {
-        let mut ready: Vec<(u64, usize)> = self
-            .agg
-            .iter()
-            .filter(|(&(iter, _), st)| self.mem.may_close(iter, st.workers_done, &self.evicted))
-            .map(|(&k, _)| k)
-            .collect();
-        ready.sort_unstable();
-        for (iter, g) in ready {
+        for (iter, g) in closable {
             self.complete_barrier(now, iter, g);
         }
     }
@@ -1936,8 +1802,9 @@ impl Cluster {
         // dead shard: every barrier of the previous iteration closed before
         // any worker could begin this one. Anything else is a bug worth
         // dying loudly over (the alternative is a silent hang).
+        let owner = &self.owner;
         assert!(
-            !self.agg.keys().any(|&(_, g)| self.owner[g] == s),
+            self.barriers.wipe(|g| owner[g] == s).is_empty(),
             "open aggregation state on permanently failed shard {s}"
         );
         // Kill whatever is still on the wire touching the dead shard
@@ -2055,19 +1922,6 @@ impl Cluster {
         }
     }
 
-    /// Checkpoint bookkeeping for one closed barrier: the tensor's bytes
-    /// append to its owning shard's post-checkpoint ledger, and the last
-    /// barrier of a period-aligned iteration triggers a snapshot.
-    fn note_barrier_closed(&mut self, now: SimTime, iter: u64, g: usize) {
-        self.ckpt_gens[self.owner[g]].newest_mut().seg_bytes += self.sizes[g];
-        let done = self.barrier_counts.entry(iter).or_insert(0);
-        *done += 1;
-        if *done == self.num_grads() {
-            self.barrier_counts.remove(&iter);
-            self.take_checkpoint(now, iter);
-        }
-    }
-
     /// Iteration `iter` closed: snapshot every surviving shard whose cadence
     /// is due, opening a fresh ledger segment.
     fn take_checkpoint(&mut self, now: SimTime, iter: u64) {
@@ -2130,9 +1984,8 @@ impl Cluster {
         // Every retry episode must have closed with a delivery; a leftover
         // entry means a gradient was dropped on the floor.
         debug_assert!(
-            self.retry_counts.is_empty(),
-            "unrecovered retry episodes at end of run: {:?}",
-            self.retry_counts
+            self.workers.iter().all(|wk| wk.outbox.is_quiet()),
+            "unrecovered retry episodes at end of run"
         );
         let mut fault_stats = self.fault_stats.clone();
         fault_stats.wire_bytes = (0..self.cfg.ps_shards + self.workers.len())

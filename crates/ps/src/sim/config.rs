@@ -93,16 +93,11 @@ pub struct ClusterConfig {
     /// runtime runs.
     pub fault_plan: FaultPlan,
     /// Backoff/timeout policy applied to messages killed or lost by the
-    /// fault plan. Irrelevant (never consulted) when the plan is empty.
+    /// fault plan. Irrelevant (never consulted) when the plan is empty. The
+    /// engine runs [`ClusterConfig::effective_retry`]: the ack timeout is
+    /// raised — never lowered, so cells the flat value already covers are
+    /// bit-identical — to cover the most-degraded link the plan configures.
     pub retry: RetryPolicy,
-    /// Derive the retry ack timeout from the worst-case whole-tensor time
-    /// on the most-degraded link the fault plan configures (DESIGN §9's
-    /// hazard: a flat timeout below that thrashes through spurious
-    /// timeout → kill → retry cycles on a deeply degraded but live link).
-    /// The timeout is only ever raised, never lowered, so cells the flat
-    /// default already covers are bit-identical either way. Off restores
-    /// the hazardous flat behaviour (kept for the regression test).
-    pub adapt_retry_timeout: bool,
     /// Shard-checkpoint cadence in iterations: each shard snapshots its
     /// parameter state every `checkpoint_period` completed iterations
     /// (the initial parameters are an implicit iteration-0 checkpoint).
@@ -152,18 +147,18 @@ impl ClusterConfig {
             worker_compute_scale: Vec::new(),
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
-            adapt_retry_timeout: true,
             checkpoint_period: 4,
             checkpoint_retention: 2,
         }
     }
 
     /// The retry policy the engine actually runs: [`ClusterConfig::retry`],
-    /// with its timeout raised (when [`ClusterConfig::adapt_retry_timeout`]
-    /// is on) to cover the largest tensor crossing the slowest configured
-    /// link at the plan's deepest `LinkDegrade` factor.
+    /// with its timeout raised to cover the largest tensor crossing the
+    /// slowest configured link at the plan's deepest `LinkDegrade` factor
+    /// (DESIGN §9's hazard: a flat timeout below that thrashes through
+    /// spurious timeout → kill → retry cycles on a degraded but live link).
     pub fn effective_retry(&self) -> RetryPolicy {
-        if !self.adapt_retry_timeout || self.fault_plan.is_empty() {
+        if self.fault_plan.is_empty() {
             return self.retry;
         }
         let min_factor = self

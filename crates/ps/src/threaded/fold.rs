@@ -1,15 +1,17 @@
-//! Barrier-time aggregation folds for the deferred-verify path.
+//! The barrier-time aggregation fold.
 //!
-//! When no corruption windows are armed, push payloads are staged unread
-//! and both jobs — integrity check and accumulate — happen in one pass at
-//! the barrier ([`super::wire::fused_crc_accumulate`] for arbitrary
-//! slices, the block-major fold here for the common whole-tensor case).
+//! Push payloads are staged as wire bytes and both jobs — integrity check
+//! and accumulate — happen in one pass at the barrier
+//! ([`super::wire::fused_crc_accumulate`] for arbitrary slices, the
+//! block-major fold here for the common whole-tensor case). Under a
+//! corruption plan a receive-time verify has already turned damaged frames
+//! away; the fold is the same.
 //!
 //! The block-major fold changes the *traversal order*, never the
 //! *arithmetic order*: the accumulator advances one [`BLOCK_ELEMS`] block
 //! at a time and, within a block, workers fold in fixed index order. Per
-//! element the adds still happen in exactly the worker order the eager
-//! path uses, so results stay bit-identical (signed zeros, NaN payloads
+//! element the adds still happen in exactly the worker order a
+//! worker-major fold uses, so results stay bit-identical (signed zeros, NaN payloads
 //! and all) while the accumulator block stays L1-resident across all
 //! worker streams instead of being re-walked once per worker.
 
@@ -20,15 +22,14 @@ use bytes::Bytes;
 /// block feeds the 4-way interleaved CRC kernel one round while resident.
 const BLOCK_ELEMS: usize = 2048;
 
-/// One worker's staged whole-tensor payload at a deferred-verify barrier.
+/// One worker's staged whole-tensor payload at a barrier.
 pub(super) struct WorkerPayload<'a> {
     /// The wire bytes, covering the entire tensor from element 0.
     pub bytes: &'a Bytes,
     /// The frame checksum the sender declared; the fold recomputes it
-    /// from the staged bytes and panics on mismatch (nothing between the
-    /// sender's arena and this fold may damage a payload when no
-    /// corruption fault is armed — a mismatch is genuine memory
-    /// corruption, not an injected one).
+    /// from the staged bytes and panics on mismatch (nothing between
+    /// admission and this fold may damage a payload — a mismatch is
+    /// genuine memory corruption, not an injected one).
     pub crc: u32,
     /// Sending worker, for the panic message.
     pub worker: usize,
@@ -66,8 +67,8 @@ pub(super) fn fold_whole_deferred(payloads: &[WorkerPayload<'_>], acc: &mut [f32
 fn check(p: &WorkerPayload<'_>, got: u32) {
     assert_eq!(
         got, p.crc,
-        "deferred barrier fold: payload from worker {} fails its frame CRC \
-         with no corruption plan armed — genuine memory corruption",
+        "barrier fold: payload from worker {} fails the frame CRC it was \
+         admitted under — genuine memory corruption",
         p.worker
     );
 }
@@ -136,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fails its frame CRC")]
+    #[should_panic(expected = "fails the frame CRC")]
     fn damaged_payload_panics_at_the_fold() {
         let tensors = vec![vec![1.0f32; 4096]];
         let (wires, crcs) = payloads_for(&tensors);

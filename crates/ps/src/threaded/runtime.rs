@@ -26,19 +26,21 @@
 //! The same [`FaultPlan`] type that drives the simulator's fault layer
 //! drives this runtime, with fault times interpreted as **real-time offsets
 //! from run start** and node `s < ps_shards` meaning PS shard `s`, node
-//! `ps_shards + w` meaning worker `w`:
+//! `ps_shards + w` meaning worker `w`. What an arrival, a barrier, a retry
+//! and a crash *mean* is [`crate::protocol`]'s (`Barriers` on each shard,
+//! an `Outbox` on each worker — the rules the simulator runs); this file
+//! keeps the effects:
 //!
-//! * `ShardCrash` — the named shard wipes its aggregation state at the
-//!   scheduled instant (parameters and optimiser state persist, like a
-//!   durable store), sleeps out `restart_after`, bumps its epoch, and
-//!   broadcasts [`ToWorker::ShardRestarted`] so workers re-push that
-//!   shard's unacknowledged gradients. Other shards keep serving.
-//! * `MsgLoss` — each worker draws a Bernoulli doom per push message sent
-//!   inside a loss window (from a per-worker substream of the plan seed);
-//!   a doomed message pays the link but never reaches its shard. Recovery
-//!   is end-to-end: shards ack every accepted slice (batched into
-//!   [`ToWorker::PushAcks`]), and a sender retransmits slices whose ack
-//!   missed the [`RetryPolicy`] timeout, with exponential backoff.
+//! * `ShardCrash` — the named shard wipes its barrier ledger and staged
+//!   payloads at the scheduled instant (parameters and optimiser state
+//!   persist, like a durable store), sleeps out `restart_after`, bumps its
+//!   epoch, and broadcasts [`ToWorker::ShardRestarted`]. Other shards keep
+//!   serving.
+//! * `MsgLoss` — a push drawn lost (per-worker substream of the plan seed)
+//!   pays the link but never reaches its shard. Shards ack every accepted
+//!   slice (batched into [`ToWorker::PushAcks`]); a slice whose ack misses
+//!   the [`RetryPolicy`] timeout is re-sent, its next deadline stretched by
+//!   the exponential backoff.
 //! * `WorkerStall` — the worker sleeps through the scheduled window before
 //!   its compute phase.
 //! * `LinkDegrade` — the token-bucket link emulator scales its drain rate
@@ -66,10 +68,12 @@ use super::checkpoint::{DurableStore, OptState};
 use super::fold;
 use super::pool::ArenaPool;
 use super::wire::{
-    accumulate_f32_le, acks_checksum, crc32, encode_f32_into_crc, fused_crc_accumulate,
-    fused_crc_apply, Ack, FrameHeader, ToPs, ToWorker,
+    acks_checksum, crc32, encode_f32_into_crc, fused_crc_accumulate, fused_crc_apply, FrameHeader,
+    ToPs, ToWorker,
 };
-use crate::protocol::{CheckpointSchedule, Membership, Window, Windows, CLUSTER};
+use crate::protocol::{
+    Arrival, Barriers, CheckpointSchedule, Membership, Outbox, Slice, Step, Window, Windows,
+};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap};
@@ -264,8 +268,7 @@ pub struct ShardPhases {
     pub encode_ns: u64,
     /// Ack-batch assembly and flush.
     pub ack_ns: u64,
-    /// Barrier-completion scans (the per-message sweep this PR retires;
-    /// kept attributed so a regression is visible).
+    /// Barrier-completion scans (one per `Leave` notice).
     pub sweep_ns: u64,
     /// Blocked in `recv` with an empty inbox, or waiting for the
     /// cache-residency gate before a large fold or encode.
@@ -367,10 +370,6 @@ fn ns_since(start: Instant) -> u64 {
 
 fn now_since(epoch: Instant) -> SimTime {
     SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
-}
-
-fn to_std(d: SimDuration) -> StdDuration {
-    StdDuration::from_nanos(d.as_nanos())
 }
 
 /// One trace event with its global causal ticket and wall-clock timestamp.
@@ -497,19 +496,9 @@ impl MembershipClock {
     }
 }
 
-/// One push slice awaiting its ack.
-struct Unacked {
-    iter: u64,
-    grad: usize,
-    offset_elems: usize,
-    len_elems: usize,
-    epoch: u64,
-    deadline: Instant,
-}
-
 /// A worker's sending side: the token-bucket link, the loss and corruption
-/// draws every push makes, and the in-flight ack ledger that drives
-/// timeout retransmissions.
+/// draws every push makes, and the [`Outbox`] whose tracked sends drive
+/// retransmissions.
 struct Uplink {
     /// Whether any fault machinery is live (empty plan = all paths dormant,
     /// and the worker blocks on `recv` exactly as the fault-free build).
@@ -524,7 +513,7 @@ struct Uplink {
     /// (mirrors the shard-side `tamper_pool`; dormant without corruption).
     tamper_pool: ArenaPool,
     retry: RetryPolicy,
-    unacked: Vec<Unacked>,
+    outbox: Outbox,
     messages_lost: u64,
     bytes_pushed: u64,
 }
@@ -549,94 +538,74 @@ impl Uplink {
             tamper_pool: ArenaPool::new(),
             windows,
             retry: cfg.retry,
-            unacked: Vec::new(),
+            outbox: Outbox::default(),
             messages_lost: 0,
             bytes_pushed: 0,
         }
     }
 
-    /// Bernoulli doom draw for a push message sent now. The *set* of doomed
-    /// messages depends on real-time scheduling (windows are wall-clock);
-    /// what is computed stays bit-identical because every loss is retried
-    /// and aggregation is order-independent per worker buffer.
-    fn doomed(&mut self, start: Instant) -> bool {
-        let rate = self
-            .windows
-            .worst_at(FaultKind::MsgLoss, &[CLUSTER], ns_since(start));
-        rate.is_some_and(|r| r > 0.0 && self.rng.next_f64() < r)
-    }
-
-    /// Send one push slice: pay the link, doom-draw against the loss
-    /// windows, transmit (unless doomed), and register the slice in the ack
-    /// ledger. The payload is a zero-copy window of the iteration arena.
+    /// Send one push slice: pay the link, draw its fate against the loss and
+    /// corruption windows, transmit (unless lost), and track it in the
+    /// outbox with an ack deadline `stretch` past the policy's timeout. The
+    /// payload is a zero-copy window of the iteration arena. The *set* of
+    /// damaged messages depends on real-time scheduling (windows are
+    /// wall-clock); what is computed stays bit-identical because every
+    /// failure is retried and aggregation is order-independent per worker.
     fn push_slice(
         &mut self,
         ctx: &DriveCtx<'_>,
         grad: usize,
         offset_elems: usize,
         len_elems: usize,
+        stretch: SimDuration,
     ) {
         let bytes = (len_elems * 4) as u64;
         self.limiter.acquire(bytes);
         self.bytes_pushed += bytes;
         let shard = ctx.owner[grad];
-        let epoch = ctx.ps_epochs[shard].get();
-        if self.doomed(ctx.epoch) {
+        let slice = Slice {
+            iter: ctx.iter,
+            tensor: grad,
+            offset: offset_elems as u64,
+            len: len_elems as u64,
+            epoch: ctx.ps_epochs[shard].get(),
+        };
+        let fate = self
+            .windows
+            .send_fate(ns_since(ctx.epoch), |kind| match kind {
+                FaultKind::MsgLoss => self.rng.next_f64(),
+                _ => self.corrupt.rng.next_f64(),
+            });
+        if fate == Some(FaultKind::MsgLoss) {
             self.messages_lost += 1;
         } else {
             let lo = ctx.grad_off[grad] + offset_elems * 4;
             let clean = ctx.arena.slice(lo..lo + len_elems * 4);
-            let cached =
-                (offset_elems == 0 && len_elems == ctx.tensor_elems[grad]).then(|| FrameHeader {
-                    len: (len_elems * 4) as u32,
-                    crc: ctx.grad_crc[grad],
-                });
             // Damage lands on a pooled copy: the clean arena window stays
             // pristine for any later retransmission.
-            let (data, frame) = match self.corrupt.draw(ctx.epoch, true) {
-                Some(style) => self.corrupt.tamper(style, &clean, &mut self.tamper_pool),
-                None => {
-                    let frame = cached.unwrap_or_else(|| FrameHeader::for_payload(&clean));
-                    (clean, frame)
-                }
+            let (data, frame) = if fate.is_some() {
+                let style = self.corrupt.style(true);
+                self.corrupt.tamper(style, &clean, &mut self.tamper_pool)
+            } else if offset_elems == 0 && len_elems == ctx.tensor_elems[grad] {
+                let (len, crc) = ((len_elems * 4) as u32, ctx.grad_crc[grad]);
+                (clean, FrameHeader { len, crc })
+            } else {
+                let frame = FrameHeader::for_payload(&clean);
+                (clean, frame)
             };
-            ctx.txs[shard]
-                .send(ToPs::Push {
-                    worker: ctx.w,
-                    iter: ctx.iter,
-                    grad,
-                    offset_elems,
-                    data,
-                    epoch,
-                    frame,
-                })
-                .expect("ps shard hung up");
+            let worker = ctx.w;
+            let push = ToPs::Push {
+                worker,
+                slice,
+                data,
+                frame,
+            };
+            ctx.txs[shard].send(push).expect("ps shard hung up");
         }
-        self.track(ctx.iter, grad, offset_elems, len_elems, epoch);
-    }
-
-    fn track(&mut self, iter: u64, grad: usize, offset_elems: usize, len_elems: usize, epoch: u64) {
-        if !self.active {
-            return;
+        if self.active {
+            let deadline = ns_since(ctx.epoch) + (self.retry.timeout + stretch).as_nanos();
+            self.outbox.sent(slice, deadline);
         }
-        self.unacked.push(Unacked {
-            iter,
-            grad,
-            offset_elems,
-            len_elems,
-            epoch,
-            deadline: Instant::now() + to_std(self.retry.timeout),
-        });
-    }
-
-    fn ack(&mut self, iter: u64, grad: usize, offset_elems: usize, len_elems: usize, epoch: u64) {
-        self.unacked.retain(|u| {
-            !(u.iter == iter
-                && u.grad == grad
-                && u.offset_elems == offset_elems
-                && u.len_elems == len_elems
-                && u.epoch == epoch)
-        });
     }
 
     /// Sleep out any `WorkerStall` window covering this instant (chained:
@@ -703,22 +672,28 @@ impl CorruptInjector {
     }
 
     /// Bernoulli corruption draw for a data frame sent now, and the style
-    /// of damage if drawn. `nan_ok` admits [`Tamper::NanPoison`]: NaN
-    /// poisoning models a gradient-value hazard, so only push payloads
-    /// draw it — pulls and acks damage the frame, never the semantics.
+    /// of damage if drawn (pull replies and ack batches; a push draws its
+    /// whole fate through [`Windows::send_fate`]).
     fn draw(&mut self, start: Instant, nan_ok: bool) -> Option<Tamper> {
-        let rate = self
+        let hit = self
             .windows
-            .worst_at(FaultKind::PayloadCorrupt, &[CLUSTER], ns_since(start))?;
-        if rate <= 0.0 || self.rng.next_f64() >= rate {
-            return None;
-        }
+            .hit(FaultKind::PayloadCorrupt, ns_since(start), || {
+                self.rng.next_f64()
+            });
+        hit.then(|| self.style(nan_ok))
+    }
+
+    /// Draw the style of damage for a frame the corruption window hit.
+    /// `nan_ok` admits [`Tamper::NanPoison`]: NaN poisoning models a
+    /// gradient-value hazard, so only push payloads draw it — pulls and
+    /// acks damage the frame, never the semantics.
+    fn style(&mut self, nan_ok: bool) -> Tamper {
         let styles: &[Tamper] = if nan_ok {
             &[Tamper::BitFlip, Tamper::Truncate, Tamper::NanPoison]
         } else {
             &[Tamper::BitFlip, Tamper::Truncate]
         };
-        Some(styles[(self.rng.next_u64() % styles.len() as u64) as usize])
+        styles[(self.rng.next_u64() % styles.len() as u64) as usize]
     }
 
     /// Damage a pooled copy of `clean` per `style`, returning the wire
@@ -1100,27 +1075,12 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     }
 }
 
-/// Per-worker staging for one gradient's in-flight pushes on a shard:
-/// zero-copy wire slices, accumulated only at the barrier.
-struct WorkerRecv {
-    /// `(offset_elems, payload, frame crc)` per accepted slice. The
-    /// payloads alias the sender's arena — no copy is made until the
-    /// barrier folds them into the accumulator. The CRC rides along so the
-    /// deferred-verify fold can check integrity in the same traversal that
-    /// accumulates.
-    slices: Vec<(usize, Bytes, u32)>,
-    received_elems: usize,
-}
-
-/// Persistent per-gradient aggregation slot. BSP admits at most one open
-/// barrier per gradient at a time, so one slot per tensor (reused across
-/// iterations) replaces the old per-`(iter, grad)` hash map.
-struct GradAgg {
-    iter: u64,
-    active: bool,
-    complete: usize,
-    recv: Vec<WorkerRecv>,
-}
+/// One worker's staged pushes of one gradient on a shard: `(offset_elems,
+/// payload, frame crc)` per slice the barrier ledger accepted. The payloads
+/// alias the sender's arena — no copy is made until the barrier folds them
+/// into the accumulator — and the CRC rides along so the fold checks
+/// integrity in the same traversal that accumulates.
+type Staged = Vec<(usize, Bytes, u32)>;
 
 /// Per-gradient pull-reply cache: parameters are encoded once per update
 /// and every pull (any worker, any slice) is served as a shared window of
@@ -1177,24 +1137,24 @@ struct ShardRt {
     dead: bool,
     /// This shard's time-triggered `ShardCrash` windows, earliest first.
     crashes: Vec<Window>,
-    /// Per-worker eviction notices received.
-    left: Vec<bool>,
     /// Parameters per local tensor; adopted slots are empty until restored.
     params: Vec<Vec<f32>>,
     /// Per-tensor optimiser state; `None` until an adopted slot restores.
     opts: Vec<Option<OptState>>,
     restored: Vec<bool>,
-    /// Last completed barrier per local gradient — a duplicate slice
-    /// arriving after its barrier must be acked and dropped, not
-    /// re-aggregated. Survives crashes, like the applied updates.
-    done_iter: Vec<Option<u64>>,
-    slots: Vec<GradAgg>,
+    /// The barrier ledger of the local tensors, in elements: what arrived,
+    /// what may close, what a crash voids. Closed barriers survive
+    /// crashes, like the applied updates.
+    barriers: Barriers,
+    /// The payload slices behind the ledger's open barriers, per local
+    /// tensor and worker. BSP admits one open barrier per tensor at a time.
+    staged: Vec<Vec<Staged>>,
     /// The persistent accumulator: gradients sum in worker order into this
     /// one buffer, sized for the largest local tensor.
     acc_buf: Vec<f32>,
     pull: Vec<PullCache>,
     deferred: Vec<DeferredPull>,
-    pending: Vec<Vec<Ack>>,
+    pending: Vec<Vec<Slice>>,
     pending_total: usize,
     ack_batches: u64,
     pull_allocs: u64,
@@ -1209,15 +1169,13 @@ struct ShardRt {
     tamper_pool: ArenaPool,
     corrupt_frames: u64,
     nan_quarantined: u64,
-    /// NaN/Inf gradient guard, armed only under a corruption plan — a
-    /// legitimately diverging model must not loop forever in quarantine.
-    nan_guard: bool,
-    /// Verify push frames at receive time (armed only under a corruption
-    /// plan, where a damaged frame must NACK before the barrier). Without
-    /// corruption windows nothing between the sender's arena and this
-    /// shard can damage a payload, so the CRC check rides the barrier
-    /// fold's traversal instead of costing its own pass — and a mismatch
-    /// there is genuine memory corruption, reported by panic.
+    /// Pre-check push frames at receive time — frame verify, then the
+    /// NaN/Inf gradient guard — armed only under a corruption plan, where a
+    /// damaged frame must NACK before the barrier (and only there: a
+    /// legitimately diverging model must not loop forever in quarantine).
+    /// Without corruption windows nothing between the sender's arena and
+    /// this shard can damage a payload, and the CRC check that rides the
+    /// barrier fold's traversal is the only one.
     eager_verify: bool,
     /// Queue and flush push acks (armed only when the plan is non-empty:
     /// workers consult acks only when their fault machinery is live, so an
@@ -1228,10 +1186,6 @@ struct ShardRt {
     restore_fallbacks: u64,
     fallback_depth: u64,
     cur_epoch: u64,
-    /// `(iter, barriers closed at iter)` — BSP admits pushes for `iter+1`
-    /// only after every `iter` barrier closed, so one pair tracks
-    /// iteration completion.
-    iter_done: (u64, usize),
     worker_txs: Vec<Sender<ToWorker>>,
     /// Shared with the workers: barrier folds and pull encodes walk the
     /// same multi-megabyte scale as a compute section and take the same
@@ -1271,19 +1225,8 @@ impl ShardRt {
             })
             .collect();
         let restored: Vec<bool> = owned_from.iter().map(|&from| from == 0).collect();
-        let slots: Vec<GradAgg> = (0..n_local)
-            .map(|_| GradAgg {
-                iter: 0,
-                active: false,
-                complete: 0,
-                recv: (0..mem.total_workers())
-                    .map(|_| WorkerRecv {
-                        slices: Vec::new(),
-                        received_elems: 0,
-                    })
-                    .collect(),
-            })
-            .collect();
+        let staged = vec![vec![Staged::new(); mem.total_workers()]; n_local];
+        let sizes = ever.iter().map(|&g| tensor_elems[g] as u64).collect();
         let acc_buf = vec![0.0f32; ever.iter().map(|&g| tensor_elems[g]).max().unwrap_or(0)];
         let pull = (0..n_local)
             .map(|_| PullCache {
@@ -1294,7 +1237,6 @@ impl ShardRt {
             .collect();
         let crashes = windows.schedule(FaultKind::ShardCrash, &[s]);
         let corrupt = CorruptInjector::new(&cfg.fault_plan, windows, s as u64);
-        let nan_guard = cfg.fault_plan.has_corruption();
         let eager_verify = cfg.fault_plan.has_corruption();
         let acks_enabled = !cfg.fault_plan.is_empty();
         let ckpt = CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period);
@@ -1302,12 +1244,11 @@ impl ShardRt {
         ShardRt {
             s,
             pending: vec![Vec::new(); mem.total_workers()],
-            left: vec![false; mem.total_workers()],
+            barriers: Barriers::new(mem.total_workers(), sizes),
             corrupt,
             tamper_pool: ArenaPool::new(),
             corrupt_frames: 0,
             nan_quarantined: 0,
-            nan_guard,
             eager_verify,
             acks_enabled,
             ckpt,
@@ -1326,8 +1267,7 @@ impl ShardRt {
             params,
             opts,
             restored,
-            done_iter: vec![None; n_local],
-            slots,
+            staged,
             acc_buf,
             pull,
             deferred: Vec::new(),
@@ -1337,7 +1277,6 @@ impl ShardRt {
             pull_recycles: 0,
             restore_bytes: 0,
             cur_epoch: 0,
-            iter_done: (0, 0),
             worker_txs,
             gate,
             start,
@@ -1369,7 +1308,7 @@ impl ShardRt {
         let r = self.store.restore(g);
         self.params[l] = r.params;
         self.opts[l] = Some(r.opt);
-        self.done_iter[l] = r.upto;
+        self.barriers.adopt(l, r.upto);
         self.restored[l] = true;
         self.restore_bytes += r.bytes;
         if r.depth > 0 {
@@ -1401,13 +1340,9 @@ impl ShardRt {
             kind: FaultKind::ShardCrash,
             node: self.s,
         });
-        for slot in self.slots.iter_mut() {
-            slot.active = false;
-            slot.complete = 0;
-            for r in &mut slot.recv {
-                r.slices.clear(); // drops the staged arena references
-                r.received_elems = 0;
-            }
+        for (_, l, worker, _) in self.barriers.wipe(|_| true) {
+            // Drops the staged arena references.
+            self.staged[l][worker].clear();
         }
         if !downtime.is_zero() {
             std::thread::sleep(downtime);
@@ -1432,7 +1367,7 @@ impl ShardRt {
 
     /// Queue a push ack for the next batch flush — a no-op when the plan
     /// is empty (no worker consults acks, so none are produced).
-    fn queue_ack(&mut self, worker: usize, ack: Ack) {
+    fn queue_ack(&mut self, worker: usize, ack: Slice) {
         if !self.acks_enabled {
             return;
         }
@@ -1440,39 +1375,19 @@ impl ShardRt {
         self.pending_total += 1;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_push(
-        &mut self,
-        worker: usize,
-        iter: u64,
-        grad: usize,
-        offset_elems: usize,
-        data: Bytes,
-        epoch: u64,
-        frame: FrameHeader,
-    ) {
-        if epoch != self.cur_epoch {
+    /// `ack` is the slice as the sender tracks it — what it SAID it sent,
+    /// not what arrived: a truncated payload must ack/nack that ledger
+    /// entry, or the retry path can never match it up.
+    fn on_push(&mut self, worker: usize, ack: Slice, data: Bytes, frame: FrameHeader) {
+        if ack.epoch != self.cur_epoch {
             // A pre-crash push that raced the restart broadcast.
             return;
         }
+        let (iter, grad) = (ack.iter, ack.tensor);
         let l = self.local(grad);
-        let size = self.tensor_elems[grad];
-        // Identify the slice by what the sender SAID it sent (the header),
-        // not by what arrived: a truncated payload must ack/nack the
-        // ledger entry the sender is tracking, or the retry path can never
-        // match it up.
-        let len_elems = frame.len as usize / 4;
-        let ack = Ack {
-            iter,
-            grad,
-            offset_elems,
-            len_elems,
-            epoch,
-        };
-        if self.done_iter[l].is_some_and(|d| d >= iter) {
+        if self.barriers.is_stale(iter, l) {
             // Late duplicate of a completed barrier: re-ack only, without
-            // verifying — the barrier already folded an intact copy, so a
-            // nack here could trigger a retry into a closed iteration.
+            // verifying — the barrier already folded an intact copy.
             self.queue_ack(worker, ack);
             return;
         }
@@ -1485,42 +1400,39 @@ impl ShardRt {
         );
         let t_verify = Instant::now();
         if self.eager_verify {
-            if !frame.verify(&data) {
-                // Checksum or length mismatch: the payload was damaged in
-                // flight. Nack the slice; the worker retransmits from its
-                // clean arena. Nothing corrupt is ever staged.
-                self.phases.verify_ns += t_verify.elapsed().as_nanos() as u64;
+            // Nothing corrupt is ever staged: a rejected slice is nacked
+            // and the worker retransmits it from its clean arena.
+            let rejected = if !frame.verify(&data) {
+                // Checksum or length mismatch: damaged in flight.
                 self.corrupt_frames += 1;
-                self.tlog.emit(TraceEvent::FrameCorrupt {
-                    node: self.s,
-                    bytes: frame.len as u64,
+                let (node, bytes) = (self.s, frame.len as u64);
+                Some(TraceEvent::FrameCorrupt {
+                    node,
+                    bytes,
                     data: true,
-                });
-                let _ = self.worker_txs[worker].send(ToWorker::PushNack { nack: ack });
-                return;
-            }
-            if self.nan_guard
-                && data
-                    .chunks_exact(4)
-                    .any(|c| !f32::from_le_bytes(c.try_into().unwrap()).is_finite())
+                })
+            } else if data
+                .chunks_exact(4)
+                .any(|c| !f32::from_le_bytes(c.try_into().unwrap()).is_finite())
             {
                 // The frame checksummed clean but carries non-finite
                 // values: memory corruption upstream of checksumming.
-                // Quarantine the push and recover through the same
-                // nack/retransmit path.
-                self.phases.verify_ns += t_verify.elapsed().as_nanos() as u64;
                 self.nan_quarantined += 1;
-                self.tlog
-                    .emit(TraceEvent::GradQuarantined { worker, iter, grad });
+                Some(TraceEvent::GradQuarantined { worker, iter, grad })
+            } else {
+                None
+            };
+            if let Some(ev) = rejected {
+                self.phases.verify_ns += t_verify.elapsed().as_nanos() as u64;
+                self.tlog.emit(ev);
                 let _ = self.worker_txs[worker].send(ToWorker::PushNack { nack: ack });
                 return;
             }
         } else {
-            // Deferred verify: admission is O(1) — the payload is not
-            // read here at all. The CRC check rides the barrier fold's
-            // single traversal; no fault kind in a corruption-free plan
-            // can damage bytes in flight, so a length mismatch here would
-            // be a runtime bug, not an injected fault.
+            // Admission is O(1) — the payload is not read here at all. No
+            // fault kind in a corruption-free plan can damage bytes in
+            // flight, so a length mismatch here would be a runtime bug,
+            // not an injected fault.
             assert_eq!(
                 data.len(),
                 frame.len as usize,
@@ -1529,58 +1441,27 @@ impl ShardRt {
         }
         self.phases.verify_ns += t_verify.elapsed().as_nanos() as u64;
         self.ensure_restored(l);
-        let slot = &mut self.slots[l];
-        if !slot.active {
-            slot.active = true;
-            slot.iter = iter;
-            slot.complete = 0;
-            debug_assert!(slot.recv.iter().all(|r| r.slices.is_empty()));
-        }
-        assert_eq!(
-            slot.iter, iter,
+        assert!(
+            self.barriers
+                .closed_through(l)
+                .is_none_or(|d| iter == d + 1),
             "push for tensor {grad} skipped the BSP barrier"
         );
-        let recv = &mut slot.recv[worker];
-        if recv.slices.iter().any(|&(o, _, _)| o == offset_elems) {
-            // Duplicate slice (a retransmission raced the ack).
-            self.queue_ack(worker, ack);
-            return;
-        }
-        recv.received_elems += len_elems;
-        assert!(
-            recv.received_elems <= size,
-            "worker {worker} over-pushed tensor {grad}"
-        );
-        // Zero-copy staging: the wire slice itself is the staged gradient;
-        // nothing is decoded until the barrier.
-        recv.slices.push((offset_elems, data, frame.crc));
-        let filled = recv.received_elems == size;
+        let arrival = self
+            .barriers
+            .arrive(&self.mem, iter, l, worker, Some(ack.offset), ack.len);
+        // A duplicate (a retransmission raced the ack) is acknowledged and
+        // dropped like everything else the ledger did not refuse.
         self.queue_ack(worker, ack);
-        if filled {
-            self.slots[l].complete += 1;
-            self.tlog.emit(TraceEvent::PushEnd { worker, iter, grad });
-            // Inline completion: this push is the only event that can
-            // complete this barrier (the other enabler, a Leave notice,
-            // triggers its own sweep), so check here instead of scanning
-            // every slot after every message.
-            if self.mem.may_close(iter, self.slots[l].complete, &self.left) {
-                self.finish_barrier(l);
-            }
+        if matches!(arrival, Arrival::Staged | Arrival::WorkerDone { .. }) {
+            // Zero-copy staging: the wire slice itself is the staged
+            // gradient; nothing is decoded until the barrier.
+            self.staged[l][worker].push((ack.offset as usize, data, frame.crc));
         }
-    }
-
-    /// Close every completable barrier, in local-tensor order. Pushes
-    /// complete their barrier inline; this full scan runs only when a
-    /// [`ToPs::Leave`] arrives, since an eviction notice can unblock any
-    /// number of fully-arrived barriers at once.
-    fn sweep(&mut self) {
-        for l in 0..self.ever.len() {
-            if !self.slots[l].active {
-                continue;
-            }
-            let iter = self.slots[l].iter;
-            if self.mem.may_close(iter, self.slots[l].complete, &self.left) {
-                self.finish_barrier(l);
+        if let Arrival::WorkerDone { closes } = arrival {
+            self.tlog.emit(TraceEvent::PushEnd { worker, iter, grad });
+            if closes {
+                self.finish_barrier(l, iter);
             }
         }
     }
@@ -1591,10 +1472,9 @@ impl ShardRt {
     /// the update in the durable ledger, run the iteration-close
     /// bookkeeping (checkpoint cadence, this shard's own death), and
     /// notify the iteration's members.
-    fn finish_barrier(&mut self, l: usize) {
+    fn finish_barrier(&mut self, l: usize, iter: u64) {
         let g = self.ever[l];
         let size = self.tensor_elems[g];
-        let iter = self.slots[l].iter;
         // Fold + optimiser + pull re-encode + checkpoint under the
         // cache-residency gate: the section walks every staged payload
         // plus the accumulator and parameters, and interleaving it with
@@ -1611,50 +1491,37 @@ impl ShardRt {
         }
         let t_acc = Instant::now();
         {
-            let slot = &mut self.slots[l];
+            // One fold for every plan: each payload's CRC check rides the
+            // traversal that accumulates it. Under a corruption plan the
+            // receive-time verify already turned away damaged frames, so a
+            // mismatch here is genuine memory corruption in either mode.
+            let staged = &mut self.staged[l];
             let acc = &mut self.acc_buf[..size];
             acc.fill(0.0);
-            if self.eager_verify {
-                // Already verified at receive: plain fold in fixed worker
-                // order.
-                for r in &mut slot.recv {
-                    for (off, bytes, _) in r.slices.drain(..) {
-                        let n = bytes.len() / 4;
-                        accumulate_f32_le(&bytes, &mut acc[off..off + n]);
-                    }
-                    r.received_elems = 0;
-                }
-            } else if slot.recv.iter().all(|r| {
-                r.slices.is_empty()
-                    || (r.slices.len() == 1
-                        && r.slices[0].0 == 0
-                        && r.slices[0].1.len() == size * 4)
+            if staged.iter().all(|s| match s.as_slice() {
+                [] => true,
+                [(off, bytes, _)] => *off == 0 && bytes.len() == size * 4,
+                _ => false,
             }) {
-                // Deferred verify, whole-tensor payloads (schedulers that
-                // don't slice): block-major fused fold — one traversal per
-                // payload does both CRC and accumulate, with the
-                // accumulator block cache-hot across all worker streams.
-                let payloads: Vec<fold::WorkerPayload<'_>> = slot
-                    .recv
+                // Whole-tensor payloads (schedulers that don't slice):
+                // block-major fused fold, with the accumulator block
+                // cache-hot across all worker streams.
+                let payloads: Vec<fold::WorkerPayload<'_>> = staged
                     .iter()
                     .enumerate()
-                    .filter(|(_, r)| !r.slices.is_empty())
-                    .map(|(w, r)| fold::WorkerPayload {
-                        bytes: &r.slices[0].1,
-                        crc: r.slices[0].2,
-                        worker: w,
+                    .filter_map(|(worker, s)| {
+                        let (_, bytes, crc) = s.first()?;
+                        let crc = *crc;
+                        Some(fold::WorkerPayload { bytes, crc, worker })
                     })
                     .collect();
                 fold::fold_whole_deferred(&payloads, acc);
-                for r in &mut slot.recv {
-                    r.slices.clear();
-                    r.received_elems = 0;
-                }
+                staged.iter_mut().for_each(Vec::clear);
             } else {
-                // Deferred verify, sliced payloads: per-slice fused fold —
-                // still one traversal per slice, same worker order.
-                for (w, r) in slot.recv.iter_mut().enumerate() {
-                    for (off, bytes, crc) in r.slices.drain(..) {
+                // Sliced payloads: per-slice fused fold — still one
+                // traversal per slice, same worker order.
+                for (w, s) in staged.iter_mut().enumerate() {
+                    for (off, bytes, crc) in s.drain(..) {
                         let n = bytes.len() / 4;
                         let got = crc32::finish(fused_crc_accumulate(
                             crc32::begin(),
@@ -1663,15 +1530,12 @@ impl ShardRt {
                         ));
                         assert_eq!(
                             got, crc,
-                            "deferred barrier fold: slice from worker {w} fails its frame \
-                             CRC with no corruption plan armed — genuine memory corruption"
+                            "barrier fold: slice from worker {w} fails the frame CRC it \
+                             was admitted under — genuine memory corruption"
                         );
                     }
-                    r.received_elems = 0;
                 }
             }
-            slot.active = false;
-            slot.complete = 0;
         }
         let inv = 1.0 / self.mem.expected(iter) as f32;
         let acc = &mut self.acc_buf[..size];
@@ -1685,7 +1549,7 @@ impl ShardRt {
         self.store.note_update(g, iter, acc);
         self.phases.optimizer_ns += t_opt.elapsed().as_nanos() as u64;
         self.phases.barriers += 1;
-        self.done_iter[l] = Some(iter);
+        let iteration_closed = self.barriers.close(iter, l, self.owned_count_at(iter));
         // The cached pull encoding is stale; reclaim its storage and
         // re-encode right here, while the optimiser step just wrote the
         // parameters and they are still cache-hot (every worker pulls
@@ -1714,13 +1578,7 @@ impl ShardRt {
                 self.ckpt.poisons(iter),
             );
         }
-        // Iteration-close bookkeeping.
-        if self.iter_done.0 == iter {
-            self.iter_done.1 += 1;
-        } else {
-            self.iter_done = (iter, 1);
-        }
-        if self.iter_done.1 == self.owned_count_at(iter) {
+        if iteration_closed {
             if checkpoint_due {
                 self.ckpt.round_written(iter);
                 self.tlog.emit(TraceEvent::Checkpoint {
@@ -1770,7 +1628,7 @@ impl ShardRt {
             // the tensor current — serve immediately.
             None => self.serve_pull(worker, grad, offset_elems, len_elems),
             Some(m) => {
-                if self.restored[l] && self.done_iter[l].is_some_and(|d| d >= m) {
+                if self.restored[l] && self.barriers.closed_through(l).is_some_and(|d| d >= m) {
                     self.serve_pull(worker, grad, offset_elems, len_elems);
                 } else {
                     self.deferred.push(DeferredPull {
@@ -1791,7 +1649,12 @@ impl ShardRt {
         while i < self.deferred.len() {
             let d = self.deferred[i];
             let l = self.local(d.grad);
-            if self.restored[l] && self.done_iter[l].is_some_and(|x| x >= d.min_done) {
+            if self.restored[l]
+                && self
+                    .barriers
+                    .closed_through(l)
+                    .is_some_and(|x| x >= d.min_done)
+            {
                 self.deferred.remove(i);
                 self.serve_pull(d.worker, d.grad, d.offset_elems, d.len_elems);
             } else {
@@ -1974,13 +1837,10 @@ impl ShardRt {
             match msg {
                 ToPs::Push {
                     worker,
-                    iter,
-                    grad,
-                    offset_elems,
+                    slice,
                     data,
-                    epoch,
                     frame,
-                } => self.on_push(worker, iter, grad, offset_elems, data, epoch, frame),
+                } => self.on_push(worker, slice, data, frame),
                 ToPs::PullReq {
                     worker,
                     grad,
@@ -1989,13 +1849,14 @@ impl ShardRt {
                     min_done,
                 } => self.on_pull(worker, grad, offset_elems, len_elems, min_done),
                 ToPs::Leave { worker } => {
-                    self.left[worker] = true;
                     // A Leave can unblock fully-arrived barriers gated on
                     // the eviction epoch — the one completion enabler the
                     // inline push-path check cannot see, and the only
                     // event that still pays for a full sweep.
                     let t_sweep = Instant::now();
-                    self.sweep();
+                    for (iter, l) in self.barriers.leave(&self.mem, worker) {
+                        self.finish_barrier(l, iter);
+                    }
                     self.phases.sweep_ns += t_sweep.elapsed().as_nanos() as u64;
                 }
             }
@@ -2063,21 +1924,37 @@ struct DriveCtx<'a> {
     ps_epochs: &'a [Cell<u64>],
 }
 
-/// Open one retry step for gradient `g`: count the attempt and re-stamp
-/// the push start the failed attempt voided.
-fn note_repush(ctx: &DriveCtx<'_>, attempts: &mut [u32], tlog: &mut ThreadLog, g: usize) {
-    attempts[g] += 1;
-    tlog.emit(TraceEvent::RetryAttempt {
-        worker: ctx.w,
-        iter: ctx.iter,
-        grad: g,
-        attempt: attempts[g],
-    });
-    tlog.emit(TraceEvent::PushStart {
-        worker: ctx.w,
-        iter: ctx.iter,
-        grad: g,
-    });
+/// Carry out what the outbox asked for: trace each retry step, re-stamp
+/// the push start a failed attempt voided, and re-send each slice from the
+/// iteration arena — retransmission copies nothing. `backoff` stretches the
+/// re-sent slices' next ack deadline by the policy's exponential delay (the
+/// timeout path; the simulator backs the lane off instead).
+fn redo(
+    ctx: &DriveCtx<'_>,
+    up: &mut Uplink,
+    tlog: &mut ThreadLog,
+    steps: Vec<Step>,
+    backoff: bool,
+) {
+    let (worker, iter) = (ctx.w, ctx.iter);
+    for step in steps {
+        match step {
+            Step::Retry { tensor, attempt } => tlog.emit(TraceEvent::RetryAttempt {
+                worker,
+                iter,
+                grad: tensor,
+                attempt,
+            }),
+            Step::Resend(s, attempt) => {
+                let grad = s.tensor;
+                if up.outbox.restamp(iter, grad, Dir::Push) {
+                    tlog.emit(TraceEvent::PushStart { worker, iter, grad });
+                }
+                let stretch = up.retry.delay(if backoff { attempt } else { 0 });
+                up.push_slice(ctx, grad, s.offset as usize, s.len as usize, stretch);
+            }
+        }
+    }
 }
 
 /// Issue tasks until the scheduler pauses. Pushes complete synchronously
@@ -2109,7 +1986,7 @@ fn drive(
                             grad: g,
                         });
                     }
-                    up.push_slice(ctx, g, off, elems);
+                    up.push_slice(ctx, g, off, elems, SimDuration::ZERO);
                 }
                 sched.task_done(now_since(ctx.epoch), &task);
             }
@@ -2138,36 +2015,6 @@ fn drive(
                 }
                 *inflight_pull = Some((task, awaiting));
             }
-        }
-    }
-}
-
-/// Retransmit every tracked slice whose ack deadline has passed, one
-/// [`TraceEvent::RetryAttempt`] per affected gradient per sweep (slices of
-/// one gradient coalesce, as the simulator's message retries do). The next
-/// deadline stretches by the policy's exponential backoff. Payloads are
-/// re-sliced from the iteration arena — retransmission copies nothing.
-fn resend_expired(ctx: &DriveCtx<'_>, up: &mut Uplink, attempts: &mut [u32], tlog: &mut ThreadLog) {
-    let now = Instant::now();
-    if !up.unacked.iter().any(|u| u.deadline <= now) {
-        return;
-    }
-    let (due, live): (Vec<Unacked>, Vec<Unacked>) = std::mem::take(&mut up.unacked)
-        .into_iter()
-        .partition(|u| u.deadline <= now);
-    up.unacked = live;
-    let mut grads_hit: Vec<usize> = Vec::new();
-    for u in &due {
-        if !grads_hit.contains(&u.grad) {
-            grads_hit.push(u.grad);
-        }
-    }
-    for &g in &grads_hit {
-        note_repush(ctx, attempts, tlog, g);
-        let backoff = to_std(up.retry.delay(attempts[g]));
-        for u in due.iter().filter(|u| u.grad == g) {
-            up.push_slice(ctx, g, u.offset_elems, u.len_elems);
-            up.unacked.last_mut().expect("just tracked").deadline += backoff;
         }
     }
 }
@@ -2359,8 +2206,6 @@ fn worker_thread(
     let mut push_sent = vec![0usize; n]; // elements already pushed
     let mut pull_recv = vec![0usize; n];
     let mut pulled = vec![false; n];
-    let mut param_ready_seen = vec![false; n];
-    let mut attempts = vec![0u32; n];
     let mut grad_off = vec![0usize; n]; // byte offset of each tensor in the arena
     let mut grad_crc = vec![0u32; n]; // whole-tensor payload CRC per tensor
     let arena_bytes: usize = tensor_elems.iter().map(|&e| e * 4).sum();
@@ -2382,15 +2227,11 @@ fn worker_thread(
         sched.iteration_begin(t_begin, iter);
         if up.active {
             up.stall_if_scheduled(node, epoch, &mut tlog);
-            // Any straggler entries are long-acked by the BSP barrier that
-            // let the previous iteration finish.
-            up.unacked.clear();
         }
+        up.outbox.begin_iter(iter);
         push_sent.fill(0);
         pull_recv.fill(0);
         pulled.fill(false);
-        param_ready_seen.fill(false);
-        attempts.fill(0);
         // The previous iteration's barriers released every staged slice of
         // the old arena; recycle its storage for this iteration.
         if let Some(prev) = arena.take() {
@@ -2473,9 +2314,8 @@ fn worker_thread(
         while !pulled.iter().all(|&p| p) {
             let t_wait = Instant::now();
             let msg = if up.active {
-                let wait = match up.unacked.iter().map(|u| u.deadline).min() {
-                    Some(d) => d
-                        .saturating_duration_since(Instant::now())
+                let wait = match up.outbox.next_deadline() {
+                    Some(d) => StdDuration::from_nanos(d.saturating_sub(ns_since(epoch)))
                         .max(StdDuration::from_micros(50)),
                     None => StdDuration::from_millis(20),
                 };
@@ -2496,19 +2336,15 @@ fn worker_thread(
                         grad,
                         epoch: pe,
                     });
-                    param_ready_seen[grad] = true;
-                    // The barrier proves every slice arrived; drop any
-                    // still-tracked ones (their acks may be behind this
-                    // message in the channel).
-                    up.unacked.retain(|u| u.grad != grad);
-                    if attempts[grad] > 0 {
+                    // The barrier proves every slice arrived, whatever acks
+                    // are still behind this message in the channel.
+                    if let Some(attempts) = up.outbox.delivered(iter, grad) {
                         tlog.emit(TraceEvent::Recovered {
                             worker: w,
                             iter,
                             grad,
-                            attempts: attempts[grad],
+                            attempts,
                         });
-                        attempts[grad] = 0;
                     }
                     sched.param_ready(now_since(epoch), grad);
                 }
@@ -2516,48 +2352,30 @@ fn worker_thread(
                     if acks_checksum(&acks) != crc {
                         // The batch checksum fails: any ack in it may be
                         // forged, so trust none. The slices it covered are
-                        // either already folded (the barrier's ParamReady
-                        // supersedes them) or will retransmit on timeout —
-                        // extend the deadlines so the timeout path, not a
-                        // blind immediate resend, drives recovery.
+                        // already folded (ParamReady supersedes them) or
+                        // will retransmit once a full timeout has passed.
                         corrupt_frames += 1;
                         tlog.emit(TraceEvent::FrameCorrupt {
                             node,
                             bytes: (acks.len() * 40) as u64,
                             data: false,
                         });
-                        let now = Instant::now();
-                        let timeout = to_std(up.retry.timeout);
-                        for u in &mut up.unacked {
-                            u.deadline = u.deadline.max(now + timeout);
-                        }
+                        up.outbox
+                            .acks_untrusted(ns_since(epoch) + up.retry.timeout.as_nanos());
                     } else {
                         for a in &acks {
-                            up.ack(a.iter, a.grad, a.offset_elems, a.len_elems, a.epoch);
+                            up.outbox.acked(*a);
                         }
                     }
                 }
                 Some(ToWorker::PushNack { nack }) => {
                     // The shard detected a damaged or quarantined push
                     // slice. Retransmit it from the clean arena — unless
-                    // the nack is stale (previous iteration, or the
-                    // barrier already closed over an intact duplicate) or
-                    // the slice is no longer tracked.
-                    let tracked = up.unacked.iter().position(|u| {
-                        u.iter == nack.iter
-                            && u.grad == nack.grad
-                            && u.offset_elems == nack.offset_elems
-                            && u.len_elems == nack.len_elems
-                    });
-                    if nack.iter == iter && !param_ready_seen[nack.grad] {
-                        if let Some(i) = tracked {
-                            up.unacked.swap_remove(i);
-                            let g = nack.grad;
-                            note_repush(&ctx, &mut attempts, &mut tlog, g);
-                            nack_bytes += (nack.len_elems * 4) as u64;
-                            up.push_slice(&ctx, g, nack.offset_elems, nack.len_elems);
-                        }
-                    }
+                    // the outbox no longer tracks it (a previous iteration,
+                    // or the barrier closed over an intact duplicate).
+                    let steps = up.outbox.nacked(nack);
+                    nack_bytes += if steps.is_empty() { 0 } else { nack.len * 4 };
+                    redo(&ctx, &mut up, &mut tlog, steps, false);
                 }
                 Some(ToWorker::PullData {
                     grad,
@@ -2577,18 +2395,21 @@ fn worker_thread(
                             bytes: frame.len as u64,
                             data: true,
                         });
-                        attempts[grad] += 1;
-                        tlog.emit(TraceEvent::RetryAttempt {
-                            worker: w,
-                            iter,
-                            grad,
-                            attempt: attempts[grad],
-                        });
-                        tlog.emit(TraceEvent::PullStart {
-                            worker: w,
-                            iter,
-                            grad,
-                        });
+                        if let Some(attempt) = up.outbox.fail(iter, grad, Dir::Pull) {
+                            tlog.emit(TraceEvent::RetryAttempt {
+                                worker: w,
+                                iter,
+                                grad,
+                                attempt,
+                            });
+                        }
+                        if up.outbox.restamp(iter, grad, Dir::Pull) {
+                            tlog.emit(TraceEvent::PullStart {
+                                worker: w,
+                                iter,
+                                grad,
+                            });
+                        }
                         txs[owner[grad]]
                             .send(ToPs::PullReq {
                                 worker: w,
@@ -2612,23 +2433,19 @@ fn worker_thread(
                         phases.wait_ns += t_gate.elapsed().as_nanos() as u64;
                     }
                     let t_apply = Instant::now();
-                    if eager_pull {
-                        // Wire bytes land straight in the model's parameter
-                        // storage — no staging buffer.
-                        model.set_param_slice_le(grad, offset_elems, &data);
-                    } else {
-                        // No corruption plan: the receive-time verify above
-                        // is skipped; decode into the parameter slice and
-                        // stream the frame CRC in the same pass instead.
-                        let dst = &mut model.param_slice_mut(grad)
-                            [offset_elems..offset_elems + data.len() / 4];
-                        let got = crc32::finish(fused_crc_apply(crc32::begin(), &data, dst));
-                        assert_eq!(
-                            got, frame.crc,
-                            "pull reply fails its frame CRC with no corruption plan armed \
-                             — genuine memory corruption"
-                        );
-                    }
+                    // One apply for every plan: wire bytes decode straight
+                    // into the model's parameter storage with the frame CRC
+                    // streamed in the same pass. A reply that got past the
+                    // receive-time verify above and still mismatches is
+                    // genuine memory corruption.
+                    let dst = &mut model.param_slice_mut(grad)
+                        [offset_elems..offset_elems + data.len() / 4];
+                    let got = crc32::finish(fused_crc_apply(crc32::begin(), &data, dst));
+                    assert_eq!(
+                        got, frame.crc,
+                        "pull reply fails the frame CRC it was admitted under — genuine \
+                         memory corruption"
+                    );
                     if gated {
                         gate.release();
                     }
@@ -2642,6 +2459,14 @@ fn worker_thread(
                         for &(g, _) in &task.pieces {
                             if pull_recv[g] == tensor_elems[g] && !pulled[g] {
                                 pulled[g] = true;
+                                if let Some(attempts) = up.outbox.delivered(iter, g) {
+                                    tlog.emit(TraceEvent::Recovered {
+                                        worker: w,
+                                        iter,
+                                        grad: g,
+                                        attempts,
+                                    });
+                                }
                                 tlog.emit(TraceEvent::PullEnd {
                                     worker: w,
                                     iter,
@@ -2653,31 +2478,23 @@ fn worker_thread(
                 }
                 Some(ToWorker::ShardRestarted { shard, epoch: e }) => {
                     // One shard lost its aggregation state. Re-push every
-                    // gradient IT owns that we started pushing but never
-                    // saw barrier-acknowledged, addressed to the new
-                    // incarnation. Other shards' gradients are untouched.
-                    // The scheduler is NOT consulted — it already accounted
-                    // for these bytes; this is transport-level recovery.
+                    // slice addressed to IT that no barrier has settled —
+                    // acknowledged or not — to the new incarnation. The
+                    // scheduler is NOT consulted — it already accounted for
+                    // these bytes; this is transport-level recovery.
                     ps_epochs[shard].set(e);
                     tlog.emit(TraceEvent::EpochAck {
                         worker: w,
                         shard,
                         epoch: e,
                     });
-                    // Slices addressed to the dead incarnation will never
-                    // be acked; the whole-prefix re-push replaces them.
-                    up.unacked.retain(|u| owner[u.grad] != shard);
-                    for g in 0..n {
-                        if owner[g] != shard || push_sent[g] == 0 || param_ready_seen[g] {
-                            continue;
-                        }
-                        note_repush(&ctx, &mut attempts, &mut tlog, g);
-                        up.push_slice(&ctx, g, 0, push_sent[g]);
-                    }
+                    let steps = up.outbox.restarted(|g| owner[g] == shard);
+                    redo(&ctx, &mut up, &mut tlog, steps, false);
                 }
             }
             if up.active {
-                resend_expired(&ctx, &mut up, &mut attempts, &mut tlog);
+                let steps = up.outbox.tick(ns_since(epoch));
+                redo(&ctx, &mut up, &mut tlog, steps, true);
             }
             drive(
                 &ctx,
@@ -2786,12 +2603,13 @@ mod tests {
     #[test]
     fn empty_plan_leaves_fault_machinery_dormant() {
         let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
-        let mut f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), Instant::now());
-        assert!(!f.active);
-        let start = Instant::now();
-        assert!(!f.doomed(start));
-        f.track(0, 0, 0, 16, 0);
-        assert!(f.unacked.is_empty(), "inactive faults must not track");
+        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), Instant::now());
+        assert!(!f.active, "inactive faults must not track sends");
+        let fate = f
+            .windows
+            .send_fate(0, |_| panic!("drew against an empty plan"));
+        assert_eq!(fate, None);
+        assert_eq!(f.outbox.next_deadline(), None);
     }
 
     #[test]

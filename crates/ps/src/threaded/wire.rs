@@ -3,6 +3,7 @@
 //! framed by a [`FrameHeader`] (length + CRC32) the receiver verifies
 //! before a single byte can reach an accumulator or a parameter buffer.
 
+use crate::protocol::Slice;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// CRC-32C (Castagnoli, reflected polynomial `0x82F63B78`) — the checksum
@@ -261,10 +262,8 @@ const FUSE_BLOCK: usize = 8192;
 /// is checksummed with the full-width kernel and then folded while still
 /// cache-hot, so the arithmetic is bit-identical to [`accumulate_f32_le`]
 /// and the CRC bit-identical to a straight [`crc32::update`] over the
-/// whole payload. Used by the barrier fold when verification is deferred
-/// (no corruption windows armed): the push payload is traversed **once**,
-/// where the eager path reads it twice (verify at receive, fold at
-/// barrier).
+/// whole payload. The barrier fold of sliced payloads: without a corruption
+/// plan it is the push payload's **only** traversal.
 ///
 /// Panics when the byte length is not `4 * acc.len()`.
 pub fn fused_crc_accumulate(mut crc: u32, bytes: &[u8], acc: &mut [f32]) -> u32 {
@@ -280,8 +279,7 @@ pub fn fused_crc_accumulate(mut crc: u32, bytes: &[u8], acc: &mut [f32]) -> u32 
 
 /// The overwriting sibling of [`fused_crc_accumulate`]: decode the payload
 /// into `dst` (`dst[i] = payload[i]`) while streaming it through the CRC
-/// state. Workers use it to verify-and-apply pull replies in one pass when
-/// no corruption windows are armed.
+/// state. Workers verify-and-apply pull replies with it in one pass.
 ///
 /// Panics when the byte length is not `4 * dst.len()`.
 pub fn fused_crc_apply(mut crc: u32, bytes: &[u8], dst: &mut [f32]) -> u32 {
@@ -295,17 +293,16 @@ pub fn fused_crc_apply(mut crc: u32, bytes: &[u8], dst: &mut [f32]) -> u32 {
     crc
 }
 
-/// Verify a frame and fold its payload into `acc` only on success — the
-/// composition the *eager* path is contractually held to: a corrupt frame
-/// is rejected before a single accumulator byte is written.
+/// Verify a frame and fold its payload into `acc` only on success: a
+/// corrupt frame is rejected before a single accumulator byte is written.
 ///
-/// This contract is exactly why full fusion is impossible under armed
-/// corruption: the whole-frame checksum is not known until the last
-/// payload byte has been read, by which point a fused loop would already
-/// have written most of the accumulator. Clean-plan runs therefore defer
-/// the CRC into the barrier fold ([`fused_crc_accumulate`], where a
-/// mismatch is a panic — genuine memory corruption, not an injected
-/// fault), while corruption-armed runs pay the second traversal here.
+/// This contract is why a corruption-armed run cannot *rely* on the fused
+/// fold: the whole-frame checksum is not known until the last payload byte
+/// has been read, by which point a fused loop has already written most of
+/// the accumulator. Such runs therefore verify at receive — the same two
+/// traversals as this reference composition, which the benchmark times —
+/// and every run's barrier fold is [`fused_crc_accumulate`], where a
+/// mismatch is a panic: genuine memory corruption, not an injected fault.
 pub fn verify_accumulate(bytes: &[u8], frame: &FrameHeader, acc: &mut [f32]) -> bool {
     if !frame.verify(bytes) {
         return false;
@@ -346,14 +343,14 @@ impl FrameHeader {
 /// the worker is dropped whole — its slices stay in the sender's ack
 /// ledger until the barrier's `ParamReady` (or a timeout resend) clears
 /// them.
-pub fn acks_checksum(acks: &[Ack]) -> u32 {
+pub fn acks_checksum(acks: &[Slice]) -> u32 {
     let mut crc = crc32::begin();
     for a in acks {
         let mut buf = [0u8; 40];
         buf[0..8].copy_from_slice(&a.iter.to_le_bytes());
-        buf[8..16].copy_from_slice(&(a.grad as u64).to_le_bytes());
-        buf[16..24].copy_from_slice(&(a.offset_elems as u64).to_le_bytes());
-        buf[24..32].copy_from_slice(&(a.len_elems as u64).to_le_bytes());
+        buf[8..16].copy_from_slice(&(a.tensor as u64).to_le_bytes());
+        buf[16..24].copy_from_slice(&a.offset.to_le_bytes());
+        buf[24..32].copy_from_slice(&a.len.to_le_bytes());
         buf[32..40].copy_from_slice(&a.epoch.to_le_bytes());
         crc = crc32::update(crc, &buf);
     }
@@ -435,17 +432,16 @@ pub fn decode_f32(bytes: &Bytes) -> Vec<f32> {
 /// Worker → PS messages.
 #[derive(Debug, Clone)]
 pub enum ToPs {
-    /// A slice of gradient `grad` for iteration `iter` from `worker`,
-    /// starting at element `offset_elems`.
+    /// One slice of a gradient from `worker`.
     Push {
         /// Sending worker index.
         worker: usize,
-        /// BSP iteration the gradient belongs to.
-        iter: u64,
-        /// Gradient id.
-        grad: usize,
-        /// First element of the slice within the tensor.
-        offset_elems: usize,
+        /// Which elements of which iteration's gradient, as the sender
+        /// tracks the send — what acks and nacks name, whatever bytes
+        /// arrive — and the PS incarnation it is addressed to. A push
+        /// carrying a stale epoch raced a crash-restart and is discarded —
+        /// the sender re-pushes after [`ToWorker::ShardRestarted`].
+        slice: Slice,
         /// The payload.
         data: Bytes,
         /// Length + CRC32 framing computed by the sender over the
@@ -453,10 +449,6 @@ pub enum ToPs {
         /// a mismatch means in-flight corruption and earns the sender a
         /// [`ToWorker::PushNack`] instead of an ack.
         frame: FrameHeader,
-        /// PS incarnation this push is addressed to. A push carrying a
-        /// stale epoch raced a crash-restart and is discarded — the
-        /// sender re-pushes after [`ToWorker::ShardRestarted`].
-        epoch: u64,
     },
     /// Request `len_elems` of parameter tensor `grad` from `offset_elems`.
     PullReq {
@@ -500,8 +492,8 @@ pub enum ToWorker {
         /// catch stale (pre-crash) deliveries.
         epoch: u64,
     },
-    /// A batch of accepted push slices. A shard queues one [`Ack`] per
-    /// accepted slice and flushes the batch when its inbox drains (or when
+    /// A batch of accepted push slices, each named as the sender tracks it
+    /// (extents in elements). A shard queues one entry per accepted slice and flushes the batch when its inbox drains (or when
     /// the batch hits the flush cap), so the ack return path costs one
     /// message per (worker, flush) instead of one per slice. Acks are not
     /// barrier-gated — a sender's ack timeout measures the wire, never
@@ -509,7 +501,7 @@ pub enum ToWorker {
     /// (or addressed to a dead incarnation) and must be retransmitted.
     PushAcks {
         /// The acknowledged slices, in acceptance order.
-        acks: Vec<Ack>,
+        acks: Vec<Slice>,
         /// [`acks_checksum`] over the batch. A worker that computes a
         /// different value drops the whole batch: the acknowledged slices
         /// were delivered, so the barrier's `ParamReady` (or, at worst,
@@ -522,7 +514,7 @@ pub enum ToWorker {
     /// named slice from its clean arena copy.
     PushNack {
         /// Identity of the rejected slice, same shape as an ack.
-        nack: Ack,
+        nack: Slice,
     },
     /// Reply to a [`ToPs::PullReq`].
     PullData {
@@ -548,21 +540,6 @@ pub enum ToWorker {
         /// The shard's new incarnation number.
         epoch: u64,
     },
-}
-
-/// One acknowledged push slice inside a [`ToWorker::PushAcks`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
-    /// BSP iteration of the acknowledged slice.
-    pub iter: u64,
-    /// Gradient id.
-    pub grad: usize,
-    /// First element of the acknowledged slice.
-    pub offset_elems: usize,
-    /// Element count of the acknowledged slice.
-    pub len_elems: usize,
-    /// Shard incarnation that accepted it.
-    pub epoch: u64,
 }
 
 #[cfg(test)]
@@ -825,14 +802,14 @@ mod tests {
 
     #[test]
     fn ack_batch_checksum_is_order_and_field_sensitive() {
-        let a = Ack {
+        let a = Slice {
             iter: 3,
-            grad: 7,
-            offset_elems: 0,
-            len_elems: 128,
+            tensor: 7,
+            offset: 0,
+            len: 128,
             epoch: 1,
         };
-        let b = Ack { grad: 8, ..a };
+        let b = Slice { tensor: 8, ..a };
         assert_eq!(acks_checksum(&[a, b]), acks_checksum(&[a, b]));
         assert_ne!(acks_checksum(&[a, b]), acks_checksum(&[b, a]));
         assert_ne!(acks_checksum(&[a]), acks_checksum(&[b]));

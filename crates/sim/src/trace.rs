@@ -478,14 +478,18 @@ const RING: usize = 24;
 ///   pull_start ≤ pull_end ≤ fwd_start`, each stamped exactly once per
 ///   `(worker, iter, grad)`;
 /// * BSP barrier sanity — a barrier fires exactly once per `(iter, grad)`,
-///   only after all `workers` pushes arrived, while every worker is in
-///   that iteration; pulls may not start before their barrier;
+///   only after every live worker's push arrived (each counted once),
+///   while every worker is in that iteration; pulls may not start before
+///   their barrier. The **receiver** is the authority on arrivals: only a
+///   shard's own crash (`FaultStart{ShardCrash}`) voids what it had staged
+///   for its still-open barriers; a sender's retry never does;
 /// * per-flow byte conservation — every `FlowEnd` matches a `FlowStart`
 ///   and delivered what was requested (±1 byte of fluid rounding), and no
 ///   flow is left dangling at [`InvariantChecker::finish`];
 /// * fault/retry sanity — retries number consecutively from 1 per
-///   `(worker, iter, grad)` and un-stamp the failed attempt (so the next
-///   `PushStart`/`PullStart` re-stamps exactly once per attempt), a
+///   `(worker, iter, grad)` and un-stamp the sender's view of the failed
+///   attempt (so the next `PushStart`/`PullStart` re-stamps exactly once
+///   per attempt, and a `PushEnd` for the earlier copy may land first), a
 ///   `Recovered` event must match the retry count, a killed flow closes
 ///   its `FlowStart` without the byte-conservation check (the partial
 ///   bytes were discarded), and no BSP barrier may fire for a gradient
@@ -524,8 +528,8 @@ pub struct InvariantChecker {
     events_seen: u64,
     ring: VecDeque<String>,
     grads: HashMap<(usize, u64, usize), GradTimes>,
-    /// `(iter, grad)` → number of workers whose push fully arrived.
-    push_arrivals: HashMap<(u64, usize), usize>,
+    /// `(iter, grad)` → which workers' pushes fully arrived.
+    push_arrivals: HashMap<(u64, usize), Vec<bool>>,
     /// `(iter, grad)` → barrier instant.
     barriers: HashMap<(u64, usize), SimTime>,
     /// Current iteration of each worker (None before its first IterBegin).
@@ -795,6 +799,9 @@ impl TraceSink for InvariantChecker {
             TraceEvent::PushEnd { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
                 match c.push_start {
+                    // Mid-retry the sender's stamp is void while the copy
+                    // it gave up on may still arrive.
+                    None if self.retries.contains_key(&(worker, iter, grad)) => {}
                     None => self.fail(format!(
                         "push_end without push_start for gradient {grad} (w{worker})"
                     )),
@@ -809,10 +816,12 @@ impl TraceSink for InvariantChecker {
                     ));
                 }
                 self.cell(worker, iter, grad).push_end = Some(at);
-                *self.push_arrivals.entry((iter, grad)).or_insert(0) += 1;
-                if self.push_arrivals[&(iter, grad)] > self.workers {
+                let workers = self.workers;
+                let who = self.push_arrivals.entry((iter, grad));
+                let who = who.or_insert_with(|| vec![false; workers]);
+                if std::mem::replace(&mut who[worker], true) {
                     self.fail(format!(
-                        "more push arrivals than workers for (iter {iter}, grad {grad})"
+                        "push of worker {worker} counted twice for (iter {iter}, grad {grad})"
                     ));
                 }
             }
@@ -825,7 +834,10 @@ impl TraceSink for InvariantChecker {
                 if self.barriers.contains_key(&(iter, grad)) {
                     self.fail(format!("duplicate barrier for (iter {iter}, grad {grad})"));
                 }
-                let arrived = self.push_arrivals.get(&(iter, grad)).copied().unwrap_or(0);
+                let arrived = self
+                    .push_arrivals
+                    .get(&(iter, grad))
+                    .map_or(0, |who| who.iter().filter(|&&a| a).count());
                 let expected = self.live_workers();
                 if arrived != expected {
                     self.fail(format!(
@@ -968,6 +980,12 @@ impl TraceSink for InvariantChecker {
                 }
                 if kind == FaultKind::ShardCrash {
                     self.down_shards.insert(node);
+                    // The crash voids what the shard had staged for its
+                    // open barriers; every member must arrive again.
+                    let mut arrivals = std::mem::take(&mut self.push_arrivals);
+                    arrivals
+                        .retain(|k, _| self.barriers.contains_key(k) || self.shard_of(k.1) != node);
+                    self.push_arrivals = arrivals;
                 }
             }
             TraceEvent::FaultEnd { kind, node } => {
@@ -1001,13 +1019,13 @@ impl TraceSink for InvariantChecker {
                 // Un-stamp the failed attempt so the re-send stamps
                 // PushStart/PullStart exactly once per attempt. A pull
                 // retry is one whose pull had started but not finished;
-                // anything else is a push retry.
+                // anything else is a push retry — which voids only the
+                // sender's stamps, never the receiver's arrival count.
                 let mut c = *self.cell(worker, iter, grad);
-                let mut void_arrival = false;
                 if c.pull_start.is_some() && c.pull_end.is_none() {
                     c.pull_start = None;
                 } else if c.push_start.is_some() && c.pull_end.is_none() {
-                    void_arrival = c.push_end.take().is_some();
+                    c.push_end = None;
                     c.push_start = None;
                 } else {
                     self.fail(format!(
@@ -1015,23 +1033,6 @@ impl TraceSink for InvariantChecker {
                     ));
                 }
                 *self.cell(worker, iter, grad) = c;
-                if void_arrival {
-                    // The arrival this worker contributed is void; the
-                    // replay must bring the count back to `workers`
-                    // before any barrier fires.
-                    let voided = match self.push_arrivals.get_mut(&(iter, grad)) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            true
-                        }
-                        _ => false,
-                    };
-                    if !voided {
-                        self.fail(format!(
-                            "retry voids an arrival that was never counted (iter {iter}, grad {grad})"
-                        ));
-                    }
-                }
             }
             TraceEvent::Recovered {
                 worker,
@@ -2168,19 +2169,21 @@ mod tests {
                 grad: 0,
             },
         );
+        // The crash voids earlier arrivals, so the one that matters here
+        // lands while the shard is down.
+        c.on_event(
+            at(3),
+            &FaultStart {
+                kind: FaultKind::ShardCrash,
+                node: 0,
+            },
+        );
         c.on_event(
             at(4),
             &PushEnd {
                 worker: 0,
                 iter: 0,
                 grad: 0,
-            },
-        );
-        c.on_event(
-            at(5),
-            &FaultStart {
-                kind: FaultKind::ShardCrash,
-                node: 0,
             },
         );
         c.on_event(at(6), &Barrier { iter: 0, grad: 0 });
@@ -2240,92 +2243,131 @@ mod tests {
         c.on_event(at(1), &ev);
     }
 
-    #[test]
-    fn retry_voids_push_arrival_so_barrier_waits_for_replay() {
-        // A push that fully arrived, then was invalidated by a shard crash
-        // and replayed: the barrier must only fire after the replay lands.
-        let mut c = InvariantChecker::new(1, true).with_shards(1);
+    /// Worker 0 of a 1-worker, 1-shard run, its iteration-0 push of
+    /// gradient 0 fully arrived (through `t = 4`).
+    fn arrived_push() -> Vec<(SimTime, TraceEvent)> {
         use TraceEvent::*;
-        feed(
-            &mut c,
-            &[
-                (at(0), IterBegin { worker: 0, iter: 0 }),
-                (
-                    at(1),
-                    GradReady {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                    },
-                ),
-                (
-                    at(2),
-                    PushStart {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                    },
-                ),
-                (
-                    at(4),
-                    PushEnd {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                    },
-                ),
-                (
-                    at(5),
-                    FaultStart {
-                        kind: FaultKind::ShardCrash,
-                        node: 0,
-                    },
-                ),
-                (
-                    at(5),
-                    RetryAttempt {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                        attempt: 1,
-                    },
-                ),
-                (
-                    at(9),
-                    FaultEnd {
-                        kind: FaultKind::ShardCrash,
-                        node: 0,
-                    },
-                ),
-                (
-                    at(10),
-                    PushStart {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                    },
-                ),
-                (
-                    at(12),
-                    PushEnd {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                    },
-                ),
-                (
-                    at(12),
-                    Recovered {
-                        worker: 0,
-                        iter: 0,
-                        grad: 0,
-                        attempts: 1,
-                    },
-                ),
-                (at(12), Barrier { iter: 0, grad: 0 }),
-            ],
-        );
+        let (worker, iter, grad) = (0, 0, 0);
+        vec![
+            (at(0), IterBegin { worker, iter }),
+            (at(1), GradReady { worker, iter, grad }),
+            (at(2), PushStart { worker, iter, grad }),
+            (at(4), PushEnd { worker, iter, grad }),
+        ]
+    }
+
+    fn crash(at_ms: u64, start: bool) -> (SimTime, TraceEvent) {
+        let (kind, node) = (FaultKind::ShardCrash, 0);
+        let ev = if start {
+            TraceEvent::FaultStart { kind, node }
+        } else {
+            TraceEvent::FaultEnd { kind, node }
+        };
+        (at(at_ms), ev)
+    }
+
+    #[test]
+    fn shard_crash_voids_arrivals_so_barrier_waits_for_replay() {
+        // A push that fully arrived, then was wiped by its shard's crash
+        // and replayed: the barrier fires only after the replay lands.
+        use TraceEvent::*;
+        let (worker, iter, grad) = (0, 0, 0);
+        let mut evs = arrived_push();
+        evs.push(crash(5, true));
+        evs.extend([
+            (
+                at(5),
+                RetryAttempt {
+                    worker,
+                    iter,
+                    grad,
+                    attempt: 1,
+                },
+            ),
+            crash(9, false),
+            (at(10), PushStart { worker, iter, grad }),
+            (at(12), PushEnd { worker, iter, grad }),
+            (
+                at(12),
+                Recovered {
+                    worker,
+                    iter,
+                    grad,
+                    attempts: 1,
+                },
+            ),
+            (at(12), Barrier { iter, grad }),
+        ]);
+        let mut c = InvariantChecker::new(1, true).with_shards(1);
+        feed(&mut c, &evs);
         c.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "after 0/1 pushes")]
+    fn barrier_on_arrivals_a_crash_wiped_is_rejected() {
+        let mut evs = arrived_push();
+        evs.extend([crash(5, true), crash(9, false)]);
+        evs.push((at(10), TraceEvent::Barrier { iter: 0, grad: 0 }));
+        feed(&mut InvariantChecker::new(1, true).with_shards(1), &evs);
+    }
+
+    #[test]
+    fn sender_retry_never_voids_a_staged_arrival() {
+        // A spurious ack timeout: the sender opens a retry for a push the
+        // shard already staged and counted. The shard drops the re-send as
+        // a duplicate and closes the barrier on its own count — legal.
+        use TraceEvent::*;
+        let (worker, iter, grad) = (0, 0, 0);
+        let mut evs = arrived_push();
+        evs.extend([
+            (
+                at(5),
+                RetryAttempt {
+                    worker,
+                    iter,
+                    grad,
+                    attempt: 1,
+                },
+            ),
+            (at(5), PushStart { worker, iter, grad }),
+            (at(6), Barrier { iter, grad }),
+            (
+                at(7),
+                Recovered {
+                    worker,
+                    iter,
+                    grad,
+                    attempts: 1,
+                },
+            ),
+            (at(8), PullStart { worker, iter, grad }),
+        ]);
+        feed(&mut InvariantChecker::new(1, true).with_shards(1), &evs);
+    }
+
+    #[test]
+    #[should_panic(expected = "counted twice")]
+    fn a_push_counted_twice_is_rejected() {
+        // The sender's retry un-stamps its own view, so only the arrival
+        // set can catch a receiver that stages the re-send as new.
+        use TraceEvent::*;
+        let (worker, iter, grad) = (0, 0, 0);
+        let mut evs = arrived_push();
+        evs.extend([
+            (
+                at(5),
+                RetryAttempt {
+                    worker,
+                    iter,
+                    grad,
+                    attempt: 1,
+                },
+            ),
+            (at(5), PushStart { worker, iter, grad }),
+            (at(6), PushEnd { worker, iter, grad }),
+        ]);
+        feed(&mut InvariantChecker::new(1, true).with_shards(1), &evs);
     }
 
     #[test]

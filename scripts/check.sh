@@ -8,7 +8,8 @@
 #            slowest simulation suites are `#[cfg_attr(debug_assertions,
 #            ignore)]` so this tier stays fast)
 #   release  release build + release-profile tests with `--include-ignored`
-#            (the trimmed suites at full iteration counts)
+#            (the trimmed suites at full iteration counts), then the
+#            flake gate (scripts/stress.sh) and the 50-plan sweeps
 #   all      both tiers (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,6 +62,9 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
     # chaos sweep (full scheduler lineup x 25 plans) behind its
     # `#[cfg_attr(debug_assertions, ignore)]` gates.
     cargo test --offline --release -q --lib --bins --tests -- --include-ignored
+
+    echo "==> flake gate (scripts/stress.sh: threaded suites, 20 rounds each on one core)"
+    ./scripts/stress.sh
 
     echo "==> chaos sweep (seed 42, 50 plans per strategy)"
     PROPHET_RESULTS_DIR="$(mktemp -d)" \

@@ -150,44 +150,36 @@ fn prophet_enters_and_exits_degraded_mode_under_a_fault_burst() {
 )]
 fn adapted_retry_timeout_prevents_degrade_induced_thrash() {
     // VGG19's fc6 is ~411 MB; at 10 Gb/s x a 0.02 degrade factor the push
-    // takes ~16 s — far past the flat 5 s ack deadline. Without adaptation
-    // every send times out, is killed, and retries against the same slow
-    // link: pure thrash with the wire never at fault. The link-adapted
-    // deadline (satellite of the chaos PR) sizes itself to the worst-case
-    // whole-tensor transfer and rides the window out.
-    let mk = |adapt: bool| {
-        let mut c = ClusterConfig::paper_cell(
-            2,
-            10.0,
-            TrainingJob::paper_setup("vgg19", 16),
-            SchedulerKind::Fifo,
-        );
-        c.warmup_iters = 1;
-        c.adapt_retry_timeout = adapt;
-        c.fault_plan = FaultPlan::new(vec![FaultSpec::LinkDegrade {
-            node: 2,
-            at: SimTime::ZERO + Duration::from_millis(100),
-            factor: 0.02,
-            dur: Duration::from_secs(30),
-        }]);
-        c
-    };
-    let thrash = run_cluster(&mk(false), 2);
-    assert!(
-        thrash.fault_stats.retries > 0,
-        "flat 5 s timeout should thrash on a 16 s transfer: {:?}",
-        thrash.fault_stats
+    // takes ~16 s — far past the flat 5 s ack deadline, under which every
+    // send would time out, be killed, and retry against the same slow link:
+    // pure thrash with the wire never at fault. The link-adapted deadline
+    // sizes itself to the worst-case whole-tensor transfer and rides the
+    // window out.
+    let mut cfg = ClusterConfig::paper_cell(
+        2,
+        10.0,
+        TrainingJob::paper_setup("vgg19", 16),
+        SchedulerKind::Fifo,
     );
-    let adapted = run_cluster(&mk(true), 2);
+    cfg.warmup_iters = 1;
+    cfg.fault_plan = FaultPlan::new(vec![FaultSpec::LinkDegrade {
+        node: 2,
+        at: SimTime::ZERO + Duration::from_millis(100),
+        factor: 0.02,
+        dur: Duration::from_secs(30),
+    }]);
+    // The hazard, on the policy itself: the flat deadline is shorter than
+    // the degraded transfer; the adapted one covers it with margin.
+    let fc6 = cfg.job.sizes().iter().copied().max().unwrap();
+    let transfer = Duration::for_bytes(fc6, cfg.worker_bps * 0.02);
+    assert!(cfg.retry.timeout < transfer, "cell no longer thrashes flat");
+    let adapted = cfg.retry.adapted_to_link(fc6, cfg.worker_bps, 0.02, 2.0);
+    assert_eq!(cfg.effective_retry(), adapted);
+    assert!(adapted.timeout >= transfer + transfer);
+    let r = run_cluster(&cfg, 2);
     assert_eq!(
-        adapted.fault_stats.retries, 0,
+        r.fault_stats.retries, 0,
         "adapted deadline still killed healthy-but-slow transfers: {:?}",
-        adapted.fault_stats
-    );
-    assert!(
-        adapted.duration < thrash.duration,
-        "not thrashing should finish sooner: {:?} vs {:?}",
-        adapted.duration,
-        thrash.duration
+        r.fault_stats
     );
 }

@@ -96,6 +96,42 @@ fn nack_retransmits_pay_for_corrupted_pushes() {
 }
 
 #[test]
+fn spurious_timeout_resend_of_a_staged_push() {
+    // A 1 µs ack timeout under a loss window that loses nothing: the fault
+    // machinery is live, nothing is ever damaged, and nearly every push is
+    // re-sent before its ack can arrive — after the shard staged it and
+    // counted its worker done. The shard drops the re-send as a duplicate
+    // and closes the barrier on its own count; only the receiver can void
+    // an arrival, so the sender's retry episode must not un-count it.
+    let mut cfg = ThreadedConfig::small(
+        3,
+        SchedulerKind::P3 {
+            partition_bytes: 1 << 9,
+        },
+    );
+    cfg.global_batch = 48;
+    cfg.iterations = 10;
+    cfg.retry = RetryPolicy {
+        base: Duration::from_micros(1),
+        cap: Duration::from_micros(2),
+        timeout: Duration::from_micros(1),
+    };
+    cfg.fault_plan = FaultPlan::new(vec![FaultSpec::MsgLoss {
+        rate: 0.0,
+        at: SimTime::ZERO,
+        dur: Duration::from_secs(60),
+    }]);
+    let mut retries = 0;
+    for round in 0..20 {
+        let r = assert_bit_identical_to_fault_free(&cfg, &format!("round {round}"));
+        assert_eq!(r.messages_lost, 0, "a rate-0 window lost a message");
+        assert!(r.events_checked > 0, "checker not wired");
+        retries += r.retries;
+    }
+    assert!(retries > 0, "no ack ever missed a 1 µs deadline — vacuous");
+}
+
+#[test]
 fn corrupted_runs_compute_one_model() {
     // Wall-clock corruption windows make the *detection counts* timing-
     // dependent (like `messages_lost` under `MsgLoss`), but the computed
