@@ -36,13 +36,16 @@ fn bench_sim_scale(c: &mut Criterion) {
     // worth says what every sample did.
     let mut counts: Vec<(String, NetStats)> = Vec::new();
     let mut g = c.benchmark_group("iteration");
-    g.sample_size(3);
     for &w in scales {
+        // The smallest cells are cheap and feed a ratio of two ~60 ms
+        // medians: give them more samples.
+        g.sample_size(if w == SCALES[0] { 9 } else { 3 });
         for kind in [
             SchedulerKind::Fifo,
             SchedulerKind::ProphetOracle(prophet::core::ProphetConfig::paper_default(1.25e9)),
         ] {
             let id = format!("{}_{w}", kind.label());
+            let twin = w == SCALES[0] && matches!(kind, SchedulerKind::Fifo);
             let cfg = cell(w, kind);
             let mut stats = NetStats::default();
             g.bench_function(&id, |b| {
@@ -53,6 +56,16 @@ fn bench_sim_scale(c: &mut Criterion) {
                 })
             });
             counts.push((id, stats));
+            if twin {
+                // The same cell with the invariant checker on, right after
+                // its unchecked twin so host speed drift cancels: what
+                // watching costs.
+                let mut cfg = cfg.clone();
+                cfg.check_invariants = true;
+                g.bench_function(&format!("mxnet-fifo_{w}_checked"), |b| {
+                    b.iter(|| black_box(run_cluster(&cfg, 2).duration))
+                });
+            }
         }
     }
     g.finish();
@@ -75,6 +88,11 @@ fn bench_sim_scale(c: &mut Criterion) {
             median(&format!("prophet-oracle_{w}")) / median(&format!("mxnet-fifo_{w}")),
         ));
     }
+    derived.push((
+        format!("checked_over_unchecked_host_ratio_{}", SCALES[0]),
+        median(&format!("mxnet-fifo_{}_checked", SCALES[0]))
+            / median(&format!("mxnet-fifo_{}", SCALES[0])),
+    ));
     for (id, s) in &counts {
         let msgs = s.completions as f64;
         for (name, count) in [

@@ -23,9 +23,13 @@ pub trait Layer: Send {
 
     /// Reset accumulated gradients to zero.
     fn zero_grads(&mut self);
+
+    /// A deep copy behind a fresh box (what makes a model `Clone`).
+    fn boxed_clone(&self) -> Box<dyn Layer>;
 }
 
 /// Fully connected layer `y = x · w + b`.
+#[derive(Clone)]
 pub struct Dense {
     w: Tensor,        // in × out
     b: Tensor,        // 1 × out
@@ -100,9 +104,14 @@ impl Layer for Dense {
         self.dw.data.fill(0.0);
         self.db.data.fill(0.0);
     }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 /// Rectified linear unit.
+#[derive(Clone)]
 pub struct Relu {
     mask: Vec<bool>,
 }
@@ -151,6 +160,10 @@ impl Layer for Relu {
     }
 
     fn zero_grads(&mut self) {}
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,15 @@ pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
 }
 
+/// A deep copy: same parameter bits, without re-drawing the initialisation.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.iter().map(|l| l.boxed_clone()).collect(),
+        }
+    }
+}
+
 impl Mlp {
     /// Build from layer widths, e.g. `[64, 128, 128, 10]` = three Dense
     /// layers with ReLU between them. Deterministic per seed.

@@ -377,9 +377,10 @@ impl Network {
     }
 
     /// Take every ledger entry accumulated since the last drain, in
-    /// chronological order.
-    pub fn drain_events(&mut self) -> Vec<(SimTime, NetEvent)> {
-        std::mem::take(&mut self.events)
+    /// chronological order. The ledger keeps its storage, so draining after
+    /// every completion does not re-allocate it.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, NetEvent)> {
+        self.events.drain(..)
     }
 
     /// The transport model in use.
@@ -1422,9 +1423,8 @@ mod tests {
         net.record_events(true);
         net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 2000, 9);
         net.kill_flow(SimTime::from_secs_f64(1.0), 9);
-        let events = net.drain_events();
         assert!(matches!(
-            events.last(),
+            net.drain_events().next_back(),
             Some((_, NetEvent::FlowKilled { tag: 9, .. }))
         ));
     }

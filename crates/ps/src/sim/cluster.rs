@@ -349,9 +349,14 @@ impl Cluster {
                 .with_shards(shards)
                 .with_joiners(joiners)
         });
-        let span_sink = cfg
-            .typed_trace
-            .then(|| SpanCollector::new().with_shards(shards));
+        let span_sink = cfg.typed_trace.then(|| {
+            let grads = cfg.job.num_gradients();
+            SpanCollector::new().with_shards(shards).with_capacity(
+                total_workers,
+                total_iters as usize,
+                grads,
+            )
+        });
         if checker.is_some() || span_sink.is_some() {
             net.record_events(true);
         }
@@ -527,9 +532,7 @@ impl Cluster {
         if !self.sinks_active() {
             return;
         }
-        for e in self.net.drain_events() {
-            self.pending_net.push_back(e);
-        }
+        self.pending_net.extend(self.net.drain_events());
         while let Some(&(at, _)) = self.pending_net.front() {
             if at > t {
                 break;

@@ -807,8 +807,10 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         cfg.noise,
         cfg.seed,
     ));
-    let template = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
-    let tensor_elems: Arc<Vec<usize>> = Arc::new(template.tensor_sizes());
+    // The one initialisation draw of the run (a Box–Muller per weight):
+    // every worker starts from a copy of it, and it evaluates the result.
+    let mut model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
+    let tensor_elems: Arc<Vec<usize>> = Arc::new(model.tensor_sizes());
     let sizes_bytes: Arc<Vec<u64>> = Arc::new(tensor_elems.iter().map(|&n| n as u64 * 4).collect());
     let n_tensors = tensor_elems.len();
     let map = Arc::new(ShardMap::balanced(&sizes_bytes, cfg.ps_shards));
@@ -840,7 +842,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     // The durable store's initial snapshot is only materialised when a
     // shard death actually arms it.
     let store_init: Vec<Vec<f32>> = if armed {
-        template.param_slices().iter().map(|s| s.to_vec()).collect()
+        model.param_slices().iter().map(|s| s.to_vec()).collect()
     } else {
         Vec::new()
     };
@@ -902,7 +904,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
                         owner_epochs[idx - 1].1[g]
                     });
                     init.push(if idx == 0 {
-                        template.param_slices()[g].to_vec()
+                        model.param_slices()[g].to_vec()
                     } else {
                         Vec::new()
                     });
@@ -957,10 +959,12 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         let rx = rx_slot.take().unwrap();
         let txs = shard_txs.clone();
         let tlog = log.thread_log();
+        let model = model.clone();
         handles.push(std::thread::spawn(move || {
             worker_thread(
                 w,
                 cfg,
+                model,
                 dataset,
                 tensor_elems,
                 sizes_bytes,
@@ -1033,7 +1037,6 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     }
 
     // Evaluate the final model on the training set.
-    let mut model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     for (id, p) in final_params.iter().enumerate() {
         model.set_param(id, p);
     }
@@ -2085,6 +2088,7 @@ impl ComputeGate {
 fn worker_thread(
     w: usize,
     cfg: Arc<ThreadedConfig>,
+    mut model: Mlp,
     dataset: Arc<Dataset>,
     tensor_elems: Arc<Vec<usize>>,
     sizes_bytes: Arc<Vec<u64>>,
@@ -2119,7 +2123,6 @@ fn worker_thread(
         };
     }
     let evicted = mem.leaves_at(w).is_some();
-    let mut model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     let mut sched: Box<dyn CommScheduler> =
         cfg.scheduler.build_from_sizes(sizes_bytes.as_ref().clone());
     let mut up = Uplink::new(w, shards, &cfg, windows, epoch);

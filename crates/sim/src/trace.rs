@@ -14,10 +14,18 @@
 //!    recent event history attached; [`SpanCollector`] folds the stream
 //!    into per-`(worker, gradient, iteration)` [`GradSpan`]s (compute,
 //!    queue-wait, push, aggregate, pull) for CSV/Gantt export.
+//!
+//! **The cost of watching** (DESIGN.md §17): nothing on the event path
+//! allocates or formats. Both sinks index one dense table type, `IterRows`
+//! (rows keyed by iteration, cells by gradient id, released rows recycled),
+//! the checker's diagnostic ring keeps the last [`TraceEvent`] *values* and
+//! renders them only inside the failure path, and every other lookup is a
+//! `Vec` index by worker, shard or gradient. A checker that costs a
+//! fraction of the run it watches is one nobody switches off.
 
 use crate::fault::FaultKind;
 use crate::time::SimTime;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One completed interval on a lane: e.g. "push gradient 30 on worker-0/net".
@@ -120,43 +128,12 @@ impl TraceRecorder {
         if self.spans.is_empty() {
             return String::from("(empty trace)\n");
         }
-        let t0 = self.spans.iter().map(|s| s.start).min().unwrap();
-        let t1 = self.spans.iter().map(|s| s.end).max().unwrap();
-        let range = (t1.saturating_since(t0)).as_secs_f64().max(1e-12);
-
-        let mut lanes: Vec<&str> = Vec::new();
-        for s in &self.spans {
-            if !lanes.contains(&s.lane.as_str()) {
-                lanes.push(&s.lane);
-            }
-        }
-        let name_w = lanes.iter().map(|l| l.len()).max().unwrap_or(0).max(4);
-
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:name_w$} |{}| {:.3}ms..{:.3}ms",
-            "lane",
-            "-".repeat(width),
-            t0.as_millis_f64(),
-            t1.as_millis_f64()
-        );
-        for lane in lanes {
-            let mut row = vec![b' '; width];
-            for s in self.spans.iter().filter(|s| s.lane == lane) {
-                let a =
-                    ((s.start.saturating_since(t0)).as_secs_f64() / range * width as f64) as usize;
-                let b = ((s.end.saturating_since(t0)).as_secs_f64() / range * width as f64).ceil()
-                    as usize;
-                let b = b.clamp(a + 1, width);
-                let ch = s.label.bytes().next().unwrap_or(b'#');
-                for c in &mut row[a.min(width - 1)..b] {
-                    *c = ch;
-                }
-            }
-            let _ = writeln!(out, "{:name_w$} |{}|", lane, String::from_utf8_lossy(&row));
-        }
-        out
+        let glyph = |s: &Span| s.label.bytes().next().unwrap_or(b'#');
+        let bars = self
+            .spans
+            .iter()
+            .map(|s| (s.lane.as_str(), s.start, s.end, glyph(s)));
+        ascii_gantt(&bars.collect::<Vec<_>>(), str::to_owned, width).0
     }
 
     /// Number of recorded spans.
@@ -449,8 +426,9 @@ pub trait TraceSink {
     fn on_event(&mut self, at: SimTime, ev: &TraceEvent);
 }
 
-/// Per-`(worker, iter, grad)` timestamp cell shared by the checker and the
-/// span collector.
+/// Per-`(worker, iter, grad)` cell shared by the checker and the span
+/// collector: the gradient's timestamps, plus (checker only) the number of
+/// retries in its open retry episode.
 #[derive(Debug, Clone, Copy, Default)]
 struct GradTimes {
     ready: Option<SimTime>,
@@ -460,6 +438,136 @@ struct GradTimes {
     pull_end: Option<SimTime>,
     fwd_start: Option<SimTime>,
     fwd_end: Option<SimTime>,
+    retries: u32,
+}
+
+/// `v[i]`, growing `v` with defaults until the index exists.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
+/// `v[i]`, or the default where `v` never grew that far.
+fn peek<T: Copy + Default>(v: &[T], i: usize) -> T {
+    v.get(i).copied().unwrap_or_default()
+}
+
+/// Iteration-keyed rows of dense cells — the one table both sinks index on
+/// every event: `(iter, index) → T`, where a cell never written reads as
+/// `T::default()`. Few rows are live at once in the checker (a worker
+/// references its current iteration; barrier records reach one iteration
+/// back) and the collector's newest row is the one in use, so a lookup
+/// scans from the newest row. A released row keeps its storage for the
+/// next iteration, which is what makes the steady state allocation-free.
+#[derive(Debug, Default)]
+struct IterRows<T> {
+    live: Vec<(u64, Vec<T>)>,
+    spare: Vec<Vec<T>>,
+}
+
+impl<T: Copy + Default> IterRows<T> {
+    /// Storage for `rows` more rows of `width` cells, so filling them
+    /// allocates nothing.
+    fn reserve(&mut self, rows: usize, width: usize) {
+        self.live.reserve(rows);
+        self.spare
+            .extend((0..rows).map(|_| Vec::with_capacity(width)));
+    }
+
+    fn row(&self, iter: u64) -> Option<&[T]> {
+        let hit = self.live.iter().rev().find(|(i, _)| *i == iter);
+        hit.map(|(_, row)| row.as_slice())
+    }
+
+    fn get(&self, iter: u64, idx: usize) -> T {
+        self.row(iter).map_or_else(T::default, |row| peek(row, idx))
+    }
+
+    fn cell(&mut self, iter: u64, idx: usize) -> &mut T {
+        let at = match self.live.iter().rposition(|(i, _)| *i == iter) {
+            Some(at) => at,
+            None => {
+                let row = self.spare.pop().unwrap_or_default();
+                self.live.push((iter, row));
+                self.live.len() - 1
+            }
+        };
+        slot(&mut self.live[at].1, idx)
+    }
+
+    /// Drop every row whose iteration `dead` selects, keeping its storage.
+    fn release(&mut self, dead: impl Fn(u64) -> bool) {
+        let spare = &mut self.spare;
+        self.live.retain_mut(|(iter, row)| {
+            let keep = !dead(*iter);
+            if !keep {
+                row.clear();
+                spare.push(std::mem::take(row));
+            }
+            keep
+        });
+    }
+}
+
+/// Gradient → shard placement shared by both sinks: the configured rule
+/// (`g % shards`, or an explicit table) resolved into a dense table as
+/// gradient ids first appear, with `Rehome` moves written over it.
+#[derive(Debug, Default)]
+struct Placement {
+    /// Modulo shard count (`g % shards`), unless `table` is set.
+    shards: Option<usize>,
+    /// Explicit gradient → shard table (the threaded runtime's contiguous
+    /// size-balanced partition); overrides the modulo rule.
+    table: Option<Vec<usize>>,
+    /// Current owner per gradient id seen so far (`None`: no rule covers it).
+    owner: Vec<Option<usize>>,
+}
+
+impl Placement {
+    /// The shard owning `grad`, after re-homes.
+    fn shard_of(&mut self, grad: usize) -> Option<usize> {
+        for g in self.owner.len()..=grad {
+            let configured = match (&self.table, self.shards) {
+                (Some(table), _) => table.get(g).copied(),
+                (None, shards) => shards.map(|n| g % n),
+            };
+            self.owner.push(configured);
+        }
+        self.owner[grad]
+    }
+
+    fn rehome(&mut self, grad: usize, to: usize) {
+        self.shard_of(grad);
+        self.owner[grad] = Some(to);
+    }
+}
+
+/// Where a worker stands in the elastic membership.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+enum Member {
+    /// In the live membership: barriers expect its push.
+    #[default]
+    Live,
+    /// A joiner announced via [`InvariantChecker::with_joiners`] and not
+    /// admitted yet — must be silent until then.
+    Pending,
+    /// Permanently evicted — must be silent after its eviction.
+    Evicted,
+}
+
+/// What the checker tracks per PS shard.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardState {
+    /// Currently crashed.
+    down: bool,
+    /// Permanently failed.
+    dead: bool,
+    /// Aggregation epoch (threaded runtime).
+    epoch: u64,
+    /// Latest checkpoint iteration.
+    checkpoint: Option<u64>,
 }
 
 /// How many recent events the checker keeps for post-mortem context.
@@ -517,53 +625,41 @@ const RING: usize = 24;
 pub struct InvariantChecker {
     workers: usize,
     bsp: bool,
-    /// Number of PS shards (gradient `g` lives on shard `g % shards`
-    /// unless [`InvariantChecker::with_shard_map`] supplied an explicit
-    /// table); `None` disables the shard-down barrier check.
-    shards: Option<usize>,
-    /// Explicit gradient → shard table (the threaded runtime's contiguous
-    /// size-balanced partition); overrides the modulo rule.
-    shard_map: Option<Vec<usize>>,
+    /// Gradient → shard mapping (`g % shards` from
+    /// [`InvariantChecker::with_shards`], or the explicit table of
+    /// [`InvariantChecker::with_shard_map`]); with neither, the shard-down
+    /// barrier check is disabled.
+    placement: Placement,
     last_at: Option<SimTime>,
     events_seen: u64,
-    ring: VecDeque<String>,
-    grads: HashMap<(usize, u64, usize), GradTimes>,
-    /// `(iter, grad)` → which workers' pushes fully arrived.
-    push_arrivals: HashMap<(u64, usize), Vec<bool>>,
-    /// `(iter, grad)` → barrier instant.
-    barriers: HashMap<(u64, usize), SimTime>,
+    /// The last [`RING`] events by value, event `n` in slot `n % RING`:
+    /// recording one is a 48-byte store, and only a failure renders them.
+    ring: [Option<(SimTime, TraceEvent)>; RING],
+    /// Per worker: `(iter, grad)` → timestamps and open retry count, for
+    /// the iterations that worker has not ended yet.
+    grads: Vec<IterRows<GradTimes>>,
+    /// `(iter, grad * workers + worker)` → that worker's push fully
+    /// arrived; kept back to the iteration before the newest `IterEnd`.
+    arrivals: IterRows<bool>,
+    /// `(iter, grad)` → barrier instant, over the same window.
+    barriers: IterRows<Option<SimTime>>,
     /// Current iteration of each worker (None before its first IterBegin).
     worker_iter: Vec<Option<u64>>,
-    /// Flow tag → requested bytes.
-    open_flows: HashMap<u64, u64>,
-    /// `(worker, iter, grad)` → retries observed so far.
-    retries: HashMap<(usize, u64, usize), u32>,
-    /// Faults currently active, keyed by `(kind, node)`.
-    active_faults: HashSet<(FaultKind, usize)>,
-    /// PS shards currently crashed.
-    down_shards: HashSet<usize>,
-    /// Per-shard aggregation epoch (threaded runtime; absent = epoch 0).
-    shard_epoch: HashMap<usize, u64>,
-    /// Per-`(worker, shard)` acked epoch (threaded runtime; absent = 0).
-    worker_epoch: HashMap<(usize, usize), u64>,
-    /// Live-membership flag per worker: initial workers start true,
-    /// joiners start false, eviction clears it.
-    active: Vec<bool>,
-    /// Joiners announced via [`InvariantChecker::with_joiners`] that have
-    /// not been admitted yet — must be silent until then.
-    pending_join: HashSet<usize>,
+    /// `(tag, requested bytes)` of every open flow, ordered by tag. Tags
+    /// are issued in increasing order, so a start appends.
+    open_flows: VecDeque<(u64, u64)>,
+    /// Faults currently active, as `(kind, node)`; a handful at most.
+    active_faults: Vec<(FaultKind, usize)>,
+    /// Per-shard fault, epoch and checkpoint state.
+    shard_state: Vec<ShardState>,
+    /// Per-worker, per-shard acked epoch (threaded runtime).
+    worker_epoch: Vec<Vec<u64>>,
+    /// Where each worker stands in the membership.
+    members: Vec<Member>,
     /// Admission iteration of each admitted joiner.
-    join_iter: HashMap<usize, u64>,
-    /// Permanently evicted workers — must be silent after eviction.
-    evicted: HashSet<usize>,
-    /// Permanently failed shards.
-    dead_shards: HashSet<usize>,
-    /// Gradient → shard overrides accumulated from `Rehome` events.
-    rehomed: HashMap<usize, usize>,
+    join_iter: Vec<Option<u64>>,
     /// Cluster-wide membership epoch (0 before any change).
     membership_epoch: u64,
-    /// Per-shard latest checkpoint iteration.
-    checkpoints: HashMap<usize, u64>,
     /// Corrupted *data* frames detected (push/pull payloads and NaN
     /// quarantines) — each one obligates a retransmission somewhere.
     corrupt_data_frames: u64,
@@ -579,7 +675,11 @@ impl InvariantChecker {
             workers,
             bsp,
             worker_iter: vec![None; workers],
-            active: vec![true; workers],
+            members: vec![Member::Live; workers],
+            join_iter: vec![None; workers],
+            // Room for more fault windows than a plan holds open at once,
+            // so a fault event does not allocate either.
+            active_faults: Vec::with_capacity(RING),
             ..Default::default()
         }
     }
@@ -588,19 +688,18 @@ impl InvariantChecker {
     /// joiners`) that will be admitted mid-run via
     /// [`TraceEvent::MembershipChange`]. They must stay silent until then.
     pub fn with_joiners(mut self, joiners: usize) -> Self {
-        for w in self.workers..self.workers + joiners {
-            self.pending_join.insert(w);
-            self.worker_iter.push(None);
-            self.active.push(false);
-        }
         self.workers += joiners;
+        self.worker_iter.resize(self.workers, None);
+        self.members.resize(self.workers, Member::Pending);
+        self.join_iter.resize(self.workers, None);
         self
     }
 
     /// Tell the checker the PS shard count so it can refuse barriers for
     /// gradients whose shard is currently down.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
+        self.placement.shards = Some(shards);
+        self.shard_state.resize(shards, ShardState::default());
         self
     }
 
@@ -611,22 +710,18 @@ impl InvariantChecker {
     /// [`with_shards`]: InvariantChecker::with_shards
     pub fn with_shard_map(mut self, owner: Vec<usize>) -> Self {
         let shards = owner.iter().copied().max().map_or(1, |m| m + 1);
-        self.shards = Some(shards);
-        self.shard_map = Some(owner);
-        self
+        self.placement.table = Some(owner);
+        self.with_shards(shards)
     }
 
     /// The shard owning gradient `grad` under the configured mapping,
     /// after any re-homes.
-    fn shard_of(&self, grad: usize) -> usize {
-        if let Some(&s) = self.rehomed.get(&grad) {
-            return s;
-        }
-        match (&self.shard_map, self.shards) {
-            (Some(map), _) => map.get(grad).copied().unwrap_or_else(|| {
+    fn shard_of(&mut self, grad: usize) -> usize {
+        match (self.placement.shard_of(grad), &self.placement.table) {
+            (Some(shard), _) => shard,
+            (None, Some(map)) => {
                 panic!("gradient {grad} outside the {}-entry shard map", map.len())
-            }),
-            (None, Some(shards)) => grad % shards,
+            }
             (None, None) => 0,
         }
     }
@@ -643,8 +738,7 @@ impl InvariantChecker {
     /// gradient silently vanished).
     pub fn finish(&self) {
         if !self.open_flows.is_empty() {
-            let mut tags: Vec<&u64> = self.open_flows.keys().collect();
-            tags.sort();
+            let tags: Vec<&u64> = self.open_flows.iter().map(|(tag, _)| tag).collect();
             self.fail(format!(
                 "{} flow(s) never completed: tags {tags:?}",
                 self.open_flows.len()
@@ -659,10 +753,13 @@ impl InvariantChecker {
         }
     }
 
+    /// The only place the ring is rendered: a check has already failed.
     fn fail(&self, msg: String) -> ! {
         let mut ctx = String::new();
-        for line in &self.ring {
-            let _ = writeln!(ctx, "  {line}");
+        for n in self.events_seen.saturating_sub(RING as u64)..self.events_seen {
+            if let Some((at, ev)) = self.ring[n as usize % RING] {
+                let _ = writeln!(ctx, "  t={at} {ev:?}");
+            }
         }
         panic!(
             "invariant violated after {} events: {msg}\nrecent events (oldest first):\n{ctx}",
@@ -671,35 +768,58 @@ impl InvariantChecker {
     }
 
     fn cell(&mut self, worker: usize, iter: u64, grad: usize) -> &mut GradTimes {
-        self.grads.entry((worker, iter, grad)).or_default()
+        slot(&mut self.grads, worker).cell(iter, grad)
+    }
+
+    /// Stamp one of the gradient's timestamps; each is stamped once per
+    /// attempt.
+    fn stamp(
+        &mut self,
+        (worker, iter, grad): (usize, u64, usize),
+        what: &str,
+        at: SimTime,
+        field: fn(&mut GradTimes) -> &mut Option<SimTime>,
+    ) {
+        if field(self.cell(worker, iter, grad)).replace(at).is_some() {
+            self.fail(format!(
+                "gradient {grad} {what} twice (w{worker} iter {iter})"
+            ));
+        }
+    }
+
+    /// Position of `tag` among the open flows, or where it would go.
+    fn find_flow(&self, tag: u64) -> Result<usize, usize> {
+        self.open_flows.binary_search_by_key(&tag, |&(t, _)| t)
+    }
+
+    /// Close flow `tag`, returning the bytes it requested.
+    fn close_flow(&mut self, tag: u64) -> Option<u64> {
+        let (_, bytes) = self.open_flows.remove(self.find_flow(tag).ok()?)?;
+        Some(bytes)
     }
 
     /// An evicted worker must be silent after its eviction epoch; an
     /// announced joiner must be silent before its admission.
     fn check_live(&self, worker: usize, ev: &TraceEvent) {
-        if self.evicted.contains(&worker) {
-            self.fail(format!(
+        match peek(&self.members, worker) {
+            Member::Live => {}
+            Member::Evicted => self.fail(format!(
                 "evicted worker {worker} emitted {ev:?} after its eviction epoch"
-            ));
-        }
-        if self.pending_join.contains(&worker) {
-            self.fail(format!("worker {worker} emitted {ev:?} before joining"));
+            )),
+            Member::Pending => self.fail(format!("worker {worker} emitted {ev:?} before joining")),
         }
     }
 
     /// Number of workers currently in the live membership.
     fn live_workers(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.members.iter().filter(|&&m| m == Member::Live).count()
     }
 }
 
 impl TraceSink for InvariantChecker {
     fn on_event(&mut self, at: SimTime, ev: &TraceEvent) {
+        self.ring[self.events_seen as usize % RING] = Some((at, *ev));
         self.events_seen += 1;
-        if self.ring.len() == RING {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(format!("t={at} {ev:?}"));
 
         if at == SimTime::MAX {
             self.fail(format!(
@@ -740,7 +860,7 @@ impl TraceSink for InvariantChecker {
             TraceEvent::IterBegin { worker, iter } => {
                 let prev = self.worker_iter[worker];
                 let ok = match prev {
-                    None => iter == 0 || self.join_iter.get(&worker) == Some(&iter),
+                    None => iter == 0 || peek(&self.join_iter, worker) == Some(iter),
                     Some(p) => iter == p + 1,
                 };
                 if !ok {
@@ -756,27 +876,19 @@ impl TraceSink for InvariantChecker {
                     ));
                 }
                 // This worker's per-gradient cells for the finished
-                // iteration are complete; drop them to bound memory.
-                self.grads
-                    .retain(|&(w, i, _), _| !(w == worker && i == iter));
-                self.retries
-                    .retain(|&(w, i, _), _| !(w == worker && i == iter));
+                // iteration are complete; recycle its row — one worker's
+                // row, not a scan of everyone's cells.
+                slot(&mut self.grads, worker).release(|i| i == iter);
                 if iter > 0 {
                     // Barrier/arrival records two iterations back can no
                     // longer be referenced by anyone.
                     let horizon = iter - 1;
-                    self.push_arrivals.retain(|&(i, _), _| i >= horizon);
-                    self.barriers.retain(|&(i, _), _| i >= horizon);
+                    self.arrivals.release(|i| i < horizon);
+                    self.barriers.release(|i| i < horizon);
                 }
             }
             TraceEvent::GradReady { worker, iter, grad } => {
-                let c = self.cell(worker, iter, grad);
-                if c.ready.is_some() {
-                    self.fail(format!(
-                        "gradient {grad} ready twice (w{worker} iter {iter})"
-                    ));
-                }
-                self.cell(worker, iter, grad).ready = Some(at);
+                self.stamp((worker, iter, grad), "ready", at, |c| &mut c.ready);
             }
             TraceEvent::PushStart { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
@@ -789,19 +901,16 @@ impl TraceSink for InvariantChecker {
                     )),
                     _ => {}
                 }
-                if c.push_start.is_some() {
-                    self.fail(format!(
-                        "gradient {grad} push started twice (w{worker} iter {iter})"
-                    ));
-                }
-                self.cell(worker, iter, grad).push_start = Some(at);
+                self.stamp((worker, iter, grad), "push started", at, |c| {
+                    &mut c.push_start
+                });
             }
             TraceEvent::PushEnd { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
                 match c.push_start {
                     // Mid-retry the sender's stamp is void while the copy
                     // it gave up on may still arrive.
-                    None if self.retries.contains_key(&(worker, iter, grad)) => {}
+                    None if c.retries > 0 => {}
                     None => self.fail(format!(
                         "push_end without push_start for gradient {grad} (w{worker})"
                     )),
@@ -810,16 +919,9 @@ impl TraceSink for InvariantChecker {
                     )),
                     _ => {}
                 }
-                if c.push_end.is_some() {
-                    self.fail(format!(
-                        "gradient {grad} push ended twice (w{worker} iter {iter})"
-                    ));
-                }
-                self.cell(worker, iter, grad).push_end = Some(at);
-                let workers = self.workers;
-                let who = self.push_arrivals.entry((iter, grad));
-                let who = who.or_insert_with(|| vec![false; workers]);
-                if std::mem::replace(&mut who[worker], true) {
+                self.stamp((worker, iter, grad), "push ended", at, |c| &mut c.push_end);
+                let arrived = self.arrivals.cell(iter, grad * self.workers + worker);
+                if std::mem::replace(arrived, true) {
                     self.fail(format!(
                         "push of worker {worker} counted twice for (iter {iter}, grad {grad})"
                     ));
@@ -831,34 +933,34 @@ impl TraceSink for InvariantChecker {
                         "barrier event in ASP mode (iter {iter}, grad {grad})"
                     ));
                 }
-                if self.barriers.contains_key(&(iter, grad)) {
+                if self.barriers.get(iter, grad).is_some() {
                     self.fail(format!("duplicate barrier for (iter {iter}, grad {grad})"));
                 }
-                let arrived = self
-                    .push_arrivals
-                    .get(&(iter, grad))
-                    .map_or(0, |who| who.iter().filter(|&&a| a).count());
+                let arrived = self.arrivals.row(iter).map_or(0, |row| {
+                    let who = row.iter().skip(grad * self.workers).take(self.workers);
+                    who.filter(|&&a| a).count()
+                });
                 let expected = self.live_workers();
                 if arrived != expected {
                     self.fail(format!(
                         "barrier for (iter {iter}, grad {grad}) after {arrived}/{expected} pushes"
                     ));
                 }
-                if self.shards.is_some() {
+                if self.placement.shards.is_some() {
                     let shard = self.shard_of(grad);
-                    if self.down_shards.contains(&shard) {
+                    if peek(&self.shard_state, shard).down {
                         self.fail(format!(
                             "barrier for (iter {iter}, grad {grad}) while shard {shard} is down"
                         ));
                     }
-                    if self.dead_shards.contains(&shard) {
+                    if peek(&self.shard_state, shard).dead {
                         self.fail(format!(
                             "barrier for (iter {iter}, grad {grad}) on permanently failed shard {shard}"
                         ));
                     }
                 }
                 for (w, wi) in self.worker_iter.iter().enumerate() {
-                    if !self.active[w] {
+                    if self.members[w] != Member::Live {
                         continue;
                     }
                     if *wi != Some(iter) {
@@ -867,7 +969,7 @@ impl TraceSink for InvariantChecker {
                         ));
                     }
                 }
-                self.barriers.insert((iter, grad), at);
+                *self.barriers.cell(iter, grad) = Some(at);
             }
             TraceEvent::PullStart { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
@@ -879,22 +981,19 @@ impl TraceSink for InvariantChecker {
                     }
                 }
                 if self.bsp {
-                    match self.barriers.get(&(iter, grad)) {
+                    match self.barriers.get(iter, grad) {
                         None => self.fail(format!(
                             "pull of gradient {grad} before its barrier (w{worker} iter {iter})"
                         )),
-                        Some(&b) if at < b => self.fail(format!(
+                        Some(b) if at < b => self.fail(format!(
                             "pull of gradient {grad} at {at}, before barrier {b} (w{worker})"
                         )),
                         _ => {}
                     }
                 }
-                if c.pull_start.is_some() {
-                    self.fail(format!(
-                        "gradient {grad} pull started twice (w{worker} iter {iter})"
-                    ));
-                }
-                self.cell(worker, iter, grad).pull_start = Some(at);
+                self.stamp((worker, iter, grad), "pull started", at, |c| {
+                    &mut c.pull_start
+                });
             }
             TraceEvent::PullEnd { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
@@ -907,12 +1006,7 @@ impl TraceSink for InvariantChecker {
                     )),
                     _ => {}
                 }
-                if c.pull_end.is_some() {
-                    self.fail(format!(
-                        "gradient {grad} pull ended twice (w{worker} iter {iter})"
-                    ));
-                }
-                self.cell(worker, iter, grad).pull_end = Some(at);
+                self.stamp((worker, iter, grad), "pull ended", at, |c| &mut c.pull_end);
             }
             TraceEvent::FwdStart { worker, iter, grad } => {
                 let c = *self.cell(worker, iter, grad);
@@ -940,62 +1034,67 @@ impl TraceSink for InvariantChecker {
                 }
                 self.cell(worker, iter, grad).fwd_end = Some(at);
             }
-            TraceEvent::FlowStart { tag, bytes, .. } => {
-                if self.open_flows.insert(tag, bytes).is_some() {
-                    self.fail(format!("flow tag {tag} started twice"));
-                }
-            }
+            TraceEvent::FlowStart { tag, bytes, .. } => match self.find_flow(tag) {
+                Ok(_) => self.fail(format!("flow tag {tag} started twice")),
+                Err(pos) => self.open_flows.insert(pos, (tag, bytes)),
+            },
             TraceEvent::FlowEnd { tag, delivered, .. } => {
-                match self.open_flows.remove(&tag) {
-                    None => self.fail(format!("completion for unknown flow tag {tag}")),
-                    Some(bytes) => {
-                        // The fluid engine declares a flow done within
-                        // EPS_BYTES (0.5) of zero remaining; allow that
-                        // plus integration rounding.
-                        if (delivered - bytes as f64).abs() > 1.0 {
-                            self.fail(format!(
-                                "flow {tag} delivered {delivered} of {bytes} requested bytes"
-                            ));
-                        }
-                    }
+                let Some(bytes) = self.close_flow(tag) else {
+                    self.fail(format!("completion for unknown flow tag {tag}"))
+                };
+                // The fluid engine declares a flow done within EPS_BYTES
+                // (0.5) of zero remaining; allow that plus integration
+                // rounding.
+                if (delivered - bytes as f64).abs() > 1.0 {
+                    self.fail(format!(
+                        "flow {tag} delivered {delivered} of {bytes} requested bytes"
+                    ));
                 }
             }
             TraceEvent::FlowKilled { tag, delivered, .. } => {
                 // A killed flow closes its FlowStart, but the partial
                 // delivery is discarded — no byte-conservation check.
-                match self.open_flows.remove(&tag) {
-                    None => self.fail(format!("kill for unknown flow tag {tag}")),
-                    Some(bytes) => {
-                        if delivered > bytes as f64 + 1.0 {
-                            self.fail(format!(
-                                "killed flow {tag} had moved {delivered} of only {bytes} bytes"
-                            ));
-                        }
-                    }
+                let Some(bytes) = self.close_flow(tag) else {
+                    self.fail(format!("kill for unknown flow tag {tag}"))
+                };
+                if delivered > bytes as f64 + 1.0 {
+                    self.fail(format!(
+                        "killed flow {tag} had moved {delivered} of only {bytes} bytes"
+                    ));
                 }
             }
             TraceEvent::FaultStart { kind, node } => {
-                if !self.active_faults.insert((kind, node)) {
+                if self.active_faults.contains(&(kind, node)) {
                     self.fail(format!("fault {kind:?} on node {node} started twice"));
                 }
+                self.active_faults.push((kind, node));
                 if kind == FaultKind::ShardCrash {
-                    self.down_shards.insert(node);
+                    slot(&mut self.shard_state, node).down = true;
                     // The crash voids what the shard had staged for its
                     // open barriers; every member must arrive again.
-                    let mut arrivals = std::mem::take(&mut self.push_arrivals);
-                    arrivals
-                        .retain(|k, _| self.barriers.contains_key(k) || self.shard_of(k.1) != node);
-                    self.push_arrivals = arrivals;
+                    let mut arrivals = std::mem::take(&mut self.arrivals);
+                    for (iter, row) in &mut arrivals.live {
+                        for (grad, who) in row.chunks_mut(self.workers.max(1)).enumerate() {
+                            if who.contains(&true)
+                                && self.barriers.get(*iter, grad).is_none()
+                                && self.shard_of(grad) == node
+                            {
+                                who.fill(false);
+                            }
+                        }
+                    }
+                    self.arrivals = arrivals;
                 }
             }
             TraceEvent::FaultEnd { kind, node } => {
-                if !self.active_faults.remove(&(kind, node)) {
-                    self.fail(format!(
+                match self.active_faults.iter().position(|&f| f == (kind, node)) {
+                    Some(at) => self.active_faults.swap_remove(at),
+                    None => self.fail(format!(
                         "fault {kind:?} on node {node} ended without starting"
-                    ));
-                }
+                    )),
+                };
                 if kind == FaultKind::ShardCrash {
-                    self.down_shards.remove(&node);
+                    slot(&mut self.shard_state, node).down = false;
                 }
             }
             TraceEvent::RetryAttempt {
@@ -1005,23 +1104,19 @@ impl TraceSink for InvariantChecker {
                 attempt,
             } => {
                 self.retry_events += 1;
-                let seen = self
-                    .retries
-                    .get(&(worker, iter, grad))
-                    .copied()
-                    .unwrap_or(0);
+                let mut c = *self.cell(worker, iter, grad);
+                let seen = c.retries;
                 if attempt != seen + 1 {
                     self.fail(format!(
                         "retry {attempt} of gradient {grad} after {seen} retries (w{worker} iter {iter})"
                     ));
                 }
-                self.retries.insert((worker, iter, grad), attempt);
+                c.retries = attempt;
                 // Un-stamp the failed attempt so the re-send stamps
                 // PushStart/PullStart exactly once per attempt. A pull
                 // retry is one whose pull had started but not finished;
                 // anything else is a push retry — which voids only the
                 // sender's stamps, never the receiver's arrival count.
-                let mut c = *self.cell(worker, iter, grad);
                 if c.pull_start.is_some() && c.pull_end.is_none() {
                     c.pull_start = None;
                 } else if c.push_start.is_some() && c.pull_end.is_none() {
@@ -1040,11 +1135,7 @@ impl TraceSink for InvariantChecker {
                 grad,
                 attempts,
             } => {
-                let seen = self
-                    .retries
-                    .get(&(worker, iter, grad))
-                    .copied()
-                    .unwrap_or(0);
+                let seen = self.cell(worker, iter, grad).retries;
                 if seen == 0 || attempts != seen {
                     self.fail(format!(
                         "recovery of gradient {grad} reports {attempts} attempts, saw {seen} (w{worker} iter {iter})"
@@ -1052,40 +1143,36 @@ impl TraceSink for InvariantChecker {
                 }
                 // Recovery closes the episode: a later, independent failure
                 // of the same gradient numbers its retries from 1 again.
-                self.retries.remove(&(worker, iter, grad));
+                self.cell(worker, iter, grad).retries = 0;
             }
             TraceEvent::EpochAdvance { shard, epoch } => {
-                let prev = self.shard_epoch.get(&shard).copied().unwrap_or(0);
+                let prev = peek(&self.shard_state, shard).epoch;
                 if epoch <= prev {
                     self.fail(format!(
                         "shard {shard} advanced to epoch {epoch}, not past {prev}"
                     ));
                 }
-                self.shard_epoch.insert(shard, epoch);
+                slot(&mut self.shard_state, shard).epoch = epoch;
             }
             TraceEvent::EpochAck {
                 worker,
                 shard,
                 epoch,
             } => {
-                let prev = self
-                    .worker_epoch
-                    .get(&(worker, shard))
-                    .copied()
-                    .unwrap_or(0);
+                let prev = *slot(slot(&mut self.worker_epoch, worker), shard);
                 if epoch <= prev {
                     self.fail(format!(
                         "worker {worker} acked shard {shard} epoch {epoch}, not past {prev}"
                     ));
                 }
-                let announced = self.shard_epoch.get(&shard).copied().unwrap_or(0);
+                let announced = peek(&self.shard_state, shard).epoch;
                 if epoch > announced {
                     self.fail(format!(
                         "worker {worker} acked shard {shard} epoch {epoch}, never announced \
                          (newest {announced})"
                     ));
                 }
-                self.worker_epoch.insert((worker, shard), epoch);
+                self.worker_epoch[worker][shard] = epoch;
             }
             TraceEvent::ParamReady {
                 worker,
@@ -1093,11 +1180,7 @@ impl TraceSink for InvariantChecker {
                 epoch,
             } => {
                 let shard = self.shard_of(grad);
-                let cur = self
-                    .worker_epoch
-                    .get(&(worker, shard))
-                    .copied()
-                    .unwrap_or(0);
+                let cur = self.worker_epoch.get(worker).map_or(0, |e| peek(e, shard));
                 if epoch != cur {
                     self.fail(format!(
                         "param-ready for gradient {grad} stamped epoch {epoch}, \
@@ -1109,7 +1192,7 @@ impl TraceSink for InvariantChecker {
                 epoch,
                 kind,
                 node,
-                iter: _,
+                iter,
             } => {
                 if !kind.is_permanent() {
                     self.fail(format!(
@@ -1125,36 +1208,33 @@ impl TraceSink for InvariantChecker {
                 self.membership_epoch = epoch;
                 match kind {
                     FaultKind::WorkerFail => {
-                        if node >= self.active.len() || !self.active[node] {
+                        if self.members.get(node) != Some(&Member::Live) {
                             self.fail(format!("eviction of worker {node}, which is not live"));
                         }
-                        self.active[node] = false;
-                        self.evicted.insert(node);
+                        self.members[node] = Member::Evicted;
                     }
                     FaultKind::ShardFail => {
-                        if !self.dead_shards.insert(node) {
+                        if std::mem::replace(&mut slot(&mut self.shard_state, node).dead, true) {
                             self.fail(format!("shard {node} permanently failed twice"));
                         }
                     }
                     FaultKind::WorkerJoin => {
-                        if !self.pending_join.remove(&node) {
+                        if self.members.get(node) != Some(&Member::Pending) {
                             self.fail(format!(
                                 "worker {node} joined without being announced as a joiner"
                             ));
                         }
-                        self.active[node] = true;
-                        if let TraceEvent::MembershipChange { iter, .. } = *ev {
-                            self.join_iter.insert(node, iter);
-                        }
+                        self.members[node] = Member::Live;
+                        self.join_iter[node] = Some(iter);
                     }
                     _ => unreachable!("is_permanent covers exactly these kinds"),
                 }
             }
             TraceEvent::Checkpoint { shard, iter } => {
-                if self.dead_shards.contains(&shard) {
+                if peek(&self.shard_state, shard).dead {
                     self.fail(format!("checkpoint from permanently failed shard {shard}"));
                 }
-                if let Some(&prev) = self.checkpoints.get(&shard) {
+                if let Some(prev) = peek(&self.shard_state, shard).checkpoint {
                     if iter <= prev {
                         self.fail(format!(
                             "shard {shard} checkpointed iter {iter} after iter {prev} — \
@@ -1162,7 +1242,7 @@ impl TraceSink for InvariantChecker {
                         ));
                     }
                 }
-                self.checkpoints.insert(shard, iter);
+                slot(&mut self.shard_state, shard).checkpoint = Some(iter);
             }
             TraceEvent::Rehome { grad, from, to } => {
                 let cur = self.shard_of(grad);
@@ -1171,7 +1251,7 @@ impl TraceSink for InvariantChecker {
                         "re-home of gradient {grad} from shard {from}, but it lives on {cur}"
                     ));
                 }
-                if !self.dead_shards.contains(&from) {
+                if !peek(&self.shard_state, from).dead {
                     self.fail(format!(
                         "re-home of gradient {grad} off shard {from}, which is still alive"
                     ));
@@ -1180,12 +1260,12 @@ impl TraceSink for InvariantChecker {
                 // waits out the outage — so only permanent death disqualifies
                 // a target: re-homing is a pure function of permanent
                 // membership (the deterministic recovery contract).
-                if self.dead_shards.contains(&to) {
+                if peek(&self.shard_state, to).dead {
                     self.fail(format!(
                         "gradient {grad} re-homed to shard {to}, which is permanently dead"
                     ));
                 }
-                self.rehomed.insert(grad, to);
+                self.placement.rehome(grad, to);
             }
             TraceEvent::FrameCorrupt { node, bytes, data } => {
                 if bytes == 0 {
@@ -1226,7 +1306,7 @@ impl TraceSink for InvariantChecker {
                          generation was intact, nothing fell back"
                     ));
                 }
-                if !self.dead_shards.contains(&shard) {
+                if !peek(&self.shard_state, shard).dead {
                     self.fail(format!(
                         "restore fallback for shard {shard}, which never permanently \
                          failed"
@@ -1312,16 +1392,14 @@ pub struct ShardSpan {
 /// [`SpanCollector::with_owner_table`]).
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    grads: HashMap<(usize, u64, usize), GradTimes>,
-    barriers: HashMap<(u64, usize), SimTime>,
-    /// Modulo shard count (`g % shards`), unless an owner table is set.
-    shards: Option<usize>,
-    /// Explicit gradient → shard table, overriding the modulo rule.
-    owner: Option<Vec<usize>>,
-    /// Gradient → shard overrides accumulated from `Rehome` events.
-    rehomed: HashMap<usize, usize>,
+    /// Per worker: `(iter, grad)` → timestamps, kept for the whole run.
+    grads: Vec<IterRows<GradTimes>>,
+    /// `(iter, grad)` → barrier instant.
+    barriers: IterRows<Option<SimTime>>,
+    /// Gradient → shard mapping; unconfigured disables shard spans.
+    placement: Placement,
     /// `(iter, grad)` → first push arrival at the PS.
-    first_arrival: HashMap<(u64, usize), SimTime>,
+    first_arrival: IterRows<Option<SimTime>>,
     shard_spans: Vec<ShardSpan>,
 }
 
@@ -1333,27 +1411,30 @@ impl SpanCollector {
 
     /// Enable per-shard spans under the `g % shards` placement rule.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
+        self.placement.shards = Some(shards);
         self
     }
 
     /// Enable per-shard spans under an explicit gradient → shard table
     /// (the threaded runtime's size-balanced partition).
     pub fn with_owner_table(mut self, owner: Vec<usize>) -> Self {
-        self.owner = Some(owner);
+        self.placement.table = Some(owner);
         self
     }
 
-    /// The shard owning `grad`, after re-homes; `None` when no mapping
-    /// was configured (shard spans disabled).
-    fn shard_of(&self, grad: usize) -> Option<usize> {
-        if let Some(&s) = self.rehomed.get(&grad) {
-            return Some(s);
+    /// Size the tables for a run of `workers` × `iters` × `grads` up
+    /// front. The collector keeps every cell of the run, so without this
+    /// it allocates one row per `(worker, iteration)` as the run reaches
+    /// it; with it, collecting allocates nothing.
+    pub fn with_capacity(mut self, workers: usize, iters: usize, grads: usize) -> Self {
+        self.grads.resize_with(workers, IterRows::default);
+        for rows in &mut self.grads {
+            rows.reserve(iters, grads);
         }
-        if let Some(owner) = &self.owner {
-            return owner.get(grad).copied();
-        }
-        self.shards.map(|n| grad % n)
+        self.barriers.reserve(iters, grads);
+        self.first_arrival.reserve(iters, grads);
+        self.shard_spans.reserve(iters * grads);
+        self
     }
 
     /// Assemble the spans observed so far, ordered by
@@ -1367,30 +1448,34 @@ impl SpanCollector {
     /// queueing spans ordered by `(shard, iter, grad)`.
     pub fn into_parts(mut self) -> (Vec<GradSpan>, Vec<ShardSpan>) {
         self.shard_spans.sort_by_key(|s| (s.shard, s.iter, s.grad));
-        let shard_spans = std::mem::take(&mut self.shard_spans);
         let mut out = Vec::new();
-        for (&(worker, iter, grad), t) in &self.grads {
-            let mut push = |kind, start: Option<SimTime>, end: Option<SimTime>| {
-                if let (Some(start), Some(end)) = (start, end) {
-                    out.push(GradSpan {
-                        worker,
-                        iter,
-                        grad,
-                        kind,
-                        start,
-                        end,
-                    });
+        for (worker, rows) in self.grads.iter_mut().enumerate() {
+            rows.live.sort_by_key(|&(iter, _)| iter);
+            for (iter, row) in &rows.live {
+                let barriers = self.barriers.row(*iter).unwrap_or_default();
+                for (grad, t) in row.iter().enumerate() {
+                    let mut push = |kind, start: Option<SimTime>, end: Option<SimTime>| {
+                        if let (Some(start), Some(end)) = (start, end) {
+                            out.push(GradSpan {
+                                worker,
+                                iter: *iter,
+                                grad,
+                                kind,
+                                start,
+                                end,
+                            });
+                        }
+                    };
+                    push(SpanKind::QueueWait, t.ready, t.push_start);
+                    push(SpanKind::Push, t.push_start, t.push_end);
+                    let agg_end = peek(barriers, grad).or(t.pull_start);
+                    push(SpanKind::Aggregate, t.push_end, agg_end);
+                    push(SpanKind::Pull, t.pull_start, t.pull_end);
+                    push(SpanKind::Compute, t.fwd_start, t.fwd_end);
                 }
-            };
-            push(SpanKind::QueueWait, t.ready, t.push_start);
-            push(SpanKind::Push, t.push_start, t.push_end);
-            let agg_end = self.barriers.get(&(iter, grad)).copied().or(t.pull_start);
-            push(SpanKind::Aggregate, t.push_end, agg_end);
-            push(SpanKind::Pull, t.pull_start, t.pull_end);
-            push(SpanKind::Compute, t.fwd_start, t.fwd_end);
+            }
         }
-        out.sort_by_key(|s| (s.worker, s.iter, s.grad, s.kind));
-        (out, shard_spans)
+        (out, self.shard_spans)
     }
 }
 
@@ -1398,8 +1483,7 @@ impl TraceSink for SpanCollector {
     fn on_event(&mut self, at: SimTime, ev: &TraceEvent) {
         let mut set =
             |w: usize, i: u64, g: usize, f: fn(&mut GradTimes) -> &mut Option<SimTime>| {
-                let cell = self.grads.entry((w, i, g)).or_default();
-                *f(cell) = Some(at);
+                *f(slot(&mut self.grads, w).cell(i, g)) = Some(at);
             };
         match *ev {
             TraceEvent::GradReady { worker, iter, grad } => {
@@ -1409,7 +1493,7 @@ impl TraceSink for SpanCollector {
                 set(worker, iter, grad, |c| &mut c.push_start)
             }
             TraceEvent::PushEnd { worker, iter, grad } => {
-                self.first_arrival.entry((iter, grad)).or_insert(at);
+                self.first_arrival.cell(iter, grad).get_or_insert(at);
                 set(worker, iter, grad, |c| &mut c.push_end)
             }
             TraceEvent::PullStart { worker, iter, grad } => {
@@ -1425,9 +1509,9 @@ impl TraceSink for SpanCollector {
                 set(worker, iter, grad, |c| &mut c.fwd_end)
             }
             TraceEvent::Barrier { iter, grad } => {
-                self.barriers.insert((iter, grad), at);
-                if let Some(shard) = self.shard_of(grad) {
-                    if let Some(&start) = self.first_arrival.get(&(iter, grad)) {
+                *self.barriers.cell(iter, grad) = Some(at);
+                if let Some(shard) = self.placement.shard_of(grad) {
+                    if let Some(start) = self.first_arrival.get(iter, grad) {
                         self.shard_spans.push(ShardSpan {
                             shard,
                             iter,
@@ -1438,9 +1522,7 @@ impl TraceSink for SpanCollector {
                     }
                 }
             }
-            TraceEvent::Rehome { grad, to, .. } => {
-                self.rehomed.insert(grad, to);
-            }
+            TraceEvent::Rehome { grad, to, .. } => self.placement.rehome(grad, to),
             _ => {}
         }
     }
@@ -1457,6 +1539,50 @@ fn span_glyph(kind: SpanKind) -> u8 {
     }
 }
 
+/// The renderer behind both Gantt charts: `bars` are `(lane, start, end,
+/// glyph)`, one row per lane in first-appearance order, `width` characters
+/// across the bars' time range. Returns the chart and the lane-name column
+/// width.
+fn ascii_gantt<L: Copy + PartialEq>(
+    bars: &[(L, SimTime, SimTime, u8)],
+    name: impl Fn(L) -> String,
+    width: usize,
+) -> (String, usize) {
+    let t0 = bars.iter().map(|b| b.1).min().unwrap();
+    let t1 = bars.iter().map(|b| b.2).max().unwrap();
+    let range = (t1.saturating_since(t0)).as_secs_f64().max(1e-12);
+    let col = |t: SimTime| t.saturating_since(t0).as_secs_f64() / range * width as f64;
+
+    let mut lanes: Vec<L> = Vec::new();
+    for &(lane, ..) in bars {
+        if !lanes.contains(&lane) {
+            lanes.push(lane);
+        }
+    }
+    let names: Vec<String> = lanes.iter().map(|&lane| name(lane)).collect();
+    let name_w = names.iter().map(|n| n.len()).max().unwrap_or(0).max(4);
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:name_w$} |{}| {:.3}ms..{:.3}ms",
+        "lane",
+        "-".repeat(width),
+        t0.as_millis_f64(),
+        t1.as_millis_f64()
+    );
+    for (&lane, name) in lanes.iter().zip(&names) {
+        let mut row = vec![b' '; width];
+        for &(_, start, end, glyph) in bars.iter().filter(|b| b.0 == lane) {
+            let a = col(start) as usize;
+            let b = (col(end).ceil() as usize).clamp(a + 1, width);
+            row[a.min(width - 1)..b].fill(glyph);
+        }
+        let _ = writeln!(out, "{:name_w$} |{}|", name, String::from_utf8_lossy(&row));
+    }
+    (out, name_w)
+}
+
 /// Render typed [`GradSpan`]s as an ASCII Gantt chart, `width` characters
 /// across the observed time range, one row per `(worker, gradient)` lane
 /// (lanes in first-appearance order, iterations overlaid left to right).
@@ -1470,42 +1596,11 @@ pub fn grad_spans_to_ascii_gantt(spans: &[GradSpan], width: usize) -> String {
     if spans.is_empty() {
         return String::from("(no spans)\n");
     }
-    let t0 = spans.iter().map(|s| s.start).min().unwrap();
-    let t1 = spans.iter().map(|s| s.end).max().unwrap();
-    let range = (t1.saturating_since(t0)).as_secs_f64().max(1e-12);
-
-    let mut lanes: Vec<(usize, usize)> = Vec::new();
-    for s in spans {
-        if !lanes.contains(&(s.worker, s.grad)) {
-            lanes.push((s.worker, s.grad));
-        }
-    }
-    let names: Vec<String> = lanes.iter().map(|&(w, g)| format!("w{w}.g{g}")).collect();
-    let name_w = names.iter().map(|n| n.len()).max().unwrap_or(0).max(4);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:name_w$} |{}| {:.3}ms..{:.3}ms",
-        "lane",
-        "-".repeat(width),
-        t0.as_millis_f64(),
-        t1.as_millis_f64()
-    );
-    for (&(w, g), name) in lanes.iter().zip(&names) {
-        let mut row = vec![b' '; width];
-        for s in spans.iter().filter(|s| s.worker == w && s.grad == g) {
-            let a = ((s.start.saturating_since(t0)).as_secs_f64() / range * width as f64) as usize;
-            let b =
-                ((s.end.saturating_since(t0)).as_secs_f64() / range * width as f64).ceil() as usize;
-            let b = b.clamp(a + 1, width);
-            let ch = span_glyph(s.kind);
-            for c in &mut row[a.min(width - 1)..b] {
-                *c = ch;
-            }
-        }
-        let _ = writeln!(out, "{:name_w$} |{}|", name, String::from_utf8_lossy(&row));
-    }
+    let bars = spans
+        .iter()
+        .map(|s| ((s.worker, s.grad), s.start, s.end, span_glyph(s.kind)));
+    let name = |(w, g): (usize, usize)| format!("w{w}.g{g}");
+    let (mut out, name_w) = ascii_gantt(&bars.collect::<Vec<_>>(), name, width);
     let _ = writeln!(
         out,
         "{:name_w$}  legend: .=queue-wait #=push ==aggregate <=pull F=compute",
@@ -1620,88 +1715,59 @@ mod tests {
 
     // ---- typed event stream ---------------------------------------------
 
-    /// A well-formed single-worker, single-gradient BSP lifecycle.
-    fn lifecycle() -> Vec<(SimTime, TraceEvent)> {
+    /// One fault-free BSP iteration of `workers` × `grads`, 20 ms long.
+    fn bsp_iteration(workers: usize, grads: usize, iter: u64) -> Vec<(SimTime, TraceEvent)> {
         use TraceEvent::*;
-        vec![
-            (at(0), IterBegin { worker: 0, iter: 0 }),
-            (
-                at(1),
-                GradReady {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (
-                at(2),
-                PushStart {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (
-                at(2),
-                FlowStart {
-                    tag: 7,
-                    src: 1,
-                    dst: 0,
-                    bytes: 1000,
-                },
-            ),
-            (
-                at(5),
-                FlowEnd {
-                    tag: 7,
-                    src: 1,
-                    dst: 0,
-                    delivered: 1000.0,
-                },
-            ),
-            (
-                at(5),
-                PushEnd {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (at(5), Barrier { iter: 0, grad: 0 }),
-            (
-                at(6),
-                PullStart {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (
-                at(9),
-                PullEnd {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (
-                at(10),
-                FwdStart {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (
-                at(12),
-                FwdEnd {
-                    worker: 0,
-                    iter: 0,
-                    grad: 0,
-                },
-            ),
-            (at(12), IterEnd { worker: 0, iter: 0 }),
-        ]
+        type Stage = fn(usize, u64, usize) -> TraceEvent;
+        let before: [(u64, Stage); 3] = [
+            (1, |worker, iter, grad| GradReady { worker, iter, grad }),
+            (2, |worker, iter, grad| PushStart { worker, iter, grad }),
+            (5, |worker, iter, grad| PushEnd { worker, iter, grad }),
+        ];
+        let after: [(u64, Stage); 4] = [
+            (6, |worker, iter, grad| PullStart { worker, iter, grad }),
+            (9, |worker, iter, grad| PullEnd { worker, iter, grad }),
+            (10, |worker, iter, grad| FwdStart { worker, iter, grad }),
+            (12, |worker, iter, grad| FwdEnd { worker, iter, grad }),
+        ];
+        let t = |ms: u64| at(iter * 20 + ms);
+        let mut evs = Vec::new();
+        evs.extend((0..workers).map(|worker| (t(0), IterBegin { worker, iter })));
+        let run = |evs: &mut Vec<_>, stages: &[(u64, Stage)]| {
+            for &(ms, stage) in stages {
+                for worker in 0..workers {
+                    evs.extend((0..grads).map(|grad| (t(ms), stage(worker, iter, grad))));
+                }
+            }
+        };
+        run(&mut evs, &before);
+        evs.extend((0..grads).map(|grad| (t(5), Barrier { iter, grad })));
+        run(&mut evs, &after);
+        evs.extend((0..workers).map(|worker| (t(12), IterEnd { worker, iter })));
+        evs
+    }
+
+    /// A well-formed single-worker, single-gradient BSP lifecycle: one
+    /// iteration, with the push's flow on the wire from t = 2 to t = 5.
+    fn lifecycle() -> Vec<(SimTime, TraceEvent)> {
+        let (tag, src, dst) = (7, 1, 0);
+        let mut evs = bsp_iteration(1, 1, 0);
+        let bytes = 1000;
+        let start = TraceEvent::FlowStart {
+            tag,
+            src,
+            dst,
+            bytes,
+        };
+        let delivered = 1000.0;
+        let end = TraceEvent::FlowEnd {
+            tag,
+            src,
+            dst,
+            delivered,
+        };
+        evs.splice(3..3, [(at(2), start), (at(5), end)]);
+        evs
     }
 
     fn feed(checker: &mut InvariantChecker, evs: &[(SimTime, TraceEvent)]) {
@@ -1912,14 +1978,39 @@ mod tests {
         c.finish();
     }
 
+    fn storage<T>(rows: &IterRows<T>) -> usize {
+        let cells = rows.live.iter().map(|(_, row)| row.capacity());
+        cells.chain(rows.spare.iter().map(Vec::capacity)).sum()
+    }
+
     #[test]
     fn checker_prunes_completed_iterations() {
-        let mut c = InvariantChecker::new(1, true);
-        feed(&mut c, &lifecycle());
-        assert!(
-            c.grads.is_empty(),
-            "per-gradient cells not pruned at IterEnd"
-        );
+        // An IterEnd recycles that worker's row and nobody else's: it
+        // touches exactly `grads` cells however many workers there are,
+        // and the tables hold the same storage after 3 iterations as 200.
+        let (workers, grads) = (64, 5);
+        let run = |iters: u64| {
+            let mut c = InvariantChecker::new(workers, true);
+            let held = |c: &InvariantChecker| -> usize {
+                let rows = c.grads.iter().flat_map(|rows| &rows.live);
+                rows.map(|(_, row)| row.len()).sum()
+            };
+            for iter in 0..iters {
+                for (t, ev) in bsp_iteration(workers, grads, iter) {
+                    let before = held(&c);
+                    c.on_event(t, &ev);
+                    if matches!(ev, TraceEvent::IterEnd { .. }) {
+                        assert_eq!(before - held(&c), grads, "cells dropped by {ev:?}");
+                    }
+                }
+            }
+            assert!(
+                c.grads.iter().all(|rows| rows.live.is_empty()),
+                "per-gradient cells not pruned at IterEnd"
+            );
+            c.grads.iter().map(storage).sum::<usize>() + storage(&c.arrivals) + storage(&c.barriers)
+        };
+        assert_eq!(run(3), run(200));
     }
 
     #[test]

@@ -21,6 +21,15 @@
 #                                           time does not survive them
 #                                           (8.4 before the component-level
 #                                           completion index, 3.4 after)
+#     checked_over_unchecked_host_ratio_64 <= 1.3  host time of the
+#                                           64-worker FIFO cell with the
+#                                           InvariantChecker on over the
+#                                           same cell with it off, twins
+#                                           run back to back (1.51-1.55 at
+#                                           the parent: string ring and
+#                                           tuple-keyed maps; 1.09 with
+#                                           the value ring and dense
+#                                           tables; DESIGN.md §17)
 #   BENCH_maxmin.json
 #     realloc_speedup_512          >= 10    one flow's departure+arrival
 #                                           among 512 workers, incremental
@@ -39,6 +48,7 @@ bounds=(
     "BENCH_threaded.json speedup_8w_4s_vgg >= 4.3 threaded"
     "BENCH_threaded.json shard_scaling_8w_4s_over_1s > 1.0 threaded"
     "BENCH_sim_scale.json oracle_over_fifo_host_ratio_256 <= 4.5 sim_scale"
+    "BENCH_sim_scale.json checked_over_unchecked_host_ratio_64 <= 1.3 sim_scale"
     "BENCH_maxmin.json realloc_speedup_512 >= 10 maxmin_scale"
 )
 
