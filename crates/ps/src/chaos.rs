@@ -581,6 +581,7 @@ mod tests {
             shard_spans: vec![],
             elastic: ElasticStats::default(),
             net_stats: Default::default(),
+            cluster_stats: Default::default(),
         }
     }
 

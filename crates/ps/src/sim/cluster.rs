@@ -11,7 +11,7 @@
 //! config produce identical results (asserted by the integration tests).
 
 use super::config::{ClusterConfig, SyncMode};
-use super::metrics::{ElasticStats, FaultStats, GradTransferLog, RunResult};
+use super::metrics::{ClusterStats, ElasticStats, FaultStats, GradTransferLog, RunResult};
 use crate::protocol::{
     Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Outbox, Windows,
 };
@@ -2028,6 +2028,9 @@ impl Cluster {
             shard_spans,
             elastic: self.elastic,
             net_stats: self.net.stats(),
+            cluster_stats: ClusterStats {
+                checker_events: self.checker.as_ref().map_or(0, |c| c.events_seen()),
+            },
         }
     }
 }

@@ -103,6 +103,17 @@ pub struct ElasticStats {
     pub fallback_depth: u64,
 }
 
+/// The cluster engine's own work, as plain counts. Exact per seed — like
+/// [`NetStats`] for the network under it — so a test or a later change may
+/// name a counter beforehand and assert or claim on it. Always counted;
+/// there is no switch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterStats {
+    /// Typed events the [`prophet_sim::InvariantChecker`] was fed (0 when
+    /// [`crate::sim::ClusterConfig::check_invariants`] is off).
+    pub checker_events: u64,
+}
+
 /// The outcome of [`crate::sim::run_cluster`].
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -161,6 +172,8 @@ pub struct RunResult {
     /// completion-index traffic). Exact per seed, like everything else a
     /// run computes; host time is not.
     pub net_stats: NetStats,
+    /// The cluster engine's own work counters, beside the network's.
+    pub cluster_stats: ClusterStats,
 }
 
 impl RunResult {
@@ -241,6 +254,7 @@ mod tests {
             shard_spans: vec![],
             elastic: ElasticStats::default(),
             net_stats: Default::default(),
+            cluster_stats: Default::default(),
         }
     }
 

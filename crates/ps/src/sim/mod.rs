@@ -15,4 +15,4 @@ pub use cluster::run_cluster;
 #[doc(hidden)]
 pub use cluster::run_cluster_full_resolve;
 pub use config::{ClusterConfig, SyncMode};
-pub use metrics::{ElasticStats, FaultStats, GradTransferLog, RunResult};
+pub use metrics::{ClusterStats, ElasticStats, FaultStats, GradTransferLog, RunResult};
