@@ -43,6 +43,14 @@ pub fn ext_scale() -> ExperimentOutput {
             "index_pushes",
             "index_stale_pops",
             "split_checks",
+            "events",
+            "net_wakes",
+            "peak_pending",
+            "pump_calls",
+            "tasks",
+            "sends",
+            "peak_live_tasks",
+            "lanes",
         ],
     );
     for &workers in SCALES {
@@ -62,7 +70,7 @@ pub fn ext_scale() -> ExperimentOutput {
                 .last()
                 .map(|d| d.as_secs_f64() * 1e3)
                 .unwrap_or(f64::NAN);
-            let n = r.net_stats;
+            let (n, c) = (r.net_stats, r.cluster_stats);
             let mut row = vec![
                 workers.to_string(),
                 label,
@@ -80,6 +88,14 @@ pub fn ext_scale() -> ExperimentOutput {
                     n.index_pushes,
                     n.index_stale_pops,
                     n.split_checks,
+                    c.events(),
+                    c.popped("net_wake"),
+                    c.peak_pending_events,
+                    c.pump_calls,
+                    c.tasks_issued,
+                    c.messages,
+                    c.peak_live_tasks,
+                    c.lanes_created,
                 ]
                 .map(|c| c.to_string()),
             );
@@ -96,7 +112,14 @@ pub fn ext_scale() -> ExperimentOutput {
                  rounds, rates that actually changed, completion-index \
                  pushes and stale pops (both track fills, not rate \
                  changes), and departures that needed a connectivity \
-                 search. \
+                 search. The columns from `events` on are the cluster \
+                 engine's (`ClusterStats`), exact per seed as well: events \
+                 popped (and how many of them were network wake-ups), the \
+                 most events pending at once, scheduler polling rounds, \
+                 tasks issued and messages sent, the most tasks in flight \
+                 at once (the length of the task table) and the lanes \
+                 created — `workers × 62 × 2` once shards outnumber \
+                 ResNet18's 62 tensors, not `workers × shards × 2`. \
                  Simulated iteration time scaling with workers reflects the \
                  per-gradient fan-in onto its home shard, which caps \
                  per-worker throughput at `shard_bps / workers`."

@@ -130,6 +130,8 @@ enum Mode {
 pub struct ProphetScheduler {
     cfg: ProphetConfig,
     sizes: Vec<u64>,
+    /// Sum of `sizes`: the model's bytes, read on every poll.
+    total_bytes: u64,
     mode: Mode,
     profiler: JobProfiler,
     profile: Option<JobProfile>,
@@ -165,6 +167,7 @@ impl ProphetScheduler {
         let bandwidth = cfg.initial_bandwidth_bps;
         ProphetScheduler {
             cfg,
+            total_bytes: sizes.iter().sum(),
             sizes,
             mode: Mode::Profiling,
             profiler,
@@ -263,7 +266,7 @@ impl ProphetScheduler {
     /// The steady credit for the current regime (see
     /// [`ProphetConfig::comm_ratio_threshold`]).
     fn regime_credit(&self) -> u64 {
-        let total: u64 = self.sizes.iter().sum();
+        let total = self.total_bytes;
         let c0 = match &self.mode {
             Mode::Planned { bursts } => bursts.last().copied().unwrap_or(Duration::ZERO),
             Mode::Profiling => Duration::ZERO,

@@ -23,16 +23,25 @@ use prophet_sim::{
     rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
     SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+/// Index of a [`Lane`] in [`Lanes::slab`].
+type LaneId = u32;
+/// Index of a live [`InFlightTask`] in [`Tasks::slots`].
+type TaskId = u32;
+
+/// A queued event. Workers, gradients and lanes are named by `u32` index
+/// so a variant is at most 16 bytes and a queue entry 32 (pinned by
+/// `tests::event_stays_small`): the pending-event heap is the one
+/// structure every event is sifted through.
 #[derive(Debug)]
 enum Ev {
     /// Worker `w` begins an iteration (backward pass starts).
-    IterBegin { w: usize },
-    /// Worker `w` releases gradient `grad` in iteration `iter`.
-    GradReady { w: usize, iter: u64, grad: usize },
+    IterBegin { w: u32 },
+    /// Worker `w` releases gradient `grad` in its current iteration.
+    GradReady { w: u32, grad: u32 },
     /// Worker `w` finishes the forward compute of tensor `grad`.
-    FwdDone { w: usize, iter: u64, grad: usize },
+    FwdDone { w: u32, grad: u32 },
     /// The network predicted a state change at this instant. The handler
     /// is empty because every event dispatch drains the network first;
     /// this event only guarantees the loop wakes up in time.
@@ -44,13 +53,34 @@ enum Ev {
     /// Scheduled capacity change (dynamic-network experiments).
     BandwidthChange { bps: f64 },
     /// Fault window `idx` of the plan opens.
-    FaultBegin { idx: usize },
+    FaultBegin { idx: u32 },
     /// Fault window `idx` of the plan closes (link restored, shard restarted).
-    FaultFinish { idx: usize },
+    FaultFinish { idx: u32 },
     /// A lane's retry backoff expired; try to start its next message.
-    LaneKick { key: (usize, usize, Dir) },
-    /// Ack timeout for the message last sent as flow `tag`.
-    MsgTimeout { tag: u64 },
+    LaneKick { lane: LaneId },
+    /// Ack timeout for the message `lane` sent as flow `tag`. Live exactly
+    /// while that lane's current message still carries the tag.
+    MsgTimeout { lane: LaneId, tag: u64 },
+}
+
+impl Ev {
+    /// Index of this event's kind in [`ClusterStats::events_popped`]
+    /// (named by [`ClusterStats::EVENT_KINDS`]).
+    fn kind(&self) -> usize {
+        match self {
+            Ev::IterBegin { .. } => 0,
+            Ev::GradReady { .. } => 1,
+            Ev::FwdDone { .. } => 2,
+            Ev::NetWake => 3,
+            Ev::MonitorTick => 4,
+            Ev::SampleTick => 5,
+            Ev::BandwidthChange { .. } => 6,
+            Ev::FaultBegin { .. } => 7,
+            Ev::FaultFinish { .. } => 8,
+            Ev::LaneKick { .. } => 9,
+            Ev::MsgTimeout { .. } => 10,
+        }
+    }
 }
 
 /// A scheduler-issued message in flight, possibly split across PS shards.
@@ -65,15 +95,59 @@ struct InFlightTask {
     replay: bool,
 }
 
-/// One message queued on a transmission lane.
+/// The live scheduler tasks, addressed by slot. A task's id is the slot it
+/// sits in from launch to completion; retired slots are reused last-freed
+/// first, so the table is as long as the most tasks that were ever live at
+/// once and a lookup is an index. Only a task's own messages hold its id
+/// and the last of them retires it, so a reused slot is never reached
+/// through a stale id. Nothing orders by, or reports, a task id.
+#[derive(Default)]
+struct Tasks {
+    slots: Vec<Option<InFlightTask>>,
+    free: Vec<TaskId>,
+    /// Tasks ever entered.
+    issued: u64,
+}
+
+impl Tasks {
+    fn insert(&mut self, task: InFlightTask) -> TaskId {
+        self.issued += 1;
+        match self.free.pop() {
+            Some(id) => {
+                self.slots[id as usize] = Some(task);
+                id
+            }
+            None => {
+                self.slots.push(Some(task));
+                (self.slots.len() - 1) as TaskId
+            }
+        }
+    }
+
+    fn get_mut(&mut self, id: TaskId) -> &mut InFlightTask {
+        self.slots[id as usize]
+            .as_mut()
+            .expect("message names a retired task")
+    }
+
+    fn remove(&mut self, id: TaskId) -> InFlightTask {
+        self.free.push(id);
+        self.slots[id as usize]
+            .take()
+            .expect("message names a retired task")
+    }
+}
+
+/// One message queued on a transmission lane (the lane knows its
+/// endpoints and direction).
 struct QueuedMsg {
     tag: u64,
     bytes: u64,
-    src: NodeId,
-    dst: NodeId,
     /// Owning scheduler task.
-    task_id: u64,
-    /// The `(gradient, bytes)` pieces this message carries on its shard.
+    task: TaskId,
+    /// The `(gradient, bytes)` pieces this message carries on its shard —
+    /// read on the retry paths only. The buffer is drawn from, and goes
+    /// back to, [`Cluster::piece_pool`].
     pieces: Vec<(usize, u64)>,
     /// Failed sends so far; drives the backoff (0 = original send).
     attempt: u32,
@@ -134,26 +208,97 @@ impl Generation for SimGen {
 /// connection's window is already open) unless the worker's strategy uses
 /// a blocking transport (P3), which pays the full cost every message.
 struct Lane {
-    active: bool,
+    worker: u32,
+    shard: u32,
+    dir: Dir,
+    ever_used: bool,
+    /// The message currently on the wire; the lane is busy while it is
+    /// `Some`.
+    current: Option<QueuedMsg>,
     queue: VecDeque<QueuedMsg>,
     last_end: SimTime,
-    ever_used: bool,
-    /// The message currently on the wire (`Some` iff `active`).
-    current: Option<QueuedMsg>,
     /// Retry backoff: no new message may start before this instant.
     blocked_until: SimTime,
 }
 
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            active: false,
-            queue: VecDeque::new(),
-            last_end: SimTime::ZERO,
+/// The lanes in use, addressed by [`LaneId`] (DESIGN.md §18).
+///
+/// A lane is created by the first message queued on it and never removed,
+/// so its id — its position in `slab` — is stable and an event may carry
+/// it. Memory follows the lanes *in use*, not `workers × shards`: a cell
+/// with co-located shards touches only the shards that own a tensor.
+struct Lanes {
+    slab: Vec<Lane>,
+    /// Per worker, that worker's lanes as `(sort key, id)` ascending by
+    /// key — `(shard, dir)` order. Finding a lane from a message's
+    /// endpoints is a search of this short row; walking every lane in
+    /// `(worker, shard, dir)` order is walking the rows.
+    by_worker: Vec<Vec<(u32, LaneId)>>,
+}
+
+impl Lanes {
+    fn new(workers: usize) -> Self {
+        Lanes {
+            slab: Vec::new(),
+            by_worker: vec![Vec::new(); workers],
+        }
+    }
+
+    /// Row sort key: shard major, push before pull.
+    fn sort_key(shard: usize, dir: Dir) -> u32 {
+        (shard as u32) << 1 | matches!(dir, Dir::Pull) as u32
+    }
+
+    fn find(&self, w: usize, shard: usize, dir: Dir) -> Option<LaneId> {
+        let row = &self.by_worker[w];
+        let at = row.binary_search_by_key(&Self::sort_key(shard, dir), |&(k, _)| k);
+        at.ok().map(|at| row[at].1)
+    }
+
+    /// The lane `(w, shard, dir)`, created on first use.
+    fn get_or_create(&mut self, w: usize, shard: usize, dir: Dir) -> LaneId {
+        let key = Self::sort_key(shard, dir);
+        let row = &mut self.by_worker[w];
+        let at = match row.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => return row[at].1,
+            Err(at) => at,
+        };
+        let id = self.slab.len() as LaneId;
+        row.insert(at, (key, id));
+        self.slab.push(Lane {
+            worker: w as u32,
+            shard: shard as u32,
+            dir,
             ever_used: false,
             current: None,
+            queue: VecDeque::new(),
+            last_end: SimTime::ZERO,
             blocked_until: SimTime::ZERO,
+        });
+        id
+    }
+
+    /// The lanes with an endpoint at `node` (shards occupy the low node
+    /// indices, workers follow), in `(worker, shard, dir)` order. Fault
+    /// paths only: once per window or permanent failure, not per message.
+    fn touching(&self, node: usize, shards: usize) -> Vec<LaneId> {
+        if node >= shards {
+            return self.by_worker[node - shards]
+                .iter()
+                .map(|&(_, id)| id)
+                .collect();
         }
+        let (lo, hi) = (
+            Self::sort_key(node, Dir::Push),
+            Self::sort_key(node, Dir::Pull),
+        );
+        let mut out = Vec::new();
+        for row in &self.by_worker {
+            let at = row.partition_point(|&(k, _)| k < lo);
+            let of_node = row[at..].iter().take_while(|&&(k, _)| k <= hi);
+            out.extend(of_node.map(|&(_, id)| id));
+        }
+        out
     }
 }
 
@@ -184,6 +329,14 @@ struct WorkerRt {
     /// nothing, so schedulers can see the estimate go stale.
     failures_since_tick: u32,
     iter_start: SimTime,
+    /// This iteration's gradient releases as `(instant, position in the
+    /// generation schedule, gradient)`, ascending. Only the next one is in
+    /// the event queue ([`Cluster::queue_next_release`]).
+    releases: Vec<(SimTime, u32, u32)>,
+    /// How many of `releases` have been queued so far.
+    releases_queued: usize,
+    /// First of the sequence numbers reserved for `releases`.
+    release_seq0: u64,
     // Per-gradient timing logs for the current iteration.
     ready_at: Vec<SimTime>,
     push_start: Vec<SimTime>,
@@ -204,12 +357,13 @@ struct Cluster {
     /// The BSP barrier ledger: aggregation progress per `(iteration,
     /// gradient)`, in bytes, and which evictions have fired.
     barriers: Barriers,
-    /// Flow tag → task id.
-    flow_task: HashMap<u64, u64>,
-    tasks: HashMap<u64, InFlightTask>,
-    /// Serialising transmission lanes, keyed by `(worker, shard, dir)`.
-    lanes: HashMap<(usize, usize, Dir), Lane>,
-    next_task_id: u64,
+    // In-flight state is addressed by index, never hashed (DESIGN.md §18):
+    // a completion finds its lane from its endpoints, the lane's current
+    // message names its task.
+    tasks: Tasks,
+    /// Serialising transmission lanes, one per `(worker, shard, dir)` in
+    /// use.
+    lanes: Lanes,
     next_flow_tag: u64,
     sizes: Vec<u64>,
     fwd_times: Vec<Duration>,
@@ -234,8 +388,9 @@ struct Cluster {
     /// Active windows per `(kind, trace node)`. Chaos plans overlap windows
     /// of the same kind on the same node (bursts, repeated crashes); the
     /// trace contract is one `FaultStart`/`FaultEnd` pair per episode, so
-    /// starts are emitted on 0→1 and ends on 1→0 of this count.
-    fault_active: HashMap<(FaultKind, usize), u32>,
+    /// starts are emitted on 0→1 and ends on 1→0 of this count. A handful
+    /// of entries at most, searched linearly.
+    fault_active: Vec<(FaultKind, usize, u32)>,
     fault_rng: Xoshiro256StarStar,
     fault_stats: FaultStats,
 
@@ -295,8 +450,12 @@ struct Cluster {
     degraded_transitions: Vec<(SimTime, bool)>,
     warmup_end_time: Option<SimTime>,
     post_warmup_gpu: TimeWeighted,
+    stats: ClusterStats,
     /// Reusable buffer for [`Cluster::launch`]'s per-shard split.
     shard_groups: Vec<ShardGroup>,
+    /// Emptied `pieces` buffers of delivered messages, handed to the next
+    /// ones: in steady state a message allocates nothing.
+    piece_pool: Vec<Vec<(usize, u64)>>,
 }
 
 const UNSET: SimTime = SimTime::MAX;
@@ -381,6 +540,9 @@ impl Cluster {
                 bytes_accum: 0.0,
                 failures_since_tick: 0,
                 iter_start: SimTime::ZERO,
+                releases: Vec::with_capacity(n),
+                releases_queued: 0,
+                release_seq0: 0,
                 ready_at: vec![UNSET; n],
                 push_start: vec![UNSET; n],
                 push_end: vec![UNSET; n],
@@ -447,7 +609,7 @@ impl Cluster {
             node_degrade: vec![1.0; nodes],
             node_base_bps,
             stall_until,
-            fault_active: HashMap::new(),
+            fault_active: Vec::new(),
             fault_rng,
             fault_stats: FaultStats::default(),
             cfg,
@@ -456,10 +618,8 @@ impl Cluster {
             net,
             workers,
             barriers: Barriers::new(total_workers, sizes.clone()),
-            flow_task: HashMap::new(),
-            tasks: HashMap::new(),
-            lanes: HashMap::new(),
-            next_task_id: 0,
+            tasks: Tasks::default(),
+            lanes: Lanes::new(total_workers),
             next_flow_tag: 0,
             sizes,
             fwd_times,
@@ -479,7 +639,9 @@ impl Cluster {
             degraded_transitions: Vec::new(),
             warmup_end_time: None,
             post_warmup_gpu: TimeWeighted::new(SimTime::ZERO, 0.0),
+            stats: ClusterStats::default(),
             shard_groups: Vec::new(),
+            piece_pool: Vec::new(),
         }
     }
 
@@ -533,11 +695,11 @@ impl Cluster {
             return;
         }
         self.pending_net.extend(self.net.drain_events());
-        while let Some(&(at, _)) = self.pending_net.front() {
+        while let Some(&(at, ev)) = self.pending_net.front() {
             if at > t {
                 break;
             }
-            let (at, ev) = self.pending_net.pop_front().expect("non-empty");
+            self.pending_net.pop_front();
             let typed = match ev {
                 NetEvent::FlowStart {
                     tag,
@@ -580,7 +742,7 @@ impl Cluster {
     fn run(mut self) -> RunResult {
         // Joiner slots have no iteration zero: their first IterBegin is
         // scheduled by their admission.
-        for w in 0..self.cfg.workers {
+        for w in 0..self.cfg.workers as u32 {
             self.queue.schedule(SimTime::ZERO, Ev::IterBegin { w });
         }
         self.queue
@@ -595,33 +757,38 @@ impl Cluster {
         // fire at the BSP boundary they name.
         for (idx, win) in self.windows.all().iter().enumerate() {
             let (at, until) = (SimTime::from_nanos(win.start), SimTime::from_nanos(win.end));
+            let idx = idx as u32;
             self.queue.schedule(at, Ev::FaultBegin { idx });
             self.queue.schedule(until, Ev::FaultFinish { idx });
         }
 
         while let Some((now, ev)) = self.queue.pop() {
+            let pending = self.queue.len() as u64 + 1;
+            self.stats.peak_pending_events = self.stats.peak_pending_events.max(pending);
+            self.stats.events_popped[ev.kind()] += 1;
             // Bring the network to `now` first so every handler sees a
             // fully-settled wire (completions are handled before anything
             // else that happens at this instant).
             self.drain_net(now);
+            // The newest queued release popped (for the first time: a copy
+            // deferred by a stall is no longer the newest): queue the next.
+            if let Ev::GradReady { w, grad } = ev {
+                let wk = &self.workers[w as usize];
+                if wk.releases[wk.releases_queued - 1].2 == grad {
+                    self.queue_next_release(w as usize);
+                }
+            }
             match ev {
                 // A stalled worker's compute events are deferred to the end
                 // of the stall window (fault plans only).
-                Ev::IterBegin { w } if self.stalled(now, w) => {
-                    let t = self.stall_until[w];
-                    self.queue.schedule(t, Ev::IterBegin { w });
+                Ev::IterBegin { w } | Ev::GradReady { w, .. } | Ev::FwdDone { w, .. }
+                    if self.stalled(now, w as usize) =>
+                {
+                    self.queue.schedule(self.stall_until[w as usize], ev);
                 }
-                Ev::GradReady { w, iter, grad } if self.stalled(now, w) => {
-                    let t = self.stall_until[w];
-                    self.queue.schedule(t, Ev::GradReady { w, iter, grad });
-                }
-                Ev::FwdDone { w, iter, grad } if self.stalled(now, w) => {
-                    let t = self.stall_until[w];
-                    self.queue.schedule(t, Ev::FwdDone { w, iter, grad });
-                }
-                Ev::IterBegin { w } => self.on_iter_begin(now, w),
-                Ev::GradReady { w, iter, grad } => self.on_grad_ready(now, w, iter, grad),
-                Ev::FwdDone { w, iter, grad } => self.on_fwd_done(now, w, iter, grad),
+                Ev::IterBegin { w } => self.on_iter_begin(now, w as usize),
+                Ev::GradReady { w, grad } => self.on_grad_ready(now, w as usize, grad as usize),
+                Ev::FwdDone { w, grad } => self.on_fwd_done(now, w as usize, grad as usize),
                 // drain_net already did the work; retire the wake so
                 // arm_net knows this instant is no longer covered.
                 Ev::NetWake => {
@@ -631,13 +798,13 @@ impl Cluster {
                 Ev::MonitorTick => self.on_monitor_tick(now),
                 Ev::SampleTick => self.on_sample_tick(now),
                 Ev::BandwidthChange { bps } => self.on_bandwidth_change(now, bps),
-                Ev::FaultBegin { idx } => self.on_fault_begin(now, idx),
-                Ev::FaultFinish { idx } => self.on_fault_finish(now, idx),
-                Ev::LaneKick { key } => {
-                    self.kick_lane(now, key);
+                Ev::FaultBegin { idx } => self.on_fault_begin(now, idx as usize),
+                Ev::FaultFinish { idx } => self.on_fault_finish(now, idx as usize),
+                Ev::LaneKick { lane } => {
+                    self.kick_lane(now, lane);
                     self.forward_net_events_up_to(now);
                 }
-                Ev::MsgTimeout { tag } => self.on_msg_timeout(now, tag),
+                Ev::MsgTimeout { lane, tag } => self.on_msg_timeout(now, lane, tag),
             }
             // Re-arm only once this instant's event burst is exhausted.
             // While more events sit at `now`, the network's next-event time
@@ -726,25 +893,48 @@ impl Cluster {
         // compute speed (straggler modelling).
         let factor =
             self.workers[w].rng.jitter(self.cfg.compute_jitter, 0.7) / self.cfg.compute_scale(w);
-        let events: Vec<(usize, Duration)> = self
-            .cfg
-            .job
-            .generation_events()
-            .iter()
-            .map(|e| (e.id, e.ready_at))
-            .collect();
-        for (grad, offset) in events {
-            let jittered = Duration::from_secs_f64(offset.as_secs_f64() * factor);
-            self.queue
-                .schedule(now + jittered, Ev::GradReady { w, iter, grad });
-        }
+        let events = self.cfg.job.generation_events();
+        let wk = &mut self.workers[w];
+        wk.releases.clear();
+        wk.releases.extend(events.iter().enumerate().map(|(i, e)| {
+            let jittered = Duration::from_secs_f64(e.ready_at.as_secs_f64() * factor);
+            (now + jittered, i as u32, e.id as u32)
+        }));
+        // The schedule is usually, not always, ascending in `ready_at`
+        // (VGG19's large d2h copies overtake each other); the chain below
+        // needs the order the queue would pop them in.
+        wk.releases.sort_unstable();
+        wk.releases_queued = 0;
+        // One sequence number per release, in schedule order — the numbers
+        // queueing them all right now would take.
+        wk.release_seq0 = self.queue.reserve(events.len() as u64);
+        self.queue_next_release(w);
         if w == 0 {
             self.post_warmup_gpu_set(now, 1.0);
         }
     }
 
-    fn on_grad_ready(&mut self, now: SimTime, w: usize, iter: u64, grad: usize) {
-        debug_assert_eq!(self.workers[w].iter, iter, "stale GradReady");
+    /// Queue worker `w`'s next gradient release, if any is left. Called at
+    /// `IterBegin` and whenever the newest queued release pops, so one
+    /// release per worker is pending instead of the whole backward pass —
+    /// in the order, and under the sequence numbers, queueing them all at
+    /// `IterBegin` would give (`EventQueue::schedule_reserved` has the
+    /// argument).
+    fn queue_next_release(&mut self, w: usize) {
+        let wk = &mut self.workers[w];
+        let Some(&(at, pos, grad)) = wk.releases.get(wk.releases_queued) else {
+            return;
+        };
+        wk.releases_queued += 1;
+        let seq = wk.release_seq0 + pos as u64;
+        let w = w as u32;
+        self.queue
+            .schedule_reserved(at, seq, Ev::GradReady { w, grad });
+    }
+
+    fn on_grad_ready(&mut self, now: SimTime, w: usize, grad: usize) {
+        let iter = self.workers[w].iter;
+        debug_assert_eq!(self.workers[w].ready_at[grad], UNSET, "stale GradReady");
         self.workers[w].ready_at[grad] = now;
         self.emit(
             now,
@@ -770,8 +960,9 @@ impl Cluster {
         self.pump(now, w);
     }
 
-    fn on_fwd_done(&mut self, now: SimTime, w: usize, iter: u64, grad: usize) {
-        debug_assert_eq!(self.workers[w].iter, iter, "stale FwdDone");
+    fn on_fwd_done(&mut self, now: SimTime, w: usize, grad: usize) {
+        let iter = self.workers[w].iter;
+        debug_assert_eq!(self.workers[w].fwd_next, grad, "stale FwdDone");
         let n = self.num_grads();
         let iteration_over = {
             let wk = &mut self.workers[w];
@@ -845,7 +1036,7 @@ impl Cluster {
                 self.evict_worker(now, w);
             } else if done_now < self.total_iters {
                 let next = now + self.cfg.job.gpu.iter_overhead;
-                self.queue.schedule(next, Ev::IterBegin { w });
+                self.queue.schedule(next, Ev::IterBegin { w: w as u32 });
             }
         } else {
             self.try_start_forward(now, w);
@@ -887,14 +1078,8 @@ impl Cluster {
             self.trace
                 .record("w0.gpu", "f", next as i64, now, now + dur);
         }
-        self.queue.schedule(
-            now + dur,
-            Ev::FwdDone {
-                w,
-                iter,
-                grad: next,
-            },
-        );
+        let (w, grad) = (w as u32, next as u32);
+        self.queue.schedule(now + dur, Ev::FwdDone { w, grad });
     }
 
     /// Reconfigure every NIC to `bps` (the PS shards included, so the
@@ -998,6 +1183,7 @@ impl Cluster {
 
     /// Poll worker `w`'s scheduler until it stops issuing tasks.
     fn pump(&mut self, now: SimTime, w: usize) {
+        self.stats.pump_calls += 1;
         while let Some(task) = self.workers[w].sched.next_task(now) {
             self.launch(now, w, task);
         }
@@ -1026,25 +1212,19 @@ impl Cluster {
             self.shard_groups = by_shard;
             return;
         }
-        let task_id = self.next_task_id;
-        self.next_task_id += 1;
-        let nflows = by_shard.len();
         let dir = task.dir;
-        self.tasks.insert(
-            task_id,
-            InFlightTask {
-                worker: w,
-                iter,
-                task,
-                started: now,
-                subflows_remaining: nflows,
-                replay: false,
-            },
-        );
+        let task_id = self.tasks.insert(InFlightTask {
+            worker: w,
+            iter,
+            task,
+            started: now,
+            subflows_remaining: by_shard.len(),
+            replay: false,
+        });
         for (shard, bytes, pieces) in by_shard.drain(..) {
-            let key = (w, shard, dir);
-            self.enqueue(key, task_id, bytes, pieces, 0);
-            self.kick_lane(now, key);
+            let lane = self.lanes.get_or_create(w, shard, dir);
+            self.enqueue(lane, task_id, bytes, pieces, 0);
+            self.kick_lane(now, lane);
         }
         self.shard_groups = by_shard;
         // Flows started on idle lanes appended to the net ledger at `now`;
@@ -1076,7 +1256,8 @@ impl Cluster {
     }
 
     /// Group `pieces` by owning shard into `groups`, in first-seen order.
-    fn group_by_owner(&self, pieces: &[(usize, u64)], groups: &mut Vec<ShardGroup>) {
+    /// The per-group piece lists are recycled buffers.
+    fn group_by_owner(&mut self, pieces: &[(usize, u64)], groups: &mut Vec<ShardGroup>) {
         groups.clear();
         for &(g, b) in pieces {
             let shard = self.owner[g];
@@ -1085,103 +1266,104 @@ impl Cluster {
                     *bytes += b;
                     pieces.push((g, b));
                 }
-                None => groups.push((shard, b, vec![(g, b)])),
+                None => {
+                    let mut pieces = self.piece_pool.pop().unwrap_or_default();
+                    pieces.push((g, b));
+                    groups.push((shard, b, pieces));
+                }
             }
         }
     }
 
-    /// Queue one message of task `task_id` at the back of lane `key` under
-    /// a fresh flow tag.
+    /// Give a retired message's `pieces` buffer to the next message.
+    fn recycle(&mut self, mut pieces: Vec<(usize, u64)>) {
+        pieces.clear();
+        self.piece_pool.push(pieces);
+    }
+
+    /// Queue one message of task `task` at the back of `lane` under a fresh
+    /// flow tag.
     fn enqueue(
         &mut self,
-        key: (usize, usize, Dir),
-        task_id: u64,
+        lane: LaneId,
+        task: TaskId,
         bytes: u64,
         pieces: Vec<(usize, u64)>,
         attempt: u32,
     ) {
-        let (worker, shard) = (self.workers[key.0].node, NodeId(key.1));
-        let (src, dst) = match key.2 {
-            Dir::Push => (worker, shard),
-            Dir::Pull => (shard, worker),
-        };
         let tag = self.next_flow_tag;
         self.next_flow_tag += 1;
-        self.flow_task.insert(tag, task_id);
-        let msg = QueuedMsg {
+        self.lanes.slab[lane as usize].queue.push_back(QueuedMsg {
             tag,
             bytes,
-            src,
-            dst,
-            task_id,
+            task,
             pieces,
             attempt,
             fate: None,
-        };
-        let lane = self.lanes.entry(key).or_insert_with(Lane::new);
-        lane.queue.push_back(msg);
+        });
     }
 
     /// Start the next queued message on a lane if it is idle, past any
     /// retry backoff, and both endpoints are up.
-    fn kick_lane(&mut self, now: SimTime, key: (usize, usize, Dir)) {
-        let transport = self.workers[key.0].sched.transport();
-        let warm_timeout = self.cfg.warm_timeout;
+    fn kick_lane(&mut self, now: SimTime, id: LaneId) {
         let faults = self.has_faults();
-        let (mut msg, warm) = {
-            let lane = self.lanes.get_mut(&key).expect("lane exists");
-            if lane.active {
+        let lane = &mut self.lanes.slab[id as usize];
+        if lane.current.is_some() {
+            return;
+        }
+        let (w, shard, dir) = (lane.worker as usize, lane.shard as usize, lane.dir);
+        if faults {
+            if now < lane.blocked_until {
+                return; // backing off; a LaneKick is already scheduled
+            }
+            if self.node_down[self.cfg.ps_shards + w] || self.node_down[shard] {
+                return; // endpoint down; kicked again on restore
+            }
+            // An adopting shard replaying a dead shard's checkpoint +
+            // ledger serves nothing until the restore completes. The
+            // kick is self-rescheduling (idempotent: a duplicate kick
+            // finds the lane busy or empty and does nothing).
+            let sb = self.shard_blocked_until[shard];
+            if now < sb {
+                self.queue.schedule(sb, Ev::LaneKick { lane: id });
                 return;
             }
-            if faults {
-                if now < lane.blocked_until {
-                    return; // backing off; a LaneKick is already scheduled
-                }
-                let wnode = self.cfg.ps_shards + key.0;
-                if self.node_down[wnode] || self.node_down[key.1] {
-                    return; // endpoint down; kicked again on restore
-                }
-                // An adopting shard replaying a dead shard's checkpoint +
-                // ledger serves nothing until the restore completes. The
-                // kick is self-rescheduling (idempotent: a duplicate kick
-                // finds the lane active or empty and does nothing).
-                let sb = self.shard_blocked_until[key.1];
-                if now < sb {
-                    self.queue.schedule(sb, Ev::LaneKick { key });
-                    return;
-                }
-            }
-            let Some(msg) = lane.queue.pop_front() else {
-                return;
-            };
-            let warm = transport == Transport::Pipelined
-                && lane.ever_used
-                && now.saturating_since(lane.last_end) <= warm_timeout;
-            lane.active = true;
-            lane.ever_used = true;
-            (msg, warm)
+        }
+        let Some(mut msg) = lane.queue.pop_front() else {
+            return;
         };
+        let warm = self.workers[w].sched.transport() == Transport::Pipelined
+            && lane.ever_used
+            && now.saturating_since(lane.last_end) <= self.cfg.warm_timeout;
+        lane.ever_used = true;
         if faults {
             let rng = &mut self.fault_rng;
             msg.fate = self.windows.send_fate(now.as_nanos(), |_| rng.next_f64());
             self.fault_stats.messages_lost += (msg.fate == Some(FaultKind::MsgLoss)) as u64;
             // Re-stamp pieces whose start a failed attempt voided.
             if msg.attempt > 0 {
-                let iter = self.tasks.get(&msg.task_id).expect("unknown task").iter;
+                let iter = self.tasks.get_mut(msg.task).iter;
                 for &(g, _) in &msg.pieces {
-                    self.stamp_start(now, key.0, iter, g, key.2);
+                    self.stamp_start(now, w, iter, g, dir);
                 }
             }
             // Every send is covered by an ack timeout; a stale timeout
             // (the message delivered or was re-tagged) is a no-op.
-            self.queue.schedule(
-                now + self.cfg.retry.timeout,
-                Ev::MsgTimeout { tag: msg.tag },
-            );
+            let timeout = Ev::MsgTimeout {
+                lane: id,
+                tag: msg.tag,
+            };
+            self.queue.schedule(now + self.cfg.retry.timeout, timeout);
         }
+        let (worker, shard) = (self.workers[w].node, NodeId(shard));
+        let (src, dst) = match dir {
+            Dir::Push => (worker, shard),
+            Dir::Pull => (shard, worker),
+        };
+        self.stats.messages += 1;
         self.net
-            .start_flow_with_warmth(now, msg.src, msg.dst, msg.bytes, msg.tag, warm);
-        self.lanes.get_mut(&key).expect("lane exists").current = Some(msg);
+            .start_flow_with_warmth(now, src, dst, msg.bytes, msg.tag, warm);
+        self.lanes.slab[id as usize].current = Some(msg);
     }
 
     /// Advance the network to `now` and process completions.
@@ -1199,28 +1381,32 @@ impl Cluster {
         self.forward_net_events_up_to(now);
     }
 
+    /// The lane a flow between `src` and `dst` runs on: shards occupy the
+    /// low node indices and workers follow, so the endpoints alone say
+    /// which `(worker, shard, direction)` it is.
+    fn lane_of_flow(&self, src: NodeId, dst: NodeId) -> LaneId {
+        let shards = self.cfg.ps_shards;
+        let (w, shard, dir) = if src.0 < shards {
+            (dst.0 - shards, src.0, Dir::Pull)
+        } else {
+            (src.0 - shards, dst.0, Dir::Push)
+        };
+        self.lanes
+            .find(w, shard, dir)
+            .expect("flow between endpoints no lane joins")
+    }
+
     fn handle_flow_end(&mut self, end: FlowEnd) {
-        let task_id = *self
-            .flow_task
-            .get(&end.tag)
-            .expect("completion for unknown flow");
-        let (worker, dir) = {
-            let t = self.tasks.get(&task_id).expect("unknown task");
-            (t.worker, t.task.dir)
-        };
         // Release the lane this message occupied and start the next.
-        let shard = match dir {
-            Dir::Push => end.dst.0,
-            Dir::Pull => end.src.0,
-        };
-        let key = (worker, shard, dir);
-        let msg = {
-            let lane = self.lanes.get_mut(&key).expect("lane exists");
-            lane.active = false;
-            lane.last_end = end.finished;
-            lane.current.take()
-        };
-        if let Some(m) = msg.filter(|m| m.fate.is_some()) {
+        let id = self.lane_of_flow(end.src, end.dst);
+        let lane = &mut self.lanes.slab[id as usize];
+        lane.last_end = end.finished;
+        let m = lane
+            .current
+            .take()
+            .expect("completion on a lane with nothing on the wire");
+        debug_assert_eq!(m.tag, end.tag);
+        if m.fate.is_some() {
             // The bytes crossed the wire, but the loss window ate the
             // message or it arrived damaged: deliver nothing and retry the
             // send — for a corrupt frame after the receiver's CRC verify
@@ -1228,22 +1414,19 @@ impl Cluster {
             self.fault_stats.wasted_bytes += m.bytes as f64;
             if m.fate == Some(FaultKind::PayloadCorrupt) {
                 self.fault_stats.frames_corrupted += 1;
-                let (node, bytes) = (m.dst.0, m.bytes);
+                let (node, bytes) = (end.dst.0, m.bytes);
                 let data = true;
                 self.emit(end.finished, TraceEvent::FrameCorrupt { node, bytes, data });
             }
-            self.fail_message(end.finished, key, m);
+            self.fail_message(end.finished, id, m);
             return;
         }
-        self.flow_task.remove(&end.tag);
-        self.kick_lane(end.finished, key);
-        let done = {
-            let inflight = self.tasks.get_mut(&task_id).expect("unknown task");
-            inflight.subflows_remaining -= 1;
-            inflight.subflows_remaining == 0
-        };
-        if done {
-            let inflight = self.tasks.remove(&task_id).unwrap();
+        self.kick_lane(end.finished, id);
+        self.recycle(m.pieces);
+        let inflight = self.tasks.get_mut(m.task);
+        inflight.subflows_remaining -= 1;
+        if inflight.subflows_remaining == 0 {
+            let inflight = self.tasks.remove(m.task);
             self.on_task_complete(end.finished, inflight);
         }
     }
@@ -1466,9 +1649,22 @@ impl Cluster {
         false
     }
 
+    /// The open-window count of `(kind, node)`, entered at zero if absent.
+    fn fault_count(&mut self, kind: FaultKind, node: usize) -> &mut u32 {
+        let known = self
+            .fault_active
+            .iter()
+            .position(|f| (f.0, f.1) == (kind, node));
+        let at = known.unwrap_or_else(|| {
+            self.fault_active.push((kind, node, 0));
+            self.fault_active.len() - 1
+        });
+        &mut self.fault_active[at].2
+    }
+
     fn on_fault_begin(&mut self, now: SimTime, idx: usize) {
         let win = self.windows.all()[idx];
-        let count = self.fault_active.entry((win.kind, win.node)).or_insert(0);
+        let count = self.fault_count(win.kind, win.node);
         *count += 1;
         if *count == 1 {
             self.emit(
@@ -1491,18 +1687,24 @@ impl Cluster {
 
     fn on_fault_finish(&mut self, now: SimTime, idx: usize) {
         let win = self.windows.all()[idx];
-        let count = self
-            .fault_active
-            .get_mut(&(win.kind, win.node))
-            .expect("fault finished without starting");
+        let count = self.fault_count(win.kind, win.node);
+        debug_assert!(*count > 0, "fault finished without starting");
         *count -= 1;
         // The trace pair closes when the last same-(kind, node) window does;
         // node state restores only once *no* window (of any kind) still
         // holds it down.
         let last = *count == 0;
         let up = self.refresh_fault_state(now, win.kind, win.node);
-        if up {
-            self.cold_restart_lanes(win.node);
+        // Connections do not survive an outage: every lane touching the
+        // node comes back *cold* (full setup + slow-start on the next
+        // message).
+        let restored = if up {
+            self.lanes.touching(win.node, self.cfg.ps_shards)
+        } else {
+            Vec::new()
+        };
+        for &id in &restored {
+            self.lanes.slab[id as usize].ever_used = false;
         }
         if last {
             self.emit(
@@ -1513,8 +1715,11 @@ impl Cluster {
                 },
             );
         }
+        for id in restored {
+            self.kick_lane(now, id);
+        }
         if up {
-            self.kick_lanes_touching(now, win.node);
+            self.forward_net_events_up_to(now);
         }
     }
 
@@ -1525,108 +1730,67 @@ impl Cluster {
         debug_assert!(done.is_empty());
     }
 
-    /// Connections do not survive an outage: every lane touching `node`
-    /// comes back *cold* (full setup + slow-start on the next message).
-    fn cold_restart_lanes(&mut self, node: usize) {
-        let shards = self.cfg.ps_shards;
-        for (&(w, shard, _), lane) in self.lanes.iter_mut() {
-            if shard == node || shards + w == node {
-                lane.ever_used = false;
-            }
-        }
-    }
-
-    /// Kick every lane touching `node`, in deterministic key order.
-    fn kick_lanes_touching(&mut self, now: SimTime, node: usize) {
-        let shards = self.cfg.ps_shards;
-        let mut keys: Vec<(usize, usize, Dir)> = self
-            .lanes
-            .keys()
-            .filter(|&&(w, shard, _)| shard == node || shards + w == node)
-            .copied()
-            .collect();
-        keys.sort_by_key(|&(w, s, d)| (w, s, matches!(d, Dir::Pull) as u8));
-        for key in keys {
-            self.kick_lane(now, key);
-        }
-        self.forward_net_events_up_to(now);
-    }
-
-    fn on_msg_timeout(&mut self, now: SimTime, tag: u64) {
-        if !self.flow_task.contains_key(&tag) {
+    fn on_msg_timeout(&mut self, now: SimTime, lane: LaneId, tag: u64) {
+        let on_wire = self.lanes.slab[lane as usize].current.as_ref();
+        if on_wire.is_none_or(|m| m.tag != tag) {
             return; // delivered, or already retried under a fresh tag
         }
         if let Some(kf) = self.net.kill_flow(now, tag) {
-            self.fail_flows(now, vec![kf]);
+            self.fail_flows(now, Some(kf));
         }
     }
 
     /// Handle flows the network just killed: close their lanes, void the
     /// affected gradients' stamps, and queue the messages for re-send.
-    fn fail_flows(&mut self, now: SimTime, kills: Vec<KilledFlow>) {
+    fn fail_flows(&mut self, now: SimTime, kills: impl IntoIterator<Item = KilledFlow>) {
         // Ledger first: sinks must see each FlowKilled before the
         // RetryAttempt it causes.
         self.forward_net_events_up_to(now);
         for kf in kills {
             self.fault_stats.flows_killed += 1;
             self.fault_stats.wasted_bytes += kf.delivered;
-            let key = self.flow_key(&kf);
-            let msg = {
-                let lane = self.lanes.get_mut(&key).expect("lane exists");
-                lane.active = false;
-                lane.last_end = now;
-                lane.current
-                    .take()
-                    .expect("killed flow had no current message")
-            };
+            let id = self.lane_of_flow(kf.src, kf.dst);
+            let lane = &mut self.lanes.slab[id as usize];
+            lane.last_end = now;
+            let msg = lane
+                .current
+                .take()
+                .expect("killed flow had no current message");
             debug_assert_eq!(msg.tag, kf.tag);
-            self.fail_message(now, key, msg);
-        }
-    }
-
-    /// Derive the lane key of a killed flow from its endpoints (shards
-    /// occupy the low node indices, workers follow).
-    fn flow_key(&self, kf: &KilledFlow) -> (usize, usize, Dir) {
-        let shards = self.cfg.ps_shards;
-        if kf.src.0 < shards {
-            (kf.dst.0 - shards, kf.src.0, Dir::Pull)
-        } else {
-            (kf.src.0 - shards, kf.dst.0, Dir::Push)
+            self.fail_message(now, id, msg);
         }
     }
 
     /// Re-queue a failed message under a fresh tag with one more attempt,
     /// back its lane off, and void the stamps of the gradients it carried.
-    fn fail_message(&mut self, now: SimTime, key: (usize, usize, Dir), mut msg: QueuedMsg) {
-        self.void_message(now, key, &mut msg);
+    fn fail_message(&mut self, now: SimTime, id: LaneId, mut msg: QueuedMsg) {
+        self.void_message(now, id, &mut msg);
         msg.tag = self.next_flow_tag;
         self.next_flow_tag += 1;
-        self.flow_task.insert(msg.tag, msg.task_id);
         let delay = self.cfg.retry.delay(msg.attempt);
         let until = now + delay;
-        let lane = self.lanes.get_mut(&key).expect("lane exists");
+        let lane = &mut self.lanes.slab[id as usize];
         lane.queue.push_front(msg);
         if until > lane.blocked_until {
             lane.blocked_until = until;
         }
-        self.queue.schedule(until, Ev::LaneKick { key });
+        self.queue.schedule(until, Ev::LaneKick { lane: id });
     }
 
-    /// A message failed in flight: retire its flow tag, count one more
-    /// attempt against it, its worker and its scheduler, and open a retry
-    /// step for every gradient it carried. The caller re-queues it.
-    fn void_message(&mut self, now: SimTime, key: (usize, usize, Dir), msg: &mut QueuedMsg) {
-        let (w, _, dir) = key;
-        self.flow_task.remove(&msg.tag);
+    /// A message failed in flight on lane `id`: count one more attempt
+    /// against it, its worker and its scheduler, and open a retry step for
+    /// every gradient it carried. The caller re-queues it under a fresh
+    /// flow tag (which is what makes any outstanding ack timeout stale).
+    fn void_message(&mut self, now: SimTime, id: LaneId, msg: &mut QueuedMsg) {
+        let lane = &self.lanes.slab[id as usize];
+        let (w, dir) = (lane.worker as usize, lane.dir);
         msg.attempt += 1;
         msg.fate = None;
         self.fault_stats.retried_bytes += msg.bytes;
         self.workers[w].failures_since_tick += 1;
-        let (iter, task) = {
-            let t = self.tasks.get(&msg.task_id).expect("unknown task");
-            (t.iter, t.task.clone())
-        };
-        self.workers[w].sched.transfer_failed(now, &task);
+        let inflight = self.tasks.get_mut(msg.task);
+        let iter = inflight.iter;
+        self.workers[w].sched.transfer_failed(now, &inflight.task);
         for &(g, _) in &msg.pieces {
             self.note_retry(now, w, iter, g, dir);
         }
@@ -1690,20 +1854,18 @@ impl Cluster {
             let task = TransferTask::slice(Dir::Push, g, b);
             self.workers[w].sched.transfer_failed(now, &task);
             self.note_retry(now, w, iter, g, Dir::Push);
-            let task_id = self.next_task_id;
-            self.next_task_id += 1;
-            self.tasks.insert(
-                task_id,
-                InFlightTask {
-                    worker: w,
-                    iter,
-                    task,
-                    started: now,
-                    subflows_remaining: 1,
-                    replay: true,
-                },
-            );
-            self.enqueue((w, shard, Dir::Push), task_id, b, vec![(g, b)], 1);
+            let task_id = self.tasks.insert(InFlightTask {
+                worker: w,
+                iter,
+                task,
+                started: now,
+                subflows_remaining: 1,
+                replay: true,
+            });
+            let lane = self.lanes.get_or_create(w, shard, Dir::Push);
+            let mut pieces = self.piece_pool.pop().unwrap_or_default();
+            pieces.push((g, b));
+            self.enqueue(lane, task_id, b, pieces, 1);
             // No kick — the shard is down; restart kicks the lanes.
         }
     }
@@ -1789,7 +1951,8 @@ impl Cluster {
         let model: u64 = self.sizes.iter().sum();
         self.elastic.bootstrap_bytes += model;
         let delay = Duration::from_secs_f64(model as f64 / self.cfg.worker_bandwidth(j));
-        self.queue.schedule(now + delay, Ev::IterBegin { w: j });
+        self.queue
+            .schedule(now + delay, Ev::IterBegin { w: j as u32 });
     }
 
     /// Shard `s` dies for good at the boundary of iteration `at_iter`: its
@@ -1819,10 +1982,10 @@ impl Cluster {
             self.fault_stats.flows_killed += 1;
             self.fault_stats.wasted_bytes += kf.delivered;
             self.elastic.lost_work_bytes += kf.delivered as u64;
-            let key = self.flow_key(kf);
-            let lane = self.lanes.get_mut(&key).expect("lane exists");
-            lane.active = false;
-            lane.last_end = now;
+            // The killed message stays the lane's `current` until the
+            // re-route below takes it: every one of these lanes ends at `s`.
+            let id = self.lane_of_flow(kf.src, kf.dst);
+            self.lanes.slab[id as usize].last_end = now;
         }
         // Re-home the dead shard's tensors onto the timetable's next table.
         let from = std::mem::replace(&mut self.owner, next_owner);
@@ -1876,20 +2039,14 @@ impl Cluster {
         }
         // Re-route every message parked on a lane to the dead shard onto
         // its gradient's new owner — fail-fast, zero backoff: there is no
-        // outage to outwait.
-        let mut keys: Vec<(usize, usize, Dir)> = self
-            .lanes
-            .keys()
-            .filter(|&&(_, sh, _)| sh == s)
-            .copied()
-            .collect();
-        keys.sort_by_key(|&(w2, _, d)| (w2, matches!(d, Dir::Pull) as u8));
-        for key in keys {
-            let lane = self.lanes.get_mut(&key).expect("lane exists");
+        // outage to outwait. (Re-routing creates lanes, so the walk is over
+        // a list taken first.)
+        for id in self.lanes.touching(s, self.cfg.ps_shards) {
+            let lane = &mut self.lanes.slab[id as usize];
             let mut msgs: Vec<QueuedMsg> = lane.current.take().into_iter().collect();
             msgs.extend(lane.queue.drain(..));
             for msg in msgs {
-                self.reroute_message(now, key, msg);
+                self.reroute_message(now, id, msg);
             }
         }
         self.forward_net_events_up_to(now);
@@ -1901,8 +2058,8 @@ impl Cluster {
     /// [`prophet_net::RetryPolicy::delay_to`]: backing off against a peer
     /// that is never coming back would burn the whole capped-exponential
     /// schedule per message for nothing.
-    fn reroute_message(&mut self, now: SimTime, key: (usize, usize, Dir), mut msg: QueuedMsg) {
-        self.void_message(now, key, &mut msg);
+    fn reroute_message(&mut self, now: SimTime, from: LaneId, mut msg: QueuedMsg) {
+        self.void_message(now, from, &mut msg);
         debug_assert_eq!(
             self.cfg.retry.delay_to(msg.attempt, true),
             Duration::ZERO,
@@ -1914,15 +2071,15 @@ impl Cluster {
         // subflow count grows by the difference.
         let mut groups = Vec::new();
         self.group_by_owner(&msg.pieces, &mut groups);
-        self.tasks
-            .get_mut(&msg.task_id)
-            .expect("unknown task")
-            .subflows_remaining += groups.len() - 1;
+        self.tasks.get_mut(msg.task).subflows_remaining += groups.len() - 1;
+        let lane = &self.lanes.slab[from as usize];
+        let (w, dir) = (lane.worker as usize, lane.dir);
         for (a, bytes, pieces) in groups {
-            let newkey = (key.0, a, key.2);
-            self.enqueue(newkey, msg.task_id, bytes, pieces, msg.attempt);
-            self.kick_lane(now, newkey);
+            let to = self.lanes.get_or_create(w, a, dir);
+            self.enqueue(to, msg.task, bytes, pieces, msg.attempt);
+            self.kick_lane(now, to);
         }
+        self.recycle(msg.pieces);
     }
 
     /// Iteration `iter` closed: snapshot every surviving shard whose cadence
@@ -2029,13 +2186,24 @@ impl Cluster {
             elastic: self.elastic,
             net_stats: self.net.stats(),
             cluster_stats: ClusterStats {
+                tasks_issued: self.tasks.issued,
+                peak_live_tasks: self.tasks.slots.len() as u64,
+                lanes_created: self.lanes.slab.len() as u64,
                 checker_events: self.checker.as_ref().map_or(0, |c| c.events_seen()),
+                ..self.stats
             },
         }
     }
 }
 
 /// Simulate `iters` BSP iterations of `cfg` and report the metrics.
+///
+/// # Panics
+///
+/// On bad input — `iters == 0`, or a configuration
+/// [`ClusterConfig::validate`] rejects — before anything runs. A panic from
+/// inside the run is a broken engine invariant (or, with
+/// [`ClusterConfig::check_invariants`], a violation the checker caught).
 pub fn run_cluster(cfg: &ClusterConfig, iters: u64) -> RunResult {
     assert!(iters > 0, "zero iterations");
     Cluster::new(cfg.clone(), iters).run()
@@ -2135,6 +2303,133 @@ mod tests {
         cfg2.seed += 1;
         let c = run_cluster(&cfg2, 4);
         assert_ne!(a.iter_times, c.iter_times, "seed had no effect");
+    }
+
+    #[test]
+    fn event_stays_small() {
+        // 16-byte events make 32-byte queue entries (time + sequence
+        // number + event); a `usize` triple or a tuple key in one variant
+        // would grow every entry the heap sifts.
+        assert!(
+            std::mem::size_of::<Ev>() <= 16,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
+    }
+
+    #[test]
+    fn lanes_are_found_by_endpoints_and_walked_in_key_order() {
+        let mut lanes = Lanes::new(3);
+        // Created out of key order, as messages would create them.
+        let keys = [
+            (2, 1, Dir::Pull),
+            (0, 1, Dir::Push),
+            (2, 0, Dir::Push),
+            (0, 0, Dir::Pull),
+            (2, 1, Dir::Push),
+            (0, 1, Dir::Pull),
+        ];
+        let ids: Vec<LaneId> = keys
+            .iter()
+            .map(|&(w, s, d)| lanes.get_or_create(w, s, d))
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 5], "ids are creation order");
+        for (&(w, s, d), &id) in keys.iter().zip(&ids) {
+            assert_eq!(lanes.find(w, s, d), Some(id));
+            assert_eq!(lanes.get_or_create(w, s, d), id, "no second lane");
+            let lane = &lanes.slab[id as usize];
+            assert_eq!((lane.worker, lane.shard, lane.dir), (w as u32, s as u32, d));
+        }
+        assert_eq!(lanes.find(1, 0, Dir::Push), None);
+        assert_eq!(lanes.find(0, 0, Dir::Push), None);
+        assert_eq!(lanes.slab.len(), 6);
+        // Two shards, so nodes 0–1 are shards and 2–4 the workers.
+        let touching = |node| lanes.touching(node, 2);
+        assert_eq!(
+            touching(1),
+            [1, 5, 4, 0],
+            "shard 1: (w0 push, w0 pull, w2 push, w2 pull)"
+        );
+        assert_eq!(touching(0), [3, 2]);
+        assert_eq!(
+            touching(2),
+            [3, 1, 5],
+            "worker 0: (s0 pull, s1 push, s1 pull)"
+        );
+        assert_eq!(touching(3), [] as [LaneId; 0]);
+        assert_eq!(touching(4), [2, 4, 0]);
+    }
+
+    #[test]
+    fn task_slots_are_reused_last_freed_first() {
+        let task = |worker| InFlightTask {
+            worker,
+            iter: 0,
+            task: TransferTask::whole(Dir::Push, 0, 1),
+            started: SimTime::ZERO,
+            subflows_remaining: 1,
+            replay: false,
+        };
+        let mut tasks = Tasks::default();
+        let ids: Vec<TaskId> = (0..3).map(|w| tasks.insert(task(w))).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(tasks.remove(0).worker, 0);
+        assert_eq!(tasks.remove(2).worker, 2);
+        assert_eq!(tasks.insert(task(7)), 2);
+        assert_eq!(tasks.insert(task(8)), 0);
+        assert_eq!(tasks.insert(task(9)), 3);
+        assert_eq!(tasks.get_mut(2).worker, 7);
+        tasks.get_mut(1).subflows_remaining = 5;
+        assert_eq!(tasks.get_mut(1).subflows_remaining, 5);
+        assert_eq!(tasks.slots.len(), 4, "as long as the most ever live");
+    }
+
+    #[test]
+    #[should_panic(expected = "message names a retired task")]
+    fn a_retired_task_id_is_a_broken_invariant() {
+        let mut tasks = Tasks::default();
+        let id = tasks.insert(InFlightTask {
+            worker: 0,
+            iter: 0,
+            task: TransferTask::whole(Dir::Push, 0, 1),
+            started: SimTime::ZERO,
+            subflows_remaining: 1,
+            replay: false,
+        });
+        tasks.remove(id);
+        tasks.get_mut(id);
+    }
+
+    #[test]
+    fn cluster_stats_are_exact_and_add_up() {
+        let cfg = base(SchedulerKind::Fifo);
+        let (iters, n) = (4u64, cfg.job.num_gradients() as u64);
+        let s = run_cluster(&cfg, iters).cluster_stats;
+        assert_eq!(
+            s,
+            run_cluster(&cfg, iters).cluster_stats,
+            "counts must repeat"
+        );
+        let worker_iters = cfg.workers as u64 * iters;
+        assert_eq!(s.popped("iter_begin"), worker_iters);
+        assert_eq!(s.popped("grad_ready"), worker_iters * n);
+        assert_eq!(s.popped("fwd_done"), worker_iters * n);
+        assert_eq!(
+            s.popped("lane_kick") + s.popped("msg_timeout"),
+            0,
+            "fault-free"
+        );
+        assert_eq!(s.events(), s.events_popped.iter().sum::<u64>());
+        // FIFO: one whole-tensor push and one pull per gradient, one shard,
+        // so one message per task and two lanes per worker.
+        assert_eq!(s.tasks_issued, worker_iters * n * 2);
+        assert_eq!(s.messages, s.tasks_issued);
+        assert_eq!(s.lanes_created, cfg.workers as u64 * 2);
+        assert!(s.pump_calls >= s.tasks_issued / 2, "{s:?}");
+        assert!(s.peak_live_tasks >= 1 && s.peak_live_tasks <= cfg.workers as u64 * n * 2);
+        // One release per worker pending, not the whole backward pass.
+        assert!(s.peak_pending_events < n, "{s:?}");
+        assert_eq!(s.checker_events > 0, cfg.check_invariants);
     }
 
     #[test]
@@ -2306,6 +2601,16 @@ mod tests {
         assert_eq!(r.iter_times, r2.iter_times);
         assert_eq!(r.duration, r2.duration);
         assert_eq!(r.fault_stats, r2.fault_stats);
+        // The engine's own counters repeat too, and show the retry
+        // machinery: every failure armed a kick, and the re-sends went out
+        // on the lanes the first sends made. (The 5 s ack timeouts outlive
+        // this run; they are dropped at the end, never popped.)
+        let s = r.cluster_stats;
+        assert_eq!(s, r2.cluster_stats);
+        assert!(s.popped("lane_kick") >= r.fault_stats.flows_killed, "{s:?}");
+        assert_eq!(s.popped("msg_timeout"), 0);
+        assert_eq!(s.messages, s.tasks_issued + r.fault_stats.flows_killed);
+        assert_eq!(s.lanes_created, cfg.workers as u64 * 2);
     }
 
     #[test]

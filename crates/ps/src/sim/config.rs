@@ -188,10 +188,26 @@ impl ClusterConfig {
     }
 
     /// Sanity-check the configuration, panicking with a message naming the
-    /// offending field.
+    /// offending field. Everything a caller can get wrong is caught here,
+    /// before the engine starts: a panic past this point is a broken engine
+    /// invariant, not bad input (DESIGN.md §18 has the table).
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
         assert!(self.ps_shards >= 1, "need at least one PS shard");
+        // The engine names workers, shards and lanes by `u32`.
+        assert!(
+            self.workers < 1 << 30 && self.ps_shards < 1 << 30,
+            "too many workers or shards to index"
+        );
+        // A zero period would re-arm its tick at the same instant forever.
+        assert!(
+            !self.monitor_period.is_zero(),
+            "monitor period must be positive"
+        );
+        assert!(
+            !self.sample_window.is_zero(),
+            "sample window must be positive"
+        );
         assert!(
             self.worker_bps > 0.0 && self.ps_bps > 0.0,
             "non-positive bandwidth"
@@ -262,6 +278,30 @@ mod tests {
         c.worker_bps_overrides.push((1, 62.5e6));
         assert_eq!(c.worker_bandwidth(0), 1.25e9);
         assert_eq!(c.worker_bandwidth(1), 62.5e6);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "monitor period must be positive")]
+    fn zero_monitor_period_rejected_before_it_can_spin() {
+        let mut c = cfg();
+        c.monitor_period = Duration::ZERO;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sample window must be positive")]
+    fn zero_sample_window_rejected_by_name() {
+        let mut c = cfg();
+        c.sample_window = Duration::ZERO;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many workers or shards to index")]
+    fn unindexable_shard_count_rejected() {
+        let mut c = cfg();
+        c.ps_shards = 1 << 31;
         c.validate();
     }
 

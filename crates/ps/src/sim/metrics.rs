@@ -109,9 +109,59 @@ pub struct ElasticStats {
 /// there is no switch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
+    /// Events popped off the pending-event queue, by kind, in the order of
+    /// [`ClusterStats::EVENT_KINDS`]. A compute event deferred by a
+    /// `WorkerStall` window counts once per pop.
+    pub events_popped: [u64; 11],
+    /// Most events pending at once.
+    pub peak_pending_events: u64,
+    /// Scheduler polling rounds (each polls `next_task` until it declines).
+    pub pump_calls: u64,
+    /// Tasks entered in the in-flight table: those the schedulers issued
+    /// plus the replays a shard crash synthesises.
+    pub tasks_issued: u64,
+    /// Messages put on the wire: one per shard a task spans, plus every
+    /// re-send.
+    pub messages: u64,
+    /// Most tasks in flight at once (the length of the task table).
+    pub peak_live_tasks: u64,
+    /// Transmission lanes created, one per `(worker, shard, direction)`
+    /// ever used.
+    pub lanes_created: u64,
     /// Typed events the [`prophet_sim::InvariantChecker`] was fed (0 when
     /// [`crate::sim::ClusterConfig::check_invariants`] is off).
     pub checker_events: u64,
+}
+
+impl ClusterStats {
+    /// Names of the event kinds counted in
+    /// [`ClusterStats::events_popped`], index for index.
+    pub const EVENT_KINDS: [&'static str; 11] = [
+        "iter_begin",
+        "grad_ready",
+        "fwd_done",
+        "net_wake",
+        "monitor_tick",
+        "sample_tick",
+        "bandwidth_change",
+        "fault_begin",
+        "fault_finish",
+        "lane_kick",
+        "msg_timeout",
+    ];
+
+    /// All events popped.
+    pub fn events(&self) -> u64 {
+        self.events_popped.iter().sum()
+    }
+
+    /// Events of the kind named `kind` popped. Panics on a name that is not
+    /// one of [`ClusterStats::EVENT_KINDS`] — a misspelt kind must not read
+    /// as "none popped".
+    pub fn popped(&self, kind: &str) -> u64 {
+        let at = Self::EVENT_KINDS.iter().position(|&k| k == kind);
+        self.events_popped[at.unwrap_or_else(|| panic!("no event kind named {kind}"))]
+    }
 }
 
 /// The outcome of [`crate::sim::run_cluster`].

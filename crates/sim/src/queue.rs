@@ -94,6 +94,43 @@ impl<E> EventQueue<E> {
         });
     }
 
+    /// Set aside the next `n` sequence numbers and return the first: the
+    /// numbers `n` consecutive [`EventQueue::schedule`] calls would take
+    /// now. See [`EventQueue::schedule_reserved`].
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedule `event` at `at` under a sequence number obtained from
+    /// [`EventQueue::reserve`].
+    ///
+    /// This lets a caller that knows a whole batch of future events up
+    /// front keep only the *next* one in the heap, without changing the
+    /// order anything pops in. The argument: let the batch's entries be
+    /// `e_1 < e_2 < … < e_n` by `(time, seq)` key — the order the heap
+    /// would pop them in had they all been scheduled at reservation time —
+    /// and let the caller queue `e_1` at once and `e_{k+1}` when `e_k` pops,
+    /// before the next `pop`. An entry the heap does not hold yet, `e_j`
+    /// with `j > k + 1`, has a key above `e_{k+1}`'s, which the heap does
+    /// hold; so the minimum over the heap's entries equals the minimum over
+    /// the entries of the fully-loaded heap, at every pop. Same minima, same
+    /// pop sequence; and since the batch took its `n` numbers when it was
+    /// reserved, every other event gets the number it would have got. The
+    /// caller's side of the bargain is to chain in ascending `(time, seq)`
+    /// order — sort the batch, do not assume it — which also keeps each
+    /// lazily queued entry at or after the instant it is queued at.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(at >= self.now, "reserved event in the past");
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            event,
+        });
+    }
+
     /// Pop the earliest pending event and advance the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
@@ -215,6 +252,45 @@ mod tests {
         assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn lazily_chained_batches_pop_like_eager_ones() {
+        // Three interleaved batches with ties inside and across them, plus
+        // ordinary events scheduled while they drain: queueing only each
+        // batch's next entry must pop exactly what queueing it whole does.
+        let batches: [&[u64]; 3] = [&[5, 5, 9, 20], &[5, 7, 9, 9, 30], &[1, 20, 20]];
+        let mut eager = EventQueue::new();
+        let mut lazy = EventQueue::new();
+        let mut next: Vec<(u64, usize)> = Vec::new(); // per batch: (first seq, queued so far)
+        for (b, times) in batches.iter().enumerate() {
+            for (i, &ms) in times.iter().enumerate() {
+                eager.schedule(t(ms), (b, i));
+            }
+            let first = lazy.reserve(times.len() as u64);
+            lazy.schedule_reserved(t(times[0]), first, (b, 0));
+            next.push((first, 1));
+            // An ordinary event between reservations takes the same number.
+            eager.schedule(t(9), (9, b));
+            lazy.schedule(t(9), (9, b));
+        }
+        loop {
+            let (e, l) = (eager.pop(), lazy.pop());
+            assert_eq!(e, l);
+            let Some((now, (b, i))) = l else { break };
+            if b < batches.len() {
+                let (first, queued) = &mut next[b];
+                if let Some(&ms) = batches[b].get(*queued) {
+                    lazy.schedule_reserved(t(ms), *first + *queued as u64, (b, *queued));
+                    *queued += 1;
+                }
+                // Handlers schedule follow-ups; both queues number them alike.
+                if i == 1 {
+                    eager.schedule(now, (8, b));
+                    lazy.schedule(now, (8, b));
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 #            slowest simulation suites are `#[cfg_attr(debug_assertions,
 #            ignore)]` so this tier stays fast)
 #   release  release build + release-profile tests with `--include-ignored`
-#            (the trimmed suites at full iteration counts), then the
-#            flake gate (scripts/stress.sh) and the 50-plan sweeps
+#            (the trimmed suites at full iteration counts, the 200-plan
+#            golden digest), then the flake gate (scripts/stress.sh) and
+#            the 50-plan sweeps
 #   all      both tiers (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,7 +61,10 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
     # (vendored crates mark non-compiling examples `ignore`); doctests
     # already ran in the debug tier. This tier also picks up the fuller
     # chaos sweep (full scheduler lineup x 25 plans) behind its
-    # `#[cfg_attr(debug_assertions, ignore)]` gates.
+    # `#[cfg_attr(debug_assertions, ignore)]` gates, `golden_digest`'s
+    # 200-plan tier (2404 runs folded into one recorded constant: the
+    # cross-commit differential every engine refactor answers to) and
+    # `cluster_alloc`'s per-message allocation counts.
     cargo test --offline --release -q --lib --bins --tests -- --include-ignored
 
     echo "==> flake gate (scripts/stress.sh: threaded suites, 20 rounds each on one core)"

@@ -6,7 +6,8 @@
 #     the file's first `#[cfg(test)]`. Comments and blank lines count, so
 #     deleting comments or reformatting cannot fake a reduction, and lines
 #     moved into a test module drop out of the count rather than padding it;
-#   * the same count for the two engine files the protocol work targets;
+#   * the same count for the engine files the protocol work targets, and how
+#     many of their non-test lines name a `HashMap`, `HashSet` or `BTreeMap`;
 #   * the number of `pub` fields of `ThreadedConfig` and `ClusterConfig`.
 #
 # Usage: loc.sh [root]     (compare two trees by running it on each)
@@ -34,10 +35,22 @@ done
 printf '  %-18s %6d\n' "all crates" "$total"
 printf '  %-18s %6d\n' "ps+sim+bench" "$engines"
 
+engine_files=(crates/ps/src/protocol.rs crates/ps/src/threaded/runtime.rs
+    crates/ps/src/sim/cluster.rs crates/ps/src/threaded/checkpoint.rs)
 echo "engine files"
-for f in crates/ps/src/protocol.rs crates/ps/src/threaded/runtime.rs \
-    crates/ps/src/sim/cluster.rs crates/ps/src/threaded/checkpoint.rs; do
+for f in "${engine_files[@]}"; do
     [[ -f "$f" ]] && printf '  %-40s %6d\n' "$f" "$(non_test "$f")"
+done
+
+# Lines of one file's non-test code that name a hashed or tree-shaped map:
+# the engines' in-flight state is meant to be addressed by index.
+maps() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /HashMap|HashSet|BTreeMap/ { n++ } END { print n + 0 }' "$1"
+}
+echo "lines naming HashMap|HashSet|BTreeMap (non-test)"
+for f in "${engine_files[@]}"; do
+    [[ -f "$f" ]] && printf '  %-40s %6d\n' "$f" "$(maps "$f")"
 done
 
 # `pub` fields between `pub struct <name> {` and its closing brace.

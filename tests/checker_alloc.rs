@@ -14,44 +14,12 @@
 //! warm-up, when its row is allocated once.
 
 use prophet::sim::{FaultKind, InvariantChecker, SimTime, SpanCollector, TraceEvent, TraceSink};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations (and re-allocations) made by this thread. Per thread, so
-    /// the harness and the other test do not leak into a count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // `try_with`: an allocation during thread teardown has nothing to count into.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` that neither allocates nor registers a destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const WORKERS: usize = 4;
 const SHARDS: usize = 2;
@@ -287,11 +255,8 @@ fn replay(evs: &[(SimTime, TraceEvent)], warm: usize) -> (u64, u64, usize) {
         spans.on_event(*at, ev);
     }
     let counted = |sink: &mut dyn TraceSink| {
-        let before = ALLOCS.with(Cell::get);
-        for (at, ev) in steady {
-            sink.on_event(*at, ev);
-        }
-        ALLOCS.with(Cell::get) - before
+        let feed = || steady.iter().for_each(|(at, ev)| sink.on_event(*at, ev));
+        counting_alloc::counted(feed).1
     };
     let by_checker = counted(&mut checker);
     let by_spans = counted(&mut spans);

@@ -191,38 +191,55 @@ impl Group {
 
 /// `plans` plans per profile per strategy on the 4 × 2 ResNet18 cell. Each
 /// strategy draws from its own `ChaosGen::new(SEED)` against the horizon of
-/// its own fault-free reference, profile by profile.
+/// its own fault-free reference, profile by profile — so the strategies are
+/// independent and run on a thread each; their digests are folded in
+/// line-up order.
 fn chaos_group(plans: usize) -> Group {
     let job = TrainingJob::paper_setup("resnet18", 16);
-    let mut runs = Vec::new();
-    for kind in SchedulerKind::paper_lineup(1.25e9) {
-        let label = kind.label();
-        let mut base = ClusterConfig::paper_cell(CHAOS_WORKERS, 10.0, job.clone(), kind);
-        base.ps_shards = CHAOS_SHARDS;
-        base.warmup_iters = 1;
-        let golden = checked(base.clone(), CHAOS_ITERS, "reference");
-        runs.push((format!("{label} reference"), digest_run(&golden)));
-        let horizon = Duration::from_nanos(golden.duration.as_nanos());
-        let (w, s) = (CHAOS_WORKERS, CHAOS_SHARDS);
-        let mut gen = ChaosGen::new(SEED);
-        for (profile, shape) in [
-            ("for_cluster", ChaosProfile::for_cluster(w, s, horizon)),
-            ("churn", ChaosProfile::churn(w, s, horizon, CHAOS_ITERS)),
-            (
-                "corruption",
-                ChaosProfile::corruption(w, s, horizon, CHAOS_ITERS),
-            ),
-        ] {
-            for i in 0..plans {
-                let what = format!("{label} {profile} plan {i}");
-                let mut cfg = base.clone();
-                cfg.fault_plan = gen.next_plan(&shape);
-                let r = checked(cfg, CHAOS_ITERS, &what);
-                runs.push((what, digest_run(&r)));
-            }
+    let runs = std::thread::scope(|scope| {
+        let strategies: Vec<_> = SchedulerKind::paper_lineup(1.25e9)
+            .into_iter()
+            .map(|kind| {
+                let job = &job;
+                scope.spawn(move || chaos_runs(job, kind, plans))
+            })
+            .collect();
+        let joined = strategies.into_iter().map(|s| s.join());
+        joined
+            .flat_map(|runs| runs.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    Group { runs }
+}
+
+/// One strategy's share of [`chaos_group`]: its reference, then its plans.
+fn chaos_runs(job: &TrainingJob, kind: SchedulerKind, plans: usize) -> Vec<(String, u64)> {
+    let label = kind.label();
+    let mut base = ClusterConfig::paper_cell(CHAOS_WORKERS, 10.0, job.clone(), kind);
+    base.ps_shards = CHAOS_SHARDS;
+    base.warmup_iters = 1;
+    let golden = checked(base.clone(), CHAOS_ITERS, "reference");
+    let mut runs = vec![(format!("{label} reference"), digest_run(&golden))];
+    let horizon = Duration::from_nanos(golden.duration.as_nanos());
+    let (w, s) = (CHAOS_WORKERS, CHAOS_SHARDS);
+    let mut gen = ChaosGen::new(SEED);
+    for (profile, shape) in [
+        ("for_cluster", ChaosProfile::for_cluster(w, s, horizon)),
+        ("churn", ChaosProfile::churn(w, s, horizon, CHAOS_ITERS)),
+        (
+            "corruption",
+            ChaosProfile::corruption(w, s, horizon, CHAOS_ITERS),
+        ),
+    ] {
+        for i in 0..plans {
+            let what = format!("{label} {profile} plan {i}");
+            let mut cfg = base.clone();
+            cfg.fault_plan = gen.next_plan(&shape);
+            let r = checked(cfg, CHAOS_ITERS, &what);
+            runs.push((what, digest_run(&r)));
         }
     }
-    Group { runs }
+    runs
 }
 
 /// The fault-free Table 2 cell (3 workers + 1 PS, ResNet50 bs64) at two
