@@ -5,8 +5,9 @@
 //! iteration counts, and the steady-state per-iteration time is the
 //! difference quotient `(wall(HI) - wall(LO)) / (HI - LO)` — thread
 //! spawn, dataset/model construction, and first-iteration cache warm-up
-//! cancel out. The median over `sample_size` run pairs is reported, so
-//! one scheduler hiccup cannot swing a cell.
+//! cancel out (`prophet_bench::experiments::threaded::measure`, shared with
+//! `repro ext_threaded`). The median over `sample_size` run pairs is
+//! reported, so one scheduler hiccup cannot swing a cell.
 //!
 //! The headline acceptance scalar is `speedup_8w_4s_vgg`: measured
 //! steady-state iterations/sec at 8 workers / 4 shards on the VGG-class
@@ -30,8 +31,8 @@
 
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
 use prophet::core::SchedulerKind;
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, ThreadedResult};
-use std::time::Instant;
+use prophet::ps::threaded::ThreadedConfig;
+use prophet_bench::experiments::threaded::{comm_bound_cfg, measure, PHASE_KEYS};
 
 /// Steady-state iterations/sec of the single-shard seed runtime at
 /// 8 workers on the VGG-class model (FIFO, unlimited link, invariants
@@ -41,35 +42,13 @@ use std::time::Instant;
 /// runtime is accepted only if it beats 3x this number.
 pub const SEED_BASELINE_8W_VGG_ITERS_PER_SEC: f64 = 0.798;
 
-/// Iteration counts for the difference quotient.
-const LO: u64 = 2;
-const HI: u64 = 8;
-
 /// A VGG-proportioned dense stack: a few multi-megabyte tensors plus
 /// their small biases (~6.3 M parameters, 25 MB). With one sample per
 /// worker the gradient exchange dominates compute — the
 /// communication-bound regime of the paper's VGG experiments, scaled to
 /// a 1-core CI box.
 fn vgg_cfg(workers: usize, shards: usize) -> ThreadedConfig {
-    ThreadedConfig {
-        workers,
-        ps_shards: shards,
-        widths: vec![512, 2048, 2048, 512, 10],
-        samples: 64,
-        noise: 0.8,
-        seed: 77,
-        global_batch: workers, // one sample per worker: comm-dominated
-        iterations: HI,
-        lr: 0.05,
-        optimizer: PsOptimizer::Sgd { momentum: 0.9 },
-        scheduler: SchedulerKind::Fifo,
-        link_bps: None,
-        check_invariants: false,
-        checkpoint_period: 4,
-        checkpoint_retention: 2,
-        fault_plan: Default::default(),
-        retry: prophet::net::RetryPolicy::paper_default(),
-    }
+    comm_bound_cfg(workers, shards, &[512, 2048, 2048, 512, 10])
 }
 
 /// The `ThreadedConfig::small` problem at bench settings (invariants off).
@@ -77,67 +56,7 @@ fn small_cfg(workers: usize) -> ThreadedConfig {
     let mut cfg = ThreadedConfig::small(workers, SchedulerKind::Fifo);
     cfg.check_invariants = false;
     cfg.global_batch = workers * 8;
-    cfg.iterations = HI;
     cfg
-}
-
-/// Per-phase attribution keys, in the order [`phase_vec`] fills them:
-/// shard-side spans summed across shards, then worker-side spans summed
-/// across workers. Every perf claim in DESIGN.md §15 cites these.
-const PHASE_KEYS: [&str; 11] = [
-    "shard_verify",
-    "shard_accumulate",
-    "shard_optimizer",
-    "shard_encode",
-    "shard_ack",
-    "shard_sweep",
-    "shard_idle",
-    "worker_compute",
-    "worker_encode",
-    "worker_apply",
-    "worker_wait",
-];
-
-fn phase_vec(r: &ThreadedResult) -> [u64; 11] {
-    let mut v = [0u64; 11];
-    for p in &r.shard_phases {
-        v[0] += p.verify_ns;
-        v[1] += p.accumulate_ns;
-        v[2] += p.optimizer_ns;
-        v[3] += p.encode_ns;
-        v[4] += p.ack_ns;
-        v[5] += p.sweep_ns;
-        v[6] += p.idle_ns;
-    }
-    v[7] = r.worker_phases.compute_ns;
-    v[8] = r.worker_phases.encode_ns;
-    v[9] = r.worker_phases.apply_ns;
-    v[10] = r.worker_phases.wait_ns;
-    v
-}
-
-/// One steady-state sample: wall-clock difference quotient over LO/HI
-/// runs, plus the per-phase attribution (ns per iteration) computed with
-/// the same quotient — warm-up effects cancel out of the spans exactly as
-/// they cancel out of the wall clock.
-fn steady_iters_per_sec(cfg: &ThreadedConfig) -> (f64, [f64; 11]) {
-    let mut lo = cfg.clone();
-    lo.iterations = LO;
-    let mut hi = cfg.clone();
-    hi.iterations = HI;
-    let t0 = Instant::now();
-    let r_lo = run_threaded_training(&lo);
-    let t_lo = t0.elapsed();
-    let t1 = Instant::now();
-    let r_hi = run_threaded_training(&hi);
-    let t_hi = t1.elapsed();
-    let dt = t_hi.saturating_sub(t_lo).as_secs_f64().max(1e-9);
-    let (p_lo, p_hi) = (phase_vec(&r_lo), phase_vec(&r_hi));
-    let mut phases = [0f64; 11];
-    for i in 0..11 {
-        phases[i] = p_hi[i].saturating_sub(p_lo[i]) as f64 / (HI - LO) as f64;
-    }
-    ((HI - LO) as f64 / dt, phases)
 }
 
 /// Median of per-round paired 4-shard/1-shard throughput ratios (see the
@@ -151,12 +70,12 @@ fn paired_shard_scaling(rounds: usize) -> f64 {
         // Alternate which cell runs first so any within-round warm-up or
         // cool-down advantage hits both cells equally across rounds.
         let (r_1s, r_4s) = if round % 2 == 0 {
-            let a = steady_iters_per_sec(&cfg_1s).0;
-            let b = steady_iters_per_sec(&cfg_4s).0;
+            let a = measure(&cfg_1s).0;
+            let b = measure(&cfg_4s).0;
             (a, b)
         } else {
-            let b = steady_iters_per_sec(&cfg_4s).0;
-            let a = steady_iters_per_sec(&cfg_1s).0;
+            let b = measure(&cfg_4s).0;
+            let a = measure(&cfg_1s).0;
             (a, b)
         };
         println!(
@@ -195,7 +114,7 @@ fn bench_threaded(c: &mut Criterion) {
         let mut samples: Vec<(f64, [f64; 11])> = Vec::new();
         g.bench_function(id, |b| {
             b.iter(|| {
-                let (r, phases) = steady_iters_per_sec(cfg);
+                let (r, phases, _) = measure(cfg);
                 samples.push((r, phases));
                 r
             })

@@ -214,8 +214,15 @@ fn run_ext_sweep(sweep: &ExtSweep, args: &[String]) {
             t0.elapsed(),
             path.display()
         ),
-        Err(e) => eprintln!("[repro] {}: could not write CSV: {e}", sweep.id),
+        Err(e) => csv_failed(sweep.id, e),
     }
+}
+
+/// An experiment whose CSV could not be written has failed: exit non-zero
+/// so no caller mistakes a stale committed `results/*.csv` for its output.
+fn csv_failed(id: &str, e: std::io::Error) -> ! {
+    eprintln!("[repro] {id}: could not write CSV: {e}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -281,7 +288,7 @@ fn main() {
         println!("{}", output.to_markdown());
         match output.write_csv(&dir) {
             Ok(path) => eprintln!("[repro] {id} done in {elapsed:.1?} → {}", path.display()),
-            Err(e) => eprintln!("[repro] {id}: could not write CSV: {e}"),
+            Err(e) => csv_failed(id, e),
         }
     }
 }

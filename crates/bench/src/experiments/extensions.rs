@@ -166,53 +166,6 @@ pub fn ext_dynamic_bw() -> ExperimentOutput {
     out
 }
 
-/// The full related-work lineup (§6): all six strategies on the same
-/// cells, including the two comparators the paper cites but does not
-/// measure (TicTac, MG-WFBP).
-pub fn ext_related_work() -> ExperimentOutput {
-    let mut out = ExperimentOutput::new(
-        "ext_related_work",
-        "Six-strategy comparison: ResNet50 bs64, 3 workers",
-        "§6 positions Prophet against P3/TicTac (priority, blocking sends) \
-         and MG-WFBP/ByteScheduler (overhead amortisation). The paper \
-         measures three of them; this runs all six.",
-        &[
-            "gbps",
-            "mxnet_fifo",
-            "tictac",
-            "p3",
-            "mg_wfbp",
-            "bytescheduler",
-            "prophet",
-        ],
-    );
-    for &gbps in &[2.0, 4.0, 10.0] {
-        let rate = |kind: SchedulerKind| {
-            let mut cfg = cell("resnet50", 64, 3, gbps, kind);
-            steady(&mut cfg, 10).rate
-        };
-        out.row(vec![
-            format!("{gbps}"),
-            r1(rate(SchedulerKind::Fifo)),
-            r1(rate(SchedulerKind::TicTac)),
-            r1(rate(SchedulerKind::P3 {
-                partition_bytes: 4 << 20,
-            })),
-            r1(rate(SchedulerKind::MgWfbp {
-                merge_bytes: 16 << 20,
-            })),
-            r1(rate(bytescheduler())),
-            r1(rate(prophet(gbps))),
-        ]);
-    }
-    out.notes = "Expected order in the constrained band: FIFO <= TicTac/P3 \
-                 (priority, but blocking) and FIFO <= MG-WFBP (amortised, \
-                 but no priority) < ByteScheduler < Prophet; everyone \
-                 converges at 10 Gb/s."
-        .into();
-    out
-}
-
 /// Straggler study: one worker's GPU runs at 70% speed. Under BSP the
 /// whole cluster waits; under ASP only the straggler slows down.
 pub fn ext_straggler() -> ExperimentOutput {

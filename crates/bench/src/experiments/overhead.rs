@@ -5,7 +5,6 @@
 use super::{bytescheduler, cell, prophet, r1, steady};
 use crate::output::{ascii_series, ExperimentOutput};
 use prophet::core::{ProphetConfig, SchedulerKind};
-use prophet::dnn::TrainingJob;
 
 /// Fig. 12: per-worker training rate as the cluster grows from 2 to 8
 /// workers (sharded PS, as BytePS co-locates servers with workers).
@@ -150,16 +149,4 @@ pub fn ablation_credit() -> ExperimentOutput {
                  the deadline throttle protects gradient 0's start."
         .into();
     out
-}
-
-/// Used by the engine benchmarks: a tiny but complete cluster step.
-pub fn smoke_run(kind: SchedulerKind) -> f64 {
-    let mut cfg = cell("resnet18", 16, 2, 4.0, kind);
-    cfg.warmup_iters = 1;
-    prophet::ps::sim::run_cluster(&cfg, 2).rate
-}
-
-/// Used by benches: the job construction path (zoo + timing tables).
-pub fn smoke_job() -> TrainingJob {
-    TrainingJob::paper_setup("resnet50", 64)
 }

@@ -4,56 +4,82 @@
 
 use crate::output::ExperimentOutput;
 use prophet::core::SchedulerKind;
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, ThreadedResult};
 use std::time::Instant;
 
-/// Iteration counts for the difference quotient (matches the criterion
-/// bench methodology: `(wall(HI) - wall(LO)) / (HI - LO)` cancels thread
-/// spawn and warm-up).
+/// Iteration counts of the difference quotient `(wall(HI) - wall(LO)) /
+/// (HI - LO)`, in which spawn, set-up and first-iteration warm-up cancel.
 const LO: u64 = 2;
 const HI: u64 = 8;
 
-/// A quarter-scale cousin of the bench's VGG-proportioned stack (~0.4 M
-/// parameters): communication-heavy enough to exercise the wire, small
-/// enough that `repro all` stays interactive. The full-size headline
-/// (8 workers / 4 shards, 6.3 M parameters, vs the pinned seed baseline)
-/// lives in `cargo bench --bench threaded` → `BENCH_threaded.json`.
-fn lite_cfg(workers: usize, shards: usize) -> ThreadedConfig {
-    ThreadedConfig {
-        workers,
-        ps_shards: shards,
-        widths: vec![128, 512, 512, 128, 10],
-        samples: 64,
-        noise: 0.8,
-        seed: 77,
-        global_batch: workers, // one sample per worker: comm-dominated
-        iterations: HI,
-        lr: 0.05,
-        optimizer: PsOptimizer::Sgd { momentum: 0.9 },
-        scheduler: SchedulerKind::Fifo,
-        link_bps: None,
-        check_invariants: false,
-        checkpoint_period: 4,
-        checkpoint_retention: 2,
-        fault_plan: Default::default(),
-        retry: prophet::net::RetryPolicy::paper_default(),
+/// Per-phase attribution keys, in the order [`measure`] returns them:
+/// shard-side spans summed across shards, then worker-side spans summed
+/// across workers. Every perf claim in DESIGN.md §15 cites these.
+pub const PHASE_KEYS: [&str; 11] = [
+    "shard_verify",
+    "shard_accumulate",
+    "shard_optimizer",
+    "shard_encode",
+    "shard_ack",
+    "shard_sweep",
+    "shard_idle",
+    "worker_compute",
+    "worker_encode",
+    "worker_apply",
+    "worker_wait",
+];
+
+fn phase_vec(r: &ThreadedResult) -> [u64; 11] {
+    let mut v = [0u64; 11];
+    for p in &r.shard_phases {
+        v[0] += p.verify_ns;
+        v[1] += p.accumulate_ns;
+        v[2] += p.optimizer_ns;
+        v[3] += p.encode_ns;
+        v[4] += p.ack_ns;
+        v[5] += p.sweep_ns;
+        v[6] += p.idle_ns;
     }
+    v[7] = r.worker_phases.compute_ns;
+    v[8] = r.worker_phases.encode_ns;
+    v[9] = r.worker_phases.apply_ns;
+    v[10] = r.worker_phases.wait_ns;
+    v
 }
 
-/// One steady-state sample plus the pool counters of the HI run.
-fn measure(cfg: &ThreadedConfig) -> (f64, u64, u64) {
-    let mut lo = cfg.clone();
-    lo.iterations = LO;
-    let mut hi = cfg.clone();
-    hi.iterations = HI;
-    let t0 = Instant::now();
-    let _ = run_threaded_training(&lo);
-    let t_lo = t0.elapsed();
-    let t1 = Instant::now();
-    let r = run_threaded_training(&hi);
-    let t_hi = t1.elapsed();
+/// The communication-bound shape of the threaded measurements: an MLP of
+/// `widths`, one sample per worker, FIFO, unlimited link, invariants off.
+pub fn comm_bound_cfg(workers: usize, shards: usize, widths: &[usize]) -> ThreadedConfig {
+    let mut cfg = ThreadedConfig::small(workers, SchedulerKind::Fifo);
+    cfg.ps_shards = shards;
+    cfg.widths = widths.to_vec();
+    cfg.samples = 64;
+    cfg.global_batch = workers;
+    cfg.lr = 0.05;
+    cfg.check_invariants = false;
+    cfg
+}
+
+/// One steady-state sample of `cfg` (whose `iterations` is ignored):
+/// iterations/sec by the LO/HI difference quotient, the per-phase ns per
+/// iteration by the same quotient (warm-up cancels out of the spans as it
+/// does out of the wall clock), and the HI run's result.
+pub fn measure(cfg: &ThreadedConfig) -> (f64, [f64; 11], ThreadedResult) {
+    let timed = |iterations| {
+        let cfg = ThreadedConfig {
+            iterations,
+            ..cfg.clone()
+        };
+        let t0 = Instant::now();
+        let r = run_threaded_training(&cfg);
+        (t0.elapsed(), r)
+    };
+    let (t_lo, r_lo) = timed(LO);
+    let (t_hi, r_hi) = timed(HI);
     let dt = t_hi.saturating_sub(t_lo).as_secs_f64().max(1e-9);
-    ((HI - LO) as f64 / dt, r.arena_allocs, r.arena_recycles)
+    let (p_lo, p_hi) = (phase_vec(&r_lo), phase_vec(&r_hi));
+    let phases = std::array::from_fn(|i| p_hi[i].saturating_sub(p_lo[i]) as f64 / (HI - LO) as f64);
+    ((HI - LO) as f64 / dt, phases, r_hi)
 }
 
 /// Registry entry: `repro ext_threaded`.
@@ -81,11 +107,13 @@ pub fn ext_threaded() -> ExperimentOutput {
     for workers in [4usize, 8] {
         let mut base_rate = f64::NAN;
         for shards in [1usize, 2, 4] {
-            let cfg = lite_cfg(workers, shards);
+            // A quarter-scale cousin (~0.4 M parameters) of the bench's
+            // VGG-proportioned stack, so `repro all` stays interactive.
+            let cfg = comm_bound_cfg(workers, shards, &[128, 512, 512, 128, 10]);
             // Median of 3: one scheduler hiccup cannot swing a cell.
-            let mut samples: Vec<(f64, u64, u64)> = (0..3).map(|_| measure(&cfg)).collect();
+            let mut samples: Vec<_> = (0..3).map(|_| measure(&cfg)).collect();
             samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (rate, allocs, recycles) = samples[1];
+            let (rate, _, ref hi) = samples[1];
             if shards == 1 {
                 base_rate = rate;
             }
@@ -94,8 +122,8 @@ pub fn ext_threaded() -> ExperimentOutput {
                 shards.to_string(),
                 format!("{rate:.1}"),
                 format!("{:.2}x", rate / base_rate),
-                allocs.to_string(),
-                recycles.to_string(),
+                hi.arena_allocs.to_string(),
+                hi.arena_recycles.to_string(),
             ]);
         }
     }

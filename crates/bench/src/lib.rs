@@ -6,8 +6,8 @@
 //! Each returns an [`ExperimentOutput`]: the same rows/series the paper
 //! reports, printable as a markdown table and writable as CSV under
 //! `results/`. The `repro` binary drives them (`repro all`, `repro fig8`,
-//! ...); the criterion benches in `benches/` time reduced variants of the
-//! same code paths.
+//! ...); the criterion benches in `benches/` time the scale sweeps the
+//! `benchmark/` harness cannot afford.
 //!
 //! Experiments use reduced-but-representative iteration counts so a full
 //! `repro all` finishes in minutes; iteration counts only tighten the
@@ -134,11 +134,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "ext_straggler",
             "[extension] compute straggler under BSP vs ASP",
             extensions::ext_straggler,
-        ),
-        (
-            "ext_related_work",
-            "[extension] all six strategies incl. TicTac and MG-WFBP",
-            extensions::ext_related_work,
         ),
         (
             "ext_faults",

@@ -85,7 +85,6 @@ pub struct CreditAutoTuner {
     current_credit: u64,
     acc_time: Duration,
     acc_iters: u64,
-    history: Vec<(u64, f64)>,
 }
 
 impl CreditAutoTuner {
@@ -100,7 +99,6 @@ impl CreditAutoTuner {
             current_credit: initial,
             acc_time: Duration::ZERO,
             acc_iters: 0,
-            history: Vec::new(),
         }
     }
 
@@ -114,7 +112,6 @@ impl CreditAutoTuner {
         }
         // Evaluate the sample just measured.
         let rate = self.acc_iters as f64 / self.acc_time.as_secs_f64().max(1e-9);
-        self.history.push((self.current_credit, rate));
         if rate > self.best_rate {
             self.best_rate = rate;
             self.best_credit = self.current_credit;
@@ -135,11 +132,6 @@ impl CreditAutoTuner {
         };
         self.current_credit = next;
         Some(next)
-    }
-
-    /// The `(credit, rate)` samples measured so far — the Fig. 3(b) trace.
-    pub fn history(&self) -> &[(u64, f64)] {
-        &self.history
     }
 
     /// The best credit found so far.
@@ -193,11 +185,6 @@ impl ByteSchedulerScheduler {
     /// Current credit (changes over time when auto-tuning).
     pub fn credit(&self) -> u64 {
         self.credit
-    }
-
-    /// Access the tuner's measurement history, if auto-tuning.
-    pub fn tuner_history(&self) -> Option<&[(u64, f64)]> {
-        self.tuner.as_ref().map(|t| t.history())
     }
 
     fn enqueue(heap: &mut BinaryHeap<Part>, grad: GradientId, size: u64, part: u64) {

@@ -23,7 +23,6 @@
 
 pub mod bytescheduler;
 pub mod fifo;
-pub mod mgwfbp;
 pub mod p3;
 pub mod perfmodel;
 pub mod plan;
@@ -31,20 +30,17 @@ pub mod profiler;
 pub mod prophet;
 pub mod shard;
 pub mod task;
-pub mod tictac;
 
 pub use bytescheduler::{
     AutoTuneConfig, ByteSchedulerConfig, ByteSchedulerScheduler, CreditAutoTuner,
 };
 pub use fifo::FifoScheduler;
-pub use mgwfbp::MgWfbpScheduler;
 pub use p3::P3Scheduler;
 pub use plan::{prophet_plan, PlanInput, PlannedBlock, ProphetPlan};
 pub use profiler::{detect_blocks, JobProfile, JobProfiler};
 pub use prophet::{ProphetConfig, ProphetScheduler};
 pub use shard::ShardMap;
 pub use task::{CommScheduler, Dir, TransferTask, Transport};
-pub use tictac::TicTacScheduler;
 
 use prophet_dnn::TrainingJob;
 
@@ -65,15 +61,6 @@ pub enum SchedulerKind {
     /// Prophet with an oracle profile taken from the job spec itself —
     /// the steady-state behaviour, without the profiling transient.
     ProphetOracle(ProphetConfig),
-    /// TicTac (Hashemi et al., MLSys'19): whole-tensor priority order over
-    /// blocking sends — the paper's second §6.1 comparator.
-    TicTac,
-    /// MG-WFBP (Shi et al., INFOCOM'19): FIFO order with ready tensors
-    /// merged into messages of up to the given size (§6.2 related work).
-    MgWfbp {
-        /// Merged-message byte threshold.
-        merge_bytes: u64,
-    },
 }
 
 impl SchedulerKind {
@@ -86,39 +73,24 @@ impl SchedulerKind {
             SchedulerKind::ByteScheduler(_) => "bytescheduler",
             SchedulerKind::Prophet(_) => "prophet",
             SchedulerKind::ProphetOracle(_) => "prophet-oracle",
-            SchedulerKind::TicTac => "tictac",
-            SchedulerKind::MgWfbp { .. } => "mg-wfbp",
         }
     }
 
     /// Instantiate a per-worker scheduler for `job`.
     pub fn build(&self, job: &TrainingJob) -> Box<dyn CommScheduler> {
+        let SchedulerKind::ProphetOracle(cfg) = self else {
+            return self.build_from_sizes(job.sizes());
+        };
         let sizes = job.sizes();
-        match self {
-            SchedulerKind::Fifo => Box::new(FifoScheduler::new(sizes)),
-            SchedulerKind::P3 { partition_bytes } => {
-                Box::new(P3Scheduler::new(sizes, *partition_bytes))
-            }
-            SchedulerKind::ByteScheduler(cfg) => {
-                Box::new(ByteSchedulerScheduler::new(sizes, cfg.clone()))
-            }
-            SchedulerKind::Prophet(cfg) => Box::new(ProphetScheduler::online(sizes, cfg.clone())),
-            SchedulerKind::ProphetOracle(cfg) => {
-                let c = job.c_offsets();
-                let blocks = detect_blocks(&c);
-                let profile = JobProfile {
-                    c,
-                    s: sizes.clone(),
-                    blocks,
-                    iterations: 0,
-                };
-                Box::new(ProphetScheduler::with_profile(sizes, profile, cfg.clone()))
-            }
-            SchedulerKind::TicTac => Box::new(TicTacScheduler::new(sizes)),
-            SchedulerKind::MgWfbp { merge_bytes } => {
-                Box::new(MgWfbpScheduler::new(sizes, *merge_bytes))
-            }
-        }
+        let c = job.c_offsets();
+        let blocks = detect_blocks(&c);
+        let profile = JobProfile {
+            c,
+            s: sizes.clone(),
+            blocks,
+            iterations: 0,
+        };
+        Box::new(ProphetScheduler::with_profile(sizes, profile, cfg.clone()))
     }
 
     /// Instantiate a scheduler knowing only the gradient sizes — the entry
@@ -136,10 +108,6 @@ impl SchedulerKind {
             }
             SchedulerKind::Prophet(cfg) | SchedulerKind::ProphetOracle(cfg) => {
                 Box::new(ProphetScheduler::online(sizes, cfg.clone()))
-            }
-            SchedulerKind::TicTac => Box::new(TicTacScheduler::new(sizes)),
-            SchedulerKind::MgWfbp { merge_bytes } => {
-                Box::new(MgWfbpScheduler::new(sizes, *merge_bytes))
             }
         }
     }

@@ -53,16 +53,6 @@ impl Dense {
             cached_x: Tensor::zeros(0, 0),
         }
     }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.w.rows
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols
-    }
 }
 
 impl Layer for Dense {

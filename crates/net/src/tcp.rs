@@ -19,8 +19,6 @@
 //! closed-form is used by the Prophet planner and by P3/ByteScheduler
 //! overhead analyses, and is unit-tested to agree with the fluid engine.
 
-use prophet_sim::Duration;
-
 /// Parameters of the per-message cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpModel {
@@ -89,11 +87,6 @@ impl TcpModel {
         self.setup_s + self.ramp_time_s(bytes, bps)
     }
 
-    /// Total unshared transfer time as a [`Duration`].
-    pub fn transfer_time(&self, bytes: u64, bps: f64) -> Duration {
-        Duration::from_secs_f64(self.transfer_time_s(bytes as f64, bps))
-    }
-
     /// The paper's `f(s, B)`: achieved throughput of an unshared transfer.
     ///
     /// Monotone in `s`, approaches 0 as `s → 0` (setup dominates) and `B`
@@ -125,12 +118,6 @@ impl TcpModel {
             rounds += 1;
         }
         rounds
-    }
-}
-
-impl Default for TcpModel {
-    fn default() -> Self {
-        TcpModel::EC2
     }
 }
 

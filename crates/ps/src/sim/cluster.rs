@@ -17,13 +17,22 @@ use crate::protocol::{
 };
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
-    BandwidthMonitor, FlowEnd, KilledFlow, NetEvent, Network, NodeId, NodeSpec, Topology,
+    BandwidthMonitor, FlowEnd, KilledFlow, NetEvent, Network, NodeId, NodeSpec, TcpModel, Topology,
 };
 use prophet_sim::{
     rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
     SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
 };
 use std::collections::VecDeque;
+
+/// Transport cost model of every cluster link.
+const TCP: TcpModel = TcpModel::EC2;
+
+/// How long a transmission lane stays *warm* after its last message:
+/// within this window a pipelined transport's next message skips the
+/// connection setup and slow-start (TCP congestion-window validation
+/// decays on RTO-scale idles). Blocking transports (P3) never benefit.
+const WARM_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Index of a [`Lane`] in [`Lanes::slab`].
 type LaneId = u32;
@@ -502,7 +511,7 @@ impl Cluster {
         for w in 0..total_workers {
             topo.add_node(NodeSpec::symmetric(cfg.worker_bandwidth(w)));
         }
-        let mut net = Network::new(topo, cfg.tcp);
+        let mut net = Network::new(topo, TCP);
         let checker = cfg.check_invariants.then(|| {
             InvariantChecker::new(cfg.workers, cfg.sync == SyncMode::Bsp)
                 .with_shards(shards)
@@ -1334,7 +1343,7 @@ impl Cluster {
         };
         let warm = self.workers[w].sched.transport() == Transport::Pipelined
             && lane.ever_used
-            && now.saturating_since(lane.last_end) <= self.cfg.warm_timeout;
+            && now.saturating_since(lane.last_end) <= WARM_TIMEOUT;
         lane.ever_used = true;
         if faults {
             let rng = &mut self.fault_rng;
@@ -1452,7 +1461,7 @@ impl Cluster {
                 // sample would double-count it when the scheduler turns
                 // the estimate back into transfer times.
                 let elapsed = now.saturating_since(inflight.started);
-                let setup = Duration::from_secs_f64(self.cfg.tcp.setup_s);
+                let setup = Duration::from_secs_f64(TCP.setup_s);
                 let wire = elapsed.saturating_sub(setup);
                 {
                     let wk = &mut self.workers[w];

@@ -2,7 +2,7 @@
 
 use prophet_core::SchedulerKind;
 use prophet_dnn::TrainingJob;
-use prophet_net::{RetryPolicy, TcpModel};
+use prophet_net::RetryPolicy;
 use prophet_sim::{Duration, FaultPlan};
 
 /// Parameter-synchronisation discipline.
@@ -36,8 +36,6 @@ pub struct ClusterConfig {
     pub job: TrainingJob,
     /// The communication scheduling strategy under test.
     pub scheduler: SchedulerKind,
-    /// Transport cost model.
-    pub tcp: TcpModel,
     /// Worker NIC capacity, bytes/sec (same up/down).
     pub worker_bps: f64,
     /// Per-worker overrides, `(worker_index, bytes/sec)` — §5.3's
@@ -53,11 +51,6 @@ pub struct ClusterConfig {
     pub monitor_period: Duration,
     /// Metrics sampling window for utilisation/throughput series.
     pub sample_window: Duration,
-    /// How long a transmission lane stays *warm* after its last message:
-    /// within this window a pipelined transport's next message skips the
-    /// connection setup and slow-start (TCP congestion-window validation
-    /// decays on RTO-scale idles). Blocking transports (P3) never benefit.
-    pub warm_timeout: Duration,
     /// Record a full span trace (Gantt) — costs memory, default off.
     pub trace: bool,
     /// Run the cross-stack [`prophet_sim::InvariantChecker`] over the typed
@@ -129,7 +122,6 @@ impl ClusterConfig {
             ps_shards: 1,
             job,
             scheduler,
-            tcp: TcpModel::EC2,
             worker_bps: gbps * 1e9 / 8.0,
             worker_bps_overrides: Vec::new(),
             ps_bps: gbps * 1e9 / 8.0,
@@ -137,7 +129,6 @@ impl ClusterConfig {
             compute_jitter: 0.02,
             monitor_period: Duration::from_secs(5),
             sample_window: Duration::from_millis(250),
-            warm_timeout: Duration::from_millis(200),
             trace: false,
             check_invariants: cfg!(debug_assertions),
             typed_trace: false,

@@ -29,4 +29,5 @@ pub mod wire;
 
 pub use runtime::{
     run_threaded_training, PsOptimizer, ShardPhases, ThreadedConfig, ThreadedResult, WorkerPhases,
+    DATASET_NOISE,
 };

@@ -101,6 +101,10 @@ pub enum PsOptimizer {
     Adam,
 }
 
+/// Std-dev of the Gaussian blobs ([`Dataset::blobs`]) every threaded run
+/// trains on.
+pub const DATASET_NOISE: f64 = 0.8;
+
 /// Configuration of a threaded training run.
 #[derive(Clone)]
 pub struct ThreadedConfig {
@@ -112,11 +116,9 @@ pub struct ThreadedConfig {
     pub ps_shards: usize,
     /// MLP layer widths, input first, classes last.
     pub widths: Vec<usize>,
-    /// Dataset: `(samples, noise, seed)`; features/classes come from
-    /// `widths`.
+    /// Dataset size; features/classes come from `widths`, the blob noise is
+    /// [`DATASET_NOISE`].
     pub samples: usize,
-    /// Gaussian blob noise.
-    pub noise: f64,
     /// Dataset/model seed (single seed keeps runs reproducible).
     pub seed: u64,
     /// Global batch per iteration, split evenly across workers. Must be a
@@ -168,7 +170,6 @@ impl ThreadedConfig {
             ps_shards: 1,
             widths: vec![8, 24, 4],
             samples: 256,
-            noise: 0.8,
             seed: 77,
             global_batch: 64,
             iterations: 20,
@@ -804,7 +805,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         cfg.samples,
         features,
         classes,
-        cfg.noise,
+        DATASET_NOISE,
         cfg.seed,
     ));
     // The one initialisation draw of the run (a Box–Muller per weight):

@@ -116,12 +116,6 @@ impl Duration {
         Duration((secs * NANOS_PER_SEC as f64).round() as u64)
     }
 
-    /// Construct from fractional milliseconds.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1_000.0)
-    }
-
     /// Nanoseconds in this interval.
     #[inline]
     pub const fn as_nanos(self) -> u64 {

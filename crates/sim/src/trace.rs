@@ -98,13 +98,6 @@ impl TraceRecorder {
         self.spans.iter().filter(move |s| s.lane == lane)
     }
 
-    /// Spans whose label starts with `prefix` (e.g. `"push:"`).
-    pub fn with_label_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a Span> {
-        self.spans
-            .iter()
-            .filter(move |s| s.label.starts_with(prefix))
-    }
-
     /// Render as CSV: `lane,label,key,start_ms,end_ms`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("lane,label,key,start_ms,end_ms\n");
@@ -1672,16 +1665,6 @@ mod tests {
         tr.record("x", "y", 0, at(0), at(1));
         assert!(tr.is_empty());
         assert!(!tr.is_enabled());
-    }
-
-    #[test]
-    fn label_prefix_filter() {
-        let mut tr = TraceRecorder::enabled();
-        tr.record("n", "push:1", 1, at(0), at(1));
-        tr.record("n", "pull:1", 1, at(1), at(2));
-        tr.record("n", "push:2", 2, at(2), at(3));
-        assert_eq!(tr.with_label_prefix("push:").count(), 2);
-        assert_eq!(tr.with_label_prefix("pull:").count(), 1);
     }
 
     #[test]

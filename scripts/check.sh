@@ -46,7 +46,6 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     cargo bench --offline -q -p prophet-bench --bench maxmin_scale -- --test > /dev/null
     cargo bench --offline -q -p prophet-bench --bench sim_scale -- --test > /dev/null
     cargo bench --offline -q -p prophet-bench --bench threaded -- --test > /dev/null
-    cargo bench --offline -q -p prophet-bench --bench plan_cost -- --test > /dev/null
 
     echo "==> perf gate (pinned bounds over BENCH_threaded/sim_scale/maxmin.json)"
     ./scripts/perf_gate.sh

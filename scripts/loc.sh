@@ -8,10 +8,14 @@
 #     moved into a test module drop out of the count rather than padding it;
 #   * the same count for the engine files the protocol work targets, and how
 #     many of their non-test lines name a `HashMap`, `HashSet` or `BTreeMap`;
-#   * the number of `pub` fields of `ThreadedConfig` and `ClusterConfig`.
+#   * the number of `pub` fields of `ThreadedConfig` and `ClusterConfig`;
+#   * every line of the Rust outside `src/` (benches, examples, tests), of
+#     all Rust outside `vendor/`, `benchmark/` and `target/`, and the number
+#     of `[[bench]]` targets — so deletions outside `src/` are numbers too.
 #
 # Usage: loc.sh [root]     (compare two trees by running it on each)
 set -euo pipefail
+shopt -s nullglob
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
@@ -64,3 +68,17 @@ pub_fields() {
 echo "public config fields"
 printf '  %-18s %6d\n' ThreadedConfig "$(pub_fields crates/ps/src/threaded/runtime.rs ThreadedConfig)"
 printf '  %-18s %6d\n' ClusterConfig "$(pub_fields crates/ps/src/sim/config.rs ClusterConfig)"
+
+# Every line of the `*.rs` files under the given directories (none: 0).
+rs_lines() {
+    (($#)) || { echo 0; return; }
+    find "$@" -name '*.rs' -exec cat {} + | wc -l
+}
+echo "Rust lines outside src/ (every line)"
+printf '  %-18s %6d\n' benches "$(rs_lines crates/*/benches)"
+printf '  %-18s %6d\n' examples "$(rs_lines examples crates/*/examples)"
+printf '  %-18s %6d\n' tests "$(rs_lines tests crates/*/tests)"
+printf '  %-18s %6d\n' "all *.rs" "$(find . -name '*.rs' -not -path './vendor/*' \
+    -not -path './benchmark/*' -not -path './target/*' -exec cat {} + | wc -l)"
+printf '  %-18s %6d\n' "[[bench]] targets" \
+    "$(awk '/^\[\[bench\]\]/ { n++ } END { print n + 0 }' crates/*/Cargo.toml)"

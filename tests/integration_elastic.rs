@@ -9,7 +9,7 @@ use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
 use prophet::minidnn::{Adam, Dataset, Mlp, Sgd};
 use prophet::ps::sim::{run_cluster, ClusterConfig};
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
+use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, DATASET_NOISE};
 use prophet::ps::{check_churn_plan, run_sim_checked, OracleBudget};
 use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec};
 
@@ -104,7 +104,7 @@ fn permanent_plans(workers: usize, shards: usize) -> Vec<(&'static str, FaultPla
 fn elastic_reference(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
     let features = cfg.widths[0];
     let classes = *cfg.widths.last().unwrap();
-    let data = Dataset::blobs(cfg.samples, features, classes, cfg.noise, cfg.seed);
+    let data = Dataset::blobs(cfg.samples, features, classes, DATASET_NOISE, cfg.seed);
     let model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     enum Opt {
         Sgd(Sgd),

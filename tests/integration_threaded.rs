@@ -6,7 +6,7 @@
 use prophet::core::SchedulerKind;
 use prophet::minidnn::{Adam, Dataset, Mlp, Sgd};
 use prophet::net::RetryPolicy;
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
+use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, DATASET_NOISE};
 use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
 /// Single-process reference: whole-batch training with the same PS-side
@@ -15,7 +15,7 @@ use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 fn reference_params(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
     let features = cfg.widths[0];
     let classes = *cfg.widths.last().unwrap();
-    let data = Dataset::blobs(cfg.samples, features, classes, cfg.noise, cfg.seed);
+    let data = Dataset::blobs(cfg.samples, features, classes, DATASET_NOISE, cfg.seed);
     let model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     enum Opt {
         Sgd(Sgd),
