@@ -8,17 +8,12 @@
 //!                       # run one cell with the typed span trace on and
 //!                       # write per-gradient spans to results/trace_*.csv,
 //!                       # printing an ASCII Gantt of worker 0's spans
-//! repro ext_chaos <seed> [budget]
-//!                       # chaos search at any scale: <budget> generated
-//!                       # fault plans per scheduler vs the oracles
-//! repro ext_elastic <seed> [budget]
-//!                       # elastic churn sweep at any scale: <budget>
-//!                       # permanent-fault plans per scheduler vs the
-//!                       # deterministic recovery contract
-//! repro ext_integrity <seed> [budget]
-//!                       # corruption sweep at any scale: <budget> silent-
-//!                       # corruption plans per scheduler vs the integrity
-//!                       # contract, plus threaded bit-identity legs
+//! repro ext_chaos <seed> [budget] [profile…]
+//!                       # chaos sweep at any scale: <budget> generated
+//!                       # fault plans per profile and scheduler, each run
+//!                       # twice and judged by one verdict; profiles are
+//!                       # transient | churn | corruption | mixed (default:
+//!                       # all four)
 //! ```
 //!
 //! CSV outputs land in `results/` at the workspace root (override with
@@ -154,67 +149,49 @@ fn run_trace(args: &[String]) {
     }
 }
 
-/// The `ext_*` sweeps that also accept `<seed> [budget]` positionals: one
-/// table drives usage text, the progress banner, and dispatch, so adding a
-/// sweep is one row here (plus its registry entry for the bare-id form).
-struct ExtSweep {
-    id: &'static str,
-    banner: &'static str,
-    run: fn(u64, usize) -> prophet_bench::ExperimentOutput,
-}
+/// Usage of the parameterised chaos sweep.
+const CHAOS_USAGE: &str = "repro ext_chaos <seed> [budget] [transient|churn|corruption|mixed ...]";
 
-const EXT_SWEEPS: &[ExtSweep] = &[
-    ExtSweep {
-        id: "ext_chaos",
-        banner: "chaos search",
-        run: prophet_bench::experiments::chaos::run_chaos,
-    },
-    ExtSweep {
-        id: "ext_elastic",
-        banner: "elastic churn sweep",
-        run: prophet_bench::experiments::elastic::run_elastic,
-    },
-    ExtSweep {
-        id: "ext_integrity",
-        banner: "corruption sweep",
-        run: prophet_bench::experiments::integrity::run_integrity,
-    },
-];
-
-/// `repro <ext_id> <seed> [budget]` — strict positional parsing: malformed
-/// numbers or trailing arguments exit non-zero with this sweep's usage
-/// line rather than silently running the wrong configuration.
-fn run_ext_sweep(sweep: &ExtSweep, args: &[String]) {
-    let usage = format!("usage: repro {} <seed> [budget]", sweep.id);
+/// `repro ext_chaos <seed> [budget] [profile…]` — strict positional
+/// parsing: a malformed number or an unknown profile exits non-zero with the
+/// usage line before anything is simulated.
+fn run_ext_chaos(args: &[String]) {
+    use prophet_bench::experiments::chaos::{run_chaos, Profile};
     let parse = |i: usize, name: &str, default: u64| -> u64 {
         args.get(i).map_or(default, |s| {
             s.parse().unwrap_or_else(|_| {
-                eprintln!("bad {name} `{s}` — {usage}");
+                eprintln!("bad {name} `{s}` — usage: {CHAOS_USAGE}");
                 std::process::exit(1);
             })
         })
     };
     let seed = parse(0, "seed", 42);
     let budget = parse(1, "budget", 200) as usize;
-    if let Some(extra) = args.get(2) {
-        eprintln!("unexpected argument `{extra}` — {usage}");
-        std::process::exit(1);
+    let mut profiles: Vec<Profile> = args
+        .iter()
+        .skip(2)
+        .map(|name| {
+            let profile = Profile::ALL.into_iter().find(|p| p.name() == name);
+            profile.unwrap_or_else(|| {
+                eprintln!("unknown profile `{name}` — usage: {CHAOS_USAGE}");
+                std::process::exit(1);
+            })
+        })
+        .collect();
+    if profiles.is_empty() {
+        profiles = Profile::ALL.to_vec();
     }
-    eprintln!(
-        "[repro] {}: seed {seed}, {budget} plans per scheduler ...",
-        sweep.banner
-    );
+    eprintln!("[repro] chaos sweep: seed {seed}, {budget} plans per profile and scheduler ...");
     let t0 = std::time::Instant::now();
-    let output = (sweep.run)(seed, budget);
+    let output = run_chaos(seed, budget, &profiles);
     println!("{}", output.to_markdown());
     match output.write_csv(&results_dir()) {
         Ok(path) => eprintln!(
-            "[repro] {} done in {:.1?} → {}",
-            sweep.id,
+            "[repro] ext_chaos done in {:.1?} → {}",
             t0.elapsed(),
             path.display()
         ),
-        Err(e) => csv_failed(sweep.id, e),
+        Err(e) => csv_failed("ext_chaos", e),
     }
 }
 
@@ -235,9 +212,7 @@ fn main() {
             println!("  {id:<16} {desc}");
         }
         println!("\nusage: repro all | repro <id> [<id> ...] | repro trace <sched> [gbps] [batch] [seed]");
-        for sweep in EXT_SWEEPS {
-            println!("       repro {} <seed> [budget]", sweep.id);
-        }
+        println!("       {CHAOS_USAGE}");
         return;
     }
 
@@ -246,13 +221,11 @@ fn main() {
         return;
     }
 
-    // The parameterized `ext_*` sweeps. A bare `repro ext_chaos` (no
-    // numeric args) falls through to the registry's small fixed-seed entry.
-    if args.len() > 1 {
-        if let Some(sweep) = EXT_SWEEPS.iter().find(|s| s.id == args[0]) {
-            run_ext_sweep(sweep, &args[1..]);
-            return;
-        }
+    // The parameterised sweep. A bare `repro ext_chaos` (no arguments)
+    // falls through to the registry's small fixed-seed entry.
+    if args[0] == "ext_chaos" && args.len() > 1 {
+        run_ext_chaos(&args[1..]);
+        return;
     }
 
     let selected: Vec<&(&str, &str, prophet_bench::Runner)> = if args[0] == "all" {
@@ -269,9 +242,7 @@ fn main() {
                     eprintln!(
                         "usage: repro all | repro <id> [<id> ...] | repro trace <sched> [gbps] [batch] [seed]"
                     );
-                    for sweep in EXT_SWEEPS {
-                        eprintln!("       repro {} <seed> [budget]", sweep.id);
-                    }
+                    eprintln!("       {CHAOS_USAGE}");
                     std::process::exit(1);
                 }
             }

@@ -2,10 +2,8 @@
 
 pub mod chaos;
 pub mod effectiveness;
-pub mod elastic;
 pub mod extensions;
 pub mod faults;
-pub mod integrity;
 pub mod motivation;
 pub mod overhead;
 pub mod robustness;

@@ -142,18 +142,8 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ),
         (
             "ext_chaos",
-            "[extension] chaos search: random fault plans vs safety/liveness oracles",
+            "[extension] chaos sweep: transient, churn, corruption and mixed fault plans vs one verdict",
             chaos::ext_chaos,
-        ),
-        (
-            "ext_elastic",
-            "[extension] elastic membership: permanent churn vs the deterministic recovery contract",
-            elastic::ext_elastic,
-        ),
-        (
-            "ext_integrity",
-            "[extension] data integrity: silent corruption vs checksummed frames + verified restores",
-            integrity::ext_integrity,
         ),
         (
             "ext_scale",

@@ -1,7 +1,7 @@
 //! The `repro` binary's failure paths: each must exit non-zero, so a CI
 //! step never mistakes a failed run (or a stale committed CSV) for output.
-//! Every case is cheap: `fig4` simulates nothing and the `trace` cases are
-//! rejected before simulating.
+//! Every case is cheap: `fig4` simulates nothing and the `trace` and
+//! `ext_chaos` cases are rejected before simulating.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,4 +54,24 @@ fn trailing_trace_argument_fails() {
     let args = ["trace", "fifo", "1", "64", "0", "extra"];
     let stderr = repro_fails(&unwritable_dir("trailing_arg"), &args);
     assert!(stderr.contains("unexpected argument"), "{stderr}");
+}
+
+#[test]
+fn unknown_chaos_profile_fails() {
+    let args = ["ext_chaos", "42", "1", "bogus"];
+    let stderr = repro_fails(&unwritable_dir("bogus_profile"), &args);
+    assert!(stderr.contains("unknown profile `bogus`"), "{stderr}");
+    assert!(
+        stderr.contains("transient|churn|corruption|mixed"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn retired_sweep_id_fails() {
+    let stderr = repro_fails(&unwritable_dir("ext_elastic"), &["ext_elastic", "42", "1"]);
+    assert!(
+        stderr.contains("unknown experiment `ext_elastic`"),
+        "{stderr}"
+    );
 }

@@ -28,7 +28,7 @@ pub mod sim;
 pub mod threaded;
 
 pub use chaos::{
-    check_churn_plan, check_corruption_plan, check_plan, check_threaded_bit_identity,
+    check_churn_plan, check_corruption_plan, check_plan, check_threaded_bit_identity, judge,
     run_sim_checked, OracleBudget, PlanVerdict,
 };
 pub use sim::{run_cluster, ClusterConfig, ElasticStats, GradTransferLog, RunResult, SyncMode};

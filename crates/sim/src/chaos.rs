@@ -64,6 +64,9 @@ impl KindMask {
     /// so sampled plans exercise the verified-restore fallback path (a
     /// corrupted snapshot only matters once somebody restores from it).
     pub const CORRUPTION: KindMask = KindMask(0b11_0100_0000);
+    /// All ten kinds: transient, membership and corruption faults drawn
+    /// into one plan (the mixed-profile mask).
+    pub const MIXED: KindMask = KindMask(0b11_1111_1111);
     /// No fault class enabled (useful as a builder origin).
     pub const NONE: KindMask = KindMask(0);
 
@@ -134,36 +137,39 @@ impl ChaosProfile {
     /// A profile matching a cluster shape, all transient kinds enabled, unit
     /// intensity. Byte-identical plan streams to the pre-churn generator.
     pub fn for_cluster(workers: usize, ps_shards: usize, horizon: Duration) -> Self {
-        ChaosProfile {
-            intensity: 1.0,
-            kinds: KindMask::ALL,
-            horizon,
-            workers,
-            ps_shards,
-            iters: 0,
-        }
+        Self::of(KindMask::ALL, workers, ps_shards, horizon, 0)
     }
 
     /// The membership-churn profile: every kind enabled, transient *and*
     /// permanent, against a run of `iters` BSP iterations.
     pub fn churn(workers: usize, ps_shards: usize, horizon: Duration, iters: u64) -> Self {
-        ChaosProfile {
-            intensity: 1.0,
-            kinds: KindMask::EVERYTHING,
-            horizon,
-            workers,
-            ps_shards,
-            iters,
-        }
+        Self::of(KindMask::EVERYTHING, workers, ps_shards, horizon, iters)
     }
 
     /// The silent-corruption profile: payload and checkpoint corruption
     /// plus permanent shard failure (so corrupted snapshots actually get
     /// restored from), against a run of `iters` BSP iterations.
     pub fn corruption(workers: usize, ps_shards: usize, horizon: Duration, iters: u64) -> Self {
+        Self::of(KindMask::CORRUPTION, workers, ps_shards, horizon, iters)
+    }
+
+    /// The mixed profile: all ten kinds, so one plan can combine transient
+    /// windows, membership churn and corruption, against a run of `iters`
+    /// BSP iterations.
+    pub fn mixed(workers: usize, ps_shards: usize, horizon: Duration, iters: u64) -> Self {
+        Self::of(KindMask::MIXED, workers, ps_shards, horizon, iters)
+    }
+
+    fn of(
+        kinds: KindMask,
+        workers: usize,
+        ps_shards: usize,
+        horizon: Duration,
+        iters: u64,
+    ) -> Self {
         ChaosProfile {
             intensity: 1.0,
-            kinds: KindMask::CORRUPTION,
+            kinds,
             horizon,
             workers,
             ps_shards,
@@ -832,6 +838,25 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 8, "kinds never sampled: {seen:?}");
+    }
+
+    #[test]
+    fn mixed_profile_covers_every_kind_within_constraints() {
+        let p = ChaosProfile::mixed(4, 2, Duration::from_millis(500), 12);
+        assert_eq!(KindMask::MIXED.kinds().len(), 10);
+        let mut gen = ChaosGen::new(21);
+        let mut seen: HashSet<FaultKind> = HashSet::new();
+        for _ in 0..300 {
+            let plan = gen.next_plan(&p);
+            plan.validate(p.workers, p.ps_shards);
+            for f in &plan.faults {
+                seen.insert(f.kind());
+                if let Some(k) = f.at_iter() {
+                    assert!(k >= 1 && k < p.iters, "at_iter {k} outside 1..12: {f:?}");
+                }
+            }
+        }
+        assert_eq!(seen.len(), 10, "kinds never sampled: {seen:?}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 #            ignore)]` so this tier stays fast)
 #   release  release build + release-profile tests with `--include-ignored`
 #            (the trimmed suites at full iteration counts, the 200-plan
-#            golden digest), then the flake gate (scripts/stress.sh) and
-#            the 50-plan sweeps
+#            golden digest and chaos sweep), then the flake gate
+#            (scripts/stress.sh)
 #   all      both tiers (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,18 +27,10 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     echo "==> cargo test (debug tier)"
     cargo test --offline -q
 
-    echo "==> chaos smoke (seed 42, 2 plans per strategy)"
+    echo "==> chaos smoke (seed 42, 2 plans per profile and strategy)"
     # PROPHET_RESULTS_DIR: don't clobber the committed 200-plan artifact.
     PROPHET_RESULTS_DIR="$(mktemp -d)" \
         cargo run --offline -q -p prophet-bench --bin repro -- ext_chaos 42 2 > /dev/null
-
-    echo "==> elastic churn smoke (seed 42, 2 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline -q -p prophet-bench --bin repro -- ext_elastic 42 2 > /dev/null
-
-    echo "==> integrity corruption smoke (seed 42, 2 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline -q -p prophet-bench --bin repro -- ext_integrity 42 2 > /dev/null
 
     echo "==> bench smoke (criterion --test mode, no artifacts)"
     # Single-sample pass over the first scale point: compiles the bench
@@ -58,28 +50,16 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
     echo "==> cargo test --release (full tier)"
     # --lib/--bins/--tests: `--include-ignored` must not reach doctests
     # (vendored crates mark non-compiling examples `ignore`); doctests
-    # already ran in the debug tier. This tier also picks up the fuller
-    # chaos sweep (full scheduler lineup x 25 plans) behind its
-    # `#[cfg_attr(debug_assertions, ignore)]` gates, `golden_digest`'s
-    # 200-plan tier (2404 runs folded into one recorded constant: the
-    # cross-commit differential every engine refactor answers to) and
-    # `cluster_alloc`'s per-message allocation counts.
+    # already ran in the debug tier. This tier also picks up, behind their
+    # `#[cfg_attr(debug_assertions, ignore)]` gates, the 200-plan chaos
+    # sweep (4 profiles x 4 strategies, every plan run twice and judged),
+    # `golden_digest`'s 200-plan tier (2404 runs folded into one recorded
+    # constant: the cross-commit differential every engine refactor
+    # answers to) and `cluster_alloc`'s per-message allocation counts.
     cargo test --offline --release -q --lib --bins --tests -- --include-ignored
 
     echo "==> flake gate (scripts/stress.sh: threaded suites, 20 rounds each on one core)"
     ./scripts/stress.sh
-
-    echo "==> chaos sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_chaos 42 50 > /dev/null
-
-    echo "==> elastic churn sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_elastic 42 50 > /dev/null
-
-    echo "==> integrity corruption sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_integrity 42 50 > /dev/null
 fi
 
 echo "==> code size (scripts/loc.sh → loc.txt; CI uploads it)"

@@ -4,16 +4,15 @@
 //! plus verified multi-generation restore means no corrupt byte ever
 //! reaches the accumulator or the restored parameters, so a run under any
 //! corruption plan computes a model **bit-identical** to its fault-free
-//! twin, on both engines.
+//! twin, on both engines. The simulator's 200-plan corruption sweep is
+//! the corruption profile of `prophet-bench`'s `ext_chaos`.
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
 use prophet::net::RetryPolicy;
 use prophet::ps::sim::{run_cluster, ClusterConfig};
 use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, ThreadedResult};
-use prophet::ps::{
-    check_corruption_plan, check_threaded_bit_identity, run_sim_checked, OracleBudget,
-};
+use prophet::ps::{check_threaded_bit_identity, judge, run_sim_checked, OracleBudget};
 use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec, SimTime};
 
 /// A retry policy tuned for test wall-clock, mirroring the fault tests.
@@ -213,39 +212,32 @@ fn deeper_retention_survives_repeated_checkpoint_corruption() {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator: corruption chaos sweep under the integrity oracles
+// Simulator: corruption chaos smoke under the integrity oracles
 // ---------------------------------------------------------------------------
 
-fn sim_cell(kind: SchedulerKind) -> ClusterConfig {
-    let mut cfg =
-        ClusterConfig::paper_cell(3, 10.0, TrainingJob::paper_setup("resnet18", 16), kind);
-    cfg.ps_shards = 2;
-    cfg.warmup_iters = 1;
-    cfg.check_invariants = true;
-    cfg
-}
-
-/// The acceptance sweep: corruption plans x the 4-scheduler lineup, every
-/// plan run twice and judged by the safety/liveness/integrity-accounting/
-/// deterministic-detection oracles, zero violations tolerated. Release
-/// tier runs 200 plans per scheduler; the debug tier runs the same loop at
-/// a smoke budget below.
-fn corruption_sweep(plans_per_scheduler: usize) {
+/// The debug-tier corruption smoke: 5 generated corruption plans x the
+/// 4-scheduler lineup, each run twice and judged with replay.
+#[test]
+fn corruption_sweep_smoke() {
     let budget = OracleBudget::paper_default();
     for kind in SchedulerKind::paper_lineup(1.25e9) {
         let label = kind.label().to_string();
-        let base = sim_cell(kind);
+        let mut base =
+            ClusterConfig::paper_cell(3, 10.0, TrainingJob::paper_setup("resnet18", 16), kind);
+        base.ps_shards = 2;
+        base.warmup_iters = 1;
+        base.check_invariants = true;
         let golden = run_cluster(&base, 6);
         let horizon = Duration::from_nanos(golden.duration.as_nanos());
         let profile = ChaosProfile::corruption(base.workers, base.ps_shards, horizon, 6);
         let mut gen = ChaosGen::new(0xC0DE);
-        for i in 0..plans_per_scheduler {
+        for i in 0..5 {
             let plan = gen.next_plan(&profile);
             let mut corrupted = base.clone();
             corrupted.fault_plan = plan.clone();
             let outcome = run_sim_checked(&corrupted, 6);
             let rerun = run_sim_checked(&corrupted, 6);
-            let verdict = check_corruption_plan(&golden, &outcome, &rerun, &budget);
+            let verdict = judge(&golden, &outcome, Some(&rerun), &plan, &budget);
             assert!(
                 verdict.ok(),
                 "{label}: plan {i} violated the integrity contract: {:?}\nplan: {:?}",
@@ -254,18 +246,4 @@ fn corruption_sweep(plans_per_scheduler: usize) {
             );
         }
     }
-}
-
-#[test]
-fn corruption_sweep_smoke() {
-    corruption_sweep(5);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-tier: 200 plans x 4 schedulers x 2 runs"
-)]
-fn corruption_sweep_full() {
-    corruption_sweep(200);
 }
