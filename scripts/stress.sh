@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Flake gate for the wall-clock suites. Tier-1 is `cargo test -q`, so a test
 # that fails one run in five is a tier-1 defect: the threaded runtime's
-# integration suites are built once — the debug binaries tier-1 itself runs,
+# integration suites and its digest are built once — the debug binaries tier-1 itself runs,
 # invariant checker on — and each looped on ONE core, where thread
 # interleavings are at their most adversarial, failing on the first non-zero
 # exit or hang.
@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 rounds="${1:-20}"
-suites=(integration_integrity integration_sharded integration_elastic integration_threaded)
+suites=(integration_integrity integration_sharded integration_elastic integration_threaded threaded_digest)
 
 args=()
 for suite in "${suites[@]}"; do args+=(--test "$suite"); done
