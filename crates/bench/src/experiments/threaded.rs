@@ -92,9 +92,9 @@ pub fn ext_threaded() -> ExperimentOutput {
          (spawn and warm-up cancel), across shard counts at fixed worker \
          counts. `allocs` counts wire buffers served by fresh heap \
          allocations over a whole run — flat in the iteration count because \
-         pushes slice pooled per-worker arenas and pulls slice per-update \
-         encode caches; `recycles` counts pool-served checkouts and scales \
-         with iterations.",
+         pushes slice pooled per-layer gradient buffers and pulls slice \
+         per-update encode caches; `recycles` counts pool-served checkouts \
+         and scales with iterations.",
         &[
             "workers",
             "shards",
@@ -130,11 +130,11 @@ pub fn ext_threaded() -> ExperimentOutput {
     out.notes = "Finding: on a single-core box extra shards buy little wall \
                  clock (threads time-slice one CPU) — the speedup over the \
                  seed runtime comes from the zero-copy data path: pooled \
-                 arenas instead of per-message Vec copies, in-place \
+                 buffers instead of per-message Vec copies, in-place \
                  aggregation straight from wire bytes, one encode per \
                  parameter update shared by every pull, and batched acks. \
-                 `allocs` stays at workers + tensors regardless of \
-                 iteration count; the full-size headline vs the pinned \
+                 `allocs` stays at workers x layers + tensors regardless \
+                 of iteration count; the full-size headline vs the pinned \
                  seed baseline is produced by `cargo bench --bench \
                  threaded` into BENCH_threaded.json."
         .into();

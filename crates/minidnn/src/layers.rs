@@ -12,6 +12,13 @@ pub trait Layer: Send {
     /// gradient wrt its input, accumulating parameter gradients internally.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// The backward pass of a network's first layer: accumulate the
+    /// parameter gradients exactly as [`Layer::backward`] does, but skip
+    /// the gradient wrt the input, which nothing consumes.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Flattened views of this layer's parameter tensors (weights first).
     fn params(&self) -> Vec<&[f32]>;
 
@@ -70,12 +77,17 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = dy · wᵀ.
+        grad_out.matmul_t(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         assert_eq!(grad_out.rows, self.cached_x.rows, "stale forward cache");
-        // dw += xᵀ · dy ; db += Σrows dy ; dx = dy · wᵀ.
+        // dw += xᵀ · dy ; db += Σrows dy.
         self.cached_x.t_matmul_acc(grad_out, &mut self.dw);
         let db = grad_out.sum_rows();
         self.db.axpy(1.0, &db);
-        grad_out.matmul_t(&self.w)
     }
 
     fn params(&self) -> Vec<&[f32]> {

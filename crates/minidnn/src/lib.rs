@@ -30,6 +30,6 @@ pub mod tensor;
 pub use data::Dataset;
 pub use layers::{Dense, Layer, Relu};
 pub use loss::{mse, softmax_cross_entropy};
-pub use model::Mlp;
+pub use model::{Backward, Mlp};
 pub use optim::{Adam, Sgd};
 pub use tensor::Tensor;

@@ -9,10 +9,22 @@ use crate::layers::{Dense, Layer, Relu};
 use crate::loss::softmax_cross_entropy;
 use crate::tensor::Tensor;
 use prophet_sim::Xoshiro256StarStar;
+use std::ops::Range;
 
 /// A multi-layer perceptron with ReLU activations between Dense layers.
 pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
+}
+
+/// A backward pass in progress: opened by [`Mlp::forward_loss`], advanced
+/// one parameter layer at a time by [`Mlp::backward_step`].
+pub struct Backward {
+    /// Loss gradient wrt the output of layer `next - 1`.
+    grad: Tensor,
+    /// Layers `..next` have yet to step.
+    next: usize,
+    /// Tensors `..tensors` have yet to receive their gradients.
+    tensors: usize,
 }
 
 /// A deep copy: same parameter bits, without re-drawing the initialisation.
@@ -52,12 +64,49 @@ impl Mlp {
     /// Full training step bookkeeping: forward, loss, backward. Gradients
     /// accumulate in the layers; returns the mean loss.
     pub fn forward_backward(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.forward(x);
-        let (loss, mut grad) = softmax_cross_entropy(&logits, labels);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
+        let (loss, mut pass) = self.forward_loss(x, labels);
+        while self.backward_step(&mut pass).is_some() {}
         loss
+    }
+
+    /// Forward pass and loss: returns the mean loss and the backward pass
+    /// it opens, which [`Mlp::backward_step`] then runs one parameter
+    /// layer at a time — so a caller can ship a layer's gradients while
+    /// the layers below it are still being differentiated.
+    pub fn forward_loss(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Backward) {
+        let logits = self.forward(x);
+        let (loss, grad) = softmax_cross_entropy(&logits, labels);
+        let pass = Backward {
+            grad,
+            next: self.layers.len(),
+            tensors: self.num_tensors(),
+        };
+        (loss, pass)
+    }
+
+    /// Run `pass` backward through the next layer that holds parameters
+    /// (and the activations above it). Returns the ids of the gradient
+    /// tensors that step completed — that layer's, in forward order — or
+    /// `None` once every layer has been stepped. Gradients accumulate
+    /// exactly as in [`Mlp::forward_backward`], which is this loop.
+    pub fn backward_step(&mut self, pass: &mut Backward) -> Option<Range<usize>> {
+        while pass.next > 0 {
+            pass.next -= 1;
+            let layer = &mut self.layers[pass.next];
+            if pass.next == 0 {
+                // Nothing consumes the gradient wrt the network's input.
+                layer.backward_params(&pass.grad);
+            } else {
+                pass.grad = layer.backward(&pass.grad);
+            }
+            let held = layer.params().len();
+            if held > 0 {
+                let end = pass.tensors;
+                pass.tensors -= held;
+                return Some(pass.tensors..end);
+            }
+        }
+        None
     }
 
     /// Zero all accumulated gradients.
@@ -199,16 +248,48 @@ mod tests {
 
     #[test]
     fn forward_backward_produces_gradients() {
-        let mut m = Mlp::new(&[4, 8, 3], 7);
+        // Two ways in: the whole step, and forward+loss then one backward
+        // step per layer, which must release each layer's tensors, last
+        // layer first. Both must produce the bits of every layer's full
+        // `backward` run in reverse, input gradient included.
+        let bits = |m: &Mlp| -> Vec<Vec<u32>> {
+            let all = m.grad_slices().into_iter().chain(m.param_slices());
+            all.map(|t| t.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
         let x = Tensor::from_vec(2, 4, vec![0.3; 8]);
-        let loss = m.forward_backward(&x, &[0, 2]);
+        let mut reference = Mlp::new(&[4, 8, 5, 3], 7);
+        let logits = reference.forward(&x);
+        let (ref_loss, mut grad) = softmax_cross_entropy(&logits, &[0, 2]);
+        for layer in reference.layers.iter_mut().rev() {
+            grad = layer.backward(&grad);
+        }
+
+        let mut whole = Mlp::new(&[4, 8, 5, 3], 7);
+        let loss = whole.forward_backward(&x, &[0, 2]);
         assert!(loss > 0.0);
-        let grads = m.grad_slices();
-        assert_eq!(grads.len(), 4);
+        let grads = whole.grad_slices();
+        assert_eq!(grads.len(), 6);
         assert!(
             grads.iter().any(|g| g.iter().any(|&v| v != 0.0)),
             "all gradients zero"
         );
+
+        let mut stepped = Mlp::new(&[4, 8, 5, 3], 7);
+        let (step_loss, mut pass) = stepped.forward_loss(&x, &[0, 2]);
+        let mut released = Vec::new();
+        while let Some(ids) = stepped.backward_step(&mut pass) {
+            released.push(ids);
+        }
+        assert_eq!(released, vec![4..6, 2..4, 0..2]);
+        assert!(
+            stepped.backward_step(&mut pass).is_none(),
+            "a spent pass stays spent"
+        );
+        assert_eq!(step_loss.to_bits(), ref_loss.to_bits());
+        assert_eq!(loss.to_bits(), ref_loss.to_bits());
+        assert_eq!(bits(&whole), bits(&reference), "forward_backward diverged");
+        assert_eq!(bits(&stepped), bits(&reference), "layer steps diverged");
     }
 
     #[test]

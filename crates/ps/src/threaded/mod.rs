@@ -10,7 +10,7 @@
 //! worker's push arrived), averages worker gradients in a fixed order (so
 //! runs are bit-for-bit reproducible — for every shard count), and serves
 //! priority-ordered pull requests from a per-update encode cache. Push
-//! payloads are zero-copy slices of pooled per-worker arenas (see
+//! payloads are zero-copy slices of pooled per-layer gradient buffers (see
 //! [`pool`]), so the steady-state hot path allocates nothing.
 //!
 //! The integration tests assert the two properties that make communication

@@ -1,10 +1,10 @@
 //! Pooled, reference-counted wire buffers: the allocation recycler behind
 //! the zero-copy push and pull paths.
 //!
-//! A worker serialises all of an iteration's gradients into **one arena**
-//! ([`bytes::BytesMut`] → frozen [`bytes::Bytes`]) and every push payload —
-//! original or retransmission — is a zero-copy [`Bytes::slice`] window into
-//! it. A PS shard likewise encodes each parameter tensor once per update
+//! A worker serialises each layer's gradients into **one buffer** per layer
+//! ([`bytes::BytesMut`] → frozen [`bytes::Bytes`], one pool per layer) and
+//! every push payload — original or retransmission — is a zero-copy
+//! [`Bytes::slice`] window into it. A PS shard likewise encodes each parameter tensor once per update
 //! and serves every pull from slices of that one buffer. When the last
 //! outstanding reference drops, [`Bytes::try_into_mut`] reclaims the
 //! storage without copying and the next checkout reuses it, so the

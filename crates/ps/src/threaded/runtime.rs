@@ -8,10 +8,10 @@
 //! worker holds one channel per shard. The hot path allocates nothing in
 //! steady state:
 //!
-//! * a worker serialises all of an iteration's gradients into **one pooled
-//!   arena** and every push payload — original or retransmission — is a
-//!   zero-copy [`Bytes`] slice into it, recycled next iteration
-//!   ([`super::pool`]);
+//! * a worker serialises each layer's gradients into **one pooled buffer
+//!   per layer** the moment that layer's backward step finishes, and every
+//!   push payload — original or retransmission — is a zero-copy [`Bytes`]
+//!   slice into it, recycled next iteration ([`super::pool`]);
 //! * a shard stages incoming slices **as the wire bytes themselves** and
 //!   accumulates them straight into a persistent per-shard accumulator at
 //!   the barrier, in fixed worker order (so results stay bit-identical to
@@ -43,17 +43,30 @@
 //!   the exponential backoff.
 //! * `WorkerStall` — the worker sleeps through the scheduled window before
 //!   its compute phase.
-//! * `LinkDegrade` — the token-bucket link emulator scales its drain rate
-//!   by the window's factor (no-op when `link_bps` is `None`: an unlimited
-//!   link stays unlimited).
-//! * `LinkDown` — the link emulator freezes senders until the outage window
-//!   closes. (The simulator instead kills in-flight flows and replays them;
-//!   freezing is the threaded approximation — same bytes, no mid-message
-//!   kill.)
+//! * `LinkDegrade` — the [`Link`] emulator scales its drain rate by the
+//!   window's factor (no-op when `link_bps` is `None`: an unlimited link
+//!   stays unlimited).
+//! * `LinkDown` — the link emulator holds every send charged during the
+//!   outage window until it closes. (The simulator instead kills in-flight
+//!   flows and replays them; freezing is the threaded approximation — same
+//!   bytes, no mid-message kill.)
 //!
 //! Only `ShardCrash` and `WorkerStall` emit `FaultStart`/`FaultEnd` trace
 //! events here (they have one unambiguous owner thread); link and loss
-//! windows act silently through the limiter and the doom draws.
+//! windows act silently through the link and the doom draws.
+//!
+//! # Overlapping a worker's compute with its link
+//!
+//! Backward runs one layer at a time ([`Mlp::backward_step`]): a layer's
+//! gradients are encoded, released to the scheduler and pushed while the
+//! layers below it are still being differentiated — the stepwise release
+//! pattern the simulator and Prophet's profiler assume. Sends are paid
+//! ahead, not slept on: a send charges its bytes to the worker's [`Link`]
+//! and is handed over when due, and the worker computes in between,
+//! blocking only when it has nothing else to do. A pull is charged when it
+//! is requested, and the next pull task is requested before the current
+//! one is applied, so the link carries one while the worker applies the
+//! other.
 //!
 //! # Tracing without a global lock
 //!
@@ -76,7 +89,7 @@ use crate::protocol::{
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap};
+use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap, TransferTask};
 use prophet_minidnn::{Dataset, Mlp};
 use prophet_net::RetryPolicy;
 use prophet_sim::{
@@ -84,6 +97,8 @@ use prophet_sim::{
     TraceSink, Xoshiro256StarStar,
 };
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -210,9 +225,10 @@ pub struct ThreadedResult {
     /// never reached a shard).
     pub messages_lost: u64,
     /// Wire buffers served by a fresh heap allocation, summed over every
-    /// worker arena and shard pull cache. Flat in the iteration count when
-    /// the zero-copy recycling works (the steady-state hot path allocates
-    /// nothing); see [`ThreadedResult::arena_recycles`].
+    /// worker's per-layer gradient pools and every shard pull cache (one
+    /// per worker per layer, plus one per tensor). Flat in the iteration
+    /// count when the zero-copy recycling works (the steady-state hot path
+    /// allocates nothing); see [`ThreadedResult::arena_recycles`].
     pub arena_allocs: u64,
     /// Wire buffers served from recycled storage. Scales with iterations
     /// in steady state.
@@ -236,7 +252,7 @@ pub struct ThreadedResult {
     /// payload passed its CRC but carried non-finite values).
     pub nan_quarantined: u64,
     /// Payload bytes retransmitted in response to [`ToWorker::PushNack`]
-    /// (targeted per-slice retransmits, re-sliced from the clean arena).
+    /// (targeted per-slice retransmits, re-sliced from the clean buffer).
     pub nack_retransmit_bytes: u64,
     /// Restores that fell back past ≥ 1 corrupted snapshot generation.
     pub restore_fallbacks: u64,
@@ -285,82 +301,89 @@ pub struct ShardPhases {
 pub struct WorkerPhases {
     /// Forward/backward compute (incl. batch assembly).
     pub compute_ns: u64,
-    /// Gradient serialisation into the push arena.
+    /// Gradient serialisation into the per-layer push buffers.
     pub encode_ns: u64,
     /// Pull-reply verify + apply into parameter storage.
     pub apply_ns: u64,
-    /// Blocked in `recv` waiting on PS messages, or waiting for the
+    /// Blocked waiting on PS messages with nothing left to come due and
+    /// nothing left to drain on the link (sleeping out a send's due
+    /// instant is the link's time, not a wait), or waiting for the
     /// cache-residency gate before compute or a large apply.
     pub wait_ns: u64,
 }
 
-/// A crude token-bucket link emulator: sending `bytes` blocks the sender
-/// until the link would have drained them. The plan's link windows freeze
-/// it (`LinkDown`) or scale its drain rate (`LinkDegrade`).
-struct RateLimiter {
+/// How far a message may run ahead of its link: a send is due once no
+/// more than this much of the link's charged time is left to drain.
+const BURST_NS: u64 = 200_000;
+
+/// One worker's emulated link, a token bucket paid ahead instead of slept
+/// on. A send *charges* its bytes and is handed over when it is *due*: the
+/// instant a sender blocking on the bucket would have been let go. Pushes
+/// and pulls share the one budget, as they share a NIC. The plan's link
+/// windows freeze it (`LinkDown`) or scale its drain rate (`LinkDegrade`).
+struct Link {
     bps: Option<f64>,
-    debt_ns: u64,
-    last: Instant,
-    /// Run-start instant the fault windows are relative to.
-    start: Instant,
+    /// When everything charged so far has drained (ns since run start). A
+    /// charge drains from `max(free_at, then)`: idle time is never banked.
+    free_at: u64,
+    /// When the latest charge fell due. The next one is priced as of then
+    /// at the earliest — when a blocking sender would have made it.
+    due: u64,
     windows: Arc<Windows>,
     /// The nodes whose link windows hit this sender: its own, plus every
     /// PS shard's, whose links all of the worker's transfers traverse.
     nodes: Vec<usize>,
 }
 
-impl RateLimiter {
+impl Link {
     /// The link of worker `w` in a `shards`-shard topology.
-    fn new(
-        bps: Option<f64>,
-        start: Instant,
-        windows: Arc<Windows>,
-        w: usize,
-        shards: usize,
-    ) -> Self {
-        RateLimiter {
+    fn new(bps: Option<f64>, windows: Arc<Windows>, w: usize, shards: usize) -> Self {
+        Link {
             bps,
-            debt_ns: 0,
-            last: Instant::now(),
-            start,
+            free_at: 0,
+            due: 0,
             windows,
             nodes: (0..shards).chain([shards + w]).collect(),
         }
     }
 
-    fn acquire(&mut self, bytes: u64) {
+    /// Charge `bytes` sent at `now` and return when the message is due
+    /// (both ns since run start).
+    fn charge(&mut self, bytes: u64, now: u64) -> u64 {
         // An unlimited link with no fault windows has nothing to meter;
         // this is every send on the fault-free unthrottled hot path.
         if self.bps.is_none() && self.windows.is_empty() {
-            return;
+            return now;
         }
+        let mut at = now.max(self.due);
         // Freeze through any active outage window, even on an unlimited
         // link (an outage is absolute).
-        loop {
-            let now_ns = ns_since(self.start);
-            let frozen_until = self
-                .windows
-                .active_until(FaultKind::LinkDown, &self.nodes, now_ns);
-            let Some(end_ns) = frozen_until else { break };
-            std::thread::sleep(StdDuration::from_nanos(end_ns - now_ns));
-        }
-        let Some(bps) = self.bps else { return };
-        let now = Instant::now();
-        let elapsed = now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        self.debt_ns = self.debt_ns.saturating_sub(elapsed);
-        // Degrade windows scale the drain rate; the factor at send time
-        // prices the whole message (windows are not integrated across).
-        let factor = self
+        while let Some(end) = self
             .windows
-            .worst_at(FaultKind::LinkDegrade, &self.nodes, ns_since(self.start))
-            .unwrap_or(1.0);
-        self.debt_ns += (bytes as f64 / (bps * factor) * 1e9) as u64;
-        // Sleep off any debt beyond a small burst allowance.
-        const BURST_NS: u64 = 200_000;
-        if self.debt_ns > BURST_NS {
-            std::thread::sleep(StdDuration::from_nanos(self.debt_ns - BURST_NS));
+            .active_until(FaultKind::LinkDown, &self.nodes, at)
+        {
+            at = end;
         }
+        if let Some(bps) = self.bps {
+            // Degrade windows scale the drain rate; the factor at charge
+            // time prices the whole message (windows are not integrated
+            // across).
+            let factor = self
+                .windows
+                .worst_at(FaultKind::LinkDegrade, &self.nodes, at)
+                .unwrap_or(1.0);
+            let cost = (bytes as f64 / (bps * factor) * 1e9) as u64;
+            self.free_at = self.free_at.max(at) + cost;
+            at = at.max(self.free_at.saturating_sub(BURST_NS));
+        }
+        self.due = at;
+        at
+    }
+
+    /// When everything charged so far is due and drained: a sender blocked
+    /// before then is waiting on its link, not on its peers.
+    fn busy_until(&self) -> u64 {
+        self.due.max(self.free_at)
     }
 }
 
@@ -497,20 +520,35 @@ impl MembershipClock {
     }
 }
 
-/// A worker's sending side: the token-bucket link, the loss and corruption
-/// draws every push makes, and the [`Outbox`] whose tracked sends drive
-/// retransmissions.
+/// A worker's sending side: its gradient payloads, the link they are
+/// charged to, the loss and corruption draws every push makes, and the
+/// [`Outbox`] whose tracked sends drive retransmissions.
 struct Uplink {
     /// Whether any fault machinery is live (empty plan = all paths dormant,
     /// and the worker blocks on `recv` exactly as the fault-free build).
     active: bool,
     windows: Arc<Windows>,
-    limiter: RateLimiter,
+    link: Link,
+    /// Pushes charged to the link and not yet handed over, in charge order
+    /// (which is due order).
+    queue: VecDeque<Queued>,
+    /// This iteration's encoded gradients, one frozen buffer per backward
+    /// step (last layer first), each from its own pool so steady state
+    /// reuses one allocation per layer. Push payloads — originals and
+    /// retransmissions alike — are zero-copy windows into them.
+    bufs: Vec<Option<Bytes>>,
+    pools: Vec<ArenaPool>,
+    /// `(backward step, byte offset in its buffer)` of every tensor.
+    grad_at: Vec<(usize, usize)>,
+    /// Whole-tensor payload CRC of every tensor, streamed during its
+    /// encode — a whole-tensor push (the common case) frames without
+    /// re-reading its payload.
+    grad_crc: Vec<u32>,
     /// Loss doom draws.
     rng: Xoshiro256StarStar,
     corrupt: CorruptInjector,
-    /// Tampered in-flight copies come from their own pool so the arena
-    /// pool's counters stay an exact function of the fault-free data path
+    /// Tampered in-flight copies come from their own pool so the gradient
+    /// pools' counters stay an exact function of the fault-free data path
     /// (mirrors the shard-side `tamper_pool`; dormant without corruption).
     tamper_pool: ArenaPool,
     retry: RetryPolicy,
@@ -519,19 +557,39 @@ struct Uplink {
     bytes_pushed: u64,
 }
 
+/// One push slice charged to the link, awaiting its hand-over.
+struct Queued {
+    due: u64,
+    grad: usize,
+    offset_elems: usize,
+    len_elems: usize,
+    /// Extra ack-timeout slack (a retransmission's backoff).
+    stretch: SimDuration,
+    /// The scheduler task this slice completes, reported done at its
+    /// hand-over.
+    task: Option<TransferTask>,
+}
+
 impl Uplink {
-    /// The uplink of worker `w` in a `shards`-shard topology.
+    /// The uplink of worker `w` in a `shards`-shard topology, for a model
+    /// of `tensors` tensors differentiated in `steps` backward steps.
     fn new(
         w: usize,
         shards: usize,
         cfg: &ThreadedConfig,
         windows: Arc<Windows>,
-        start: Instant,
+        tensors: usize,
+        steps: usize,
     ) -> Self {
         let plan = &cfg.fault_plan;
         Uplink {
             active: !plan.is_empty(),
-            limiter: RateLimiter::new(cfg.link_bps, start, Arc::clone(&windows), w, shards),
+            link: Link::new(cfg.link_bps, Arc::clone(&windows), w, shards),
+            queue: VecDeque::new(),
+            bufs: vec![None; steps],
+            pools: (0..steps).map(|_| ArenaPool::new()).collect(),
+            grad_at: vec![(0, 0); tensors],
+            grad_crc: vec![0; tensors],
             // Loss draws come from a per-worker substream of the *plan*
             // seed, so two workers never share a doom sequence.
             rng: Xoshiro256StarStar::new(plan.seed ^ 0x7EA1_FA17).substream(w as u64),
@@ -545,24 +603,60 @@ impl Uplink {
         }
     }
 
-    /// Send one push slice: pay the link, draw its fate against the loss and
-    /// corruption windows, transmit (unless lost), and track it in the
-    /// outbox with an ack deadline `stretch` past the policy's timeout. The
-    /// payload is a zero-copy window of the iteration arena. The *set* of
-    /// damaged messages depends on real-time scheduling (windows are
-    /// wall-clock); what is computed stays bit-identical because every
-    /// failure is retried and aggregation is order-independent per worker.
-    fn push_slice(
+    /// Return the previous iteration's gradient buffers to their pools:
+    /// its barriers released every staged window of them.
+    fn recycle(&mut self) {
+        debug_assert!(self.queue.is_empty(), "a push outlived its iteration");
+        for (pool, buf) in self.pools.iter_mut().zip(&mut self.bufs) {
+            if let Some(b) = buf.take() {
+                pool.recycle(b);
+            }
+        }
+    }
+
+    /// Serialise backward step `step`'s gradients — tensors `ids`, taken
+    /// from `grads` — into that step's pooled buffer.
+    fn encode(&mut self, step: usize, ids: Range<usize>, grads: &[&[f32]]) {
+        let bytes = ids.clone().map(|g| grads[g].len() * 4).sum();
+        let mut buf = self.pools[step].checkout(bytes);
+        for g in ids {
+            self.grad_at[g] = (step, buf.len());
+            // Stream the frame checksum while the bytes are still hot.
+            self.grad_crc[g] = encode_f32_into_crc(grads[g], &mut buf);
+        }
+        self.bufs[step] = Some(buf.freeze());
+    }
+
+    /// Charge one push slice to the link and queue it for hand-over.
+    fn charge_push(
         &mut self,
-        ctx: &DriveCtx<'_>,
+        now: u64,
         grad: usize,
         offset_elems: usize,
         len_elems: usize,
         stretch: SimDuration,
     ) {
-        let bytes = (len_elems * 4) as u64;
-        self.limiter.acquire(bytes);
-        self.bytes_pushed += bytes;
+        let due = self.link.charge((len_elems * 4) as u64, now);
+        self.queue.push_back(Queued {
+            due,
+            grad,
+            offset_elems,
+            len_elems,
+            stretch,
+            task: None,
+        });
+    }
+
+    /// Hand one charged slice over: draw its fate against the loss and
+    /// corruption windows, transmit it (unless lost) to the current
+    /// incarnation of its shard, and track it in the outbox with an ack
+    /// deadline `stretch` past the policy's timeout, counted from now. The
+    /// *set* of damaged messages depends on real-time scheduling (windows
+    /// are wall-clock); what is computed stays bit-identical because every
+    /// failure is retried and aggregation is order-independent per worker.
+    fn hand_over(&mut self, ctx: &IterCtx<'_>, q: &Queued) {
+        let (grad, offset_elems, len_elems) = (q.grad, q.offset_elems, q.len_elems);
+        self.bytes_pushed += (len_elems * 4) as u64;
         let shard = ctx.owner[grad];
         let slice = Slice {
             iter: ctx.iter,
@@ -571,24 +665,27 @@ impl Uplink {
             len: len_elems as u64,
             epoch: ctx.ps_epochs[shard].get(),
         };
-        let fate = self
-            .windows
-            .send_fate(ns_since(ctx.epoch), |kind| match kind {
-                FaultKind::MsgLoss => self.rng.next_f64(),
-                _ => self.corrupt.rng.next_f64(),
-            });
+        let now = ns_since(ctx.epoch);
+        let fate = self.windows.send_fate(now, |kind| match kind {
+            FaultKind::MsgLoss => self.rng.next_f64(),
+            _ => self.corrupt.rng.next_f64(),
+        });
         if fate == Some(FaultKind::MsgLoss) {
             self.messages_lost += 1;
         } else {
-            let lo = ctx.grad_off[grad] + offset_elems * 4;
-            let clean = ctx.arena.slice(lo..lo + len_elems * 4);
-            // Damage lands on a pooled copy: the clean arena window stays
+            let (step, at) = self.grad_at[grad];
+            let lo = at + offset_elems * 4;
+            let buf = self.bufs[step]
+                .as_ref()
+                .expect("push before its layer encoded");
+            let clean = buf.slice(lo..lo + len_elems * 4);
+            // Damage lands on a pooled copy: the clean window stays
             // pristine for any later retransmission.
             let (data, frame) = if fate.is_some() {
                 let style = self.corrupt.style(true);
                 self.corrupt.tamper(style, &clean, &mut self.tamper_pool)
             } else if offset_elems == 0 && len_elems == ctx.tensor_elems[grad] {
-                let (len, crc) = ((len_elems * 4) as u32, ctx.grad_crc[grad]);
+                let (len, crc) = ((len_elems * 4) as u32, self.grad_crc[grad]);
                 (clean, FrameHeader { len, crc })
             } else {
                 let frame = FrameHeader::for_payload(&clean);
@@ -604,8 +701,22 @@ impl Uplink {
             ctx.txs[shard].send(push).expect("ps shard hung up");
         }
         if self.active {
-            let deadline = ns_since(ctx.epoch) + (self.retry.timeout + stretch).as_nanos();
+            let deadline = now + (self.retry.timeout + q.stretch).as_nanos();
             self.outbox.sent(slice, deadline);
+        }
+    }
+
+    /// When the next charged push falls due.
+    fn next_due(&self) -> Option<u64> {
+        self.queue.front().map(|q| q.due)
+    }
+
+    /// The next charged push, if it is due by `now`.
+    fn take_due(&mut self, now: u64) -> Option<Queued> {
+        if self.next_due()? <= now {
+            self.queue.pop_front()
+        } else {
+            None
         }
     }
 
@@ -654,7 +765,7 @@ enum Tamper {
 /// Per-node corruption injector. Draws against the plan's `PayloadCorrupt`
 /// windows whether an outgoing data frame is damaged in flight and applies
 /// the damage to a pooled *copy*, leaving the clean source bytes untouched
-/// — a NACKed slice retransmits bit-exactly from the original arena window.
+/// — a NACKed slice retransmits bit-exactly from the original buffer window.
 ///
 /// Like the loss doom draws, corruption draws come from a dedicated
 /// substream of the plan seed (tagged by topology node), so adding a
@@ -1405,7 +1516,7 @@ impl ShardRt {
         let t_verify = Instant::now();
         if self.eager_verify {
             // Nothing corrupt is ever staged: a rejected slice is nacked
-            // and the worker retransmits it from its clean arena.
+            // and the worker retransmits it from its clean buffer.
             let rejected = if !frame.verify(&data) {
                 // Checksum or length mismatch: damaged in flight.
                 self.corrupt_frames += 1;
@@ -1904,19 +2015,11 @@ impl ShardRt {
     }
 }
 
-/// Borrowed context threaded through [`drive`].
-struct DriveCtx<'a> {
+/// Borrowed context threaded through [`pump`].
+struct IterCtx<'a> {
     w: usize,
     iter: u64,
     epoch: Instant,
-    /// This iteration's gradient arena; push payloads are windows into it.
-    arena: &'a Bytes,
-    /// Byte offset of each gradient tensor within the arena.
-    grad_off: &'a [usize],
-    /// Whole-tensor payload CRC of each tensor in the arena, streamed
-    /// during the encode pass — a whole-tensor push (the common case)
-    /// frames without re-reading its payload.
-    grad_crc: &'a [u32],
     /// Tensor sizes in elements (to recognise whole-tensor slices).
     tensor_elems: &'a [usize],
     txs: &'a [Sender<ToPs>],
@@ -1928,18 +2031,106 @@ struct DriveCtx<'a> {
     ps_epochs: &'a [Cell<u64>],
 }
 
+/// The pull task on the wire: requested, charged, and landing once every
+/// reply is in and its bytes are due.
+struct PullTask {
+    task: TransferTask,
+    /// Replies still to arrive intact.
+    awaiting: usize,
+    /// When its last charged byte is due.
+    due: u64,
+}
+
+/// One iteration's transfers on a worker: what the scheduler has put on the
+/// wire and what has landed. Reset, not reallocated, per iteration.
+struct Transfers {
+    /// Elements of each tensor issued for push.
+    push_sent: Vec<usize>,
+    /// Elements of each tensor requested for pull.
+    pull_recv: Vec<usize>,
+    /// Elements of each tensor's pulled parameters applied to the model.
+    applied: Vec<usize>,
+    /// Tensors not yet fully applied.
+    left: usize,
+    pull: Option<PullTask>,
+    /// A pull task issued while another was on the wire; requested when
+    /// that one lands (issuing pauses until then).
+    next_pull: Option<TransferTask>,
+    /// Intact replies of the pull on the wire, `(grad, offset_elems, data,
+    /// frame)`, held until it lands.
+    replies: Vec<(usize, usize, Bytes, FrameHeader)>,
+}
+
+impl Transfers {
+    fn new(n: usize) -> Self {
+        Transfers {
+            push_sent: vec![0; n],
+            pull_recv: vec![0; n],
+            applied: vec![0; n],
+            left: n,
+            pull: None,
+            next_pull: None,
+            replies: Vec::new(),
+        }
+    }
+
+    fn reset(&mut self) {
+        debug_assert!(self.pull.is_none() && self.next_pull.is_none());
+        self.push_sent.fill(0);
+        self.pull_recv.fill(0);
+        self.applied.fill(0);
+        self.left = self.applied.len();
+    }
+
+    /// Request `task`'s windows and charge their bytes to the link: the
+    /// shards serve pulls from an encoding cached at barrier time, so the
+    /// link paces the replies from now.
+    fn request(
+        &mut self,
+        ctx: &IterCtx<'_>,
+        task: TransferTask,
+        up: &mut Uplink,
+        tlog: &mut ThreadLog,
+    ) {
+        let now = ns_since(ctx.epoch);
+        let mut due = now;
+        for &(g, b) in &task.pieces {
+            if self.pull_recv[g] == 0 {
+                tlog.emit(TraceEvent::PullStart {
+                    worker: ctx.w,
+                    iter: ctx.iter,
+                    grad: g,
+                });
+            }
+            let len_elems = (b / 4) as usize;
+            ctx.txs[ctx.owner[g]]
+                .send(ToPs::PullReq {
+                    worker: ctx.w,
+                    grad: g,
+                    offset_elems: self.pull_recv[g],
+                    len_elems,
+                    min_done: None,
+                })
+                .expect("ps shard hung up");
+            self.pull_recv[g] += len_elems;
+            due = up.link.charge(b, now);
+        }
+        let awaiting = task.pieces.len();
+        self.pull = Some(PullTask {
+            task,
+            awaiting,
+            due,
+        });
+    }
+}
+
 /// Carry out what the outbox asked for: trace each retry step, re-stamp
-/// the push start a failed attempt voided, and re-send each slice from the
-/// iteration arena — retransmission copies nothing. `backoff` stretches the
-/// re-sent slices' next ack deadline by the policy's exponential delay (the
-/// timeout path; the simulator backs the lane off instead).
-fn redo(
-    ctx: &DriveCtx<'_>,
-    up: &mut Uplink,
-    tlog: &mut ThreadLog,
-    steps: Vec<Step>,
-    backoff: bool,
-) {
+/// the push start a failed attempt voided, and charge each slice again —
+/// its retransmission re-slices the layer buffer, copying nothing.
+/// `backoff` stretches the re-sent slices' next ack deadline by the
+/// policy's exponential delay (the timeout path; the simulator backs the
+/// lane off instead).
+fn redo(ctx: &IterCtx<'_>, up: &mut Uplink, tlog: &mut ThreadLog, steps: Vec<Step>, backoff: bool) {
     let (worker, iter) = (ctx.w, ctx.iter);
     for step in steps {
         match step {
@@ -1955,70 +2146,66 @@ fn redo(
                     tlog.emit(TraceEvent::PushStart { worker, iter, grad });
                 }
                 let stretch = up.retry.delay(if backoff { attempt } else { 0 });
-                up.push_slice(ctx, grad, s.offset as usize, s.len as usize, stretch);
+                let (off, len) = (s.offset as usize, s.len as usize);
+                up.charge_push(ns_since(ctx.epoch), grad, off, len, stretch);
             }
         }
     }
 }
 
-/// Issue tasks until the scheduler pauses. Pushes complete synchronously
-/// (blocking send, like P3's transport); at most one pull task is awaited
-/// at a time.
-fn drive(
-    ctx: &DriveCtx<'_>,
+/// Move everything that can move without waiting: issue tasks until the
+/// scheduler pauses, hand over every charged push that is due, and go
+/// round again while a hand-over completes a task (which may free the
+/// scheduler's next). A push task is charged slice by slice and completes
+/// at its last slice's hand-over. A pull task is requested at once when no
+/// other pull is on the wire, and otherwise waits as `next_pull`, pausing
+/// issue until it goes out.
+fn pump(
+    ctx: &IterCtx<'_>,
     sched: &mut Box<dyn CommScheduler>,
-    push_sent: &mut [usize],
-    pull_recv: &mut [usize],
-    inflight_pull: &mut Option<(prophet_core::TransferTask, usize)>,
+    tr: &mut Transfers,
     up: &mut Uplink,
     tlog: &mut ThreadLog,
 ) {
-    while inflight_pull.is_none() {
-        let Some(task) = sched.next_task(now_since(ctx.epoch)) else {
-            break;
-        };
-        match task.dir {
-            Dir::Push => {
-                for &(g, b) in &task.pieces {
-                    let elems = (b / 4) as usize;
-                    let off = push_sent[g];
-                    push_sent[g] += elems;
-                    if off == 0 {
-                        tlog.emit(TraceEvent::PushStart {
-                            worker: ctx.w,
-                            iter: ctx.iter,
-                            grad: g,
-                        });
+    loop {
+        while tr.next_pull.is_none() {
+            let Some(task) = sched.next_task(now_since(ctx.epoch)) else {
+                break;
+            };
+            match task.dir {
+                Dir::Push => {
+                    let now = ns_since(ctx.epoch);
+                    for &(g, b) in &task.pieces {
+                        let off = tr.push_sent[g];
+                        if off == 0 {
+                            tlog.emit(TraceEvent::PushStart {
+                                worker: ctx.w,
+                                iter: ctx.iter,
+                                grad: g,
+                            });
+                        }
+                        let elems = (b / 4) as usize;
+                        tr.push_sent[g] += elems;
+                        up.charge_push(now, g, off, elems, SimDuration::ZERO);
                     }
-                    up.push_slice(ctx, g, off, elems, SimDuration::ZERO);
+                    let last = up.queue.back_mut().expect("push task without pieces");
+                    last.task = Some(task);
                 }
+                Dir::Pull if tr.pull.is_none() => tr.request(ctx, task, up, tlog),
+                Dir::Pull => tr.next_pull = Some(task),
+            }
+        }
+        let now = ns_since(ctx.epoch);
+        let mut freed = false;
+        while let Some(q) = up.take_due(now) {
+            up.hand_over(ctx, &q);
+            if let Some(task) = q.task {
                 sched.task_done(now_since(ctx.epoch), &task);
+                freed = true;
             }
-            Dir::Pull => {
-                let mut awaiting = 0usize;
-                for &(g, b) in &task.pieces {
-                    let elems = (b / 4) as usize;
-                    if pull_recv[g] == 0 {
-                        tlog.emit(TraceEvent::PullStart {
-                            worker: ctx.w,
-                            iter: ctx.iter,
-                            grad: g,
-                        });
-                    }
-                    ctx.txs[ctx.owner[g]]
-                        .send(ToPs::PullReq {
-                            worker: ctx.w,
-                            grad: g,
-                            offset_elems: pull_recv[g],
-                            len_elems: elems,
-                            min_done: None,
-                        })
-                        .expect("ps shard hung up");
-                    pull_recv[g] += elems;
-                    awaiting += 1;
-                }
-                *inflight_pull = Some((task, awaiting));
-            }
+        }
+        if !freed {
+            return;
         }
     }
 }
@@ -2038,7 +2225,9 @@ fn drive(
 /// parallelism the hardware actually has.
 ///
 /// Deadlock-freedom: a permit is only ever held across straight-line
-/// memory work — never across a channel receive, and never while trying
+/// memory work and non-blocking hand-offs (a worker's between-layer
+/// [`pump`] sends on unbounded channels) — never across a channel receive,
+/// a sleep or another acquire, and never while trying
 /// to take a lock that another permit-holder could be blocked on (the
 /// durable store's lock is taken either under the gate or by lock-only
 /// sections that don't wait on the gate). Every holder therefore runs to
@@ -2075,10 +2264,11 @@ impl ComputeGate {
     }
 }
 
-/// One worker: compute shard gradients, release them backward-first to the
-/// scheduler, move bytes as the scheduler dictates, pull updates, repeat.
-/// All per-iteration scratch (arena, counters, flags) lives outside the
-/// iteration loop and is reset, not reallocated.
+/// One worker: compute shard gradients, release them layer by layer,
+/// backward-first, to the scheduler, move bytes as the scheduler dictates,
+/// pull updates, repeat. All per-iteration state (gradient buffers,
+/// counters, queues) lives outside the iteration loop and is reset, not
+/// reallocated.
 ///
 /// Elastic lifecycle: a worker the plan evicts runs `[0, fail_at)`, opens
 /// its eviction epoch, broadcasts [`ToPs::Leave`] and exits; a joiner stays
@@ -2126,7 +2316,7 @@ fn worker_thread(
     let evicted = mem.leaves_at(w).is_some();
     let mut sched: Box<dyn CommScheduler> =
         cfg.scheduler.build_from_sizes(sizes_bytes.as_ref().clone());
-    let mut up = Uplink::new(w, shards, &cfg, windows, epoch);
+    let mut up = Uplink::new(w, shards, &cfg, windows, n, cfg.widths.len() - 1);
     let mut losses = Vec::with_capacity((my_until - my_from) as usize);
     let mut corrupt_frames = 0u64;
     let mut nack_bytes = 0u64;
@@ -2164,7 +2354,12 @@ fn worker_thread(
                     data,
                     frame,
                 } => {
-                    up.limiter.acquire(data.len() as u64);
+                    // A deferred reply is served only once its barriers
+                    // close, so it is charged when it arrives — and with
+                    // nothing else to do, the joiner sleeps until it is due.
+                    let now = ns_since(epoch);
+                    let due = up.link.charge(data.len() as u64, now);
+                    std::thread::sleep(StdDuration::from_nanos(due - now));
                     if !frame.verify(&data) {
                         // Damaged bootstrap reply: re-request the whole
                         // tensor. Counted but not traced — a worker
@@ -2205,16 +2400,7 @@ fn worker_thread(
         }
     }
 
-    // Reusable per-iteration scratch: reset each iteration, never
-    // reallocated.
-    let mut push_sent = vec![0usize; n]; // elements already pushed
-    let mut pull_recv = vec![0usize; n];
-    let mut pulled = vec![false; n];
-    let mut grad_off = vec![0usize; n]; // byte offset of each tensor in the arena
-    let mut grad_crc = vec![0u32; n]; // whole-tensor payload CRC per tensor
-    let arena_bytes: usize = tensor_elems.iter().map(|&e| e * 4).sum();
-    let mut pool = ArenaPool::new();
-    let mut arena: Option<Bytes> = None;
+    let mut tr = Transfers::new(n);
     // Verify pull replies at receive only under a corruption plan; without
     // one the frame CRC is checked inside the fused decode-into-parameters
     // pass instead of costing its own traversal.
@@ -2233,14 +2419,17 @@ fn worker_thread(
             up.stall_if_scheduled(node, epoch, &mut tlog);
         }
         up.outbox.begin_iter(iter);
-        push_sent.fill(0);
-        pull_recv.fill(0);
-        pulled.fill(false);
-        // The previous iteration's barriers released every staged slice of
-        // the old arena; recycle its storage for this iteration.
-        if let Some(prev) = arena.take() {
-            pool.recycle(prev);
-        }
+        tr.reset();
+        up.recycle();
+        let ctx = IterCtx {
+            w,
+            iter,
+            epoch,
+            tensor_elems: tensor_elems.as_slice(),
+            txs: &txs,
+            owner,
+            ps_epochs: &ps_epochs,
+        };
 
         // This iteration's shard: a rotating window over the dataset.
         let lo = ((iter as usize * cfg.global_batch) + w * per_worker) % dataset.len();
@@ -2250,88 +2439,131 @@ fn worker_thread(
         // the wait span.
         let t_gate = Instant::now();
         gate.acquire();
-        let t_compute = Instant::now();
+        let mut t_compute = Instant::now();
         phases.wait_ns += t_compute.duration_since(t_gate).as_nanos() as u64;
         let (x, labels) = dataset.batch(lo, hi.max(lo + 1));
         model.zero_grads();
-        let loss = model.forward_backward(&x, &labels);
+        let (loss, mut pass) = model.forward_loss(&x, &labels);
         losses.push(loss);
-
-        // Serialise all gradients into one arena; every push payload below
-        // is a zero-copy window into it.
-        let t_encode = Instant::now();
-        phases.compute_ns += t_encode.duration_since(t_compute).as_nanos() as u64;
-        let mut buf = pool.checkout(arena_bytes);
-        let mut off = 0usize;
-        for (g, gs) in model.grad_slices().iter().enumerate() {
-            grad_off[g] = off;
-            // Stream the frame checksum while the bytes are still hot in
-            // the encode pass — whole-tensor pushes then frame without a
-            // second read of the payload.
-            grad_crc[g] = encode_f32_into_crc(gs, &mut buf);
-            off += gs.len() * 4;
+        // Backward one layer at a time: encode the layer's gradients,
+        // release them last tensor first, and let the link take them while
+        // the layers below are differentiated. Between layers the worker
+        // only hands over what is due — it never blocks holding the gate.
+        let mut step = 0;
+        while let Some(ids) = model.backward_step(&mut pass) {
+            let t_encode = Instant::now();
+            phases.compute_ns += t_encode.duration_since(t_compute).as_nanos() as u64;
+            up.encode(step, ids.clone(), &model.grad_slices());
+            phases.encode_ns += t_encode.elapsed().as_nanos() as u64;
+            step += 1;
+            for g in ids.rev() {
+                tlog.emit(TraceEvent::GradReady {
+                    worker: w,
+                    iter,
+                    grad: g,
+                });
+                sched.gradient_ready(now_since(epoch), g);
+            }
+            pump(&ctx, &mut sched, &mut tr, &mut up, &mut tlog);
+            t_compute = Instant::now();
         }
-        let arena_ref: &Bytes = arena.insert(buf.freeze());
         gate.release();
-        phases.encode_ns += t_encode.elapsed().as_nanos() as u64;
 
-        let ctx = DriveCtx {
-            w,
-            iter,
-            epoch,
-            arena: arena_ref,
-            grad_off: &grad_off,
-            grad_crc: &grad_crc,
-            tensor_elems: tensor_elems.as_slice(),
-            txs: &txs,
-            owner,
-            ps_epochs: &ps_epochs,
-        };
-
-        let mut inflight_pull: Option<(prophet_core::TransferTask, usize)> = None;
-        for g in (0..n).rev() {
-            tlog.emit(TraceEvent::GradReady {
-                worker: w,
-                iter,
-                grad: g,
-            });
-            sched.gradient_ready(now_since(epoch), g);
-            drive(
-                &ctx,
-                &mut sched,
-                &mut push_sent,
-                &mut pull_recv,
-                &mut inflight_pull,
-                &mut up,
-                &mut tlog,
-            );
-        }
-
-        // Communication loop: receive PS messages until every tensor has
-        // been pulled and applied. With live fault machinery the receive
-        // waits only until the earliest ack deadline, so retransmissions
-        // fire even when the shards have gone quiet (the very situation a
-        // lost message creates) — but without a fixed-period poll burning
-        // wakeups when nothing is due. With no tracked slices every event
-        // that can unblock this loop arrives as a message, so the receive
-        // blocks outright.
-        while !pulled.iter().all(|&p| p) {
-            let t_wait = Instant::now();
-            let msg = if up.active {
-                let wait = match up.outbox.next_deadline() {
-                    Some(d) => StdDuration::from_nanos(d.saturating_sub(ns_since(epoch)))
-                        .max(StdDuration::from_micros(50)),
-                    None => StdDuration::from_millis(20),
-                };
-                match rx.recv_timeout(wait) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => panic!("ps hung up mid-iteration"),
+        // Communication: move what can move; land the pull on the wire
+        // once its replies are in and its bytes are due — requesting the
+        // next before applying this one, so the link carries one while the
+        // worker applies the other; otherwise block until a message, the
+        // next due instant, or (with live fault machinery) the earliest ack
+        // deadline, so retransmissions fire even when the shards have gone
+        // quiet — the very situation a lost message creates. With nothing
+        // charged and no tracked slices, every event that can unblock this
+        // loop arrives as a message, so the receive blocks outright.
+        while tr.left > 0 {
+            pump(&ctx, &mut sched, &mut tr, &mut up, &mut tlog);
+            let now = ns_since(epoch);
+            let landing = tr.pull.as_ref().filter(|p| p.awaiting == 0).map(|p| p.due);
+            if let Some(landed) = tr.pull.take_if(|p| p.awaiting == 0 && p.due <= now) {
+                let landed = landed.task;
+                sched.task_done(now_since(epoch), &landed);
+                if let Some(next) = tr.next_pull.take() {
+                    tr.request(&ctx, next, &mut up, &mut tlog);
                 }
-            } else {
-                Some(rx.recv().expect("ps hung up mid-iteration"))
+                pump(&ctx, &mut sched, &mut tr, &mut up, &mut tlog);
+                for (grad, offset_elems, data, frame) in tr.replies.drain(..) {
+                    // A large apply walks the payload plus the parameter
+                    // slice — gate it like any other big traversal. The
+                    // wait lands in `wait_ns`, keeping the apply span pure
+                    // work.
+                    let gated = data.len() >= GATE_MIN_BYTES;
+                    if gated {
+                        let t_gate = Instant::now();
+                        gate.acquire();
+                        phases.wait_ns += t_gate.elapsed().as_nanos() as u64;
+                    }
+                    let t_apply = Instant::now();
+                    // One apply for every plan: wire bytes decode straight
+                    // into the model's parameter storage with the frame CRC
+                    // streamed in the same pass. A reply that got past the
+                    // receive-time verify and still mismatches is genuine
+                    // memory corruption.
+                    let len_elems = data.len() / 4;
+                    let dst =
+                        &mut model.param_slice_mut(grad)[offset_elems..offset_elems + len_elems];
+                    let got = crc32::finish(fused_crc_apply(crc32::begin(), &data, dst));
+                    assert_eq!(
+                        got, frame.crc,
+                        "pull reply fails the frame CRC it was admitted under — genuine \
+                         memory corruption"
+                    );
+                    if gated {
+                        gate.release();
+                    }
+                    phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
+                    tr.applied[grad] += len_elems;
+                    if tr.applied[grad] == tensor_elems[grad] {
+                        tr.left -= 1;
+                        if let Some(attempts) = up.outbox.delivered(iter, grad) {
+                            tlog.emit(TraceEvent::Recovered {
+                                worker: w,
+                                iter,
+                                grad,
+                                attempts,
+                            });
+                        }
+                        tlog.emit(TraceEvent::PullEnd {
+                            worker: w,
+                            iter,
+                            grad,
+                        });
+                    }
+                }
+                continue;
+            }
+            let pacing = up.next_due().into_iter().chain(landing).min();
+            let mut wake = pacing;
+            if up.active {
+                let ack = match up.outbox.next_deadline() {
+                    Some(d) => d.max(now + 50_000),
+                    None => now + 20_000_000,
+                };
+                wake = Some(wake.map_or(ack, |w| w.min(ack)));
+            }
+            let msg = match wake {
+                Some(at) => {
+                    match rx.recv_timeout(StdDuration::from_nanos(at.saturating_sub(now))) {
+                        Ok(m) => Some(m),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => panic!("ps hung up mid-iteration"),
+                    }
+                }
+                None => Some(rx.recv().expect("ps hung up mid-iteration")),
             };
-            phases.wait_ns += t_wait.elapsed().as_nanos() as u64;
+            // Sleeping out a due instant is the link's time, as is blocking
+            // while it still drains charged bytes; only the rest is a wait
+            // on the shards.
+            if pacing.is_none() {
+                phases.wait_ns += ns_since(epoch).saturating_sub(now.max(up.link.busy_until()));
+            }
             match msg {
                 None => {}
                 Some(ToWorker::ParamReady { grad, epoch: pe }) => {
@@ -2341,7 +2573,8 @@ fn worker_thread(
                         epoch: pe,
                     });
                     // The barrier proves every slice arrived, whatever acks
-                    // are still behind this message in the channel.
+                    // are still behind this message in the channel — and
+                    // that any retransmission of it still queued is moot.
                     if let Some(attempts) = up.outbox.delivered(iter, grad) {
                         tlog.emit(TraceEvent::Recovered {
                             worker: w,
@@ -2350,6 +2583,13 @@ fn worker_thread(
                             attempts,
                         });
                     }
+                    up.queue.retain(|q| {
+                        debug_assert!(
+                            q.grad != grad || q.task.is_none(),
+                            "an original push outlived its barrier"
+                        );
+                        q.grad != grad
+                    });
                     sched.param_ready(now_since(epoch), grad);
                 }
                 Some(ToWorker::PushAcks { acks, crc }) => {
@@ -2374,9 +2614,10 @@ fn worker_thread(
                 }
                 Some(ToWorker::PushNack { nack }) => {
                     // The shard detected a damaged or quarantined push
-                    // slice. Retransmit it from the clean arena — unless
-                    // the outbox no longer tracks it (a previous iteration,
-                    // or the barrier closed over an intact duplicate).
+                    // slice. Retransmit it from the clean layer buffer —
+                    // unless the outbox no longer tracks it (a previous
+                    // iteration, or the barrier closed over an intact
+                    // duplicate).
                     let steps = up.outbox.nacked(nack);
                     nack_bytes += if steps.is_empty() { 0 } else { nack.len * 4 };
                     redo(&ctx, &mut up, &mut tlog, steps, false);
@@ -2387,12 +2628,12 @@ fn worker_thread(
                     data,
                     frame,
                 }) => {
-                    up.limiter.acquire(data.len() as u64);
-                    let t_apply = Instant::now();
+                    let pull = tr.pull.as_mut().expect("pull data without request");
                     if eager_pull && !frame.verify(&data) {
                         // Damaged parameter slice: nothing lands in the
                         // model. Re-request exactly this window; the
-                        // shard's cached encoding serves it bit-exactly.
+                        // shard's cached encoding serves it bit-exactly,
+                        // and the link carries it again.
                         corrupt_frames += 1;
                         tlog.emit(TraceEvent::FrameCorrupt {
                             node,
@@ -2423,61 +2664,10 @@ fn worker_thread(
                                 min_done: None,
                             })
                             .expect("ps shard hung up mid-pull-retry");
-                        phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
-                        continue;
-                    }
-                    // A large apply walks the payload plus the parameter
-                    // slice — gate it like any other big traversal. The
-                    // wait lands in `wait_ns`, keeping the apply span
-                    // pure work.
-                    let gated = data.len() >= GATE_MIN_BYTES;
-                    if gated {
-                        let t_gate = Instant::now();
-                        gate.acquire();
-                        phases.wait_ns += t_gate.elapsed().as_nanos() as u64;
-                    }
-                    let t_apply = Instant::now();
-                    // One apply for every plan: wire bytes decode straight
-                    // into the model's parameter storage with the frame CRC
-                    // streamed in the same pass. A reply that got past the
-                    // receive-time verify above and still mismatches is
-                    // genuine memory corruption.
-                    let dst = &mut model.param_slice_mut(grad)
-                        [offset_elems..offset_elems + data.len() / 4];
-                    let got = crc32::finish(fused_crc_apply(crc32::begin(), &data, dst));
-                    assert_eq!(
-                        got, frame.crc,
-                        "pull reply fails the frame CRC it was admitted under — genuine \
-                         memory corruption"
-                    );
-                    if gated {
-                        gate.release();
-                    }
-                    phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
-                    let (task, awaiting) = inflight_pull.take().expect("pull data without request");
-                    if awaiting > 1 {
-                        inflight_pull = Some((task, awaiting - 1));
+                        pull.due = up.link.charge(frame.len as u64, ns_since(epoch));
                     } else {
-                        sched.task_done(now_since(epoch), &task);
-                        // Mark any tensor whose bytes are now complete.
-                        for &(g, _) in &task.pieces {
-                            if pull_recv[g] == tensor_elems[g] && !pulled[g] {
-                                pulled[g] = true;
-                                if let Some(attempts) = up.outbox.delivered(iter, g) {
-                                    tlog.emit(TraceEvent::Recovered {
-                                        worker: w,
-                                        iter,
-                                        grad: g,
-                                        attempts,
-                                    });
-                                }
-                                tlog.emit(TraceEvent::PullEnd {
-                                    worker: w,
-                                    iter,
-                                    grad: g,
-                                });
-                            }
-                        }
+                        pull.awaiting -= 1;
+                        tr.replies.push((grad, offset_elems, data, frame));
                     }
                 }
                 Some(ToWorker::ShardRestarted { shard, epoch: e }) => {
@@ -2500,15 +2690,6 @@ fn worker_thread(
                 let steps = up.outbox.tick(ns_since(epoch));
                 redo(&ctx, &mut up, &mut tlog, steps, true);
             }
-            drive(
-                &ctx,
-                &mut sched,
-                &mut push_sent,
-                &mut pull_recv,
-                &mut inflight_pull,
-                &mut up,
-                &mut tlog,
-            );
         }
         let t_end = now_since(epoch);
         tlog.emit(TraceEvent::IterEnd { worker: w, iter });
@@ -2526,14 +2707,18 @@ fn worker_thread(
             let _ = tx.send(ToPs::Leave { worker: w });
         }
     }
+    let (arena_allocs, arena_recycles) = up
+        .pools
+        .iter()
+        .fold((0, 0), |(a, r), p| (a + p.allocated, r + p.recycled));
     WorkerOut {
         losses,
         from: my_from,
         bytes_pushed: up.bytes_pushed,
         messages_lost: up.messages_lost,
         events: tlog.into_events(),
-        arena_allocs: pool.allocated,
-        arena_recycles: pool.recycled,
+        arena_allocs,
+        arena_recycles,
         corrupt_frames,
         nack_bytes,
         phases,
@@ -2545,35 +2730,48 @@ mod tests {
     use super::*;
     use prophet_sim::{Duration, FaultSpec};
 
-    /// A worker-0 limiter in a 1-shard topology under `faults`.
-    fn limiter(bps: Option<f64>, faults: Vec<FaultSpec>) -> RateLimiter {
+    /// Worker 0's link in a 1-shard topology under `faults`.
+    fn link(bps: Option<f64>, faults: Vec<FaultSpec>) -> Link {
         let windows = Arc::new(Windows::new(&FaultPlan::new(faults), 1));
-        RateLimiter::new(bps, Instant::now(), windows, 0, 1)
+        Link::new(bps, windows, 0, 1)
     }
+
+    const MS: u64 = 1_000_000;
 
     #[test]
     fn rate_limiter_unlimited_is_instant() {
-        let mut l = limiter(None, Vec::new());
-        let t0 = Instant::now();
-        l.acquire(100_000_000);
-        assert!(t0.elapsed().as_millis() < 50);
+        let mut l = link(None, Vec::new());
+        assert_eq!(l.charge(100_000_000, 5), 5);
+        assert_eq!(l.charge(100_000_000, 7), 7);
     }
 
     #[test]
     fn rate_limiter_throttles() {
-        // 1 MB at 10 MB/s should take ~100 ms.
-        let mut l = limiter(Some(10e6), Vec::new());
-        let t0 = Instant::now();
-        l.acquire(1_000_000);
-        let ms = t0.elapsed().as_millis();
-        assert!(ms >= 80, "only {ms} ms");
+        // 1 MB at 10 MB/s drains in 100 ms; the message is due a burst
+        // allowance before that.
+        let mut l = link(Some(10e6), Vec::new());
+        assert_eq!(l.charge(1_000_000, 0), 100 * MS - BURST_NS);
+        // Charged ahead, the next message queues behind the first: one
+        // budget, whoever charges it (a push or a pull).
+        assert_eq!(l.charge(1_000_000, 0), 200 * MS - BURST_NS);
+        // A tiny message inside the burst allowance is due at once.
+        let mut l = link(Some(10e6), Vec::new());
+        assert_eq!(l.charge(1_000, 3 * MS), 3 * MS);
+    }
+
+    #[test]
+    fn rate_limiter_never_banks_idle_time() {
+        let mut l = link(Some(10e6), Vec::new());
+        l.charge(1_000_000, 0);
+        // The link drained at 100 ms and idled until 500 ms: the next
+        // message still takes its full 100 ms.
+        assert_eq!(l.charge(1_000_000, 500 * MS), 600 * MS - BURST_NS);
     }
 
     #[test]
     fn rate_limiter_degrade_window_scales_rate() {
-        // 500 KB at 10 MB/s is ~50 ms clean; a 0.25 factor window makes it
-        // ~200 ms while active.
-        let mut l = limiter(
+        // 500 KB at 10 MB/s is 50 ms clean; a 0.25 factor makes it 200 ms.
+        let mut l = link(
             Some(10e6),
             vec![FaultSpec::LinkDegrade {
                 node: 1, // worker 0's own link
@@ -2582,32 +2780,36 @@ mod tests {
                 dur: Duration::from_secs(3600),
             }],
         );
-        let t0 = Instant::now();
-        l.acquire(500_000);
-        let ms = t0.elapsed().as_millis();
-        assert!(ms >= 150, "only {ms} ms — degrade factor not applied");
+        assert_eq!(l.charge(500_000, 0), 200 * MS - BURST_NS);
     }
 
     #[test]
     fn rate_limiter_outage_window_freezes_sender() {
-        let mut l = limiter(
-            None,
-            vec![FaultSpec::LinkDown {
-                node: 0, // the PS link: down for the first 60 ms
-                at: SimTime::ZERO,
-                dur: Duration::from_millis(60),
-            }],
-        );
-        let t0 = Instant::now();
-        l.acquire(4);
-        let ms = t0.elapsed().as_millis();
-        assert!(ms >= 50, "only {ms} ms — outage did not freeze the send");
+        let down = |bps| {
+            link(
+                bps,
+                vec![FaultSpec::LinkDown {
+                    node: 0, // the PS link: down for the first 60 ms
+                    at: SimTime::ZERO,
+                    dur: Duration::from_millis(60),
+                }],
+            )
+        };
+        // Even an unlimited link freezes: an outage is absolute.
+        assert_eq!(down(None).charge(4, 0), 60 * MS);
+        // A metered send drains from the window's end.
+        assert_eq!(down(Some(10e6)).charge(1_000_000, 0), 160 * MS - BURST_NS);
+        // A send charged ahead is priced as of its predecessor's due
+        // instant: one due after the window sees none of it.
+        let mut l = down(Some(10e6));
+        assert_eq!(l.charge(1_000_000, 60 * MS), 160 * MS - BURST_NS);
+        assert_eq!(l.charge(1_000, 0), 160 * MS - BURST_NS + 100_000);
     }
 
     #[test]
     fn empty_plan_leaves_fault_machinery_dormant() {
         let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
-        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), Instant::now());
+        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), 4, 2);
         assert!(!f.active, "inactive faults must not track sends");
         let fate = f
             .windows

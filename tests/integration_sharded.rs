@@ -164,22 +164,30 @@ fn every_fault_kind_is_bit_transparent_at_every_shard_count() {
     }
 }
 
+/// The wire buffers a run allocates once and recycles every iteration
+/// after: each worker encodes one buffer per backward step (a layer's
+/// gradients are frozen and on the wire before the next layer's exist),
+/// and the shards hold one pull-cache buffer per tensor.
+fn warm_up_buffers(cfg: &ThreadedConfig) -> u64 {
+    let model = Mlp::new(&cfg.widths, 0);
+    let steps = cfg.widths.len() as u64 - 1;
+    cfg.workers as u64 * steps + model.tensor_sizes().len() as u64
+}
+
 #[test]
 fn steady_state_push_path_allocates_nothing_after_warmup() {
     // The zero-copy contract, asserted through the pool counters: every
-    // worker allocates exactly ONE arena for the whole run, every shard
-    // allocates exactly one pull-cache buffer per owned tensor, and every
-    // later iteration is served entirely from recycled storage. Doubling
-    // the iteration count must leave the allocation count untouched.
-    let n_tensors = Mlp::new(&ThreadedConfig::small(1, SchedulerKind::Fifo).widths, 0)
-        .tensor_sizes()
-        .len();
+    // worker allocates exactly one buffer per layer for the whole run,
+    // every shard allocates exactly one pull-cache buffer per owned tensor,
+    // and every later iteration is served entirely from recycled storage.
+    // Doubling the iteration count must leave the allocation count
+    // untouched.
     for shards in SHARD_COUNTS {
         let mut cfg = ThreadedConfig::small(4, SchedulerKind::Fifo);
         cfg.ps_shards = shards;
         cfg.iterations = 30;
         let r = run_threaded_training(&cfg);
-        let fixed = cfg.workers as u64 + n_tensors as u64;
+        let fixed = warm_up_buffers(&cfg);
         assert_eq!(
             r.arena_allocs, fixed,
             "{shards} shards: allocations are not flat in the iteration count"
@@ -195,7 +203,7 @@ fn steady_state_push_path_allocates_nothing_after_warmup() {
         let r2 = run_threaded_training(&longer);
         assert_eq!(
             r2.arena_allocs, fixed,
-            "{shards} shards: more iterations allocated more arenas"
+            "{shards} shards: more iterations allocated more buffers"
         );
     }
 }
@@ -244,13 +252,10 @@ fn acks_are_batched_not_per_slice() {
 fn armed_ack_path_stays_zero_alloc_in_steady_state() {
     // Arming the fault machinery (zero-rate loss window: acks tracked,
     // nothing actually dropped) turns on the ack-batch path and the
-    // retry bookkeeping. Neither may cost arena allocations: acks ride
+    // retry bookkeeping. Neither may cost buffer allocations: acks ride
     // their own message type and retransmissions — never triggered here —
-    // would re-slice the existing arena. The exact-counter contract of
+    // would re-slice the existing buffers. The exact-counter contract of
     // the fault-free run must hold unchanged.
-    let n_tensors = Mlp::new(&ThreadedConfig::small(1, SchedulerKind::Fifo).widths, 0)
-        .tensor_sizes()
-        .len();
     for shards in SHARD_COUNTS {
         let mut cfg = ThreadedConfig::small(4, SchedulerKind::Fifo);
         cfg.ps_shards = shards;
@@ -263,7 +268,7 @@ fn armed_ack_path_stays_zero_alloc_in_steady_state() {
         let r = run_threaded_training(&cfg);
         assert_eq!(r.messages_lost, 0, "zero-rate window dropped messages");
         assert!(r.ack_batches > 0, "{shards} shards: ack path never armed");
-        let fixed = cfg.workers as u64 + n_tensors as u64;
+        let fixed = warm_up_buffers(&cfg);
         assert_eq!(
             r.arena_allocs, fixed,
             "{shards} shards: armed ack path allocated beyond warm-up"
@@ -279,15 +284,12 @@ fn armed_ack_path_stays_zero_alloc_in_steady_state() {
 #[test]
 fn nack_retransmits_come_from_pooled_copies() {
     // Under an aggressive corruption window every tampered frame is a
-    // *pooled copy* of the clean payload (the clean arena slice stays
+    // *pooled copy* of the clean payload (the clean layer-buffer slice stays
     // untouched for the bit-exact retransmit), and every NACK-driven
-    // retransmission is a fresh zero-copy slice of that same arena. The
-    // arena counters must therefore stay the exact warm-up constant of a
+    // retransmission is a fresh zero-copy slice of that same buffer. The
+    // buffer counters must therefore stay the exact warm-up constant of a
     // fault-free run: corruption may never leak allocations into the
     // wire-buffer pool, no matter how many frames it damages.
-    let n_tensors = Mlp::new(&ThreadedConfig::small(1, SchedulerKind::Fifo).widths, 0)
-        .tensor_sizes()
-        .len();
     let mut cfg = ThreadedConfig::small(3, SchedulerKind::Fifo);
     cfg.ps_shards = 2;
     cfg.iterations = 12;
@@ -303,13 +305,13 @@ fn nack_retransmits_come_from_pooled_copies() {
         r.corrupt_frames_detected > 0,
         "corruption window never damaged a frame — the assertion is vacuous"
     );
-    let fixed = cfg.workers as u64 + n_tensors as u64;
+    let fixed = warm_up_buffers(&cfg);
     assert_eq!(
         r.arena_allocs, fixed,
         "corruption recovery allocated wire buffers outside the warm-up set"
     );
     // Recovery must also not starve the recycler: every steady-state
-    // iteration still round-trips each arena through the pool.
+    // iteration still round-trips each buffer through the pool.
     assert_eq!(
         r.arena_recycles,
         (cfg.iterations - 1) * fixed,

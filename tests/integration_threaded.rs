@@ -132,17 +132,25 @@ fn rate_limited_link_slows_wall_clock_not_results() {
     };
     let fast = run_threaded_training(&ThreadedConfig::small(2, kind()));
     let mut slow_cfg = ThreadedConfig::small(2, kind());
-    slow_cfg.link_bps = Some(2e6); // 2 MB/s emulated links
+    let bps = 2e6; // 2 MB/s emulated links
+    slow_cfg.link_bps = Some(bps);
     let slow = run_threaded_training(&slow_cfg);
     assert_eq!(
         fast.final_params, slow.final_params,
         "bandwidth emulation changed the computation"
     );
+    // The link's own lower bound, not a race against the fast run: each
+    // worker's pushes and the same bytes pulled back cross one budget, and
+    // the last of them is not due before all but one burst allowance
+    // (200 µs) of it has drained. Hiding compute never moves bytes faster
+    // than the link.
+    let per_worker = 2.0 * slow.bytes_pushed as f64 / slow_cfg.workers as f64;
+    let floor = std::time::Duration::from_secs_f64(per_worker / bps)
+        - std::time::Duration::from_micros(200);
     assert!(
-        slow.wall > fast.wall,
-        "throttled run should take longer: {:?} vs {:?}",
-        slow.wall,
-        fast.wall
+        slow.wall >= floor,
+        "throttled run beat its link: {:?} for {per_worker} bytes at {bps} B/s",
+        slow.wall
     );
 }
 
