@@ -24,8 +24,10 @@
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
 use prophet::ps::run_sim_checked;
-use prophet::ps::sim::{ClusterConfig, RunResult};
-use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec, SimTime, SpanKind};
+use prophet::ps::sim::{ClusterConfig, GradTransferLog, RunResult};
+use prophet::sim::{
+    ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec, GradSpan, SimTime, SpanKind,
+};
 
 // ---- recorded at the parent of ISSUE 20's engine change --------------------
 const CHAOS_TIER1: u64 = 0xf226_c280_094c_8884;
@@ -151,13 +153,51 @@ fn digest_run(r: &RunResult) -> u64 {
     d.0
 }
 
+/// Worker 0's per-gradient transfer logs, projected from its typed spans:
+/// `QueueWait` gives release and first byte, `Push` first and last byte at
+/// the PS, `Pull` the pull's first and last byte.
+fn worker0_projection(spans: &[GradSpan]) -> Vec<Vec<GradTransferLog>> {
+    let mut logs: Vec<Vec<GradTransferLog>> = Vec::new();
+    for s in spans.iter().filter(|s| s.worker == 0) {
+        let iter = s.iter as usize;
+        if logs.len() <= iter {
+            logs.resize_with(iter + 1, Vec::new);
+        }
+        let row = &mut logs[iter];
+        if row.last().is_none_or(|l| l.grad != s.grad) {
+            row.push(GradTransferLog {
+                grad: s.grad,
+                ready: SimTime::MAX,
+                push_start: SimTime::MAX,
+                push_end: SimTime::MAX,
+                pull_start: SimTime::MAX,
+                pull_end: SimTime::MAX,
+            });
+        }
+        let log = row.last_mut().unwrap();
+        match s.kind {
+            SpanKind::QueueWait => (log.ready, log.push_start) = (s.start, s.end),
+            SpanKind::Push => (log.push_start, log.push_end) = (s.start, s.end),
+            SpanKind::Pull => (log.pull_start, log.pull_end) = (s.start, s.end),
+            SpanKind::Aggregate | SpanKind::Compute => {}
+        }
+    }
+    logs
+}
+
 /// Run `cfg` with both sinks on; an invariant violation fails the test with
-/// the checker's own message.
+/// the checker's own message. Every run also proves that worker 0's stored
+/// transfer logs are a projection of its typed spans, bit for bit.
 fn checked(mut cfg: ClusterConfig, iters: u64, what: &str) -> RunResult {
     cfg.check_invariants = true;
     cfg.typed_trace = true;
     cfg.seed = SEED;
-    run_sim_checked(&cfg, iters).unwrap_or_else(|e| panic!("{what}: {e}"))
+    let r = run_sim_checked(&cfg, iters).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(
+        worker0_projection(&r.grad_spans) == r.transfer_logs,
+        "{what}: worker 0's transfer logs differ from its typed spans"
+    );
+    r
 }
 
 /// Digests of a group's runs, and their fold.
