@@ -166,8 +166,9 @@ pub fn fig11() -> ExperimentOutput {
         let r = steady(&mut cfg, 10);
         let it = 8;
         let t0 = r.iter_starts[it];
-        // Every 10th gradient keeps the table readable; the CSV has them all.
-        for log in r.transfer_logs[it].iter() {
+        // Every 10th gradient keeps the table and the CSV readable.
+        let logs = &r.transfer_logs()[it];
+        for log in logs {
             if log.grad % 10 != 0 {
                 continue;
             }
@@ -180,7 +181,7 @@ pub fn fig11() -> ExperimentOutput {
                 format!("{:.1}", log.pull_end.saturating_since(t0).as_millis_f64()),
             ]);
         }
-        let g30 = r.transfer_logs[it].iter().find(|l| l.grad == 30).unwrap();
+        let g30 = logs.iter().find(|l| l.grad == 30).unwrap();
         summary.push_str(&format!(
             "{label}: mean wait {:.1} ms, mean transfer {:.1} ms; gradient 30 \
              waits {:.3} ms, transfers {:.3} ms\n",

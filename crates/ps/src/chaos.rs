@@ -11,18 +11,17 @@
 //! | `liveness` | always | fewer iterations than the fault-free golden, or a duration beyond `liveness_multiple` of it |
 //! | `accounting` | always (silent without membership events) | epochs ≠ evictions + joins + shard deaths; a shard death restored no bytes or took no time; an epoch forced no re-plan; a join moved no bootstrap bytes |
 //! | `integrity` | always (silent without corruption) | a detected corrupt frame was never retried; a fallback restore with no corrupt snapshot on record; fallback depth below the fallback count |
-//! | `recovery-contract` | a replay is given | the replay differs from the first run in `duration`, `iter_times`, `iter_starts`, `rate` (bits), `fault_stats`, `elastic`, `net_stats`, `transfer_logs`, `grad_spans`, `shard_spans` or `cluster_stats.checker_events` |
-//! | `ledger` | unless [`FaultPlan::has_permanent`] | extra wire bytes outside `wasted ≤ extra ≤ wasted + retried` (exact when nothing was replayed; the sandwich `tests/prop_fault_retry.rs` establishes) |
+//! | `recovery-contract` | a replay is given | the replay differs from the first run in `duration`, `iter_times`, `iter_starts`, `rate` (bits), `fault_stats`, `elastic`, `net_stats`, `grad_spans` (worker 0's always; every worker's under `typed_trace`), `shard_spans` or `cluster_stats.checker_events` |
+//! | `ledger` | unless the plan changes the worker set (`WorkerFail`/`WorkerJoin`) | extra wire bytes outside `wasted ≤ extra ≤ wasted + retried` (exact when nothing was replayed; the sandwich `tests/prop_fault_retry.rs` establishes) |
 //! | `stuck-degraded` | unless [`FaultPlan::has_permanent`] | the scheduler ends the run degraded, later than `degraded_grace` after the last fault window closed |
 //!
-//! **Why the last two are scoped out of permanent plans.** The ledger was
-//! measured forced onto every plan: it failed on 616 of 624 plan-runs that
-//! change the worker set, because a worker that leaves or joins changes the
-//! workload itself, and the bytes it does or does not send are not waste.
-//! It held on all 1 224 other non-transient plan-runs (`ShardFail`-only,
-//! corruption, mixed), so narrowing the gate from "any permanent event" to
-//! "a worker-set change" is possible, and left for later. Stuck-degraded
-//! anchors on the last wall-clock fault window, but a membership epoch
+//! **Why the last two have gates.** The ledger was measured forced onto
+//! every plan: it failed on 616 of 624 plan-runs that change the worker
+//! set, because a worker that leaves or joins changes the workload itself,
+//! and the bytes it does or does not send are not waste. It held on all
+//! 1 224 other non-transient plan-runs (`ShardFail`-only, corruption,
+//! mixed), so those stay under it. Stuck-degraded anchors on the last
+//! wall-clock fault window, but a membership epoch — a shard death too —
 //! taints estimates at an *iteration boundary*: Prophet is legitimately
 //! degraded to the end of a short run that churns near its tail.
 //!
@@ -34,7 +33,7 @@
 //! is checked where real bytes flow, by [`check_threaded_bit_identity`].
 
 use crate::sim::{run_cluster, ClusterConfig, RunResult};
-use prophet_sim::{Duration, FaultPlan, SimTime};
+use prophet_sim::{Duration, FaultPlan, FaultSpec, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Budgets the oracle judges a chaos run against.
@@ -110,7 +109,6 @@ fn replay_divergence(a: &RunResult, b: &RunResult) -> Vec<&'static str> {
         ("fault_stats", a.fault_stats == b.fault_stats),
         ("elastic", a.elastic == b.elastic),
         ("net_stats", a.net_stats == b.net_stats),
-        ("transfer_logs", a.transfer_logs == b.transfer_logs),
         ("grad_spans", a.grad_spans == b.grad_spans),
         ("shard_spans", a.shard_spans == b.shard_spans),
         (
@@ -136,21 +134,23 @@ pub fn judge(
     plan: &FaultPlan,
     budget: &OracleBudget,
 ) -> PlanVerdict {
-    verdict(
-        golden,
-        outcome,
-        rerun,
-        (!plan.has_permanent()).then_some(plan),
-        budget,
-    )
+    let changes_workers = plan.faults.iter().any(|f| {
+        matches!(
+            f,
+            FaultSpec::WorkerFail { .. } | FaultSpec::WorkerJoin { .. }
+        )
+    });
+    let transient = (!plan.has_permanent()).then_some(plan);
+    verdict(golden, outcome, rerun, !changes_workers, transient, budget)
 }
 
-/// [`judge`], with the ledger and stuck-degraded clauses applied only when
-/// `transient` names the plan.
+/// [`judge`], with the ledger clause applied only when `ledger` holds and
+/// the stuck-degraded clause only when `transient` names the plan.
 fn verdict(
     golden: &RunResult,
     outcome: &Result<RunResult, String>,
     rerun: Option<&Result<RunResult, String>>,
+    ledger: bool,
     transient: Option<&FaultPlan>,
     budget: &OracleBudget,
 ) -> PlanVerdict {
@@ -247,7 +247,7 @@ fn verdict(
         }
     }
 
-    if let Some(plan) = transient {
+    if ledger {
         // Replayed bytes are a subset of `retried_bytes`, giving the
         // sandwich (with a small slop for sub-message rounding).
         let extra = s.wire_bytes - golden.fault_stats.wire_bytes;
@@ -271,7 +271,9 @@ fn verdict(
                 s.wasted_bytes
             ));
         }
+    }
 
+    if let Some(plan) = transient {
         if r.degraded_transitions.last().is_some_and(|&(_, d)| d) {
             let last_fault_end = plan.faults.iter().map(|f| f.until()).max();
             let last_fault_end = last_fault_end.unwrap_or(SimTime::ZERO);
@@ -315,7 +317,7 @@ pub fn check_churn_plan(
     rerun: &Result<RunResult, String>,
     budget: &OracleBudget,
 ) -> PlanVerdict {
-    verdict(golden, outcome, Some(rerun), None, budget)
+    verdict(golden, outcome, Some(rerun), false, None, budget)
 }
 
 #[doc(hidden)]
@@ -383,7 +385,7 @@ mod tests {
     use crate::sim::{ElasticStats, FaultStats};
     use prophet_core::SchedulerKind;
     use prophet_dnn::TrainingJob;
-    use prophet_sim::{FaultSpec, TraceRecorder};
+    use prophet_sim::SpanKind;
 
     fn cell(kind: SchedulerKind) -> ClusterConfig {
         let mut cfg =
@@ -472,9 +474,7 @@ mod tests {
             avg_gpu_util: 0.0,
             net_throughput: vec![],
             avg_net_throughput: 0.0,
-            transfer_logs: vec![vec![]],
             iter_starts: vec![SimTime::ZERO],
-            trace: TraceRecorder::disabled(),
             credit_trace: vec![],
             bandwidth_estimates: vec![],
             degraded_transitions,
@@ -548,16 +548,21 @@ mod tests {
 
     #[test]
     fn churn_replay_differing_in_one_counter_or_log_breaks_the_contract() {
-        // Fields the churn replay check used to skip: a retry count or a
-        // transfer log alone is enough to break determinism.
+        // Fields the churn replay check used to skip: a retry count or one
+        // instant of worker 0's timeline alone is enough to break
+        // determinism.
         let (golden, _, outcome) = two_shard_run(churn());
         let first = outcome.as_ref().expect("churn run");
         let budget = OracleBudget::paper_default();
         let mut retried = first.clone();
         retried.fault_stats.retries += 1;
         let mut relogged = first.clone();
-        relogged.transfer_logs[1][0].push_end = SimTime::ZERO;
-        for (field, rerun) in [("fault_stats", retried), ("transfer_logs", relogged)] {
+        let push = relogged
+            .grad_spans
+            .iter_mut()
+            .find(|s| (s.worker, s.iter, s.grad, s.kind) == (0, 1, 0, SpanKind::Push));
+        push.expect("worker 0's spans are always collected").end = SimTime::ZERO;
+        for (field, rerun) in [("fault_stats", retried), ("grad_spans", relogged)] {
             let verdict = judge(&golden, &outcome, Some(&Ok(rerun)), &churn(), &budget);
             assert_eq!(
                 verdict.violations,
@@ -663,9 +668,23 @@ mod tests {
     }
 
     #[test]
+    fn broken_ledger_under_shard_fail_is_a_violation() {
+        // A shard death keeps the worker set, so the bytes still balance:
+        // the ledger applies.
+        let plan = FaultPlan::new(vec![FaultSpec::ShardFail {
+            shard: 1,
+            at_iter: 2,
+        }]);
+        let golden = synthetic(1_000, vec![]);
+        let budget = OracleBudget::paper_default();
+        let verdict = judge(&golden, &Ok(unbalanced_ledger()), None, &plan, &budget);
+        assert!(fired(&verdict, "ledger") > 0, "{verdict:?}");
+    }
+
+    #[test]
     fn broken_ledger_under_worker_fail_is_not_a_violation() {
         // A worker that leaves changes the workload, so its byte delta is
-        // not waste: the ledger is scoped out of permanent plans.
+        // not waste: the ledger is scoped out of worker-set changes.
         let plan = FaultPlan::new(vec![FaultSpec::WorkerFail {
             worker: 1,
             at_iter: 2,

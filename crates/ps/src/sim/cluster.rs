@@ -11,7 +11,7 @@
 //! config produce identical results (asserted by the integration tests).
 
 use super::config::{ClusterConfig, SyncMode};
-use super::metrics::{ClusterStats, ElasticStats, FaultStats, GradTransferLog, RunResult};
+use super::metrics::{ClusterStats, ElasticStats, FaultStats, RunResult};
 use crate::protocol::{
     Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Outbox, Windows,
 };
@@ -21,7 +21,7 @@ use prophet_net::{
 };
 use prophet_sim::{
     rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
-    SpanCollector, TimeWeighted, TraceEvent, TraceRecorder, TraceSink, Xoshiro256StarStar,
+    SpanCollector, TimeWeighted, TraceEvent, TraceSink, Xoshiro256StarStar,
 };
 use std::collections::VecDeque;
 
@@ -346,12 +346,11 @@ struct WorkerRt {
     releases_queued: usize,
     /// First of the sequence numbers reserved for `releases`.
     release_seq0: u64,
-    // Per-gradient timing logs for the current iteration.
-    ready_at: Vec<SimTime>,
+    /// First byte of the current iteration's push / pull per gradient,
+    /// `UNSET` until it hits the wire and again after a failed attempt
+    /// voided it: the gate that stamps each attempt's start once.
     push_start: Vec<SimTime>,
-    push_end: Vec<SimTime>,
     pull_start: Vec<SimTime>,
-    pull_end: Vec<SimTime>,
     /// Retry episodes of this worker's transfers (the flows *are* the
     /// acks here, so the tracked-send half stays empty).
     outbox: Outbox,
@@ -439,19 +438,18 @@ struct Cluster {
 
     // Typed event stream sinks (the cross-stack trace/invariant layer).
     checker: Option<InvariantChecker>,
-    span_sink: Option<SpanCollector>,
-    /// Net-ledger entries drained but not yet forwarded to the sinks
+    /// Worker 0's spans on every run; every worker's under `typed_trace`.
+    spans: SpanCollector,
+    /// Net-ledger entries drained but not yet forwarded to the checker
     /// (kept so flow events interleave with cluster events in time order).
     pending_net: VecDeque<(SimTime, NetEvent)>,
 
     // Metrics.
-    trace: TraceRecorder,
     gpu_series: Vec<(SimTime, f64)>,
     net_series: RateSeries,
     last_net_bytes: f64,
     iter_times: Vec<Duration>,
     iter_starts: Vec<SimTime>,
-    transfer_logs: Vec<Vec<GradTransferLog>>,
     credit_trace: Vec<(u64, u64)>,
     bandwidth_estimates: Vec<(SimTime, f64)>,
     /// Worker 0's scheduler degraded-mode flips, sampled each monitor tick
@@ -485,6 +483,7 @@ fn owned_bytes(owner: &[usize], sizes: &[u64], shards: usize) -> Vec<u64> {
 impl Cluster {
     fn new(mut cfg: ClusterConfig, total_iters: u64) -> Self {
         cfg.validate();
+        cfg.typed_trace |= cfg.trace;
         // Bake the link-adapted ack timeout in once so every consultation
         // of `cfg.retry` below sees the same deadline (no-op when the plan
         // is empty).
@@ -517,17 +516,18 @@ impl Cluster {
                 .with_shards(shards)
                 .with_joiners(joiners)
         });
-        let span_sink = cfg.typed_trace.then(|| {
-            let grads = cfg.job.num_gradients();
+        // The collector reads no flow event, so only the checker needs the
+        // network's event ledger.
+        net.record_events(checker.is_some());
+        let spans = if cfg.typed_trace {
             SpanCollector::new().with_shards(shards).with_capacity(
                 total_workers,
                 total_iters as usize,
-                grads,
+                n,
             )
-        });
-        if checker.is_some() || span_sink.is_some() {
-            net.record_events(true);
-        }
+        } else {
+            SpanCollector::new().with_capacity(1, total_iters as usize, n)
+        };
         let master = Xoshiro256StarStar::new(cfg.seed);
         let workers: Vec<WorkerRt> = (0..total_workers)
             .map(|w| WorkerRt {
@@ -552,21 +552,13 @@ impl Cluster {
                 releases: Vec::with_capacity(n),
                 releases_queued: 0,
                 release_seq0: 0,
-                ready_at: vec![UNSET; n],
                 push_start: vec![UNSET; n],
-                push_end: vec![UNSET; n],
                 pull_start: vec![UNSET; n],
-                pull_end: vec![UNSET; n],
                 outbox: Outbox::default(),
             })
             .collect();
         let sizes = cfg.job.sizes();
         let fwd_times = cfg.job.fwd_times().to_vec();
-        let trace = if cfg.trace {
-            TraceRecorder::enabled()
-        } else {
-            TraceRecorder::disabled()
-        };
         let sample_window = cfg.sample_window;
         let nodes = shards + total_workers;
         let node_base_bps: Vec<f64> = (0..nodes)
@@ -634,15 +626,13 @@ impl Cluster {
             fwd_times,
             net_wakes: VecDeque::new(),
             checker,
-            span_sink,
+            spans,
             pending_net: VecDeque::new(),
-            trace,
             gpu_series: Vec::new(),
             net_series: RateSeries::new(SimTime::ZERO, sample_window),
             last_net_bytes: 0.0,
             iter_times: Vec::new(),
             iter_starts: Vec::new(),
-            transfer_logs: Vec::new(),
             credit_trace: Vec::new(),
             bandwidth_estimates: Vec::new(),
             degraded_transitions: Vec::new(),
@@ -680,27 +670,23 @@ impl Cluster {
 
     // ---- typed event stream ---------------------------------------------
 
-    fn sinks_active(&self) -> bool {
-        self.checker.is_some() || self.span_sink.is_some()
-    }
-
     /// Feed one typed event to every attached sink.
     fn emit(&mut self, at: SimTime, ev: TraceEvent) {
         if let Some(c) = self.checker.as_mut() {
             c.on_event(at, &ev);
         }
-        if let Some(s) = self.span_sink.as_mut() {
-            s.on_event(at, &ev);
+        if self.cfg.typed_trace || ev.worker().is_none_or(|w| w == 0) {
+            self.spans.on_event(at, &ev);
         }
     }
 
-    /// Forward net-ledger entries with timestamps `<= t` to the sinks. The
+    /// Forward net-ledger entries with timestamps `<= t` to the checker. The
     /// ledger is chronological, so holding back later entries keeps flow
     /// events interleaved with cluster events in global time order (a
     /// completion handled at `t1` must see its PushEnd emitted before a
     /// FlowEnd that happened at `t2 > t1` is forwarded).
     fn forward_net_events_up_to(&mut self, t: SimTime) {
-        if !self.sinks_active() {
+        if self.checker.is_none() {
             return;
         }
         self.pending_net.extend(self.net.drain_events());
@@ -879,11 +865,8 @@ impl Cluster {
             wk.fwd_busy = false;
             wk.pulled.iter_mut().for_each(|p| *p = false);
             wk.pull_bytes.iter_mut().for_each(|b| *b = 0);
-            wk.ready_at.iter_mut().for_each(|t| *t = UNSET);
             wk.push_start.iter_mut().for_each(|t| *t = UNSET);
-            wk.push_end.iter_mut().for_each(|t| *t = UNSET);
             wk.pull_start.iter_mut().for_each(|t| *t = UNSET);
-            wk.pull_end.iter_mut().for_each(|t| *t = UNSET);
             wk.iter_start = now;
             wk.gpu.set(now, 1.0); // backward compute starts immediately
             wk.sched.iteration_begin(now, iter);
@@ -943,8 +926,6 @@ impl Cluster {
 
     fn on_grad_ready(&mut self, now: SimTime, w: usize, grad: usize) {
         let iter = self.workers[w].iter;
-        debug_assert_eq!(self.workers[w].ready_at[grad], UNSET, "stale GradReady");
-        self.workers[w].ready_at[grad] = now;
         self.emit(
             now,
             TraceEvent::GradReady {
@@ -956,13 +937,10 @@ impl Cluster {
         self.workers[w].sched.gradient_ready(now, grad);
         if grad == 0 {
             // Backward compute over; GPU idles until forward can start.
-            let iter_start = self.workers[w].iter_start;
             self.workers[w].backward_done = true;
             self.workers[w].gpu.set(now, 0.0);
             if w == 0 {
                 self.post_warmup_gpu_set(now, 0.0);
-                self.trace
-                    .record("w0.gpu", "b", iter as i64, iter_start, now);
             }
         }
         self.try_start_forward(now, w);
@@ -1005,37 +983,7 @@ impl Cluster {
                 if let Some(c) = credit {
                     self.credit_trace.push((iter, c));
                 }
-                // Snapshot this iteration's transfer log. The forward pass
-                // only ran because every gradient was pulled, so a surviving
-                // UNSET sentinel here means a bookkeeping path was skipped —
-                // fail at collection time rather than poisoning the logs.
-                let wk = &self.workers[0];
-                let logs: Vec<GradTransferLog> = (0..n)
-                    .map(|g| {
-                        for (field, t) in [
-                            ("ready", wk.ready_at[g]),
-                            ("push_start", wk.push_start[g]),
-                            ("push_end", wk.push_end[g]),
-                            ("pull_start", wk.pull_start[g]),
-                            ("pull_end", wk.pull_end[g]),
-                        ] {
-                            assert_ne!(
-                                t, UNSET,
-                                "iteration {iter}: gradient {g} has UNSET `{field}` \
-                                 at transfer-log collection"
-                            );
-                        }
-                        GradTransferLog {
-                            grad: g,
-                            ready: wk.ready_at[g],
-                            push_start: wk.push_start[g],
-                            push_end: wk.push_end[g],
-                            pull_start: wk.pull_start[g],
-                            pull_end: wk.pull_end[g],
-                        }
-                    })
-                    .collect();
-                self.transfer_logs.push(logs);
+                self.spans.assert_complete(0, iter, n);
             }
             let done_now = self.workers[w].iters_done;
             if self.mem.leaves_at(w) == Some(done_now) {
@@ -1084,8 +1032,6 @@ impl Cluster {
         );
         if w == 0 {
             self.post_warmup_gpu_set(now, 1.0);
-            self.trace
-                .record("w0.gpu", "f", next as i64, now, now + dur);
         }
         let (w, grad) = (w as u32, next as u32);
         self.queue.schedule(now + dur, Ev::FwdDone { w, grad });
@@ -1473,31 +1419,11 @@ impl Cluster {
                         wk.busy_accum += now.saturating_since(wk.busy_start);
                     }
                 }
-                if w == 0 && self.trace.is_enabled() {
-                    let label = format!("p{}", inflight.task.top_priority());
-                    self.trace.record(
-                        "w0.up",
-                        &label,
-                        inflight.task.top_priority() as i64,
-                        inflight.started,
-                        now,
-                    );
-                }
                 for &(g, b) in &inflight.task.pieces {
                     self.on_push_bytes(now, w, iter, g, b);
                 }
             }
             Dir::Pull => {
-                if w == 0 && self.trace.is_enabled() {
-                    let label = format!("q{}", inflight.task.top_priority());
-                    self.trace.record(
-                        "w0.down",
-                        &label,
-                        inflight.task.top_priority() as i64,
-                        inflight.started,
-                        now,
-                    );
-                }
                 for &(g, b) in &inflight.task.pieces {
                     self.on_pull_bytes(now, w, g, b);
                 }
@@ -1511,9 +1437,6 @@ impl Cluster {
         let Arrival::WorkerDone { closes } = arrival else {
             return;
         };
-        if w == 0 {
-            self.workers[0].push_end[g] = now;
-        }
         self.close_retry_episode(now, w, iter, g);
         self.emit(
             now,
@@ -1580,7 +1503,6 @@ impl Cluster {
             let iter = {
                 let wk = &mut self.workers[w];
                 wk.pulled[g] = true;
-                wk.pull_end[g] = now;
                 wk.iter
             };
             self.close_retry_episode(now, w, iter, g);
@@ -1831,10 +1753,7 @@ impl Cluster {
             return;
         };
         match dir {
-            Dir::Push => {
-                wk.push_start[g] = UNSET;
-                wk.push_end[g] = UNSET;
-            }
+            Dir::Push => wk.push_start[g] = UNSET,
             Dir::Pull => wk.pull_start[g] = UNSET,
         }
         self.fault_stats.retries += 1;
@@ -2145,11 +2064,7 @@ impl Cluster {
         } else {
             post_warmup_net.iter().sum::<f64>() / post_warmup_net.len() as f64
         };
-        let (grad_spans, shard_spans) = self
-            .span_sink
-            .take()
-            .map(SpanCollector::into_parts)
-            .unwrap_or_default();
+        let (grad_spans, shard_spans) = std::mem::take(&mut self.spans).into_parts();
         // Every retry episode must have closed with a delivery; a leftover
         // entry means a gradient was dropped on the floor.
         debug_assert!(
@@ -2183,9 +2098,7 @@ impl Cluster {
             avg_gpu_util,
             net_throughput,
             avg_net_throughput,
-            transfer_logs: self.transfer_logs,
             iter_starts: self.iter_starts,
-            trace: self.trace,
             credit_trace: self.credit_trace,
             bandwidth_estimates: self.bandwidth_estimates,
             degraded_transitions: self.degraded_transitions,
@@ -2235,6 +2148,7 @@ mod tests {
     use super::*;
     use prophet_core::{ProphetConfig, SchedulerKind};
     use prophet_dnn::TrainingJob;
+    use prophet_sim::SpanKind;
 
     fn base(scheduler: SchedulerKind) -> ClusterConfig {
         ClusterConfig::paper_cell(2, 10.0, TrainingJob::paper_setup("resnet18", 16), scheduler)
@@ -2443,8 +2357,12 @@ mod tests {
 
     #[test]
     fn transfer_logs_are_complete_and_ordered() {
-        let r = run_cluster(&base(SchedulerKind::Fifo), 3);
-        for logs in &r.transfer_logs {
+        let cfg = base(SchedulerKind::Fifo);
+        let r = run_cluster(&cfg, 3);
+        let logs = r.transfer_logs();
+        assert_eq!(logs.len(), 3);
+        for logs in &logs {
+            assert_eq!(logs.len(), cfg.job.num_gradients(), "one log per gradient");
             for log in logs {
                 assert_ne!(log.ready, SimTime::MAX, "gradient {} never ready", log.grad);
                 assert_ne!(log.push_start, SimTime::MAX);
@@ -2559,12 +2477,35 @@ mod tests {
 
     #[test]
     fn trace_records_gpu_and_network_lanes() {
+        // Untraced and unchecked, worker 0's timeline still holds its
+        // forward compute and both directions of its transfers.
         let mut cfg = base(SchedulerKind::Fifo);
-        cfg.trace = true;
+        cfg.check_invariants = false;
         let r = run_cluster(&cfg, 2);
-        assert!(r.trace.lane("w0.gpu").count() > 0);
-        assert!(r.trace.lane("w0.up").count() > 0);
-        assert!(r.trace.lane("w0.down").count() > 0);
+        let n = cfg.job.num_gradients();
+        assert!(r.grad_spans.iter().all(|s| s.worker == 0));
+        for kind in [SpanKind::Compute, SpanKind::Push, SpanKind::Pull] {
+            let spans = r.grad_spans.iter().filter(|s| s.kind == kind);
+            assert_eq!(spans.count(), 2 * n, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn only_the_checker_records_network_events() {
+        // The span collector reads no flow event: with the checker off the
+        // network keeps no event ledger, traced or not.
+        let recorded = |check_invariants| {
+            let mut cfg = base(SchedulerKind::Fifo);
+            cfg.check_invariants = check_invariants;
+            cfg.typed_trace = true;
+            let mut c = Cluster::new(cfg, 1);
+            let (worker, shard) = (NodeId(1), NodeId(0));
+            c.net
+                .start_flow_with_warmth(SimTime::ZERO, worker, shard, 1000, 0, false);
+            c.net.drain_events().count()
+        };
+        assert_eq!(recorded(false), 0);
+        assert_eq!(recorded(true), 1);
     }
 
     // ---- fault injection -------------------------------------------------

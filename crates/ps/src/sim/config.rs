@@ -51,7 +51,10 @@ pub struct ClusterConfig {
     pub monitor_period: Duration,
     /// Metrics sampling window for utilisation/throughput series.
     pub sample_window: Duration,
-    /// Record a full span trace (Gantt) — costs memory, default off.
+    /// Read as [`ClusterConfig::typed_trace`]. Kept only for
+    /// `benchmark/src/{sim,layers}.rs`, and deleted by the `benchmark`
+    /// change that moves them onto `typed_trace`.
+    #[doc(hidden)]
     pub trace: bool,
     /// Run the cross-stack [`prophet_sim::InvariantChecker`] over the typed
     /// event stream: timeline ordering per gradient, BSP barrier sanity,
@@ -61,8 +64,11 @@ pub struct ClusterConfig {
     /// release (so benches and sweeps pay nothing).
     pub check_invariants: bool,
     /// Collect typed per-`(worker, gradient, iteration)` spans
-    /// ([`prophet_sim::GradSpan`]) into `RunResult::grad_spans` — the
-    /// `repro trace` exporter's data source. Default off.
+    /// ([`prophet_sim::GradSpan`]) for *every* worker into
+    /// `RunResult::grad_spans`, plus the per-shard queueing spans — the
+    /// `repro trace` exporter's data source. Off, the collector still keeps
+    /// worker 0's, which is all the figures read: the full table costs
+    /// workers × iterations × gradients cells. Default off.
     pub typed_trace: bool,
     /// Iterations to skip before steady-state rate measurement.
     pub warmup_iters: u64,

@@ -1,9 +1,10 @@
 //! What a cluster run reports — the raw material of every figure.
 
 use prophet_net::NetStats;
-use prophet_sim::{Duration, GradSpan, ShardSpan, SimTime, TraceRecorder};
+use prophet_sim::{Duration, GradSpan, ShardSpan, SimTime, SpanKind};
 
-/// Per-gradient transfer timing for one worker/iteration (Fig. 11's rows).
+/// Per-gradient transfer timing for one worker/iteration (Fig. 11's rows),
+/// as [`RunResult::transfer_logs`] projects it from the typed spans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradTransferLog {
     /// Gradient id.
@@ -188,13 +189,9 @@ pub struct RunResult {
     pub net_throughput: Vec<(SimTime, f64)>,
     /// Average of `net_throughput` over the post-warmup run.
     pub avg_net_throughput: f64,
-    /// Worker-0 per-gradient transfer logs, one vec per iteration.
-    pub transfer_logs: Vec<Vec<GradTransferLog>>,
     /// Absolute start time of each worker-0 iteration (§5.2's
     /// forward-propagation start-time analysis).
     pub iter_starts: Vec<SimTime>,
-    /// Span trace, when the config asked for one.
-    pub trace: TraceRecorder,
     /// ByteScheduler credit trace `(iteration, credit_bytes)` when the
     /// strategy auto-tunes (Fig. 3(b)).
     pub credit_trace: Vec<(u64, u64)>,
@@ -207,8 +204,10 @@ pub struct RunResult {
     /// `false` (no stuck-degraded) once faults have cleared.
     pub degraded_transitions: Vec<(SimTime, bool)>,
     /// Typed per-`(worker, gradient, iteration)` spans from the event-stream
-    /// collector, when [`crate::sim::ClusterConfig::typed_trace`] asked for
-    /// them (the `repro trace` exporter's data). Empty otherwise.
+    /// collector, ordered by `(worker, iter, grad, kind)`: worker 0's on
+    /// every run, every worker's when
+    /// [`crate::sim::ClusterConfig::typed_trace`] asked for them. The one
+    /// timeline record every figure and [`RunResult::transfer_logs`] read.
     pub grad_spans: Vec<GradSpan>,
     /// Fault-injection counters; all zero for a fault-free run.
     pub fault_stats: FaultStats,
@@ -227,25 +226,60 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Mean per-gradient wait over the logs of iteration `iter`.
-    pub fn mean_wait_ms(&self, iter: usize) -> f64 {
-        let logs = &self.transfer_logs[iter];
-        if logs.is_empty() {
-            return 0.0;
+    /// Worker 0's per-gradient transfer logs, one vec per iteration,
+    /// projected from its spans: `QueueWait` gives the release and the first
+    /// byte, `Push` the push's first and last byte, `Pull` the pull's.
+    pub fn transfer_logs(&self) -> Vec<Vec<GradTransferLog>> {
+        let mut logs: Vec<Vec<GradTransferLog>> = Vec::new();
+        for s in self.grad_spans.iter().take_while(|s| s.worker == 0) {
+            let iter = s.iter as usize;
+            if logs.len() <= iter {
+                logs.resize_with(iter + 1, Vec::new);
+            }
+            let row = &mut logs[iter];
+            if row.last().is_none_or(|l| l.grad != s.grad) {
+                row.push(GradTransferLog {
+                    grad: s.grad,
+                    ready: SimTime::MAX,
+                    push_start: SimTime::MAX,
+                    push_end: SimTime::MAX,
+                    pull_start: SimTime::MAX,
+                    pull_end: SimTime::MAX,
+                });
+            }
+            let log = row.last_mut().expect("pushed above");
+            match s.kind {
+                SpanKind::QueueWait => (log.ready, log.push_start) = (s.start, s.end),
+                SpanKind::Push => (log.push_start, log.push_end) = (s.start, s.end),
+                SpanKind::Pull => (log.pull_start, log.pull_end) = (s.start, s.end),
+                SpanKind::Aggregate | SpanKind::Compute => {}
+            }
         }
-        logs.iter().map(|l| l.wait().as_millis_f64()).sum::<f64>() / logs.len() as f64
+        logs
     }
 
-    /// Mean push wire time over the logs of iteration `iter`.
-    pub fn mean_transfer_ms(&self, iter: usize) -> f64 {
-        let logs = &self.transfer_logs[iter];
-        if logs.is_empty() {
-            return 0.0;
+    /// Mean length in ms of worker 0's `kind` spans in iteration `iter`.
+    fn mean_span_ms(&self, iter: usize, kind: SpanKind) -> f64 {
+        let spans = self.grad_spans.iter().take_while(|s| s.worker == 0);
+        let ms = spans.filter(|s| s.iter == iter as u64 && s.kind == kind);
+        let (n, sum) = ms.fold((0, 0.0), |(n, sum), s| {
+            (n + 1, sum + s.end.saturating_since(s.start).as_millis_f64())
+        });
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
         }
-        logs.iter()
-            .map(|l| l.transfer().as_millis_f64())
-            .sum::<f64>()
-            / logs.len() as f64
+    }
+
+    /// Mean per-gradient wait of worker 0 in iteration `iter`.
+    pub fn mean_wait_ms(&self, iter: usize) -> f64 {
+        self.mean_span_ms(iter, SpanKind::QueueWait)
+    }
+
+    /// Mean push wire time of worker 0 in iteration `iter`.
+    pub fn mean_transfer_ms(&self, iter: usize) -> f64 {
+        self.mean_span_ms(iter, SpanKind::Push)
     }
 
     /// Iterations completed within `span` of the start of iteration
@@ -293,9 +327,7 @@ mod tests {
             avg_gpu_util: 0.0,
             net_throughput: vec![],
             avg_net_throughput: 0.0,
-            transfer_logs: vec![vec![]],
             iter_starts,
-            trace: TraceRecorder::disabled(),
             credit_trace: vec![],
             bandwidth_estimates: vec![],
             degraded_transitions: vec![],

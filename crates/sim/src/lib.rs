@@ -17,8 +17,9 @@
 //! * [`stats`] — time-weighted averages (GPU utilisation), online
 //!   mean/variance, histograms and windowed rate series (network throughput
 //!   plots),
-//! * [`trace`] — span/Gantt recording used to regenerate the paper's
-//!   timeline figures (Figs. 2, 4, 9, 10, 11).
+//! * [`trace`] — the typed event stream, its invariant checker and the
+//!   per-gradient spans the paper's timeline figures (Figs. 5, 11) are
+//!   drawn from.
 //!
 //! Everything here is allocation-conscious: the event loop pops from a binary
 //! heap with no per-event boxing (events are a caller-chosen `enum`), and the
@@ -54,5 +55,5 @@ pub use stats::{Histogram, OnlineStats, RateSeries, TimeWeighted};
 pub use time::{Duration, SimTime};
 pub use trace::{
     grad_spans_to_ascii_gantt, shard_spans_to_csv, spans_to_csv, GradSpan, InvariantChecker,
-    ShardSpan, Span, SpanCollector, SpanKind, TraceEvent, TraceRecorder, TraceSink,
+    ShardSpan, SpanCollector, SpanKind, TraceEvent, TraceSink,
 };

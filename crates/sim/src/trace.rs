@@ -1,19 +1,16 @@
-//! Span/timeline tracing and cross-stack invariant checking.
+//! The simulator's one timeline layer: a typed event stream and its sinks.
 //!
-//! Two layers live here:
-//!
-//! 1. **Free-form spans** — [`TraceRecorder`] collects named spans on named
-//!    lanes; the bench harness renders them as CSV rows and ASCII Gantt
-//!    charts (the paper's timeline figures: Figs. 4, 5, 11).
-//! 2. **Typed events** — the cluster engine and the network layer emit a
-//!    single ordered stream of [`TraceEvent`]s into any number of
-//!    [`TraceSink`]s. Two sinks ship here: [`InvariantChecker`] validates
-//!    the stream *as it happens* (timeline ordering per gradient, BSP
-//!    barrier sanity, per-flow byte conservation, clock monotonicity,
-//!    sentinel-timestamp leaks) and panics at the first bad event with the
-//!    recent event history attached; [`SpanCollector`] folds the stream
-//!    into per-`(worker, gradient, iteration)` [`GradSpan`]s (compute,
-//!    queue-wait, push, aggregate, pull) for CSV/Gantt export.
+//! The cluster engine and the network layer emit a single ordered stream of
+//! [`TraceEvent`]s into any number of [`TraceSink`]s. Two sinks ship here:
+//! [`InvariantChecker`] validates the stream *as it happens* (timeline
+//! ordering per gradient, BSP barrier sanity, per-flow byte conservation,
+//! clock monotonicity, sentinel-timestamp leaks) and panics at the first bad
+//! event with the recent event history attached; [`SpanCollector`] folds the
+//! stream into per-`(worker, gradient, iteration)` [`GradSpan`]s (queue-wait,
+//! push, aggregate, pull, compute). Those spans are the timeline every
+//! figure reads — Fig. 5's and Fig. 11's per-gradient instants, §5.2's wait
+//! and transfer means — and what the CSV export and the ASCII Gantt
+//! renderer below draw.
 //!
 //! **The cost of watching** (DESIGN.md §17): nothing on the event path
 //! allocates or formats. Both sinks index one dense table type, `IterRows`
@@ -27,118 +24,6 @@ use crate::fault::FaultKind;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-
-/// One completed interval on a lane: e.g. "push gradient 30 on worker-0/net".
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Lane name, e.g. `"w0.gpu"` or `"w0.uplink"`.
-    pub lane: String,
-    /// Span label, e.g. `"bp:143"`, `"push:30"`.
-    pub label: String,
-    /// Inclusive start.
-    pub start: SimTime,
-    /// Exclusive end.
-    pub end: SimTime,
-    /// Free-form numeric key (gradient index, iteration, ...) so consumers
-    /// can filter without parsing labels.
-    pub key: i64,
-}
-
-/// Collects spans; cheap to clone snapshots of, cheap to filter.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
-    spans: Vec<Span>,
-    enabled: bool,
-}
-
-impl TraceRecorder {
-    /// A recorder that keeps everything.
-    pub fn enabled() -> Self {
-        TraceRecorder {
-            spans: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// A recorder that drops everything (zero overhead in big sweeps).
-    pub fn disabled() -> Self {
-        TraceRecorder {
-            spans: Vec::new(),
-            enabled: false,
-        }
-    }
-
-    /// True if spans are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a completed span.
-    pub fn record(&mut self, lane: &str, label: &str, key: i64, start: SimTime, end: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        debug_assert!(end >= start, "span ends before it starts");
-        self.spans.push(Span {
-            lane: lane.to_owned(),
-            label: label.to_owned(),
-            start,
-            end,
-            key,
-        });
-    }
-
-    /// All spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Spans on one lane, in recording order.
-    pub fn lane<'a>(&'a self, lane: &'a str) -> impl Iterator<Item = &'a Span> + 'a {
-        self.spans.iter().filter(move |s| s.lane == lane)
-    }
-
-    /// Render as CSV: `lane,label,key,start_ms,end_ms`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("lane,label,key,start_ms,end_ms\n");
-        for s in &self.spans {
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.6},{:.6}",
-                s.lane,
-                s.label,
-                s.key,
-                s.start.as_millis_f64(),
-                s.end.as_millis_f64()
-            );
-        }
-        out
-    }
-
-    /// Render an ASCII Gantt chart, `width` characters across the observed
-    /// time range, one row per lane (lanes in first-appearance order).
-    pub fn to_ascii_gantt(&self, width: usize) -> String {
-        if self.spans.is_empty() {
-            return String::from("(empty trace)\n");
-        }
-        let glyph = |s: &Span| s.label.bytes().next().unwrap_or(b'#');
-        let bars = self
-            .spans
-            .iter()
-            .map(|s| (s.lane.as_str(), s.start, s.end, glyph(s)));
-        ascii_gantt(&bars.collect::<Vec<_>>(), str::to_owned, width).0
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Typed event stream
@@ -410,6 +295,30 @@ pub enum TraceEvent {
         /// Generations skipped (newest-first) to reach an intact snapshot.
         depth: u64,
     },
+}
+
+impl TraceEvent {
+    /// The worker acting in this event, if one is.
+    pub fn worker(&self) -> Option<usize> {
+        #[rustfmt::skip]
+        let worker = match *self {
+            TraceEvent::IterBegin { worker, .. }
+            | TraceEvent::IterEnd { worker, .. }
+            | TraceEvent::GradReady { worker, .. }
+            | TraceEvent::PushStart { worker, .. }
+            | TraceEvent::PushEnd { worker, .. }
+            | TraceEvent::PullStart { worker, .. }
+            | TraceEvent::PullEnd { worker, .. }
+            | TraceEvent::FwdStart { worker, .. }
+            | TraceEvent::FwdEnd { worker, .. }
+            | TraceEvent::RetryAttempt { worker, .. }
+            | TraceEvent::Recovered { worker, .. }
+            | TraceEvent::EpochAck { worker, .. }
+            | TraceEvent::ParamReady { worker, .. } => worker,
+            _ => return None,
+        };
+        Some(worker)
+    }
 }
 
 /// A consumer of the typed event stream. Sinks are driven strictly in
@@ -828,24 +737,7 @@ impl TraceSink for InvariantChecker {
         }
         self.last_at = Some(at);
 
-        #[rustfmt::skip]
-        let acting_worker = match *ev {
-            TraceEvent::IterBegin { worker, .. }
-            | TraceEvent::IterEnd { worker, .. }
-            | TraceEvent::GradReady { worker, .. }
-            | TraceEvent::PushStart { worker, .. }
-            | TraceEvent::PushEnd { worker, .. }
-            | TraceEvent::PullStart { worker, .. }
-            | TraceEvent::PullEnd { worker, .. }
-            | TraceEvent::FwdStart { worker, .. }
-            | TraceEvent::FwdEnd { worker, .. }
-            | TraceEvent::RetryAttempt { worker, .. }
-            | TraceEvent::Recovered { worker, .. }
-            | TraceEvent::EpochAck { worker, .. }
-            | TraceEvent::ParamReady { worker, .. } => Some(worker),
-            _ => None,
-        };
-        if let Some(w) = acting_worker {
+        if let Some(w) = ev.worker() {
             self.check_live(w, ev);
         }
 
@@ -1379,10 +1271,11 @@ pub struct ShardSpan {
 }
 
 /// Folds the typed event stream into [`GradSpan`]s — one span stream per
-/// `(worker, gradient, iteration)` — for the trace exporter, plus
-/// per-shard PS queueing [`ShardSpan`]s when a gradient → shard mapping
-/// was supplied ([`SpanCollector::with_shards`] or
-/// [`SpanCollector::with_owner_table`]).
+/// `(worker, gradient, iteration)` — plus per-shard PS queueing
+/// [`ShardSpan`]s when a gradient → shard mapping was supplied
+/// ([`SpanCollector::with_shards`] or [`SpanCollector::with_owner_table`]).
+/// The collector keeps what it is fed: the cluster engine feeds it worker
+/// 0's events on every run, and every worker's under `typed_trace`.
 #[derive(Debug, Default)]
 pub struct SpanCollector {
     /// Per worker: `(iter, grad)` → timestamps, kept for the whole run.
@@ -1428,6 +1321,32 @@ impl SpanCollector {
         self.first_arrival.reserve(iters, grads);
         self.shard_spans.reserve(iters * grads);
         self
+    }
+
+    /// Panic unless each of the first `grads` gradients of `(worker, iter)`
+    /// has all five transfer instants: release, push start and end, pull
+    /// start and end. The cluster engine asks at worker 0's `IterEnd`: the
+    /// forward pass only ran because every gradient was pulled, so a
+    /// missing instant means a bookkeeping path skipped its event — fail
+    /// at collection time rather than hand out a timeline with a hole.
+    pub fn assert_complete(&self, worker: usize, iter: u64, grads: usize) {
+        let row = self.grads.get(worker).and_then(|rows| rows.row(iter));
+        for g in 0..grads {
+            let t = row.map_or_else(GradTimes::default, |row| peek(row, g));
+            for (field, at) in [
+                ("ready", t.ready),
+                ("push_start", t.push_start),
+                ("push_end", t.push_end),
+                ("pull_start", t.pull_start),
+                ("pull_end", t.pull_end),
+            ] {
+                assert!(
+                    at.is_some(),
+                    "iteration {iter}: gradient {g} of worker {worker} has no \
+                     `{field}` at collection"
+                );
+            }
+        }
     }
 
     /// Assemble the spans observed so far, ordered by
@@ -1532,27 +1451,30 @@ fn span_glyph(kind: SpanKind) -> u8 {
     }
 }
 
-/// The renderer behind both Gantt charts: `bars` are `(lane, start, end,
-/// glyph)`, one row per lane in first-appearance order, `width` characters
-/// across the bars' time range. Returns the chart and the lane-name column
-/// width.
-fn ascii_gantt<L: Copy + PartialEq>(
-    bars: &[(L, SimTime, SimTime, u8)],
-    name: impl Fn(L) -> String,
-    width: usize,
-) -> (String, usize) {
-    let t0 = bars.iter().map(|b| b.1).min().unwrap();
-    let t1 = bars.iter().map(|b| b.2).max().unwrap();
+/// Render typed [`GradSpan`]s as an ASCII Gantt chart, `width` characters
+/// across the observed time range, one row per `(worker, gradient)` lane
+/// (lanes in first-appearance order, iterations overlaid left to right).
+///
+/// Each row shows one tensor's queue-wait/push/aggregate/pull/compute
+/// phases — Fig. 5's per-gradient schedule, and what makes a shrunk chaos
+/// reproducer diagnosable at a glance (a retry storm shows up as a lane
+/// whose push glyphs restart mid-row).
+pub fn grad_spans_to_ascii_gantt(spans: &[GradSpan], width: usize) -> String {
+    if spans.is_empty() {
+        return String::from("(no spans)\n");
+    }
+    let t0 = spans.iter().map(|s| s.start).min().unwrap();
+    let t1 = spans.iter().map(|s| s.end).max().unwrap();
     let range = (t1.saturating_since(t0)).as_secs_f64().max(1e-12);
     let col = |t: SimTime| t.saturating_since(t0).as_secs_f64() / range * width as f64;
 
-    let mut lanes: Vec<L> = Vec::new();
-    for &(lane, ..) in bars {
-        if !lanes.contains(&lane) {
-            lanes.push(lane);
+    let mut lanes: Vec<(usize, usize)> = Vec::new();
+    for s in spans {
+        if !lanes.contains(&(s.worker, s.grad)) {
+            lanes.push((s.worker, s.grad));
         }
     }
-    let names: Vec<String> = lanes.iter().map(|&lane| name(lane)).collect();
+    let names: Vec<String> = lanes.iter().map(|(w, g)| format!("w{w}.g{g}")).collect();
     let name_w = names.iter().map(|n| n.len()).max().unwrap_or(0).max(4);
 
     let mut out = String::new();
@@ -1566,34 +1488,13 @@ fn ascii_gantt<L: Copy + PartialEq>(
     );
     for (&lane, name) in lanes.iter().zip(&names) {
         let mut row = vec![b' '; width];
-        for &(_, start, end, glyph) in bars.iter().filter(|b| b.0 == lane) {
-            let a = col(start) as usize;
-            let b = (col(end).ceil() as usize).clamp(a + 1, width);
-            row[a.min(width - 1)..b].fill(glyph);
+        for s in spans.iter().filter(|s| (s.worker, s.grad) == lane) {
+            let a = col(s.start) as usize;
+            let b = (col(s.end).ceil() as usize).clamp(a + 1, width);
+            row[a.min(width - 1)..b].fill(span_glyph(s.kind));
         }
         let _ = writeln!(out, "{:name_w$} |{}|", name, String::from_utf8_lossy(&row));
     }
-    (out, name_w)
-}
-
-/// Render typed [`GradSpan`]s as an ASCII Gantt chart, `width` characters
-/// across the observed time range, one row per `(worker, gradient)` lane
-/// (lanes in first-appearance order, iterations overlaid left to right).
-///
-/// This is the per-gradient companion of [`TraceRecorder::to_ascii_gantt`]:
-/// where the recorder shows coarse GPU/NIC lanes, this shows each tensor's
-/// queue-wait/push/aggregate/pull/compute phases — which is what makes a
-/// shrunk chaos reproducer diagnosable at a glance (a retry storm shows up
-/// as a lane whose push glyphs restart mid-row).
-pub fn grad_spans_to_ascii_gantt(spans: &[GradSpan], width: usize) -> String {
-    if spans.is_empty() {
-        return String::from("(no spans)\n");
-    }
-    let bars = spans
-        .iter()
-        .map(|s| ((s.worker, s.grad), s.start, s.end, span_glyph(s.kind)));
-    let name = |(w, g): (usize, usize)| format!("w{w}.g{g}");
-    let (mut out, name_w) = ascii_gantt(&bars.collect::<Vec<_>>(), name, width);
     let _ = writeln!(
         out,
         "{:name_w$}  legend: .=queue-wait #=push ==aggregate <=pull F=compute",
@@ -1646,54 +1547,6 @@ mod tests {
 
     fn at(ms: u64) -> SimTime {
         SimTime::ZERO + Duration::from_millis(ms)
-    }
-
-    #[test]
-    fn records_and_filters_by_lane() {
-        let mut tr = TraceRecorder::enabled();
-        tr.record("w0.gpu", "bp:5", 5, at(0), at(10));
-        tr.record("w0.net", "push:5", 5, at(10), at(30));
-        tr.record("w0.gpu", "fp:0", 0, at(30), at(35));
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.lane("w0.gpu").count(), 2);
-        assert_eq!(tr.lane("w0.net").count(), 1);
-    }
-
-    #[test]
-    fn disabled_recorder_drops_everything() {
-        let mut tr = TraceRecorder::disabled();
-        tr.record("x", "y", 0, at(0), at(1));
-        assert!(tr.is_empty());
-        assert!(!tr.is_enabled());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut tr = TraceRecorder::enabled();
-        tr.record("a", "x", 7, at(1), at(2));
-        let csv = tr.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "lane,label,key,start_ms,end_ms");
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("a,x,7,1.000000,2.000000"), "{row}");
-    }
-
-    #[test]
-    fn gantt_renders_every_lane() {
-        let mut tr = TraceRecorder::enabled();
-        tr.record("gpu", "b", 0, at(0), at(50));
-        tr.record("net", "p", 0, at(50), at(100));
-        let g = tr.to_ascii_gantt(20);
-        assert!(g.contains("gpu"));
-        assert!(g.contains("net"));
-        assert!(g.contains('b'));
-        assert!(g.contains('p'));
-    }
-
-    #[test]
-    fn gantt_empty_trace() {
-        let tr = TraceRecorder::enabled();
-        assert_eq!(tr.to_ascii_gantt(10), "(empty trace)\n");
     }
 
     // ---- typed event stream ---------------------------------------------
@@ -2050,6 +1903,23 @@ mod tests {
         let spans = sc.into_spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].kind, SpanKind::QueueWait);
+    }
+
+    #[test]
+    #[should_panic(expected = "iteration 0: gradient 1 of worker 0 has no `pull_start`")]
+    fn span_collector_rejects_a_gradient_missing_an_instant() {
+        let mut sc = SpanCollector::new();
+        let skipped = TraceEvent::PullStart {
+            worker: 0,
+            iter: 0,
+            grad: 1,
+        };
+        for (t, ev) in bsp_iteration(1, 3, 0) {
+            if ev != skipped {
+                sc.on_event(t, &ev);
+            }
+        }
+        sc.assert_complete(0, 0, 3);
     }
 
     // ---- fault/retry extensions -----------------------------------------

@@ -1,6 +1,6 @@
 //! The Fig. 5 story, live: run the four strategies on the same small
-//! workload with a full span trace and render ASCII Gantt charts of worker
-//! 0's GPU, uplink, and downlink — the illustrative comparison the paper
+//! workload and render ASCII Gantt charts of worker 0's per-gradient
+//! timeline in one steady iteration — the illustrative comparison the paper
 //! uses to motivate Prophet.
 //!
 //! ```text
@@ -10,7 +10,7 @@
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
 use prophet::ps::sim::{run_cluster, ClusterConfig};
-use prophet::sim::TraceRecorder;
+use prophet::sim::grad_spans_to_ascii_gantt;
 
 fn main() {
     let gbps = 3.0;
@@ -18,30 +18,27 @@ fn main() {
         let label = kind.label();
         let job = TrainingJob::paper_setup("resnet18", 64);
         let mut cfg = ClusterConfig::paper_cell(2, gbps, job, kind);
-        cfg.trace = true;
         cfg.warmup_iters = 2;
         cfg.compute_jitter = 0.0;
         let result = run_cluster(&cfg, 6);
 
-        // Clip the trace to one steady iteration for a readable chart.
-        let t0 = result.iter_starts[4];
-        let t1 = result.iter_starts[5];
-        let mut clipped = TraceRecorder::enabled();
-        for span in result.trace.spans() {
-            if span.start >= t0 && span.end <= t1 {
-                clipped.record(&span.lane, &span.label, span.key, span.start, span.end);
-            }
-        }
+        // Worker 0's spans of one steady iteration, gradient 0 and every
+        // 8th, for a readable chart.
+        let spans: Vec<_> = result
+            .grad_spans
+            .iter()
+            .filter(|s| s.worker == 0 && s.iter == 4 && s.grad % 8 == 0)
+            .copied()
+            .collect();
         println!(
             "== {label}: {:.1} samples/s/worker, iteration {:.0} ms ==",
             result.rate,
             result.iter_times[4].as_millis_f64()
         );
-        println!("legend: b=backward f=forward, p<g>=push q<g>=pull (g = top gradient)");
-        print!("{}", clipped.to_ascii_gantt(100));
+        print!("{}", grad_spans_to_ascii_gantt(&spans, 100));
         println!();
     }
-    println!("Watch the w0.gpu lane: the gap between the end of `b` and the");
-    println!("first `f` is the wait the paper's Eq. (2) charges — Prophet's");
-    println!("should be the shortest, FIFO's the longest.");
+    println!("Watch lane w0.g0: from its first glyph to its `F` is the wait the");
+    println!("paper's Eq. (2) charges before the next forward pass. FIFO's is the");
+    println!("longest; Prophet's comes with the highest rate.");
 }

@@ -28,7 +28,7 @@ fn main() {
         let mut cfg = ClusterConfig::paper_cell(workers, gbps, job, kind);
         cfg.warmup_iters = 5;
         let result = run_cluster(&cfg, iterations);
-        let last = result.transfer_logs.len() - 1;
+        let last = result.iter_times.len() - 1;
         println!(
             "{:<24} {:>14.1} {:>11.1}% {:>14.1}",
             label,

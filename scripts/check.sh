@@ -32,6 +32,16 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     PROPHET_RESULTS_DIR="$(mktemp -d)" \
         cargo run --offline -q -p prophet-bench --bin repro -- ext_chaos 42 2 > /dev/null
 
+    echo "==> figure freeze (fig4 fig5 fig11 sec52_fpstart CSVs byte-identical to results/)"
+    # Figs. 5 and 11 and §5.2 read worker 0's typed spans: any change to
+    # what the engine records for them shows up here as a CSV diff.
+    figs="$(mktemp -d)"
+    PROPHET_RESULTS_DIR="$figs" \
+        cargo run --offline -q -p prophet-bench --bin repro -- fig4 fig5 fig11 sec52_fpstart > /dev/null
+    for fig in fig4 fig5 fig11 sec52_fpstart; do
+        cmp "$figs/$fig.csv" "results/$fig.csv"
+    done
+
     echo "==> bench smoke (criterion --test mode, no artifacts)"
     # Single-sample pass over the first scale point: compiles the bench
     # harnesses and exercises both engines without touching BENCH_*.json.

@@ -66,7 +66,7 @@ fn transfer_conservation_every_gradient_every_iteration() {
     for kind in SchedulerKind::paper_lineup(1.25e9) {
         let label = kind.label();
         let r = run_cluster(&cell("resnet18", 32, 3, 10.0, kind), 4);
-        for (it, logs) in r.transfer_logs.iter().enumerate() {
+        for (it, logs) in r.transfer_logs().iter().enumerate() {
             assert_eq!(logs.len(), 62, "{label} iter {it}: wrong gradient count");
             for log in logs {
                 assert!(

@@ -37,7 +37,7 @@ proptest! {
         // hard floor, so short measurement windows can land a few percent
         // above the nominal (jitter-free) ceiling.
         prop_assert!(r.rate <= ceiling * 1.10, "rate {} > ceiling {}", r.rate, ceiling);
-        for logs in &r.transfer_logs {
+        for logs in &r.transfer_logs() {
             prop_assert_eq!(logs.len(), n);
             for log in logs {
                 prop_assert!(log.ready <= log.push_start);

@@ -40,7 +40,7 @@ fn pinned_fifo_cell_is_well_formed() {
         r.rate,
         ceiling
     );
-    for logs in &r.transfer_logs {
+    for logs in &r.transfer_logs() {
         assert_eq!(logs.len(), n);
         for log in logs {
             assert!(
@@ -127,7 +127,7 @@ fn pinned_mid_push_shard_crash_cell() {
     );
     assert!(a.fault_stats.recoveries > 0, "{:?}", a.fault_stats);
     // Transfer logs stay well-formed through the retry/replay path.
-    for logs in &a.transfer_logs {
+    for logs in &a.transfer_logs() {
         for log in logs {
             assert!(log.ready <= log.push_start);
             assert!(log.push_start < log.push_end);
