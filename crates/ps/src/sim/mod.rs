@@ -4,8 +4,9 @@
 //! `workers` g3.8xlarge-class nodes, per-node NIC limits, a training job,
 //! and a communication scheduling strategy. [`run_cluster`] plays `iters`
 //! BSP iterations and returns [`RunResult`]: training rate, GPU-utilisation
-//! and network-throughput time series, per-gradient transfer logs, and an
-//! optional span trace — everything the paper's figures are drawn from.
+//! and network-throughput time series, and worker 0's typed per-gradient
+//! spans (every worker's under `typed_trace`), from which its transfer logs
+//! are projected — everything the paper's figures are drawn from.
 
 mod cluster;
 mod config;
