@@ -248,6 +248,9 @@ pub struct NetStats {
     pub flows_refilled: u64,
     /// Progressive-filling rounds inside them.
     pub fill_rounds: u64,
+    /// Rounds a fill took unchanged from its component's previous fill
+    /// instead of running them.
+    pub rounds_reused: u64,
     /// Rates that came out bitwise different, each costing a byte
     /// integration and a completion re-prediction.
     pub rate_changes: u64,
