@@ -31,6 +31,15 @@
 //!   received the same increments, so its rate is one scalar; saturation is
 //!   a property of a link, so freezing walks the member lists of newly
 //!   saturated links instead of re-testing every unfrozen flow every round.
+//! * **Resumable fills.** The fill state keeps each component's last
+//!   trajectory — per round its increment, level and argmin, per link its
+//!   load at every round start and the round it saturated in, per flow the
+//!   round that froze it — and records which links and flows change
+//!   between fills. A re-fill replays only the touched links through the
+//!   stored rounds and runs the kernel from the first round they can
+//!   alter; the rounds before it, and the rates they froze, are reused as
+//!   they are. [`allocate_with`] and the engine's full-resolve mode always
+//!   start at round 1.
 
 use crate::topology::{NodeId, Topology};
 
@@ -54,6 +63,12 @@ const REL_EPS: f64 = 1e-9;
 /// A search tag no node is ever marked with.
 const NO_TAG: u64 = u64::MAX;
 
+/// The `round` of a flow no round of the trajectory has frozen yet.
+const UNFROZEN: u32 = u32::MAX;
+
+/// No link.
+const NO_LINK: u32 = u32::MAX;
+
 /// One direction of one node's NIC: the unit progressive filling saturates.
 #[derive(Debug, Clone, Default)]
 struct Link {
@@ -67,6 +82,19 @@ struct Link {
     open: u32,
     /// Uplinks only: how many of `flows` have a positive *finite* cap.
     capped: u32,
+    // The link's part in its component's last trajectory (see [`Memo`]),
+    // meaningful while `memo` is that memo's generation.
+    memo: u64,
+    /// Its load at the start of each round it was loaded in, from round 1.
+    hist: Vec<Load>,
+    /// The round it saturated in; 0 if none did.
+    sat: u32,
+    /// Its place in `Memo::ends[hist.len() - 1]` (in its index among the
+    /// touched links while a re-fill checks the stored rounds).
+    at: u32,
+    /// 1 + the memo that recorded a change to it since that memo's fill; 0
+    /// if none did.
+    touched: u32,
 }
 
 /// A link's share of the fill in progress, apart from [`Link`] so that the
@@ -86,8 +114,89 @@ struct Member {
     src: u32,
     dst: u32,
     cap: f64,
-    /// The fill (by ordinal) that last froze this flow.
+    /// The fill (by ordinal) whose rounds last froze this flow.
     frozen_in: u64,
+    /// The round of its component's trajectory that froze it.
+    round: u32,
+    /// 1 + the memo that recorded it as attached or re-capped since that
+    /// memo's fill; 0 if none did.
+    fresh_in: u32,
+    /// What the sink returned when it was last rated.
+    due: u64,
+}
+
+/// One round of a component's last fill, as a re-fill checks it.
+#[derive(Debug, Clone, Copy)]
+struct Round {
+    /// Smallest `left / count` over the loaded links, and a link with it.
+    link_min: f64,
+    arg: u32,
+    /// `link_min.min(min_cap - level)`, before the clamp at zero.
+    bound: f64,
+    /// The increment.
+    delta: f64,
+    /// The level after the round.
+    level: f64,
+    /// Flows still taking rate at the round's start.
+    open: u32,
+    /// Smallest due among the flows the round froze.
+    due: u64,
+}
+
+/// A flow version that left a trajectory: detached, or re-capped.
+#[derive(Debug, Clone, Copy)]
+struct Gone {
+    links: [u32; 2],
+    cap: f64,
+    round: u32,
+    due: u64,
+}
+
+/// A component's last trajectory and what changed since. The per-round
+/// link states live with the links ([`Link::hist`]).
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// Nonzero while the trajectory may be resumed.
+    generation: u64,
+    rounds: Vec<Round>,
+    /// `ends[e - 1]`: the links last loaded in round `e`.
+    ends: Vec<Vec<u32>>,
+    /// Changes since the fill.
+    touched: Vec<u32>,
+    fresh: Vec<u32>,
+    gone: Vec<Gone>,
+}
+
+/// A touched link's state in the new trajectory while a re-fill checks
+/// the stored rounds.
+#[derive(Debug, Clone, Copy)]
+struct Replay {
+    link: u32,
+    /// Residual and count at the start of the round being checked.
+    left: f64,
+    count: u32,
+    /// Rounds its stored history covers, and the round it saturated in.
+    old_end: u32,
+    old_sat: u32,
+    /// The same in the new trajectory, so far.
+    end: u32,
+    sat: u32,
+    /// The round applied to it.
+    after: f64,
+    saturates: bool,
+}
+
+/// What one [`FillState::fill`] did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Filled {
+    /// Rounds run.
+    pub rounds: u64,
+    /// Rounds taken unchanged from the component's previous fill.
+    pub reused: u64,
+    /// Calls of the sink.
+    pub rated: u64,
+    /// The smallest due over every member with a positive cap.
+    pub earliest: u64,
 }
 
 fn up(node: u32) -> usize {
@@ -98,10 +207,26 @@ fn down(node: u32) -> usize {
     2 * node as usize + 1
 }
 
+/// Put link `l` in the bucket of the last round it was loaded in.
+fn file(ends: &mut Vec<Vec<u32>>, link: &mut Link, l: u32) {
+    let e = link.hist.len();
+    if e > 0 {
+        if ends.len() < e {
+            ends.resize_with(e, Vec::new);
+        }
+        link.at = ends[e - 1].len() as u32;
+        ends[e - 1].push(l);
+    }
+}
+
 /// The flow graph as progressive filling sees it, kept current across
 /// fills: per link its capacity and the flows crossing it, per flow its
 /// endpoints and cap. Flows are named by caller-chosen dense `u32` keys
 /// (the engine's slab slots, [`allocate_with`]'s input indices).
+///
+/// It also keeps, per caller-named component (a *memo*), the trajectory of
+/// that component's last fill and the changes recorded against it since,
+/// so that the next fill can resume where the changes start to matter.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FillState {
     /// Uplink of node `g` at `2g`, its downlink at `2g + 1`.
@@ -113,10 +238,15 @@ pub(crate) struct FillState {
     /// Fills run so far; a member with `frozen_in == fills` is frozen in
     /// the fill in progress.
     fills: u64,
+    /// Rounds those fills took from a previous trajectory.
+    reused: u64,
+    memos: Vec<Memo>,
+    generations: u64,
     // Buffers of the fill in progress (capacity only between fills).
     active: Vec<u32>,
     saturated: Vec<u32>,
     capped: Vec<u32>,
+    replay: Vec<Replay>,
     // Graph-search state.
     seen: Vec<u64>,
     tags: u64,
@@ -133,22 +263,37 @@ impl FillState {
         }
     }
 
-    /// Set both NIC capacities of `node`.
-    pub(crate) fn set_node_caps(&mut self, node: u32, uplink: f64, downlink: f64) {
+    /// Set both NIC capacities of `node`, recording the change against
+    /// `memo`, the component the node belongs to.
+    pub(crate) fn set_node_caps(
+        &mut self,
+        memo: Option<u32>,
+        node: u32,
+        uplink: f64,
+        downlink: f64,
+    ) {
         for (l, cap) in [(up(node), uplink), (down(node), downlink)] {
             let link = &mut self.links[l];
             link.cap = cap;
             link.sat_below = cap * REL_EPS + f64::MIN_POSITIVE;
         }
+        if let Some(c) = self.recording(memo) {
+            self.touch(c, up(node));
+            self.touch(c, down(node));
+        }
     }
 
-    /// Add flow `key` from `src` to `dst` with rate cap `cap`.
-    pub(crate) fn attach(&mut self, key: u32, src: u32, dst: u32, cap: f64) {
+    /// Add flow `key` from `src` to `dst` with rate cap `cap` to component
+    /// `memo`.
+    pub(crate) fn attach(&mut self, memo: Option<u32>, key: u32, src: u32, dst: u32, cap: f64) {
         let member = Member {
             src,
             dst,
             cap,
             frozen_in: 0,
+            round: UNFROZEN,
+            fresh_in: self.members.get(key as usize).map_or(0, |m| m.fresh_in),
+            due: u64::MAX,
         };
         let place = [up(src), down(dst)].map(|l| self.links[l].flows.len() as u32);
         self.links[up(src)].flows.push(key);
@@ -160,10 +305,13 @@ impl FillState {
         self.members[key as usize] = member;
         self.places[key as usize] = place;
         self.tally(key, true);
+        self.enter(memo, key);
     }
 
-    /// Remove flow `key`.
-    pub(crate) fn detach(&mut self, key: u32) {
+    /// Remove flow `key` from component `memo`.
+    pub(crate) fn detach(&mut self, memo: Option<u32>, key: u32) {
+        self.leave(memo, key);
+        self.members[key as usize].fresh_in = 0;
         self.tally(key, false);
         let m = self.members[key as usize];
         let place = self.places[key as usize];
@@ -177,11 +325,13 @@ impl FillState {
         }
     }
 
-    /// Change flow `key`'s rate cap.
-    pub(crate) fn set_cap(&mut self, key: u32, cap: f64) {
+    /// Change flow `key`'s rate cap (it belongs to component `memo`).
+    pub(crate) fn set_cap(&mut self, memo: Option<u32>, key: u32, cap: f64) {
+        self.leave(memo, key);
         self.tally(key, false);
         self.members[key as usize].cap = cap;
         self.tally(key, true);
+        self.enter(memo, key);
     }
 
     /// Count flow `key` into (or out of) its links' `open`/`capped`.
@@ -200,6 +350,93 @@ impl FillState {
                 self.links[d].open -= 1;
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // What changed since a component's last fill.
+    // ------------------------------------------------------------------
+
+    /// `memo`'s index if it holds a trajectory to record changes against.
+    fn recording(&self, memo: Option<u32>) -> Option<usize> {
+        let c = memo? as usize;
+        (self.memos.get(c)?.generation != 0).then_some(c)
+    }
+
+    /// Drop component `memo`'s trajectory: its next fill starts at round 1.
+    /// Merges and splits call this, and so does a dying component.
+    pub(crate) fn forget(&mut self, memo: u32) {
+        let Some(m) = self.memos.get_mut(memo as usize) else {
+            return;
+        };
+        let tag = memo + 1;
+        m.generation = 0;
+        m.gone.clear();
+        for l in m.touched.drain(..) {
+            let link = &mut self.links[l as usize];
+            if link.touched == tag {
+                link.touched = 0;
+            }
+        }
+        for k in m.fresh.drain(..) {
+            let member = &mut self.members[k as usize];
+            if member.fresh_in == tag {
+                member.fresh_in = 0;
+            }
+        }
+    }
+
+    /// Record a change to link `l` against memo `c`.
+    fn touch(&mut self, c: usize, l: usize) {
+        let tag = c as u32 + 1;
+        let was = self.links[l].touched;
+        if was != tag {
+            if was != 0 {
+                // Still listed by a component it has since left: that
+                // component can no longer tell what changed.
+                self.forget(was - 1);
+            }
+            self.links[l].touched = tag;
+            self.memos[c].touched.push(l as u32);
+        }
+    }
+
+    /// Record flow `key`'s current version as new to memo `memo`.
+    fn enter(&mut self, memo: Option<u32>, key: u32) {
+        let m = self.members[key as usize];
+        let Some(c) = self.recording(memo).filter(|_| m.cap > 0.0) else {
+            // A zero-cap flow takes no part; a later cap change enters it.
+            self.members[key as usize].fresh_in = 0;
+            return;
+        };
+        let tag = c as u32 + 1;
+        if m.fresh_in != tag {
+            if m.fresh_in != 0 {
+                self.forget(m.fresh_in - 1);
+            }
+            self.members[key as usize].fresh_in = tag;
+            self.memos[c].fresh.push(key);
+        }
+        self.touch(c, up(m.src));
+        self.touch(c, down(m.dst));
+    }
+
+    /// Record that flow `key`'s current version leaves memo `memo`'s
+    /// trajectory.
+    fn leave(&mut self, memo: Option<u32>, key: u32) {
+        let m = self.members[key as usize];
+        let Some(c) = self.recording(memo).filter(|_| m.cap > 0.0) else {
+            return;
+        };
+        if m.fresh_in != c as u32 + 1 {
+            self.memos[c].gone.push(Gone {
+                links: [up(m.src) as u32, down(m.dst) as u32],
+                cap: m.cap,
+                round: m.round,
+                due: m.due,
+            });
+        }
+        self.touch(c, up(m.src));
+        self.touch(c, down(m.dst));
     }
 
     /// Flow endpoints at `node` (a self-loop counts twice).
@@ -351,9 +588,13 @@ impl FillState {
     // ------------------------------------------------------------------
 
     /// Progressive filling over the connected component made of `nodes`
-    /// (all of them, each once, any order). `sink(key, rate)` is called
-    /// exactly once for every member with a positive cap; zero-cap members
-    /// get rate 0 and no call. Returns the number of rounds and of calls.
+    /// (all of them, each once, any order), kept as memo `memo`. `sink(key,
+    /// rate)` is called for every member with a positive cap whose rate the
+    /// fill sets — with `resume`, only those the rounds it runs freeze and
+    /// the ones changed since the memo's last fill; without, every one —
+    /// and returns the member's *due*, a number the fill keeps the minimum
+    /// of (the engine's predicted completion). Zero-cap members get rate 0
+    /// and no call.
     ///
     /// Passing a disconnected node set still yields a valid max-min
     /// allocation, but one whose floating-point rounding couples the parts.
@@ -379,28 +620,235 @@ impl FillState {
     ///   still-unfrozen members of the links that just saturated.
     ///
     /// Nothing above depends on the order of `nodes` or of any member list.
-    pub(crate) fn fill(&mut self, nodes: &[u32], mut sink: impl FnMut(u32, f64)) -> (u64, u64) {
+    /// [`FillState::resume`] argues why starting at a later round changes
+    /// nothing either.
+    pub(crate) fn fill(
+        &mut self,
+        memo: u32,
+        resume: bool,
+        nodes: &[u32],
+        mut sink: impl FnMut(u32, f64) -> u64,
+    ) -> Filled {
         self.fills += 1;
         let fill = self.fills;
+        let c = memo as usize;
+        if self.memos.len() <= c {
+            self.memos.resize_with(c + 1, Memo::default);
+        }
+        let tag = memo + 1;
+        let mut out = Filled {
+            rounds: 0,
+            reused: 0,
+            rated: 0,
+            earliest: u64::MAX,
+        };
+
+        // The changes recorded since the last fill: the flows entered (with
+        // a positive cap, still live) and the links they and the departed
+        // versions touched.
+        let memo_ = &mut self.memos[c];
+        let mut touched = std::mem::take(&mut memo_.touched);
+        let mut fresh = std::mem::take(&mut memo_.fresh);
+        let mut gone = std::mem::take(&mut memo_.gone);
+        let resumable = resume && memo_.generation != 0;
+        let members = &mut self.members;
+        fresh.retain(|&k| {
+            let m = &mut members[k as usize];
+            if m.fresh_in != tag {
+                return false; // detached, or entered again later
+            }
+            m.fresh_in = 0;
+            m.round = UNFROZEN;
+            m.cap > 0.0
+        });
+        let resumed = if resumable {
+            self.resume(c, &touched, &fresh, &gone, &mut sink, &mut out)
+        } else {
+            None
+        };
+        for &l in &touched {
+            let link = &mut self.links[l as usize];
+            if link.touched == tag {
+                link.touched = 0;
+            }
+        }
+        touched.clear();
+        fresh.clear();
+        gone.clear();
+        let memo_ = &mut self.memos[c];
+        memo_.touched = touched;
+        memo_.fresh = fresh;
+        memo_.gone = gone;
+        let (start, mut open, mut level, mut min_cap) =
+            resumed.unwrap_or_else(|| self.start_fresh(c, nodes));
+
         let Self {
             links,
             loads,
             members,
+            memos,
             active,
             saturated,
             capped,
             ..
         } = self;
+        let memo = &mut memos[c];
+        let mut round = start - 1;
+        while open > 0 {
+            round += 1;
+            out.rounds += 1;
+            // The uniform increment every unfrozen flow can still take: the
+            // tightest of (a) equal split of remaining capacity on any
+            // loaded link, (b) any unfrozen flow's headroom to its cap.
+            let mut link_min = f64::INFINITY;
+            let mut arg = NO_LINK;
+            active.retain(|&l| {
+                let load = loads[l as usize];
+                let link = &mut links[l as usize];
+                if load.count == 0 {
+                    file(&mut memo.ends, link, l);
+                    return false;
+                }
+                link.hist.push(load);
+                let ratio = load.left / load.count as f64;
+                if arg == NO_LINK || ratio < link_min {
+                    link_min = ratio;
+                    arg = l;
+                }
+                true
+            });
+            // Accumulated rounding can leave a residual (or cap headroom) a
+            // few ulps below zero; clamp instead of handing a negative
+            // increment to every flow.
+            let bound = link_min.min(min_cap - level);
+            let delta = bound.max(0.0);
+            debug_assert!(delta.is_finite(), "bad increment {delta}");
+            level += delta;
+            memo.rounds.push(Round {
+                link_min,
+                arg,
+                bound,
+                delta,
+                level,
+                open,
+                due: u64::MAX,
+            });
 
-        // Every link starts full, carrying its open flows; the capped ones
-        // are looked up only where an uplink says it has any.
+            // Residuals are clamped at zero: a link can end up an ulp
+            // negative after repeated subtraction, and a negative residual
+            // must read as "saturated", never as headroom.
+            saturated.clear();
+            for &l in active.iter() {
+                let load = &mut loads[l as usize];
+                let mut x = load.left;
+                for _ in 0..load.count {
+                    x = (x - delta).max(0.0);
+                }
+                load.left = x;
+                let link = &mut links[l as usize];
+                if x <= link.sat_below {
+                    link.sat = round;
+                    saturated.push(l);
+                }
+            }
+
+            let before = open;
+            let mut due = u64::MAX;
+            let mut freeze = |m: &mut Member, key: u32| {
+                m.frozen_in = fill;
+                m.round = round;
+                loads[up(m.src)].count -= 1;
+                loads[down(m.dst)].count -= 1;
+                open -= 1;
+                // Pin exactly to the cap so rounding never reports a rate
+                // above what the transport window allows.
+                let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
+                m.due = sink(key, if at_cap { m.cap } else { level });
+                due = due.min(m.due);
+                out.rated += 1;
+            };
+            // Frozen in this fill's rounds, or in the rounds it reused.
+            let frozen = |m: &Member| m.frozen_in == fill || m.round < start;
+            for &l in saturated.iter() {
+                for &key in &links[l as usize].flows {
+                    let m = &mut members[key as usize];
+                    if m.cap > 0.0 && !frozen(m) {
+                        freeze(m, key);
+                    }
+                }
+            }
+            min_cap = f64::INFINITY;
+            capped.retain(|&key| {
+                let m = &mut members[key as usize];
+                if frozen(m) {
+                    return false;
+                }
+                if level >= m.cap * (1.0 - REL_EPS) {
+                    freeze(m, key);
+                    return false;
+                }
+                min_cap = min_cap.min(m.cap);
+                true
+            });
+            memo.rounds.last_mut().expect("pushed above").due = due;
+            // With delta > 0 something always freezes; with delta == 0 a
+            // link is already saturated and its flows freeze. Guard against
+            // float pathology anyway, and keep no trajectory of it.
+            if open == before {
+                for &g in nodes {
+                    for &key in &links[up(g)].flows {
+                        let m = &mut members[key as usize];
+                        if m.cap > 0.0 && !frozen(m) {
+                            m.due = sink(key, level);
+                            out.earliest = out.earliest.min(m.due);
+                            out.rated += 1;
+                        }
+                    }
+                }
+                memo.generation = 0;
+                break;
+            }
+        }
+        // The links still loaded when the last round ended.
+        for &l in active.iter() {
+            file(&mut memo.ends, &mut links[l as usize], l);
+        }
+        for r in &memo.rounds {
+            out.earliest = out.earliest.min(r.due);
+        }
+        out
+    }
+
+    /// Set up round 1 of a fill of memo `c` over `nodes`: every link starts
+    /// full, carrying its open flows; the capped ones are looked up only
+    /// where an uplink says it has any. Returns the start round, the open
+    /// flows, the level and the smallest cap.
+    fn start_fresh(&mut self, c: usize, nodes: &[u32]) -> (u32, u32, f64, f64) {
+        self.generations += 1;
+        let generation = self.generations;
+        let Self {
+            links,
+            loads,
+            members,
+            memos,
+            active,
+            capped,
+            ..
+        } = self;
+        let memo = &mut memos[c];
+        memo.generation = generation;
+        memo.rounds.clear();
+        memo.ends.iter_mut().for_each(Vec::clear);
         active.clear();
         capped.clear();
         let mut open = 0u32;
         let mut min_cap = f64::INFINITY;
         for &g in nodes {
             for l in [up(g), down(g)] {
-                let link = &links[l];
+                let link = &mut links[l];
+                link.memo = generation;
+                link.hist.clear();
+                link.sat = 0;
                 if link.open > 0 {
                     loads[l] = Load {
                         left: link.cap,
@@ -421,95 +869,274 @@ impl FillState {
                 }
             }
         }
+        (1, open, 0.0, min_cap)
+    }
 
-        let rated = open as u64;
-        let mut level = 0.0f64;
-        let mut rounds = 0u64;
-        while open > 0 {
-            rounds += 1;
-            // The uniform increment every unfrozen flow can still take: the
-            // tightest of (a) equal split of remaining capacity on any
-            // loaded link, (b) any unfrozen flow's headroom to its cap.
-            let mut delta = f64::INFINITY;
-            active.retain(|&l| {
-                let load = loads[l as usize];
-                if load.count == 0 {
-                    return false;
-                }
-                delta = delta.min(load.left / load.count as f64);
-                true
-            });
-            // Accumulated rounding can leave a residual (or cap headroom) a
-            // few ulps below zero; clamp instead of handing a negative
-            // increment to every flow.
-            let delta = delta.min(min_cap - level).max(0.0);
-            debug_assert!(delta.is_finite(), "bad increment {delta}");
-            level += delta;
-
-            // Residuals are clamped at zero: a link can end up an ulp
-            // negative after repeated subtraction, and a negative residual
-            // must read as "saturated", never as headroom.
-            saturated.clear();
-            for &l in active.iter() {
-                let load = &mut loads[l as usize];
-                let mut x = load.left;
-                for _ in 0..load.count {
-                    x = (x - delta).max(0.0);
-                }
-                load.left = x;
-                if x <= links[l as usize].sat_below {
-                    saturated.push(l);
-                }
-            }
-
-            let before = open;
-            let mut freeze = |m: &mut Member, key: u32| {
-                m.frozen_in = fill;
-                loads[up(m.src)].count -= 1;
-                loads[down(m.dst)].count -= 1;
-                open -= 1;
-                // Pin exactly to the cap so rounding never reports a rate
-                // above what the transport window allows.
-                let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
-                sink(key, if at_cap { m.cap } else { level });
-            };
-            for &l in saturated.iter() {
-                for &key in &links[l as usize].flows {
-                    let m = &mut members[key as usize];
-                    if m.cap > 0.0 && m.frozen_in != fill {
-                        freeze(m, key);
-                    }
-                }
-            }
-            min_cap = f64::INFINITY;
-            capped.retain(|&key| {
-                let m = &mut members[key as usize];
-                if m.frozen_in == fill {
-                    return false;
-                }
-                if level >= m.cap * (1.0 - REL_EPS) {
-                    freeze(m, key);
-                    return false;
-                }
-                min_cap = min_cap.min(m.cap);
-                true
-            });
-            // With delta > 0 something always freezes; with delta == 0 a
-            // link is already saturated and its flows freeze. Guard against
-            // float pathology anyway.
-            if open == before {
-                for &g in nodes {
-                    for &key in &links[up(g)].flows {
-                        let m = &members[key as usize];
-                        if m.cap > 0.0 && m.frozen_in != fill {
-                            sink(key, level);
-                        }
-                    }
-                }
-                break;
+    /// Find the first round of memo `c`'s trajectory that the changes —
+    /// links `touched`, flows `fresh` entered, versions `gone` — can alter,
+    /// rate the fresh flows the rounds before it freeze, and set up that
+    /// round. `None` when it is round 1.
+    ///
+    /// Why rounds `1..R` of the new fill are the stored ones, bit for bit.
+    /// Suppose rounds before `r` are. Then every untouched link enters
+    /// round `r` in its stored state — its members are unchanged flows, and
+    /// each froze in the same round as before — and so do the level and
+    /// every unchanged flow. The touched links' new states are replayed
+    /// here, round by round, with the kernel's own float operations. Round
+    /// `r` is then the stored one when:
+    ///
+    /// * its link minimum is: the stored argmin is untouched (so the
+    ///   untouched links still reach the stored minimum) and no touched
+    ///   link's new ratio is below it;
+    /// * its cap term leaves the bound as it was: no departed version
+    ///   strictly bound it, and no entered cap reaches below it;
+    /// * every touched link saturates in it exactly if it did before, so
+    ///   every unchanged flow freezes in the same round;
+    /// * it still freezes something, and flows are still open at its start.
+    ///
+    /// The flows frozen before `R` keep their rates and get no call. The
+    /// smallest due of a round is kept with it; a departed flow that held
+    /// one makes that round's minimum unknown, so `R` is at most its round.
+    fn resume(
+        &mut self,
+        c: usize,
+        touched: &[u32],
+        fresh: &[u32],
+        gone: &[Gone],
+        sink: &mut impl FnMut(u32, f64) -> u64,
+        out: &mut Filled,
+    ) -> Option<(u32, u32, f64, f64)> {
+        let tag = c as u32 + 1;
+        let Self {
+            links,
+            loads,
+            members,
+            memos,
+            active,
+            capped,
+            replay,
+            ..
+        } = self;
+        let memo = &mut memos[c];
+        let generation = memo.generation;
+        let rounds = &mut memo.rounds;
+        let n = rounds.len() as u32;
+        let mut limit = n + 1;
+        for g in gone {
+            debug_assert!((1..=n).contains(&g.round), "departed flow without a round");
+            let stored = rounds.get((g.round as usize).wrapping_sub(1))?;
+            if stored.due == g.due {
+                limit = limit.min(g.round);
             }
         }
-        (rounds, rated)
+        // Take the touched links out of the buckets; their part of the
+        // trajectory is re-derived below.
+        replay.clear();
+        for (i, &l) in touched.iter().enumerate() {
+            debug_assert_eq!(links[l as usize].touched, tag);
+            let link = &links[l as usize];
+            let (old_end, old_sat) = if link.memo == generation {
+                (link.hist.len() as u32, link.sat)
+            } else {
+                (0, 0)
+            };
+            if old_end > 0 {
+                let b = &mut memo.ends[old_end as usize - 1];
+                let at = link.at as usize;
+                b.swap_remove(at);
+                if let Some(&moved) = b.get(at) {
+                    links[moved as usize].at = at as u32;
+                }
+            }
+            let link = &mut links[l as usize];
+            link.at = i as u32;
+            replay.push(Replay {
+                link: l,
+                left: link.cap,
+                count: 0,
+                old_end,
+                old_sat,
+                end: 0,
+                sat: 0,
+                after: 0.0,
+                saturates: false,
+            });
+        }
+        let on = |m: &Member, l: u32| up(m.src) as u32 == l || down(m.dst) as u32 == l;
+
+        let mut r = 1u32;
+        let open = loop {
+            let ri = r as usize - 1;
+            // Flows open at round r's start, and each touched link's count.
+            let gone_open = gone.iter().filter(|g| g.round >= r).count() as u32;
+            let fresh_open = fresh
+                .iter()
+                .filter(|&&k| members[k as usize].round >= r)
+                .count() as u32;
+            let stored_open = rounds.get(ri).map_or(0, |s| s.open);
+            let open = stored_open + fresh_open - gone_open;
+            for t in replay.iter_mut() {
+                let stored = if r <= t.old_end {
+                    links[t.link as usize].hist[ri].count
+                } else {
+                    0
+                };
+                let entered = fresh
+                    .iter()
+                    .filter(|&&k| {
+                        let m = &members[k as usize];
+                        m.round >= r && on(m, t.link)
+                    })
+                    .count() as u32;
+                let left = gone
+                    .iter()
+                    .filter(|g| g.round >= r && g.links.contains(&t.link))
+                    .count() as u32;
+                t.count = stored + entered - left;
+            }
+            if open == 0 || r >= limit {
+                break open;
+            }
+            let s = rounds[ri];
+            let level = if r == 1 { 0.0 } else { rounds[ri - 1].level };
+            if links[s.arg as usize].touched == tag
+                || replay
+                    .iter()
+                    .any(|t| t.count > 0 && t.left / (t.count as f64) < s.link_min)
+            {
+                break open;
+            }
+            let cap_bound = s.bound < s.link_min;
+            if gone
+                .iter()
+                .any(|g| g.round >= r && g.cap.is_finite() && cap_bound && g.cap - level == s.bound)
+                || fresh.iter().any(|&k| {
+                    let m = &members[k as usize];
+                    m.round >= r && m.cap.is_finite() && m.cap - level < s.bound
+                })
+            {
+                break open;
+            }
+            for t in replay.iter_mut() {
+                let mut x = t.left;
+                for _ in 0..t.count {
+                    x = (x - s.delta).max(0.0);
+                }
+                t.after = x;
+                t.saturates = t.count > 0 && x <= links[t.link as usize].sat_below;
+            }
+            if replay.iter().any(|t| t.saturates != (t.old_sat == r)) {
+                break open;
+            }
+            let saturates = |l: usize| replay[links[l].at as usize].saturates;
+            let mut froze = 0;
+            for &k in fresh {
+                let m = &mut members[k as usize];
+                let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
+                if m.round == UNFROZEN && (at_cap || saturates(up(m.src)) || saturates(down(m.dst)))
+                {
+                    m.round = r;
+                    froze += 1;
+                }
+            }
+            let stored_froze = s.open - rounds.get(ri + 1).map_or(0, |next| next.open);
+            let left = gone.iter().filter(|g| g.round == r).count() as u32;
+            if stored_froze + froze == left {
+                // Nothing would freeze: let the kernel's guard see it.
+                for &k in fresh {
+                    let m = &mut members[k as usize];
+                    if m.round == r {
+                        m.round = UNFROZEN;
+                    }
+                }
+                break open;
+            }
+            for t in replay.iter_mut() {
+                if t.count > 0 {
+                    let hist = &mut links[t.link as usize].hist;
+                    let load = Load {
+                        left: t.left,
+                        count: t.count,
+                    };
+                    if hist.len() > ri {
+                        hist[ri] = load;
+                    } else {
+                        hist.push(load);
+                    }
+                    t.end = r;
+                }
+                if t.saturates {
+                    t.sat = r;
+                }
+                t.left = t.after;
+            }
+            rounds[ri].open = open;
+            r += 1;
+        };
+        if r == 1 {
+            return None;
+        }
+        let start = r;
+        out.reused = u64::from(start - 1);
+        self.reused += out.reused;
+        memo.rounds.truncate(start as usize - 1);
+        // Fresh flows the reused rounds froze are rated now.
+        for &k in fresh {
+            let m = &mut members[k as usize];
+            if m.round < start {
+                let s = &mut memo.rounds[m.round as usize - 1];
+                let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
+                m.due = sink(k, if at_cap { m.cap } else { s.level });
+                s.due = s.due.min(m.due);
+                out.rated += 1;
+            }
+        }
+        // The touched links keep what the reused rounds gave them; those
+        // still loaded join the untouched links loaded at `start`.
+        active.clear();
+        for t in replay.iter() {
+            let link = &mut links[t.link as usize];
+            link.memo = generation;
+            link.sat = t.sat;
+            link.hist.truncate(t.end as usize);
+            if t.count > 0 {
+                debug_assert!(open > 0 && t.end == start - 1);
+                loads[t.link as usize] = Load {
+                    left: t.left,
+                    count: t.count,
+                };
+                active.push(t.link);
+            } else {
+                file(&mut memo.ends, link, t.link);
+            }
+        }
+        for e in start as usize..=memo.ends.len() {
+            for &l in &memo.ends[e - 1] {
+                let link = &mut links[l as usize];
+                loads[l as usize] = link.hist[start as usize - 1];
+                link.hist.truncate(start as usize - 1);
+                link.sat = 0;
+                active.push(l);
+            }
+            memo.ends[e - 1].clear();
+        }
+        // The capped flows still open.
+        capped.clear();
+        let mut min_cap = f64::INFINITY;
+        for &l in active.iter() {
+            let link = &links[l as usize];
+            if l % 2 == 0 && link.capped > 0 {
+                for &k in &link.flows {
+                    let m = &members[k as usize];
+                    if m.cap > 0.0 && m.cap.is_finite() && m.round >= start {
+                        capped.push(k);
+                        min_cap = min_cap.min(m.cap);
+                    }
+                }
+            }
+        }
+        let level = memo.rounds[start as usize - 2].level;
+        Some((start, open, level, min_cap))
     }
 }
 
@@ -548,23 +1175,26 @@ pub fn allocate_with(topo: &Topology, flows: &[FlowDemand], s: &mut Scratch) -> 
             // stale from an earlier one.
             if fill.degree(node.0 as u32) == 0 {
                 let spec = topo.spec(node);
-                fill.set_node_caps(node.0 as u32, spec.uplink_bps, spec.downlink_bps);
+                fill.set_node_caps(None, node.0 as u32, spec.uplink_bps, spec.downlink_bps);
             }
         }
-        fill.attach(k as u32, f.src.0 as u32, f.dst.0 as u32, f.cap_bps);
+        fill.attach(None, k as u32, f.src.0 as u32, f.dst.0 as u32, f.cap_bps);
     }
     // One fill per connected component, found from each flow not yet
-    // reached.
+    // reached; every fill starts at round 1.
     let tag = fill.new_tag();
     for f in flows {
         let src = f.src.0 as u32;
         if !fill.seen(src, tag) {
             fill.component_of(src, tag, &mut s.nodes);
-            fill.fill(&s.nodes, |k, rate| rates[k as usize] = rate);
+            fill.fill(0, false, &s.nodes, |k, rate| {
+                rates[k as usize] = rate;
+                0
+            });
         }
     }
     for k in 0..flows.len() {
-        fill.detach(k as u32);
+        fill.detach(None, k as u32);
     }
     rates
 }
@@ -769,16 +1399,16 @@ mod tests {
         let mut fs = FillState::default();
         fs.ensure_nodes(5);
         for (k, (s, d)) in [(0, 1), (1, 2), (2, 3)].into_iter().enumerate() {
-            fs.attach(k as u32, s, d, 1.0);
+            fs.attach(None, k as u32, s, d, 1.0);
         }
         let mut side = Vec::new();
         // Flow 1 (1 → 2) leaves: {0, 1} and {2, 3} fall apart.
-        fs.detach(1);
+        fs.detach(None, 1);
         assert!(fs.severed(1, 2, &mut side));
         side.sort_unstable();
         assert!(side == [0, 1] || side == [2, 3], "{side:?}");
         // With the detour in place the same departure cuts nothing.
-        fs.attach(1, 0, 3, 1.0);
+        fs.attach(None, 1, 0, 3, 1.0);
         assert!(!fs.severed(1, 2, &mut side));
     }
 
@@ -985,5 +1615,249 @@ mod tests {
                 prop_assert_eq!(got[pos].to_bits(), want[i].to_bits(), "flow {}", i);
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Resumed fills against round-1 fills and the reference.
+    // ------------------------------------------------------------------
+
+    /// One change to the single component of [`check_script`].
+    #[derive(Debug, Clone)]
+    enum Change {
+        Attach {
+            src: usize,
+            dst: usize,
+            cap: f64,
+        },
+        Detach {
+            victim: usize,
+        },
+        SetCap {
+            victim: usize,
+            cap: f64,
+        },
+        SetNodeCaps {
+            node: usize,
+            uplink: f64,
+            downlink: f64,
+        },
+    }
+
+    /// A capacity or cap: half the time one of a few round values, so that
+    /// shares tie and links saturate together.
+    fn arb_bps() -> impl Strategy<Value = f64> {
+        (0usize..6, 1e5f64..1e10).prop_map(|(pick, bps)| match pick {
+            0 => 1.25e9,
+            1 => 1e9,
+            2 => 3e8,
+            _ => bps,
+        })
+    }
+
+    fn arb_cap() -> impl Strategy<Value = f64> {
+        (0usize..4, arb_bps()).prop_map(|(phase, cap)| match phase {
+            0 => 0.0,
+            1 => cap,
+            _ => f64::INFINITY,
+        })
+    }
+
+    /// Up to `NODES` nodes whose capacities often tie.
+    fn arb_tied_topo() -> impl Strategy<Value = Topology> {
+        prop::collection::vec((arb_bps(), arb_bps()), 2..NODES + 1).prop_map(|specs| {
+            let mut t = Topology::new();
+            for (uplink_bps, downlink_bps) in specs {
+                t.add_node(NodeSpec {
+                    uplink_bps,
+                    downlink_bps,
+                });
+            }
+            t
+        })
+    }
+
+    /// 4/10 attaches, 2/10 detaches, 3/10 cap changes, 1/10 capacity
+    /// changes; node and victim indices are reduced at use.
+    fn arb_changes() -> impl Strategy<Value = Vec<Change>> {
+        prop::collection::vec(
+            (
+                0usize..10,
+                (0..NODES, 0..NODES, arb_cap()),
+                0usize..64,
+                (arb_bps(), arb_bps()),
+            ),
+            1..60,
+        )
+        .prop_map(|v| {
+            v.into_iter()
+                .map(
+                    |(sel, (src, dst, cap), victim, (uplink, downlink))| match sel {
+                        0..=3 => Change::Attach { src, dst, cap },
+                        4..=5 => Change::Detach { victim },
+                        6..=8 => Change::SetCap { victim, cap },
+                        _ => Change::SetNodeCaps {
+                            node: src,
+                            uplink,
+                            downlink,
+                        },
+                    },
+                )
+                .collect()
+        })
+    }
+
+    /// A due that depends on the flow and every bit of its rate.
+    fn due(key: u32, rate: f64) -> u64 {
+        (rate.to_bits() ^ u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 1
+    }
+
+    /// Drive `changes` on one component (memo 0, every node of `topo`),
+    /// filling after each with resumption on. After every fill, each live
+    /// flow's rate — set by the fill that last rated it — must equal, bit
+    /// for bit, what a round-1 fill of a copy of the state and the
+    /// scan-everything reference give, and the fill's earliest due must be
+    /// the smallest due of the live flows. Returns the rounds reused.
+    fn check_script(topo: &Topology, changes: &[Change]) -> u64 {
+        let n = topo.len();
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let mut specs: Vec<(f64, f64)> = topo
+            .iter()
+            .map(|(_, s)| (s.uplink_bps, s.downlink_bps))
+            .collect();
+        let mut fs = FillState::default();
+        fs.ensure_nodes(n);
+        for (g, &(u, d)) in specs.iter().enumerate() {
+            fs.set_node_caps(None, g as u32, u, d);
+        }
+        // Live flows by key, with their demands; freed keys are reused.
+        let mut live: Vec<u32> = Vec::new();
+        let mut demand: Vec<FlowDemand> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut rates: Vec<f64> = Vec::new();
+        let mut dues: Vec<u64> = Vec::new();
+        let memo = Some(0);
+        let mut reused = 0;
+        for (step, change) in changes.iter().enumerate() {
+            match *change {
+                Change::Attach { src, dst, cap } => {
+                    let key = free.pop().unwrap_or(demand.len() as u32);
+                    let d = FlowDemand {
+                        src: NodeId(src % n),
+                        dst: NodeId(dst % n),
+                        cap_bps: cap,
+                    };
+                    if key as usize == demand.len() {
+                        demand.push(d);
+                        rates.push(0.0);
+                        dues.push(u64::MAX);
+                    }
+                    demand[key as usize] = d;
+                    rates[key as usize] = 0.0;
+                    dues[key as usize] = u64::MAX;
+                    fs.attach(memo, key, d.src.0 as u32, d.dst.0 as u32, cap);
+                    live.push(key);
+                }
+                Change::Detach { victim } if !live.is_empty() => {
+                    let key = live.swap_remove(victim % live.len());
+                    fs.detach(memo, key);
+                    free.push(key);
+                }
+                Change::SetCap { victim, cap } if !live.is_empty() => {
+                    let key = live[victim % live.len()];
+                    demand[key as usize].cap_bps = cap;
+                    fs.set_cap(memo, key, cap);
+                }
+                Change::SetNodeCaps {
+                    node,
+                    uplink,
+                    downlink,
+                } => {
+                    specs[node % n] = (uplink, downlink);
+                    fs.set_node_caps(memo, (node % n) as u32, uplink, downlink);
+                }
+                _ => {}
+            }
+            let mut round_one = fs.clone();
+            let filled = fs.fill(0, true, &nodes, |k, rate| {
+                rates[k as usize] = rate;
+                dues[k as usize] = due(k, rate);
+                dues[k as usize]
+            });
+            reused += filled.reused;
+            let mut full = vec![f64::NAN; demand.len()];
+            let full_filled = round_one.fill(0, false, &nodes, |k, rate| {
+                full[k as usize] = rate;
+                due(k, rate)
+            });
+            assert_eq!(full_filled.reused, 0);
+            let mut t = Topology::new();
+            for &(uplink_bps, downlink_bps) in &specs {
+                t.add_node(NodeSpec {
+                    uplink_bps,
+                    downlink_bps,
+                });
+            }
+            let flows: Vec<FlowDemand> = live.iter().map(|&k| demand[k as usize]).collect();
+            let want = reference_fill(&t, &flows);
+            let mut earliest = u64::MAX;
+            for (&k, &want) in live.iter().zip(&want) {
+                let k = k as usize;
+                if demand[k].cap_bps > 0.0 {
+                    earliest = earliest.min(dues[k]);
+                    assert_eq!(
+                        rates[k].to_bits(),
+                        want.to_bits(),
+                        "step {step}: flow {k} resumed"
+                    );
+                    assert_eq!(
+                        full[k].to_bits(),
+                        want.to_bits(),
+                        "step {step}: flow {k} round 1"
+                    );
+                } else {
+                    assert_eq!(want, 0.0);
+                }
+            }
+            assert_eq!(filled.earliest, earliest, "step {step}: earliest due");
+            assert_eq!(
+                full_filled.earliest, earliest,
+                "step {step}: round-1 earliest"
+            );
+        }
+        reused
+    }
+
+    /// Random change scripts on one component: every fill that resumes
+    /// agrees with a fill from round 1 and with the reference, and across
+    /// the scripts fills do resume — with resumption disabled this fails.
+    #[test]
+    fn resumed_fill_matches_round_one_and_reference() {
+        const CASES: u32 = 256;
+        let (topos, scripts) = (arb_tied_topo(), arb_changes());
+        let mut reused = 0;
+        for case in 0..CASES {
+            let mut rng = TestRng::for_case("maxmin::resumed_fill", case);
+            let topo = topos.generate(&mut rng);
+            let changes = scripts.generate(&mut rng);
+            reused += check_script(&topo, &changes);
+        }
+        assert!(reused > 0, "no fill resumed in {CASES} scripts");
+    }
+
+    /// `allocate_with` fills from round 1 every time, whatever its scratch
+    /// held before.
+    #[test]
+    fn allocate_with_never_reuses_a_round() {
+        let mut s = Scratch::default();
+        let (topos, flows) = (arb_topo(), arb_flows());
+        for case in 0..64 {
+            let mut rng = TestRng::for_case("maxmin::allocate_with_rounds", case);
+            let topo = topos.generate(&mut rng);
+            let flows = onto(&topo, &flows.generate(&mut rng));
+            let got = allocate_with(&topo, &flows, &mut s);
+            assert_eq!(bits(&got), bits(&reference_allocate(&topo, &flows)));
+        }
+        assert!(s.fill.fills > 0);
+        assert_eq!(s.fill.reused, 0);
     }
 }

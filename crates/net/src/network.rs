@@ -18,9 +18,6 @@
 //! }
 //! ```
 //!
-//! Rate changes bump an internal [`Network::version`] so callers using
-//! pre-scheduled wake-ups can discard stale ones.
-//!
 //! # Scaling architecture
 //!
 //! The engine is built so that its cost follows what *changed*, not how
@@ -45,10 +42,14 @@
 //!   it (per-link member lists, open-flow counts, capacities) is maintained
 //!   per arrival, departure, phase transition and capacity change rather
 //!   than rebuilt per fill, and the fill itself works link by link (see
-//!   [`crate::maxmin`]).
-//! * **Component-level completion index.** A fill already visits every
-//!   member, so it also notes the earliest predicted completion among them;
-//!   the index holds one entry per *fill*, not one per rate change. Harvest
+//!   [`crate::maxmin`]). A re-fill resumes from the first round of the
+//!   component's previous fill that the changes since can alter (the full
+//!   resolve always starts at round 1).
+//! * **Component-level completion index.** The fill keeps, per round of a
+//!   component's trajectory, the earliest predicted completion among the
+//!   members that round froze, so a resumed fill knows the component's
+//!   earliest without visiting the members of the rounds it reused; the
+//!   index holds one entry per *fill*, not one per rate change. Harvest
 //!   scans only components whose entry is due. Phase transitions keep a
 //!   per-flow lazy-invalidation heap — rate changes do not churn it.
 //! * **Slab storage + lazy integration.** Flows live in a slab (stable
@@ -244,9 +245,13 @@ pub struct FlowEnd {
 pub struct NetStats {
     /// Component fills run.
     pub refills: u64,
-    /// Rates handed out by those fills (one per member past its handshake).
+    /// Rates those fills set: one per member the rounds they ran froze,
+    /// plus one per member that joined or changed its cap since its
+    /// component's previous fill. A member frozen in a reused round keeps
+    /// its rate and is not counted; a fill from round 1 counts every member
+    /// past its handshake.
     pub flows_refilled: u64,
-    /// Progressive-filling rounds inside them.
+    /// Progressive-filling rounds the fills ran (not the ones they reused).
     pub fill_rounds: u64,
     /// Rounds a fill took unchanged from its component's previous fill
     /// instead of running them.
@@ -277,7 +282,6 @@ pub struct Network {
     n_active: usize,
     next_id: u64,
     clock: SimTime,
-    version: u64,
     /// Cached `max(uplink, downlink)` over all nodes: the Ramp → Steady
     /// threshold. Recomputed when a node spec changes.
     max_cap: f64,
@@ -320,7 +324,7 @@ impl Network {
         fill.ensure_nodes(n);
         let mut max_cap = 0.0f64;
         for (node, spec) in topo.iter() {
-            fill.set_node_caps(node.0 as u32, spec.uplink_bps, spec.downlink_bps);
+            fill.set_node_caps(None, node.0 as u32, spec.uplink_bps, spec.downlink_bps);
             max_cap = max_cap.max(spec.uplink_bps.max(spec.downlink_bps));
         }
         Network {
@@ -332,7 +336,6 @@ impl Network {
             n_active: 0,
             next_id: 0,
             clock: SimTime::ZERO,
-            version: 0,
             max_cap,
             fill,
             comps: Vec::new(),
@@ -394,12 +397,6 @@ impl Network {
     /// The topology (capacities may change via [`Network::set_node_spec`]).
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Monotone counter bumped on every rate change; callers use it to
-    /// invalidate pre-scheduled wake-ups.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of in-flight transfers.
@@ -548,8 +545,10 @@ impl Network {
     pub fn set_node_spec(&mut self, now: SimTime, node: NodeId, spec: NodeSpec) -> Vec<FlowEnd> {
         let done = self.advance_to(now);
         self.topo.set_spec(node, spec);
+        let c = self.node_comp[node.0];
+        let memo = (c != NO_COMP).then_some(c);
         self.fill
-            .set_node_caps(node.0 as u32, spec.uplink_bps, spec.downlink_bps);
+            .set_node_caps(memo, node.0 as u32, spec.uplink_bps, spec.downlink_bps);
         self.max_cap = self
             .topo
             .iter()
@@ -557,7 +556,6 @@ impl Network {
             .fold(0.0f64, f64::max);
         // Only the component touching this node sees different capacities;
         // every other component's allocation is unchanged by construction.
-        let c = self.node_comp[node.0];
         if c != NO_COMP {
             self.mark_dirty(c);
         }
@@ -820,8 +818,8 @@ impl Network {
         if let Some(nt) = transition_time(f) {
             self.transitions.push(Reverse((nt, f.id.0, slot)));
         }
-        self.fill.set_cap(slot, f.phase.cap_bps());
         let comp = self.node_comp[f.src.0];
+        self.fill.set_cap(Some(comp), slot, f.phase.cap_bps());
         // Setup→Ramp releases the flow (demand 0 → positive) and a binding
         // Ramp cap that doubles genuinely frees rate: both need a re-fill.
         // A non-binding cap that rises leaves the fill arithmetic — and so
@@ -919,6 +917,7 @@ impl Network {
     }
 
     fn free_comp(&mut self, c: u32) {
+        self.fill.forget(c);
         let comp = &mut self.comps[c as usize];
         debug_assert!(comp.nodes.is_empty());
         comp.live = false;
@@ -956,7 +955,6 @@ impl Network {
     fn attach_flow(&mut self, slot: u32) {
         let f = self.flow(slot);
         let (src, dst, cap) = (f.src.0, f.dst.0, f.phase.cap_bps());
-        self.fill.attach(slot, src as u32, dst as u32, cap);
         let ca = self.node_comp[src];
         let cb = self.node_comp[dst];
         let merged = ca != NO_COMP && cb != NO_COMP && ca != cb;
@@ -972,6 +970,8 @@ impl Network {
                 self.join_comp(node, comp);
             }
         }
+        self.fill
+            .attach(Some(comp), slot, src as u32, dst as u32, cap);
         // A flow still in TCP setup has a zero demand cap: the fill leaves
         // it at rate 0, and a frozen zero contributes nothing — no counts,
         // no cap terms, no increments — so adding it leaves every other
@@ -994,6 +994,8 @@ impl Network {
             } else {
                 (b, a)
             };
+        // The merged population fills as one from round 1.
+        self.fill.forget(keep);
         let mut moving = std::mem::take(&mut self.comps[gone as usize].nodes);
         for &g in &moving {
             self.join_comp(g as usize, keep);
@@ -1010,7 +1012,7 @@ impl Network {
         let f = self.flow(slot);
         let (src, dst) = (f.src.0, f.dst.0);
         let c = self.node_comp[src];
-        self.fill.detach(slot);
+        self.fill.detach(Some(c), slot);
         for node in [src, dst] {
             if self.node_comp[node] != NO_COMP && self.fill.degree(node as u32) == 0 {
                 self.leave_comp(node);
@@ -1031,6 +1033,8 @@ impl Network {
             self.stats.split_checks += 1;
             let mut side = std::mem::take(&mut self.side);
             if self.fill.severed(src as u32, dst as u32, &mut side) {
+                // Both parts fill from round 1.
+                self.fill.forget(c);
                 let part = self.alloc_comp();
                 for &g in &side {
                     self.leave_comp(g as usize);
@@ -1045,7 +1049,6 @@ impl Network {
     /// Recompute rates for every dirty component (all components in
     /// full-resolve mode).
     fn reallocate(&mut self) {
-        self.version += 1;
         if self.full_resolve {
             for c in 0..self.comps.len() {
                 if self.comps[c].live {
@@ -1077,7 +1080,6 @@ impl Network {
     fn fill_comp(&mut self, c: u32) {
         let nodes = std::mem::take(&mut self.comps[c as usize].nodes);
         let clock = self.clock;
-        let mut earliest = SimTime::MAX;
         let Self {
             fill,
             slots,
@@ -1085,9 +1087,12 @@ impl Network {
             tx_base,
             rx_base,
             stats,
+            full_resolve,
             ..
         } = self;
-        let (rounds, rated) = fill.fill(&nodes, |slot, rate| {
+        // The fill hands out only the rates its rounds set; the members the
+        // reused rounds froze keep theirs, and their predictions with them.
+        let filled = fill.fill(c, !*full_resolve, &nodes, |slot, rate| {
             let pace = &mut pace[slot as usize];
             if rate.to_bits() != pace.rate.to_bits() {
                 stats.rate_changes += 1;
@@ -1103,11 +1108,13 @@ impl Network {
                     SimTime::MAX
                 };
             }
-            earliest = earliest.min(pace.pred_end);
+            pace.pred_end.0
         });
         stats.refills += 1;
-        stats.fill_rounds += rounds;
-        stats.flows_refilled += rated;
+        stats.fill_rounds += filled.rounds;
+        stats.rounds_reused += filled.reused;
+        stats.flows_refilled += filled.rated;
+        let earliest = SimTime(filled.earliest);
         let stamp = self.next_stamp();
         let comp = &mut self.comps[c as usize];
         comp.nodes = nodes;
@@ -1320,17 +1327,6 @@ mod tests {
         net.advance_to(SimTime::from_secs_f64(1.5));
         assert!((net.tx_bytes(NodeId(0)) - 1500.0).abs() < 1.0);
         assert!((net.rx_bytes(NodeId(1)) - 1500.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn version_bumps_on_changes() {
-        let mut net = ideal_net(2, 1000.0);
-        let v0 = net.version();
-        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 100, 0);
-        // The re-fill is deferred; the version ticks once a rate consumer
-        // (here the event-time peek) forces it to land.
-        net.next_event_time();
-        assert!(net.version() > v0);
     }
 
     #[test]
@@ -1567,6 +1563,40 @@ mod tests {
                 .map(|r| r.map(f64::to_bits))
                 .collect::<Vec<_>>(),
             "rates diverged"
+        );
+    }
+
+    #[test]
+    fn full_resolve_never_reuses_a_round() {
+        // A fan-in whose members finish one by one, with a second fan-in
+        // joining half-way: the incremental engine resumes its fills, the
+        // full-resolve oracle runs every one from round 1, and both land
+        // on the same completions.
+        let run = |full: bool| {
+            let mut net = ideal_net(12, 1000.0);
+            net.set_full_resolve(full);
+            for w in 1..8usize {
+                let bytes = 1000 * w as u64;
+                net.start_flow(SimTime::ZERO, NodeId(w), NodeId(0), bytes, w as u64);
+            }
+            let t1 = SimTime::from_secs_f64(9.0);
+            let mut ends = net.advance_to(t1);
+            for w in 8..12usize {
+                net.start_flow(t1, NodeId(w), NodeId(1), 500 * w as u64, w as u64);
+                net.start_flow(t1, NodeId(w), NodeId(0), 300 * w as u64, 100 + w as u64);
+            }
+            ends.extend(net.run_to_completion());
+            let ends: Vec<(u64, u64)> = ends.iter().map(|e| (e.tag, e.finished.0)).collect();
+            (ends, net.stats())
+        };
+        let (ends_inc, inc) = run(false);
+        let (ends_full, full) = run(true);
+        assert_eq!(ends_inc, ends_full);
+        assert_eq!(full.rounds_reused, 0, "{full:?}");
+        assert!(inc.rounds_reused > 0, "{inc:?}");
+        assert!(
+            inc.flows_refilled < full.flows_refilled,
+            "{inc:?} vs {full:?}"
         );
     }
 

@@ -6,6 +6,14 @@
 //! [`NetStats`] field is exact per seed, so the whole struct is pinned: a
 //! change to how the engine re-fills components must say, field by field,
 //! which counts it moves.
+//!
+//! Resumable fills moved three: `flows_refilled` and `fill_rounds` count
+//! only the rates set and rounds run, and `rounds_reused` the rounds taken
+//! from a component's previous fill. Before them, every fill ran every
+//! round and rated every member: `flows_refilled` was 357 722 / 337 770 /
+//! 486 217 / 1 605 828 and `fill_rounds` 21 298 / 30 949 / 20 110 / 57 223
+//! (FIFO / P3 / ByteScheduler / prophet-oracle). Every other field is the
+//! same as it was then.
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
@@ -46,19 +54,21 @@ fn sim_scale_shaped_cell_counts_are_pinned() {
     let want = [
         (
             "mxnet-fifo",
-            [8306, 357722, 21298, 0, 26076, 8230, 4652, 2799, 7936],
+            [8306, 40299, 9531, 11767, 26076, 8230, 4652, 2799, 7936],
         ),
         (
             "p3",
-            [9932, 337770, 30949, 0, 36333, 9561, 5713, 6380, 8832],
+            [9932, 77756, 17954, 12995, 36333, 9561, 5713, 6380, 8832],
         ),
         (
             "bytescheduler",
-            [4169, 486217, 20110, 0, 77560, 4169, 1666, 7825, 8832],
+            [4169, 137426, 11179, 8931, 77560, 4169, 1666, 7825, 8832],
         ),
         (
             "prophet-oracle",
-            [12840, 1605828, 57223, 0, 274632, 12840, 5742, 11582, 13788],
+            [
+                12840, 510486, 31354, 25869, 274632, 12840, 5742, 11582, 13788,
+            ],
         ),
     ];
     let lineup = SchedulerKind::paper_lineup(1.25e9);
