@@ -661,6 +661,15 @@ impl Network {
     /// into constant-rate segments at phase transitions *and* completions,
     /// so completion timestamps are exact even if the caller overshoots.
     pub fn advance_to(&mut self, now: SimTime) -> Vec<FlowEnd> {
+        let mut completed = Vec::new();
+        self.advance_into(now, &mut completed);
+        completed
+    }
+
+    /// [`Network::advance_to`], appending the completions to `completed`
+    /// instead of returning a fresh list, so a caller that drains every
+    /// instant can keep one buffer.
+    pub fn advance_into(&mut self, now: SimTime, completed: &mut Vec<FlowEnd>) {
         debug_assert!(now >= self.clock, "network advanced backwards");
         // Time is about to pass: any deferred re-fills must land first so
         // the completion predictions segmenting `[clock, now]` are current.
@@ -671,7 +680,6 @@ impl Network {
         if now > self.clock {
             self.reallocate();
         }
-        let mut completed = Vec::new();
         loop {
             let mut seg_end = now;
             if let Some(t) = self.peek_transition() {
@@ -690,7 +698,7 @@ impl Network {
             if processed {
                 self.reallocate();
             }
-            if self.harvest_due(seg_end, &mut completed) {
+            if self.harvest_due(seg_end, completed) {
                 self.reallocate();
                 processed = true;
             }
@@ -698,7 +706,6 @@ impl Network {
                 break;
             }
         }
-        completed
     }
 
     /// Earliest valid transition entry, pruning stale ones.

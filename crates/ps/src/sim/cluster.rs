@@ -361,6 +361,9 @@ struct Cluster {
     total_iters: u64,
     queue: EventQueue<Ev>,
     net: Network,
+    /// The network's completions at the instant being drained (empty
+    /// between drains; kept for its capacity).
+    net_ends: Vec<FlowEnd>,
     workers: Vec<WorkerRt>,
     /// The BSP barrier ledger: aggregation progress per `(iteration,
     /// gradient)`, in bytes, and which evictions have fired.
@@ -617,6 +620,7 @@ impl Cluster {
             total_iters,
             queue: EventQueue::new(),
             net,
+            net_ends: Vec::new(),
             workers,
             barriers: Barriers::new(total_workers, sizes.clone()),
             tasks: Tasks::default(),
@@ -1323,8 +1327,9 @@ impl Cluster {
 
     /// Advance the network to `now` and process completions.
     fn drain_net(&mut self, now: SimTime) {
-        let ends = self.net.advance_to(now);
-        for end in ends {
+        let mut ends = std::mem::take(&mut self.net_ends);
+        self.net.advance_into(now, &mut ends);
+        for end in ends.drain(..) {
             // Forward flow events up to this completion's instant first, so
             // the sinks see FlowEnd before the PushEnd/PullEnd it causes.
             self.forward_net_events_up_to(end.finished);
@@ -1333,6 +1338,7 @@ impl Cluster {
             // exactly this instant; flush those before moving on.
             self.forward_net_events_up_to(end.finished);
         }
+        self.net_ends = ends;
         self.forward_net_events_up_to(now);
     }
 
