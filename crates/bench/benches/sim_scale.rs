@@ -99,6 +99,7 @@ fn bench_sim_scale(c: &mut Criterion) {
             ("refills", s.refills),
             ("flows_refilled", s.flows_refilled),
             ("fill_rounds", s.fill_rounds),
+            ("rounds_reused", s.rounds_reused),
             ("rate_changes", s.rate_changes),
             ("index_pushes", s.index_pushes),
             ("index_stale_pops", s.index_stale_pops),

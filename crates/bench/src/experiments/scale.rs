@@ -39,6 +39,7 @@ pub fn ext_scale() -> ExperimentOutput {
             "refills",
             "flows_refilled",
             "fill_rounds",
+            "rounds_reused",
             "rate_changes",
             "index_pushes",
             "index_stale_pops",
@@ -84,6 +85,7 @@ pub fn ext_scale() -> ExperimentOutput {
                     n.refills,
                     n.flows_refilled,
                     n.fill_rounds,
+                    n.rounds_reused,
                     n.rate_changes,
                     n.index_pushes,
                     n.index_stale_pops,
@@ -108,8 +110,10 @@ pub fn ext_scale() -> ExperimentOutput {
                  drowned in duplicate wake events and full re-solves). The \
                  columns from `msgs` on are the network engine's own work \
                  counters (`NetStats`), exact per seed: messages delivered, \
-                 component fills and the rates they handed out, filling \
-                 rounds, rates that actually changed, completion-index \
+                 component fills and the rates they set, the filling \
+                 rounds they ran and the rounds they reused from the \
+                 component's previous fill, rates that actually changed, \
+                 completion-index \
                  pushes and stale pops (both track fills, not rate \
                  changes), and departures that needed a connectivity \
                  search. The columns from `events` on are the cluster \

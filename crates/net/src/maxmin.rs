@@ -121,8 +121,21 @@ struct Member {
     /// 1 + the memo that recorded it as attached or re-capped since that
     /// memo's fill; 0 if none did.
     fresh_in: u32,
-    /// What the sink returned when it was last rated.
+    /// The rate it was last handed, and what the sink returned for it.
+    rate: f64,
     due: u64,
+}
+
+impl Member {
+    /// Hand `rate` to the sink unless it is, bit for bit, the rate this
+    /// flow was last handed; its due either way.
+    fn rate(&mut self, key: u32, rate: f64, sink: &mut impl FnMut(u32, f64) -> u64) -> u64 {
+        if rate.to_bits() != self.rate.to_bits() {
+            self.rate = rate;
+            self.due = sink(key, rate);
+        }
+        self.due
+    }
 }
 
 /// One round of a component's last fill, as a re-fill checks it.
@@ -175,6 +188,9 @@ struct Replay {
     /// Residual and count at the start of the round being checked.
     left: f64,
     count: u32,
+    /// Entered flows and departed versions on it still open then.
+    entered: u32,
+    departed: u32,
     /// Rounds its stored history covers, and the round it saturated in.
     old_end: u32,
     old_sat: u32,
@@ -193,7 +209,7 @@ pub(crate) struct Filled {
     pub rounds: u64,
     /// Rounds taken unchanged from the component's previous fill.
     pub reused: u64,
-    /// Calls of the sink.
+    /// Rates set (whether or not they changed).
     pub rated: u64,
     /// The smallest due over every member with a positive cap.
     pub earliest: u64,
@@ -293,6 +309,7 @@ impl FillState {
             frozen_in: 0,
             round: UNFROZEN,
             fresh_in: self.members.get(key as usize).map_or(0, |m| m.fresh_in),
+            rate: 0.0,
             due: u64::MAX,
         };
         let place = [up(src), down(dst)].map(|l| self.links[l].flows.len() as u32);
@@ -588,13 +605,14 @@ impl FillState {
     // ------------------------------------------------------------------
 
     /// Progressive filling over the connected component made of `nodes`
-    /// (all of them, each once, any order), kept as memo `memo`. `sink(key,
-    /// rate)` is called for every member with a positive cap whose rate the
-    /// fill sets — with `resume`, only those the rounds it runs freeze and
-    /// the ones changed since the memo's last fill; without, every one —
-    /// and returns the member's *due*, a number the fill keeps the minimum
-    /// of (the engine's predicted completion). Zero-cap members get rate 0
-    /// and no call.
+    /// (all of them, each once, any order), kept as memo `memo`. The fill
+    /// sets the rate of every member with a positive cap — with `resume`,
+    /// only of those the rounds it runs freeze and the ones changed since
+    /// the memo's last fill; without, of every one — and calls `sink(key,
+    /// rate)` when the rate differs, bit for bit, from the one the member
+    /// was last handed (0.0 at first). The sink returns the member's *due*,
+    /// a number the fill keeps the minimum of (the engine's predicted
+    /// completion). Zero-cap members get rate 0 and no call.
     ///
     /// Passing a disconnected node set still yields a valid max-min
     /// allocation, but one whose floating-point rounding couples the parts.
@@ -763,8 +781,7 @@ impl FillState {
                 // Pin exactly to the cap so rounding never reports a rate
                 // above what the transport window allows.
                 let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
-                m.due = sink(key, if at_cap { m.cap } else { level });
-                due = due.min(m.due);
+                due = due.min(m.rate(key, if at_cap { m.cap } else { level }, &mut sink));
                 out.rated += 1;
             };
             // Frozen in this fill's rounds, or in the rounds it reused.
@@ -799,8 +816,7 @@ impl FillState {
                     for &key in &links[up(g)].flows {
                         let m = &mut members[key as usize];
                         if m.cap > 0.0 && !frozen(m) {
-                            m.due = sink(key, level);
-                            out.earliest = out.earliest.min(m.due);
+                            out.earliest = out.earliest.min(m.rate(key, level, &mut sink));
                             out.rated += 1;
                         }
                     }
@@ -954,6 +970,8 @@ impl FillState {
                 link: l,
                 left: link.cap,
                 count: 0,
+                entered: 0,
+                departed: 0,
                 old_end,
                 old_sat,
                 end: 0,
@@ -962,17 +980,25 @@ impl FillState {
                 saturates: false,
             });
         }
-        let on = |m: &Member, l: u32| up(m.src) as u32 == l || down(m.dst) as u32 == l;
+        // Flows entered and departed versions still open, in all and per
+        // touched link; each round takes off the ones it froze.
+        for &k in fresh {
+            let m = &members[k as usize];
+            for l in [up(m.src), down(m.dst)] {
+                replay[links[l].at as usize].entered += 1;
+            }
+        }
+        for g in gone {
+            for l in g.links {
+                replay[links[l as usize].at as usize].departed += 1;
+            }
+        }
+        let (mut fresh_open, mut gone_open) = (fresh.len() as u32, gone.len() as u32);
 
         let mut r = 1u32;
         let open = loop {
             let ri = r as usize - 1;
             // Flows open at round r's start, and each touched link's count.
-            let gone_open = gone.iter().filter(|g| g.round >= r).count() as u32;
-            let fresh_open = fresh
-                .iter()
-                .filter(|&&k| members[k as usize].round >= r)
-                .count() as u32;
             let stored_open = rounds.get(ri).map_or(0, |s| s.open);
             let open = stored_open + fresh_open - gone_open;
             for t in replay.iter_mut() {
@@ -981,18 +1007,7 @@ impl FillState {
                 } else {
                     0
                 };
-                let entered = fresh
-                    .iter()
-                    .filter(|&&k| {
-                        let m = &members[k as usize];
-                        m.round >= r && on(m, t.link)
-                    })
-                    .count() as u32;
-                let left = gone
-                    .iter()
-                    .filter(|g| g.round >= r && g.links.contains(&t.link))
-                    .count() as u32;
-                t.count = stored + entered - left;
+                t.count = stored + t.entered - t.departed;
             }
             if open == 0 || r >= limit {
                 break open;
@@ -1070,6 +1085,21 @@ impl FillState {
                 }
                 t.left = t.after;
             }
+            for &k in fresh {
+                let m = &members[k as usize];
+                if m.round == r {
+                    for l in [up(m.src), down(m.dst)] {
+                        replay[links[l].at as usize].entered -= 1;
+                    }
+                }
+            }
+            for g in gone.iter().filter(|g| g.round == r) {
+                for l in g.links {
+                    replay[links[l as usize].at as usize].departed -= 1;
+                }
+            }
+            fresh_open -= froze;
+            gone_open -= left;
             rounds[ri].open = open;
             r += 1;
         };
@@ -1086,8 +1116,9 @@ impl FillState {
             if m.round < start {
                 let s = &mut memo.rounds[m.round as usize - 1];
                 let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
-                m.due = sink(k, if at_cap { m.cap } else { s.level });
-                s.due = s.due.min(m.due);
+                s.due = s
+                    .due
+                    .min(m.rate(k, if at_cap { m.cap } else { s.level }, sink));
                 out.rated += 1;
             }
         }
@@ -1778,13 +1809,13 @@ mod tests {
                 _ => {}
             }
             let mut round_one = fs.clone();
+            let mut full = rates.clone();
             let filled = fs.fill(0, true, &nodes, |k, rate| {
                 rates[k as usize] = rate;
                 dues[k as usize] = due(k, rate);
                 dues[k as usize]
             });
             reused += filled.reused;
-            let mut full = vec![f64::NAN; demand.len()];
             let full_filled = round_one.fill(0, false, &nodes, |k, rate| {
                 full[k as usize] = rate;
                 due(k, rate)

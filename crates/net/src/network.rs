@@ -104,17 +104,15 @@ struct FlowState {
     src: NodeId,
     dst: NodeId,
     total: f64,
-    remaining: f64,
     phase: Phase,
     started: SimTime,
     tag: u64,
-    /// Byte-integration watermark: `remaining` is exact as of this instant.
-    last_sync: SimTime,
 }
 
-/// The two things a fill asks of *every* member — what rate it had, when it
-/// was due — kept out of [`FlowState`] in a dense array of their own so a
-/// fill over a thousand flows reads a few cache-resident kilobytes.
+/// What a rate change reads and writes of a flow — its rate, its byte
+/// position and when it is due — kept out of [`FlowState`] in a dense array
+/// of its own so a fill that re-rates a thousand flows, and a harvest that
+/// scans them, read a few cache-resident kilobytes.
 #[derive(Debug, Clone, Copy)]
 struct Pace {
     rate: f64,
@@ -122,26 +120,36 @@ struct Pace {
     /// isn't moving payload). Recomputed only when the rate actually
     /// changes, which keeps the full/incremental engines in lockstep.
     pred_end: SimTime,
+    remaining: f64,
+    /// Byte-integration watermark: `remaining` is exact as of this instant.
+    last_sync: SimTime,
+    src: u32,
+    dst: u32,
 }
 
 impl Pace {
-    const IDLE: Pace = Pace {
-        rate: 0.0,
-        pred_end: SimTime::MAX,
-    };
-}
+    /// A flow of `bytes` from `src` to `dst`, not yet moving, at `now`.
+    fn idle(src: NodeId, dst: NodeId, bytes: u64, now: SimTime) -> Pace {
+        Pace {
+            rate: 0.0,
+            pred_end: SimTime::MAX,
+            remaining: (bytes as f64).max(0.0),
+            last_sync: now,
+            src: src.0 as u32,
+            dst: dst.0 as u32,
+        }
+    }
 
-impl FlowState {
-    /// Bring the byte position up to `clock` at `rate`, crediting the moved
-    /// bytes to the endpoints' counters.
-    fn integrate(&mut self, rate: f64, clock: SimTime, tx_base: &mut [f64], rx_base: &mut [f64]) {
+    /// Bring the byte position up to `clock` at the current rate, crediting
+    /// the moved bytes to the endpoints' counters.
+    fn integrate(&mut self, clock: SimTime, tx_base: &mut [f64], rx_base: &mut [f64]) {
         let dt = clock.saturating_since(self.last_sync).as_secs_f64();
         self.last_sync = clock;
-        if dt > 0.0 && rate > 0.0 {
-            let moved = (rate * dt).min(self.remaining);
+        if dt > 0.0 && self.rate > 0.0 {
+            let moved = (self.rate * dt).min(self.remaining);
             self.remaining -= moved;
-            tx_base[self.src.0] += moved;
-            rx_base[self.dst.0] += moved;
+            tx_base[self.src as usize] += moved;
+            rx_base[self.dst as usize] += moved;
         }
     }
 }
@@ -414,8 +422,8 @@ impl Network {
     pub fn tx_bytes(&self, node: NodeId) -> f64 {
         let mut total = self.tx_base[node.0];
         for (f, pace) in self.slots.iter().zip(&self.pace) {
-            if let Some(f) = f.as_ref().filter(|f| f.src == node && pace.rate > 0.0) {
-                total += pace.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
+            if f.as_ref().is_some_and(|f| f.src == node && pace.rate > 0.0) {
+                total += pace.rate * self.clock.saturating_since(pace.last_sync).as_secs_f64();
             }
         }
         total
@@ -425,8 +433,8 @@ impl Network {
     pub fn rx_bytes(&self, node: NodeId) -> f64 {
         let mut total = self.rx_base[node.0];
         for (f, pace) in self.slots.iter().zip(&self.pace) {
-            if let Some(f) = f.as_ref().filter(|f| f.dst == node && pace.rate > 0.0) {
-                total += pace.rate * self.clock.saturating_since(f.last_sync).as_secs_f64();
+            if f.as_ref().is_some_and(|f| f.dst == node && pace.rate > 0.0) {
+                total += pace.rate * self.clock.saturating_since(pace.last_sync).as_secs_f64();
             }
         }
         total
@@ -484,17 +492,15 @@ impl Network {
             src,
             dst,
             total: bytes as f64,
-            remaining: (bytes as f64).max(0.0),
             phase,
             started: now,
             tag,
-            last_sync: now,
         };
         if let Some(t) = transition_time(&flow) {
             self.transitions.push(Reverse((t, id.0, slot)));
         }
         self.slots[slot as usize] = Some(flow);
-        self.pace[slot as usize] = Pace::IDLE;
+        self.pace[slot as usize] = Pace::idle(src, dst, bytes, now);
         self.n_active += 1;
         self.attach_flow(slot);
         if self.record_events {
@@ -612,17 +618,15 @@ impl Network {
     }
 
     fn remove_killed(&mut self, now: SimTime, slot: u32) -> KilledFlow {
-        let clock = self.clock;
-        let f = self.slots[slot as usize]
-            .as_mut()
-            .expect("killing a dead flow");
-        let rate = self.pace[slot as usize].rate;
-        f.integrate(rate, clock, &mut self.tx_base, &mut self.rx_base);
+        let pace = &mut self.pace[slot as usize];
+        pace.integrate(self.clock, &mut self.tx_base, &mut self.rx_base);
+        let pace = *pace;
+        let f = self.flow(slot);
         let killed = KilledFlow {
             tag: f.tag,
             src: f.src,
             dst: f.dst,
-            delivered: f.total - f.remaining,
+            delivered: f.total - pace.remaining,
         };
         self.detach_flow(slot);
         self.free_slot(slot);
@@ -838,17 +842,15 @@ impl Network {
 
     /// Complete the flow in `slot` at instant `t`.
     fn harvest(&mut self, slot: u32, t: SimTime, out: &mut Vec<FlowEnd>) {
-        let clock = self.clock;
-        let f = self.slots[slot as usize]
-            .as_mut()
-            .expect("harvesting a dead flow");
-        let rate = self.pace[slot as usize].rate;
-        f.integrate(rate, clock, &mut self.tx_base, &mut self.rx_base);
+        let pace = &mut self.pace[slot as usize];
+        pace.integrate(self.clock, &mut self.tx_base, &mut self.rx_base);
+        let pace = *pace;
         debug_assert!(
-            f.remaining <= EPS_BYTES,
+            pace.remaining <= EPS_BYTES,
             "harvested flow still holds {} bytes",
-            f.remaining
+            pace.remaining
         );
+        let f = self.flow(slot);
         debug_assert!(!matches!(f.phase, Phase::Setup { .. }));
         let end = FlowEnd {
             id: f.id,
@@ -857,7 +859,7 @@ impl Network {
             tag: f.tag,
             finished: t,
         };
-        let delivered = f.total - f.remaining;
+        let delivered = f.total - pace.remaining;
         self.detach_flow(slot);
         self.free_slot(slot);
         self.stats.completions += 1;
@@ -890,7 +892,8 @@ impl Network {
             s
         } else {
             self.slots.push(None);
-            self.pace.push(Pace::IDLE);
+            self.pace
+                .push(Pace::idle(NodeId(0), NodeId(0), 0, SimTime::ZERO));
             (self.slots.len() - 1) as u32
         }
     }
@@ -1089,7 +1092,6 @@ impl Network {
         let clock = self.clock;
         let Self {
             fill,
-            slots,
             pace,
             tx_base,
             rx_base,
@@ -1097,24 +1099,20 @@ impl Network {
             full_resolve,
             ..
         } = self;
-        // The fill hands out only the rates its rounds set; the members the
-        // reused rounds froze keep theirs, and their predictions with them.
+        // The fill hands over only rates that changed bitwise: each costs a
+        // byte integration and a completion re-prediction.
         let filled = fill.fill(c, !*full_resolve, &nodes, |slot, rate| {
             let pace = &mut pace[slot as usize];
-            if rate.to_bits() != pace.rate.to_bits() {
-                stats.rate_changes += 1;
-                let f = slots[slot as usize]
-                    .as_mut()
-                    .expect("fill state lists a dead flow");
-                // Integrate at the old rate up to now, then switch.
-                f.integrate(pace.rate, clock, tx_base, rx_base);
-                pace.rate = rate;
-                pace.pred_end = if rate > 0.0 {
-                    clock + Duration::for_bytes_f64(f.remaining, rate)
-                } else {
-                    SimTime::MAX
-                };
-            }
+            debug_assert_ne!(rate.to_bits(), pace.rate.to_bits());
+            stats.rate_changes += 1;
+            // Integrate at the old rate up to now, then switch.
+            pace.integrate(clock, tx_base, rx_base);
+            pace.rate = rate;
+            pace.pred_end = if rate > 0.0 {
+                clock + Duration::for_bytes_f64(pace.remaining, rate)
+            } else {
+                SimTime::MAX
+            };
             pace.pred_end.0
         });
         stats.refills += 1;
