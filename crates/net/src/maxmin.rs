@@ -664,11 +664,11 @@ impl FillState {
         // The changes recorded since the last fill: the flows entered (with
         // a positive cap, still live) and the links they and the departed
         // versions touched.
-        let memo_ = &mut self.memos[c];
-        let mut touched = std::mem::take(&mut memo_.touched);
-        let mut fresh = std::mem::take(&mut memo_.fresh);
-        let mut gone = std::mem::take(&mut memo_.gone);
-        let resumable = resume && memo_.generation != 0;
+        let pending = &mut self.memos[c];
+        let mut touched = std::mem::take(&mut pending.touched);
+        let mut fresh = std::mem::take(&mut pending.fresh);
+        let mut gone = std::mem::take(&mut pending.gone);
+        let resumable = resume && pending.generation != 0;
         let members = &mut self.members;
         fresh.retain(|&k| {
             let m = &mut members[k as usize];
@@ -693,10 +693,10 @@ impl FillState {
         touched.clear();
         fresh.clear();
         gone.clear();
-        let memo_ = &mut self.memos[c];
-        memo_.touched = touched;
-        memo_.fresh = fresh;
-        memo_.gone = gone;
+        let pending = &mut self.memos[c];
+        pending.touched = touched;
+        pending.fresh = fresh;
+        pending.gone = gone;
         let (start, mut open, mut level, mut min_cap) =
             resumed.unwrap_or_else(|| self.start_fresh(c, nodes));
 
