@@ -69,6 +69,12 @@ const UNFROZEN: u32 = u32::MAX;
 /// No link.
 const NO_LINK: u32 = u32::MAX;
 
+/// Components smaller than this many nodes keep no trajectory and always
+/// fill from round 1: their fills are a few rounds over a few links, and
+/// keeping the trajectory costs more than it saves (the paper's 3 + 1
+/// cells ran 29 % slower with it).
+const MEMO_MIN_NODES: usize = 16;
+
 /// One direction of one node's NIC: the unit progressive filling saturates.
 #[derive(Debug, Clone, Default)]
 struct Link {
@@ -653,52 +659,23 @@ impl FillState {
         if self.memos.len() <= c {
             self.memos.resize_with(c + 1, Memo::default);
         }
-        let tag = memo + 1;
         let mut out = Filled {
             rounds: 0,
             reused: 0,
             rated: 0,
             earliest: u64::MAX,
         };
-
-        // The changes recorded since the last fill: the flows entered (with
-        // a positive cap, still live) and the links they and the departed
-        // versions touched.
-        let pending = &mut self.memos[c];
-        let mut touched = std::mem::take(&mut pending.touched);
-        let mut fresh = std::mem::take(&mut pending.fresh);
-        let mut gone = std::mem::take(&mut pending.gone);
-        let resumable = resume && pending.generation != 0;
-        let members = &mut self.members;
-        fresh.retain(|&k| {
-            let m = &mut members[k as usize];
-            if m.fresh_in != tag {
-                return false; // detached, or entered again later
-            }
-            m.fresh_in = 0;
-            m.round = UNFROZEN;
-            m.cap > 0.0
-        });
-        let resumed = if resumable {
-            self.resume(c, &touched, &fresh, &gone, &mut sink, &mut out)
+        let record = nodes.len() >= MEMO_MIN_NODES;
+        let resumed = if resume && record && self.memos[c].generation != 0 {
+            self.resume_changes(c, &mut sink, &mut out)
         } else {
+            if self.memos[c].generation != 0 {
+                self.forget(memo);
+            }
             None
         };
-        for &l in &touched {
-            let link = &mut self.links[l as usize];
-            if link.touched == tag {
-                link.touched = 0;
-            }
-        }
-        touched.clear();
-        fresh.clear();
-        gone.clear();
-        let pending = &mut self.memos[c];
-        pending.touched = touched;
-        pending.fresh = fresh;
-        pending.gone = gone;
         let (start, mut open, mut level, mut min_cap) =
-            resumed.unwrap_or_else(|| self.start_fresh(c, nodes));
+            resumed.unwrap_or_else(|| self.start_fresh(c, nodes, record));
 
         let Self {
             links,
@@ -722,14 +699,18 @@ impl FillState {
             let mut arg = NO_LINK;
             active.retain(|&l| {
                 let load = loads[l as usize];
-                let link = &mut links[l as usize];
-                if load.count == 0 {
-                    file(&mut memo.ends, link, l);
+                if record {
+                    let link = &mut links[l as usize];
+                    if load.count == 0 {
+                        file(&mut memo.ends, link, l);
+                        return false;
+                    }
+                    link.hist.push(load);
+                } else if load.count == 0 {
                     return false;
                 }
-                link.hist.push(load);
                 let ratio = load.left / load.count as f64;
-                if arg == NO_LINK || ratio < link_min {
+                if ratio < link_min {
                     link_min = ratio;
                     arg = l;
                 }
@@ -742,15 +723,17 @@ impl FillState {
             let delta = bound.max(0.0);
             debug_assert!(delta.is_finite(), "bad increment {delta}");
             level += delta;
-            memo.rounds.push(Round {
-                link_min,
-                arg,
-                bound,
-                delta,
-                level,
-                open,
-                due: u64::MAX,
-            });
+            if record {
+                memo.rounds.push(Round {
+                    link_min,
+                    arg,
+                    bound,
+                    delta,
+                    level,
+                    open,
+                    due: u64::MAX,
+                });
+            }
 
             // Residuals are clamped at zero: a link can end up an ulp
             // negative after repeated subtraction, and a negative residual
@@ -807,7 +790,10 @@ impl FillState {
                 min_cap = min_cap.min(m.cap);
                 true
             });
-            memo.rounds.last_mut().expect("pushed above").due = due;
+            out.earliest = out.earliest.min(due);
+            if let Some(r) = memo.rounds.last_mut().filter(|_| record) {
+                r.due = due;
+            }
             // With delta > 0 something always freezes; with delta == 0 a
             // link is already saturated and its flows freeze. Guard against
             // float pathology anyway, and keep no trajectory of it.
@@ -825,22 +811,69 @@ impl FillState {
                 break;
             }
         }
-        // The links still loaded when the last round ended.
-        for &l in active.iter() {
-            file(&mut memo.ends, &mut links[l as usize], l);
+        if record {
+            // The links still loaded when the last round ended.
+            for &l in active.iter() {
+                file(&mut memo.ends, &mut links[l as usize], l);
+            }
         }
-        for r in &memo.rounds {
+        for r in &memo.rounds[..start as usize - 1] {
             out.earliest = out.earliest.min(r.due);
         }
         out
     }
 
+    /// Take the changes recorded against memo `c` since its last fill — the
+    /// links touched, the flows entered (still live, with a positive cap)
+    /// and the versions departed — and resume from them (see
+    /// [`FillState::resume`]).
+    fn resume_changes(
+        &mut self,
+        c: usize,
+        sink: &mut impl FnMut(u32, f64) -> u64,
+        out: &mut Filled,
+    ) -> Option<(u32, u32, f64, f64)> {
+        let tag = c as u32 + 1;
+        let pending = &mut self.memos[c];
+        let mut touched = std::mem::take(&mut pending.touched);
+        let mut fresh = std::mem::take(&mut pending.fresh);
+        let mut gone = std::mem::take(&mut pending.gone);
+        let members = &mut self.members;
+        fresh.retain(|&k| {
+            let m = &mut members[k as usize];
+            if m.fresh_in != tag {
+                return false; // detached, or entered again later
+            }
+            m.fresh_in = 0;
+            m.round = UNFROZEN;
+            m.cap > 0.0
+        });
+        let resumed = self.resume(c, &touched, &fresh, &gone, sink, out);
+        for &l in &touched {
+            let link = &mut self.links[l as usize];
+            if link.touched == tag {
+                link.touched = 0;
+            }
+        }
+        touched.clear();
+        fresh.clear();
+        gone.clear();
+        let pending = &mut self.memos[c];
+        pending.touched = touched;
+        pending.fresh = fresh;
+        pending.gone = gone;
+        resumed
+    }
+
     /// Set up round 1 of a fill of memo `c` over `nodes`: every link starts
     /// full, carrying its open flows; the capped ones are looked up only
-    /// where an uplink says it has any. Returns the start round, the open
-    /// flows, the level and the smallest cap.
-    fn start_fresh(&mut self, c: usize, nodes: &[u32]) -> (u32, u32, f64, f64) {
-        self.generations += 1;
+    /// where an uplink says it has any. With `record`, the fill is kept as
+    /// the memo's new trajectory; without, the memo keeps none. Returns the
+    /// start round, the open flows, the level and the smallest cap.
+    fn start_fresh(&mut self, c: usize, nodes: &[u32], record: bool) -> (u32, u32, f64, f64) {
+        if record {
+            self.generations += 1;
+        }
         let generation = self.generations;
         let Self {
             links,
@@ -851,10 +884,12 @@ impl FillState {
             capped,
             ..
         } = self;
-        let memo = &mut memos[c];
-        memo.generation = generation;
-        memo.rounds.clear();
-        memo.ends.iter_mut().for_each(Vec::clear);
+        if record {
+            let memo = &mut memos[c];
+            memo.generation = generation;
+            memo.rounds.clear();
+            memo.ends.iter_mut().for_each(Vec::clear);
+        }
         active.clear();
         capped.clear();
         let mut open = 0u32;
@@ -862,9 +897,11 @@ impl FillState {
         for &g in nodes {
             for l in [up(g), down(g)] {
                 let link = &mut links[l];
-                link.memo = generation;
-                link.hist.clear();
-                link.sat = 0;
+                if record {
+                    link.memo = generation;
+                    link.hist.clear();
+                    link.sat = 0;
+                }
                 if link.open > 0 {
                     loads[l] = Load {
                         left: link.cap,
@@ -1014,7 +1051,9 @@ impl FillState {
             }
             let s = rounds[ri];
             let level = if r == 1 { 0.0 } else { rounds[ri - 1].level };
-            if links[s.arg as usize].touched == tag
+            // (No argmin: every ratio was infinite; reuse nothing.)
+            if s.arg == NO_LINK
+                || links[s.arg as usize].touched == tag
                 || replay
                     .iter()
                     .any(|t| t.count > 0 && t.left / (t.count as f64) < s.link_min)
@@ -1742,7 +1781,8 @@ mod tests {
         (rate.to_bits() ^ u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 1
     }
 
-    /// Drive `changes` on one component (memo 0, every node of `topo`),
+    /// Drive `changes` on one component (memo 0, every node of `topo`, and
+    /// idle nodes up to [`MEMO_MIN_NODES`]),
     /// filling after each with resumption on. After every fill, each live
     /// flow's rate — set by the fill that last rated it — must equal, bit
     /// for bit, what a round-1 fill of a copy of the state and the
@@ -1750,13 +1790,14 @@ mod tests {
     /// the smallest due of the live flows. Returns the rounds reused.
     fn check_script(topo: &Topology, changes: &[Change]) -> u64 {
         let n = topo.len();
-        let nodes: Vec<u32> = (0..n as u32).collect();
+        // Idle nodes pad the component to a size that keeps a trajectory.
+        let nodes: Vec<u32> = (0..n.max(MEMO_MIN_NODES) as u32).collect();
         let mut specs: Vec<(f64, f64)> = topo
             .iter()
             .map(|(_, s)| (s.uplink_bps, s.downlink_bps))
             .collect();
         let mut fs = FillState::default();
-        fs.ensure_nodes(n);
+        fs.ensure_nodes(nodes.len());
         for (g, &(u, d)) in specs.iter().enumerate() {
             fs.set_node_caps(None, g as u32, u, d);
         }

@@ -1573,20 +1573,20 @@ mod tests {
 
     #[test]
     fn full_resolve_never_reuses_a_round() {
-        // A fan-in whose members finish one by one, with a second fan-in
-        // joining half-way: the incremental engine resumes its fills, the
-        // full-resolve oracle runs every one from round 1, and both land
-        // on the same completions.
+        // A 20-worker fan-in whose members finish one by one, with a second
+        // fan-in joining half-way: the incremental engine resumes its
+        // fills, the full-resolve oracle runs every one from round 1, and
+        // both land on the same completions.
         let run = |full: bool| {
-            let mut net = ideal_net(12, 1000.0);
+            let mut net = ideal_net(26, 1000.0);
             net.set_full_resolve(full);
-            for w in 1..8usize {
+            for w in 1..21usize {
                 let bytes = 1000 * w as u64;
                 net.start_flow(SimTime::ZERO, NodeId(w), NodeId(0), bytes, w as u64);
             }
-            let t1 = SimTime::from_secs_f64(9.0);
+            let t1 = SimTime::from_secs_f64(30.0);
             let mut ends = net.advance_to(t1);
-            for w in 8..12usize {
+            for w in 21..26usize {
                 net.start_flow(t1, NodeId(w), NodeId(1), 500 * w as u64, w as u64);
                 net.start_flow(t1, NodeId(w), NodeId(0), 300 * w as u64, 100 + w as u64);
             }

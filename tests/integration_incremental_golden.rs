@@ -142,3 +142,22 @@ fn sharded_ps_runs_are_bit_identical() {
         assert_modes_identical(cfg, 3, &label);
     }
 }
+
+#[test]
+fn many_component_runs_are_bit_identical() {
+    // 16 workers and 16 co-located shards: components large enough that
+    // the incremental engine resumes its fills from a stored round, which
+    // the full-resolve oracle never does.
+    for kind in SchedulerKind::paper_lineup(1.25e9) {
+        let label = format!("{} 16 x 16", kind.label());
+        let mut cfg = cell(kind);
+        cfg.workers = 16;
+        cfg.ps_shards = 16;
+        cfg.check_invariants = false;
+        let inc = run_cluster(&cfg, 2);
+        let full = run_cluster_full_resolve(&cfg, 2);
+        assert_identical(&inc, &full, &label);
+        assert_eq!(full.net_stats.rounds_reused, 0, "{label}");
+        assert!(inc.net_stats.rounds_reused > 0, "{label}: no fill resumed");
+    }
+}
