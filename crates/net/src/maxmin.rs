@@ -314,7 +314,7 @@ impl FillState {
             cap,
             frozen_in: 0,
             round: UNFROZEN,
-            fresh_in: self.members.get(key as usize).map_or(0, |m| m.fresh_in),
+            fresh_in: 0,
             rate: 0.0,
             due: u64::MAX,
         };
@@ -688,6 +688,9 @@ impl FillState {
             ..
         } = self;
         let memo = &mut memos[c];
+        // Every flow open at the start is rated once: frozen by a round, or
+        // by the guard below.
+        out.rated += u64::from(open);
         let mut round = start - 1;
         while open > 0 {
             round += 1;
@@ -765,7 +768,6 @@ impl FillState {
                 // above what the transport window allows.
                 let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
                 due = due.min(m.rate(key, if at_cap { m.cap } else { level }, &mut sink));
-                out.rated += 1;
             };
             // Frozen in this fill's rounds, or in the rounds it reused.
             let frozen = |m: &Member| m.frozen_in == fill || m.round < start;
@@ -803,7 +805,6 @@ impl FillState {
                         let m = &mut members[key as usize];
                         if m.cap > 0.0 && !frozen(m) {
                             out.earliest = out.earliest.min(m.rate(key, level, &mut sink));
-                            out.rated += 1;
                         }
                     }
                 }
@@ -870,6 +871,7 @@ impl FillState {
     /// where an uplink says it has any. With `record`, the fill is kept as
     /// the memo's new trajectory; without, the memo keeps none. Returns the
     /// start round, the open flows, the level and the smallest cap.
+    #[inline]
     fn start_fresh(&mut self, c: usize, nodes: &[u32], record: bool) -> (u32, u32, f64, f64) {
         if record {
             self.generations += 1;
