@@ -255,9 +255,9 @@ pub struct NetStats {
     pub refills: u64,
     /// Rates those fills set: one per member the rounds they ran froze,
     /// plus one per member that joined or changed its cap since its
-    /// component's previous fill. A member frozen in a reused round keeps
-    /// its rate and is not counted; a fill from round 1 counts every member
-    /// past its handshake.
+    /// component's previous fill and froze in a reused round. Any other
+    /// member frozen in a reused round keeps its rate and is not counted;
+    /// a fill from round 1 counts every member past its handshake.
     pub flows_refilled: u64,
     /// Progressive-filling rounds the fills ran (not the ones they reused).
     pub fill_rounds: u64,
