@@ -135,7 +135,7 @@ struct Member {
 impl Member {
     /// Hand `rate` to the sink unless it is, bit for bit, the rate this
     /// flow was last handed; its due either way.
-    fn rate(&mut self, key: u32, rate: f64, sink: &mut impl FnMut(u32, f64) -> u64) -> u64 {
+    fn set_rate(&mut self, key: u32, rate: f64, sink: &mut impl FnMut(u32, f64) -> u64) -> u64 {
         if rate.to_bits() != self.rate.to_bits() {
             self.rate = rate;
             self.due = sink(key, rate);
@@ -767,7 +767,7 @@ impl FillState {
                 // Pin exactly to the cap so rounding never reports a rate
                 // above what the transport window allows.
                 let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
-                due = due.min(m.rate(key, if at_cap { m.cap } else { level }, &mut sink));
+                due = due.min(m.set_rate(key, if at_cap { m.cap } else { level }, &mut sink));
             };
             // Frozen in this fill's rounds, or in the rounds it reused.
             let frozen = |m: &Member| m.frozen_in == fill || m.round < start;
@@ -804,7 +804,7 @@ impl FillState {
                     for &key in &links[up(g)].flows {
                         let m = &mut members[key as usize];
                         if m.cap > 0.0 && !frozen(m) {
-                            out.earliest = out.earliest.min(m.rate(key, level, &mut sink));
+                            out.earliest = out.earliest.min(m.set_rate(key, level, &mut sink));
                         }
                     }
                 }
@@ -1159,7 +1159,7 @@ impl FillState {
                 let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
                 s.due = s
                     .due
-                    .min(m.rate(k, if at_cap { m.cap } else { s.level }, sink));
+                    .min(m.set_rate(k, if at_cap { m.cap } else { s.level }, sink));
                 out.rated += 1;
             }
         }
