@@ -713,7 +713,9 @@ impl FillState {
                     return false;
                 }
                 let ratio = load.left / load.count as f64;
-                if ratio < link_min {
+                if !record {
+                    link_min = link_min.min(ratio);
+                } else if ratio < link_min {
                     link_min = ratio;
                     arg = l;
                 }
@@ -751,7 +753,9 @@ impl FillState {
                 load.left = x;
                 let link = &mut links[l as usize];
                 if x <= link.sat_below {
-                    link.sat = round;
+                    if record {
+                        link.sat = round;
+                    }
                     saturated.push(l);
                 }
             }
@@ -760,7 +764,9 @@ impl FillState {
             let mut due = u64::MAX;
             let mut freeze = |m: &mut Member, key: u32| {
                 m.frozen_in = fill;
-                m.round = round;
+                if record {
+                    m.round = round;
+                }
                 loads[up(m.src)].count -= 1;
                 loads[down(m.dst)].count -= 1;
                 open -= 1;
@@ -770,7 +776,7 @@ impl FillState {
                 due = due.min(m.set_rate(key, if at_cap { m.cap } else { level }, &mut sink));
             };
             // Frozen in this fill's rounds, or in the rounds it reused.
-            let frozen = |m: &Member| m.frozen_in == fill || m.round < start;
+            let frozen = |m: &Member| m.frozen_in == fill || (start > 1 && m.round < start);
             for &l in saturated.iter() {
                 for &key in &links[l as usize].flows {
                     let m = &mut members[key as usize];
