@@ -425,12 +425,13 @@ impl FillState {
 
     /// Record flow `key`'s current version as new to memo `memo`.
     fn enter(&mut self, memo: Option<u32>, key: u32) {
-        let m = self.members[key as usize];
-        let Some(c) = self.recording(memo).filter(|_| m.cap > 0.0) else {
-            // A zero-cap flow takes no part; a later cap change enters it.
-            self.members[key as usize].fresh_in = 0;
+        let Some(c) = self.recording(memo) else {
             return;
         };
+        let m = self.members[key as usize];
+        if m.cap <= 0.0 {
+            return; // takes no part; a later cap change enters it
+        }
         let tag = c as u32 + 1;
         if m.fresh_in != tag {
             if m.fresh_in != 0 {
@@ -446,10 +447,13 @@ impl FillState {
     /// Record that flow `key`'s current version leaves memo `memo`'s
     /// trajectory.
     fn leave(&mut self, memo: Option<u32>, key: u32) {
-        let m = self.members[key as usize];
-        let Some(c) = self.recording(memo).filter(|_| m.cap > 0.0) else {
+        let Some(c) = self.recording(memo) else {
             return;
         };
+        let m = self.members[key as usize];
+        if m.cap <= 0.0 {
+            return;
+        }
         if m.fresh_in != c as u32 + 1 {
             self.memos[c].gone.push(Gone {
                 links: [up(m.src) as u32, down(m.dst) as u32],
