@@ -18,7 +18,7 @@
 //!
 //! Measured on the Table 2 cell, iterations 3..11: FIFO 12 969 allocations
 //! for 7 728 tasks (1.68 per task: 1.00 task lists, 0.67 ledger, 89
-//! allocations in all besides), Prophet 21 951 for 14 679 (1.50; 0.14 per
+//! allocations in all besides), Prophet 21 950 for 14 679 (1.50; 0.14 per
 //! message beyond the named shares). The cluster drains the network's
 //! completions into one buffer it keeps (`Network::advance_into`); while it
 //! took a fresh list from `Network::advance_to` per drain, the same cells
@@ -137,7 +137,7 @@ fn a_resend_allocates_nothing_in_the_engine() {
     // Against its fault-free twin, the faulted run may allocate only what
     // its extra flows cost outside the engine: 347 re-sends bring 41
     // B-tree nodes of the retry ledger and a few one-off allocations
-    // anywhere else — 65 in all, 0.19 per re-send. With a fresh completion
+    // anywhere else — 64 in all, 0.18 per re-send. With a fresh completion
     // list per drain (more, smaller drains) they made 1 005 (2.9); before
     // that, 1 346 (3.9), one cloned `TransferTask` per failed send. This
     // bound rejects both.
