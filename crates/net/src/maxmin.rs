@@ -71,8 +71,8 @@ const NO_LINK: u32 = u32::MAX;
 
 /// Components smaller than this many nodes keep no trajectory and always
 /// fill from round 1: their fills are a few rounds over a few links, and
-/// keeping the trajectory costs more than it saves (the paper's 3 + 1
-/// cells ran 29 % slower with it).
+/// keeping the trajectory costs more than it saves (DESIGN.md §11 has the
+/// measurement).
 const MEMO_MIN_NODES: usize = 16;
 
 /// One direction of one node's NIC: the unit progressive filling saturates.
@@ -88,8 +88,20 @@ struct Link {
     open: u32,
     /// Uplinks only: how many of `flows` have a positive *finite* cap.
     capped: u32,
-    // The link's part in its component's last trajectory (see [`Memo`]),
-    // meaningful while `memo` is that memo's generation.
+}
+
+impl Link {
+    /// Whether a residual of `left` leaves the link saturated.
+    fn saturated(&self, left: f64) -> bool {
+        left <= self.sat_below
+    }
+}
+
+/// A link's part in its component's last trajectory (see [`Memo`]), apart
+/// from [`Link`] so that components that keep no trajectory never load it.
+#[derive(Debug, Clone, Default)]
+struct LinkTrace {
+    /// The generation of the memo the rest describes the link in.
     memo: u64,
     /// Its load at the start of each round it was loaded in, from round 1.
     hist: Vec<Load>,
@@ -122,26 +134,27 @@ struct Member {
     cap: f64,
     /// The fill (by ordinal) whose rounds last froze this flow.
     frozen_in: u64,
-    /// The round of its component's trajectory that froze it.
+}
+
+/// A flow's part in its component's last trajectory, apart from [`Member`]
+/// for the same reason as [`LinkTrace`].
+#[derive(Debug, Clone, Copy)]
+struct MemberTrace {
+    /// The round of the trajectory that froze it.
     round: u32,
     /// 1 + the memo that recorded it as attached or re-capped since that
     /// memo's fill; 0 if none did.
     fresh_in: u32,
-    /// The rate it was last handed, and what the sink returned for it.
-    rate: f64,
+    /// What the sink returned when the trajectory rated it.
     due: u64,
 }
 
-impl Member {
-    /// Hand `rate` to the sink unless it is, bit for bit, the rate this
-    /// flow was last handed; its due either way.
-    fn set_rate(&mut self, key: u32, rate: f64, sink: &mut impl FnMut(u32, f64) -> u64) -> u64 {
-        if rate.to_bits() != self.rate.to_bits() {
-            self.rate = rate;
-            self.due = sink(key, rate);
-        }
-        self.due
-    }
+impl MemberTrace {
+    const NEW: MemberTrace = MemberTrace {
+        round: UNFROZEN,
+        fresh_in: 0,
+        due: u64::MAX,
+    };
 }
 
 /// One round of a component's last fill, as a re-fill checks it.
@@ -229,8 +242,36 @@ fn down(node: u32) -> usize {
     2 * node as usize + 1
 }
 
+/// A residual of `left` after `count` flows each took `delta`. It must stay
+/// a repeated subtraction — a multiply rounds differently — and is clamped
+/// at zero: a link can end up an ulp negative after repeated subtraction,
+/// and a negative residual must read as "saturated", never as headroom.
+fn drain(left: f64, count: u32, delta: f64) -> f64 {
+    let mut x = left;
+    for _ in 0..count {
+        x = (x - delta).max(0.0);
+    }
+    x
+}
+
+/// Whether a flow with rate cap `cap` is held by it at `level`.
+fn at_cap(cap: f64, level: f64) -> bool {
+    cap.is_finite() && level >= cap * (1.0 - REL_EPS)
+}
+
+/// The rate of a flow with rate cap `cap` frozen at `level`: pinned exactly
+/// to the cap when the cap holds it, so rounding never reports a rate above
+/// what the transport window allows.
+fn pinned(cap: f64, level: f64) -> f64 {
+    if at_cap(cap, level) {
+        cap
+    } else {
+        level
+    }
+}
+
 /// Put link `l` in the bucket of the last round it was loaded in.
-fn file(ends: &mut Vec<Vec<u32>>, link: &mut Link, l: u32) {
+fn file(ends: &mut Vec<Vec<u32>>, link: &mut LinkTrace, l: u32) {
     let e = link.hist.len();
     if e > 0 {
         if ends.len() < e {
@@ -257,6 +298,10 @@ pub(crate) struct FillState {
     members: Vec<Member>,
     /// Each member's position in its uplink's and its downlink's `flows`.
     places: Vec<[u32; 2]>,
+    /// The trajectory's share of each link and member, grown only once a
+    /// component keeps one.
+    link_traces: Vec<LinkTrace>,
+    member_traces: Vec<MemberTrace>,
     /// Fills run so far; a member with `frozen_in == fills` is frozen in
     /// the fill in progress.
     fills: u64,
@@ -313,10 +358,6 @@ impl FillState {
             dst,
             cap,
             frozen_in: 0,
-            round: UNFROZEN,
-            fresh_in: 0,
-            rate: 0.0,
-            due: u64::MAX,
         };
         let place = [up(src), down(dst)].map(|l| self.links[l].flows.len() as u32);
         self.links[up(src)].flows.push(key);
@@ -334,7 +375,9 @@ impl FillState {
     /// Remove flow `key` from component `memo`.
     pub(crate) fn detach(&mut self, memo: Option<u32>, key: u32) {
         self.leave(memo, key);
-        self.members[key as usize].fresh_in = 0;
+        if let Some(t) = self.member_traces.get_mut(key as usize) {
+            *t = MemberTrace::NEW;
+        }
         self.tally(key, false);
         let m = self.members[key as usize];
         let place = self.places[key as usize];
@@ -395,30 +438,42 @@ impl FillState {
         m.generation = 0;
         m.gone.clear();
         for l in m.touched.drain(..) {
-            let link = &mut self.links[l as usize];
+            let link = &mut self.link_traces[l as usize];
             if link.touched == tag {
                 link.touched = 0;
             }
         }
         for k in m.fresh.drain(..) {
-            let member = &mut self.members[k as usize];
+            let member = &mut self.member_traces[k as usize];
             if member.fresh_in == tag {
                 member.fresh_in = 0;
             }
         }
     }
 
+    /// Grow the trace tables to cover every link and member.
+    fn grow_traces(&mut self) {
+        if self.link_traces.len() < self.links.len() {
+            self.link_traces.resize_with(self.links.len(), LinkTrace::default);
+        }
+        if self.member_traces.len() < self.members.len() {
+            self.member_traces
+                .resize(self.members.len(), MemberTrace::NEW);
+        }
+    }
+
     /// Record a change to link `l` against memo `c`.
     fn touch(&mut self, c: usize, l: usize) {
+        self.grow_traces();
         let tag = c as u32 + 1;
-        let was = self.links[l].touched;
+        let was = self.link_traces[l].touched;
         if was != tag {
             if was != 0 {
                 // Still listed by a component it has since left: that
                 // component can no longer tell what changed.
                 self.forget(was - 1);
             }
-            self.links[l].touched = tag;
+            self.link_traces[l].touched = tag;
             self.memos[c].touched.push(l as u32);
         }
     }
@@ -432,12 +487,14 @@ impl FillState {
         if m.cap <= 0.0 {
             return; // takes no part; a later cap change enters it
         }
+        self.grow_traces();
         let tag = c as u32 + 1;
-        if m.fresh_in != tag {
-            if m.fresh_in != 0 {
-                self.forget(m.fresh_in - 1);
+        let fresh_in = self.member_traces[key as usize].fresh_in;
+        if fresh_in != tag {
+            if fresh_in != 0 {
+                self.forget(fresh_in - 1);
             }
-            self.members[key as usize].fresh_in = tag;
+            self.member_traces[key as usize].fresh_in = tag;
             self.memos[c].fresh.push(key);
         }
         self.touch(c, up(m.src));
@@ -454,12 +511,14 @@ impl FillState {
         if m.cap <= 0.0 {
             return;
         }
-        if m.fresh_in != c as u32 + 1 {
+        self.grow_traces();
+        let t = self.member_traces[key as usize];
+        if t.fresh_in != c as u32 + 1 {
             self.memos[c].gone.push(Gone {
                 links: [up(m.src) as u32, down(m.dst) as u32],
                 cap: m.cap,
-                round: m.round,
-                due: m.due,
+                round: t.round,
+                due: t.due,
             });
         }
         self.touch(c, up(m.src));
@@ -616,13 +675,12 @@ impl FillState {
 
     /// Progressive filling over the connected component made of `nodes`
     /// (all of them, each once, any order), kept as memo `memo`. The fill
-    /// sets the rate of every member with a positive cap — with `resume`,
-    /// only of those the rounds it runs freeze and the ones changed since
-    /// the memo's last fill; without, of every one — and calls `sink(key,
-    /// rate)` when the rate differs, bit for bit, from the one the member
-    /// was last handed (0.0 at first). The sink returns the member's *due*,
-    /// a number the fill keeps the minimum of (the engine's predicted
-    /// completion). Zero-cap members get rate 0 and no call.
+    /// rates every member with a positive cap — with `resume`, only those
+    /// the rounds it runs freeze and the ones changed since the memo's last
+    /// fill; without, every one — by calling `sink(key, rate)`, which
+    /// returns the member's *due*, a number the fill keeps the minimum of
+    /// (the engine's predicted completion). Zero-cap members get rate 0 and
+    /// no call.
     ///
     /// Passing a disconnected node set still yields a valid max-min
     /// allocation, but one whose floating-point rounding couples the parts.
@@ -639,8 +697,7 @@ impl FillState {
     ///   argument, so the second part is `(min cap) - level`.
     /// * A link's residual loses `delta` once per unfrozen flow crossing
     ///   it; which flow "does" each subtraction is immaterial, so the link
-    ///   applies `x = (x - delta).max(0.0)` `count` times by itself. It must
-    ///   stay a repeated subtraction — a multiply rounds differently.
+    ///   applies it `count` times by itself ([`drain`]).
     /// * A flow freezes when it is at its cap or one of its links is
     ///   saturated, judged on the residuals *after* the round's
     ///   subtractions. Saturation is a property of the link, so it is
@@ -660,9 +717,6 @@ impl FillState {
         self.fills += 1;
         let fill = self.fills;
         let c = memo as usize;
-        if self.memos.len() <= c {
-            self.memos.resize_with(c + 1, Memo::default);
-        }
         let mut out = Filled {
             rounds: 0,
             reused: 0,
@@ -670,10 +724,17 @@ impl FillState {
             earliest: u64::MAX,
         };
         let record = nodes.len() >= MEMO_MIN_NODES;
-        let resumed = if resume && record && self.memos[c].generation != 0 {
+        if record {
+            if self.memos.len() <= c {
+                self.memos.resize_with(c + 1, Memo::default);
+            }
+            self.grow_traces();
+        }
+        let held = self.memos.get(c).is_some_and(|m| m.generation != 0);
+        let resumed = if resume && record && held {
             self.resume_changes(c, &mut sink, &mut out)
         } else {
-            if self.memos[c].generation != 0 {
+            if held {
                 self.forget(memo);
             }
             None
@@ -685,13 +746,16 @@ impl FillState {
             links,
             loads,
             members,
+            link_traces,
+            member_traces,
             memos,
             active,
             saturated,
             capped,
             ..
         } = self;
-        let memo = &mut memos[c];
+        // Only a fill that records its trajectory touches the memo.
+        let mut memo = memos.get_mut(c).filter(|_| record);
         // Every flow open at the start is rated once: frozen by a round, or
         // by the guard below.
         out.rated += u64::from(open);
@@ -704,27 +768,32 @@ impl FillState {
             // loaded link, (b) any unfrozen flow's headroom to its cap.
             let mut link_min = f64::INFINITY;
             let mut arg = NO_LINK;
-            active.retain(|&l| {
-                let load = loads[l as usize];
-                if record {
-                    let link = &mut links[l as usize];
+            if let Some(memo) = memo.as_deref_mut() {
+                active.retain(|&l| {
+                    let load = loads[l as usize];
+                    let trace = &mut link_traces[l as usize];
                     if load.count == 0 {
-                        file(&mut memo.ends, link, l);
+                        file(&mut memo.ends, trace, l);
                         return false;
                     }
-                    link.hist.push(load);
-                } else if load.count == 0 {
-                    return false;
-                }
-                let ratio = load.left / load.count as f64;
-                if !record {
-                    link_min = link_min.min(ratio);
-                } else if ratio < link_min {
-                    link_min = ratio;
-                    arg = l;
-                }
-                true
-            });
+                    trace.hist.push(load);
+                    let ratio = load.left / load.count as f64;
+                    if ratio < link_min {
+                        link_min = ratio;
+                        arg = l;
+                    }
+                    true
+                });
+            } else {
+                active.retain(|&l| {
+                    let load = loads[l as usize];
+                    if load.count == 0 {
+                        return false;
+                    }
+                    link_min = link_min.min(load.left / load.count as f64);
+                    true
+                });
+            }
             // Accumulated rounding can leave a residual (or cap headroom) a
             // few ulps below zero; clamp instead of handing a negative
             // increment to every flow.
@@ -732,33 +801,14 @@ impl FillState {
             let delta = bound.max(0.0);
             debug_assert!(delta.is_finite(), "bad increment {delta}");
             level += delta;
-            if record {
-                memo.rounds.push(Round {
-                    link_min,
-                    arg,
-                    bound,
-                    delta,
-                    level,
-                    open,
-                    due: u64::MAX,
-                });
-            }
 
-            // Residuals are clamped at zero: a link can end up an ulp
-            // negative after repeated subtraction, and a negative residual
-            // must read as "saturated", never as headroom.
             saturated.clear();
             for &l in active.iter() {
                 let load = &mut loads[l as usize];
-                let mut x = load.left;
-                for _ in 0..load.count {
-                    x = (x - delta).max(0.0);
-                }
-                load.left = x;
-                let link = &mut links[l as usize];
-                if x <= link.sat_below {
-                    if record {
-                        link.sat = round;
+                load.left = drain(load.left, load.count, delta);
+                if links[l as usize].saturated(load.left) {
+                    if memo.is_some() {
+                        link_traces[l as usize].sat = round;
                     }
                     saturated.push(l);
                 }
@@ -766,45 +816,59 @@ impl FillState {
 
             let before = open;
             let mut due = u64::MAX;
-            let mut freeze = |m: &mut Member, key: u32| {
+            let recording = memo.is_some();
+            let mut freeze = |m: &mut Member, key: u32, traces: &mut [MemberTrace]| {
                 m.frozen_in = fill;
-                if record {
-                    m.round = round;
-                }
                 loads[up(m.src)].count -= 1;
                 loads[down(m.dst)].count -= 1;
                 open -= 1;
-                // Pin exactly to the cap so rounding never reports a rate
-                // above what the transport window allows.
-                let at_cap = m.cap.is_finite() && level >= m.cap * (1.0 - REL_EPS);
-                due = due.min(m.set_rate(key, if at_cap { m.cap } else { level }, &mut sink));
+                let d = sink(key, pinned(m.cap, level));
+                if recording {
+                    traces[key as usize] = MemberTrace {
+                        round,
+                        fresh_in: 0,
+                        due: d,
+                    };
+                }
+                due = due.min(d);
             };
-            // Frozen in this fill's rounds, or in the rounds it reused.
-            let frozen = |m: &Member| m.frozen_in == fill || (start > 1 && m.round < start);
+            // Frozen in this fill's rounds, or in the rounds it reused (a
+            // fill from round 1 reuses none).
+            let frozen = |m: &Member, key: u32, traces: &[MemberTrace]| {
+                m.frozen_in == fill || (start > 1 && traces[key as usize].round < start)
+            };
             for &l in saturated.iter() {
                 for &key in &links[l as usize].flows {
                     let m = &mut members[key as usize];
-                    if m.cap > 0.0 && !frozen(m) {
-                        freeze(m, key);
+                    if m.cap > 0.0 && !frozen(m, key, member_traces) {
+                        freeze(m, key, member_traces);
                     }
                 }
             }
             min_cap = f64::INFINITY;
             capped.retain(|&key| {
                 let m = &mut members[key as usize];
-                if frozen(m) {
+                if frozen(m, key, member_traces) {
                     return false;
                 }
-                if level >= m.cap * (1.0 - REL_EPS) {
-                    freeze(m, key);
+                if at_cap(m.cap, level) {
+                    freeze(m, key, member_traces);
                     return false;
                 }
                 min_cap = min_cap.min(m.cap);
                 true
             });
             out.earliest = out.earliest.min(due);
-            if let Some(r) = memo.rounds.last_mut().filter(|_| record) {
-                r.due = due;
+            if let Some(memo) = memo.as_deref_mut() {
+                memo.rounds.push(Round {
+                    link_min,
+                    arg,
+                    bound,
+                    delta,
+                    level,
+                    open: before,
+                    due,
+                });
             }
             // With delta > 0 something always freezes; with delta == 0 a
             // link is already saturated and its flows freeze. Guard against
@@ -812,24 +876,26 @@ impl FillState {
             if open == before {
                 for &g in nodes {
                     for &key in &links[up(g)].flows {
-                        let m = &mut members[key as usize];
-                        if m.cap > 0.0 && !frozen(m) {
-                            out.earliest = out.earliest.min(m.set_rate(key, level, &mut sink));
+                        let m = &members[key as usize];
+                        if m.cap > 0.0 && !frozen(m, key, member_traces) {
+                            out.earliest = out.earliest.min(sink(key, level));
                         }
                     }
                 }
-                memo.generation = 0;
+                if let Some(memo) = memo.as_deref_mut() {
+                    memo.generation = 0;
+                }
                 break;
             }
         }
-        if record {
+        if let Some(memo) = memo {
             // The links still loaded when the last round ended.
             for &l in active.iter() {
-                file(&mut memo.ends, &mut links[l as usize], l);
+                file(&mut memo.ends, &mut link_traces[l as usize], l);
             }
-        }
-        for r in &memo.rounds[..start as usize - 1] {
-            out.earliest = out.earliest.min(r.due);
+            for r in &memo.rounds[..start as usize - 1] {
+                out.earliest = out.earliest.min(r.due);
+            }
         }
         out
     }
@@ -849,19 +915,18 @@ impl FillState {
         let mut touched = std::mem::take(&mut pending.touched);
         let mut fresh = std::mem::take(&mut pending.fresh);
         let mut gone = std::mem::take(&mut pending.gone);
-        let members = &mut self.members;
+        let (members, traces) = (&self.members, &mut self.member_traces);
         fresh.retain(|&k| {
-            let m = &mut members[k as usize];
-            if m.fresh_in != tag {
+            let t = &mut traces[k as usize];
+            if t.fresh_in != tag {
                 return false; // detached, or entered again later
             }
-            m.fresh_in = 0;
-            m.round = UNFROZEN;
-            m.cap > 0.0
+            *t = MemberTrace::NEW;
+            members[k as usize].cap > 0.0
         });
         let resumed = self.resume(c, &touched, &fresh, &gone, sink, out);
         for &l in &touched {
-            let link = &mut self.links[l as usize];
+            let link = &mut self.link_traces[l as usize];
             if link.touched == tag {
                 link.touched = 0;
             }
@@ -883,22 +948,21 @@ impl FillState {
     /// start round, the open flows, the level and the smallest cap.
     #[inline]
     fn start_fresh(&mut self, c: usize, nodes: &[u32], record: bool) -> (u32, u32, f64, f64) {
-        if record {
-            self.generations += 1;
-        }
-        let generation = self.generations;
         let Self {
             links,
             loads,
             members,
+            link_traces,
             memos,
             active,
             capped,
+            generations,
             ..
         } = self;
         if record {
+            *generations += 1;
             let memo = &mut memos[c];
-            memo.generation = generation;
+            memo.generation = *generations;
             memo.rounds.clear();
             memo.ends.iter_mut().for_each(Vec::clear);
         }
@@ -908,12 +972,13 @@ impl FillState {
         let mut min_cap = f64::INFINITY;
         for &g in nodes {
             for l in [up(g), down(g)] {
-                let link = &mut links[l];
                 if record {
-                    link.memo = generation;
-                    link.hist.clear();
-                    link.sat = 0;
+                    let trace = &mut link_traces[l];
+                    trace.memo = *generations;
+                    trace.hist.clear();
+                    trace.sat = 0;
                 }
+                let link = &links[l];
                 if link.open > 0 {
                     loads[l] = Load {
                         left: link.cap,
@@ -947,8 +1012,9 @@ impl FillState {
     /// round `r` in its stored state — its members are unchanged flows, and
     /// each froze in the same round as before — and so do the level and
     /// every unchanged flow. The touched links' new states are replayed
-    /// here, round by round, with the kernel's own float operations. Round
-    /// `r` is then the stored one when:
+    /// here, round by round, with the kernel's own float operations
+    /// ([`drain`], [`Link::saturated`], [`at_cap`], [`pinned`]). Round `r`
+    /// is then the stored one when:
     ///
     /// * its link minimum is: the stored argmin is untouched (so the
     ///   untouched links still reach the stored minimum) and no touched
@@ -976,10 +1042,13 @@ impl FillState {
             links,
             loads,
             members,
+            link_traces,
+            member_traces,
             memos,
             active,
             capped,
             replay,
+            reused,
             ..
         } = self;
         let memo = &mut memos[c];
@@ -998,26 +1067,25 @@ impl FillState {
         // trajectory is re-derived below.
         replay.clear();
         for (i, &l) in touched.iter().enumerate() {
-            debug_assert_eq!(links[l as usize].touched, tag);
-            let link = &links[l as usize];
-            let (old_end, old_sat) = if link.memo == generation {
-                (link.hist.len() as u32, link.sat)
+            let trace = &link_traces[l as usize];
+            debug_assert_eq!(trace.touched, tag);
+            let (old_end, old_sat) = if trace.memo == generation {
+                (trace.hist.len() as u32, trace.sat)
             } else {
                 (0, 0)
             };
             if old_end > 0 {
                 let b = &mut memo.ends[old_end as usize - 1];
-                let at = link.at as usize;
+                let at = trace.at as usize;
                 b.swap_remove(at);
                 if let Some(&moved) = b.get(at) {
-                    links[moved as usize].at = at as u32;
+                    link_traces[moved as usize].at = at as u32;
                 }
             }
-            let link = &mut links[l as usize];
-            link.at = i as u32;
+            link_traces[l as usize].at = i as u32;
             replay.push(Replay {
                 link: l,
-                left: link.cap,
+                left: links[l as usize].cap,
                 count: 0,
                 entered: 0,
                 departed: 0,
@@ -1034,12 +1102,12 @@ impl FillState {
         for &k in fresh {
             let m = &members[k as usize];
             for l in [up(m.src), down(m.dst)] {
-                replay[links[l].at as usize].entered += 1;
+                replay[link_traces[l].at as usize].entered += 1;
             }
         }
         for g in gone {
             for l in g.links {
-                replay[links[l as usize].at as usize].departed += 1;
+                replay[link_traces[l as usize].at as usize].departed += 1;
             }
         }
         let (mut fresh_open, mut gone_open) = (fresh.len() as u32, gone.len() as u32);
@@ -1052,7 +1120,7 @@ impl FillState {
             let open = stored_open + fresh_open - gone_open;
             for t in replay.iter_mut() {
                 let stored = if r <= t.old_end {
-                    links[t.link as usize].hist[ri].count
+                    link_traces[t.link as usize].hist[ri].count
                 } else {
                     0
                 };
@@ -1065,7 +1133,7 @@ impl FillState {
             let level = if r == 1 { 0.0 } else { rounds[ri - 1].level };
             // (No argmin: every ratio was infinite; reuse nothing.)
             if s.arg == NO_LINK
-                || links[s.arg as usize].touched == tag
+                || link_traces[s.arg as usize].touched == tag
                 || replay
                     .iter()
                     .any(|t| t.count > 0 && t.left / (t.count as f64) < s.link_min)
@@ -1077,31 +1145,28 @@ impl FillState {
                 .iter()
                 .any(|g| g.round >= r && g.cap.is_finite() && cap_bound && g.cap - level == s.bound)
                 || fresh.iter().any(|&k| {
-                    let m = &members[k as usize];
-                    m.round >= r && m.cap.is_finite() && m.cap - level < s.bound
+                    let cap = members[k as usize].cap;
+                    member_traces[k as usize].round >= r && cap.is_finite() && cap - level < s.bound
                 })
             {
                 break open;
             }
             for t in replay.iter_mut() {
-                let mut x = t.left;
-                for _ in 0..t.count {
-                    x = (x - s.delta).max(0.0);
-                }
-                t.after = x;
-                t.saturates = t.count > 0 && x <= links[t.link as usize].sat_below;
+                t.after = drain(t.left, t.count, s.delta);
+                t.saturates = t.count > 0 && links[t.link as usize].saturated(t.after);
             }
             if replay.iter().any(|t| t.saturates != (t.old_sat == r)) {
                 break open;
             }
-            let saturates = |l: usize| replay[links[l].at as usize].saturates;
+            let saturates = |l: usize| replay[link_traces[l].at as usize].saturates;
             let mut froze = 0;
             for &k in fresh {
-                let m = &mut members[k as usize];
-                let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
-                if m.round == UNFROZEN && (at_cap || saturates(up(m.src)) || saturates(down(m.dst)))
+                let m = &members[k as usize];
+                let trace = &mut member_traces[k as usize];
+                if trace.round == UNFROZEN
+                    && (at_cap(m.cap, s.level) || saturates(up(m.src)) || saturates(down(m.dst)))
                 {
-                    m.round = r;
+                    trace.round = r;
                     froze += 1;
                 }
             }
@@ -1110,16 +1175,16 @@ impl FillState {
             if stored_froze + froze == left {
                 // Nothing would freeze: let the kernel's guard see it.
                 for &k in fresh {
-                    let m = &mut members[k as usize];
-                    if m.round == r {
-                        m.round = UNFROZEN;
+                    let trace = &mut member_traces[k as usize];
+                    if trace.round == r {
+                        trace.round = UNFROZEN;
                     }
                 }
                 break open;
             }
             for t in replay.iter_mut() {
                 if t.count > 0 {
-                    let hist = &mut links[t.link as usize].hist;
+                    let hist = &mut link_traces[t.link as usize].hist;
                     let load = Load {
                         left: t.left,
                         count: t.count,
@@ -1137,16 +1202,16 @@ impl FillState {
                 t.left = t.after;
             }
             for &k in fresh {
-                let m = &members[k as usize];
-                if m.round == r {
+                if member_traces[k as usize].round == r {
+                    let m = &members[k as usize];
                     for l in [up(m.src), down(m.dst)] {
-                        replay[links[l].at as usize].entered -= 1;
+                        replay[link_traces[l].at as usize].entered -= 1;
                     }
                 }
             }
             for g in gone.iter().filter(|g| g.round == r) {
                 for l in g.links {
-                    replay[links[l as usize].at as usize].departed -= 1;
+                    replay[link_traces[l as usize].at as usize].departed -= 1;
                 }
             }
             fresh_open -= froze;
@@ -1159,17 +1224,16 @@ impl FillState {
         }
         let start = r;
         out.reused = u64::from(start - 1);
-        self.reused += out.reused;
+        *reused += out.reused;
         memo.rounds.truncate(start as usize - 1);
         // Fresh flows the reused rounds froze are rated now.
         for &k in fresh {
-            let m = &mut members[k as usize];
-            if m.round < start {
-                let s = &mut memo.rounds[m.round as usize - 1];
-                let at_cap = m.cap.is_finite() && s.level >= m.cap * (1.0 - REL_EPS);
-                s.due = s
-                    .due
-                    .min(m.set_rate(k, if at_cap { m.cap } else { s.level }, sink));
+            let trace = &mut member_traces[k as usize];
+            if trace.round < start {
+                let s = &mut memo.rounds[trace.round as usize - 1];
+                let cap = members[k as usize].cap;
+                trace.due = sink(k, pinned(cap, s.level));
+                s.due = s.due.min(trace.due);
                 out.rated += 1;
             }
         }
@@ -1177,10 +1241,10 @@ impl FillState {
         // still loaded join the untouched links loaded at `start`.
         active.clear();
         for t in replay.iter() {
-            let link = &mut links[t.link as usize];
-            link.memo = generation;
-            link.sat = t.sat;
-            link.hist.truncate(t.end as usize);
+            let trace = &mut link_traces[t.link as usize];
+            trace.memo = generation;
+            trace.sat = t.sat;
+            trace.hist.truncate(t.end as usize);
             if t.count > 0 {
                 debug_assert!(open > 0 && t.end == start - 1);
                 loads[t.link as usize] = Load {
@@ -1189,15 +1253,15 @@ impl FillState {
                 };
                 active.push(t.link);
             } else {
-                file(&mut memo.ends, link, t.link);
+                file(&mut memo.ends, trace, t.link);
             }
         }
         for e in start as usize..=memo.ends.len() {
             for &l in &memo.ends[e - 1] {
-                let link = &mut links[l as usize];
-                loads[l as usize] = link.hist[start as usize - 1];
-                link.hist.truncate(start as usize - 1);
-                link.sat = 0;
+                let trace = &mut link_traces[l as usize];
+                loads[l as usize] = trace.hist[start as usize - 1];
+                trace.hist.truncate(start as usize - 1);
+                trace.sat = 0;
                 active.push(l);
             }
             memo.ends[e - 1].clear();
@@ -1209,10 +1273,10 @@ impl FillState {
             let link = &links[l as usize];
             if l % 2 == 0 && link.capped > 0 {
                 for &k in &link.flows {
-                    let m = &members[k as usize];
-                    if m.cap > 0.0 && m.cap.is_finite() && m.round >= start {
+                    let cap = members[k as usize].cap;
+                    if cap > 0.0 && cap.is_finite() && member_traces[k as usize].round >= start {
                         capped.push(k);
-                        min_cap = min_cap.min(m.cap);
+                        min_cap = min_cap.min(cap);
                     }
                 }
             }
@@ -1864,8 +1928,10 @@ mod tests {
             let mut round_one = fs.clone();
             let mut full = rates.clone();
             let filled = fs.fill(0, true, &nodes, |k, rate| {
-                rates[k as usize] = rate;
-                dues[k as usize] = due(k, rate);
+                if rate.to_bits() != rates[k as usize].to_bits() {
+                    rates[k as usize] = rate;
+                    dues[k as usize] = due(k, rate);
+                }
                 dues[k as usize]
             });
             reused += filled.reused;

@@ -1099,20 +1099,21 @@ impl Network {
             full_resolve,
             ..
         } = self;
-        // The fill hands over only rates that changed bitwise: each costs a
-        // byte integration and a completion re-prediction.
         let filled = fill.fill(c, !*full_resolve, &nodes, |slot, rate| {
             let pace = &mut pace[slot as usize];
-            debug_assert_ne!(rate.to_bits(), pace.rate.to_bits());
-            stats.rate_changes += 1;
-            // Integrate at the old rate up to now, then switch.
-            pace.integrate(clock, tx_base, rx_base);
-            pace.rate = rate;
-            pace.pred_end = if rate > 0.0 {
-                clock + Duration::for_bytes_f64(pace.remaining, rate)
-            } else {
-                SimTime::MAX
-            };
+            // Only a bitwise rate change costs a byte integration and a
+            // completion re-prediction.
+            if rate.to_bits() != pace.rate.to_bits() {
+                stats.rate_changes += 1;
+                // Integrate at the old rate up to now, then switch.
+                pace.integrate(clock, tx_base, rx_base);
+                pace.rate = rate;
+                pace.pred_end = if rate > 0.0 {
+                    clock + Duration::for_bytes_f64(pace.remaining, rate)
+                } else {
+                    SimTime::MAX
+                };
+            }
             pace.pred_end.0
         });
         stats.refills += 1;
