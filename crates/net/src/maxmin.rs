@@ -246,7 +246,20 @@ fn down(node: u32) -> usize {
 /// a repeated subtraction — a multiply rounds differently — and is clamped
 /// at zero: a link can end up an ulp negative after repeated subtraction,
 /// and a negative residual must read as "saturated", never as headroom.
+///
+/// The clamp is applied only when it can fire. `left` and `delta` are not
+/// negative, and rounding is monotone, so the unclamped residuals never
+/// rise: if the last is not negative, neither was any before it, and the
+/// clamped chain is the same chain. That halves the latency of the
+/// subtractions on the common path.
 fn drain(left: f64, count: u32, delta: f64) -> f64 {
+    let mut x = left;
+    for _ in 0..count {
+        x -= delta;
+    }
+    if x >= 0.0 {
+        return x;
+    }
     let mut x = left;
     for _ in 0..count {
         x = (x - delta).max(0.0);
