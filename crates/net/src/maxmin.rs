@@ -467,7 +467,8 @@ impl FillState {
     /// Grow the trace tables to cover every link and member.
     fn grow_traces(&mut self) {
         if self.link_traces.len() < self.links.len() {
-            self.link_traces.resize_with(self.links.len(), LinkTrace::default);
+            self.link_traces
+                .resize_with(self.links.len(), LinkTrace::default);
         }
         if self.member_traces.len() < self.members.len() {
             self.member_traces
