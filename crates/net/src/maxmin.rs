@@ -185,7 +185,7 @@ struct Gone {
 }
 
 /// A component's last trajectory and what changed since. The per-round
-/// link states live with the links ([`Link::hist`]).
+/// link states live with the links ([`LinkTrace::hist`]).
 #[derive(Debug, Clone, Default)]
 struct Memo {
     /// Nonzero while the trajectory may be resumed.
@@ -2008,6 +2008,39 @@ mod tests {
         assert!(reused > 0, "no fill resumed in {CASES} scripts");
     }
 
+    /// A capacity rise on a round's argmin link smaller than its saturation
+    /// threshold: the link still saturates in that round and no touched
+    /// ratio falls below the stored minimum, yet the minimum moves. Only
+    /// the touched-argmin check sees it; the random scripts' capacity grid
+    /// never makes so small a step.
+    #[test]
+    fn a_rise_on_the_argmin_link_below_its_threshold_is_not_reused() {
+        let unlimited = f64::INFINITY;
+        let changes = [
+            Change::Attach {
+                src: 0,
+                dst: 1,
+                cap: unlimited,
+            },
+            Change::Attach {
+                src: 2,
+                dst: 1,
+                cap: unlimited,
+            },
+            Change::Attach {
+                src: 3,
+                dst: 4,
+                cap: unlimited,
+            },
+            Change::SetNodeCaps {
+                node: 1,
+                uplink: 1000.0,
+                downlink: 1000.0 + 1e-7,
+            },
+        ];
+        check_script(&topo(5, 1000.0), &changes);
+    }
+
     /// `allocate_with` fills from round 1 every time, whatever its scratch
     /// held before.
     #[test]
@@ -2023,5 +2056,15 @@ mod tests {
         }
         assert!(s.fill.fills > 0);
         assert_eq!(s.fill.reused, 0);
+    }
+
+    /// The rows every fill reads keep their size whether or not components
+    /// keep trajectories: those live in the trace tables.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hot_rows_carry_no_trajectory() {
+        assert_eq!(std::mem::size_of::<Link>(), 48);
+        assert_eq!(std::mem::size_of::<Member>(), 24);
+        assert_eq!(std::mem::size_of::<Load>(), 16);
     }
 }
