@@ -838,11 +838,9 @@ impl FillState {
                 open -= 1;
                 let d = sink(key, pinned(m.cap, level));
                 if recording {
-                    traces[key as usize] = MemberTrace {
-                        round,
-                        fresh_in: 0,
-                        due: d,
-                    };
+                    let trace = &mut traces[key as usize];
+                    trace.round = round;
+                    trace.due = d;
                 }
                 due = due.min(d);
             };
