@@ -88,6 +88,13 @@ fn bench_sim_scale(c: &mut Criterion) {
             median(&format!("prophet-oracle_{w}")) / median(&format!("mxnet-fifo_{w}")),
         ));
     }
+    // The oracle's own growth from 64 to 256 workers, both medians from
+    // this session: unlike the oracle/FIFO ratio above, a faster FIFO
+    // cannot move it.
+    derived.push((
+        format!("oracle_host_growth_256_over_{}", SCALES[0]),
+        median("prophet-oracle_256") / median(&format!("prophet-oracle_{}", SCALES[0])),
+    ));
     derived.push((
         format!("checked_over_unchecked_host_ratio_{}", SCALES[0]),
         median(&format!("mxnet-fifo_{}_checked", SCALES[0]))

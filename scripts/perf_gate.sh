@@ -13,14 +13,20 @@
 #                                           shard count stays a positive
 #                                           scaling knob
 #   BENCH_sim_scale.json
-#     oracle_over_fifo_host_ratio_256 <= 4.5  host time of the 256-worker
+#     oracle_host_growth_256_over_64 <= 13.7  host time of the 256-worker
 #                                           prophet-oracle cell over the
-#                                           FIFO cell's. A ratio, because
-#                                           the bench host runs in speed
-#                                           modes ~1.45x apart and a wall
-#                                           time does not survive them
-#                                           (8.4 before the component-level
-#                                           completion index, 3.4 after)
+#                                           64-worker one, both medians of
+#                                           one bench session. A ratio,
+#                                           because the bench host runs in
+#                                           speed modes ~1.45x apart and a
+#                                           wall time does not survive them;
+#                                           of the oracle alone, because the
+#                                           oracle/FIFO ratio it replaces
+#                                           (oracle_over_fifo_host_ratio_256,
+#                                           still emitted, ungated) broke
+#                                           when FIFO got faster (3.4 ->
+#                                           6.7 with resumable fills). 12.49
+#                                           when the bound was set
 #     checked_over_unchecked_host_ratio_64 <= 1.3  host time of the
 #                                           64-worker FIFO cell with the
 #                                           InvariantChecker on over the
@@ -47,7 +53,7 @@ cd "$(dirname "$0")/.."
 bounds=(
     "BENCH_threaded.json speedup_8w_4s_vgg >= 4.3 threaded"
     "BENCH_threaded.json shard_scaling_8w_4s_over_1s > 1.0 threaded"
-    "BENCH_sim_scale.json oracle_over_fifo_host_ratio_256 <= 4.5 sim_scale"
+    "BENCH_sim_scale.json oracle_host_growth_256_over_64 <= 13.7 sim_scale"
     "BENCH_sim_scale.json checked_over_unchecked_host_ratio_64 <= 1.3 sim_scale"
     "BENCH_maxmin.json realloc_speedup_512 >= 10 maxmin_scale"
 )
