@@ -54,6 +54,15 @@ impl OptState {
         }
     }
 
+    /// Per-parameter state vectors a step reads and writes: SGD's
+    /// velocity (none without momentum), Adam's two moments.
+    pub(crate) fn state_vectors(&self) -> u64 {
+        match self {
+            OptState::Sgd(o) => u64::from(o.momentum != 0.0),
+            OptState::Adam(_) => 2,
+        }
+    }
+
     /// Apply one mean gradient to `params` in place.
     pub(crate) fn step(&mut self, params: &mut [f32], grad: &[f32]) {
         match self {

@@ -294,6 +294,17 @@ pub struct ShardPhases {
     pub barriers: u64,
     /// Messages served.
     pub msgs: u64,
+    /// Bytes the barrier fold walked: the accumulator's zero-fill, every
+    /// staged payload byte, the accumulator's read and write per fold
+    /// (once per block for whole payloads, once per slice otherwise) and
+    /// the mean scaling's read and write.
+    pub fold_bytes: u64,
+    /// Bytes the optimiser step walked: the mean gradient read, the
+    /// parameters and every per-parameter state vector read and written.
+    pub optimizer_bytes: u64,
+    /// Bytes the pull-cache encode walked: the parameters read and the
+    /// frame written.
+    pub encode_bytes: u64,
 }
 
 /// Where the worker threads spent their time, summed across workers.
@@ -310,6 +321,16 @@ pub struct WorkerPhases {
     /// instant is the link's time, not a wait), or waiting for the
     /// cache-residency gate before compute or a large apply.
     pub wait_ns: u64,
+    /// Gradient bytes the backward pass walked: each gradient tensor's
+    /// zero-fill, then one read and one write of it per sample row the
+    /// accumulate folds in.
+    pub store_bytes: u64,
+    /// Bytes the push encode walked: the gradients read and the frame
+    /// written.
+    pub encode_bytes: u64,
+    /// Bytes the pull apply walked: the reply payload read and the
+    /// parameters written.
+    pub apply_bytes: u64,
 }
 
 /// How far a message may run ahead of its link: a send is due once no
@@ -1124,6 +1145,9 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         worker_phases.encode_ns += out.phases.encode_ns;
         worker_phases.apply_ns += out.phases.apply_ns;
         worker_phases.wait_ns += out.phases.wait_ns;
+        worker_phases.store_bytes += out.phases.store_bytes;
+        worker_phases.encode_bytes += out.phases.encode_bytes;
+        worker_phases.apply_bytes += out.phases.apply_bytes;
         events.extend(out.events);
     }
     let mut final_params: Vec<Vec<f32>> = vec![Vec::new(); n_tensors];
@@ -1605,6 +1629,7 @@ impl ShardRt {
             self.phases.idle_ns += t_gate.elapsed().as_nanos() as u64;
         }
         let t_acc = Instant::now();
+        let bytes = (size * 4) as u64;
         {
             // One fold for every plan: each payload's CRC check rides the
             // traversal that accumulates it. Under a corruption plan the
@@ -1613,6 +1638,12 @@ impl ShardRt {
             let staged = &mut self.staged[l];
             let acc = &mut self.acc_buf[..size];
             acc.fill(0.0);
+            self.phases.fold_bytes += bytes;
+            for s in staged.iter() {
+                for (_, b, _) in s {
+                    self.phases.fold_bytes += b.len() as u64;
+                }
+            }
             if staged.iter().all(|s| match s.as_slice() {
                 [] => true,
                 [(off, bytes, _)] => *off == 0 && bytes.len() == size * 4,
@@ -1631,6 +1662,7 @@ impl ShardRt {
                     })
                     .collect();
                 fold::fold_whole_deferred(&payloads, acc);
+                self.phases.fold_bytes += 2 * bytes;
                 staged.iter_mut().for_each(Vec::clear);
             } else {
                 // Sliced payloads: per-slice fused fold — still one
@@ -1638,6 +1670,7 @@ impl ShardRt {
                 for (w, s) in staged.iter_mut().enumerate() {
                     for (off, bytes, crc) in s.drain(..) {
                         let n = bytes.len() / 4;
+                        self.phases.fold_bytes += 2 * bytes.len() as u64;
                         let got = crc32::finish(fused_crc_accumulate(
                             crc32::begin(),
                             &bytes,
@@ -1657,10 +1690,12 @@ impl ShardRt {
         for m in acc.iter_mut() {
             *m *= inv;
         }
+        self.phases.fold_bytes += 2 * bytes;
         let t_opt = Instant::now();
         self.phases.accumulate_ns += t_opt.duration_since(t_acc).as_nanos() as u64;
         let opt = self.opts[l].as_mut().expect("barrier on unrestored tensor");
         opt.step(&mut self.params[l], acc);
+        self.phases.optimizer_bytes += bytes * (3 + 2 * opt.state_vectors());
         self.store.note_update(g, iter, acc);
         self.phases.optimizer_ns += t_opt.elapsed().as_nanos() as u64;
         self.phases.barriers += 1;
@@ -1801,6 +1836,7 @@ impl ShardRt {
         };
         let crc = encode_f32_into_crc(&self.params[l], &mut buf);
         self.phases.encode_ns += t_fill.elapsed().as_nanos() as u64;
+        self.phases.encode_bytes += 2 * buf.len() as u64;
         let wire = buf.freeze();
         self.pull[l].frame = Some((
             0,
@@ -2455,6 +2491,9 @@ fn worker_thread(
             phases.compute_ns += t_encode.duration_since(t_compute).as_nanos() as u64;
             up.encode(step, ids.clone(), &model.grad_slices());
             phases.encode_ns += t_encode.elapsed().as_nanos() as u64;
+            let step_bytes: usize = ids.clone().map(|g| tensor_elems[g] * 4).sum();
+            phases.store_bytes += (step_bytes * (1 + 2 * x.rows)) as u64;
+            phases.encode_bytes += 2 * step_bytes as u64;
             step += 1;
             for g in ids.rev() {
                 tlog.emit(TraceEvent::GradReady {
@@ -2519,6 +2558,7 @@ fn worker_thread(
                         gate.release();
                     }
                     phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
+                    phases.apply_bytes += 2 * data.len() as u64;
                     tr.applied[grad] += len_elems;
                     if tr.applied[grad] == tensor_elems[grad] {
                         tr.left -= 1;
@@ -2816,6 +2856,33 @@ mod tests {
             .send_fate(0, |_| panic!("drew against an empty plan"));
         assert_eq!(fate, None);
         assert_eq!(f.outbox.next_deadline(), None);
+    }
+
+    /// Every bytes-walked counter of a small fault-free FIFO run (whole
+    /// payloads, SGD with momentum) equals its closed form in model bytes.
+    #[test]
+    fn bytes_walked_match_their_closed_forms() {
+        let cfg = ThreadedConfig {
+            ps_shards: 2,
+            iterations: 6,
+            ..ThreadedConfig::small(2, SchedulerKind::Fifo)
+        };
+        let r = run_threaded_training(&cfg);
+        let m: u64 = Mlp::new(&cfg.widths, 0)
+            .tensor_sizes()
+            .iter()
+            .map(|&n| n as u64 * 4)
+            .sum();
+        let (w, iters) = (cfg.workers as u64, cfg.iterations);
+        let rows = (cfg.global_batch / cfg.workers) as u64;
+        let wp = r.worker_phases;
+        assert_eq!(wp.store_bytes, iters * w * (1 + 2 * rows) * m);
+        assert_eq!(wp.encode_bytes, iters * w * 2 * m);
+        assert_eq!(wp.apply_bytes, iters * w * 2 * m);
+        let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
+        assert_eq!(shards(|p| p.fold_bytes), iters * (w + 5) * m);
+        assert_eq!(shards(|p| p.optimizer_bytes), iters * 5 * m);
+        assert_eq!(shards(|p| p.encode_bytes), iters * 2 * m);
     }
 
     #[test]
