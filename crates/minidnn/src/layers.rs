@@ -3,20 +3,42 @@
 use crate::tensor::Tensor;
 use prophet_sim::Xoshiro256StarStar;
 
+/// Where a backward pass stores the parameter gradients it computes.
+///
+/// Layers own no gradient buffers: each gradient tensor is handed over
+/// once, as it is finished, in pieces — tensor `id`'s elements arrive in
+/// order, and a layer's tensors arrive in [`Layer::params`] order, one
+/// after the other. A sink can keep them as `f32`s (`Vec<Vec<f32>>`, what
+/// [`crate::Mlp::grad_slices`] reads) or write them straight into a wire
+/// frame without an intermediate copy.
+pub trait GradSink {
+    /// The next elements of gradient tensor `id`.
+    fn store(&mut self, id: usize, vals: &[f32]);
+}
+
+/// One `Vec` per tensor; stores append, so the caller clears them before
+/// a pass.
+impl GradSink for Vec<Vec<f32>> {
+    fn store(&mut self, id: usize, vals: &[f32]) {
+        self[id].extend_from_slice(vals);
+    }
+}
+
 /// A differentiable layer.
 pub trait Layer: Send {
     /// Forward pass on a `batch × in` activation, returning `batch × out`.
     fn forward(&mut self, x: &Tensor) -> Tensor;
 
     /// Backward pass: gradient of the loss wrt this layer's output →
-    /// gradient wrt its input, accumulating parameter gradients internally.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// gradient wrt its input. The parameter gradients are stored into
+    /// `grads`, tensor `i` of [`Layer::params`] under id `i`.
+    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor;
 
-    /// The backward pass of a network's first layer: accumulate the
-    /// parameter gradients exactly as [`Layer::backward`] does, but skip
-    /// the gradient wrt the input, which nothing consumes.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        let _ = self.backward(grad_out);
+    /// The backward pass of a network's first layer: store the parameter
+    /// gradients exactly as [`Layer::backward`] does, but skip the gradient
+    /// wrt the input, which nothing consumes.
+    fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
+        let _ = self.backward(grad_out, grads);
     }
 
     /// Flattened views of this layer's parameter tensors (weights first).
@@ -24,12 +46,6 @@ pub trait Layer: Send {
 
     /// Mutable flattened parameter tensors.
     fn params_mut(&mut self) -> Vec<&mut [f32]>;
-
-    /// Flattened parameter gradients, matching [`Layer::params`] order.
-    fn grads(&self) -> Vec<&[f32]>;
-
-    /// Reset accumulated gradients to zero.
-    fn zero_grads(&mut self);
 
     /// A deep copy behind a fresh box (what makes a model `Clone`).
     fn boxed_clone(&self) -> Box<dyn Layer>;
@@ -40,9 +56,8 @@ pub trait Layer: Send {
 pub struct Dense {
     w: Tensor,        // in × out
     b: Tensor,        // 1 × out
-    dw: Tensor,       // gradient wrt w
-    db: Tensor,       // gradient wrt b
     cached_x: Tensor, // input saved by forward for the backward pass
+    row: Vec<f32>,    // scratch: the weight-gradient row being built
 }
 
 impl Dense {
@@ -55,9 +70,8 @@ impl Dense {
         Dense {
             w: Tensor::from_vec(input, output, data),
             b: Tensor::zeros(1, output),
-            dw: Tensor::zeros(input, output),
-            db: Tensor::zeros(1, output),
             cached_x: Tensor::zeros(0, 0),
+            row: Vec::new(),
         }
     }
 }
@@ -76,18 +90,18 @@ impl Layer for Dense {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_params(grad_out);
+    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor {
+        self.backward_params(grad_out, grads);
         // dx = dy · wᵀ.
         grad_out.matmul_t(&self.w)
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) {
+    fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
         assert_eq!(grad_out.rows, self.cached_x.rows, "stale forward cache");
-        // dw += xᵀ · dy ; db += Σrows dy.
-        self.cached_x.t_matmul_acc(grad_out, &mut self.dw);
-        let db = grad_out.sum_rows();
-        self.db.axpy(1.0, &db);
+        // dw = xᵀ · dy, stored a row at a time ; db = Σrows dy.
+        self.cached_x
+            .t_matmul_rows(grad_out, &mut self.row, |r| grads.store(0, r));
+        grads.store(1, &grad_out.sum_rows().data);
     }
 
     fn params(&self) -> Vec<&[f32]> {
@@ -96,15 +110,6 @@ impl Layer for Dense {
 
     fn params_mut(&mut self) -> Vec<&mut [f32]> {
         vec![&mut self.w.data, &mut self.b.data]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![&self.dw.data, &self.db.data]
-    }
-
-    fn zero_grads(&mut self) {
-        self.dw.data.fill(0.0);
-        self.db.data.fill(0.0);
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
@@ -138,7 +143,7 @@ impl Layer for Relu {
         Tensor::from_vec(x.rows, x.cols, data)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _grads: &mut dyn GradSink) -> Tensor {
         assert_eq!(grad_out.data.len(), self.mask.len(), "stale forward cache");
         let data = grad_out
             .data
@@ -156,12 +161,6 @@ impl Layer for Relu {
     fn params_mut(&mut self) -> Vec<&mut [f32]> {
         vec![]
     }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![]
-    }
-
-    fn zero_grads(&mut self) {}
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -191,12 +190,13 @@ mod tests {
         let x = Tensor::from_vec(4, 3, vec![0.5; 12]);
         let _ = d.forward(&x);
         let dy = Tensor::from_vec(4, 2, vec![1.0; 8]);
-        let dx = d.backward(&dy);
+        let mut grads = vec![Vec::new(); 2];
+        let dx = d.backward(&dy, &mut grads);
         assert_eq!((dx.rows, dx.cols), (4, 3));
-        assert_eq!(d.grads()[0].len(), 6);
-        assert_eq!(d.grads()[1].len(), 2);
+        assert_eq!(grads[0].len(), 6);
+        assert_eq!(grads[1].len(), 2);
         // db = column sums of dy = 4 each.
-        assert_eq!(d.grads()[1], &[4.0, 4.0]);
+        assert_eq!(grads[1], [4.0, 4.0]);
     }
 
     #[test]
@@ -208,9 +208,9 @@ mod tests {
         let loss = |d: &mut Dense, x: &Tensor| -> f32 { d.forward(x).data.iter().sum() };
         let _ = d.forward(&x);
         let dy = Tensor::from_vec(2, 2, vec![1.0; 4]);
-        d.zero_grads();
-        let _ = d.backward(&dy);
-        let analytic: Vec<f32> = d.grads()[0].to_vec();
+        let mut grads = vec![Vec::new(); 2];
+        let _ = d.backward(&dy, &mut grads);
+        let analytic = &grads[0];
         let eps = 1e-3f32;
         #[allow(clippy::needless_range_loop)] // k indexes both w and analytic
         for k in 0..6 {
@@ -236,26 +236,26 @@ mod tests {
         let y = r.forward(&x);
         assert_eq!(y.data, vec![0., 2., 0., 4.]);
         let dy = Tensor::from_vec(1, 4, vec![10., 10., 10., 10.]);
-        let dx = r.backward(&dy);
+        let dx = r.backward(&dy, &mut Vec::new());
         assert_eq!(dx.data, vec![0., 10., 0., 10.]);
     }
 
     #[test]
-    fn grads_accumulate_until_zeroed() {
+    fn grads_are_stored_not_accumulated() {
+        // A second backward over the same input hands over the same
+        // gradients, bit for bit: nothing carries over between passes.
         let mut rng = Xoshiro256StarStar::new(4);
         let mut d = Dense::new(2, 2, &mut rng);
-        let x = Tensor::from_vec(1, 2, vec![1., 1.]);
-        let dy = Tensor::from_vec(1, 2, vec![1., 1.]);
-        let _ = d.forward(&x);
-        let _ = d.backward(&dy);
-        let after_one: Vec<f32> = d.grads()[0].to_vec();
-        let _ = d.forward(&x);
-        let _ = d.backward(&dy);
-        let after_two: Vec<f32> = d.grads()[0].to_vec();
-        for (a, b) in after_one.iter().zip(&after_two) {
-            assert!((b - 2.0 * a).abs() < 1e-6);
+        let x = Tensor::from_vec(1, 2, vec![1., -0.5]);
+        let dy = Tensor::from_vec(1, 2, vec![1., 0.25]);
+        let mut passes = Vec::new();
+        for _ in 0..2 {
+            let _ = d.forward(&x);
+            let mut grads = vec![Vec::new(); 2];
+            let _ = d.backward(&dy, &mut grads);
+            passes.push(grads);
         }
-        d.zero_grads();
-        assert!(d.grads()[0].iter().all(|&g| g == 0.0));
+        assert_eq!(passes[0], passes[1]);
+        assert_eq!(passes[0][0], [1.0, 0.25, -0.5, -0.125]);
     }
 }

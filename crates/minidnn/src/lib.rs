@@ -28,8 +28,8 @@ pub mod optim;
 pub mod tensor;
 
 pub use data::Dataset;
-pub use layers::{Dense, Layer, Relu};
+pub use layers::{Dense, GradSink, Layer, Relu};
 pub use loss::{mse, softmax_cross_entropy};
 pub use model::{Backward, Mlp};
-pub use optim::{Adam, Sgd};
+pub use optim::{Adam, AdamStep, Sgd};
 pub use tensor::Tensor;

@@ -5,7 +5,7 @@
 //! weight = gradient 0), matching the priority convention of `prophet-dnn`
 //! and the paper: gradient 0 is what the next forward pass needs first.
 
-use crate::layers::{Dense, Layer, Relu};
+use crate::layers::{Dense, GradSink, Layer, Relu};
 use crate::loss::softmax_cross_entropy;
 use crate::tensor::Tensor;
 use prophet_sim::Xoshiro256StarStar;
@@ -14,6 +14,10 @@ use std::ops::Range;
 /// A multi-layer perceptron with ReLU activations between Dense layers.
 pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
+    /// The gradients of the last [`Mlp::forward_backward`], forward order
+    /// (empty before the first). A caller stepping the backward itself
+    /// stores them wherever its own [`GradSink`] says instead.
+    grads: Vec<Vec<f32>>,
 }
 
 /// A backward pass in progress: opened by [`Mlp::forward_loss`], advanced
@@ -32,7 +36,21 @@ impl Clone for Mlp {
     fn clone(&self) -> Self {
         Mlp {
             layers: self.layers.iter().map(|l| l.boxed_clone()).collect(),
+            grads: self.grads.clone(),
         }
+    }
+}
+
+/// A layer's view of the caller's sink: its local tensor ids shifted to
+/// the model's.
+struct Shifted<'a> {
+    first: usize,
+    sink: &'a mut dyn GradSink,
+}
+
+impl GradSink for Shifted<'_> {
+    fn store(&mut self, id: usize, vals: &[f32]) {
+        self.sink.store(self.first + id, vals);
     }
 }
 
@@ -49,7 +67,10 @@ impl Mlp {
                 layers.push(Box::new(Relu::new()));
             }
         }
-        Mlp { layers }
+        Mlp {
+            layers,
+            grads: Vec::new(),
+        }
     }
 
     /// Forward pass, returning logits.
@@ -61,11 +82,16 @@ impl Mlp {
         act
     }
 
-    /// Full training step bookkeeping: forward, loss, backward. Gradients
-    /// accumulate in the layers; returns the mean loss.
+    /// Full training step bookkeeping: forward, loss, backward. The
+    /// gradients are kept for [`Mlp::grad_slices`], replacing the previous
+    /// pass's; returns the mean loss.
     pub fn forward_backward(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+        let mut grads = std::mem::take(&mut self.grads);
+        grads.resize_with(self.num_tensors(), Vec::new);
+        grads.iter_mut().for_each(Vec::clear);
         let (loss, mut pass) = self.forward_loss(x, labels);
-        while self.backward_step(&mut pass).is_some() {}
+        while self.backward_step(&mut pass, &mut grads).is_some() {}
+        self.grads = grads;
         loss
     }
 
@@ -85,36 +111,54 @@ impl Mlp {
     }
 
     /// Run `pass` backward through the next layer that holds parameters
-    /// (and the activations above it). Returns the ids of the gradient
-    /// tensors that step completed — that layer's, in forward order — or
-    /// `None` once every layer has been stepped. Gradients accumulate
-    /// exactly as in [`Mlp::forward_backward`], which is this loop.
-    pub fn backward_step(&mut self, pass: &mut Backward) -> Option<Range<usize>> {
+    /// (and the activations above it), storing that layer's gradients
+    /// into `grads` under their model-wide ids. Returns those ids — the
+    /// layer's tensors, in forward order — or `None` once every layer has
+    /// been stepped. [`Mlp::forward_backward`] is this loop.
+    pub fn backward_step(
+        &mut self,
+        pass: &mut Backward,
+        grads: &mut dyn GradSink,
+    ) -> Option<Range<usize>> {
+        let ids = self.next_tensors(pass)?;
+        let mut sink = Shifted {
+            first: ids.start,
+            sink: grads,
+        };
         while pass.next > 0 {
             pass.next -= 1;
             let layer = &mut self.layers[pass.next];
+            let held = layer.params().len();
             if pass.next == 0 {
                 // Nothing consumes the gradient wrt the network's input.
-                layer.backward_params(&pass.grad);
+                layer.backward_params(&pass.grad, &mut sink);
             } else {
-                pass.grad = layer.backward(&pass.grad);
+                pass.grad = layer.backward(&pass.grad, &mut sink);
             }
-            let held = layer.params().len();
             if held > 0 {
-                let end = pass.tensors;
-                pass.tensors -= held;
-                return Some(pass.tensors..end);
+                pass.tensors = ids.start;
+                return Some(ids);
             }
         }
-        None
+        unreachable!("a layer holding tensors {ids:?} was not stepped")
     }
 
-    /// Zero all accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+    /// The ids of the gradient tensors the next [`Mlp::backward_step`] of
+    /// `pass` will store, or `None` once the pass is spent — so a caller
+    /// can size their destination before the backward writes it.
+    pub fn next_tensors(&self, pass: &Backward) -> Option<Range<usize>> {
+        let held = self.layers[..pass.next]
+            .iter()
+            .rev()
+            .map(|l| l.params().len())
+            .find(|&n| n > 0)?;
+        Some(pass.tensors - held..pass.tensors)
     }
+
+    /// Gradients are stored, not accumulated, by every backward pass, so
+    /// there is nothing to reset: this does nothing. It survives only for
+    /// callers written against the accumulating API.
+    pub fn zero_grads(&mut self) {}
 
     /// Number of parameter tensors (= gradients, in the scheduling sense).
     pub fn num_tensors(&self) -> usize {
@@ -129,14 +173,16 @@ impl Mlp {
             .collect()
     }
 
-    /// Copy gradient tensor `id` into a fresh vector.
+    /// Copy gradient tensor `id` of the last [`Mlp::forward_backward`]
+    /// into a fresh vector.
     pub fn gradient(&self, id: usize) -> Vec<f32> {
-        self.grad_slices()[id].to_vec()
+        self.grads[id].clone()
     }
 
-    /// All gradient tensors, forward order, as slices.
+    /// The gradient tensors of the last [`Mlp::forward_backward`], forward
+    /// order, as slices (none before the first).
     pub fn grad_slices(&self) -> Vec<&[f32]> {
-        self.layers.iter().flat_map(|l| l.grads()).collect()
+        self.grads.iter().map(Vec::as_slice).collect()
     }
 
     /// All parameter tensors, forward order, as slices.
@@ -261,9 +307,17 @@ mod tests {
         let mut reference = Mlp::new(&[4, 8, 5, 3], 7);
         let logits = reference.forward(&x);
         let (ref_loss, mut grad) = softmax_cross_entropy(&logits, &[0, 2]);
+        let mut ref_grads = vec![Vec::new(); 6];
+        let mut first = 6;
         for layer in reference.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+            first -= layer.params().len();
+            let mut sink = Shifted {
+                first,
+                sink: &mut ref_grads,
+            };
+            grad = layer.backward(&grad, &mut sink);
         }
+        reference.grads = ref_grads;
 
         let mut whole = Mlp::new(&[4, 8, 5, 3], 7);
         let loss = whole.forward_backward(&x, &[0, 2]);
@@ -278,12 +332,16 @@ mod tests {
         let mut stepped = Mlp::new(&[4, 8, 5, 3], 7);
         let (step_loss, mut pass) = stepped.forward_loss(&x, &[0, 2]);
         let mut released = Vec::new();
-        while let Some(ids) = stepped.backward_step(&mut pass) {
+        let mut grads = vec![Vec::new(); 6];
+        while let Some(next) = stepped.next_tensors(&pass) {
+            let ids = stepped.backward_step(&mut pass, &mut grads).unwrap();
+            assert_eq!(ids, next, "next_tensors named another step");
             released.push(ids);
         }
+        stepped.grads = grads;
         assert_eq!(released, vec![4..6, 2..4, 0..2]);
         assert!(
-            stepped.backward_step(&mut pass).is_none(),
+            stepped.backward_step(&mut pass, &mut Vec::new()).is_none(),
             "a spent pass stays spent"
         );
         assert_eq!(step_loss.to_bits(), ref_loss.to_bits());
@@ -312,7 +370,6 @@ mod tests {
         let mut m = Mlp::new(&[3, 5, 2], 11);
         let x = Tensor::from_vec(2, 3, vec![0.2, -0.4, 0.9, -0.1, 0.6, 0.3]);
         let labels = [1usize, 0];
-        m.zero_grads();
         let _ = m.forward_backward(&x, &labels);
         let analytic0: Vec<f32> = m.grad_slices()[0].to_vec();
         // Perturb entries of the first weight tensor.

@@ -30,9 +30,21 @@ impl Sgd {
 
     /// Apply gradient tensor `id` to `params` in place.
     pub fn step(&mut self, id: usize, params: &mut [f32], grad: &[f32]) {
+        assert_eq!(
+            self.velocity[id].len(),
+            grad.len(),
+            "velocity size mismatch"
+        );
+        self.step_slice(id, 0, params, grad);
+    }
+
+    /// [`Sgd::step`] on elements `offset..offset + grad.len()` of tensor
+    /// `id` only, `params` and `grad` being those elements: an update
+    /// applied slice by slice, in any order, is bit-identical to one whole
+    /// step (every element's arithmetic is its own).
+    pub fn step_slice(&mut self, id: usize, offset: usize, params: &mut [f32], grad: &[f32]) {
         assert_eq!(params.len(), grad.len(), "param/grad size mismatch");
-        let v = &mut self.velocity[id];
-        assert_eq!(v.len(), grad.len(), "velocity size mismatch");
+        let v = &mut self.velocity[id][offset..offset + grad.len()];
         if self.momentum == 0.0 {
             for (p, &g) in params.iter_mut().zip(grad) {
                 *p -= self.lr * g;
@@ -49,6 +61,19 @@ impl Sgd {
     pub fn num_tensors(&self) -> usize {
         self.velocity.len()
     }
+
+    /// Tensor `id`'s velocity.
+    pub fn velocity(&self, id: usize) -> &[f32] {
+        &self.velocity[id]
+    }
+}
+
+/// One Adam update of one tensor, opened by [`Adam::begin_step`]: its bias
+/// corrections, fixed once however many slices the update is applied in.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStep {
+    bc1: f32,
+    bc2: f32,
 }
 
 /// Adam (Kingma & Ba): per-parameter adaptive learning rates. Included
@@ -87,13 +112,37 @@ impl Adam {
     /// Apply gradient tensor `id` to `params` in place, with bias-corrected
     /// moment estimates.
     pub fn step(&mut self, id: usize, params: &mut [f32], grad: &[f32]) {
-        assert_eq!(params.len(), grad.len(), "param/grad size mismatch");
+        assert_eq!(self.m[id].len(), grad.len(), "moment size mismatch");
+        let s = self.begin_step(id);
+        self.step_slice(id, s, 0, params, grad);
+    }
+
+    /// Open one update of tensor `id`: advance its timestep and fix the
+    /// update's bias corrections. Apply it with [`Adam::step_slice`].
+    pub fn begin_step(&mut self, id: usize) -> AdamStep {
         self.t[id] += 1;
         let t = self.t[id] as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let (m, v) = (&mut self.m[id], &mut self.v[id]);
-        assert_eq!(m.len(), grad.len(), "moment size mismatch");
+        AdamStep {
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        }
+    }
+
+    /// Apply update `s` to elements `offset..offset + grad.len()` of tensor
+    /// `id`, `params` and `grad` being those elements. An update applied
+    /// slice by slice, in any order, is bit-identical to [`Adam::step`].
+    pub fn step_slice(
+        &mut self,
+        id: usize,
+        s: AdamStep,
+        offset: usize,
+        params: &mut [f32],
+        grad: &[f32],
+    ) {
+        assert_eq!(params.len(), grad.len(), "param/grad size mismatch");
+        let (bc1, bc2) = (s.bc1, s.bc2);
+        let span = offset..offset + grad.len();
+        let (m, v) = (&mut self.m[id][span.clone()], &mut self.v[id][span]);
         for i in 0..grad.len() {
             m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad[i];
             v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
@@ -106,6 +155,11 @@ impl Adam {
     /// Number of tensors this optimiser tracks.
     pub fn num_tensors(&self) -> usize {
         self.m.len()
+    }
+
+    /// Tensor `id`'s first and second moment estimates.
+    pub fn moments(&self, id: usize) -> (&[f32], &[f32]) {
+        (&self.m[id], &self.v[id])
     }
 }
 
@@ -140,6 +194,30 @@ mod tests {
         opt.step(1, &mut b, &[2.0]);
         assert_eq!(a, vec![-1.0]);
         assert_eq!(b, vec![-2.0]);
+    }
+
+    #[test]
+    fn slices_in_any_order_equal_one_step() {
+        let grad: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.37).collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut whole, mut sliced) = (Sgd::new(0.1, 0.9, &[7]), Sgd::new(0.1, 0.9, &[7]));
+        let (mut pw, mut ps) = (vec![1.0f32; 7], vec![1.0f32; 7]);
+        let (mut aw, mut asl) = (Adam::new(0.01, &[7]), Adam::new(0.01, &[7]));
+        let (mut qw, mut qs) = (vec![0.5f32; 7], vec![0.5f32; 7]);
+        for _ in 0..3 {
+            whole.step(0, &mut pw, &grad);
+            aw.step(0, &mut qw, &grad);
+            let s = asl.begin_step(0);
+            for r in [4..7, 0..2, 2..4] {
+                sliced.step_slice(0, r.start, &mut ps[r.clone()], &grad[r.clone()]);
+                asl.step_slice(0, s, r.start, &mut qs[r.clone()], &grad[r]);
+            }
+        }
+        assert_eq!(bits(&pw), bits(&ps));
+        assert_eq!(bits(whole.velocity(0)), bits(sliced.velocity(0)));
+        assert_eq!(bits(&qw), bits(&qs));
+        let ((m1, v1), (m2, v2)) = (aw.moments(0), asl.moments(0));
+        assert_eq!((bits(m1), bits(v1)), (bits(m2), bits(v2)));
     }
 
     #[test]

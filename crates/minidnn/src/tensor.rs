@@ -129,6 +129,46 @@ impl Tensor {
         }
     }
 
+    /// `selfᵀ · other`, one finished output row at a time: row `k` is built
+    /// in the scratch `row` and handed to `emit` before row `k + 1` starts,
+    /// so the caller can store it (and checksum it) while it is cache-hot
+    /// instead of walking a whole product buffer again. Weight gradients
+    /// (`xᵀ · dy`) are stored through this.
+    ///
+    /// Per element the products add in the order [`Tensor::t_matmul_acc`]
+    /// adds them into a zeroed buffer — over `self`'s rows in order,
+    /// skipping zero inputs — and the first one is stored as `0.0 + a·b`,
+    /// so signed zeros come out exactly as accumulating into `+0.0` made
+    /// them: the rows are bit-identical to that product's.
+    pub fn t_matmul_rows(&self, other: &Tensor, row: &mut Vec<f32>, mut emit: impl FnMut(&[f32])) {
+        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        row.resize(other.cols, 0.0);
+        for k in 0..self.cols {
+            let mut stored = false;
+            for r in 0..self.rows {
+                let a = self.data[r * self.cols + k];
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = other.row(r);
+                if stored {
+                    for (o, &b) in row.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
+                } else {
+                    for (o, &b) in row.iter_mut().zip(b_row) {
+                        *o = 0.0 + a * b;
+                    }
+                    stored = true;
+                }
+            }
+            if !stored {
+                row.fill(0.0);
+            }
+            emit(row);
+        }
+    }
+
     /// `self · otherᵀ` (used for input gradients: `dy · wᵀ`).
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
@@ -245,6 +285,31 @@ mod tests {
         // aᵀ·b where aᵀ is 2x3.
         let at = t(2, 3, &[1., 3., 5., 2., 4., 6.]);
         assert_eq!(a.t_matmul(&b), at.matmul(&b));
+    }
+
+    #[test]
+    fn t_matmul_rows_is_bit_identical_to_accumulating_into_zeros() {
+        // Zero inputs (skipped rows), negative-zero products, cancellation
+        // and a column no row contributes to, at batch 1 and batch > 1.
+        let x = t(
+            3,
+            4,
+            &[
+                0.0, -1.5, 2.0, 0.0, 0.0, 3.0, -0.0, 0.0, 0.0, 1.5, 1e-30, 0.0,
+            ],
+        );
+        let dy = t(3, 3, &[-0.0, 2.0, 1e30, 4.0, 0.0, -1e30, -1.0, -0.0, 7.0]);
+        for rows in [1, 3] {
+            let x = t(rows, 4, &x.data[..rows * 4]);
+            let dy = t(rows, 3, &dy.data[..rows * 3]);
+            let mut reference = Tensor::zeros(4, 3);
+            x.t_matmul_acc(&dy, &mut reference);
+            let mut stored = Vec::new();
+            let mut row = Vec::new();
+            x.t_matmul_rows(&dy, &mut row, |r| stored.extend_from_slice(r));
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&stored), bits(&reference.data), "batch {rows}");
+        }
     }
 
     #[test]

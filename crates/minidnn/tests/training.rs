@@ -15,7 +15,6 @@ fn train_single(
         let mut lo = 0;
         while lo + batch <= data.len() {
             let (x, labels) = data.batch(lo, lo + batch);
-            model.zero_grads();
             last_loss = model.forward_backward(&x, &labels);
             // Scale the summed gradient to a mean over the batch: the loss
             // already divides by batch, so grads are means. Apply directly.
@@ -77,7 +76,6 @@ fn sharded_gradient_sum_matches_whole_batch() {
     // Whole-batch gradient.
     let mut whole = Mlp::new(&widths, 99);
     let (x, labels) = data.batch(0, 64);
-    whole.zero_grads();
     let _ = whole.forward_backward(&x, &labels);
     let expect: Vec<Vec<f32>> = whole.grad_slices().iter().map(|g| g.to_vec()).collect();
 
@@ -88,7 +86,6 @@ fn sharded_gradient_sum_matches_whole_batch() {
     let mut acc: Vec<Vec<f32>> = expect.iter().map(|g| vec![0.0; g.len()]).collect();
     for (x, labels) in &shards {
         let mut m = Mlp::new(&widths, 99); // identical init
-        m.zero_grads();
         let _ = m.forward_backward(x, labels);
         for (a, g) in acc.iter_mut().zip(m.grad_slices()) {
             for (av, &gv) in a.iter_mut().zip(g) {
@@ -134,7 +131,6 @@ fn gradcheck_through_loss_composition() {
     let mut m = Mlp::new(&[2, 3, 2], 17);
     let x = Tensor::from_vec(3, 2, vec![0.5, -0.3, 0.1, 0.9, -0.6, 0.2]);
     let labels = [0usize, 1, 1];
-    m.zero_grads();
     let _ = m.forward_backward(&x, &labels);
     // Check a few entries of the *last* tensor (output bias).
     let last = m.num_tensors() - 1;

@@ -30,7 +30,7 @@
 use super::runtime::PsOptimizer;
 use super::wire::crc32;
 use crate::protocol::{GenChain, Generation};
-use prophet_minidnn::{Adam, Sgd};
+use prophet_minidnn::{Adam, AdamStep, Sgd};
 use std::sync::Mutex;
 
 /// Per-tensor optimiser state. One instance per tensor (always stepped as
@@ -65,19 +65,46 @@ impl OptState {
 
     /// Apply one mean gradient to `params` in place.
     pub(crate) fn step(&mut self, params: &mut [f32], grad: &[f32]) {
+        let u = self.begin();
+        self.step_block(u, 0, params, grad);
+    }
+
+    /// Open one update: Adam's timestep and bias corrections advance here,
+    /// once per update, however many blocks [`OptState::step_block`] then
+    /// applies it in.
+    pub(crate) fn begin(&mut self) -> Update {
         match self {
-            OptState::Sgd(o) => o.step(0, params, grad),
-            OptState::Adam(o) => o.step(0, params, grad),
+            OptState::Sgd(_) => Update(None),
+            OptState::Adam(o) => Update(Some(o.begin_step(0))),
+        }
+    }
+
+    /// Apply update `u` to the elements from `offset` on: `params` and
+    /// `grad` are that block of the tensor and its mean gradient.
+    pub(crate) fn step_block(
+        &mut self,
+        u: Update,
+        offset: usize,
+        params: &mut [f32],
+        grad: &[f32],
+    ) {
+        match (self, u.0) {
+            (OptState::Sgd(o), _) => o.step_slice(0, offset, params, grad),
+            (OptState::Adam(o), Some(s)) => o.step_slice(0, s, offset, params, grad),
+            (OptState::Adam(_), None) => unreachable!("an Adam block stepped outside its update"),
         }
     }
 }
 
-/// CRC32 over a parameter vector's canonical little-endian encoding —
-/// the integrity stamp snapshots and ledger entries carry. Goes through a
-/// fixed stack block so the byte conversion vectorises.
-pub(crate) fn params_crc(values: &[f32]) -> u32 {
-    const BLOCK: usize = 512;
-    let mut crc = crc32::begin();
+/// One optimiser update in progress ([`OptState::begin`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Update(Option<AdamStep>);
+
+/// Stream `values`' canonical little-endian encoding through a CRC32
+/// state. Goes through a fixed stack block so the byte conversion
+/// vectorises.
+fn crc_f32(mut crc: u32, values: &[f32]) -> u32 {
+    const BLOCK: usize = 2048;
     let mut buf = [0u8; BLOCK * 4];
     for chunk in values.chunks(BLOCK) {
         for (b, v) in buf.chunks_exact_mut(4).zip(chunk) {
@@ -85,7 +112,50 @@ pub(crate) fn params_crc(values: &[f32]) -> u32 {
         }
         crc = crc32::update(crc, &buf[..chunk.len() * 4]);
     }
-    crc32::finish(crc)
+    crc
+}
+
+/// CRC32 over a parameter vector's canonical little-endian encoding —
+/// the integrity stamp snapshots and ledger entries carry.
+pub(crate) fn params_crc(values: &[f32]) -> u32 {
+    crc32::finish(crc_f32(crc32::begin(), values))
+}
+
+/// A durable copy of a tensor-sized vector, built a block at a time and
+/// checksummed as it grows: the barrier pass fills one with the mean
+/// gradient (the ledger entry) and, when a checkpoint is due, one with the
+/// stepped parameters, each block while it is cache-hot.
+pub(crate) struct DurableCopy {
+    values: Vec<f32>,
+    crc: u32,
+}
+
+impl DurableCopy {
+    /// An empty copy with room for `elems` values.
+    pub(crate) fn with_capacity(elems: usize) -> Self {
+        DurableCopy {
+            values: Vec::with_capacity(elems),
+            crc: crc32::begin(),
+        }
+    }
+
+    /// A copy of `values` in one block.
+    #[cfg(test)]
+    pub(crate) fn of(values: &[f32]) -> Self {
+        let mut c = DurableCopy::with_capacity(values.len());
+        c.extend(values);
+        c
+    }
+
+    /// Append the next block.
+    pub(crate) fn extend(&mut self, block: &[f32]) {
+        self.values.extend_from_slice(block);
+        self.crc = crc_f32(self.crc, block);
+    }
+
+    pub(crate) fn finish(self) -> (Vec<f32>, u32) {
+        (self.values, crc32::finish(self.crc))
+    }
 }
 
 /// One snapshot generation of a tensor: the durable bytes, the iteration
@@ -192,7 +262,7 @@ impl DurableStore {
     /// Record the mean gradient a barrier applied to tensor `g` at `iter`.
     /// Must be called for every applied update while armed — the ledger is
     /// the replay log that carries a restore past its snapshot.
-    pub(crate) fn note_update(&self, g: usize, iter: u64, mean: &[f32]) {
+    pub(crate) fn note_update(&self, g: usize, iter: u64, mean: DurableCopy) {
         if !self.armed() {
             return;
         }
@@ -202,7 +272,8 @@ impl DurableStore {
             ledger.last().is_none_or(|&(i, _, _)| i < iter),
             "ledger for tensor {g} out of order"
         );
-        ledger.push((iter, mean.to_vec(), params_crc(mean)));
+        let (mean, crc) = mean.finish();
+        ledger.push((iter, mean, crc));
     }
 
     /// Snapshot tensor `g` as of (the end of) `iter` as a new generation;
@@ -215,15 +286,14 @@ impl DurableStore {
         &self,
         g: usize,
         iter: u64,
-        params: &[f32],
+        params: DurableCopy,
         opt: &OptState,
         poison: bool,
     ) {
         if !self.armed() {
             return;
         }
-        let crc = params_crc(params);
-        let mut stored = params.to_vec();
+        let (mut stored, crc) = params.finish();
         if poison && !stored.is_empty() {
             stored[0] = f32::from_bits(stored[0].to_bits() ^ 1);
         }
@@ -283,9 +353,9 @@ mod tests {
         let mut live_o = OptState::fresh(opt_cfg, 0.1, elems);
         for (i, g) in grads.iter().enumerate() {
             live_o.step(&mut live_p, g);
-            store.note_update(0, i as u64, g);
+            store.note_update(0, i as u64, DurableCopy::of(g));
             if i + 1 == ckpt_after {
-                store.checkpoint(0, i as u64, &live_p, &live_o, false);
+                store.checkpoint(0, i as u64, DurableCopy::of(&live_p), &live_o, false);
             }
         }
         let r = store.restore(0);
@@ -351,11 +421,11 @@ mod tests {
         );
         assert!(!store.armed());
         assert!(store.slots.is_empty());
-        store.note_update(0, 0, &[1.0; 4]); // no-op, must not panic
+        store.note_update(0, 0, DurableCopy::of(&[1.0; 4])); // no-op, must not panic
         store.checkpoint(
             0,
             0,
-            &[1.0; 4],
+            DurableCopy::of(&[1.0; 4]),
             &OptState::fresh(PsOptimizer::Adam, 0.1, 4),
             false,
         );
@@ -382,9 +452,9 @@ mod tests {
         for i in 0..4u64 {
             let g = vec![1.0f32 + i as f32; 2];
             o.step(&mut p, &g);
-            store.note_update(0, i, &g);
+            store.note_update(0, i, DurableCopy::of(&g));
         }
-        store.checkpoint(0, 3, &p, &o, false);
+        store.checkpoint(0, 3, DurableCopy::of(&p), &o, false);
         // Post-checkpoint restore replays nothing: bytes = newest snapshot.
         let r = store.restore(0);
         assert_eq!(r.upto, Some(3));
@@ -406,12 +476,12 @@ mod tests {
         for i in 0..6u64 {
             let g = vec![0.25f32 * (i as f32 + 1.0); elems];
             o.step(&mut p, &g);
-            store.note_update(0, i, &g);
+            store.note_update(0, i, DurableCopy::of(&g));
             if i == 1 {
-                store.checkpoint(0, i, &p, &o, false);
+                store.checkpoint(0, i, DurableCopy::of(&p), &o, false);
             }
             if i == 4 {
-                store.checkpoint(0, i, &p, &o, true); // poisoned
+                store.checkpoint(0, i, DurableCopy::of(&p), &o, true); // poisoned
             }
         }
         let r = store.restore(0);
@@ -438,8 +508,8 @@ mod tests {
         for i in 0..4u64 {
             let g = vec![0.5f32; 2];
             o.step(&mut p, &g);
-            store.note_update(0, i, &g);
-            store.checkpoint(0, i, &p, &o, true); // always poisoned
+            store.note_update(0, i, DurableCopy::of(&g));
+            store.checkpoint(0, i, DurableCopy::of(&p), &o, true); // always poisoned
         }
         {
             let slot = store.slot(0);
@@ -457,7 +527,7 @@ mod tests {
             p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
         // A clean checkpoint finally displaces the initial generation.
-        store.checkpoint(0, 3, &p, &o, false);
+        store.checkpoint(0, 3, DurableCopy::of(&p), &o, false);
         let slot = store.slot(0);
         assert_eq!(slot.gens().len(), 1);
         assert_eq!(slot.gens()[0].upto, Some(3));

@@ -8,14 +8,16 @@
 //! worker holds one channel per shard. The hot path allocates nothing in
 //! steady state:
 //!
-//! * a worker serialises each layer's gradients into **one pooled buffer
-//!   per layer** the moment that layer's backward step finishes, and every
-//!   push payload — original or retransmission — is a zero-copy [`Bytes`]
-//!   slice into it, recycled next iteration ([`super::pool`]);
+//! * a worker's backward stores each layer's gradients straight into **one
+//!   pooled push buffer per layer**, little-endian and checksummed as they
+//!   are written — there is no separate gradient buffer or encode pass —
+//!   and every push payload, original or retransmission, is a zero-copy
+//!   [`Bytes`] slice into it, recycled next iteration ([`super::pool`]);
 //! * a shard stages incoming slices **as the wire bytes themselves** and
-//!   accumulates them straight into a persistent per-shard accumulator at
-//!   the barrier, in fixed worker order (so results stay bit-identical to
-//!   the single-shard and single-process runs);
+//!   closes a barrier in one blocked pass ([`super::fold`]): fold in fixed
+//!   worker order (so results stay bit-identical to the single-shard and
+//!   single-process runs), mean, optimiser step and pull re-encode per
+//!   block;
 //! * push acks coalesce into one [`ToWorker::PushAcks`] batch per
 //!   (worker, inbox drain);
 //! * pull replies are encoded once per parameter update and served as
@@ -58,15 +60,15 @@
 //! # Overlapping a worker's compute with its link
 //!
 //! Backward runs one layer at a time ([`Mlp::backward_step`]): a layer's
-//! gradients are encoded, released to the scheduler and pushed while the
-//! layers below it are still being differentiated — the stepwise release
-//! pattern the simulator and Prophet's profiler assume. Sends are paid
-//! ahead, not slept on: a send charges its bytes to the worker's [`Link`]
-//! and is handed over when due, and the worker computes in between,
-//! blocking only when it has nothing else to do. A pull is charged when it
-//! is requested, and the next pull task is requested before the current
-//! one is applied, so the link carries one while the worker applies the
-//! other.
+//! gradients are stored into their push frame, released to the scheduler
+//! and pushed while the layers below it are still being differentiated —
+//! the stepwise release pattern the simulator and Prophet's profiler
+//! assume. Sends are paid ahead, not slept on: a send charges its bytes to
+//! the worker's [`Link`] and is handed over when due, and the worker
+//! computes in between, blocking only when it has nothing else to do. A
+//! pull is charged when it is requested, and the next pull task is
+//! requested before the current one is applied, so the link carries one
+//! while the worker applies the other.
 //!
 //! # Tracing without a global lock
 //!
@@ -77,12 +79,12 @@
 //! ticket at join reproduces exactly the causal total order the old
 //! single-mutex log produced — with zero lock traffic on the hot path.
 
-use super::checkpoint::{DurableStore, OptState};
-use super::fold;
+use super::checkpoint::{DurableCopy, DurableStore, OptState};
+use super::fold::{self, StagedSlice};
 use super::pool::ArenaPool;
 use super::wire::{
-    acks_checksum, crc32, encode_f32_into_crc, fused_crc_accumulate, fused_crc_apply, FrameHeader,
-    ToPs, ToWorker,
+    acks_checksum, check_push, crc32, encode_f32_into_crc, fused_crc_apply, FrameHeader,
+    FrameWriter, PushCheck, ToPs, ToWorker,
 };
 use crate::protocol::{
     Arrival, Barriers, CheckpointSchedule, Membership, Outbox, Slice, Step, Window, Windows,
@@ -90,7 +92,7 @@ use crate::protocol::{
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap, TransferTask};
-use prophet_minidnn::{Dataset, Mlp};
+use prophet_minidnn::{Dataset, GradSink, Mlp};
 use prophet_net::RetryPolicy;
 use prophet_sim::{
     Duration as SimDuration, FaultKind, FaultPlan, InvariantChecker, SimTime, TraceEvent,
@@ -98,7 +100,6 @@ use prophet_sim::{
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -276,12 +277,14 @@ pub struct ShardPhases {
     /// Receive-time frame verify + NaN/Inf guard on push payloads (zero
     /// when verification is deferred to the barrier fold).
     pub verify_ns: u64,
-    /// Barrier fold: staged wire slices → accumulator, including the
-    /// deferred CRC check and the mean scaling.
+    /// Barrier pass, fold stage: staged wire slices → the mean-gradient
+    /// block, including the streamed CRC check and the mean scaling.
     pub accumulate_ns: u64,
-    /// Optimiser step + durable-ledger note per barrier.
+    /// Barrier pass, optimiser stage: the step of each block, plus its
+    /// durable-ledger copy when the store is armed.
     pub optimizer_ns: u64,
-    /// Pull-reply encode + frame checksum.
+    /// Pull-frame encode + frame checksum: the barrier pass's encode stage,
+    /// cold encodes, and serving windows of the cached frame.
     pub encode_ns: u64,
     /// Ack-batch assembly and flush.
     pub ack_ns: u64,
@@ -294,25 +297,26 @@ pub struct ShardPhases {
     pub barriers: u64,
     /// Messages served.
     pub msgs: u64,
-    /// Bytes the barrier fold walked: the accumulator's zero-fill, every
-    /// staged payload byte, the accumulator's read and write per fold
-    /// (once per block for whole payloads, once per slice otherwise) and
-    /// the mean scaling's read and write.
+    /// Bytes the barrier fold walked: every staged payload byte, once. The
+    /// mean-gradient block it folds into stays in L1 and is not counted.
     pub fold_bytes: u64,
-    /// Bytes the optimiser step walked: the mean gradient read, the
-    /// parameters and every per-parameter state vector read and written.
+    /// Bytes the optimiser step walked: the parameters and every
+    /// per-parameter state vector, each read and written once.
     pub optimizer_bytes: u64,
-    /// Bytes the pull-cache encode walked: the parameters read and the
-    /// frame written.
+    /// Bytes the pull-frame encode walked: the frame written (the barrier
+    /// pass reads the parameters it just stepped, still in L1), plus the
+    /// parameters read by a cold encode.
     pub encode_bytes: u64,
 }
 
 /// Where the worker threads spent their time, summed across workers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerPhases {
-    /// Forward/backward compute (incl. batch assembly).
+    /// Forward/backward compute (incl. batch assembly), which stores each
+    /// gradient straight into its push frame.
     pub compute_ns: u64,
-    /// Gradient serialisation into the per-layer push buffers.
+    /// Push-frame bookkeeping around the backward steps: buffer checkout,
+    /// closing the last tensor's checksum, freezing the frame.
     pub encode_ns: u64,
     /// Pull-reply verify + apply into parameter storage.
     pub apply_ns: u64,
@@ -321,12 +325,10 @@ pub struct WorkerPhases {
     /// instant is the link's time, not a wait), or waiting for the
     /// cache-residency gate before compute or a large apply.
     pub wait_ns: u64,
-    /// Gradient bytes the backward pass walked: each gradient tensor's
-    /// zero-fill, then one read and one write of it per sample row the
-    /// accumulate folds in.
+    /// Gradient bytes the backward pass walked: each gradient written
+    /// once, into its push frame (rows are built in an L1 scratch row).
     pub store_bytes: u64,
-    /// Bytes the push encode walked: the gradients read and the frame
-    /// written.
+    /// Bytes the push-frame checksum read: each gradient once.
     pub encode_bytes: u64,
     /// Bytes the pull apply walked: the reply payload read and the
     /// parameters written.
@@ -553,7 +555,7 @@ struct Uplink {
     /// Pushes charged to the link and not yet handed over, in charge order
     /// (which is due order).
     queue: VecDeque<Queued>,
-    /// This iteration's encoded gradients, one frozen buffer per backward
+    /// This iteration's gradient frames, one frozen buffer per backward
     /// step (last layer first), each from its own pool so steady state
     /// reuses one allocation per layer. Push payloads — originals and
     /// retransmissions alike — are zero-copy windows into them.
@@ -576,6 +578,46 @@ struct Uplink {
     outbox: Outbox,
     messages_lost: u64,
     bytes_pushed: u64,
+}
+
+/// A backward step's push frame while the backward writes it: each
+/// gradient row lands in the step's pooled buffer as it is finished —
+/// little-endian, written once — and each tensor's whole-payload frame
+/// checksum streams from the same bytes while they are L1-hot. No gradient
+/// buffer exists besides the frame.
+struct StepFrame<'a> {
+    up: &'a mut Uplink,
+    buf: BytesMut,
+    writer: FrameWriter,
+    /// The tensor being stored.
+    open: Option<usize>,
+    step: usize,
+}
+
+impl StepFrame<'_> {
+    /// Close the open tensor's checksum.
+    fn close(&mut self) {
+        if let Some(g) = self.open.take() {
+            self.up.grad_crc[g] = self.writer.finish(&mut self.buf);
+        }
+    }
+
+    /// Freeze the frame: push payloads are windows of it from now on.
+    fn seal(mut self) {
+        self.close();
+        self.up.bufs[self.step] = Some(self.buf.freeze());
+    }
+}
+
+impl GradSink for StepFrame<'_> {
+    fn store(&mut self, id: usize, vals: &[f32]) {
+        if self.open != Some(id) {
+            self.close();
+            self.up.grad_at[id] = (self.step, self.buf.len());
+            self.open = Some(id);
+        }
+        self.writer.push(vals, &mut self.buf);
+    }
 }
 
 /// One push slice charged to the link, awaiting its hand-over.
@@ -635,17 +677,16 @@ impl Uplink {
         }
     }
 
-    /// Serialise backward step `step`'s gradients — tensors `ids`, taken
-    /// from `grads` — into that step's pooled buffer.
-    fn encode(&mut self, step: usize, ids: Range<usize>, grads: &[&[f32]]) {
-        let bytes = ids.clone().map(|g| grads[g].len() * 4).sum();
-        let mut buf = self.pools[step].checkout(bytes);
-        for g in ids {
-            self.grad_at[g] = (step, buf.len());
-            // Stream the frame checksum while the bytes are still hot.
-            self.grad_crc[g] = encode_f32_into_crc(grads[g], &mut buf);
+    /// Open backward step `step`'s push frame, `bytes` long: the step's
+    /// pooled buffer, for the backward to store its gradients into.
+    fn frame(&mut self, step: usize, bytes: usize) -> StepFrame<'_> {
+        StepFrame {
+            buf: self.pools[step].checkout(bytes),
+            writer: FrameWriter::new(),
+            open: None,
+            step,
+            up: self,
         }
-        self.bufs[step] = Some(buf.freeze());
     }
 
     /// Charge one push slice to the link and queue it for hand-over.
@@ -698,7 +739,7 @@ impl Uplink {
             let lo = at + offset_elems * 4;
             let buf = self.bufs[step]
                 .as_ref()
-                .expect("push before its layer encoded");
+                .expect("push before its layer's backward");
             let clean = buf.slice(lo..lo + len_elems * 4);
             // Damage lands on a pooled copy: the clean window stays
             // pristine for any later retransmission.
@@ -1214,13 +1255,6 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     }
 }
 
-/// One worker's staged pushes of one gradient on a shard: `(offset_elems,
-/// payload, frame crc)` per slice the barrier ledger accepted. The payloads
-/// alias the sender's arena — no copy is made until the barrier folds them
-/// into the accumulator — and the CRC rides along so the fold checks
-/// integrity in the same traversal that accumulates.
-type Staged = Vec<(usize, Bytes, u32)>;
-
 /// Per-gradient pull-reply cache: parameters are encoded once per update
 /// and every pull (any worker, any slice) is served as a shared window of
 /// that one buffer. `spare` is the reclaimed storage awaiting re-encode.
@@ -1287,10 +1321,7 @@ struct ShardRt {
     barriers: Barriers,
     /// The payload slices behind the ledger's open barriers, per local
     /// tensor and worker. BSP admits one open barrier per tensor at a time.
-    staged: Vec<Vec<Staged>>,
-    /// The persistent accumulator: gradients sum in worker order into this
-    /// one buffer, sized for the largest local tensor.
-    acc_buf: Vec<f32>,
+    staged: Vec<Vec<Vec<StagedSlice>>>,
     pull: Vec<PullCache>,
     deferred: Vec<DeferredPull>,
     pending: Vec<Vec<Slice>>,
@@ -1364,9 +1395,8 @@ impl ShardRt {
             })
             .collect();
         let restored: Vec<bool> = owned_from.iter().map(|&from| from == 0).collect();
-        let staged = vec![vec![Staged::new(); mem.total_workers()]; n_local];
+        let staged = vec![vec![Vec::new(); mem.total_workers()]; n_local];
         let sizes = ever.iter().map(|&g| tensor_elems[g] as u64).collect();
-        let acc_buf = vec![0.0f32; ever.iter().map(|&g| tensor_elems[g]).max().unwrap_or(0)];
         let pull = (0..n_local)
             .map(|_| PullCache {
                 wire: None,
@@ -1407,7 +1437,6 @@ impl ShardRt {
             opts,
             restored,
             staged,
-            acc_buf,
             pull,
             deferred: Vec::new(),
             pending_total: 0,
@@ -1541,25 +1570,24 @@ impl ShardRt {
         if self.eager_verify {
             // Nothing corrupt is ever staged: a rejected slice is nacked
             // and the worker retransmits it from its clean buffer.
-            let rejected = if !frame.verify(&data) {
-                // Checksum or length mismatch: damaged in flight.
-                self.corrupt_frames += 1;
-                let (node, bytes) = (self.s, frame.len as u64);
-                Some(TraceEvent::FrameCorrupt {
-                    node,
-                    bytes,
-                    data: true,
-                })
-            } else if data
-                .chunks_exact(4)
-                .any(|c| !f32::from_le_bytes(c.try_into().unwrap()).is_finite())
-            {
-                // The frame checksummed clean but carries non-finite
-                // values: memory corruption upstream of checksumming.
-                self.nan_quarantined += 1;
-                Some(TraceEvent::GradQuarantined { worker, iter, grad })
-            } else {
-                None
+            let rejected = match check_push(&data, &frame) {
+                PushCheck::Corrupt => {
+                    // Checksum or length mismatch: damaged in flight.
+                    self.corrupt_frames += 1;
+                    let (node, bytes) = (self.s, frame.len as u64);
+                    Some(TraceEvent::FrameCorrupt {
+                        node,
+                        bytes,
+                        data: true,
+                    })
+                }
+                PushCheck::NonFinite => {
+                    // The frame checksummed clean but carries non-finite
+                    // values: memory corruption upstream of checksumming.
+                    self.nan_quarantined += 1;
+                    Some(TraceEvent::GradQuarantined { worker, iter, grad })
+                }
+                PushCheck::Intact => None,
             };
             if let Some(ev) = rejected {
                 self.phases.verify_ns += t_verify.elapsed().as_nanos() as u64;
@@ -1607,123 +1635,72 @@ impl ShardRt {
 
     /// The BSP barrier for local tensor `l` is complete: fold the staged
     /// wire slices in fixed worker order (bit-identical to the
-    /// single-shard and single-process sums), step the optimiser, record
-    /// the update in the durable ledger, run the iteration-close
-    /// bookkeeping (checkpoint cadence, this shard's own death), and
-    /// notify the iteration's members.
+    /// single-shard and single-process sums), step the optimiser and
+    /// re-encode the pull frame in one [`fold::barrier_pass`], record the
+    /// update in the durable ledger, run the iteration-close bookkeeping
+    /// (checkpoint cadence, this shard's own death), and notify the
+    /// iteration's members.
     fn finish_barrier(&mut self, l: usize, iter: u64) {
         let g = self.ever[l];
         let size = self.tensor_elems[g];
-        // Fold + optimiser + pull re-encode + checkpoint under the
-        // cache-residency gate: the section walks every staged payload
-        // plus the accumulator and parameters, and interleaving it with
-        // another thread's compute or fold re-fetches all of it from
-        // DRAM. Released before the ParamReady broadcast — the rare cold
-        // pull in `drain_deferred` takes its own token inside
-        // `serve_pull` (the gate is not reentrant). The wait lands in
-        // `idle_ns`, keeping the fold span pure work.
+        // The pass runs under the cache-residency gate: it walks every
+        // staged payload plus the parameters, optimiser state and pull
+        // frame, and interleaving it with another thread's compute or
+        // fold re-fetches all of it from DRAM. Released before the
+        // ParamReady broadcast — the rare cold pull in `drain_deferred`
+        // takes its own token inside `serve_pull` (the gate is not
+        // reentrant). The wait lands in `idle_ns`, keeping the pass's
+        // spans pure work.
         let gated = size * 4 >= GATE_MIN_BYTES;
         if gated {
             let t_gate = Instant::now();
             self.gate.acquire();
             self.phases.idle_ns += t_gate.elapsed().as_nanos() as u64;
         }
-        let t_acc = Instant::now();
-        let bytes = (size * 4) as u64;
-        {
-            // One fold for every plan: each payload's CRC check rides the
-            // traversal that accumulates it. Under a corruption plan the
-            // receive-time verify already turned away damaged frames, so a
-            // mismatch here is genuine memory corruption in either mode.
-            let staged = &mut self.staged[l];
-            let acc = &mut self.acc_buf[..size];
-            acc.fill(0.0);
-            self.phases.fold_bytes += bytes;
-            for s in staged.iter() {
-                for (_, b, _) in s {
-                    self.phases.fold_bytes += b.len() as u64;
-                }
-            }
-            if staged.iter().all(|s| match s.as_slice() {
-                [] => true,
-                [(off, bytes, _)] => *off == 0 && bytes.len() == size * 4,
-                _ => false,
-            }) {
-                // Whole-tensor payloads (schedulers that don't slice):
-                // block-major fused fold, with the accumulator block
-                // cache-hot across all worker streams.
-                let payloads: Vec<fold::WorkerPayload<'_>> = staged
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(worker, s)| {
-                        let (_, bytes, crc) = s.first()?;
-                        let crc = *crc;
-                        Some(fold::WorkerPayload { bytes, crc, worker })
-                    })
-                    .collect();
-                fold::fold_whole_deferred(&payloads, acc);
-                self.phases.fold_bytes += 2 * bytes;
-                staged.iter_mut().for_each(Vec::clear);
-            } else {
-                // Sliced payloads: per-slice fused fold — still one
-                // traversal per slice, same worker order.
-                for (w, s) in staged.iter_mut().enumerate() {
-                    for (off, bytes, crc) in s.drain(..) {
-                        let n = bytes.len() / 4;
-                        self.phases.fold_bytes += 2 * bytes.len() as u64;
-                        let got = crc32::finish(fused_crc_accumulate(
-                            crc32::begin(),
-                            &bytes,
-                            &mut acc[off..off + n],
-                        ));
-                        assert_eq!(
-                            got, crc,
-                            "barrier fold: slice from worker {w} fails the frame CRC it \
-                             was admitted under — genuine memory corruption"
-                        );
-                    }
-                }
-            }
-        }
-        let inv = 1.0 / self.mem.expected(iter) as f32;
-        let acc = &mut self.acc_buf[..size];
-        for m in acc.iter_mut() {
-            *m *= inv;
-        }
-        self.phases.fold_bytes += 2 * bytes;
-        let t_opt = Instant::now();
-        self.phases.accumulate_ns += t_opt.duration_since(t_acc).as_nanos() as u64;
-        let opt = self.opts[l].as_mut().expect("barrier on unrestored tensor");
-        opt.step(&mut self.params[l], acc);
-        self.phases.optimizer_bytes += bytes * (3 + 2 * opt.state_vectors());
-        self.store.note_update(g, iter, acc);
-        self.phases.optimizer_ns += t_opt.elapsed().as_nanos() as u64;
-        self.phases.barriers += 1;
-        let iteration_closed = self.barriers.close(iter, l, self.owned_count_at(iter));
-        // The cached pull encoding is stale; reclaim its storage and
-        // re-encode right here, while the optimiser step just wrote the
-        // parameters and they are still cache-hot (every worker pulls
-        // every update, so the encode is never wasted; deferring it to
-        // the first PullReq would re-fetch the tensor from DRAM after
-        // the intervening folds evicted it). Runs inside this barrier's
-        // gated section.
+        // The cached pull encoding goes stale with this update: reclaim
+        // its storage (every member applied its windows before pushing the
+        // gradients this barrier closes) and let the pass re-encode into
+        // it, block by block, while the optimiser's writes are L1-hot.
+        // Every worker pulls every update, so the encode is never wasted.
         self.pull[l].frame = None;
         if let Some(b) = self.pull[l].wire.take() {
             if let Ok(m) = b.try_into_mut() {
                 self.pull[l].spare = Some(m);
             }
         }
-        self.encode_pull_cache(l);
+        let mut pull = self.pull_buffer(l);
+        let armed = self.store.armed();
+        let checkpoint_due = armed && self.ckpt.due(iter);
+        let mut mean = armed.then(|| DurableCopy::with_capacity(size));
+        let mut snapshot = checkpoint_due.then(|| DurableCopy::with_capacity(size));
+        let opt = self.opts[l].as_mut().expect("barrier on unrestored tensor");
+        let crc = fold::barrier_pass(
+            fold::Barrier {
+                staged: &mut self.staged[l],
+                inv: 1.0 / self.mem.expected(iter) as f32,
+                params: &mut self.params[l],
+                opt,
+                mean: mean.as_mut(),
+                snapshot: snapshot.as_mut(),
+                pull: &mut pull,
+            },
+            &mut self.phases,
+        );
+        if let Some(mean) = mean {
+            self.store.note_update(g, iter, mean);
+        }
+        self.phases.barriers += 1;
+        let iteration_closed = self.barriers.close(iter, l, self.owned_count_at(iter));
+        self.cache_pull(l, pull, crc);
         self.tlog.emit(TraceEvent::Barrier { iter, grad: g });
-        let checkpoint_due = self.store.armed() && self.ckpt.due(iter);
-        if checkpoint_due {
+        if let Some(snapshot) = snapshot {
             // A scheduled CheckpointCorrupt poisons every snapshot written
             // in its cadence round (the whole generation is damaged,
             // matching the sim's model).
             self.store.checkpoint(
                 g,
                 iter,
-                &self.params[l],
+                snapshot,
                 self.opts[l].as_ref().expect("barrier on unrestored tensor"),
                 self.ckpt.poisons(iter),
             );
@@ -1813,17 +1790,11 @@ impl ShardRt {
         }
     }
 
-    /// Encode local tensor `l`'s parameters into the cached whole-tensor
-    /// pull frame: recycled storage when the previous encoding's windows
-    /// have all been dropped, streamed CRC so the reply frame needs no
-    /// second read. Every further pull until the next update is a
-    /// zero-copy window of this buffer. Callers hold the cache-residency
-    /// gate when the tensor is large; the encode time books to
-    /// `encode_ns`.
-    fn encode_pull_cache(&mut self, l: usize) {
-        let g = self.ever[l];
-        let t_fill = Instant::now();
-        let mut buf = match self.pull[l].spare.take() {
+    /// Storage for local tensor `l`'s next pull frame: the reclaimed
+    /// previous encoding when its windows have all been dropped, a counted
+    /// fresh allocation otherwise.
+    fn pull_buffer(&mut self, l: usize) -> BytesMut {
+        match self.pull[l].spare.take() {
             Some(mut m) => {
                 m.clear();
                 self.pull_recycles += 1;
@@ -1831,21 +1802,21 @@ impl ShardRt {
             }
             None => {
                 self.pull_allocs += 1;
-                BytesMut::with_capacity(self.tensor_elems[g] * 4)
+                BytesMut::with_capacity(self.tensor_elems[self.ever[l]] * 4)
             }
-        };
-        let crc = encode_f32_into_crc(&self.params[l], &mut buf);
-        self.phases.encode_ns += t_fill.elapsed().as_nanos() as u64;
-        self.phases.encode_bytes += 2 * buf.len() as u64;
+        }
+    }
+
+    /// Cache `buf`, local tensor `l`'s whole-tensor pull frame with
+    /// checksum `crc`: every pull until the next update is a zero-copy
+    /// window of it.
+    fn cache_pull(&mut self, l: usize, buf: BytesMut, crc: u32) {
         let wire = buf.freeze();
-        self.pull[l].frame = Some((
-            0,
-            self.tensor_elems[g],
-            FrameHeader {
-                len: wire.len() as u32,
-                crc,
-            },
-        ));
+        let frame = FrameHeader {
+            len: wire.len() as u32,
+            crc,
+        };
+        self.pull[l].frame = Some((0, self.tensor_elems[self.ever[l]], frame));
         self.pull[l].wire = Some(wire);
     }
 
@@ -1865,7 +1836,12 @@ impl ShardRt {
                 self.gate.acquire();
                 self.phases.idle_ns += t_gate.elapsed().as_nanos() as u64;
             }
-            self.encode_pull_cache(l);
+            let t_fill = Instant::now();
+            let mut buf = self.pull_buffer(l);
+            let crc = encode_f32_into_crc(&self.params[l], &mut buf);
+            self.phases.encode_ns += t_fill.elapsed().as_nanos() as u64;
+            self.phases.encode_bytes += 2 * buf.len() as u64;
+            self.cache_pull(l, buf, crc);
             if gated {
                 self.gate.release();
             }
@@ -2247,13 +2223,13 @@ fn pump(
 }
 
 /// A counting semaphore bounding how many large memory traversals run
-/// simultaneously across the whole runtime: worker compute + encode
-/// sections, shard barrier folds (+ optimiser + checkpoint), shard pull
-/// encodes, and worker pull applies. Permits equal the host's available
+/// simultaneously across the whole runtime: worker compute sections
+/// (whose backward writes the push frames), shard barrier passes, cold
+/// shard pull encodes, and worker pull applies. Permits equal the host's available
 /// parallelism, so on a machine with at least one core per thread the
 /// gate never blocks. On an oversubscribed host it stops the OS from
 /// time-slicing several multi-megabyte walks against each other: each
-/// section's working set (weights, gradients, arena, accumulator) spans
+/// section's working set (weights, push frames, payloads, parameters) spans
 /// megabytes, and round-robin preemption forces a full re-fetch of that
 /// set from DRAM every slice. Admitting only as many walks as there are
 /// cores keeps each one cache-resident to completion — the BSP barrier
@@ -2478,22 +2454,28 @@ fn worker_thread(
         let mut t_compute = Instant::now();
         phases.wait_ns += t_compute.duration_since(t_gate).as_nanos() as u64;
         let (x, labels) = dataset.batch(lo, hi.max(lo + 1));
-        model.zero_grads();
         let (loss, mut pass) = model.forward_loss(&x, &labels);
         losses.push(loss);
-        // Backward one layer at a time: encode the layer's gradients,
-        // release them last tensor first, and let the link take them while
-        // the layers below are differentiated. Between layers the worker
-        // only hands over what is due — it never blocks holding the gate.
+        // Backward one layer at a time: the backward stores the layer's
+        // gradients straight into its push frame, then they are released
+        // last tensor first, and the link takes them while the layers below
+        // are differentiated. Between layers the worker only hands over
+        // what is due — it never blocks holding the gate.
         let mut step = 0;
-        while let Some(ids) = model.backward_step(&mut pass) {
-            let t_encode = Instant::now();
-            phases.compute_ns += t_encode.duration_since(t_compute).as_nanos() as u64;
-            up.encode(step, ids.clone(), &model.grad_slices());
-            phases.encode_ns += t_encode.elapsed().as_nanos() as u64;
+        while let Some(ids) = model.next_tensors(&pass) {
             let step_bytes: usize = ids.clone().map(|g| tensor_elems[g] * 4).sum();
-            phases.store_bytes += (step_bytes * (1 + 2 * x.rows)) as u64;
-            phases.encode_bytes += 2 * step_bytes as u64;
+            let t_open = Instant::now();
+            phases.compute_ns += t_open.duration_since(t_compute).as_nanos() as u64;
+            let mut frame = up.frame(step, step_bytes);
+            let t_backward = Instant::now();
+            model.backward_step(&mut pass, &mut frame);
+            let t_seal = Instant::now();
+            frame.seal();
+            phases.compute_ns += t_seal.duration_since(t_backward).as_nanos() as u64;
+            phases.encode_ns +=
+                (t_backward.duration_since(t_open) + t_seal.elapsed()).as_nanos() as u64;
+            phases.store_bytes += step_bytes as u64;
+            phases.encode_bytes += step_bytes as u64;
             step += 1;
             for g in ids.rev() {
                 tlog.emit(TraceEvent::GradReady {
@@ -2859,7 +2841,11 @@ mod tests {
     }
 
     /// Every bytes-walked counter of a small fault-free FIFO run (whole
-    /// payloads, SGD with momentum) equals its closed form in model bytes.
+    /// payloads, SGD with momentum, 32 sample rows per worker) equals its
+    /// closed form in model bytes M: a worker writes each gradient once
+    /// and checksums it once, whatever its batch; a barrier set walks
+    /// (W + 5)·M — W payloads, parameters and velocity read and written,
+    /// the pull frame written.
     #[test]
     fn bytes_walked_match_their_closed_forms() {
         let cfg = ThreadedConfig {
@@ -2874,15 +2860,67 @@ mod tests {
             .map(|&n| n as u64 * 4)
             .sum();
         let (w, iters) = (cfg.workers as u64, cfg.iterations);
-        let rows = (cfg.global_batch / cfg.workers) as u64;
         let wp = r.worker_phases;
-        assert_eq!(wp.store_bytes, iters * w * (1 + 2 * rows) * m);
-        assert_eq!(wp.encode_bytes, iters * w * 2 * m);
+        assert_eq!(wp.store_bytes, iters * w * m);
+        assert_eq!(wp.encode_bytes, iters * w * m);
         assert_eq!(wp.apply_bytes, iters * w * 2 * m);
         let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
-        assert_eq!(shards(|p| p.fold_bytes), iters * (w + 5) * m);
-        assert_eq!(shards(|p| p.optimizer_bytes), iters * 5 * m);
-        assert_eq!(shards(|p| p.encode_bytes), iters * 2 * m);
+        assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
+        assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
+        assert_eq!(shards(|p| p.encode_bytes), iters * m);
+    }
+
+    /// The backward stores a Dense layer's gradients into the step's push
+    /// frame with the bytes, offsets and per-tensor CRCs that zeroing the
+    /// gradients, accumulating `xᵀ·dy` and `Σrows dy` into them and
+    /// encoding them produced: at batch 1 and batch > 1, with zero inputs
+    /// (rows the product skips), negative-zero products, and rows longer
+    /// than the writer's block.
+    #[test]
+    fn store_backward_matches_accumulate_then_encode() {
+        use prophet_minidnn::{Dense, Layer, Tensor};
+        let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
+        for (rows, input, output) in [(1, 4, 3), (1, 5, 2100), (3, 4, 3), (3, 6, 2100)] {
+            let mut rng = Xoshiro256StarStar::new(9);
+            let mut layer = Dense::new(input, output, &mut rng);
+            // Every third input is zero; the rest alternate sign.
+            let x: Vec<f32> = (0..rows * input)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        (i as f32 - 4.5) * 0.25
+                    }
+                })
+                .collect();
+            let x = Tensor::from_vec(rows, input, x);
+            // Signed zeros in dy make ±0 products.
+            let dy: Vec<f32> = (0..rows * output)
+                .map(|i| match i % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => (i as f32).sin(),
+                })
+                .collect();
+            let dy = Tensor::from_vec(rows, output, dy);
+            let _ = layer.forward(&x);
+            let mut up = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), 2, 1);
+            let mut frame = up.frame(0, (input + 1) * output * 4);
+            let _ = layer.backward(&dy, &mut frame);
+            frame.seal();
+
+            let mut dw = Tensor::zeros(input, output);
+            x.t_matmul_acc(&dy, &mut dw);
+            let mut db = Tensor::zeros(1, output);
+            db.axpy(1.0, &dy.sum_rows());
+            let mut want = BytesMut::new();
+            let crc_w = encode_f32_into_crc(&dw.data, &mut want);
+            let crc_b = encode_f32_into_crc(&db.data, &mut want);
+            let what = format!("batch {rows}, {input} x {output}");
+            assert_eq!(&up.bufs[0].as_ref().unwrap()[..], &want[..], "{what}");
+            assert_eq!(up.grad_crc, [crc_w, crc_b], "{what}");
+            assert_eq!(up.grad_at, [(0, 0), (0, input * output * 4)], "{what}");
+        }
     }
 
     #[test]

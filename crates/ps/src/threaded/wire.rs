@@ -293,15 +293,57 @@ pub fn fused_crc_apply(mut crc: u32, bytes: &[u8], dst: &mut [f32]) -> u32 {
     crc
 }
 
+/// What a receiver's check of a push frame found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushCheck {
+    /// Length and checksum match, and every value is finite.
+    Intact,
+    /// The length or the checksum disagrees with the frame: damaged in
+    /// flight. This verdict wins whatever the bytes hold.
+    Corrupt,
+    /// The frame is intact but carries a NaN or an infinity: damaged
+    /// before it was checksummed.
+    NonFinite,
+}
+
+/// [`FrameHeader::verify`] and the NaN/Inf guard of a push payload in one
+/// traversal: each [`FUSE_BLOCK`] chunk is checksummed with the full-width
+/// kernel and scanned for a non-finite exponent while L1-hot. The verdict
+/// order is the two separate checks': a length or checksum mismatch is
+/// [`PushCheck::Corrupt`] even when the bytes also hold a NaN, so the scan
+/// only ever decides between intact and non-finite.
+pub fn check_push(bytes: &[u8], frame: &FrameHeader) -> PushCheck {
+    if bytes.len() as u32 != frame.len {
+        return PushCheck::Corrupt;
+    }
+    let mut crc = crc32::begin();
+    let mut non_finite = 0u32;
+    for block in bytes.chunks(FUSE_BLOCK) {
+        crc = crc32::update(crc, block);
+        // An all-ones exponent is NaN or ±Inf. OR-folded rather than
+        // `any`, so the scan has no early exit and vectorises.
+        non_finite = block.chunks_exact(4).fold(non_finite, |acc, c| {
+            let exp = u32::from_le_bytes(c.try_into().unwrap()) & 0x7F80_0000;
+            acc | u32::from(exp == 0x7F80_0000)
+        });
+    }
+    if crc32::finish(crc) != frame.crc {
+        PushCheck::Corrupt
+    } else if non_finite != 0 {
+        PushCheck::NonFinite
+    } else {
+        PushCheck::Intact
+    }
+}
+
 /// Verify a frame and fold its payload into `acc` only on success: a
 /// corrupt frame is rejected before a single accumulator byte is written.
 ///
 /// This contract is why a corruption-armed run cannot *rely* on the fused
 /// fold: the whole-frame checksum is not known until the last payload byte
 /// has been read, by which point a fused loop has already written most of
-/// the accumulator. Such runs therefore verify at receive — the same two
-/// traversals as this reference composition, which the benchmark times —
-/// and every run's barrier fold is [`fused_crc_accumulate`], where a
+/// the accumulator. Such runs therefore check at receive ([`check_push`])
+/// and every run's barrier pass folds with the checksum streamed, where a
 /// mismatch is a panic: genuine memory corruption, not an injected fault.
 pub fn verify_accumulate(bytes: &[u8], frame: &FrameHeader, acc: &mut [f32]) -> bool {
     if !frame.verify(bytes) {
@@ -386,24 +428,77 @@ pub fn encode_f32_into(values: &[f32], buf: &mut BytesMut) {
 }
 
 /// [`encode_f32_into`] that also returns the finished CRC32C of the bytes
-/// it appended, checksummed from the stack block while it is L1-hot —
-/// senders that frame the whole tensor get the header checksum for free
-/// instead of re-reading the encoded buffer. The block is `FUSE_BLOCK`
-/// bytes so each full block is one interleaved hardware round.
+/// it appended, checksummed while they are L1-hot — senders that frame the
+/// whole tensor get the header checksum for free instead of re-reading the
+/// encoded buffer. One [`FrameWriter`] frame.
 pub fn encode_f32_into_crc(values: &[f32], buf: &mut BytesMut) -> u32 {
-    const BLOCK: usize = FUSE_BLOCK / 4;
     buf.reserve(values.len() * 4);
-    let mut crc = crc32::begin();
-    let mut tmp = [0u8; BLOCK * 4];
-    for chunk in values.chunks(BLOCK) {
-        for (t, v) in tmp.chunks_exact_mut(4).zip(chunk) {
-            t.copy_from_slice(&v.to_le_bytes());
-        }
-        let n = chunk.len() * 4;
-        crc = crc32::update(crc, &tmp[..n]);
-        buf.put_slice(&tmp[..n]);
+    let mut w = FrameWriter::new();
+    w.push(values, buf);
+    w.finish(buf)
+}
+
+/// A streaming frame encoder: `f32`s pushed in pieces of any size are
+/// written little-endian into a [`FUSE_BLOCK`]-byte block, and each full
+/// block is checksummed (one interleaved hardware round) and appended to
+/// the buffer while L1-hot. Whoever produces the values — a backward pass
+/// storing a gradient row at a time, a barrier pass stepping a block of
+/// parameters — hands them straight to the frame: each byte is written
+/// once, and the checksum never re-reads the buffer. The bytes and CRC
+/// equal [`encode_f32_into`] + [`crc32::checksum`] over the concatenated
+/// values, however the pushes split them.
+pub struct FrameWriter {
+    block: [u8; FUSE_BLOCK],
+    fill: usize,
+    crc: u32,
+}
+
+impl Default for FrameWriter {
+    fn default() -> Self {
+        FrameWriter::new()
     }
-    crc32::finish(crc)
+}
+
+impl FrameWriter {
+    /// A writer at the start of a frame.
+    pub fn new() -> Self {
+        FrameWriter {
+            block: [0; FUSE_BLOCK],
+            fill: 0,
+            crc: crc32::begin(),
+        }
+    }
+
+    /// Append `values` to the frame being written into `buf`.
+    pub fn push(&mut self, mut values: &[f32], buf: &mut BytesMut) {
+        while !values.is_empty() {
+            let room = (FUSE_BLOCK - self.fill) / 4;
+            let (now, rest) = values.split_at(room.min(values.len()));
+            for (b, v) in self.block[self.fill..].chunks_exact_mut(4).zip(now) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            self.fill += now.len() * 4;
+            if self.fill == FUSE_BLOCK {
+                self.flush(buf);
+            }
+            values = rest;
+        }
+    }
+
+    fn flush(&mut self, buf: &mut BytesMut) {
+        let bytes = &self.block[..self.fill];
+        self.crc = crc32::update(self.crc, bytes);
+        buf.put_slice(bytes);
+        self.fill = 0;
+    }
+
+    /// Close the frame: append what is left of it and return the CRC32C
+    /// of everything pushed since the previous close. The writer starts
+    /// the next frame.
+    pub fn finish(&mut self, buf: &mut BytesMut) -> u32 {
+        self.flush(buf);
+        crc32::finish(std::mem::replace(&mut self.crc, crc32::begin()))
+    }
 }
 
 /// Decode a little-endian `f32` payload directly into `acc`, adding
@@ -690,6 +785,25 @@ mod tests {
     }
 
     #[test]
+    fn frame_writer_is_split_invariant() {
+        let values: Vec<f32> = (0..7000).map(|i| (i as f32).sin() * 1e3).collect();
+        let mut whole = bytes::BytesMut::new();
+        let crc = encode_f32_into_crc(&values, &mut whole);
+        // Two frames back to back through one writer, each pushed in
+        // ragged pieces straddling the block size.
+        let mut buf = bytes::BytesMut::new();
+        let mut w = FrameWriter::new();
+        for frame in 0..2 {
+            for piece in values.chunks(1 + 977 * frame) {
+                w.push(piece, &mut buf);
+            }
+            assert_eq!(w.finish(&mut buf), crc, "frame {frame}");
+        }
+        assert_eq!(&buf[..whole.len()], &whole[..]);
+        assert_eq!(&buf[whole.len()..], &whole[..]);
+    }
+
+    #[test]
     fn verify_accumulate_rejects_before_writing() {
         let wire = encode_f32(&[1.0, 2.0, 3.0]);
         let frame = FrameHeader::for_payload(&wire);
@@ -780,6 +894,50 @@ mod tests {
                 for (a, b) in acc.iter().zip(&before) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
+            }
+
+            /// The one-pass push check ≡ frame verify, then the NaN/Inf
+            /// scan, on raw bit patterns (so non-finite values occur), with
+            /// an optional flip or truncation: a damaged frame is corrupt
+            /// whatever its values, an intact one is judged on them.
+            #[test]
+            fn push_check_equals_verify_then_scan(
+                values in prop::collection::vec(
+                    // Half raw patterns (1 in 256 non-finite), half tame.
+                    (0u32..=u32::MAX, 0u8..2).prop_map(|(bits, raw)| {
+                        if raw == 1 {
+                            f32::from_bits(bits)
+                        } else {
+                            (bits >> 8) as f32 * 1e-4
+                        }
+                    }),
+                    0..1500,
+                ),
+                damage in 0usize..3,
+                at in 0usize..20_000,
+            ) {
+                let wire = encode_f32(&values);
+                let frame = FrameHeader::for_payload(&wire);
+                let mut bytes = wire.to_vec();
+                match damage {
+                    1 if !bytes.is_empty() => {
+                        let i = at % bytes.len();
+                        bytes[i] ^= 1 << (at % 8);
+                    }
+                    2 if !bytes.is_empty() => bytes.truncate(bytes.len() - 4),
+                    _ => {}
+                }
+                let expect = if !frame.verify(&bytes) {
+                    PushCheck::Corrupt
+                } else if bytes
+                    .chunks_exact(4)
+                    .any(|c| !f32::from_le_bytes(c.try_into().unwrap()).is_finite())
+                {
+                    PushCheck::NonFinite
+                } else {
+                    PushCheck::Intact
+                };
+                prop_assert_eq!(check_push(&bytes, &frame), expect);
             }
 
             /// Truncated payloads are rejected by length before the CRC

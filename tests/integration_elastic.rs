@@ -142,7 +142,6 @@ fn elastic_reference(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
             for (id, p) in params.iter().enumerate() {
                 replica.set_param(id, p);
             }
-            replica.zero_grads();
             let _ = replica.forward_backward(&x, &labels);
             for (a, g) in acc.iter_mut().zip(replica.grad_slices()) {
                 for (av, &gv) in a.iter_mut().zip(g) {

@@ -42,7 +42,6 @@ fn reference_params(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
             for (id, p) in params.iter().enumerate() {
                 shard_model.set_param(id, p);
             }
-            shard_model.zero_grads();
             let _ = shard_model.forward_backward(&x, &labels);
             for (a, g) in acc.iter_mut().zip(shard_model.grad_slices()) {
                 for (av, &gv) in a.iter_mut().zip(g) {
