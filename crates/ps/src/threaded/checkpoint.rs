@@ -139,14 +139,6 @@ impl DurableCopy {
         }
     }
 
-    /// A copy of `values` in one block.
-    #[cfg(test)]
-    pub(crate) fn of(values: &[f32]) -> Self {
-        let mut c = DurableCopy::with_capacity(values.len());
-        c.extend(values);
-        c
-    }
-
     /// Append the next block.
     pub(crate) fn extend(&mut self, block: &[f32]) {
         self.values.extend_from_slice(block);
@@ -341,6 +333,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A durable copy of `values` in one block.
+    fn copy(values: &[f32]) -> DurableCopy {
+        let mut c = DurableCopy::with_capacity(values.len());
+        c.extend(values);
+        c
+    }
+
     /// Drive a live tensor and the store through the same update sequence
     /// with a checkpoint somewhere in the middle, then compare the restored
     /// state against the live one — params bit-exact, and still bit-exact
@@ -353,9 +352,9 @@ mod tests {
         let mut live_o = OptState::fresh(opt_cfg, 0.1, elems);
         for (i, g) in grads.iter().enumerate() {
             live_o.step(&mut live_p, g);
-            store.note_update(0, i as u64, DurableCopy::of(g));
+            store.note_update(0, i as u64, copy(g));
             if i + 1 == ckpt_after {
-                store.checkpoint(0, i as u64, DurableCopy::of(&live_p), &live_o, false);
+                store.checkpoint(0, i as u64, copy(&live_p), &live_o, false);
             }
         }
         let r = store.restore(0);
@@ -421,11 +420,11 @@ mod tests {
         );
         assert!(!store.armed());
         assert!(store.slots.is_empty());
-        store.note_update(0, 0, DurableCopy::of(&[1.0; 4])); // no-op, must not panic
+        store.note_update(0, 0, copy(&[1.0; 4])); // no-op, must not panic
         store.checkpoint(
             0,
             0,
-            DurableCopy::of(&[1.0; 4]),
+            copy(&[1.0; 4]),
             &OptState::fresh(PsOptimizer::Adam, 0.1, 4),
             false,
         );
@@ -452,9 +451,9 @@ mod tests {
         for i in 0..4u64 {
             let g = vec![1.0f32 + i as f32; 2];
             o.step(&mut p, &g);
-            store.note_update(0, i, DurableCopy::of(&g));
+            store.note_update(0, i, copy(&g));
         }
-        store.checkpoint(0, 3, DurableCopy::of(&p), &o, false);
+        store.checkpoint(0, 3, copy(&p), &o, false);
         // Post-checkpoint restore replays nothing: bytes = newest snapshot.
         let r = store.restore(0);
         assert_eq!(r.upto, Some(3));
@@ -476,12 +475,12 @@ mod tests {
         for i in 0..6u64 {
             let g = vec![0.25f32 * (i as f32 + 1.0); elems];
             o.step(&mut p, &g);
-            store.note_update(0, i, DurableCopy::of(&g));
+            store.note_update(0, i, copy(&g));
             if i == 1 {
-                store.checkpoint(0, i, DurableCopy::of(&p), &o, false);
+                store.checkpoint(0, i, copy(&p), &o, false);
             }
             if i == 4 {
-                store.checkpoint(0, i, DurableCopy::of(&p), &o, true); // poisoned
+                store.checkpoint(0, i, copy(&p), &o, true); // poisoned
             }
         }
         let r = store.restore(0);
@@ -508,8 +507,8 @@ mod tests {
         for i in 0..4u64 {
             let g = vec![0.5f32; 2];
             o.step(&mut p, &g);
-            store.note_update(0, i, DurableCopy::of(&g));
-            store.checkpoint(0, i, DurableCopy::of(&p), &o, true); // always poisoned
+            store.note_update(0, i, copy(&g));
+            store.checkpoint(0, i, copy(&p), &o, true); // always poisoned
         }
         {
             let slot = store.slot(0);
@@ -527,7 +526,7 @@ mod tests {
             p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
         // A clean checkpoint finally displaces the initial generation.
-        store.checkpoint(0, 3, DurableCopy::of(&p), &o, false);
+        store.checkpoint(0, 3, copy(&p), &o, false);
         let slot = store.slot(0);
         assert_eq!(slot.gens().len(), 1);
         assert_eq!(slot.gens()[0].upto, Some(3));

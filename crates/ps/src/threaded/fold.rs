@@ -23,9 +23,8 @@
 
 use super::checkpoint::{DurableCopy, OptState};
 use super::runtime::ShardPhases;
-use super::wire::{crc32, FrameWriter};
+use super::wire::{crc32, fused_crc_accumulate, FrameWriter};
 use bytes::{Bytes, BytesMut};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Elements per block: `FUSE_BLOCK / 4` bytes' worth, so each full block of
@@ -42,8 +41,8 @@ pub(super) type StagedSlice = (usize, Bytes, u32);
 /// What one barrier pass reads and writes.
 pub(super) struct Barrier<'a> {
     /// Every worker's staged slices of the tensor, indexed by worker (none
-    /// for a worker outside the iteration). A worker's slices are
-    /// disjoint; the pass drains them.
+    /// for a worker outside the iteration), in any order; a worker's
+    /// slices are disjoint. The pass drains them.
     pub staged: &'a mut [Vec<StagedSlice>],
     /// The mean's scale: one over the iteration's member count.
     pub inv: f32,
@@ -80,15 +79,10 @@ impl Stream<'_> {
 /// Panics when a staged payload fails the frame CRC it was admitted under.
 pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 {
     let n = b.params.len();
-    // Each worker's slices in offset order, and per worker the range of
-    // them not yet folded to their end.
+    // In worker order. A worker's slices are disjoint, so their order
+    // among themselves changes no sum.
     let mut streams: Vec<Stream<'_>> = Vec::new();
-    let mut live: Vec<Range<usize>> = Vec::with_capacity(b.staged.len());
-    for slices in b.staged.iter_mut() {
-        slices.sort_unstable_by_key(|&(off, _, _)| off);
-    }
     for (worker, slices) in b.staged.iter().enumerate() {
-        let first = streams.len();
         for (off, bytes, want) in slices {
             let s = Stream {
                 worker,
@@ -101,14 +95,9 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
                 s.end() <= n,
                 "slice from worker {worker} overruns its tensor"
             );
-            debug_assert!(
-                streams[first..].last().is_none_or(|p| p.end() <= s.off),
-                "overlapping slices from worker {worker}"
-            );
             phases.fold_bytes += bytes.len() as u64;
             streams.push(s);
         }
-        live.push(first..streams.len());
     }
 
     let mut acc = [0.0f32; BLOCK_ELEMS];
@@ -120,20 +109,11 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
         let be = (bo + BLOCK_ELEMS).min(n);
         let acc = &mut acc[..be - bo];
         acc.fill(0.0);
-        for range in &mut live {
-            for s in &mut streams[range.clone()] {
-                if s.off >= be {
-                    break;
-                }
-                let (lo, hi) = (bo.max(s.off), be.min(s.end()));
+        for s in &mut streams {
+            let (lo, hi) = (bo.max(s.off), be.min(s.end()));
+            if lo < hi {
                 let chunk = &s.bytes[(lo - s.off) * 4..(hi - s.off) * 4];
-                s.crc = crc32::update(s.crc, chunk);
-                for (a, c) in acc[lo - bo..hi - bo].iter_mut().zip(chunk.chunks_exact(4)) {
-                    *a += f32::from_le_bytes(c.try_into().unwrap());
-                }
-            }
-            while range.start < range.end && streams[range.start].end() <= be {
-                range.start += 1;
+                s.crc = fused_crc_accumulate(s.crc, chunk, &mut acc[lo - bo..hi - bo]);
             }
         }
         for a in acc.iter_mut() {
@@ -218,8 +198,12 @@ mod tests {
             *a *= inv;
         }
         opt.step(params, &acc);
-        let mean = DurableCopy::of(&acc).finish();
-        let snapshot = DurableCopy::of(params).finish();
+        let copy = |values: &[f32]| {
+            let mut c = DurableCopy::with_capacity(values.len());
+            c.extend(values);
+            c.finish()
+        };
+        let (mean, snapshot) = (copy(&acc), copy(params));
         let mut pull = BytesMut::new();
         let crc = encode_f32_into_crc(params, &mut pull);
         (pull, crc, mean, snapshot)

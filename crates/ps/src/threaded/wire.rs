@@ -262,8 +262,9 @@ const FUSE_BLOCK: usize = 8192;
 /// is checksummed with the full-width kernel and then folded while still
 /// cache-hot, so the arithmetic is bit-identical to [`accumulate_f32_le`]
 /// and the CRC bit-identical to a straight [`crc32::update`] over the
-/// whole payload. The barrier fold of sliced payloads: without a corruption
-/// plan it is the push payload's **only** traversal.
+/// whole payload. The barrier pass folds each block of each staged slice
+/// with it: without a corruption plan that is the push payload's **only**
+/// traversal.
 ///
 /// Panics when the byte length is not `4 * acc.len()`.
 pub fn fused_crc_accumulate(mut crc: u32, bytes: &[u8], acc: &mut [f32]) -> u32 {
@@ -307,7 +308,7 @@ pub enum PushCheck {
 }
 
 /// [`FrameHeader::verify`] and the NaN/Inf guard of a push payload in one
-/// traversal: each [`FUSE_BLOCK`] chunk is checksummed with the full-width
+/// traversal: each `FUSE_BLOCK` chunk is checksummed with the full-width
 /// kernel and scanned for a non-finite exponent while L1-hot. The verdict
 /// order is the two separate checks': a length or checksum mismatch is
 /// [`PushCheck::Corrupt`] even when the bytes also hold a NaN, so the scan
@@ -430,7 +431,7 @@ pub fn encode_f32_into(values: &[f32], buf: &mut BytesMut) {
 /// [`encode_f32_into`] that also returns the finished CRC32C of the bytes
 /// it appended, checksummed while they are L1-hot — senders that frame the
 /// whole tensor get the header checksum for free instead of re-reading the
-/// encoded buffer. One [`FrameWriter`] frame.
+/// encoded buffer. One `FrameWriter` frame.
 pub fn encode_f32_into_crc(values: &[f32], buf: &mut BytesMut) -> u32 {
     buf.reserve(values.len() * 4);
     let mut w = FrameWriter::new();
@@ -447,21 +448,15 @@ pub fn encode_f32_into_crc(values: &[f32], buf: &mut BytesMut) -> u32 {
 /// once, and the checksum never re-reads the buffer. The bytes and CRC
 /// equal [`encode_f32_into`] + [`crc32::checksum`] over the concatenated
 /// values, however the pushes split them.
-pub struct FrameWriter {
+pub(crate) struct FrameWriter {
     block: [u8; FUSE_BLOCK],
     fill: usize,
     crc: u32,
 }
 
-impl Default for FrameWriter {
-    fn default() -> Self {
-        FrameWriter::new()
-    }
-}
-
 impl FrameWriter {
     /// A writer at the start of a frame.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FrameWriter {
             block: [0; FUSE_BLOCK],
             fill: 0,
@@ -470,7 +465,7 @@ impl FrameWriter {
     }
 
     /// Append `values` to the frame being written into `buf`.
-    pub fn push(&mut self, mut values: &[f32], buf: &mut BytesMut) {
+    pub(crate) fn push(&mut self, mut values: &[f32], buf: &mut BytesMut) {
         while !values.is_empty() {
             let room = (FUSE_BLOCK - self.fill) / 4;
             let (now, rest) = values.split_at(room.min(values.len()));
@@ -495,7 +490,7 @@ impl FrameWriter {
     /// Close the frame: append what is left of it and return the CRC32C
     /// of everything pushed since the previous close. The writer starts
     /// the next frame.
-    pub fn finish(&mut self, buf: &mut BytesMut) -> u32 {
+    pub(crate) fn finish(&mut self, buf: &mut BytesMut) -> u32 {
         self.flush(buf);
         crc32::finish(std::mem::replace(&mut self.crc, crc32::begin()))
     }
