@@ -145,6 +145,7 @@ impl DurableCopy {
         self.crc = crc_f32(self.crc, block);
     }
 
+    /// The values and the CRC32 of their little-endian encoding.
     pub(crate) fn finish(self) -> (Vec<f32>, u32) {
         (self.values, crc32::finish(self.crc))
     }
