@@ -192,60 +192,17 @@ impl Mlp {
 
     /// Overwrite parameter tensor `id` (a pulled update from the PS).
     pub fn set_param(&mut self, id: usize, values: &[f32]) {
-        let mut idx = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                if idx == id {
-                    assert_eq!(p.len(), values.len(), "parameter size mismatch");
-                    p.copy_from_slice(values);
-                    return;
-                }
-                idx += 1;
-            }
-        }
-        panic!("parameter tensor {id} out of range");
+        let p = self.param_slice_mut(id);
+        assert_eq!(p.len(), values.len(), "parameter size mismatch");
+        p.copy_from_slice(values);
     }
 
     /// Mutable view of parameter tensor `id` — the fused pull-apply path
     /// of the threaded PS runtime decodes wire bytes and streams their
     /// CRC in one traversal, writing straight into this slice.
     pub fn param_slice_mut(&mut self, id: usize) -> &mut [f32] {
-        let mut idx = 0;
-        let mut loc = None;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let k = layer.params().len();
-            if id < idx + k {
-                loc = Some((li, id - idx));
-                break;
-            }
-            idx += k;
-        }
-        let (li, pi) = loc.unwrap_or_else(|| panic!("parameter tensor {id} out of range"));
-        self.layers[li].params_mut().into_iter().nth(pi).unwrap()
-    }
-
-    /// Overwrite a slice of parameter tensor `id` from a little-endian
-    /// `f32` byte payload, starting at element `offset_elems` — the
-    /// zero-staging pull path of the threaded PS runtime (wire bytes land
-    /// in the tensor with no intermediate `Vec<f32>`).
-    pub fn set_param_slice_le(&mut self, id: usize, offset_elems: usize, bytes: &[u8]) {
-        assert!(bytes.len() % 4 == 0, "payload not f32-aligned");
-        let mut idx = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                if idx == id {
-                    let dst = &mut p[offset_elems..offset_elems + bytes.len() / 4];
-                    for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
-                        // `try_into` compiles to a single 4-byte load and
-                        // lets the loop vectorise.
-                        *d = f32::from_le_bytes(c.try_into().unwrap());
-                    }
-                    return;
-                }
-                idx += 1;
-            }
-        }
-        panic!("parameter tensor {id} out of range");
+        let p = self.layers.iter_mut().flat_map(|l| l.params_mut()).nth(id);
+        p.unwrap_or_else(|| panic!("parameter tensor {id} out of range"))
     }
 
     /// Classification accuracy on `(x, labels)`. Logits are ranked by

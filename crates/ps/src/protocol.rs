@@ -19,6 +19,9 @@
 //!   barrier and an iteration close, what a crash voids and who replays it,
 //!   how retry episodes number; [`Windows::send_fate`] is the per-send
 //!   loss-then-corruption draw.
+//! * [`Worker`] — one worker's transfers: where an issued extent starts,
+//!   when a first byte is stamped, when a pull completes, and when a layer
+//!   may run forward.
 
 use prophet_core::Dir;
 use prophet_sim::{FaultKind, FaultPlan, FaultSpec};
@@ -693,7 +696,7 @@ pub enum Step {
     Resend(Slice, u32),
 }
 
-/// The send side of delivery, one per worker: the tracked-send ledger and
+/// The send side of delivery, one per [`Worker`]: the tracked-send ledger and
 /// the retry **episode** of each `(iter, tensor)` — opened by its first
 /// failure, numbered consecutively, closed by its delivery. The simulator,
 /// where delivery is the ack, drives only the episode half.
@@ -808,6 +811,98 @@ impl Outbox {
             steps.push(Step::Resend(s, self.episodes[&(s.iter, s.tensor)].0));
         }
         steps
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The worker: issue → land → forward, written once
+// ---------------------------------------------------------------------------
+
+/// A tensor's pull landed whole ([`Worker::land`]): trace `PullEnd`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PullDone {
+    /// The attempts of the retry episode the landing closed, if one was
+    /// open: trace `Recovered` before `PullEnd`.
+    pub recovered: Option<u32>,
+}
+
+/// One worker's transfers in its current iteration, and the rules that
+/// decide which of its transfer events happen: how much of each tensor is
+/// issued and landed, the first-byte stamp once per attempt, the retry
+/// episodes of its [`Outbox`], a pull completing, and the per-layer forward
+/// gate. Extents are unit-agnostic, like [`Barriers`]'s. The state is
+/// dense, sized at construction and reset in place per iteration.
+#[derive(Debug, Clone)]
+pub struct Worker {
+    /// Tracked sends and retry episodes. The host reports a failure
+    /// (`fail`), a re-send reaching the wire (`restamp`) and a push's
+    /// delivery (`delivered`) where its transport sees them; a pull's
+    /// delivery is [`Worker::land`]'s.
+    pub outbox: Outbox,
+    iter: u64,
+    sizes: Vec<u64>,
+    /// Extent of each tensor issued this iteration, per [`Dir`].
+    issued: [Vec<u64>; 2],
+    /// Extent of each tensor's pull landed this iteration.
+    landed: Vec<u64>,
+}
+
+impl Worker {
+    /// A worker moving tensors of these extents.
+    pub fn new(sizes: Vec<u64>) -> Self {
+        let n = sizes.len();
+        Worker {
+            outbox: Outbox::default(),
+            iter: 0,
+            issued: [vec![0; n], vec![0; n]],
+            landed: vec![0; n],
+            sizes,
+        }
+    }
+
+    /// Iteration `iter` begins: nothing of it is issued or landed yet, and
+    /// the episodes of older iterations are settled.
+    pub fn begin_iter(&mut self, iter: u64) {
+        self.iter = iter;
+        self.issued.iter_mut().for_each(|v| v.fill(0));
+        self.landed.fill(0);
+        self.outbox.begin_iter(iter);
+    }
+
+    /// `len` more of tensor `g` goes out in direction `dir`. Returns the
+    /// offset the extent starts at, and whether its first byte is stamped:
+    /// it is the tensor's first extent this iteration, or the first to
+    /// reach the wire since a failure voided the stamp.
+    pub fn issue(&mut self, dir: Dir, g: usize, len: u64) -> (u64, bool) {
+        let issued = &mut self.issued[dir as usize][g];
+        let offset = *issued;
+        *issued += len;
+        debug_assert!(*issued <= self.sizes[g], "over-issued tensor {g}");
+        let voided = self.outbox.restamp(self.iter, g, dir);
+        (offset, offset == 0 || voided)
+    }
+
+    /// `len` of tensor `g`'s pull landed. Once the tensor is whole its
+    /// episode closes and its layer may run forward. Landing more than the
+    /// tensor holds panics.
+    pub fn land(&mut self, g: usize, len: u64) -> Option<PullDone> {
+        self.landed[g] += len;
+        assert!(self.landed[g] <= self.sizes[g], "over-pulled tensor {g}");
+        if self.landed[g] < self.sizes[g] {
+            return None;
+        }
+        let recovered = self.outbox.delivered(self.iter, g);
+        Some(PullDone { recovered })
+    }
+
+    /// May forward layer `k` run? Its parameters have landed whole.
+    pub fn forward_ready(&self, k: usize) -> bool {
+        self.landed[k] == self.sizes[k]
+    }
+
+    /// Has every tensor's pull landed whole?
+    pub fn all_landed(&self) -> bool {
+        self.landed == self.sizes
     }
 }
 
@@ -1535,6 +1630,198 @@ mod tests {
                     _ => prop_assert_eq!(o.delivered(0, tensor), seen.remove(&tensor)),
                 }
                 prop_assert_eq!(o.is_quiet(), seen.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over-pulled tensor 1")]
+    fn landing_more_than_a_tensor_holds_panics() {
+        let mut w = Worker::new(vec![2, 3]);
+        w.begin_iter(0);
+        assert_eq!(w.land(1, 2), None);
+        w.land(1, 2);
+    }
+
+    /// The checker's view of one [`Worker`] iteration: what a trace
+    /// consumer may expect, built from the trace contract alone.
+    #[derive(Default)]
+    struct WorkerModel {
+        /// Per `Dir`, per tensor: issued extent, and whether the next
+        /// extent to reach the wire must carry a stamp.
+        issued: [Vec<u64>; 2],
+        awaiting: [Vec<bool>; 2],
+        stamps: [Vec<u32>; 2],
+        landed: Vec<u64>,
+        pull_ends: Vec<u32>,
+        pushed_home: Vec<bool>,
+        /// Attempts of each tensor's open retry episode.
+        open: Vec<Option<u32>>,
+        /// Failed `(dir, tensor)` transfers awaiting their re-send.
+        resends: Vec<(Dir, usize)>,
+    }
+
+    impl WorkerModel {
+        fn new(n: usize) -> Self {
+            WorkerModel {
+                issued: [vec![0; n], vec![0; n]],
+                awaiting: [vec![true; n], vec![true; n]],
+                stamps: [vec![0; n], vec![0; n]],
+                landed: vec![0; n],
+                pull_ends: vec![0; n],
+                pushed_home: vec![false; n],
+                open: vec![None; n],
+                resends: Vec::new(),
+            }
+        }
+
+        /// An extent of `(dir, g)` reached the wire with this `stamp`: it
+        /// is stamped exactly when its attempt has no stamp yet.
+        fn on_wire(&mut self, dir: Dir, g: usize, stamp: bool) -> Result<(), TestCaseError> {
+            let d = dir as usize;
+            prop_assert_eq!(stamp, self.awaiting[d][g], "stamp of {:?} {}", dir, g);
+            self.awaiting[d][g] = false;
+            self.stamps[d][g] += stamp as u32;
+            Ok(())
+        }
+
+        /// `fail` answered `got`: a step opens exactly when the attempt
+        /// was stamped, numbered one past the episode's last.
+        fn on_fail(&mut self, dir: Dir, g: usize, got: Option<u32>) -> Result<(), TestCaseError> {
+            let d = dir as usize;
+            prop_assert_eq!(got.is_some(), !self.awaiting[d][g]);
+            if let Some(attempt) = got {
+                prop_assert_eq!(attempt, self.open[g].unwrap_or(0) + 1);
+                self.open[g] = Some(attempt);
+                self.awaiting[d][g] = true;
+            }
+            Ok(())
+        }
+
+        /// A delivery reported `recovered`: exactly the open episode's
+        /// attempts, if one was open. Closing it settles its void stamps.
+        fn on_delivered(&mut self, g: usize, recovered: Option<u32>) -> Result<(), TestCaseError> {
+            prop_assert_eq!(recovered, self.open[g].take());
+            if recovered.is_some() {
+                for d in 0..2 {
+                    self.awaiting[d][g] &= self.issued[d][g] == 0;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// Under arbitrary interleavings of issue, landing, failure,
+        /// re-send, shard crash-restart and iteration boundaries, a
+        /// `Worker` stamps each attempt exactly once (and nothing that
+        /// never reached the wire), ends each tensor's pull once when its
+        /// extents add up, reports a recovery exactly when an episode was
+        /// open with consecutive attempts, and opens the forward gate
+        /// monotonically within an iteration, shut again at its boundary.
+        #[test]
+        fn worker_stamps_lands_and_gates_by_the_trace_contract(
+            sizes in prop::collection::vec(1u64..4, 1..4),
+            ops in prop::collection::vec((0u8..8, 0usize..4, 1u64..3, 0u8..2), 1..120),
+        ) {
+            let n = sizes.len();
+            let mut w = Worker::new(sizes.clone());
+            let mut m = WorkerModel::new(n);
+            let mut iter = 0;
+            w.begin_iter(iter);
+            for (op, g, len, d) in ops {
+                let g = g % n;
+                let dir = if d == 0 { Dir::Push } else { Dir::Pull };
+                let ready: Vec<bool> = (0..n).map(|k| w.forward_ready(k)).collect();
+                match op {
+                    // New extents reach the wire; a push is tracked.
+                    0 | 1 => {
+                        let dir = if op == 0 { Dir::Push } else { Dir::Pull };
+                        let left = sizes[g] - m.issued[dir as usize][g];
+                        let len = len.min(left);
+                        if len > 0 {
+                            let (offset, stamp) = w.issue(dir, g, len);
+                            prop_assert_eq!(offset, m.issued[dir as usize][g]);
+                            m.issued[dir as usize][g] += len;
+                            m.on_wire(dir, g, stamp)?;
+                            if dir == Dir::Push {
+                                let slice = Slice { iter, tensor: g, offset, len, epoch: 0 };
+                                w.outbox.sent(slice, u64::MAX - 1);
+                            }
+                        }
+                    }
+                    // A transfer on the wire fails; its re-send waits.
+                    2 if m.issued[dir as usize][g] > 0 => {
+                        let got = w.outbox.fail(iter, g, dir);
+                        m.on_fail(dir, g, got)?;
+                        m.resends.push((dir, g));
+                    }
+                    // The oldest failed transfer is sent again.
+                    3 if !m.resends.is_empty() => {
+                        let (dir, g) = m.resends.remove(0);
+                        let stamp = w.outbox.restamp(iter, g, dir);
+                        m.on_wire(dir, g, stamp)?;
+                    }
+                    // Pulled extents land.
+                    4 => {
+                        let len = len.min(m.issued[1][g] - m.landed[g]);
+                        if len > 0 {
+                            m.landed[g] += len;
+                            let done = w.land(g, len);
+                            prop_assert_eq!(done.is_some(), m.landed[g] == sizes[g]);
+                            if let Some(done) = done {
+                                m.pull_ends[g] += 1;
+                                m.on_delivered(g, done.recovered)?;
+                            }
+                        }
+                    }
+                    // A whole push is delivered, once.
+                    5 if m.issued[0][g] == sizes[g] && !m.pushed_home[g] => {
+                        m.pushed_home[g] = true;
+                        let recovered = w.outbox.delivered(iter, g);
+                        m.on_delivered(g, recovered)?;
+                    }
+                    // The shard of tensor `g` crash-restarts: every
+                    // undelivered push of it is retried.
+                    6 => {
+                        for step in w.outbox.restarted(|t| t == g) {
+                            match step {
+                                Step::Retry { tensor, attempt } => {
+                                    m.on_fail(Dir::Push, tensor, Some(attempt))?;
+                                }
+                                Step::Resend(s, attempt) => {
+                                    prop_assert!(m.awaiting[0][s.tensor]);
+                                    prop_assert_eq!(Some(attempt), m.open[s.tensor]);
+                                    w.outbox.sent(s, u64::MAX - 1);
+                                    m.resends.push((Dir::Push, s.tensor));
+                                }
+                            }
+                        }
+                    }
+                    // The iteration ends.
+                    7 => {
+                        for d in 0..2 {
+                            let unsent = m.issued[d].iter().zip(&m.stamps[d]);
+                            prop_assert!(unsent.filter(|&(&i, _)| i == 0).all(|(_, &s)| s == 0));
+                        }
+                        let whole = m.landed.iter().zip(&sizes).map(|(l, s)| (l == s) as u32);
+                        prop_assert_eq!(m.pull_ends.clone(), whole.collect::<Vec<_>>());
+                        iter += 1;
+                        w.begin_iter(iter);
+                        m = WorkerModel::new(n);
+                        for k in 0..n {
+                            prop_assert!(!w.forward_ready(k));
+                        }
+                        continue;
+                    }
+                    _ => {}
+                }
+                for k in 0..n {
+                    prop_assert_eq!(w.forward_ready(k), m.landed[k] == sizes[k]);
+                    prop_assert!(w.forward_ready(k) || !ready[k], "gate {} shut again", k);
+                }
+                prop_assert_eq!(w.all_landed(), (0..n).all(|k| m.landed[k] == sizes[k]));
+                prop_assert_eq!(w.outbox.is_quiet(), m.open.iter().all(Option::is_none));
             }
         }
     }

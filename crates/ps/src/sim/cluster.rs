@@ -13,7 +13,7 @@
 use super::config::{ClusterConfig, SyncMode};
 use super::metrics::{ClusterStats, ElasticStats, FaultStats, RunResult};
 use crate::protocol::{
-    Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Outbox, Windows,
+    Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Windows, Worker,
 };
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
@@ -320,8 +320,10 @@ struct WorkerRt {
     backward_done: bool,
     fwd_next: usize,
     fwd_busy: bool,
-    pulled: Vec<bool>,
-    pull_bytes: Vec<u64>,
+    /// What this iteration has issued and landed, its first-byte stamps,
+    /// retry episodes (the flows *are* the acks here, so the outbox's
+    /// tracked-send half stays empty) and forward gate.
+    core: Worker,
     gpu: TimeWeighted,
     monitor: BandwidthMonitor,
     // Aggregate uplink goodput accounting: bytes delivered and wire-busy
@@ -346,14 +348,6 @@ struct WorkerRt {
     releases_queued: usize,
     /// First of the sequence numbers reserved for `releases`.
     release_seq0: u64,
-    /// First byte of the current iteration's push / pull per gradient,
-    /// `UNSET` until it hits the wire and again after a failed attempt
-    /// voided it: the gate that stamps each attempt's start once.
-    push_start: Vec<SimTime>,
-    pull_start: Vec<SimTime>,
-    /// Retry episodes of this worker's transfers (the flows *are* the
-    /// acks here, so the tracked-send half stays empty).
-    outbox: Outbox,
 }
 
 struct Cluster {
@@ -468,8 +462,6 @@ struct Cluster {
     piece_pool: Vec<Vec<(usize, u64)>>,
 }
 
-const UNSET: SimTime = SimTime::MAX;
-
 /// The part of a message bound for one shard: `(shard, total bytes,
 /// (gradient, bytes) pieces)`.
 type ShardGroup = (usize, u64, Vec<(usize, u64)>);
@@ -532,6 +524,7 @@ impl Cluster {
             SpanCollector::new().with_capacity(1, total_iters as usize, n)
         };
         let master = Xoshiro256StarStar::new(cfg.seed);
+        let sizes = cfg.job.sizes();
         let workers: Vec<WorkerRt> = (0..total_workers)
             .map(|w| WorkerRt {
                 node: NodeId(shards + w),
@@ -542,8 +535,7 @@ impl Cluster {
                 backward_done: false,
                 fwd_next: 0,
                 fwd_busy: false,
-                pulled: vec![false; n],
-                pull_bytes: vec![0; n],
+                core: Worker::new(sizes.clone()),
                 gpu: TimeWeighted::new(SimTime::ZERO, 0.0),
                 monitor: BandwidthMonitor::new(0.3, cfg.monitor_period),
                 push_active: 0,
@@ -555,12 +547,8 @@ impl Cluster {
                 releases: Vec::with_capacity(n),
                 releases_queued: 0,
                 release_seq0: 0,
-                push_start: vec![UNSET; n],
-                pull_start: vec![UNSET; n],
-                outbox: Outbox::default(),
             })
             .collect();
-        let sizes = cfg.job.sizes();
         let fwd_times = cfg.job.fwd_times().to_vec();
         let sample_window = cfg.sample_window;
         let nodes = shards + total_workers;
@@ -867,14 +855,10 @@ impl Cluster {
             wk.backward_done = false;
             wk.fwd_next = 0;
             wk.fwd_busy = false;
-            wk.pulled.iter_mut().for_each(|p| *p = false);
-            wk.pull_bytes.iter_mut().for_each(|b| *b = 0);
-            wk.push_start.iter_mut().for_each(|t| *t = UNSET);
-            wk.pull_start.iter_mut().for_each(|t| *t = UNSET);
+            wk.core.begin_iter(iter);
             wk.iter_start = now;
             wk.gpu.set(now, 1.0); // backward compute starts immediately
             wk.sched.iteration_begin(now, iter);
-            wk.outbox.begin_iter(iter);
         }
         self.emit(now, TraceEvent::IterBegin { worker: w, iter });
         if w == 0 {
@@ -1010,7 +994,7 @@ impl Cluster {
             let wk = &self.workers[w];
             let next = wk.fwd_next;
             (
-                wk.backward_done && !wk.fwd_busy && next < n && wk.pulled[next],
+                wk.backward_done && !wk.fwd_busy && next < n && wk.core.forward_ready(next),
                 next,
             )
         };
@@ -1160,8 +1144,10 @@ impl Cluster {
             }
             wk.push_active += 1;
         }
-        for &(g, _) in &task.pieces {
-            self.stamp_start(now, w, iter, g, task.dir);
+        for &(g, b) in &task.pieces {
+            if self.workers[w].core.issue(task.dir, g, b).1 {
+                self.emit_start(now, w, iter, g, task.dir);
+            }
         }
         let mut by_shard = std::mem::take(&mut self.shard_groups);
         self.group_by_owner(&task.pieces, &mut by_shard);
@@ -1191,27 +1177,14 @@ impl Cluster {
         self.forward_net_events_up_to(now);
     }
 
-    /// The first byte of `(w, iter, g)`'s transfer hits the wire — for the
-    /// first time, or again after a failed attempt voided the stamp (it
-    /// stays void exactly until the re-send): stamp its start.
-    fn stamp_start(&mut self, now: SimTime, w: usize, iter: u64, g: usize, dir: Dir) {
-        let wk = &mut self.workers[w];
+    /// Trace the stamped first byte of `(w, iter, g)`'s attempt.
+    fn emit_start(&mut self, now: SimTime, w: usize, iter: u64, g: usize, dir: Dir) {
         let (worker, grad) = (w, g);
-        let (start, ev) = match dir {
-            Dir::Push => (
-                &mut wk.push_start[g],
-                TraceEvent::PushStart { worker, iter, grad },
-            ),
-            Dir::Pull => (
-                &mut wk.pull_start[g],
-                TraceEvent::PullStart { worker, iter, grad },
-            ),
+        let ev = match dir {
+            Dir::Push => TraceEvent::PushStart { worker, iter, grad },
+            Dir::Pull => TraceEvent::PullStart { worker, iter, grad },
         };
-        if *start == UNSET {
-            *start = now;
-            wk.outbox.restamp(iter, g, dir);
-            self.emit(now, ev);
-        }
+        self.emit(now, ev);
     }
 
     /// Group `pieces` by owning shard into `groups`, in first-seen order.
@@ -1303,7 +1276,9 @@ impl Cluster {
             if msg.attempt > 0 {
                 let iter = self.tasks.get_mut(msg.task).iter;
                 for &(g, _) in &msg.pieces {
-                    self.stamp_start(now, w, iter, g, dir);
+                    if self.workers[w].core.outbox.restamp(iter, g, dir) {
+                        self.emit_start(now, w, iter, g, dir);
+                    }
                 }
             }
             // Every send is covered by an ack timeout; a stale timeout
@@ -1443,7 +1418,8 @@ impl Cluster {
         let Arrival::WorkerDone { closes } = arrival else {
             return;
         };
-        self.close_retry_episode(now, w, iter, g);
+        let closed = self.workers[w].core.outbox.delivered(iter, g);
+        self.note_recovered(now, w, iter, g, closed);
         self.emit(
             now,
             TraceEvent::PushEnd {
@@ -1499,29 +1475,21 @@ impl Cluster {
     }
 
     fn on_pull_bytes(&mut self, now: SimTime, w: usize, g: usize, b: u64) {
-        let complete = {
-            let wk = &mut self.workers[w];
-            wk.pull_bytes[g] += b;
-            debug_assert!(wk.pull_bytes[g] <= self.sizes[g], "over-pulled {g}");
-            wk.pull_bytes[g] == self.sizes[g]
+        let wk = &mut self.workers[w];
+        let Some(done) = wk.core.land(g, b) else {
+            return;
         };
-        if complete {
-            let iter = {
-                let wk = &mut self.workers[w];
-                wk.pulled[g] = true;
-                wk.iter
-            };
-            self.close_retry_episode(now, w, iter, g);
-            self.emit(
-                now,
-                TraceEvent::PullEnd {
-                    worker: w,
-                    iter,
-                    grad: g,
-                },
-            );
-            self.try_start_forward(now, w);
-        }
+        let iter = wk.iter;
+        self.note_recovered(now, w, iter, g, done.recovered);
+        self.emit(
+            now,
+            TraceEvent::PullEnd {
+                worker: w,
+                iter,
+                grad: g,
+            },
+        );
+        self.try_start_forward(now, w);
     }
 
     /// Make sure a wake-up is queued for the network's next event.
@@ -1733,10 +1701,10 @@ impl Cluster {
         }
     }
 
-    /// `(w, iter, g)` finally delivered: close its retry episode, if one is
-    /// open.
-    fn close_retry_episode(&mut self, now: SimTime, w: usize, iter: u64, g: usize) {
-        if let Some(attempts) = self.workers[w].outbox.delivered(iter, g) {
+    /// `(w, iter, g)` finally delivered: trace the retry episode that
+    /// closed with it, if one was open.
+    fn note_recovered(&mut self, now: SimTime, w: usize, iter: u64, g: usize, closed: Option<u32>) {
+        if let Some(attempts) = closed {
             self.fault_stats.recoveries += 1;
             self.emit(
                 now,
@@ -1750,18 +1718,12 @@ impl Cluster {
         }
     }
 
-    /// Record one retry step for `(w, iter, g)` and void its stamps so the
-    /// re-send re-stamps them. Coalesced: while the gradient is already
-    /// awaiting a re-stamp, further failures join the episode silently.
+    /// A transfer of `(w, iter, g)` failed: trace the retry step it opens,
+    /// if the outbox opens one.
     fn note_retry(&mut self, now: SimTime, w: usize, iter: u64, g: usize, dir: Dir) {
-        let wk = &mut self.workers[w];
-        let Some(attempt) = wk.outbox.fail(iter, g, dir) else {
+        let Some(attempt) = self.workers[w].core.outbox.fail(iter, g, dir) else {
             return;
         };
-        match dir {
-            Dir::Push => wk.push_start[g] = UNSET,
-            Dir::Pull => wk.pull_start[g] = UNSET,
-        }
         self.fault_stats.retries += 1;
         self.emit(
             now,
@@ -2074,7 +2036,7 @@ impl Cluster {
         // Every retry episode must have closed with a delivery; a leftover
         // entry means a gradient was dropped on the floor.
         debug_assert!(
-            self.workers.iter().all(|wk| wk.outbox.is_quiet()),
+            self.workers.iter().all(|wk| wk.core.outbox.is_quiet()),
             "unrecovered retry episodes at end of run"
         );
         let mut fault_stats = self.fault_stats.clone();

@@ -30,8 +30,8 @@
 //! from run start** and node `s < ps_shards` meaning PS shard `s`, node
 //! `ps_shards + w` meaning worker `w`. What an arrival, a barrier, a retry
 //! and a crash *mean* is [`crate::protocol`]'s (`Barriers` on each shard,
-//! an `Outbox` on each worker — the rules the simulator runs); this file
-//! keeps the effects:
+//! a `Worker` core with its `Outbox` on each worker — the rules the
+//! simulator runs); this file keeps the effects:
 //!
 //! * `ShardCrash` — the named shard wipes its barrier ledger and staged
 //!   payloads at the scheduled instant (parameters and optimiser state
@@ -87,7 +87,7 @@ use super::wire::{
     FrameWriter, PushCheck, ToPs, ToWorker,
 };
 use crate::protocol::{
-    Arrival, Barriers, CheckpointSchedule, Membership, Outbox, Slice, Step, Window, Windows,
+    Arrival, Barriers, CheckpointSchedule, Membership, Slice, Step, Window, Windows, Worker,
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -545,7 +545,7 @@ impl MembershipClock {
 
 /// A worker's sending side: its gradient payloads, the link they are
 /// charged to, the loss and corruption draws every push makes, and the
-/// [`Outbox`] whose tracked sends drive retransmissions.
+/// [`Worker`] core whose outbox's tracked sends drive retransmissions.
 struct Uplink {
     /// Whether any fault machinery is live (empty plan = all paths dormant,
     /// and the worker blocks on `recv` exactly as the fault-free build).
@@ -575,7 +575,9 @@ struct Uplink {
     /// (mirrors the shard-side `tamper_pool`; dormant without corruption).
     tamper_pool: ArenaPool,
     retry: RetryPolicy,
-    outbox: Outbox,
+    /// This iteration's issued and landed elements, first-byte stamps and
+    /// retry episodes.
+    core: Worker,
     messages_lost: u64,
     bytes_pushed: u64,
 }
@@ -635,16 +637,17 @@ struct Queued {
 
 impl Uplink {
     /// The uplink of worker `w` in a `shards`-shard topology, for a model
-    /// of `tensors` tensors differentiated in `steps` backward steps.
+    /// of tensors of `tensor_elems` elements, differentiated one layer per
+    /// backward step.
     fn new(
         w: usize,
         shards: usize,
         cfg: &ThreadedConfig,
         windows: Arc<Windows>,
-        tensors: usize,
-        steps: usize,
+        tensor_elems: &[usize],
     ) -> Self {
         let plan = &cfg.fault_plan;
+        let (tensors, steps) = (tensor_elems.len(), cfg.widths.len() - 1);
         Uplink {
             active: !plan.is_empty(),
             link: Link::new(cfg.link_bps, Arc::clone(&windows), w, shards),
@@ -660,7 +663,7 @@ impl Uplink {
             tamper_pool: ArenaPool::new(),
             windows,
             retry: cfg.retry,
-            outbox: Outbox::default(),
+            core: Worker::new(tensor_elems.iter().map(|&e| e as u64).collect()),
             messages_lost: 0,
             bytes_pushed: 0,
         }
@@ -764,7 +767,7 @@ impl Uplink {
         }
         if self.active {
             let deadline = now + (self.retry.timeout + q.stretch).as_nanos();
-            self.outbox.sent(slice, deadline);
+            self.core.outbox.sent(slice, deadline);
         }
     }
 
@@ -2053,17 +2056,10 @@ struct PullTask {
     due: u64,
 }
 
-/// One iteration's transfers on a worker: what the scheduler has put on the
-/// wire and what has landed. Reset, not reallocated, per iteration.
+/// A worker's pull lookahead: the pull task on the wire and the one issued
+/// behind it.
+#[derive(Default)]
 struct Transfers {
-    /// Elements of each tensor issued for push.
-    push_sent: Vec<usize>,
-    /// Elements of each tensor requested for pull.
-    pull_recv: Vec<usize>,
-    /// Elements of each tensor's pulled parameters applied to the model.
-    applied: Vec<usize>,
-    /// Tensors not yet fully applied.
-    left: usize,
     pull: Option<PullTask>,
     /// A pull task issued while another was on the wire; requested when
     /// that one lands (issuing pauses until then).
@@ -2074,26 +2070,6 @@ struct Transfers {
 }
 
 impl Transfers {
-    fn new(n: usize) -> Self {
-        Transfers {
-            push_sent: vec![0; n],
-            pull_recv: vec![0; n],
-            applied: vec![0; n],
-            left: n,
-            pull: None,
-            next_pull: None,
-            replies: Vec::new(),
-        }
-    }
-
-    fn reset(&mut self) {
-        debug_assert!(self.pull.is_none() && self.next_pull.is_none());
-        self.push_sent.fill(0);
-        self.pull_recv.fill(0);
-        self.applied.fill(0);
-        self.left = self.applied.len();
-    }
-
     /// Request `task`'s windows and charge their bytes to the link: the
     /// shards serve pulls from an encoding cached at barrier time, so the
     /// link paces the replies from now.
@@ -2107,24 +2083,24 @@ impl Transfers {
         let now = ns_since(ctx.epoch);
         let mut due = now;
         for &(g, b) in &task.pieces {
-            if self.pull_recv[g] == 0 {
+            let len_elems = (b / 4) as usize;
+            let (offset, stamp) = up.core.issue(Dir::Pull, g, len_elems as u64);
+            if stamp {
                 tlog.emit(TraceEvent::PullStart {
                     worker: ctx.w,
                     iter: ctx.iter,
                     grad: g,
                 });
             }
-            let len_elems = (b / 4) as usize;
             ctx.txs[ctx.owner[g]]
                 .send(ToPs::PullReq {
                     worker: ctx.w,
                     grad: g,
-                    offset_elems: self.pull_recv[g],
+                    offset_elems: offset as usize,
                     len_elems,
                     min_done: None,
                 })
                 .expect("ps shard hung up");
-            self.pull_recv[g] += len_elems;
             due = up.link.charge(b, now);
         }
         let awaiting = task.pieces.len();
@@ -2154,7 +2130,7 @@ fn redo(ctx: &IterCtx<'_>, up: &mut Uplink, tlog: &mut ThreadLog, steps: Vec<Ste
             }),
             Step::Resend(s, attempt) => {
                 let grad = s.tensor;
-                if up.outbox.restamp(iter, grad, Dir::Push) {
+                if up.core.outbox.restamp(iter, grad, Dir::Push) {
                     tlog.emit(TraceEvent::PushStart { worker, iter, grad });
                 }
                 let stretch = up.retry.delay(if backoff { attempt } else { 0 });
@@ -2163,6 +2139,28 @@ fn redo(ctx: &IterCtx<'_>, up: &mut Uplink, tlog: &mut ThreadLog, steps: Vec<Ste
             }
         }
     }
+}
+
+/// Land a pull reply in the model — one apply for every plan: the wire
+/// bytes decode straight into parameter tensor `grad` from element
+/// `offset_elems`, with the frame CRC streamed in the same pass. A reply
+/// that got past the receive-time verify and still mismatches is genuine
+/// memory corruption. Returns the elements landed.
+fn apply_reply(
+    model: &mut Mlp,
+    grad: usize,
+    offset_elems: usize,
+    data: &[u8],
+    frame: FrameHeader,
+) -> usize {
+    let len_elems = data.len() / 4;
+    let dst = &mut model.param_slice_mut(grad)[offset_elems..offset_elems + len_elems];
+    let got = crc32::finish(fused_crc_apply(crc32::begin(), data, dst));
+    assert_eq!(
+        got, frame.crc,
+        "pull reply fails the frame CRC it was admitted under — genuine memory corruption"
+    );
+    len_elems
 }
 
 /// Move everything that can move without waiting: issue tasks until the
@@ -2188,17 +2186,16 @@ fn pump(
                 Dir::Push => {
                     let now = ns_since(ctx.epoch);
                     for &(g, b) in &task.pieces {
-                        let off = tr.push_sent[g];
-                        if off == 0 {
+                        let elems = (b / 4) as usize;
+                        let (off, stamp) = up.core.issue(Dir::Push, g, elems as u64);
+                        if stamp {
                             tlog.emit(TraceEvent::PushStart {
                                 worker: ctx.w,
                                 iter: ctx.iter,
                                 grad: g,
                             });
                         }
-                        let elems = (b / 4) as usize;
-                        tr.push_sent[g] += elems;
-                        up.charge_push(now, g, off, elems, SimDuration::ZERO);
+                        up.charge_push(now, g, off as usize, elems, SimDuration::ZERO);
                     }
                     let last = up.queue.back_mut().expect("push task without pieces");
                     last.task = Some(task);
@@ -2328,7 +2325,7 @@ fn worker_thread(
     let evicted = mem.leaves_at(w).is_some();
     let mut sched: Box<dyn CommScheduler> =
         cfg.scheduler.build_from_sizes(sizes_bytes.as_ref().clone());
-    let mut up = Uplink::new(w, shards, &cfg, windows, n, cfg.widths.len() - 1);
+    let mut up = Uplink::new(w, shards, &cfg, windows, &tensor_elems);
     let mut losses = Vec::with_capacity((my_until - my_from) as usize);
     let mut corrupt_frames = 0u64;
     let mut nack_bytes = 0u64;
@@ -2345,17 +2342,20 @@ fn worker_thread(
         // Nothing here is traced: a worker outside the membership is
         // silent by contract.
         let owner = mem.owner_at(my_from);
-        for g in 0..n {
-            txs[owner[g]]
-                .send(ToPs::PullReq {
-                    worker: w,
-                    grad: g,
-                    offset_elems: 0,
-                    len_elems: tensor_elems[g],
-                    min_done: Some(my_from - 1),
-                })
+        let request = |grad: usize| {
+            let (len_elems, min_done) = (tensor_elems[grad], Some(my_from - 1));
+            let req = ToPs::PullReq {
+                worker: w,
+                grad,
+                offset_elems: 0,
+                len_elems,
+                min_done,
+            };
+            txs[owner[grad]]
+                .send(req)
                 .expect("ps shard hung up at bootstrap");
-        }
+        };
+        (0..n).for_each(request);
         let mut deferred_acks: Vec<(usize, u64)> = Vec::new();
         let mut got = 0usize;
         while got < n {
@@ -2377,18 +2377,10 @@ fn worker_thread(
                         // tensor. Counted but not traced — a worker
                         // outside the membership is silent by contract.
                         corrupt_frames += 1;
-                        txs[owner[grad]]
-                            .send(ToPs::PullReq {
-                                worker: w,
-                                grad,
-                                offset_elems: 0,
-                                len_elems: tensor_elems[grad],
-                                min_done: Some(my_from - 1),
-                            })
-                            .expect("ps shard hung up at bootstrap");
+                        request(grad);
                         continue;
                     }
-                    model.set_param_slice_le(grad, 0, &data);
+                    apply_reply(&mut model, grad, 0, &data, frame);
                     got += 1;
                 }
                 ToWorker::ShardRestarted { shard, epoch: e } => {
@@ -2412,7 +2404,7 @@ fn worker_thread(
         }
     }
 
-    let mut tr = Transfers::new(n);
+    let mut tr = Transfers::default();
     // Verify pull replies at receive only under a corruption plan; without
     // one the frame CRC is checked inside the fused decode-into-parameters
     // pass instead of costing its own traversal.
@@ -2430,8 +2422,7 @@ fn worker_thread(
         if up.active {
             up.stall_if_scheduled(node, epoch, &mut tlog);
         }
-        up.outbox.begin_iter(iter);
-        tr.reset();
+        up.core.begin_iter(iter);
         up.recycle();
         let ctx = IterCtx {
             w,
@@ -2499,7 +2490,7 @@ fn worker_thread(
         // quiet — the very situation a lost message creates. With nothing
         // charged and no tracked slices, every event that can unblock this
         // loop arrives as a message, so the receive blocks outright.
-        while tr.left > 0 {
+        while !up.core.all_landed() {
             pump(&ctx, &mut sched, &mut tr, &mut up, &mut tlog);
             let now = ns_since(epoch);
             let landing = tr.pull.as_ref().filter(|p| p.awaiting == 0).map(|p| p.due);
@@ -2522,29 +2513,14 @@ fn worker_thread(
                         phases.wait_ns += t_gate.elapsed().as_nanos() as u64;
                     }
                     let t_apply = Instant::now();
-                    // One apply for every plan: wire bytes decode straight
-                    // into the model's parameter storage with the frame CRC
-                    // streamed in the same pass. A reply that got past the
-                    // receive-time verify and still mismatches is genuine
-                    // memory corruption.
-                    let len_elems = data.len() / 4;
-                    let dst =
-                        &mut model.param_slice_mut(grad)[offset_elems..offset_elems + len_elems];
-                    let got = crc32::finish(fused_crc_apply(crc32::begin(), &data, dst));
-                    assert_eq!(
-                        got, frame.crc,
-                        "pull reply fails the frame CRC it was admitted under — genuine \
-                         memory corruption"
-                    );
+                    let len_elems = apply_reply(&mut model, grad, offset_elems, &data, frame);
                     if gated {
                         gate.release();
                     }
                     phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
                     phases.apply_bytes += 2 * data.len() as u64;
-                    tr.applied[grad] += len_elems;
-                    if tr.applied[grad] == tensor_elems[grad] {
-                        tr.left -= 1;
-                        if let Some(attempts) = up.outbox.delivered(iter, grad) {
+                    if let Some(done) = up.core.land(grad, len_elems as u64) {
+                        if let Some(attempts) = done.recovered {
                             tlog.emit(TraceEvent::Recovered {
                                 worker: w,
                                 iter,
@@ -2564,7 +2540,7 @@ fn worker_thread(
             let pacing = up.next_due().into_iter().chain(landing).min();
             let mut wake = pacing;
             if up.active {
-                let ack = match up.outbox.next_deadline() {
+                let ack = match up.core.outbox.next_deadline() {
                     Some(d) => d.max(now + 50_000),
                     None => now + 20_000_000,
                 };
@@ -2597,7 +2573,7 @@ fn worker_thread(
                     // The barrier proves every slice arrived, whatever acks
                     // are still behind this message in the channel — and
                     // that any retransmission of it still queued is moot.
-                    if let Some(attempts) = up.outbox.delivered(iter, grad) {
+                    if let Some(attempts) = up.core.outbox.delivered(iter, grad) {
                         tlog.emit(TraceEvent::Recovered {
                             worker: w,
                             iter,
@@ -2626,11 +2602,12 @@ fn worker_thread(
                             bytes: (acks.len() * 40) as u64,
                             data: false,
                         });
-                        up.outbox
+                        up.core
+                            .outbox
                             .acks_untrusted(ns_since(epoch) + up.retry.timeout.as_nanos());
                     } else {
                         for a in &acks {
-                            up.outbox.acked(*a);
+                            up.core.outbox.acked(*a);
                         }
                     }
                 }
@@ -2640,7 +2617,7 @@ fn worker_thread(
                     // unless the outbox no longer tracks it (a previous
                     // iteration, or the barrier closed over an intact
                     // duplicate).
-                    let steps = up.outbox.nacked(nack);
+                    let steps = up.core.outbox.nacked(nack);
                     nack_bytes += if steps.is_empty() { 0 } else { nack.len * 4 };
                     redo(&ctx, &mut up, &mut tlog, steps, false);
                 }
@@ -2662,7 +2639,7 @@ fn worker_thread(
                             bytes: frame.len as u64,
                             data: true,
                         });
-                        if let Some(attempt) = up.outbox.fail(iter, grad, Dir::Pull) {
+                        if let Some(attempt) = up.core.outbox.fail(iter, grad, Dir::Pull) {
                             tlog.emit(TraceEvent::RetryAttempt {
                                 worker: w,
                                 iter,
@@ -2670,7 +2647,7 @@ fn worker_thread(
                                 attempt,
                             });
                         }
-                        if up.outbox.restamp(iter, grad, Dir::Pull) {
+                        if up.core.outbox.restamp(iter, grad, Dir::Pull) {
                             tlog.emit(TraceEvent::PullStart {
                                 worker: w,
                                 iter,
@@ -2704,12 +2681,12 @@ fn worker_thread(
                         shard,
                         epoch: e,
                     });
-                    let steps = up.outbox.restarted(|g| owner[g] == shard);
+                    let steps = up.core.outbox.restarted(|g| owner[g] == shard);
                     redo(&ctx, &mut up, &mut tlog, steps, false);
                 }
             }
             if up.active {
-                let steps = up.outbox.tick(ns_since(epoch));
+                let steps = up.core.outbox.tick(ns_since(epoch));
                 redo(&ctx, &mut up, &mut tlog, steps, true);
             }
         }
@@ -2831,13 +2808,13 @@ mod tests {
     #[test]
     fn empty_plan_leaves_fault_machinery_dormant() {
         let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
-        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), 4, 2);
+        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), &[1; 4]);
         assert!(!f.active, "inactive faults must not track sends");
         let fate = f
             .windows
             .send_fate(0, |_| panic!("drew against an empty plan"));
         assert_eq!(fate, None);
-        assert_eq!(f.outbox.next_deadline(), None);
+        assert_eq!(f.core.outbox.next_deadline(), None);
     }
 
     /// Every bytes-walked counter of a small fault-free FIFO run (whole
@@ -2904,7 +2881,7 @@ mod tests {
                 .collect();
             let dy = Tensor::from_vec(rows, output, dy);
             let _ = layer.forward(&x);
-            let mut up = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), 2, 1);
+            let mut up = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), &[1; 2]);
             let mut frame = up.frame(0, (input + 1) * output * 4);
             let _ = layer.backward(&dy, &mut frame);
             frame.seal();

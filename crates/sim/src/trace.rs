@@ -482,8 +482,8 @@ const RING: usize = 24;
 ///
 /// Checks:
 /// * clock monotonicity — events may not move backwards in time;
-/// * no sentinel timestamps — `SimTime::MAX` (the cluster's `UNSET`
-///   marker) must never appear in the stream;
+/// * no sentinel timestamps — `SimTime::MAX` (an unset stamp) must never
+///   appear in the stream;
 /// * per-gradient timeline ordering — `ready ≤ push_start < push_end ≤
 ///   pull_start ≤ pull_end ≤ fwd_start`, each stamped exactly once per
 ///   `(worker, iter, grad)`;

@@ -15,6 +15,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Each test tier runs under `timeout`, budgeted at several times its
+# measured time (debug ~1.2 min warm, release ~4.3 min including its build,
+# on 2 vCPUs), so a deadlocked worker loop — threaded workers join in index
+# order, and one panicking worker leaves the rest blocked on `recv` — fails
+# the gate (exit 124) instead of hanging it.
+
 tier="${1:-all}"
 
 if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
@@ -25,7 +31,7 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     cargo clippy --offline --workspace --all-targets -- -D warnings
 
     echo "==> cargo test (debug tier)"
-    cargo test --offline -q
+    timeout 15m cargo test --offline -q
 
     echo "==> chaos smoke (seed 42, 2 plans per profile and strategy)"
     # PROPHET_RESULTS_DIR: don't clobber the committed 200-plan artifact.
@@ -66,7 +72,7 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
     # `golden_digest`'s 200-plan tier (2404 runs folded into one recorded
     # constant: the cross-commit differential every engine refactor
     # answers to) and `cluster_alloc`'s per-message allocation counts.
-    cargo test --offline --release -q --lib --bins --tests -- --include-ignored
+    timeout 30m cargo test --offline --release -q --lib --bins --tests -- --include-ignored
 
     echo "==> flake gate (scripts/stress.sh: threaded suites, 20 rounds each on one core)"
     ./scripts/stress.sh

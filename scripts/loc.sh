@@ -6,7 +6,9 @@
 #     the file's first `#[cfg(test)]`. Comments and blank lines count, so
 #     deleting comments or reformatting cannot fake a reduction, and lines
 #     moved into a test module drop out of the count rather than padding it;
-#   * the same count for the engine files the protocol work targets, and how
+#   * the same count for the engine files the protocol work targets, their
+#     `worker rules` sum (both engines' drivers plus the `protocol` rules
+#     they share: the worker core's acceptance as one number), and how
 #     many of their non-test lines name a `HashMap`, `HashSet` or `BTreeMap`;
 #   * the number of `pub` fields of `ThreadedConfig` and `ClusterConfig`;
 #   * every line of the Rust outside `src/` (benches, examples, tests), of
@@ -45,6 +47,11 @@ echo "engine files"
 for f in "${engine_files[@]}"; do
     [[ -f "$f" ]] && printf '  %-40s %6d\n' "$f" "$(non_test "$f")"
 done
+rules=0
+for f in "${engine_files[@]:0:3}"; do
+    [[ -f "$f" ]] && rules=$((rules + $(non_test "$f")))
+done
+printf '  %-40s %6d\n' "worker rules: protocol+runtime+cluster" "$rules"
 
 # Lines of one file's non-test code that name a hashed or tree-shaped map:
 # the engines' in-flight state is meant to be addressed by index.
