@@ -25,7 +25,10 @@ mod checkpoint;
 mod fold;
 mod pool;
 mod runtime;
+mod shard;
+mod transport;
 pub mod wire;
+mod worker;
 
 pub use runtime::{
     run_threaded_training, PsOptimizer, ShardPhases, ThreadedConfig, ThreadedResult, WorkerPhases,

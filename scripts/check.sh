@@ -17,9 +17,10 @@ cd "$(dirname "$0")/.."
 
 # Each test tier runs under `timeout`, budgeted at several times its
 # measured time (debug ~1.2 min warm, release ~4.3 min including its build,
-# on 2 vCPUs), so a deadlocked worker loop — threaded workers join in index
-# order, and one panicking worker leaves the rest blocked on `recv` — fails
-# the gate (exit 124) instead of hanging it.
+# on 2 vCPUs). A panicking threaded worker or shard fails its run at once
+# (threads are joined in the order they end and the first panic resumes),
+# but a true deadlock — every thread blocked, none panicked — would still
+# hang; the timeout fails the gate (exit 124) instead.
 
 tier="${1:-all}"
 
