@@ -1,4 +1,4 @@
-//! [extension] Chaos sweep: seeded fault plans under four profiles —
+//! Extension: chaos sweep: seeded fault plans under four profiles —
 //! transient, churn, corruption and mixed — every plan run twice and judged
 //! by the one oracle, `judge`, with automatic shrinking of any violation
 //! and threaded-runtime bit-identity legs.

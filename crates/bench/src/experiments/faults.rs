@@ -1,4 +1,4 @@
-//! [extension] Deterministic fault injection: how each strategy degrades
+//! Extension: deterministic fault injection: how each strategy degrades
 //! and recovers under the failure classes the fault layer models.
 
 use super::{bytescheduler, cell, prophet, r1, steady};

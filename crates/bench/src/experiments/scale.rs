@@ -45,7 +45,6 @@ pub fn ext_scale() -> ExperimentOutput {
             "index_stale_pops",
             "split_checks",
             "events",
-            "net_wakes",
             "peak_pending",
             "pump_calls",
             "tasks",
@@ -91,7 +90,6 @@ pub fn ext_scale() -> ExperimentOutput {
                     n.index_stale_pops,
                     n.split_checks,
                     c.events(),
-                    c.popped("net_wake"),
                     c.peak_pending_events,
                     c.pump_calls,
                     c.tasks_issued,
@@ -118,8 +116,7 @@ pub fn ext_scale() -> ExperimentOutput {
                  changes), and departures that needed a connectivity \
                  search. The columns from `events` on are the cluster \
                  engine's (`ClusterStats`), exact per seed as well: events \
-                 popped (and how many of them were network wake-ups), the \
-                 most events pending at once, scheduler polling rounds, \
+                 popped, the most events pending at once, scheduler polling rounds, \
                  tasks issued and messages sent, the most tasks in flight \
                  at once (the length of the task table) and the lanes \
                  created — `workers × 62 × 2` once shards outnumber \

@@ -1,4 +1,4 @@
-//! [extension] Threaded-runtime throughput: steady-state iterations/sec of
+//! Extension: threaded-runtime throughput: steady-state iterations/sec of
 //! the real (non-simulated) sharded PS across worker and shard counts,
 //! with the buffer-pool counters that certify the zero-copy data path.
 

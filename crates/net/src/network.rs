@@ -18,6 +18,10 @@
 //! }
 //! ```
 //!
+//! A caller that traces flows needs no side channel: a flow's start is
+//! the call it made, and its end or kill comes back as a [`FlowEnd`] or
+//! [`KilledFlow`] carrying the bytes the integrator moved.
+//!
 //! # Scaling architecture
 //!
 //! The engine is built so that its cost follows what *changed*, not how
@@ -177,48 +181,6 @@ fn transition_time(f: &FlowState) -> Option<SimTime> {
     }
 }
 
-/// An entry in the network's optional event ledger (see
-/// [`Network::record_events`]): the raw material for the cross-stack
-/// trace/invariant layer's flow-level checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NetEvent {
-    /// A flow was accepted at this instant.
-    FlowStart {
-        /// Caller-supplied tag.
-        tag: u64,
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Requested payload size.
-        bytes: u64,
-    },
-    /// A flow's last byte arrived at this instant.
-    FlowEnd {
-        /// Caller-supplied tag.
-        tag: u64,
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Bytes the fluid integrator actually moved (equals the request
-        /// up to the completion epsilon).
-        delivered: f64,
-    },
-    /// A flow was killed by [`Network::kill_flow`] /
-    /// [`Network::kill_flows_touching`] before completing.
-    FlowKilled {
-        /// Caller-supplied tag.
-        tag: u64,
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Bytes moved before the kill (the receiver discards them).
-        delivered: f64,
-    },
-}
-
 /// A transfer removed by a kill, with the partial byte count it had moved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KilledFlow {
@@ -245,6 +207,9 @@ pub struct FlowEnd {
     pub tag: u64,
     /// When the last byte arrived.
     pub finished: SimTime,
+    /// Bytes the fluid integrator actually moved: the request up to the
+    /// completion epsilon.
+    pub delivered: f64,
 }
 
 /// How much work the engine did, as plain counts. Exact per input, so
@@ -315,8 +280,6 @@ pub struct Network {
     // in-flight accrual since then is reconstructed on read.
     tx_base: Vec<f64>,
     rx_base: Vec<f64>,
-    record_events: bool,
-    events: Vec<(SimTime, NetEvent)>,
     stats: NetStats,
     // Reusable buffers (never carry results between calls).
     /// `(pred_end, flow id, slot)` of the flows being harvested.
@@ -357,8 +320,6 @@ impl Network {
             stamps: 0,
             tx_base: vec![0.0; n],
             rx_base: vec![0.0; n],
-            record_events: false,
-            events: Vec::new(),
             stats: NetStats::default(),
             due: Vec::new(),
             side: Vec::new(),
@@ -368,8 +329,8 @@ impl Network {
     /// Switch between incremental (default) and full-resolve re-allocation.
     ///
     /// Full-resolve marks every live component dirty on every
-    /// [`Network::reallocate`], so each rate is recomputed from scratch each
-    /// time — the oracle the incremental engine is golden-tested against.
+    /// re-allocation, so each rate is recomputed from scratch each time —
+    /// the oracle the incremental engine is golden-tested against.
     /// Both modes share the identical fill path, so their `FlowEnd`
     /// timestamps and rates are bit-identical unless incremental dirty
     /// tracking misses an invalidation.
@@ -380,21 +341,6 @@ impl Network {
     /// True when every re-allocation re-solves every component.
     pub fn full_resolve(&self) -> bool {
         self.full_resolve
-    }
-
-    /// Turn the event ledger on or off. While on, every flow start and
-    /// completion is appended as a [`NetEvent`] for the caller to drain
-    /// with [`Network::drain_events`] — the hook the cross-stack
-    /// trace/invariant layer consumes. Off (the default) costs nothing.
-    pub fn record_events(&mut self, on: bool) {
-        self.record_events = on;
-    }
-
-    /// Take every ledger entry accumulated since the last drain, in
-    /// chronological order. The ledger keeps its storage, so draining after
-    /// every completion does not re-allocate it.
-    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (SimTime, NetEvent)> {
-        self.events.drain(..)
     }
 
     /// The transport model in use.
@@ -503,17 +449,6 @@ impl Network {
         self.pace[slot as usize] = Pace::idle(src, dst, bytes, now);
         self.n_active += 1;
         self.attach_flow(slot);
-        if self.record_events {
-            self.events.push((
-                now,
-                NetEvent::FlowStart {
-                    tag,
-                    src,
-                    dst,
-                    bytes,
-                },
-            ));
-        }
         // Deliberately NOT re-allocating here: the component is only marked
         // dirty, and the re-fill is deferred to the next rate consumer
         // ([`Network::next_event_time`] or a time-advancing
@@ -591,7 +526,7 @@ impl Network {
                     .and_then(|f| (f.tag == tag).then_some((f.id.0, s as u32)))
             })
             .min()?;
-        Some(self.remove_killed(now, slot))
+        Some(self.remove_killed(slot))
     }
 
     /// Kill every in-flight flow with `node` as source or destination (a
@@ -613,11 +548,11 @@ impl Network {
         victims.dedup(); // a self-loop is listed at both links
         victims
             .into_iter()
-            .map(|(_, s)| self.remove_killed(now, s))
+            .map(|(_, s)| self.remove_killed(s))
             .collect()
     }
 
-    fn remove_killed(&mut self, now: SimTime, slot: u32) -> KilledFlow {
+    fn remove_killed(&mut self, slot: u32) -> KilledFlow {
         let pace = &mut self.pace[slot as usize];
         pace.integrate(self.clock, &mut self.tx_base, &mut self.rx_base);
         let pace = *pace;
@@ -630,17 +565,6 @@ impl Network {
         };
         self.detach_flow(slot);
         self.free_slot(slot);
-        if self.record_events {
-            self.events.push((
-                now,
-                NetEvent::FlowKilled {
-                    tag: killed.tag,
-                    src: killed.src,
-                    dst: killed.dst,
-                    delivered: killed.delivered,
-                },
-            ));
-        }
         self.reallocate();
         killed
     }
@@ -858,22 +782,11 @@ impl Network {
             dst: f.dst,
             tag: f.tag,
             finished: t,
+            delivered: f.total - pace.remaining,
         };
-        let delivered = f.total - pace.remaining;
         self.detach_flow(slot);
         self.free_slot(slot);
         self.stats.completions += 1;
-        if self.record_events {
-            self.events.push((
-                t,
-                NetEvent::FlowEnd {
-                    tag: end.tag,
-                    src: end.src,
-                    dst: end.dst,
-                    delivered,
-                },
-            ));
-        }
         out.push(end);
     }
 
@@ -1423,18 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn killed_flow_appears_in_event_ledger() {
-        let mut net = ideal_net(2, 1000.0);
-        net.record_events(true);
-        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 2000, 9);
-        net.kill_flow(SimTime::from_secs_f64(1.0), 9);
-        assert!(matches!(
-            net.drain_events().next_back(),
-            Some((_, NetEvent::FlowKilled { tag: 9, .. }))
-        ));
-    }
-
-    #[test]
     fn flow_rate_visible_while_active() {
         let mut net = ideal_net(2, 1000.0);
         let id = net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 10_000, 0);
@@ -1513,6 +1414,7 @@ mod tests {
         assert!(done.is_empty());
         let done = net.run_to_completion();
         assert_eq!(done.len(), 1, "exactly one completion");
+        assert!((done[0].delivered - 5.0).abs() <= 1.0, "{done:?}");
         let finished = done[0].finished.as_secs_f64();
         let expect = 0.33 + 1.7 / 0.5; // 3.73 s
         assert!(

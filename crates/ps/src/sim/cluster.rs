@@ -1,11 +1,13 @@
 //! The BSP training-cluster engine.
 //!
-//! One event queue drives everything: per-worker backward passes release
+//! One event loop drives everything: per-worker backward passes release
 //! gradients (the stepwise schedule from `prophet-dnn` with per-iteration
 //! jitter), the worker's `CommScheduler` turns releases into wire messages,
-//! the fluid network carries them, the PS aggregates per-gradient BSP
-//! barriers, updated parameters flow back, and the forward pass consumes
-//! them strictly in priority order (the paper's Eq. 3 gating).
+//! the fluid network carries them (the loop runs to whichever comes first,
+//! the queue's next event or the network's next instant), the PS
+//! aggregates per-gradient BSP barriers, updated parameters flow back, and
+//! the forward pass consumes them strictly in priority order (the paper's
+//! Eq. 3 gating).
 //!
 //! Everything stochastic derives from the config seed; two runs of the same
 //! config produce identical results (asserted by the integration tests).
@@ -17,7 +19,7 @@ use crate::protocol::{
 };
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
-    BandwidthMonitor, FlowEnd, KilledFlow, NetEvent, Network, NodeId, NodeSpec, TcpModel, Topology,
+    BandwidthMonitor, FlowEnd, KilledFlow, Network, NodeId, NodeSpec, TcpModel, Topology,
 };
 use prophet_sim::{
     rehome_modular, Duration, EventQueue, FaultKind, InvariantChecker, RateSeries, SimTime,
@@ -51,10 +53,6 @@ enum Ev {
     GradReady { w: u32, grad: u32 },
     /// Worker `w` finishes the forward compute of tensor `grad`.
     FwdDone { w: u32, grad: u32 },
-    /// The network predicted a state change at this instant. The handler
-    /// is empty because every event dispatch drains the network first;
-    /// this event only guarantees the loop wakes up in time.
-    NetWake,
     /// Bandwidth-monitor publication.
     MonitorTick,
     /// Metrics sampling window boundary.
@@ -80,14 +78,13 @@ impl Ev {
             Ev::IterBegin { .. } => 0,
             Ev::GradReady { .. } => 1,
             Ev::FwdDone { .. } => 2,
-            Ev::NetWake => 3,
-            Ev::MonitorTick => 4,
-            Ev::SampleTick => 5,
-            Ev::BandwidthChange { .. } => 6,
-            Ev::FaultBegin { .. } => 7,
-            Ev::FaultFinish { .. } => 8,
-            Ev::LaneKick { .. } => 9,
-            Ev::MsgTimeout { .. } => 10,
+            Ev::MonitorTick => 3,
+            Ev::SampleTick => 4,
+            Ev::BandwidthChange { .. } => 5,
+            Ev::FaultBegin { .. } => 6,
+            Ev::FaultFinish { .. } => 7,
+            Ev::LaneKick { .. } => 8,
+            Ev::MsgTimeout { .. } => 9,
         }
     }
 }
@@ -372,12 +369,6 @@ struct Cluster {
     next_flow_tag: u64,
     sizes: Vec<u64>,
     fwd_times: Vec<Duration>,
-    /// Instants with an outstanding `Ev::NetWake`, ascending. `arm_net`
-    /// schedules a wake only when the network's next event moves *earlier*
-    /// than every outstanding wake; without this, every handled event
-    /// spawns a fresh no-op wake chain and the queue drowns in duplicates
-    /// (tens of millions of `NetWake`s for a few thousand flows at scale).
-    net_wakes: VecDeque<SimTime>,
 
     // Fault-injection state. All of it is inert when the plan is empty:
     // no fault event is enqueued, no RNG drawn, no timeout scheduled —
@@ -437,9 +428,6 @@ struct Cluster {
     checker: Option<InvariantChecker>,
     /// Worker 0's spans on every run; every worker's under `typed_trace`.
     spans: SpanCollector,
-    /// Net-ledger entries drained but not yet forwarded to the checker
-    /// (kept so flow events interleave with cluster events in time order).
-    pending_net: VecDeque<(SimTime, NetEvent)>,
 
     // Metrics.
     gpu_series: Vec<(SimTime, f64)>,
@@ -505,15 +493,12 @@ impl Cluster {
         for w in 0..total_workers {
             topo.add_node(NodeSpec::symmetric(cfg.worker_bandwidth(w)));
         }
-        let mut net = Network::new(topo, TCP);
+        let net = Network::new(topo, TCP);
         let checker = cfg.check_invariants.then(|| {
             InvariantChecker::new(cfg.workers, cfg.sync == SyncMode::Bsp)
                 .with_shards(shards)
                 .with_joiners(joiners)
         });
-        // The collector reads no flow event, so only the checker needs the
-        // network's event ledger.
-        net.record_events(checker.is_some());
         let spans = if cfg.typed_trace {
             SpanCollector::new().with_shards(shards).with_capacity(
                 total_workers,
@@ -616,10 +601,8 @@ impl Cluster {
             next_flow_tag: 0,
             sizes,
             fwd_times,
-            net_wakes: VecDeque::new(),
             checker,
             spans,
-            pending_net: VecDeque::new(),
             gpu_series: Vec::new(),
             net_series: RateSeries::new(SimTime::ZERO, sample_window),
             last_net_bytes: 0.0,
@@ -672,57 +655,11 @@ impl Cluster {
         }
     }
 
-    /// Forward net-ledger entries with timestamps `<= t` to the checker. The
-    /// ledger is chronological, so holding back later entries keeps flow
-    /// events interleaved with cluster events in global time order (a
-    /// completion handled at `t1` must see its PushEnd emitted before a
-    /// FlowEnd that happened at `t2 > t1` is forwarded).
-    fn forward_net_events_up_to(&mut self, t: SimTime) {
-        if self.checker.is_none() {
-            return;
-        }
-        self.pending_net.extend(self.net.drain_events());
-        while let Some(&(at, ev)) = self.pending_net.front() {
-            if at > t {
-                break;
-            }
-            self.pending_net.pop_front();
-            let typed = match ev {
-                NetEvent::FlowStart {
-                    tag,
-                    src,
-                    dst,
-                    bytes,
-                } => TraceEvent::FlowStart {
-                    tag,
-                    src: src.0,
-                    dst: dst.0,
-                    bytes,
-                },
-                NetEvent::FlowEnd {
-                    tag,
-                    src,
-                    dst,
-                    delivered,
-                } => TraceEvent::FlowEnd {
-                    tag,
-                    src: src.0,
-                    dst: dst.0,
-                    delivered,
-                },
-                NetEvent::FlowKilled {
-                    tag,
-                    src,
-                    dst,
-                    delivered,
-                } => TraceEvent::FlowKilled {
-                    tag,
-                    src: src.0,
-                    dst: dst.0,
-                    delivered,
-                },
-            };
-            self.emit(at, typed);
+    /// Feed one flow event to the checker, the only sink that reads them
+    /// (the collector reads none): unchecked runs never build one.
+    fn emit_flow(&mut self, at: SimTime, ev: impl FnOnce() -> TraceEvent) {
+        if let Some(c) = self.checker.as_mut() {
+            c.on_event(at, &ev());
         }
     }
 
@@ -749,68 +686,34 @@ impl Cluster {
             self.queue.schedule(until, Ev::FaultFinish { idx });
         }
 
-        while let Some((now, ev)) = self.queue.pop() {
-            let pending = self.queue.len() as u64 + 1;
-            self.stats.peak_pending_events = self.stats.peak_pending_events.max(pending);
-            self.stats.events_popped[ev.kind()] += 1;
-            // Bring the network to `now` first so every handler sees a
-            // fully-settled wire (completions are handled before anything
-            // else that happens at this instant).
-            self.drain_net(now);
-            // The newest queued release popped (for the first time: a copy
-            // deferred by a stall is no longer the newest): queue the next.
-            if let Ev::GradReady { w, grad } = ev {
-                let wk = &self.workers[w as usize];
-                if wk.releases[wk.releases_queued - 1].2 == grad {
-                    self.queue_next_release(w as usize);
+        loop {
+            // The network is asked for its next instant only once this
+            // instant's event burst is exhausted: while more events sit at
+            // `now` its next instant is still in flux (each handler may
+            // start or finish flows), and asking would resolve its deferred
+            // re-fills once per event instead of once per instant. An
+            // instant only the network has moves the clock there and drains
+            // it; a tie goes to the queue, whose pop drains the network too.
+            let next = self.queue.peek_time();
+            let net_next = match next {
+                Some(t) if t <= self.queue.now() => None,
+                _ => self.net.next_event_time(),
+            };
+            match net_next.filter(|&t| next.is_none_or(|q| t < q)) {
+                Some(t) => {
+                    self.queue.advance_to(t);
+                    self.drain_net(t);
                 }
-            }
-            match ev {
-                // A stalled worker's compute events are deferred to the end
-                // of the stall window (fault plans only).
-                Ev::IterBegin { w } | Ev::GradReady { w, .. } | Ev::FwdDone { w, .. }
-                    if self.stalled(now, w as usize) =>
-                {
-                    self.queue.schedule(self.stall_until[w as usize], ev);
-                }
-                Ev::IterBegin { w } => self.on_iter_begin(now, w as usize),
-                Ev::GradReady { w, grad } => self.on_grad_ready(now, w as usize, grad as usize),
-                Ev::FwdDone { w, grad } => self.on_fwd_done(now, w as usize, grad as usize),
-                // drain_net already did the work; retire the wake so
-                // arm_net knows this instant is no longer covered.
-                Ev::NetWake => {
-                    debug_assert_eq!(self.net_wakes.front(), Some(&now), "wake ledger drifted");
-                    self.net_wakes.pop_front();
-                }
-                Ev::MonitorTick => self.on_monitor_tick(now),
-                Ev::SampleTick => self.on_sample_tick(now),
-                Ev::BandwidthChange { bps } => self.on_bandwidth_change(now, bps),
-                Ev::FaultBegin { idx } => self.on_fault_begin(now, idx as usize),
-                Ev::FaultFinish { idx } => self.on_fault_finish(now, idx as usize),
-                Ev::LaneKick { lane } => {
-                    self.kick_lane(now, lane);
-                    self.forward_net_events_up_to(now);
-                }
-                Ev::MsgTimeout { lane, tag } => self.on_msg_timeout(now, lane, tag),
-            }
-            // Re-arm only once this instant's event burst is exhausted.
-            // While more events sit at `now`, the network's next-event time
-            // is still in flux (each handler may start or finish flows), and
-            // asking for it would force the engine to resolve its deferred
-            // re-fills once per event instead of once per instant. The last
-            // event at `now` always falls through to `arm_net`, so the wake
-            // for the true next network event is never missed.
-            if self.queue.peek_time().is_none_or(|t| t > now) {
-                self.arm_net();
+                None => match self.queue.pop() {
+                    Some((now, ev)) => self.dispatch(now, ev),
+                    None => break,
+                },
             }
             if self.finished() && self.net.active_flows() == 0 {
                 // Drop the periodic ticks (and any leftover fault-layer
-                // timers — they would only spin the clock) so the loop
-                // terminates. Pending NetWakes go too: with no flow in
-                // flight they are by definition stale (armed for
-                // predictions that kills or rate changes superseded), and
-                // popping them would inflate the run's reported duration
-                // past the last real event.
+                // timers — they would only spin the clock, inflating the
+                // run's reported duration past the last real event) so the
+                // loop terminates.
                 self.queue.retain(|e| {
                     !matches!(
                         e,
@@ -820,20 +723,54 @@ impl Cluster {
                             | Ev::LaneKick { .. }
                             | Ev::FaultBegin { .. }
                             | Ev::FaultFinish { .. }
-                            | Ev::NetWake
                     )
                 });
-                self.net_wakes.clear();
             }
         }
-        // Flush any net-ledger stragglers, then run the end-of-run audit
-        // (dangling flows) before the results are assembled.
-        let end = self.queue.now();
-        self.forward_net_events_up_to(end);
+        // The end-of-run audit (dangling flows) before the results are
+        // assembled.
         if let Some(c) = self.checker.as_ref() {
             c.finish();
         }
         self.finish()
+    }
+
+    /// Handle one popped event.
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
+        let pending = self.queue.len() as u64 + 1;
+        self.stats.peak_pending_events = self.stats.peak_pending_events.max(pending);
+        self.stats.events_popped[ev.kind()] += 1;
+        // Bring the network to `now` first so every handler sees a
+        // fully-settled wire (completions are handled before anything else
+        // that happens at this instant).
+        self.drain_net(now);
+        // The newest queued release popped (for the first time: a copy
+        // deferred by a stall is no longer the newest): queue the next.
+        if let Ev::GradReady { w, grad } = ev {
+            let wk = &self.workers[w as usize];
+            if wk.releases[wk.releases_queued - 1].2 == grad {
+                self.queue_next_release(w as usize);
+            }
+        }
+        match ev {
+            // A stalled worker's compute events are deferred to the end of
+            // the stall window (fault plans only).
+            Ev::IterBegin { w } | Ev::GradReady { w, .. } | Ev::FwdDone { w, .. }
+                if self.stalled(now, w as usize) =>
+            {
+                self.queue.schedule(self.stall_until[w as usize], ev);
+            }
+            Ev::IterBegin { w } => self.on_iter_begin(now, w as usize),
+            Ev::GradReady { w, grad } => self.on_grad_ready(now, w as usize, grad as usize),
+            Ev::FwdDone { w, grad } => self.on_fwd_done(now, w as usize, grad as usize),
+            Ev::MonitorTick => self.on_monitor_tick(now),
+            Ev::SampleTick => self.on_sample_tick(now),
+            Ev::BandwidthChange { bps } => self.on_bandwidth_change(now, bps),
+            Ev::FaultBegin { idx } => self.on_fault_begin(now, idx as usize),
+            Ev::FaultFinish { idx } => self.on_fault_finish(now, idx as usize),
+            Ev::LaneKick { lane } => self.kick_lane(now, lane),
+            Ev::MsgTimeout { lane, tag } => self.on_msg_timeout(now, lane, tag),
+        }
     }
 
     fn finished(&self) -> bool {
@@ -1172,9 +1109,6 @@ impl Cluster {
             self.kick_lane(now, lane);
         }
         self.shard_groups = by_shard;
-        // Flows started on idle lanes appended to the net ledger at `now`;
-        // hand them to the sinks while the instant is still current.
-        self.forward_net_events_up_to(now);
     }
 
     /// Trace the stamped first byte of `(w, iter, g)`'s attempt.
@@ -1297,6 +1231,12 @@ impl Cluster {
         self.stats.messages += 1;
         self.net
             .start_flow_with_warmth(now, src, dst, msg.bytes, msg.tag, warm);
+        self.emit_flow(now, || TraceEvent::FlowStart {
+            tag: msg.tag,
+            src: src.0,
+            dst: dst.0,
+            bytes: msg.bytes,
+        });
         self.lanes.slab[id as usize].current = Some(msg);
     }
 
@@ -1305,16 +1245,17 @@ impl Cluster {
         let mut ends = std::mem::take(&mut self.net_ends);
         self.net.advance_into(now, &mut ends);
         for end in ends.drain(..) {
-            // Forward flow events up to this completion's instant first, so
-            // the sinks see FlowEnd before the PushEnd/PullEnd it causes.
-            self.forward_net_events_up_to(end.finished);
+            // The checker sees the FlowEnd before the PushEnd/PullEnd it
+            // causes.
+            self.emit_flow(end.finished, || TraceEvent::FlowEnd {
+                tag: end.tag,
+                src: end.src.0,
+                dst: end.dst.0,
+                delivered: end.delivered,
+            });
             self.handle_flow_end(end);
-            // Lanes kicked while handling may have started new flows at
-            // exactly this instant; flush those before moving on.
-            self.forward_net_events_up_to(end.finished);
         }
         self.net_ends = ends;
-        self.forward_net_events_up_to(now);
     }
 
     /// The lane a flow between `src` and `dst` runs on: shards occupy the
@@ -1492,25 +1433,6 @@ impl Cluster {
         self.try_start_forward(now, w);
     }
 
-    /// Make sure a wake-up is queued for the network's next event.
-    ///
-    /// A wake is scheduled only when that instant moves *earlier* than
-    /// every outstanding wake (`net_wakes` is ascending, so the front is
-    /// the earliest). Any later outstanding wake still fires, drains
-    /// nothing, and re-arms — wakes are pure no-ops for simulation state,
-    /// so deduplication cannot change a run, it only stops every handled
-    /// event from spawning one more wake chain (which used to bury the
-    /// queue in tens of millions of duplicates at high worker counts).
-    fn arm_net(&mut self) {
-        if let Some(t) = self.net.next_event_time() {
-            if self.net_wakes.front().is_none_or(|&f| t < f) {
-                debug_assert!(t >= self.queue.now(), "armed a wake in the past");
-                self.queue.schedule(t, Ev::NetWake);
-                self.net_wakes.push_front(t);
-            }
-        }
-    }
-
     // ---- fault injection -------------------------------------------------
 
     fn has_faults(&self) -> bool {
@@ -1623,9 +1545,6 @@ impl Cluster {
         for id in restored {
             self.kick_lane(now, id);
         }
-        if up {
-            self.forward_net_events_up_to(now);
-        }
     }
 
     /// Re-apply a node's capacity (base × degradation factor).
@@ -1648,10 +1567,10 @@ impl Cluster {
     /// Handle flows the network just killed: close their lanes, void the
     /// affected gradients' stamps, and queue the messages for re-send.
     fn fail_flows(&mut self, now: SimTime, kills: impl IntoIterator<Item = KilledFlow>) {
-        // Ledger first: sinks must see each FlowKilled before the
-        // RetryAttempt it causes.
-        self.forward_net_events_up_to(now);
         for kf in kills {
+            // The checker sees the FlowKilled before the RetryAttempt it
+            // causes.
+            self.emit_killed(now, &kf);
             self.fault_stats.flows_killed += 1;
             self.fault_stats.wasted_bytes += kf.delivered;
             let id = self.lane_of_flow(kf.src, kf.dst);
@@ -1664,6 +1583,16 @@ impl Cluster {
             debug_assert_eq!(msg.tag, kf.tag);
             self.fail_message(now, id, msg);
         }
+    }
+
+    /// Tell the checker the network killed `kf`.
+    fn emit_killed(&mut self, now: SimTime, kf: &KilledFlow) {
+        self.emit_flow(now, || TraceEvent::FlowKilled {
+            tag: kf.tag,
+            src: kf.src.0,
+            dst: kf.dst.0,
+            delivered: kf.delivered,
+        });
     }
 
     /// Re-queue a failed message under a fresh tag with one more attempt,
@@ -1873,8 +1802,8 @@ impl Cluster {
         // (stragglers' previous-iteration pulls, pending replays). The
         // partial deliveries are work lost to the failure.
         let kills = self.net.kill_flows_touching(now, NodeId(s));
-        self.forward_net_events_up_to(now);
         for kf in &kills {
+            self.emit_killed(now, kf);
             self.fault_stats.flows_killed += 1;
             self.fault_stats.wasted_bytes += kf.delivered;
             self.elastic.lost_work_bytes += kf.delivered as u64;
@@ -1945,7 +1874,6 @@ impl Cluster {
                 self.reroute_message(now, id, msg);
             }
         }
-        self.forward_net_events_up_to(now);
     }
 
     /// Re-queue a message bound for a dead shard onto its pieces' new
@@ -2456,24 +2384,6 @@ mod tests {
             let spans = r.grad_spans.iter().filter(|s| s.kind == kind);
             assert_eq!(spans.count(), 2 * n, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn only_the_checker_records_network_events() {
-        // The span collector reads no flow event: with the checker off the
-        // network keeps no event ledger, traced or not.
-        let recorded = |check_invariants| {
-            let mut cfg = base(SchedulerKind::Fifo);
-            cfg.check_invariants = check_invariants;
-            cfg.typed_trace = true;
-            let mut c = Cluster::new(cfg, 1);
-            let (worker, shard) = (NodeId(1), NodeId(0));
-            c.net
-                .start_flow_with_warmth(SimTime::ZERO, worker, shard, 1000, 0, false);
-            c.net.drain_events().count()
-        };
-        assert_eq!(recorded(false), 0);
-        assert_eq!(recorded(true), 1);
     }
 
     // ---- fault injection -------------------------------------------------

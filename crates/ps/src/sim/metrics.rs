@@ -113,7 +113,7 @@ pub struct ClusterStats {
     /// Events popped off the pending-event queue, by kind, in the order of
     /// [`ClusterStats::EVENT_KINDS`]. A compute event deferred by a
     /// `WorkerStall` window counts once per pop.
-    pub events_popped: [u64; 11],
+    pub events_popped: [u64; 10],
     /// Most events pending at once.
     pub peak_pending_events: u64,
     /// Scheduler polling rounds (each polls `next_task` until it declines).
@@ -137,11 +137,10 @@ pub struct ClusterStats {
 impl ClusterStats {
     /// Names of the event kinds counted in
     /// [`ClusterStats::events_popped`], index for index.
-    pub const EVENT_KINDS: [&'static str; 11] = [
+    pub const EVENT_KINDS: [&'static str; 10] = [
         "iter_begin",
         "grad_ready",
         "fwd_done",
-        "net_wake",
         "monitor_tick",
         "sample_tick",
         "bandwidth_change",

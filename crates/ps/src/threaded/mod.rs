@@ -11,7 +11,7 @@
 //! runs are bit-for-bit reproducible — for every shard count), and serves
 //! priority-ordered pull requests from a per-update encode cache. Push
 //! payloads are zero-copy slices of pooled per-layer gradient buffers (see
-//! [`pool`]), so the steady-state hot path allocates nothing.
+//! `pool`), so the steady-state hot path allocates nothing.
 //!
 //! The integration tests assert the two properties that make communication
 //! scheduling safe to deploy:

@@ -673,13 +673,22 @@ impl Machine {
 /// first, then workers — with the [`Run`] they share and the model every
 /// worker starts from (it also evaluates the result).
 ///
-/// Panics if `global_batch` is not a multiple of `workers` (unequal shards
-/// would break the shard-mean ≡ batch-mean identity the PS relies on), or
-/// if the fault plan references nodes outside the `ps_shards`/`workers`
-/// topology.
+/// Panics if `global_batch` is zero or not a multiple of `workers` (unequal
+/// shards would break the shard-mean ≡ batch-mean identity the PS relies
+/// on), if `samples` is zero, if `link_bps` is set but not a positive
+/// finite rate, or if the fault plan references nodes outside the
+/// `ps_shards`/`workers` topology.
 pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     assert!(cfg.workers >= 1);
     assert!(cfg.ps_shards >= 1, "need at least one PS shard");
+    // A zero rate prices a send at `u64::MAX` ns and overflows the link's
+    // clock; a negative or NaN one casts to a free, unlimited link.
+    assert!(
+        cfg.link_bps.is_none_or(|b| b.is_finite() && b > 0.0),
+        "link bandwidth must be positive and finite"
+    );
+    assert!(cfg.samples >= 1, "need at least one sample");
+    assert!(cfg.global_batch >= 1, "global batch must be >= 1");
     assert!(cfg.checkpoint_period >= 1, "checkpoint period must be >= 1");
     assert!(
         cfg.checkpoint_retention >= 1,
@@ -798,7 +807,7 @@ fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> 
 }
 
 /// Run BSP data-parallel training per `cfg` and return the outcome: build
-/// the machines ([`build`]'s panics apply), serve each on a thread of its
+/// the machines (`build`'s panics apply), serve each on a thread of its
 /// own, and fail with the first of their panics, if any.
 pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     let start = Instant::now();
@@ -823,6 +832,43 @@ mod tests {
     }
 
     const MS: u64 = 1_000_000;
+
+    /// [`build`] of a small config with `edit` applied.
+    fn build_with(edit: impl FnOnce(&mut ThreadedConfig)) {
+        let mut cfg = ThreadedConfig::small(2, SchedulerKind::Fifo);
+        edit(&mut cfg);
+        build(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "link bandwidth must be positive and finite")]
+    fn a_zero_link_rate_is_rejected() {
+        build_with(|c| c.link_bps = Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "link bandwidth must be positive and finite")]
+    fn a_negative_link_rate_is_rejected() {
+        build_with(|c| c.link_bps = Some(-1e6));
+    }
+
+    #[test]
+    #[should_panic(expected = "link bandwidth must be positive and finite")]
+    fn a_nan_link_rate_is_rejected() {
+        build_with(|c| c.link_bps = Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one sample")]
+    fn an_empty_dataset_is_rejected() {
+        build_with(|c| c.samples = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "global batch must be >= 1")]
+    fn an_empty_batch_is_rejected() {
+        build_with(|c| c.global_batch = 0);
+    }
 
     #[test]
     fn rate_limiter_unlimited_is_instant() {

@@ -258,7 +258,7 @@ const FUSE_BLOCK: usize = 8192;
 /// (`acc[i] += payload[i]`) while streaming the same bytes through a
 /// CRC32C state, returning the advanced state.
 ///
-/// Block-interleaved, not element-interleaved: each [`FUSE_BLOCK`] chunk
+/// Block-interleaved, not element-interleaved: each `FUSE_BLOCK` chunk
 /// is checksummed with the full-width kernel and then folded while still
 /// cache-hot, so the arithmetic is bit-identical to [`accumulate_f32_le`]
 /// and the CRC bit-identical to a straight [`crc32::update`] over the

@@ -139,6 +139,23 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
+    /// Move the clock to `t` without popping anything: an instant that only
+    /// the caller's other event source (a network's predicted completion,
+    /// say) has. Panics if `t` is before the clock or after the earliest
+    /// pending event — either would let a later pop run time backwards.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(
+            t >= self.now,
+            "clock moved backwards: {t:?} < {:?}",
+            self.now
+        );
+        assert!(
+            self.peek_time().is_none_or(|next| t <= next),
+            "clock moved past the earliest pending event"
+        );
+        self.now = t;
+    }
+
     /// Timestamp of the earliest pending event, without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
@@ -208,6 +225,33 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), t(7));
+    }
+
+    #[test]
+    fn advance_moves_the_clock_up_to_the_next_event() {
+        let mut q = EventQueue::new();
+        q.advance_to(t(3));
+        assert_eq!(q.now(), t(3));
+        q.schedule(t(8), "a");
+        q.advance_to(t(8));
+        q.advance_to(t(8));
+        assert_eq!(q.pop(), Some((t(8), "a")));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved backwards")]
+    fn advance_never_moves_backwards() {
+        let mut q = EventQueue::<()>::new();
+        q.advance_to(t(5));
+        q.advance_to(t(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the earliest pending event")]
+    fn advance_never_passes_the_next_event() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5), ());
+        q.advance_to(t(6));
     }
 
     #[test]

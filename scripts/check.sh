@@ -4,9 +4,9 @@
 # access is needed (or attempted).
 #
 # Usage: check.sh [all|debug|release]
-#   debug    fmt + clippy + debug-profile tests (invariant checking on; the
-#            slowest simulation suites are `#[cfg_attr(debug_assertions,
-#            ignore)]` so this tier stays fast)
+#   debug    fmt + clippy + rustdoc + debug-profile tests (invariant
+#            checking on; the slowest simulation suites are
+#            `#[cfg_attr(debug_assertions, ignore)]` so this tier stays fast)
 #   release  release build + release-profile tests with `--include-ignored`
 #            (the trimmed suites at full iteration counts, the 200-plan
 #            golden digest and chaos sweep), then the flake gate
@@ -30,6 +30,11 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
 
     echo "==> cargo clippy (-D warnings)"
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+    echo "==> cargo doc (-D warnings)"
+    # Catches intra-doc links a rename or deletion left dangling, and public
+    # docs linking private items.
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-going
 
     echo "==> cargo test (debug tier)"
     timeout 15m cargo test --offline -q
