@@ -26,13 +26,22 @@
 //! mostly measures that drift. Pairing cancels it; alternating the order
 //! cancels any first-runner advantage within a round.
 //!
+//! `shard_scaling_2w_2s_over_1s` is the same pairing at 2 workers and
+//! 2 shards — `benchmark/`'s `threaded_mem` topology, where four threads
+//! on two cores leave room for a second shard to pay when the placement
+//! balances the shards' work. Its quotient spans `benchmark/`'s 5 → 35
+//! iterations: with the default 2 → 8, one round's ratio swings from 0.7
+//! to 2.3.
+//!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
 
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
 use prophet::core::SchedulerKind;
 use prophet::ps::threaded::ThreadedConfig;
-use prophet_bench::experiments::threaded::{comm_bound_cfg, measure, PHASE_KEYS};
+use prophet_bench::experiments::threaded::{
+    comm_bound_cfg, measure, measure_between, HI, LO, PHASE_KEYS,
+};
 
 /// Steady-state iterations/sec of the single-shard seed runtime at
 /// 8 workers on the VGG-class model (FIFO, unlimited link, invariants
@@ -59,30 +68,31 @@ fn small_cfg(workers: usize) -> ThreadedConfig {
     cfg
 }
 
-/// Median of per-round paired 4-shard/1-shard throughput ratios (see the
-/// module doc for why the ratio must be paired rather than taken from
-/// the cell medians). Odd `rounds` keeps the median a real sample.
-fn paired_shard_scaling(rounds: usize) -> f64 {
-    let cfg_1s = vgg_cfg(8, 1);
-    let cfg_4s = vgg_cfg(8, 4);
+/// Median of per-round paired `shards`-shard/1-shard throughput ratios of
+/// the VGG cell at `workers` workers, each sample a difference quotient
+/// over the iteration pair `span` (see the module doc for why the ratio
+/// must be paired rather than taken from the cell medians). Odd `rounds`
+/// keeps the median a real sample.
+fn paired_shard_scaling(workers: usize, shards: usize, rounds: usize, span: (u64, u64)) -> f64 {
+    let cfg_1s = vgg_cfg(workers, 1);
+    let cfg_ns = vgg_cfg(workers, shards);
+    let rate = |cfg| measure_between(cfg, span.0, span.1).0;
     let mut ratios = Vec::with_capacity(rounds);
     for round in 0..rounds {
         // Alternate which cell runs first so any within-round warm-up or
         // cool-down advantage hits both cells equally across rounds.
-        let (r_1s, r_4s) = if round % 2 == 0 {
-            let a = measure(&cfg_1s).0;
-            let b = measure(&cfg_4s).0;
-            (a, b)
+        let (r_1s, r_ns) = if round % 2 == 0 {
+            let a = rate(&cfg_1s);
+            (a, rate(&cfg_ns))
         } else {
-            let b = measure(&cfg_4s).0;
-            let a = measure(&cfg_1s).0;
-            (a, b)
+            let b = rate(&cfg_ns);
+            (rate(&cfg_1s), b)
         };
         println!(
-            "  scaling round {round}: 1s {r_1s:.3}  4s {r_4s:.3}  ratio {:.4}",
-            r_4s / r_1s
+            "  scaling round {round}: 1s {r_1s:.3}  {shards}s {r_ns:.3}  ratio {:.4}",
+            r_ns / r_1s
         );
-        ratios.push(r_4s / r_1s);
+        ratios.push(r_ns / r_1s);
     }
     ratios.sort_by(f64::total_cmp);
     ratios[ratios.len() / 2]
@@ -139,8 +149,11 @@ fn bench_threaded(c: &mut Criterion) {
         return;
     }
     println!("  paired shard-scaling rounds (8 workers, 4s vs 1s):");
-    let scaling = paired_shard_scaling(5);
+    let scaling = paired_shard_scaling(8, 4, 5, (LO, HI));
     println!("  shard_scaling_8w_4s_over_1s: {scaling:.4} (median of 5 paired rounds)");
+    println!("  paired shard-scaling rounds (2 workers, 2s vs 1s):");
+    let scaling_2w = paired_shard_scaling(2, 2, 9, (5, 35));
+    println!("  shard_scaling_2w_2s_over_1s: {scaling_2w:.4} (median of 9 paired rounds)");
     let rate = |id: &str| {
         rates
             .iter()
@@ -164,6 +177,7 @@ fn bench_threaded(c: &mut Criterion) {
                 rate("vgg_8w_4s") / SEED_BASELINE_8W_VGG_ITERS_PER_SEC,
             ),
             ("shard_scaling_8w_4s_over_1s", scaling),
+            ("shard_scaling_2w_2s_over_1s", scaling_2w),
         ])
         // The per-phase attribution for the VGG cells: aggregate ns per
         // steady-state iteration per span, so every optimisation claim is

@@ -8,9 +8,11 @@ use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, ThreadedResul
 use std::time::Instant;
 
 /// Iteration counts of the difference quotient `(wall(HI) - wall(LO)) /
-/// (HI - LO)`, in which spawn, set-up and first-iteration warm-up cancel.
-const LO: u64 = 2;
-const HI: u64 = 8;
+/// (HI - LO)`, in which spawn, set-up and first-iteration warm-up cancel:
+/// the shorter run.
+pub const LO: u64 = 2;
+/// The longer run of the quotient.
+pub const HI: u64 = 8;
 
 /// Per-phase attribution keys, in the order [`measure`] returns them:
 /// shard-side spans summed across shards, then worker-side spans summed
@@ -65,6 +67,12 @@ pub fn comm_bound_cfg(workers: usize, shards: usize, widths: &[usize]) -> Thread
 /// iteration by the same quotient (warm-up cancels out of the spans as it
 /// does out of the wall clock), and the HI run's result.
 pub fn measure(cfg: &ThreadedConfig) -> (f64, [f64; 11], ThreadedResult) {
+    measure_between(cfg, LO, HI)
+}
+
+/// [`measure`] over an iteration pair `lo < hi` of the caller's choosing:
+/// a wider one costs more runtime and swings less between samples.
+pub fn measure_between(cfg: &ThreadedConfig, lo: u64, hi: u64) -> (f64, [f64; 11], ThreadedResult) {
     let timed = |iterations| {
         let cfg = ThreadedConfig {
             iterations,
@@ -74,12 +82,12 @@ pub fn measure(cfg: &ThreadedConfig) -> (f64, [f64; 11], ThreadedResult) {
         let r = run_threaded_training(&cfg);
         (t0.elapsed(), r)
     };
-    let (t_lo, r_lo) = timed(LO);
-    let (t_hi, r_hi) = timed(HI);
+    let (t_lo, r_lo) = timed(lo);
+    let (t_hi, r_hi) = timed(hi);
     let dt = t_hi.saturating_sub(t_lo).as_secs_f64().max(1e-9);
     let (p_lo, p_hi) = (phase_vec(&r_lo), phase_vec(&r_hi));
-    let phases = std::array::from_fn(|i| p_hi[i].saturating_sub(p_lo[i]) as f64 / (HI - LO) as f64);
-    ((HI - LO) as f64 / dt, phases, r_hi)
+    let phases = std::array::from_fn(|i| p_hi[i].saturating_sub(p_lo[i]) as f64 / (hi - lo) as f64);
+    ((hi - lo) as f64 / dt, phases, r_hi)
 }
 
 /// Registry entry: `repro ext_threaded`.
@@ -94,7 +102,8 @@ pub fn ext_threaded() -> ExperimentOutput {
          allocations over a whole run — flat in the iteration count because \
          pushes slice pooled per-layer gradient buffers and pulls slice \
          per-update encode caches; `recycles` counts pool-served checkouts \
-         and scales with iterations.",
+         and scales with iterations. `push_kb_per_shard` is each shard's \
+         load, counted as push bytes received per worker-iteration.",
         &[
             "workers",
             "shards",
@@ -102,6 +111,7 @@ pub fn ext_threaded() -> ExperimentOutput {
             "vs_1_shard",
             "allocs",
             "recycles",
+            "push_kb_per_shard",
         ],
     );
     for workers in [4usize, 8] {
@@ -117,6 +127,12 @@ pub fn ext_threaded() -> ExperimentOutput {
             if shards == 1 {
                 base_rate = rate;
             }
+            let per_worker_iter = (HI * workers as u64) as f64 * 1e3;
+            let push_kb: Vec<String> = hi
+                .shard_phases
+                .iter()
+                .map(|p| format!("{:.0}", p.push_bytes as f64 / per_worker_iter))
+                .collect();
             out.row(vec![
                 workers.to_string(),
                 shards.to_string(),
@@ -124,6 +140,7 @@ pub fn ext_threaded() -> ExperimentOutput {
                 format!("{:.2}x", rate / base_rate),
                 hi.arena_allocs.to_string(),
                 hi.arena_recycles.to_string(),
+                push_kb.join("/"),
             ]);
         }
     }
@@ -133,7 +150,7 @@ pub fn ext_threaded() -> ExperimentOutput {
                  buffers instead of per-message Vec copies, in-place \
                  aggregation straight from wire bytes, one encode per \
                  parameter update shared by every pull, and batched acks. \
-                 `allocs` stays at workers x layers + tensors regardless \
+                 `allocs` stays at workers x layers + parts regardless \
                  of iteration count; the full-size headline vs the pinned \
                  seed baseline is produced by `cargo bench --bench \
                  threaded` into BENCH_threaded.json."

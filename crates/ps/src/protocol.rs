@@ -151,14 +151,14 @@ impl Windows {
 // Membership
 // ---------------------------------------------------------------------------
 
-/// One permanent shard death and the tensor → shard table in force after it.
+/// One permanent shard death and the owner table in force after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardDeath {
     /// First iteration the shard does not serve.
     pub at_iter: u64,
     /// The shard that dies.
     pub shard: usize,
-    /// Tensor owners once this death (and every earlier one) is applied.
+    /// Owners once this death (and every earlier one) is applied.
     pub owner: Vec<usize>,
 }
 
@@ -191,7 +191,9 @@ pub struct Membership {
 
 impl Membership {
     /// Build the timetable for `workers` initial workers over `iterations`
-    /// iterations. `owner0` is the initial tensor → shard table;
+    /// iterations. `owner0` is the initial owner table, one entry per unit
+    /// of placement: a tensor in the simulator, a part
+    /// ([`prophet_core::shard::Part`]) in the threaded runtime;
     /// `rehome(owner, dead_so_far, dead)` applies the engine's re-home rule
     /// for one death (`dead_so_far` already contains `dead`).
     pub fn new(
@@ -325,7 +327,7 @@ impl Membership {
 
     /// `(first_iter, owner table)` per owner epoch: the initial table, then
     /// one per distinct death boundary. Deaths sharing a boundary fold into
-    /// one epoch, so across epochs a tensor re-homes in a single hop onto a
+    /// one epoch, so across epochs a unit re-homes in a single hop onto a
     /// shard that survives the boundary.
     pub fn owner_epochs(&self) -> Vec<(u64, &[usize])> {
         let mut out = vec![(0, self.owner0.as_slice())];
@@ -338,7 +340,7 @@ impl Membership {
         out
     }
 
-    /// Tensor owner table in force during iteration `iter`.
+    /// Owner table in force during iteration `iter`.
     pub fn owner_at(&self, iter: u64) -> &[usize] {
         self.deaths
             .iter()
@@ -739,6 +741,15 @@ impl Outbox {
         self.episodes.remove(&(iter, tensor)).map(|(n, _)| n)
     }
 
+    /// The barrier over elements `[lo, hi)` of `(iter, tensor)` closed: the
+    /// tracked sends inside it are settled. The episode stays open until
+    /// the whole tensor is [`delivered`](Outbox::delivered).
+    pub fn settled(&mut self, iter: u64, tensor: usize, lo: u64, hi: u64) {
+        let inside =
+            |s: &Slice| (s.iter, s.tensor) == (iter, tensor) && (lo..hi).contains(&s.offset);
+        self.ledger.retain(|(s, _)| !inside(s));
+    }
+
     /// Iteration `iter` begins: everything older is settled by the
     /// barriers that let the previous iteration finish.
     pub fn begin_iter(&mut self, iter: u64) {
@@ -786,10 +797,12 @@ impl Outbox {
         self.retry(|s, deadline| *s == slice && deadline != u64::MAX)
     }
 
-    /// The shard of the tensors `lost` selects crash-restarted, voiding
+    /// The shard of the slices `lost` selects crash-restarted, voiding
     /// every undelivered contribution, acknowledged or not: retry them all.
-    pub fn restarted(&mut self, lost: impl Fn(usize) -> bool) -> Vec<Step> {
-        self.retry(|s, _| lost(s.tensor))
+    /// The predicate sees each slice, not only its tensor: a tensor split
+    /// across shards re-sends only the part the restarted shard owns.
+    pub fn restarted(&mut self, lost: impl Fn(&Slice) -> bool) -> Vec<Step> {
+        self.retry(|s, _| lost(s))
     }
 
     /// Stop tracking the sends `failed` selects and ask for each again, one
@@ -1320,7 +1333,7 @@ mod tests {
         assert!(o.tick(44).is_empty());
         // … but a restart of tensor 0's shard voids it too. Tensor 1 lives
         // elsewhere.
-        let steps = o.restarted(|tensor| tensor == 0);
+        let steps = o.restarted(|s| s.tensor == 0);
         assert_eq!(steps, vec![retry0(3), Resend(a, 3), Resend(b, 3)]);
         assert_eq!(o.delivered(0, 0), Some(3));
         assert_eq!(o.next_deadline(), Some(45), "tensor 1 is still tracked");
@@ -1616,7 +1629,7 @@ mod tests {
                     1 => o.acked(s),
                     2 => trace(o.nacked(s), &mut seen)?,
                     3 => trace(o.tick(now), &mut seen)?,
-                    4 => trace(o.restarted(|t| t == tensor), &mut seen)?,
+                    4 => trace(o.restarted(|s| s.tensor == tensor), &mut seen)?,
                     5 => {
                         o.restamp(0, tensor, Dir::Push);
                     }
@@ -1784,7 +1797,7 @@ mod tests {
                     // The shard of tensor `g` crash-restarts: every
                     // undelivered push of it is retried.
                     6 => {
-                        for step in w.outbox.restarted(|t| t == g) {
+                        for step in w.outbox.restarted(|s| s.tensor == g) {
                             match step {
                                 Step::Retry { tensor, attempt } => {
                                     m.on_fail(Dir::Push, tensor, Some(attempt))?;

@@ -3,15 +3,16 @@
 //! The threaded PS treats parameters and optimiser state as shard-thread
 //! RAM; surviving a *permanent* shard death therefore needs state that
 //! outlives the thread. [`DurableStore`] models the paper repro's durable
-//! tier: per-tensor **epoch-stamped snapshot generations** plus a **byte
+//! tier: per-part **epoch-stamped snapshot generations** plus a **byte
 //! ledger** of every mean gradient applied since the oldest retained
-//! snapshot. Restoring a tensor is `clone(newest intact snapshot) +
-//! replay(ledger)` — the replay performs the exact same `f32` optimiser
-//! steps the dead shard performed live, in the same order, so the adopted
-//! state is **bit-identical** to the state the shard would have held had it
-//! never died. That identity is what makes the deterministic recovery
-//! contract (chaos oracle 4) hold on the threaded runtime, and it is pinned
-//! by the property test below.
+//! snapshot (a part is the extent of a tensor one shard owns, the unit a
+//! dead shard's state re-homes in). Restoring a part is `clone(newest
+//! intact snapshot) + replay(ledger)` — the replay performs the exact same
+//! `f32` optimiser steps the dead shard performed live, in the same order,
+//! so the adopted state is **bit-identical** to the state the shard would
+//! have held had it never died. That identity is what makes the
+//! deterministic recovery contract (chaos oracle 4) hold on the threaded
+//! runtime, and it is pinned by the property test below.
 //!
 //! Everything durable is **verified**: each snapshot generation stores a
 //! CRC32 of its parameters and each ledger entry stores a CRC32 of its
@@ -33,10 +34,11 @@ use crate::protocol::{GenChain, Generation};
 use prophet_minidnn::{Adam, AdamStep, Sgd};
 use std::sync::Mutex;
 
-/// Per-tensor optimiser state. One instance per tensor (always stepped as
-/// id 0) is bit-identical to the old per-shard instance with local ids —
-/// `Sgd` velocity and `Adam` moments/timesteps are all tracked per id — and
-/// it is what lets a tensor's optimiser state travel to an adopting shard.
+/// Per-part optimiser state. One instance per part (always stepped as id
+/// 0) is bit-identical to one instance per tensor: `Sgd` velocity and
+/// `Adam` moments are per element, and every part of a tensor takes one
+/// update per barrier, so the parts' Adam timesteps advance in lockstep.
+/// It is what lets a part's optimiser state travel to an adopting shard.
 #[derive(Clone)]
 pub(crate) enum OptState {
     /// SGD with classical momentum.
@@ -46,7 +48,7 @@ pub(crate) enum OptState {
 }
 
 impl OptState {
-    /// Zero-state optimiser for one tensor of `elems` parameters.
+    /// Zero-state optimiser for one part of `elems` parameters.
     pub(crate) fn fresh(cfg: PsOptimizer, lr: f32, elems: usize) -> Self {
         match cfg {
             PsOptimizer::Sgd { momentum } => OptState::Sgd(Sgd::new(lr, momentum, &[elems])),
@@ -80,7 +82,7 @@ impl OptState {
     }
 
     /// Apply update `u` to the elements from `offset` on: `params` and
-    /// `grad` are that block of the tensor and its mean gradient.
+    /// `grad` are that block of the part and its mean gradient.
     pub(crate) fn step_block(
         &mut self,
         u: Update,
@@ -121,7 +123,7 @@ pub(crate) fn params_crc(values: &[f32]) -> u32 {
     crc32::finish(crc_f32(crc32::begin(), values))
 }
 
-/// A durable copy of a tensor-sized vector, built a block at a time and
+/// A durable copy of a part-sized vector, built a block at a time and
 /// checksummed as it grows: the barrier pass fills one with the mean
 /// gradient (the ledger entry) and, when a checkpoint is due, one with the
 /// stepped parameters, each block while it is cache-hot.
@@ -151,7 +153,7 @@ impl DurableCopy {
     }
 }
 
-/// One snapshot generation of a tensor: the durable bytes, the iteration
+/// One snapshot generation of a part: the durable bytes, the iteration
 /// they cover through, the checksum they were written under, and the
 /// ledger segment of updates applied since.
 struct Snapshot {
@@ -201,22 +203,22 @@ pub(crate) struct Restored {
 
 /// The durable tier shards checkpoint into and adopters restore from.
 ///
-/// Sharded by tensor (one mutex per tensor), so two shards checkpointing
+/// Sharded by part (one mutex per part), so two shards checkpointing
 /// concurrently never contend. Which generations are retained and which
 /// one a restore starts from is [`GenChain`]'s rule; this store holds the
 /// bytes. Every method is a no-op when the store is not armed;
 /// [`DurableStore::restore`] panics instead — restoring from a store that
 /// recorded nothing is a bug worth dying loudly over.
 pub(crate) struct DurableStore {
-    /// One chain per tensor; empty when the store is dormant.
+    /// One chain per part; empty when the store is dormant.
     slots: Vec<Mutex<GenChain<Snapshot>>>,
 }
 
 impl DurableStore {
     /// A store seeded with the initial model (the implicit iteration-0
-    /// checkpoint every run starts from). `init` is the full model in
-    /// global tensor order; dormant stores record nothing. `retention`
-    /// bounds how many generations GC keeps per tensor.
+    /// checkpoint every run starts from). `init` is the full model, one
+    /// vector per part in part-id order; dormant stores record nothing.
+    /// `retention` bounds how many generations GC keeps per part.
     pub(crate) fn new(
         armed: bool,
         init: &[Vec<f32>],
@@ -246,38 +248,38 @@ impl DurableStore {
         !self.slots.is_empty()
     }
 
-    fn slot(&self, g: usize) -> std::sync::MutexGuard<'_, GenChain<Snapshot>> {
-        self.slots[g]
+    fn slot(&self, p: usize) -> std::sync::MutexGuard<'_, GenChain<Snapshot>> {
+        self.slots[p]
             .lock()
             .expect("a checkpointing thread panicked")
     }
 
-    /// Record the mean gradient a barrier applied to tensor `g` at `iter`.
+    /// Record the mean gradient a barrier applied to part `p` at `iter`.
     /// Must be called for every applied update while armed — the ledger is
     /// the replay log that carries a restore past its snapshot.
-    pub(crate) fn note_update(&self, g: usize, iter: u64, mean: DurableCopy) {
+    pub(crate) fn note_update(&self, p: usize, iter: u64, mean: DurableCopy) {
         if !self.armed() {
             return;
         }
-        let mut slot = self.slot(g);
+        let mut slot = self.slot(p);
         let ledger = &mut slot.newest_mut().ledger;
         debug_assert!(
             ledger.last().is_none_or(|&(i, _, _)| i < iter),
-            "ledger for tensor {g} out of order"
+            "ledger for part {p} out of order"
         );
         let (mean, crc) = mean.finish();
         ledger.push((iter, mean, crc));
     }
 
-    /// Snapshot tensor `g` as of (the end of) `iter` as a new generation;
-    /// [`GenChain::push`] then trims the tensor back to its retention.
+    /// Snapshot part `p` as of (the end of) `iter` as a new generation;
+    /// [`GenChain::push`] then trims the part back to its retention.
     /// When `poison` is set, one bit of the *stored* copy is flipped after
     /// its checksum was computed — the silent-corruption model of
-    /// `CheckpointCorrupt`. The live tensor is untouched; only the durable
+    /// `CheckpointCorrupt`. The live part is untouched; only the durable
     /// generation is damaged, and only a verified restore can tell.
     pub(crate) fn checkpoint(
         &self,
-        g: usize,
+        p: usize,
         iter: u64,
         params: DurableCopy,
         opt: &OptState,
@@ -290,7 +292,7 @@ impl DurableStore {
         if poison && !stored.is_empty() {
             stored[0] = f32::from_bits(stored[0].to_bits() ^ 1);
         }
-        self.slot(g).push(Snapshot {
+        self.slot(p).push(Snapshot {
             params: stored,
             opt: opt.clone(),
             upto: Some(iter),
@@ -299,12 +301,12 @@ impl DurableStore {
         });
     }
 
-    /// Rebuild tensor `g`'s state: clone the generation
+    /// Rebuild part `p`'s state: clone the generation
     /// [`GenChain::fallback`] chose and replay every ledger entry past it,
     /// verifying each entry's checksum as it is applied.
-    pub(crate) fn restore(&self, g: usize) -> Restored {
+    pub(crate) fn restore(&self, p: usize) -> Restored {
         assert!(self.armed(), "restore from a dormant store");
-        let slot = self.slot(g);
+        let slot = self.slot(p);
         let fb = slot.fallback().expect("no intact checkpoint generation");
         let walked = &slot.gens()[fb.intact..];
         let mut params = walked[0].params.clone();
@@ -314,7 +316,7 @@ impl DurableStore {
             assert_eq!(
                 params_crc(mean),
                 *crc,
-                "corrupt ledger entry for tensor {g} at iteration {iter}"
+                "corrupt ledger entry for part {p} at iteration {iter}"
             );
             opt.step(&mut params, mean);
             upto = Some(*iter);

@@ -14,14 +14,20 @@
 //! # Sharded, zero-copy data path
 //!
 //! The parameter tensors are partitioned across `ps_shards` PS threads by a
-//! contiguous, size-balanced [`ShardMap`]; each shard owns its own
-//! aggregation state, optimiser slice, crash schedule, and epoch, and every
-//! worker holds one channel per shard. The hot path allocates nothing in
-//! steady state:
+//! [`ShardMap`] that cuts the model's flat element range into near-equal
+//! contiguous extents, so a tensor straddling a cut is split into one
+//! *part* per shard. Everything per owner is per part — barriers, staged
+//! payloads, optimiser state, pull caches, durable snapshots, re-homes —
+//! while everything the worker schedules stays per tensor: a worker cuts
+//! each push slice and pull request at the part boundaries and routes each
+//! piece to its part's owner. Each shard owns its own crash schedule and
+//! epoch, and every worker holds one channel per shard. The hot path
+//! allocates nothing in steady state:
 //!
 //! * a worker's backward stores each layer's gradients straight into **one
-//!   pooled push buffer per layer**, little-endian and checksummed as they
-//!   are written — there is no separate gradient buffer or encode pass —
+//!   pooled push buffer per layer**, little-endian and checksummed per
+//!   part as they are written — there is no separate gradient buffer or
+//!   encode pass —
 //!   and every push payload, original or retransmission, is a zero-copy
 //!   [`Bytes`](bytes::Bytes) slice into it, recycled next iteration
 //!   ([`super::pool`]);
@@ -97,6 +103,7 @@ use super::wire::{ToPs, ToWorker};
 use super::worker::WorkerMachine;
 use crate::protocol::{Membership, Windows};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use prophet_core::shard::Part;
 use prophet_core::{SchedulerKind, ShardMap};
 use prophet_minidnn::{Dataset, Mlp};
 use prophet_net::RetryPolicy;
@@ -108,7 +115,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 /// Which optimiser the PS runs (each shard owns the optimiser state for
-/// its tensors, like MXNet's KVStore).
+/// its parts, like MXNet's KVStore).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PsOptimizer {
     /// SGD with classical momentum.
@@ -129,11 +136,12 @@ pub const DATASET_NOISE: f64 = 0.8;
 pub struct ThreadedConfig {
     /// Worker threads.
     pub workers: usize,
-    /// PS shard threads the parameter tensors are partitioned across
-    /// (contiguous, size-balanced; clamped to the tensor count for tiny
-    /// models). `1` reproduces the classic single-PS topology.
+    /// PS shard threads the parameter tensors are partitioned across: the
+    /// model's elements, laid end to end, are cut into this many
+    /// contiguous near-equal extents. Must not exceed the model's element
+    /// count. `1` reproduces the classic single-PS topology.
     pub ps_shards: usize,
-    /// MLP layer widths, input first, classes last.
+    /// MLP layer widths, input first, classes last; each at least 1.
     pub widths: Vec<usize>,
     /// Dataset size; features/classes come from `widths`, the blob noise is
     /// [`DATASET_NOISE`].
@@ -167,13 +175,13 @@ pub struct ThreadedConfig {
     /// Ack-timeout/backoff policy for push slices whose ack never arrives
     /// (only consulted when the plan is non-empty).
     pub retry: RetryPolicy,
-    /// Checkpoint cadence in iterations: each shard snapshots its tensors
+    /// Checkpoint cadence in iterations: each shard snapshots its parts
     /// into the durable store after iterations `period-1, 2·period-1, …`
     /// ([`crate::protocol::CheckpointSchedule`]).
     /// Only consulted when the fault plan kills a shard permanently (the
     /// store stays dormant otherwise — see [`FaultPlan::has_shard_fail`]).
     pub checkpoint_period: u64,
-    /// Verified snapshot generations the durable store retains per tensor
+    /// Verified snapshot generations the durable store retains per part
     /// (its GC horizon). A `CheckpointCorrupt` fault can poison the newest
     /// generation, so restores fall back to older ones; GC keeps the last
     /// `checkpoint_retention` — never collecting the only intact one — and
@@ -230,7 +238,7 @@ pub struct ThreadedResult {
     pub messages_lost: u64,
     /// Wire buffers served by a fresh heap allocation, summed over every
     /// worker's per-layer gradient pools and every shard pull cache (one
-    /// per worker per layer, plus one per tensor). Flat in the iteration
+    /// per worker per layer, plus one per part). Flat in the iteration
     /// count when the zero-copy recycling works (the steady-state hot path
     /// allocates nothing); see [`ThreadedResult::arena_recycles`].
     pub arena_allocs: u64,
@@ -246,7 +254,7 @@ pub struct ThreadedResult {
     /// events.
     pub membership_epochs: u64,
     /// Bytes read back from the durable store (snapshot + ledger replay)
-    /// to re-home tensors off permanently failed shards.
+    /// to re-home parts off permanently failed shards.
     pub restore_bytes: u64,
     /// Frames rejected by a receiver's verify: CRC/length mismatches on
     /// push, pull, and ack frames, summed across workers and shards
@@ -327,6 +335,11 @@ pub struct ShardPhases {
     /// pass reads the parameters it just stepped, still in L1), plus the
     /// parameters read by a cold encode.
     pub encode_bytes: u64,
+    /// Push payload bytes received, every slice counted as it arrives
+    /// (retransmissions, duplicates and rejected frames included). In a
+    /// fault-free run it is exactly `iterations × workers × 4 ×` the
+    /// shard's [`ShardMap::load`]: the load the placement put on it.
+    pub push_bytes: u64,
 }
 
 /// Where the worker threads spent their time, summed across workers.
@@ -336,7 +349,7 @@ pub struct WorkerPhases {
     /// gradient straight into its push frame.
     pub compute_ns: u64,
     /// Push-frame bookkeeping around the backward steps: buffer checkout,
-    /// closing the last tensor's checksum, freezing the frame.
+    /// closing the last part's checksum, freezing the frame.
     pub encode_ns: u64,
     /// Pull-reply verify + apply into parameter storage.
     pub apply_ns: u64,
@@ -399,30 +412,58 @@ impl ThreadLog {
     }
 }
 
+/// The tensor a worker-side event names. The rest of the stream's
+/// gradient ids name parts: the shard-side `PushEnd`, `Barrier`, `Rehome`
+/// and `GradQuarantined`, and the `ParamReady` a shard's notice carries.
+fn tensor_of(ev: &mut TraceEvent) -> Option<&mut usize> {
+    match ev {
+        TraceEvent::GradReady { grad, .. }
+        | TraceEvent::PushStart { grad, .. }
+        | TraceEvent::PullStart { grad, .. }
+        | TraceEvent::PullEnd { grad, .. }
+        | TraceEvent::RetryAttempt { grad, .. }
+        | TraceEvent::Recovered { grad, .. } => Some(grad),
+        _ => None,
+    }
+}
+
 /// Merge per-thread buffers into ticket order, replay through the invariant
 /// checker, and return `(events_checked, retries)`. Ticket order is the
 /// causal total order; a stamp that reads behind its ticket predecessor's
 /// (each event carries its step's `now`, read before its ticket is drawn)
 /// is bumped 1 ns past it, so stamps strictly increase.
+///
+/// The checker's unit of aggregation is the part, first owned per `map`'s
+/// table: a worker-side event about a tensor is replayed once for each of
+/// its parts, so the checker sees the one-part-per-tensor stream the
+/// simulator emits.
 fn check_events(
     mut events: Vec<TimedEvent>,
     workers: usize,
     joiners: usize,
-    owner: &[usize],
+    map: &ShardMap,
 ) -> (u64, u64) {
     events.sort_unstable_by_key(|&(ticket, _, _)| ticket);
     let mut checker = InvariantChecker::new(workers, true)
         .with_joiners(joiners)
-        .with_shard_map(owner.to_vec());
+        .with_shard_map(map.owner_table().to_vec());
     let mut last = SimTime::ZERO;
     let mut retries = 0u64;
-    for (_, t, ev) in &events {
-        let at = (*t).max(last + SimDuration::from_nanos(1));
+    for (_, t, mut ev) in events {
+        let at = t.max(last + SimDuration::from_nanos(1));
         last = at;
         if matches!(ev, TraceEvent::RetryAttempt { .. }) {
             retries += 1;
         }
-        checker.on_event(at, ev);
+        match tensor_of(&mut ev).copied() {
+            Some(g) => {
+                for p in map.parts_of(g) {
+                    *tensor_of(&mut ev).expect("names a tensor") = p;
+                    checker.on_event(at, &ev);
+                }
+            }
+            None => checker.on_event(at, &ev),
+        }
     }
     checker.finish();
     (checker.events_seen(), retries)
@@ -501,8 +542,10 @@ pub(super) struct Run {
     pub(super) dataset: Dataset,
     /// Tensor sizes in elements, global order.
     pub(super) tensor_elems: Vec<usize>,
+    /// The parts the tensors are cut into, with their initial owners.
+    pub(super) map: ShardMap,
     /// The membership timetable: who participates in which iteration and
-    /// who owns which tensor when — a pure function of the fault plan.
+    /// who owns which part when — a pure function of the fault plan.
     pub(super) mem: Membership,
     /// The plan's transient windows, in ns since run start.
     pub(super) windows: Arc<Windows>,
@@ -675,12 +718,20 @@ impl Machine {
 ///
 /// Panics if `global_batch` is zero or not a multiple of `workers` (unequal
 /// shards would break the shard-mean ≡ batch-mean identity the PS relies
-/// on), if `samples` is zero, if `link_bps` is set but not a positive
+/// on), if `samples` is zero, if a layer width is zero, if the model has
+/// fewer elements than `ps_shards`, if `link_bps` is set but not a positive
 /// finite rate, or if the fault plan references nodes outside the
 /// `ps_shards`/`workers` topology.
 pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     assert!(cfg.workers >= 1);
     assert!(cfg.ps_shards >= 1, "need at least one PS shard");
+    // A zero-width layer has empty tensors, which own no element and so
+    // no part: nothing would ever serve them.
+    assert!(
+        cfg.widths.iter().all(|&w| w >= 1),
+        "every layer width must be >= 1, got {:?}",
+        cfg.widths
+    );
     // A zero rate prices a send at `u64::MAX` ns and overflows the link's
     // clock; a negative or NaN one casts to a free, unlimited link.
     assert!(
@@ -706,11 +757,11 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     // The one initialisation draw of the run (a Box–Muller per weight).
     let model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
     let tensor_elems = model.tensor_sizes();
-    let sizes_bytes: Vec<u64> = tensor_elems.iter().map(|&n| n as u64 * 4).collect();
-    let map = ShardMap::balanced(&sizes_bytes, cfg.ps_shards);
-    let shards = map.shards();
+    let sizes: Vec<u64> = tensor_elems.iter().map(|&n| n as u64).collect();
+    let map = ShardMap::balanced(&sizes, cfg.ps_shards);
+    let shards = cfg.ps_shards;
     cfg.fault_plan.validate(cfg.workers, shards);
-    // A dead shard's tensors re-home by load onto the survivors.
+    // A dead shard's parts re-home by load onto the survivors.
     let mut rebalanced = map.clone();
     let mem = Membership::new(
         &cfg.fault_plan,
@@ -727,7 +778,9 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     // initial snapshot is never materialised.
     let armed = !mem.shard_deaths().is_empty();
     let store_init: Vec<Vec<f32>> = if armed {
-        model.param_slices().iter().map(|s| s.to_vec()).collect()
+        let params = model.param_slices();
+        let part = |p: &Part| params[p.tensor][p.lo as usize..p.hi as usize].to_vec();
+        map.parts().iter().map(part).collect()
     } else {
         Vec::new()
     };
@@ -742,6 +795,7 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
         cfg: cfg.clone(),
         dataset,
         tensor_elems,
+        map,
         mem,
         windows: Arc::new(Windows::new(&cfg.fault_plan, shards)),
         epochs: Mutex::new(0),
@@ -774,29 +828,37 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
 /// the loss sums are `f32`, so the order is part of the answer — then
 /// evaluate the final model and check the merged trace.
 fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
-    let (cfg, mem) = (&run.cfg, &run.mem);
+    let cfg = &run.cfg;
     let mut r = ThreadedResult {
         losses: vec![0.0; cfg.iterations as usize],
         final_params: vec![Vec::new(); run.tensor_elems.len()],
         ..ThreadedResult::default()
     };
     let mut events = Vec::new();
+    let mut parts = vec![None; run.map.parts().len()];
     for m in machines {
         match m {
             Machine::Worker(m, _) => m.finish(&mut r, &mut events),
-            Machine::Shard(m, _) => m.finish(&mut r, &mut events),
+            Machine::Shard(m, _) => m.finish(&mut r, &mut parts, &mut events),
         }
+    }
+    // A tensor's parts tile it in part-id order.
+    for (part, params) in run.map.parts().iter().zip(parts) {
+        let params = params.unwrap_or_else(|| {
+            let (g, lo, hi) = (part.tensor, part.lo, part.hi);
+            panic!("no shard owned elements {lo}..{hi} of tensor {g} at the end")
+        });
+        r.final_params[part.tensor].extend(params);
     }
     // Evaluate the final model on the training set.
     for (g, p) in r.final_params.iter().enumerate() {
-        assert!(!p.is_empty(), "no shard owned tensor {g} at the end");
         model.set_param(g, p);
     }
     let (x, labels) = run.dataset.batch(0, run.dataset.len());
     r.accuracy = model.accuracy(&x, &labels);
     if cfg.check_invariants {
-        let (joiners, owner) = (cfg.fault_plan.joined_workers(), mem.owner_epochs()[0].1);
-        (r.events_checked, r.retries) = check_events(events, cfg.workers, joiners, owner);
+        let joiners = cfg.fault_plan.joined_workers();
+        (r.events_checked, r.retries) = check_events(events, cfg.workers, joiners, &run.map);
     }
     r.membership_epochs = *run
         .epochs
@@ -871,6 +933,51 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "every layer width must be >= 1, got [8, 0, 4]")]
+    fn a_zero_width_layer_is_rejected() {
+        build_with(|c| c.widths = vec![8, 0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot cut a model of 4 elements into 5 shards")]
+    fn more_shards_than_elements_is_rejected() {
+        build_with(|c| {
+            c.widths = vec![1, 2];
+            c.ps_shards = 5;
+        });
+    }
+
+    /// The exact per-shard load on `threaded_mem`'s shape (512-2048-2048-
+    /// 512-10, 2 shards), counted as push bytes received: whole tensors
+    /// put 20.98 MB on shard 0 and 4.23 MB on shard 1; cut by extent,
+    /// each shard receives half the model, to the element.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-tier: a 25 MB model")]
+    fn push_bytes_split_threaded_mem_in_half() {
+        let cfg = ThreadedConfig {
+            ps_shards: 2,
+            widths: vec![512, 2048, 2048, 512, 10],
+            samples: 16,
+            global_batch: 2,
+            iterations: 1,
+            check_invariants: false,
+            ..ThreadedConfig::small(2, SchedulerKind::Fifo)
+        };
+        let r = run_threaded_training(&cfg);
+        let model_bytes = 4 * 6_301_194;
+        let per_worker: Vec<u64> = r.shard_phases.iter().map(|p| p.push_bytes / 2).collect();
+        assert_eq!(per_worker.iter().sum::<u64>(), model_bytes);
+        let (lo, hi) = (
+            per_worker[0].min(per_worker[1]),
+            per_worker[0].max(per_worker[1]),
+        );
+        assert!(
+            hi - lo <= 4,
+            "shards receive {per_worker:?} bytes per worker-iteration"
+        );
+    }
+
+    #[test]
     fn rate_limiter_unlimited_is_instant() {
         let mut l = link(None, Vec::new());
         assert_eq!(l.charge(100_000_000, 5), 5);
@@ -941,7 +1048,8 @@ mod tests {
     #[test]
     fn empty_plan_leaves_fault_machinery_dormant() {
         let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
-        let f = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), &[1; 4]);
+        let map = ShardMap::balanced(&[1; 4], 1);
+        let f = Uplink::new(0, &cfg, Arc::new(Windows::default()), &map, &[1; 4]);
         assert!(!f.active, "inactive faults must not track sends");
         let fate = f
             .windows
@@ -955,7 +1063,8 @@ mod tests {
     /// closed form in model bytes M: a worker writes each gradient once
     /// and checksums it once, whatever its batch; a barrier set walks
     /// (W + 5)·M — W payloads, parameters and velocity read and written,
-    /// the pull frame written.
+    /// the pull frame written; and each shard receives W times its load
+    /// per iteration.
     #[test]
     fn bytes_walked_match_their_closed_forms() {
         let cfg = ThreadedConfig {
@@ -978,14 +1087,24 @@ mod tests {
         assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
         assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
         assert_eq!(shards(|p| p.encode_bytes), iters * m);
+        // Each shard receives exactly the load the placement gave it.
+        let sizes: Vec<u64> = Mlp::new(&cfg.widths, 0)
+            .tensor_sizes()
+            .iter()
+            .map(|&n| n as u64)
+            .collect();
+        let map = ShardMap::balanced(&sizes, cfg.ps_shards);
+        for (s, p) in r.shard_phases.iter().enumerate() {
+            assert_eq!(p.push_bytes, iters * w * 4 * map.load(s), "shard {s}");
+        }
     }
 
     /// The backward stores a Dense layer's gradients into the step's push
-    /// frame with the bytes, offsets and per-tensor CRCs that zeroing the
+    /// frame with the bytes, offsets and per-part CRCs that zeroing the
     /// gradients, accumulating `xᵀ·dy` and `Σrows dy` into them and
     /// encoding them produced: at batch 1 and batch > 1, with zero inputs
-    /// (rows the product skips), negative-zero products, and rows longer
-    /// than the writer's block.
+    /// (rows the product skips), negative-zero products, rows longer than
+    /// the writer's block, and the tensors whole or cut mid-row into parts.
     #[test]
     fn store_backward_matches_accumulate_then_encode() {
         use prophet_minidnn::{Dense, Layer, Tensor};
@@ -1014,11 +1133,6 @@ mod tests {
                 .collect();
             let dy = Tensor::from_vec(rows, output, dy);
             let _ = layer.forward(&x);
-            let mut up = Uplink::new(0, 1, &cfg, Arc::new(Windows::default()), &[1; 2]);
-            let mut frame = up.frame(0, (input + 1) * output * 4);
-            let _ = layer.backward(&dy, &mut frame);
-            frame.seal();
-
             let mut dw = Tensor::zeros(input, output);
             x.t_matmul_acc(&dy, &mut dw);
             let mut db = Tensor::zeros(1, output);
@@ -1026,10 +1140,27 @@ mod tests {
             let mut want = BytesMut::new();
             let crc_w = encode_f32_into_crc(&dw.data, &mut want);
             let crc_b = encode_f32_into_crc(&db.data, &mut want);
-            let what = format!("batch {rows}, {input} x {output}");
-            assert_eq!(&up.bufs[0].as_ref().unwrap()[..], &want[..], "{what}");
-            assert_eq!(up.grad_crc, [crc_w, crc_b], "{what}");
-            assert_eq!(up.grad_at, [(0, 0), (0, input * output * 4)], "{what}");
+            let elems = [input * output, output];
+            for shards in [1, 2, 3] {
+                let map = ShardMap::balanced(&elems.map(|n| n as u64), shards);
+                let windows = Arc::new(Windows::default());
+                let mut up = Uplink::new(0, &cfg, windows, &map, &elems);
+                let mut frame = up.frame(&map, 0, want.len());
+                let _ = layer.backward(&dy, &mut frame);
+                frame.seal();
+                let what = format!("batch {rows}, {input} x {output}, {shards} shards");
+                assert_eq!(&up.bufs[0].as_ref().unwrap()[..], &want[..], "{what}");
+                assert_eq!(up.grad_at, [(0, 0), (0, elems[0] * 4)], "{what}");
+                let part_crc = map.parts().iter().map(|p| {
+                    let at = if p.tensor == 0 { 0 } else { elems[0] };
+                    let bytes = &want[(at + p.lo as usize) * 4..(at + p.hi as usize) * 4];
+                    super::super::wire::crc32::checksum(bytes)
+                });
+                assert_eq!(up.part_crc, part_crc.collect::<Vec<_>>(), "{what}");
+                if shards == 1 {
+                    assert_eq!(up.part_crc, [crc_w, crc_b], "{what}");
+                }
+            }
         }
     }
 

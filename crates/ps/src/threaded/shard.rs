@@ -18,42 +18,47 @@ use prophet_sim::{FaultKind, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-gradient pull-reply cache: parameters are encoded once per update
-/// and every pull (any worker, any slice) is served as a shared window of
-/// that one buffer. `spare` is the reclaimed storage awaiting re-encode.
+/// Per-part pull-reply cache: parameters are encoded once per update and
+/// every pull (any worker, any slice) is served as a shared window of that
+/// one buffer. `spare` is the reclaimed storage awaiting re-encode.
 #[derive(Default)]
 struct PullCache {
     wire: Option<Bytes>,
     spare: Option<BytesMut>,
-    /// The last served window's `(offset_elems, len_elems)` frame header:
-    /// in steady state every worker pulls the same whole-tensor window, so
-    /// the reply checksum is computed once per update, not once per pull.
+    /// The last served window's `(offset_elems, len_elems)` frame header,
+    /// offsets relative to the part: in steady state every worker pulls
+    /// the same whole-part window, so the reply checksum is computed once
+    /// per update, not once per pull.
     frame: Option<(usize, usize, FrameHeader)>,
 }
 
-/// One tensor a shard ever owns: an initial member, or one adopted at a
+/// One part a shard ever owns: an initial member, or one adopted at a
 /// later membership epoch.
 struct Local {
-    /// Its global id.
-    g: usize,
+    /// Its part id, and the elements `[lo, lo + len)` of its tensor it
+    /// covers.
+    p: usize,
+    lo: usize,
+    len: usize,
     /// First iteration it is owned from (0 for an initial member).
     from: u64,
-    /// For an adopted tensor, the dead shard it re-homed off (`usize::MAX`
+    /// For an adopted part, the dead shard it re-homed off (`usize::MAX`
     /// for an initial member).
     adopted_from: usize,
     /// Parameters and optimiser state: empty and `None` until an adopted
-    /// tensor is restored.
+    /// part is restored.
     params: Vec<f32>,
     opt: Option<OptState>,
-    /// The payload slices behind its open barrier, per worker. BSP admits
-    /// one open barrier per tensor at a time.
+    /// The payload slices behind its open barrier, per worker, offsets
+    /// relative to the part. BSP admits one open barrier per part at a
+    /// time.
     staged: Vec<Vec<StagedSlice>>,
     pull: PullCache,
 }
 
 const ACK_FLUSH_CAP: usize = 64;
 
-/// A pull request waiting for its tensor to reach `min_done` (a joiner's
+/// A pull request waiting for its part to reach `min_done` (a joiner's
 /// bootstrap pull racing the barriers it depends on).
 #[derive(Clone, Copy)]
 struct DeferredPull {
@@ -64,10 +69,11 @@ struct DeferredPull {
     min_done: u64,
 }
 
-/// One parameter-server shard: aggregation barriers for its member tensors,
+/// One parameter-server shard: aggregation barriers for its member parts,
 /// optimiser steps, batched acks, cached pull service — plus the elastic
-/// lifecycle (permanent death, tensor adoption from the durable store,
-/// membership-aware barriers).
+/// lifecycle (permanent death, part adoption from the durable store,
+/// membership-aware barriers). Every per-owner structure is per part: a
+/// tensor split across shards is, on each, just a shorter tensor.
 ///
 /// Barriers finish **inline** in the push handler the moment the last
 /// slice lands. The only other completion enabler is a departing worker's
@@ -77,7 +83,7 @@ struct DeferredPull {
 pub(super) struct ShardMachine {
     s: usize,
     run: Arc<Run>,
-    /// Every tensor this shard ever owns, sorted by global id.
+    /// Every part this shard ever owns, sorted by part id.
     locals: Vec<Local>,
     /// The iteration this shard permanently dies at, when the plan kills
     /// it before the run ends.
@@ -90,7 +96,7 @@ pub(super) struct ShardMachine {
     /// Down for a crash's downtime, holding the message it was handed when
     /// the crash struck; served once the shard is back.
     down: Option<Option<ToPs>>,
-    /// The barrier ledger of the local tensors, in elements: what arrived,
+    /// The barrier ledger of the local parts, in elements: what arrived,
     /// what may close, what a crash voids. Closed barriers survive
     /// crashes, like the applied updates.
     barriers: Barriers,
@@ -132,9 +138,9 @@ pub(super) struct ShardMachine {
 }
 
 impl ShardMachine {
-    /// Shard `s` of `run`, serving the tensors it ever owns: initial
-    /// members start from `model`'s parameters, adopted ones materialise
-    /// from the durable store on first touch.
+    /// Shard `s` of `run`, serving the parts it ever owns: initial members
+    /// start from `model`'s parameters, adopted ones materialise from the
+    /// durable store on first touch.
     pub(super) fn new(
         s: usize,
         run: Arc<Run>,
@@ -144,29 +150,32 @@ impl ShardMachine {
     ) -> Self {
         let (cfg, mem) = (&run.cfg, &run.mem);
         let (owner_epochs, workers) = (mem.owner_epochs(), mem.total_workers());
-        let locals: Vec<Local> = (0..run.tensor_elems.len())
-            .filter_map(|g| {
-                let idx = owner_epochs.iter().position(|(_, table)| table[g] == s)?;
+        let parts = run.map.parts().iter().enumerate();
+        let locals: Vec<Local> = parts
+            .filter_map(|(p, part)| {
+                let idx = owner_epochs.iter().position(|(_, table)| table[p] == s)?;
+                let (g, lo, hi) = (part.tensor, part.lo as usize, part.hi as usize);
                 let initial = idx == 0;
                 Some(Local {
-                    g,
+                    p,
+                    lo,
+                    len: hi - lo,
                     from: owner_epochs[idx].0,
                     adopted_from: idx
                         .checked_sub(1)
-                        .map_or(usize::MAX, |i| owner_epochs[i].1[g]),
+                        .map_or(usize::MAX, |i| owner_epochs[i].1[p]),
                     params: if initial {
-                        model.param_slices()[g].to_vec()
+                        model.param_slices()[g][lo..hi].to_vec()
                     } else {
                         Vec::new()
                     },
-                    opt: initial
-                        .then(|| OptState::fresh(cfg.optimizer, cfg.lr, run.tensor_elems[g])),
+                    opt: initial.then(|| OptState::fresh(cfg.optimizer, cfg.lr, hi - lo)),
                     staged: vec![Vec::new(); workers],
                     pull: PullCache::default(),
                 })
             })
             .collect();
-        let sizes = locals.iter().map(|t| run.tensor_elems[t.g] as u64);
+        let sizes = locals.iter().map(|t| t.len as u64);
         ShardMachine {
             s,
             pending: vec![Vec::new(); workers],
@@ -279,11 +288,13 @@ impl ShardMachine {
         }
     }
 
-    /// Local slot index of an ever-owned tensor.
-    fn local(&self, g: usize) -> usize {
+    /// Local slot index of the ever-owned part holding element `elem` of
+    /// tensor `g`.
+    fn local(&self, g: usize, elem: usize) -> usize {
+        let p = self.run.map.part_at(g, elem as u64);
         self.locals
-            .binary_search_by_key(&g, |t| t.g)
-            .unwrap_or_else(|_| panic!("tensor {g} never owned by shard {}", self.s))
+            .binary_search_by_key(&p, |t| t.p)
+            .unwrap_or_else(|_| panic!("part {p} of tensor {g} never owned by shard {}", self.s))
     }
 
     /// Number of locals owned during iteration `iter` — the barrier count
@@ -292,15 +303,15 @@ impl ShardMachine {
         self.locals.iter().filter(|t| t.from <= iter).count()
     }
 
-    /// Materialise an adopted tensor from the durable store: bit-exact
+    /// Materialise an adopted part from the durable store: bit-exact
     /// snapshot + ledger replay, then announce the re-home.
     fn ensure_restored(&mut self, l: usize) {
         let t = &mut self.locals[l];
         if t.opt.is_some() {
             return;
         }
-        let (g, from) = (t.g, t.adopted_from);
-        let r = self.run.store.restore(g);
+        let (p, from) = (t.p, t.adopted_from);
+        let r = self.run.store.restore(p);
         (t.params, t.opt) = (r.params, Some(r.opt));
         self.barriers.adopt(l, r.upto);
         self.out.restore_bytes += r.bytes;
@@ -316,7 +327,7 @@ impl ShardMachine {
             });
         }
         self.tlog.emit(TraceEvent::Rehome {
-            grad: g,
+            grad: p,
             from,
             to: self.s,
         });
@@ -365,12 +376,14 @@ impl ShardMachine {
     /// not what arrived: a truncated payload must ack/nack that ledger
     /// entry, or the retry path can never match it up.
     fn on_push(&mut self, worker: usize, ack: Slice, data: Bytes, frame: FrameHeader) {
+        self.phases.push_bytes += data.len() as u64;
         if ack.epoch != self.cur_epoch {
             // A pre-crash push that raced the restart broadcast.
             return;
         }
-        let (iter, grad) = (ack.iter, ack.tensor);
-        let l = self.local(grad);
+        let iter = ack.iter;
+        let l = self.local(ack.tensor, ack.offset as usize);
+        let (grad, offset) = (self.locals[l].p, ack.offset as usize - self.locals[l].lo);
         if self.barriers.is_stale(iter, l) {
             // Late duplicate of a completed barrier: re-ack only, without
             // verifying — the barrier already folded an intact copy.
@@ -381,7 +394,7 @@ impl ShardMachine {
         // any non-duplicate push reaching a dead shard was mis-routed.
         assert!(
             !self.dead,
-            "push for (iter {iter}, grad {grad}) reached shard {} after its death",
+            "push for (iter {iter}, part {grad}) reached shard {} after its death",
             self.s
         );
         let t_verify = Instant::now();
@@ -430,11 +443,11 @@ impl ShardMachine {
             self.barriers
                 .closed_through(l)
                 .is_none_or(|d| iter == d + 1),
-            "push for tensor {grad} skipped the BSP barrier"
+            "push for part {grad} skipped the BSP barrier"
         );
         let arrival =
             self.barriers
-                .arrive(&self.run.mem, iter, l, worker, Some(ack.offset), ack.len);
+                .arrive(&self.run.mem, iter, l, worker, Some(offset as u64), ack.len);
         // A duplicate (a retransmission raced the ack) is acknowledged and
         // dropped like everything else the ledger did not refuse.
         self.queue_ack(worker, ack);
@@ -442,7 +455,7 @@ impl ShardMachine {
             // Zero-copy staging: the wire slice itself is the staged
             // gradient; nothing is decoded until the barrier.
             let staged = &mut self.locals[l].staged[worker];
-            staged.push((ack.offset as usize, data, frame.crc));
+            staged.push((offset, data, frame.crc));
         }
         if let Arrival::WorkerDone { closes } = arrival {
             self.tlog.emit(TraceEvent::PushEnd { worker, iter, grad });
@@ -452,7 +465,7 @@ impl ShardMachine {
         }
     }
 
-    /// The BSP barrier for local tensor `l` is complete: fold the staged
+    /// The BSP barrier for local part `l` is complete: fold the staged
     /// wire slices in fixed worker order (bit-identical to the
     /// single-shard and single-process sums), step the optimiser and
     /// re-encode the pull frame in one [`fold::barrier_pass`], record the
@@ -460,8 +473,7 @@ impl ShardMachine {
     /// (checkpoint cadence, this shard's own death), and notify the
     /// iteration's members.
     fn finish_barrier(&mut self, l: usize, iter: u64) {
-        let g = self.locals[l].g;
-        let size = self.run.tensor_elems[g];
+        let (p, size) = (self.locals[l].p, self.locals[l].len);
         // The pass runs under the cache-residency gate: it walks every
         // staged payload plus the parameters, optimiser state and pull
         // frame, and interleaving it with another thread's compute or
@@ -492,7 +504,7 @@ impl ShardMachine {
                 staged: &mut t.staged,
                 inv: 1.0 / self.run.mem.expected(iter) as f32,
                 params: &mut t.params,
-                opt: t.opt.as_mut().expect("barrier on unrestored tensor"),
+                opt: t.opt.as_mut().expect("barrier on unrestored part"),
                 mean: mean.as_mut(),
                 snapshot: snapshot.as_mut(),
                 pull: &mut pull,
@@ -500,24 +512,24 @@ impl ShardMachine {
             &mut self.phases,
         );
         if let Some(mean) = mean {
-            store.note_update(g, iter, mean);
+            store.note_update(p, iter, mean);
         }
         self.phases.barriers += 1;
         let iteration_closed = self.barriers.close(iter, l, self.owned_count_at(iter));
         self.cache_pull(l, pull, crc);
-        self.tlog.emit(TraceEvent::Barrier { iter, grad: g });
+        self.tlog.emit(TraceEvent::Barrier { iter, grad: p });
         if let Some(snapshot) = snapshot {
             // A scheduled CheckpointCorrupt poisons every snapshot written
             // in its cadence round (the whole generation is damaged,
             // matching the sim's model).
             self.run.store.checkpoint(
-                g,
+                p,
                 iter,
                 snapshot,
                 self.locals[l]
                     .opt
                     .as_ref()
-                    .expect("barrier on unrestored tensor"),
+                    .expect("barrier on unrestored part"),
                 self.ckpt.poisons(iter),
             );
         }
@@ -549,7 +561,7 @@ impl ShardMachine {
             // of its ParamReady deliveries.
             self.worker_txs[w]
                 .send(ToWorker::ParamReady {
-                    grad: g,
+                    part: p,
                     epoch: self.cur_epoch,
                 })
                 .expect("member hung up before barrier");
@@ -557,12 +569,12 @@ impl ShardMachine {
         self.drain_deferred();
     }
 
-    /// Serve any deferred pull whose tensor has caught up.
+    /// Serve any deferred pull whose part has caught up.
     fn drain_deferred(&mut self) {
         let mut i = 0;
         while i < self.deferred.len() {
             let d = self.deferred[i];
-            let l = self.local(d.grad);
+            let l = self.local(d.grad, d.offset_elems);
             if self.locals[l].opt.is_some()
                 && self
                     .barriers
@@ -577,7 +589,7 @@ impl ShardMachine {
         }
     }
 
-    /// Storage for local tensor `l`'s next pull frame: the reclaimed
+    /// Storage for local part `l`'s next pull frame: the reclaimed
     /// previous encoding when its windows have all been dropped, a counted
     /// fresh allocation otherwise.
     fn pull_buffer(&mut self, l: usize) -> BytesMut {
@@ -589,14 +601,13 @@ impl ShardMachine {
             }
             None => {
                 self.out.arena_allocs += 1;
-                BytesMut::with_capacity(self.run.tensor_elems[self.locals[l].g] * 4)
+                BytesMut::with_capacity(self.locals[l].len * 4)
             }
         }
     }
 
-    /// Cache `buf`, local tensor `l`'s whole-tensor pull frame with
-    /// checksum `crc`: every pull until the next update is a zero-copy
-    /// window of it.
+    /// Cache `buf`, local part `l`'s whole-part pull frame with checksum
+    /// `crc`: every pull until the next update is a zero-copy window of it.
     fn cache_pull(&mut self, l: usize, buf: BytesMut, crc: u32) {
         let wire = buf.freeze();
         let frame = FrameHeader {
@@ -604,21 +615,24 @@ impl ShardMachine {
             crc,
         };
         let t = &mut self.locals[l];
-        t.pull.frame = Some((0, self.run.tensor_elems[t.g], frame));
+        t.pull.frame = Some((0, t.len, frame));
         t.pull.wire = Some(wire);
     }
 
+    /// Reply to a pull of `len_elems` of tensor `grad` from `offset_elems`,
+    /// an extent inside one local part.
     fn serve_pull(&mut self, worker: usize, grad: usize, offset_elems: usize, len_elems: usize) {
-        let l = self.local(grad);
-        debug_assert!(self.locals[l].opt.is_some(), "serving an unrestored tensor");
+        let l = self.local(grad, offset_elems);
+        debug_assert!(self.locals[l].opt.is_some(), "serving an unrestored part");
+        let at = offset_elems - self.locals[l].lo;
         if self.locals[l].pull.wire.is_none() {
-            // Cold pull — bootstrap, or a tensor adopted/restored since
-            // its last local barrier (steady-state pulls hit the cache
+            // Cold pull — bootstrap, or a part adopted/restored since its
+            // last local barrier (steady-state pulls hit the cache
             // refreshed by `finish_barrier`). A large encode walks the
             // full parameter vector, so it runs under the cache-residency
             // gate (the wait lands in `idle_ns`, keeping the encode span
             // pure work).
-            let bytes = self.run.tensor_elems[grad] * 4;
+            let bytes = self.locals[l].len * 4;
             let gated = self.run.gate.enter(bytes, &mut self.phases.idle_ns);
             let t_fill = Instant::now();
             let mut buf = self.pull_buffer(l);
@@ -633,7 +647,7 @@ impl ShardMachine {
         let t_encode = Instant::now();
         let clean = {
             let wire = self.locals[l].pull.wire.as_ref().expect("encoded above");
-            wire.slice(offset_elems * 4..(offset_elems + len_elems) * 4)
+            wire.slice(at * 4..(at + len_elems) * 4)
         };
         // Pull replies can be bit-flipped or truncated in flight but never
         // NaN-poisoned: parameters travel checksummed, so memory-corrupt
@@ -644,10 +658,10 @@ impl ShardMachine {
             None => {
                 let cached = &mut self.locals[l].pull.frame;
                 let frame = match *cached {
-                    Some((o, n, f)) if (o, n) == (offset_elems, len_elems) => f,
+                    Some((o, n, f)) if (o, n) == (at, len_elems) => f,
                     _ => {
                         let f = FrameHeader::for_payload(&clean);
-                        *cached = Some((offset_elems, len_elems, f));
+                        *cached = Some((at, len_elems, f));
                         f
                     }
                 };
@@ -701,10 +715,15 @@ impl ShardMachine {
     }
 
     /// The workers are gone: flush the remaining acks for the count, then
-    /// fold into the run's result exactly the tensors this shard owns in
-    /// the final membership epoch — adopted ones included, lost ones
-    /// excluded — with its counters, phase spans and trace.
-    pub(super) fn finish(mut self, r: &mut ThreadedResult, events: &mut Vec<TimedEvent>) {
+    /// hand over in `parts` exactly the parts this shard owns in the final
+    /// membership epoch — adopted ones included, lost ones excluded — and
+    /// fold its counters, phase spans and trace into the run's result.
+    pub(super) fn finish(
+        mut self,
+        r: &mut ThreadedResult,
+        parts: &mut [Option<Vec<f32>>],
+        events: &mut Vec<TimedEvent>,
+    ) {
         self.flush_acks();
         assert!(
             self.deferred.is_empty(),
@@ -716,12 +735,12 @@ impl ShardMachine {
         for t in self
             .locals
             .into_iter()
-            .filter(|t| final_owner[t.g] == self.s)
+            .filter(|t| final_owner[t.p] == self.s)
         {
-            let g = t.g;
-            debug_assert!(t.opt.is_some(), "final owner never restored tensor {g}");
-            debug_assert!(r.final_params[g].is_empty(), "tensor {g} returned twice");
-            r.final_params[g] = t.params;
+            let p = t.p;
+            debug_assert!(t.opt.is_some(), "final owner never restored part {p}");
+            debug_assert!(parts[p].is_none(), "part {p} returned twice");
+            parts[p] = Some(t.params);
         }
         r.add_counters(&self.out);
         r.shard_phases.push(self.phases);

@@ -528,7 +528,9 @@ pub enum ToPs {
         worker: usize,
         /// Which elements of which iteration's gradient, as the sender
         /// tracks the send — what acks and nacks name, whatever bytes
-        /// arrive — and the PS incarnation it is addressed to. A push
+        /// arrive — and the PS incarnation it is addressed to. The extent
+        /// lies inside one part the shard owns (the sender cuts its slices
+        /// at the part boundaries). A push
         /// carrying a stale epoch raced a crash-restart and is discarded —
         /// the sender re-pushes after [`ToWorker::ShardRestarted`].
         slice: Slice,
@@ -540,7 +542,8 @@ pub enum ToPs {
         /// [`ToWorker::PushNack`] instead of an ack.
         frame: FrameHeader,
     },
-    /// Request `len_elems` of parameter tensor `grad` from `offset_elems`.
+    /// Request `len_elems` of parameter tensor `grad` from `offset_elems`,
+    /// an extent inside one part the shard owns.
     PullReq {
         /// Requesting worker index.
         worker: usize,
@@ -572,11 +575,11 @@ pub enum ToPs {
 /// PS → worker messages.
 #[derive(Debug, Clone)]
 pub enum ToWorker {
-    /// The BSP barrier for `grad` was reached; updated parameters may be
-    /// pulled.
+    /// The BSP barrier for one part was reached; once every part of its
+    /// tensor is ready, the updated parameters may be pulled.
     ParamReady {
-        /// Gradient/parameter id.
-        grad: usize,
+        /// The part's id in the run's [`prophet_core::ShardMap`].
+        part: usize,
         /// PS incarnation whose barrier completed. Workers stamp this onto
         /// their `ParamReady` trace events so the invariant checker can
         /// catch stale (pre-crash) deliveries.

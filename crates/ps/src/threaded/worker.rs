@@ -14,7 +14,7 @@ use super::wire::{
 use crate::protocol::{Slice, Step, Windows, Worker};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
-use prophet_core::{CommScheduler, Dir, TransferTask};
+use prophet_core::{CommScheduler, Dir, ShardMap, TransferTask};
 use prophet_minidnn::{Backward, GradSink, Mlp};
 use prophet_net::RetryPolicy;
 use prophet_sim::{Duration as SimDuration, FaultKind, SimTime, TraceEvent, Xoshiro256StarStar};
@@ -43,10 +43,10 @@ pub(super) struct Uplink {
     pools: Vec<ArenaPool>,
     /// `(backward step, byte offset in its buffer)` of every tensor.
     pub(super) grad_at: Vec<(usize, usize)>,
-    /// Whole-tensor payload CRC of every tensor, streamed during its
-    /// encode — a whole-tensor push (the common case) frames without
+    /// Whole-part payload CRC of every part, streamed during its tensor's
+    /// store — a whole-part push (the common case) frames without
     /// re-reading its payload.
-    pub(super) grad_crc: Vec<u32>,
+    pub(super) part_crc: Vec<u32>,
     /// Loss doom draws.
     rng: Xoshiro256StarStar,
     corrupt: CorruptInjector,
@@ -62,23 +62,26 @@ pub(super) struct Uplink {
 
 /// A backward step's push frame while the backward writes it: each
 /// gradient row lands in the step's pooled buffer as it is finished —
-/// little-endian, written once — and each tensor's whole-payload frame
-/// checksum streams from the same bytes while they are L1-hot. No gradient
-/// buffer exists besides the frame.
+/// little-endian, written once — and each part's whole-payload frame
+/// checksum streams from the same bytes while they are L1-hot, closing at
+/// each part boundary. No gradient buffer exists besides the frame.
 pub(super) struct StepFrame<'a> {
     up: &'a mut Uplink,
+    /// The parts the tensors are cut into: where the checksums close.
+    map: &'a ShardMap,
     buf: BytesMut,
     writer: FrameWriter,
-    /// The tensor being stored.
-    open: Option<usize>,
+    /// The tensor being stored, the part its next element falls in, and
+    /// the tensor elements stored so far.
+    open: Option<(usize, usize, u64)>,
     step: usize,
 }
 
 impl StepFrame<'_> {
-    /// Close the open tensor's checksum.
+    /// Close the open part's checksum.
     fn close(&mut self) {
-        if let Some(g) = self.open.take() {
-            self.up.grad_crc[g] = self.writer.finish(&mut self.buf);
+        if let Some((_, p, _)) = self.open.take() {
+            self.up.part_crc[p] = self.writer.finish(&mut self.buf);
         }
     }
 
@@ -90,13 +93,26 @@ impl StepFrame<'_> {
 }
 
 impl GradSink for StepFrame<'_> {
-    fn store(&mut self, id: usize, vals: &[f32]) {
-        if self.open != Some(id) {
+    fn store(&mut self, id: usize, mut vals: &[f32]) {
+        if self.open.is_none_or(|(g, _, _)| g != id) {
             self.close();
             self.up.grad_at[id] = (self.step, self.buf.len());
-            self.open = Some(id);
+            self.open = Some((id, self.map.parts_of(id).start, 0));
         }
-        self.writer.push(vals, &mut self.buf);
+        let (_, p, at) = self.open.as_mut().expect("opened above");
+        loop {
+            let room = (self.map.parts()[*p].hi - *at) as usize;
+            let (now, rest) = vals.split_at(room.min(vals.len()));
+            self.writer.push(now, &mut self.buf);
+            *at += now.len() as u64;
+            if rest.is_empty() {
+                return;
+            }
+            // The part is whole and the tensor goes on: close its checksum.
+            self.up.part_crc[*p] = self.writer.finish(&mut self.buf);
+            *p += 1;
+            vals = rest;
+        }
     }
 }
 
@@ -114,18 +130,18 @@ struct Queued {
 }
 
 impl Uplink {
-    /// The uplink of worker `w` in a `shards`-shard topology, for a model
-    /// of tensors of `tensor_elems` elements, differentiated one layer per
+    /// The uplink of worker `w` to the shards of `map`, for a model of
+    /// tensors of `tensor_elems` elements, differentiated one layer per
     /// backward step.
     pub(super) fn new(
         w: usize,
-        shards: usize,
         cfg: &ThreadedConfig,
         windows: Arc<Windows>,
+        map: &ShardMap,
         tensor_elems: &[usize],
     ) -> Self {
         let plan = &cfg.fault_plan;
-        let (tensors, steps) = (tensor_elems.len(), cfg.widths.len() - 1);
+        let (tensors, steps, shards) = (tensor_elems.len(), cfg.widths.len() - 1, map.shards());
         Uplink {
             active: !plan.is_empty(),
             link: Link::new(cfg.link_bps, Arc::clone(&windows), w, shards),
@@ -133,7 +149,7 @@ impl Uplink {
             bufs: vec![None; steps],
             pools: (0..steps).map(|_| ArenaPool::new()).collect(),
             grad_at: vec![(0, 0); tensors],
-            grad_crc: vec![0; tensors],
+            part_crc: vec![0; map.parts().len()],
             // Loss draws come from a per-worker substream of the *plan*
             // seed, so two workers never share a doom sequence.
             rng: Xoshiro256StarStar::new(plan.seed ^ 0x7EA1_FA17).substream(w as u64),
@@ -157,9 +173,16 @@ impl Uplink {
     }
 
     /// Open backward step `step`'s push frame, `bytes` long: the step's
-    /// pooled buffer, for the backward to store its gradients into.
-    pub(super) fn frame(&mut self, step: usize, bytes: usize) -> StepFrame<'_> {
+    /// pooled buffer, for the backward to store its gradients into, its
+    /// checksums closing at `map`'s part boundaries.
+    pub(super) fn frame<'a>(
+        &'a mut self,
+        map: &'a ShardMap,
+        step: usize,
+        bytes: usize,
+    ) -> StepFrame<'a> {
         StepFrame {
+            map,
             buf: self.pools[step].checkout(bytes),
             writer: FrameWriter::new(),
             open: None,
@@ -213,18 +236,21 @@ struct PullTask {
     due: u64,
 }
 
+/// A pull reply: `(grad, offset_elems, data, frame)`.
+type Reply = (usize, usize, Bytes, FrameHeader);
+
 /// Where a worker is in its life.
 enum Phase {
     /// Not stepped yet.
     Start,
-    /// A joiner fetching the end-of-`from - 1` model: the tensors `left`
-    /// to land, the `(shard, epoch)` restarts seen meanwhile (acknowledged
-    /// once admitted), and the reply, `(grad, data, frame)`, waiting for
-    /// its bytes to fall `due`.
+    /// A joiner fetching the end-of-`from - 1` model: the parts `left` to
+    /// land, the `(shard, epoch)` restarts seen meanwhile (acknowledged
+    /// once admitted), and the reply, `(grad, offset_elems, data, frame)`,
+    /// waiting for its bytes to fall `due`.
     Bootstrap {
         left: usize,
         acks: Vec<(usize, u64)>,
-        due: Option<(usize, Bytes, FrameHeader)>,
+        due: Option<Reply>,
     },
     /// Sleeping out a `WorkerStall` window before the compute.
     Stalled,
@@ -269,11 +295,13 @@ pub(super) struct WorkerMachine {
     ps_epochs: Vec<u64>,
     /// The pull lookahead: the pull task on the wire, a pull task issued
     /// while it was (requested when it lands; issuing pauses until then),
-    /// and the wire one's intact replies, `(grad, offset_elems, data,
-    /// frame)`, held until it lands.
+    /// and the wire one's intact replies, held until it lands.
     pull: Option<PullTask>,
     next_pull: Option<TransferTask>,
-    replies: Vec<(usize, usize, Bytes, FrameHeader)>,
+    replies: Vec<Reply>,
+    /// Per tensor, its parts whose barrier this iteration has closed: the
+    /// tensor's parameters may be pulled once all of them have.
+    parts_ready: Vec<usize>,
     /// Verify pull replies at receive — only under a corruption plan;
     /// without one the frame CRC is checked inside the fused
     /// decode-into-parameters pass instead of costing its own traversal.
@@ -306,7 +334,7 @@ impl WorkerMachine {
             w,
             model,
             sched: cfg.scheduler.build_from_sizes(sizes),
-            up: Uplink::new(w, txs.len(), cfg, windows, &run.tensor_elems),
+            up: Uplink::new(w, cfg, windows, &run.map, &run.tensor_elems),
             ps_epochs: vec![0; txs.len()],
             txs,
             phase: Phase::Start,
@@ -317,6 +345,7 @@ impl WorkerMachine {
             pull: None,
             next_pull: None,
             replies: Vec::new(),
+            parts_ready: vec![0; run.tensor_elems.len()],
             eager_pull: cfg.fault_plan.has_corruption(),
             waiting: None,
             losses: Vec::with_capacity(until.saturating_sub(from) as usize),
@@ -350,16 +379,15 @@ impl WorkerMachine {
             Phase::Start if self.w < self.run.cfg.workers => self.begin_iter(now),
             Phase::Start => {
                 // Bootstrap: fetch the end-of-`from - 1` model, one
-                // deferred whole-tensor pull per tensor, routed by the
-                // owner table in force at admission. The shards reply only
-                // once each tensor reflects every update through `from -
-                // 1`, so completing the fetch proves every pre-admission
-                // barrier closed — which is exactly what lets the join
-                // epoch open *after* them in ticket order. Nothing here is
-                // traced: a worker outside the membership is silent by
-                // contract.
-                let n = self.run.tensor_elems.len();
-                (0..n).for_each(|g| self.request_bootstrap(g));
+                // deferred whole-part pull per part, routed by the owner
+                // table in force at admission. The shards reply only once
+                // each part reflects every update through `from - 1`, so
+                // completing the fetch proves every pre-admission barrier
+                // closed — which is exactly what lets the join epoch open
+                // *after* them in ticket order. Nothing here is traced: a
+                // worker outside the membership is silent by contract.
+                let n = self.run.map.parts().len();
+                (0..n).for_each(|p| self.request_bootstrap(p));
                 self.bootstrap(n, Vec::new(), None, None, now)
             }
             Phase::Bootstrap { left, acks, due } => self.bootstrap(left, acks, due, msg, now),
@@ -398,24 +426,42 @@ impl WorkerMachine {
         }
     }
 
-    /// Ask `grad`'s owner this iteration for `len_elems` of it from
-    /// `offset_elems`, served once it reflects every update through
-    /// `min_done` (`None`: at once).
-    fn pull_req(&self, grad: usize, offset_elems: usize, len_elems: usize, min_done: Option<u64>) {
-        let req = ToPs::PullReq {
-            worker: self.w,
-            grad,
-            offset_elems,
-            len_elems,
-            min_done,
-        };
-        let owner = self.run.mem.owner_at(self.iter)[grad];
-        self.txs[owner].send(req).expect("ps shard hung up");
+    /// Ask for `len_elems` of `grad` from `offset_elems`, one request per
+    /// part the extent touches, each to that part's owner this iteration
+    /// and served once it reflects every update through `min_done`
+    /// (`None`: at once). Returns the requests made: one reply each.
+    fn pull_req(
+        &self,
+        grad: usize,
+        offset_elems: usize,
+        len_elems: usize,
+        min_done: Option<u64>,
+    ) -> usize {
+        let owner = self.run.mem.owner_at(self.iter);
+        let pieces = self
+            .run
+            .map
+            .split(grad, offset_elems as u64, len_elems as u64);
+        let mut n = 0;
+        for (p, lo, len) in pieces {
+            let req = ToPs::PullReq {
+                worker: self.w,
+                grad,
+                offset_elems: lo as usize,
+                len_elems: len as usize,
+                min_done,
+            };
+            self.txs[owner[p]].send(req).expect("ps shard hung up");
+            n += 1;
+        }
+        n
     }
 
-    /// Ask for the whole of `grad` as of the end of iteration `from - 1`.
-    fn request_bootstrap(&self, grad: usize) {
-        self.pull_req(grad, 0, self.run.tensor_elems[grad], Some(self.from - 1));
+    /// Ask for the whole of part `p` as of the end of iteration `from - 1`.
+    fn request_bootstrap(&self, p: usize) {
+        let part = self.run.map.parts()[p];
+        let (lo, len) = (part.lo as usize, part.elems() as usize);
+        self.pull_req(part.tensor, lo, len, Some(self.from - 1));
     }
 
     /// The joiner's bootstrap phase. A deferred reply is served only once
@@ -425,27 +471,30 @@ impl WorkerMachine {
         &mut self,
         mut left: usize,
         mut acks: Vec<(usize, u64)>,
-        due: Option<(usize, Bytes, FrameHeader)>,
+        due: Option<Reply>,
         msg: Option<ToWorker>,
         now: u64,
     ) -> Next {
-        if let Some((grad, data, frame)) = due {
+        if let Some((grad, offset_elems, data, frame)) = due {
             if frame.verify(&data) {
-                apply_reply(&mut self.model, grad, 0, &data, frame);
+                apply_reply(&mut self.model, grad, offset_elems, &data, frame);
                 left -= 1;
             } else {
-                // Damaged bootstrap reply: re-request the whole tensor.
+                // Damaged bootstrap reply: re-request the whole part.
                 // Counted but not traced.
                 self.out.corrupt_frames_detected += 1;
-                self.request_bootstrap(grad);
+                self.request_bootstrap(self.run.map.part_at(grad, offset_elems as u64));
             }
         }
         match msg {
             Some(ToWorker::PullData {
-                grad, data, frame, ..
+                grad,
+                offset_elems,
+                data,
+                frame,
             }) => {
                 let at = self.up.link.charge(data.len() as u64, now);
-                let due = Some((grad, data, frame));
+                let due = Some((grad, offset_elems, data, frame));
                 self.phase = Phase::Bootstrap { left, acks, due };
                 return Next::Pause(at);
             }
@@ -501,6 +550,7 @@ impl WorkerMachine {
             self.tlog.emit(TraceEvent::FaultEnd { kind, node });
         }
         self.up.core.begin_iter(self.iter);
+        self.parts_ready.fill(0);
         self.up.recycle();
         self.backward(None, 0, now)
     }
@@ -535,7 +585,7 @@ impl WorkerMachine {
         let ids = self.model.next_tensors(&pass).expect("pass spent");
         let step_bytes: usize = ids.clone().map(|g| self.run.tensor_elems[g] * 4).sum();
         let t_open = Instant::now();
-        let mut frame = self.up.frame(step, step_bytes);
+        let mut frame = self.up.frame(&self.run.map, step, step_bytes);
         let t_backward = Instant::now();
         self.model.backward_step(&mut pass, &mut frame);
         let t_seal = Instant::now();
@@ -666,15 +716,32 @@ impl WorkerMachine {
     fn on_message(&mut self, msg: ToWorker, now: u64) {
         let (worker, iter, node) = (self.w, self.iter, self.node());
         match msg {
-            ToWorker::ParamReady { grad, epoch } => {
+            ToWorker::ParamReady { part, epoch } => {
                 self.tlog.emit(TraceEvent::ParamReady {
                     worker,
-                    grad,
+                    grad: part,
                     epoch,
                 });
-                // The barrier proves every slice arrived, whatever acks are
-                // still behind this message in the channel — and that any
-                // retransmission of it still queued is moot.
+                // The barrier proves every slice of the part arrived,
+                // whatever acks are still behind this message in the
+                // channel — and that any retransmission of it still queued
+                // is moot.
+                let p = self.run.map.parts()[part];
+                let (grad, lo, hi) = (p.tensor, p.lo, p.hi);
+                self.up.core.outbox.settled(iter, grad, lo, hi);
+                self.up.queue.retain(|q| {
+                    let inside = q.grad == grad && (lo..hi).contains(&(q.offset_elems as u64));
+                    debug_assert!(
+                        !inside || q.task.is_none(),
+                        "an original push outlived its barrier"
+                    );
+                    !inside
+                });
+                self.parts_ready[grad] += 1;
+                if self.parts_ready[grad] < self.run.map.parts_of(grad).len() {
+                    return;
+                }
+                // Every part of the tensor is in: it is delivered.
                 if let Some(attempts) = self.up.core.outbox.delivered(iter, grad) {
                     self.tlog.emit(TraceEvent::Recovered {
                         worker,
@@ -683,13 +750,6 @@ impl WorkerMachine {
                         attempts,
                     });
                 }
-                self.up.queue.retain(|q| {
-                    debug_assert!(
-                        q.grad != grad || q.task.is_none(),
-                        "an original push outlived its barrier"
-                    );
-                    q.grad != grad
-                });
                 self.sched.param_ready(SimTime::from_nanos(now), grad);
             }
             ToWorker::PushAcks { acks, crc } => {
@@ -760,17 +820,20 @@ impl WorkerMachine {
             ToWorker::ShardRestarted { shard, epoch } => {
                 // One shard lost its aggregation state. Re-push every slice
                 // addressed to IT that no barrier has settled —
-                // acknowledged or not — to the new incarnation. The
-                // scheduler is NOT consulted — it already accounted for
-                // these bytes; this is transport-level recovery.
+                // acknowledged or not — to the new incarnation: slice by
+                // slice, so a split tensor re-sends only the restarted
+                // shard's part. The scheduler is NOT consulted — it
+                // already accounted for these bytes; this is
+                // transport-level recovery.
                 self.ps_epochs[shard] = epoch;
                 self.tlog.emit(TraceEvent::EpochAck {
                     worker,
                     shard,
                     epoch,
                 });
-                let owner = self.run.mem.owner_at(iter);
-                let steps = self.up.core.outbox.restarted(|g| owner[g] == shard);
+                let (owner, map) = (self.run.mem.owner_at(iter), &self.run.map);
+                let lost = |s: &Slice| owner[map.part_at(s.tensor, s.offset)] == shard;
+                let steps = self.up.core.outbox.restarted(lost);
                 self.redo(steps, false, now);
             }
         }
@@ -829,16 +892,16 @@ impl WorkerMachine {
     /// link paces the replies from now.
     fn request(&mut self, task: TransferTask, now: u64) {
         let (worker, iter, mut due) = (self.w, self.iter, now);
+        let mut awaiting = 0;
         for &(grad, b) in &task.pieces {
             let len_elems = (b / 4) as usize;
             let (offset, stamp) = self.up.core.issue(Dir::Pull, grad, len_elems as u64);
             if stamp {
                 self.tlog.emit(TraceEvent::PullStart { worker, iter, grad });
             }
-            self.pull_req(grad, offset as usize, len_elems, None);
+            awaiting += self.pull_req(grad, offset as usize, len_elems, None);
             due = self.up.link.charge(b, now);
         }
-        let awaiting = task.pieces.len();
         self.pull = Some(PullTask {
             task,
             awaiting,
@@ -846,61 +909,69 @@ impl WorkerMachine {
         });
     }
 
-    /// Hand one charged slice over at `now`: draw its fate against the loss
-    /// and corruption windows, transmit it (unless lost) to the current
-    /// incarnation of its shard, and track it in the outbox with an ack
-    /// deadline `stretch` past the policy's timeout, counted from now. The
-    /// *set* of damaged messages depends on real-time scheduling (windows
-    /// are wall-clock); what is computed stays bit-identical because every
+    /// Hand one charged slice over at `now`, cut at the part boundaries:
+    /// for each piece, draw its fate against the loss and corruption
+    /// windows, transmit it (unless lost) to the current incarnation of its
+    /// part's shard, and track it in the outbox with an ack deadline
+    /// `stretch` past the policy's timeout, counted from now. The *set* of
+    /// damaged messages depends on real-time scheduling (windows are
+    /// wall-clock); what is computed stays bit-identical because every
     /// failure is retried and aggregation is order-independent per worker.
     fn hand_over(&mut self, q: &Queued, now: u64) {
-        let up = &mut self.up;
-        let (grad, offset_elems, len_elems) = (q.grad, q.offset_elems, q.len_elems);
-        self.out.bytes_pushed += (len_elems * 4) as u64;
-        let shard = self.run.mem.owner_at(self.iter)[grad];
-        let slice = Slice {
-            iter: self.iter,
-            tensor: grad,
-            offset: offset_elems as u64,
-            len: len_elems as u64,
-            epoch: self.ps_epochs[shard],
-        };
-        let fate = up.windows.send_fate(now, |kind| match kind {
-            FaultKind::MsgLoss => up.rng.next_f64(),
-            _ => up.corrupt.rng.next_f64(),
-        });
-        if fate == Some(FaultKind::MsgLoss) {
-            self.out.messages_lost += 1;
-        } else {
-            let (step, at) = up.grad_at[grad];
-            let lo = at + offset_elems * 4;
-            let buf = up.bufs[step]
-                .as_ref()
-                .expect("push before its layer's backward");
-            let clean = buf.slice(lo..lo + len_elems * 4);
-            // Damage lands on a pooled copy: the clean window stays
-            // pristine for any later retransmission.
-            let (data, frame) = if fate.is_some() {
-                let style = up.corrupt.style(true);
-                up.corrupt.tamper(style, &clean, &mut up.tamper_pool)
-            } else if offset_elems == 0 && len_elems == self.run.tensor_elems[grad] {
-                let (len, crc) = ((len_elems * 4) as u32, up.grad_crc[grad]);
-                (clean, FrameHeader { len, crc })
+        let (up, run) = (&mut self.up, &self.run);
+        let grad = q.grad;
+        self.out.bytes_pushed += (q.len_elems * 4) as u64;
+        let owner = run.mem.owner_at(self.iter);
+        let pieces = run
+            .map
+            .split(grad, q.offset_elems as u64, q.len_elems as u64);
+        for (p, offset, len) in pieces {
+            let shard = owner[p];
+            let slice = Slice {
+                iter: self.iter,
+                tensor: grad,
+                offset,
+                len,
+                epoch: self.ps_epochs[shard],
+            };
+            let fate = up.windows.send_fate(now, |kind| match kind {
+                FaultKind::MsgLoss => up.rng.next_f64(),
+                _ => up.corrupt.rng.next_f64(),
+            });
+            if fate == Some(FaultKind::MsgLoss) {
+                self.out.messages_lost += 1;
             } else {
-                let frame = FrameHeader::for_payload(&clean);
-                (clean, frame)
-            };
-            let push = ToPs::Push {
-                worker: self.w,
-                slice,
-                data,
-                frame,
-            };
-            self.txs[shard].send(push).expect("ps shard hung up");
-        }
-        if up.active {
-            let deadline = now + (up.retry.timeout + q.stretch).as_nanos();
-            up.core.outbox.sent(slice, deadline);
+                let (step, at) = up.grad_at[grad];
+                let lo = at + offset as usize * 4;
+                let buf = up.bufs[step]
+                    .as_ref()
+                    .expect("push before its layer's backward");
+                let clean = buf.slice(lo..lo + len as usize * 4);
+                // Damage lands on a pooled copy: the clean window stays
+                // pristine for any later retransmission.
+                let part = run.map.parts()[p];
+                let (data, frame) = if fate.is_some() {
+                    let style = up.corrupt.style(true);
+                    up.corrupt.tamper(style, &clean, &mut up.tamper_pool)
+                } else if (offset, len) == (part.lo, part.elems()) {
+                    let (len, crc) = (clean.len() as u32, up.part_crc[p]);
+                    (clean, FrameHeader { len, crc })
+                } else {
+                    let frame = FrameHeader::for_payload(&clean);
+                    (clean, frame)
+                };
+                let push = ToPs::Push {
+                    worker: self.w,
+                    slice,
+                    data,
+                    frame,
+                };
+                self.txs[shard].send(push).expect("ps shard hung up");
+            }
+            if up.active {
+                let deadline = now + (up.retry.timeout + q.stretch).as_nanos();
+                up.core.outbox.sent(slice, deadline);
+            }
         }
     }
 

@@ -361,7 +361,7 @@ impl Model {
             Msg::Restarted { shard, epoch } => {
                 assert!(epoch > wk.epochs[shard], "restart notices arrive in order");
                 wk.epochs[shard] = epoch;
-                let steps = wk.outbox.restarted(|t| owner(t) == shard);
+                let steps = wk.outbox.restarted(|s| owner(s.tensor) == shard);
                 let resent = self.redo(s, w, steps);
                 // Conservation: what the wipe voided is sent again.
                 let owed = &mut s.shards[shard].owed[w];

@@ -486,8 +486,9 @@ impl Default for FaultPlan {
 /// collector can never disagree about post-eviction ownership.
 ///
 /// (`evicted` must already contain `dead`.) The threaded runtime instead
-/// re-balances its `ShardMap` by load; its checker learns ownership from
-/// the map, not from this rule.
+/// places tensor extents (parts) with its `ShardMap` and re-balances the
+/// parts by load; its checker learns the part → shard table from the map,
+/// not from this rule.
 pub fn rehome_modular(owner: &mut [usize], total_shards: usize, evicted: &[usize], dead: usize) {
     debug_assert!(evicted.contains(&dead));
     let alive: Vec<usize> = (0..total_shards).filter(|s| !evicted.contains(s)).collect();

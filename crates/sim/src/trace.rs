@@ -415,13 +415,16 @@ impl<T: Copy + Default> IterRows<T> {
 
 /// Gradient → shard placement shared by both sinks: the configured rule
 /// (`g % shards`, or an explicit table) resolved into a dense table as
-/// gradient ids first appear, with `Rehome` moves written over it.
+/// gradient ids first appear, with `Rehome` moves written over it. An id
+/// names the unit a shard owns: a tensor in the simulator, a tensor extent
+/// (a part) in the threaded runtime, which replays its worker-side tensor
+/// events once per part.
 #[derive(Debug, Default)]
 struct Placement {
     /// Modulo shard count (`g % shards`), unless `table` is set.
     shards: Option<usize>,
-    /// Explicit gradient → shard table (the threaded runtime's contiguous
-    /// size-balanced partition); overrides the modulo rule.
+    /// Explicit id → shard table (the threaded runtime's part owners);
+    /// overrides the modulo rule.
     table: Option<Vec<usize>>,
     /// Current owner per gradient id seen so far (`None`: no rule covers it).
     owner: Vec<Option<usize>>,
@@ -605,9 +608,9 @@ impl InvariantChecker {
         self
     }
 
-    /// Supply the explicit gradient → shard table the runtime actually
-    /// used (the threaded runtime's contiguous size-balanced partition),
-    /// replacing the `g % shards` default of [`with_shards`].
+    /// Supply the explicit id → shard table the runtime actually used (the
+    /// threaded runtime's part owners, one entry per part), replacing the
+    /// `g % shards` default of [`with_shards`].
     ///
     /// [`with_shards`]: InvariantChecker::with_shards
     pub fn with_shard_map(mut self, owner: Vec<usize>) -> Self {

@@ -12,6 +12,17 @@
 #     shard_scaling_8w_4s_over_1s  >  1.0   4 shards must out-run 1 shard —
 #                                           shard count stays a positive
 #                                           scaling knob
+#     shard_scaling_2w_2s_over_1s  >= 1.05  threaded_mem's topology (2
+#                                           workers, VGG-class model): the
+#                                           second shard must pay. With
+#                                           whole-tensor placement one
+#                                           shard did 84 % of the shard
+#                                           work and the ratio read 1.003;
+#                                           placed by extent it read 1.162
+#                                           and 1.271 (lowest round 1.106),
+#                                           so 1.05 fails the imbalance and
+#                                           leaves the balanced map margin
+#                                           for round-to-round noise
 #   BENCH_sim_scale.json
 #     oracle_host_growth_256_over_64 <= 13.7  host time of the 256-worker
 #                                           prophet-oracle cell over the
@@ -53,6 +64,7 @@ cd "$(dirname "$0")/.."
 bounds=(
     "BENCH_threaded.json speedup_8w_4s_vgg >= 4.3 threaded"
     "BENCH_threaded.json shard_scaling_8w_4s_over_1s > 1.0 threaded"
+    "BENCH_threaded.json shard_scaling_2w_2s_over_1s >= 1.05 threaded"
     "BENCH_sim_scale.json oracle_host_growth_256_over_64 <= 13.7 sim_scale"
     "BENCH_sim_scale.json checked_over_unchecked_host_ratio_64 <= 1.3 sim_scale"
     "BENCH_maxmin.json realloc_speedup_512 >= 10 maxmin_scale"

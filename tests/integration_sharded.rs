@@ -4,14 +4,14 @@
 //! single-shard run — and the zero-copy buffer pool really does stop
 //! allocating after warm-up.
 
-use prophet::core::SchedulerKind;
+use prophet::core::{SchedulerKind, ShardMap};
 use prophet::minidnn::Mlp;
 use prophet::net::RetryPolicy;
-use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
+use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
 use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
-/// Shard counts the matrix sweeps. The small model has 4 tensors, so 4
-/// shards is the one-tensor-per-shard extreme.
+/// Shard counts the matrix sweeps. The small model's first tensor holds
+/// most of its elements, so at 2 and 4 shards the cuts split it.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn base_cfg(seed: u64, shards: usize) -> ThreadedConfig {
@@ -38,10 +38,10 @@ fn fast_retry() -> RetryPolicy {
 
 #[test]
 fn shard_count_never_changes_the_computation() {
-    // Fault-free first: sharding only re-homes tensors; aggregation stays
-    // in fixed worker order per tensor, and per-shard optimisers keep
-    // per-tensor state, so every shard count must agree bitwise — for
-    // every scheduling strategy.
+    // Fault-free first: sharding only cuts tensors into parts and homes
+    // them; aggregation stays in fixed worker order per element, and
+    // per-part optimisers keep per-element state, so every shard count
+    // must agree bitwise — for every scheduling strategy.
     for kind in SchedulerKind::paper_lineup(100e6) {
         let label = kind.label();
         let mut oracle: Option<Vec<Vec<f32>>> = None;
@@ -164,21 +164,116 @@ fn every_fault_kind_is_bit_transparent_at_every_shard_count() {
     }
 }
 
+/// A shape whose tensors straddle the cuts: 103 elements (W0 60, b0 10,
+/// W1 30, b1 3) cut at 51 on 2 shards, and at 25, 51 and 77 on 4 — so W0
+/// is split at both counts, into three parts at 4, and W1 at 4.
+fn split_cfg(shards: usize) -> ThreadedConfig {
+    let mut cfg = base_cfg(11, shards);
+    cfg.widths = vec![6, 10, 3];
+    cfg.iterations = 6;
+    cfg
+}
+
+#[test]
+fn split_tensors_are_bit_transparent_under_every_fault_kind() {
+    let oracle = run_threaded_training(&split_cfg(1)).final_params;
+    for shards in [2, 4] {
+        let sizes = [60, 10, 30, 3];
+        let map = ShardMap::balanced(&sizes, shards);
+        let split = |g: usize| map.parts_of(g).len() > 1;
+        assert!(
+            split(0) && (shards == 2 || split(2)),
+            "{shards} shards cut no tensor"
+        );
+        // One shard, owning a part of split W0, crashes for long enough
+        // that the first W0 slices cross the slow wire while it is down
+        // (the crash replays its part and only its part), or fails for
+        // good (its part re-homes).
+        let victim = map.shard_of(map.parts_of(0).start + 1);
+        for kind in [
+            "shard_crash",
+            "worker_stall",
+            "msg_loss",
+            "link_degrade",
+            "link_down",
+            "shard_fail",
+        ] {
+            let mut cfg = split_cfg(shards);
+            cfg.retry = fast_retry();
+            cfg.fault_plan = match kind {
+                "shard_crash" => FaultPlan::new(vec![FaultSpec::ShardCrash {
+                    shard: victim,
+                    at: SimTime::ZERO + Duration::from_millis(5),
+                    restart_after: Duration::from_millis(50),
+                }]),
+                "shard_fail" => FaultPlan::new(vec![FaultSpec::ShardFail {
+                    shard: victim,
+                    at_iter: 3,
+                }]),
+                _ => plan_for(kind, shards),
+            };
+            match kind {
+                "shard_crash" => cfg.link_bps = Some(5e4),
+                "link_degrade" => cfg.link_bps = Some(2e6),
+                _ => {}
+            }
+            let r = run_threaded_training(&cfg);
+            let label = format!("{kind}/{shards} shards");
+            assert!(r.events_checked > 0, "{label}: checker not wired");
+            match kind {
+                "shard_crash" => assert!(r.retries > 0, "{label}: the crash voided nothing"),
+                "msg_loss" => assert!(r.messages_lost > 0, "{label}: nothing dropped"),
+                "shard_fail" => assert!(r.restore_bytes > 0, "{label}: nothing re-homed"),
+                _ => {}
+            }
+            assert_eq!(
+                r.final_params, oracle,
+                "{label}: the split changed the model"
+            );
+        }
+    }
+}
+
+/// Adam's bias correction counts updates: every part of a split tensor
+/// must take its steps in lockstep with the others, through a re-home too.
+#[test]
+fn adam_steps_split_parts_in_lockstep() {
+    let adam = |shards: usize, plan: Vec<FaultSpec>| {
+        let mut cfg = split_cfg(shards);
+        cfg.optimizer = PsOptimizer::Adam;
+        cfg.lr = 0.02;
+        cfg.fault_plan = FaultPlan::new(plan);
+        run_threaded_training(&cfg).final_params
+    };
+    let oracle = adam(1, Vec::new());
+    let fail = FaultSpec::ShardFail {
+        shard: 1,
+        at_iter: 3,
+    };
+    assert_eq!(adam(2, Vec::new()), oracle, "2 shards");
+    assert_eq!(adam(4, vec![fail]), oracle, "4 shards, shard 1 re-homed");
+}
+
 /// The wire buffers a run allocates once and recycles every iteration
 /// after: each worker encodes one buffer per backward step (a layer's
 /// gradients are frozen and on the wire before the next layer's exist),
-/// and the shards hold one pull-cache buffer per tensor.
+/// and the shards hold one pull-cache buffer per part.
 fn warm_up_buffers(cfg: &ThreadedConfig) -> u64 {
-    let model = Mlp::new(&cfg.widths, 0);
+    let sizes: Vec<u64> = Mlp::new(&cfg.widths, 0)
+        .tensor_sizes()
+        .iter()
+        .map(|&n| n as u64)
+        .collect();
+    let parts = ShardMap::balanced(&sizes, cfg.ps_shards).parts().len() as u64;
     let steps = cfg.widths.len() as u64 - 1;
-    cfg.workers as u64 * steps + model.tensor_sizes().len() as u64
+    cfg.workers as u64 * steps + parts
 }
 
 #[test]
 fn steady_state_push_path_allocates_nothing_after_warmup() {
     // The zero-copy contract, asserted through the pool counters: every
     // worker allocates exactly one buffer per layer for the whole run,
-    // every shard allocates exactly one pull-cache buffer per owned tensor,
+    // every shard allocates exactly one pull-cache buffer per owned part,
     // and every later iteration is served entirely from recycled storage.
     // Doubling the iteration count must leave the allocation count
     // untouched.
