@@ -1,6 +1,13 @@
 //! Layers with exact backpropagation.
+//!
+//! A layer's parameters reach its products through a [`RowSource`]: by
+//! default the layer's own tensors, or — through the `*_from` methods —
+//! any source that serves the same tensors, such as the threaded
+//! runtime's pulled frames. The layer keeps its own tensors either way:
+//! they give it its shape, and they are its parameters whenever no source
+//! is passed.
 
-use crate::tensor::Tensor;
+use crate::tensor::{RowSource, Tensor};
 use prophet_sim::Xoshiro256StarStar;
 
 /// Where a backward pass stores the parameter gradients it computes.
@@ -27,16 +34,34 @@ impl GradSink for Vec<Vec<f32>> {
 /// A differentiable layer.
 pub trait Layer: Send {
     /// Forward pass on a `batch × in` activation, returning `batch × out`.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_from(x, None)
+    }
+
+    /// [`Layer::forward`], reading the parameters from `params` — tensor
+    /// `i` of [`Layer::params`] under id `i` — or from the layer's own
+    /// tensors when `None`.
+    fn forward_from(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor;
 
     /// Backward pass: gradient of the loss wrt this layer's output →
     /// gradient wrt its input. The parameter gradients are stored into
     /// `grads`, tensor `i` of [`Layer::params`] under id `i`.
-    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor;
+    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor {
+        self.backward_from(grad_out, grads, None)
+    }
+
+    /// [`Layer::backward`], reading the parameters as
+    /// [`Layer::forward_from`] does.
+    fn backward_from(
+        &mut self,
+        grad_out: &Tensor,
+        grads: &mut dyn GradSink,
+        params: Option<&mut dyn RowSource>,
+    ) -> Tensor;
 
     /// The backward pass of a network's first layer: store the parameter
     /// gradients exactly as [`Layer::backward`] does, but skip the gradient
-    /// wrt the input, which nothing consumes.
+    /// wrt the input, which nothing consumes — so no parameter is read.
     fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
         let _ = self.backward(grad_out, grads);
     }
@@ -76,24 +101,63 @@ impl Dense {
     }
 }
 
+/// A Dense layer's own tensors as a row source: id 0 the weight, id 1
+/// the bias (one row).
+struct Own<'a> {
+    w: &'a Tensor,
+    b: &'a Tensor,
+}
+
+impl RowSource for Own<'_> {
+    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
+        let t = [self.w, self.b][tensor];
+        assert_eq!(width, t.cols, "row width mismatch");
+        t.row(k)
+    }
+}
+
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward_from(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
         assert_eq!(x.cols, self.w.rows, "dense input width mismatch");
         self.cached_x = x.clone();
-        let mut y = x.matmul(&self.w);
+        let mut own = Own {
+            w: &self.w,
+            b: &self.b,
+        };
+        let src: &mut dyn RowSource = match params {
+            Some(p) => p,
+            None => &mut own,
+        };
+        let mut y = Tensor::zeros(x.rows, self.w.cols);
+        x.matmul_rows_into(src, 0, &mut y);
+        let cols = y.cols;
+        let bias = src.row(1, 0, cols);
         for r in 0..y.rows {
-            let row = &mut y.data[r * y.cols..(r + 1) * y.cols];
-            for (v, &bias) in row.iter_mut().zip(&self.b.data) {
-                *v += bias;
+            let row = &mut y.data[r * cols..(r + 1) * cols];
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
             }
         }
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor {
+    fn backward_from(
+        &mut self,
+        grad_out: &Tensor,
+        grads: &mut dyn GradSink,
+        params: Option<&mut dyn RowSource>,
+    ) -> Tensor {
         self.backward_params(grad_out, grads);
+        let mut own = Own {
+            w: &self.w,
+            b: &self.b,
+        };
+        let src: &mut dyn RowSource = match params {
+            Some(p) => p,
+            None => &mut own,
+        };
         // dx = dy · wᵀ.
-        grad_out.matmul_t(&self.w)
+        grad_out.matmul_t_rows(src, 0, self.w.rows)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
@@ -137,13 +201,18 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward_from(&mut self, x: &Tensor, _params: Option<&mut dyn RowSource>) -> Tensor {
         self.mask = x.data.iter().map(|&v| v > 0.0).collect();
         let data = x.data.iter().map(|&v| v.max(0.0)).collect();
         Tensor::from_vec(x.rows, x.cols, data)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _grads: &mut dyn GradSink) -> Tensor {
+    fn backward_from(
+        &mut self,
+        grad_out: &Tensor,
+        _grads: &mut dyn GradSink,
+        _params: Option<&mut dyn RowSource>,
+    ) -> Tensor {
         assert_eq!(grad_out.data.len(), self.mask.len(), "stale forward cache");
         let data = grad_out
             .data

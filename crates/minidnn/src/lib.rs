@@ -32,4 +32,4 @@ pub use layers::{Dense, GradSink, Layer, Relu};
 pub use loss::{mse, softmax_cross_entropy};
 pub use model::{Backward, Mlp};
 pub use optim::{Adam, AdamStep, Sgd};
-pub use tensor::Tensor;
+pub use tensor::{RowSource, Tensor};

@@ -4,10 +4,14 @@
 //! Gradient/parameter tensors are numbered in **forward order** (layer 0's
 //! weight = gradient 0), matching the priority convention of `prophet-dnn`
 //! and the paper: gradient 0 is what the next forward pass needs first.
+//!
+//! The passes read the parameters from the model's own tensors, or — the
+//! `*_from` variants — from a [`RowSource`] that serves them under their
+//! model-wide ids.
 
 use crate::layers::{Dense, GradSink, Layer, Relu};
 use crate::loss::softmax_cross_entropy;
-use crate::tensor::Tensor;
+use crate::tensor::{RowSource, Tensor};
 use prophet_sim::Xoshiro256StarStar;
 use std::ops::Range;
 
@@ -54,6 +58,29 @@ impl GradSink for Shifted<'_> {
     }
 }
 
+/// A layer's view of the caller's parameter source: its local tensor ids
+/// shifted to the model's.
+struct ShiftedRows<'a> {
+    first: usize,
+    src: &'a mut dyn RowSource,
+}
+
+impl RowSource for ShiftedRows<'_> {
+    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
+        self.src.row(self.first + tensor, k, width)
+    }
+}
+
+/// The layer whose tensors start at model id `first` reads them from
+/// `params` (shifted to its local ids), or from its own when `None`.
+fn shifted<'a>(
+    params: &'a mut Option<&mut dyn RowSource>,
+    first: usize,
+) -> Option<ShiftedRows<'a>> {
+    let src = params.as_deref_mut()?;
+    Some(ShiftedRows { first, src })
+}
+
 impl Mlp {
     /// Build from layer widths, e.g. `[64, 128, 128, 10]` = three Dense
     /// layers with ReLU between them. Deterministic per seed.
@@ -75,9 +102,18 @@ impl Mlp {
 
     /// Forward pass, returning logits.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_from(x, None)
+    }
+
+    /// [`Mlp::forward`], reading the parameters from `params` (model-wide
+    /// tensor ids), or from the model's own tensors when `None`.
+    pub fn forward_from(&mut self, x: &Tensor, mut params: Option<&mut dyn RowSource>) -> Tensor {
         let mut act = x.clone();
+        let mut first = 0;
         for layer in &mut self.layers {
-            act = layer.forward(&act);
+            let mut src = shifted(&mut params, first);
+            act = layer.forward_from(&act, src.as_mut().map(|s| s as &mut dyn RowSource));
+            first += layer.params().len();
         }
         act
     }
@@ -100,7 +136,18 @@ impl Mlp {
     /// layer at a time — so a caller can ship a layer's gradients while
     /// the layers below it are still being differentiated.
     pub fn forward_loss(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Backward) {
-        let logits = self.forward(x);
+        self.forward_loss_from(x, labels, None)
+    }
+
+    /// [`Mlp::forward_loss`], reading the parameters as
+    /// [`Mlp::forward_from`] does.
+    pub fn forward_loss_from(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        params: Option<&mut dyn RowSource>,
+    ) -> (f32, Backward) {
+        let logits = self.forward_from(x, params);
         let (loss, grad) = softmax_cross_entropy(&logits, labels);
         let pass = Backward {
             grad,
@@ -120,6 +167,19 @@ impl Mlp {
         pass: &mut Backward,
         grads: &mut dyn GradSink,
     ) -> Option<Range<usize>> {
+        self.backward_step_from(pass, grads, None)
+    }
+
+    /// [`Mlp::backward_step`], reading the parameters as
+    /// [`Mlp::forward_from`] does. The step reads the parameters of the
+    /// layers it runs through and no others: once it returns, nothing
+    /// later in the pass reads tensors `ids.start..` again.
+    pub fn backward_step_from(
+        &mut self,
+        pass: &mut Backward,
+        grads: &mut dyn GradSink,
+        mut params: Option<&mut dyn RowSource>,
+    ) -> Option<Range<usize>> {
         let ids = self.next_tensors(pass)?;
         let mut sink = Shifted {
             first: ids.start,
@@ -133,7 +193,9 @@ impl Mlp {
                 // Nothing consumes the gradient wrt the network's input.
                 layer.backward_params(&pass.grad, &mut sink);
             } else {
-                pass.grad = layer.backward(&pass.grad, &mut sink);
+                let mut src = shifted(&mut params, ids.start);
+                let src = src.as_mut().map(|s| s as &mut dyn RowSource);
+                pass.grad = layer.backward_from(&pass.grad, &mut sink, src);
             }
             if held > 0 {
                 pass.tensors = ids.start;
@@ -197,9 +259,7 @@ impl Mlp {
         p.copy_from_slice(values);
     }
 
-    /// Mutable view of parameter tensor `id` — the fused pull-apply path
-    /// of the threaded PS runtime decodes wire bytes and streams their
-    /// CRC in one traversal, writing straight into this slice.
+    /// Mutable view of parameter tensor `id`.
     pub fn param_slice_mut(&mut self, id: usize) -> &mut [f32] {
         let p = self.layers.iter_mut().flat_map(|l| l.params_mut()).nth(id);
         p.unwrap_or_else(|| panic!("parameter tensor {id} out of range"))
@@ -305,6 +365,70 @@ mod tests {
         assert_eq!(loss.to_bits(), ref_loss.to_bits());
         assert_eq!(bits(&whole), bits(&reference), "forward_backward diverged");
         assert_eq!(bits(&stepped), bits(&reference), "layer steps diverged");
+    }
+
+    /// A source serving copies of a model's tensors, row by row, and
+    /// recording which rows of which tensors were asked for.
+    struct Copies {
+        tensors: Vec<Vec<f32>>,
+        asked: Vec<(usize, usize)>,
+    }
+
+    impl RowSource for Copies {
+        fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
+            self.asked.push((tensor, k));
+            &self.tensors[tensor][k * width..(k + 1) * width]
+        }
+    }
+
+    #[test]
+    fn a_source_serving_the_same_tensors_computes_the_same_bits() {
+        // The model's own tensors are zeroed, so only the source can make
+        // the answer right; each pass must read every row of its tensors
+        // in order, and a backward step only the tensors it differentiates.
+        let x = Tensor::from_vec(
+            3,
+            4,
+            vec![0.3, 0.0, -0.2, 0.9, 0.0, 0.0, 0.5, -0.1, 1.0, 2.0, 0.0, 0.0],
+        );
+        let labels = [0, 2, 1];
+        let mut own = Mlp::new(&[4, 8, 5, 3], 7);
+        let own_loss = own.forward_backward(&x, &labels);
+        let mut src = Copies {
+            tensors: own.param_slices().iter().map(|t| t.to_vec()).collect(),
+            asked: Vec::new(),
+        };
+        let mut other = Mlp::new(&[4, 8, 5, 3], 7);
+        for id in 0..other.num_tensors() {
+            other.param_slice_mut(id).fill(0.0);
+        }
+        let (loss, mut pass) = other.forward_loss_from(&x, &labels, Some(&mut src));
+        let forward: Vec<_> = std::mem::take(&mut src.asked);
+        let rows = [4, 1, 8, 1, 5, 1];
+        let want: Vec<_> = (0..6)
+            .flat_map(|t| (0..rows[t]).map(move |k| (t, k)))
+            .collect();
+        assert_eq!(forward, want, "the forward reads every row once, in order");
+        let mut grads = vec![Vec::new(); 6];
+        let mut read = Vec::new();
+        while let Some(ids) = other.backward_step_from(&mut pass, &mut grads, Some(&mut src)) {
+            let asked = std::mem::take(&mut src.asked);
+            assert!(
+                asked.iter().all(|&(t, _)| ids.contains(&t)),
+                "{ids:?} read {asked:?}"
+            );
+            read.push(asked.len());
+        }
+        // dx reads each weight row once; the first layer computes no dx.
+        assert_eq!(read, [5, 8, 0]);
+        assert_eq!(loss.to_bits(), own_loss.to_bits());
+        let bits = |g: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            g.iter()
+                .map(|t| t.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let own_grads: Vec<Vec<f32>> = own.grad_slices().iter().map(|g| g.to_vec()).collect();
+        assert_eq!(bits(&grads), bits(&own_grads));
     }
 
     #[test]

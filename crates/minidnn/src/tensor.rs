@@ -4,6 +4,30 @@
 //! and allocation-explicit: hot-loop ops offer `*_into` variants writing
 //! into caller-provided buffers so the training loop allocates nothing per
 //! step once warmed up.
+//!
+//! The two products a Dense layer takes with its weight matrix, `x · W`
+//! and `dy · Wᵀ`, read `W` through a [`RowSource`] one row at a time, in
+//! row order: a `Tensor` is one source, and a caller holding the weights
+//! elsewhere — the threaded runtime keeps them in the pull frames it
+//! received — is another. Each product has one kernel, whatever the source.
+
+/// Where a product reads a matrix it multiplies by: row `k` of tensor
+/// `tensor`, `width` elements long. A product asks for the rows of one
+/// tensor in order, `0, 1, 2, …`, and holds each only until it asks for
+/// the next — so a source may hand out a view into its own storage or
+/// assemble the row in one scratch row it reuses.
+pub trait RowSource {
+    /// Row `k` (`width` elements) of tensor `tensor`.
+    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32];
+}
+
+/// A tensor is a source of its own rows, whatever id it is asked under.
+impl RowSource for &Tensor {
+    fn row(&mut self, _tensor: usize, k: usize, width: usize) -> &[f32] {
+        assert_eq!(width, self.cols, "row width mismatch");
+        Tensor::row(self, k)
+    }
+}
 
 /// A row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,25 +93,35 @@ impl Tensor {
         out
     }
 
-    /// `out = self · other`, reusing `out`'s storage.
-    ///
-    /// ikj loop order: the inner loop strides contiguously through both
-    /// `other` and `out`, which is the cache-friendly arrangement for
-    /// row-major data.
+    /// `out = self · other`, reusing `out`'s storage: [`Tensor::matmul_rows_into`]
+    /// with `other` as the source.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        assert_eq!(out.rows, self.rows);
-        assert_eq!(out.cols, other.cols);
+        self.matmul_rows_into(&mut &*other, 0, out);
+    }
+
+    /// `out = self · W`, where `W` is tensor `id` of `src`, `self.cols ×
+    /// out.cols`, read a row at a time.
+    ///
+    /// k-outer: row `k` of `W` is asked for once and added into every
+    /// output row while it is cache-hot, so `W` is walked once however
+    /// many rows `self` has. Each output element still adds its products
+    /// in `k` order, starting from `+0.0` and skipping zero inputs — the
+    /// sums of the row-by-row (`i`-outer) product, bit for bit.
+    pub fn matmul_rows_into(&self, src: &mut dyn RowSource, id: usize, out: &mut Tensor) {
+        assert_eq!(out.rows, self.rows, "matmul shape mismatch");
         out.data.fill(0.0);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &a) in a_row.iter().enumerate() {
+        let n = out.cols;
+        if n == 0 {
+            return;
+        }
+        for k in 0..self.cols {
+            let b_row = src.row(id, k, n);
+            for (i, out_row) in out.data.chunks_exact_mut(n).enumerate() {
+                let a = self.data[i * self.cols + k];
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = &other.data[k * n..(k + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;
                 }
@@ -169,14 +203,22 @@ impl Tensor {
         }
     }
 
-    /// `self · otherᵀ` (used for input gradients: `dy · wᵀ`).
+    /// `self · otherᵀ` (used for input gradients: `dy · wᵀ`):
+    /// [`Tensor::matmul_t_rows`] with `other` as the source.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                *out.at_mut(i, j) = Self::dot(a_row, other.row(j));
+        self.matmul_t_rows(&mut &*other, 0, other.rows)
+    }
+
+    /// `self · Wᵀ`, where `W` is tensor `id` of `src`, `rows × self.cols`,
+    /// read a row at a time: output column `j` is the eight-lane inner
+    /// product of each row of `self` with row `j` of `W`.
+    pub fn matmul_t_rows(&self, src: &mut dyn RowSource, id: usize, rows: usize) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, rows);
+        for j in 0..rows {
+            let w_row = src.row(id, j, self.cols);
+            for i in 0..self.rows {
+                out.data[i * rows + j] = Self::dot(self.row(i), w_row);
             }
         }
         out
@@ -309,6 +351,41 @@ mod tests {
             x.t_matmul_rows(&dy, &mut row, |r| stored.extend_from_slice(r));
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&stored), bits(&reference.data), "batch {rows}");
+        }
+    }
+
+    #[test]
+    fn k_outer_matmul_is_bit_identical_to_the_row_by_row_product() {
+        // Zero inputs (skipped), signed zeros, cancellation and a huge
+        // range, at one sample row and several: every output element adds
+        // the same products in the same order as the i-outer loop.
+        let vals = [0.0, -1.5, 2.0, -0.0, 1e30, 3.0, -1e30, 0.25, 1e-30, -7.0];
+        let a = t(3, 5, &(0..15).map(|i| vals[i % 10]).collect::<Vec<_>>());
+        let b = t(
+            5,
+            4,
+            &(0..20).map(|i| vals[(i * 7 + 3) % 10]).collect::<Vec<_>>(),
+        );
+        for rows in [1, 3] {
+            let a = t(rows, 5, &a.data[..rows * 5]);
+            let mut reference = Tensor::zeros(rows, 4);
+            for i in 0..rows {
+                for k in 0..5 {
+                    let x = a.at(i, k);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for c in 0..4 {
+                        *reference.at_mut(i, c) += x * b.at(k, c);
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.matmul(&b).data),
+                bits(&reference.data),
+                "batch {rows}"
+            );
         }
     }
 

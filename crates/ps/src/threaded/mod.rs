@@ -24,6 +24,7 @@
 mod checkpoint;
 mod fold;
 mod pool;
+mod pulled;
 mod runtime;
 mod shard;
 mod transport;

@@ -85,8 +85,9 @@
 //! the worker's link and is handed over when due, and the worker computes
 //! in between, blocking only when it has nothing else to do. A pull is
 //! charged when it is requested, and the next pull task is requested
-//! before the current one is applied, so the link carries one while the
-//! worker applies the other.
+//! before the current one lands. A landed pull is not applied: its replies
+//! are kept as zero-copy windows of the shards' pull frames, which the
+//! next forward and backward read in place ([`super::pulled`]).
 //!
 //! # Tracing without a global lock
 //!
@@ -351,21 +352,28 @@ pub struct WorkerPhases {
     /// Push-frame bookkeeping around the backward steps: buffer checkout,
     /// closing the last part's checksum, freezing the frame.
     pub encode_ns: u64,
-    /// Pull-reply verify + apply into parameter storage.
+    /// Landing pull replies: each intact reply is kept, zero-copy, as the
+    /// parameters the next forward and backward read in place.
     pub apply_ns: u64,
     /// Blocked waiting on PS messages with nothing left to come due and
     /// nothing left to drain on the link (sleeping out a send's due
     /// instant is the link's time, not a wait), or waiting for the
-    /// cache-residency gate before compute or a large apply.
+    /// cache-residency gate before compute.
     pub wait_ns: u64,
     /// Gradient bytes the backward pass walked: each gradient written
     /// once, into its push frame (rows are built in an L1 scratch row).
     pub store_bytes: u64,
     /// Bytes the push-frame checksum read: each gradient once.
     pub encode_bytes: u64,
-    /// Bytes the pull apply walked: the reply payload read and the
-    /// parameters written.
+    /// Parameter bytes assembled into a scratch row because no one pull
+    /// window held the row as aligned `f32`s: rows straddling a part cut
+    /// or a sliced pull's window edge. Every other row is read in place.
     pub apply_bytes: u64,
+    /// Parameter bytes the forward and backward read from pull windows:
+    /// every weight and bias row in the forward, and the weight rows of
+    /// every layer but the first in the backward (`dy · wᵀ`). Iterations
+    /// before the first pull lands read the model's own tensors instead.
+    pub param_read_bytes: u64,
 }
 
 /// One trace event with its global causal ticket and timestamp.
@@ -471,8 +479,8 @@ fn check_events(
 
 /// A counting semaphore bounding how many large memory traversals run
 /// simultaneously across the whole runtime: worker compute steps (whose
-/// backward writes the push frames), shard barrier passes, cold shard pull
-/// encodes, and worker pull applies. Permits equal the host's available
+/// backward writes the push frames), shard barrier passes and cold shard
+/// pull encodes. Permits equal the host's available
 /// parallelism, so on a machine with at least one core per thread the
 /// gate never blocks. On an oversubscribed host it stops the OS from
 /// time-slicing several multi-megabyte walks against each other: each
@@ -496,7 +504,7 @@ pub(super) struct ComputeGate {
     cv: Condvar,
 }
 
-/// Traversals below this size skip the gate: a few-KiB bias apply fits in
+/// Traversals below this size skip the gate: a few-KiB bias part fits in
 /// L1 whatever else runs, and the acquire/wake round-trip would cost more
 /// than the walk itself.
 const GATE_MIN_BYTES: usize = 1 << 20;
@@ -1064,7 +1072,10 @@ mod tests {
     /// and checksums it once, whatever its batch; a barrier set walks
     /// (W + 5)·M — W payloads, parameters and velocity read and written,
     /// the pull frame written; and each shard receives W times its load
-    /// per iteration.
+    /// per iteration. From the second iteration on a worker reads its
+    /// parameters from the pull windows in place: every row in the
+    /// forward, the weight rows of every layer but the first again in the
+    /// backward, and it assembles only the rows a part cut splits.
     #[test]
     fn bytes_walked_match_their_closed_forms() {
         let cfg = ThreadedConfig {
@@ -1082,18 +1093,36 @@ mod tests {
         let wp = r.worker_phases;
         assert_eq!(wp.store_bytes, iters * w * m);
         assert_eq!(wp.encode_bytes, iters * w * m);
-        assert_eq!(wp.apply_bytes, iters * w * 2 * m);
-        let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
-        assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
-        assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
-        assert_eq!(shards(|p| p.encode_bytes), iters * m);
-        // Each shard receives exactly the load the placement gave it.
         let sizes: Vec<u64> = Mlp::new(&cfg.widths, 0)
             .tensor_sizes()
             .iter()
             .map(|&n| n as u64)
             .collect();
         let map = ShardMap::balanced(&sizes, cfg.ps_shards);
+        // Whether a part cut falls strictly inside row `k` of tensor `t`.
+        let split = |t: usize, k: usize, width: usize| {
+            let (lo, hi) = ((k * width) as u64, ((k + 1) * width) as u64);
+            map.parts_of(t)
+                .any(|p| (lo + 1..hi).contains(&map.parts()[p].lo))
+        };
+        let (mut read, mut assembled) = (0, 0);
+        for (l, pair) in cfg.widths.windows(2).enumerate() {
+            let (input, output) = (pair[0], pair[1]);
+            let (weight, bias) = (2 * l, 2 * l + 1);
+            let passes = if l == 0 { 1 } else { 2 };
+            read += 4 * (passes * input * output + output) as u64;
+            let cut_rows = (0..input).filter(|&k| split(weight, k, output)).count();
+            let cut_bias = usize::from(split(bias, 0, output));
+            assembled += 4 * (passes * cut_rows + cut_bias) as u64 * output as u64;
+        }
+        assert!(assembled > 0, "no part cut splits a row");
+        assert_eq!(wp.param_read_bytes, (iters - 1) * w * read);
+        assert_eq!(wp.apply_bytes, (iters - 1) * w * assembled);
+        let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
+        assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
+        assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
+        assert_eq!(shards(|p| p.encode_bytes), iters * m);
+        // Each shard receives exactly the load the placement gave it.
         for (s, p) in r.shard_phases.iter().enumerate() {
             assert_eq!(p.push_bytes, iters * w * 4 * map.load(s), "shard {s}");
         }

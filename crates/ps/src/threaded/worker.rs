@@ -4,13 +4,12 @@
 //! bootstrap are phases of the one machine.
 
 use super::pool::ArenaPool;
+use super::pulled::Pulled;
 use super::runtime::{
     Next, Run, ThreadLog, ThreadedConfig, ThreadedResult, TimedEvent, WorkerPhases,
 };
 use super::transport::{CorruptInjector, Link};
-use super::wire::{
-    acks_checksum, crc32, fused_crc_apply, FrameHeader, FrameWriter, ToPs, ToWorker,
-};
+use super::wire::{acks_checksum, FrameHeader, FrameWriter, ToPs, ToWorker};
 use crate::protocol::{Slice, Step, Windows, Worker};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
@@ -302,9 +301,13 @@ pub(super) struct WorkerMachine {
     /// Per tensor, its parts whose barrier this iteration has closed: the
     /// tensor's parameters may be pulled once all of them have.
     parts_ready: Vec<usize>,
+    /// The landed pull replies, which the next forward and backward read
+    /// as the parameters; the model's own tensors serve only until the
+    /// first pull lands.
+    pulled: Pulled,
     /// Verify pull replies at receive — only under a corruption plan;
-    /// without one the frame CRC is checked inside the fused
-    /// decode-into-parameters pass instead of costing its own traversal.
+    /// without one the frame CRC is checked as the forward first reads
+    /// each window instead of costing its own traversal.
     eager_pull: bool,
     /// Since when the worker has waited on a receive with nothing due.
     waiting: Option<u64>,
@@ -346,6 +349,7 @@ impl WorkerMachine {
             next_pull: None,
             replies: Vec::new(),
             parts_ready: vec![0; run.tensor_elems.len()],
+            pulled: Pulled::new(run.tensor_elems.len()),
             eager_pull: cfg.fault_plan.has_corruption(),
             waiting: None,
             losses: Vec::with_capacity(until.saturating_sub(from) as usize),
@@ -477,7 +481,7 @@ impl WorkerMachine {
     ) -> Next {
         if let Some((grad, offset_elems, data, frame)) = due {
             if frame.verify(&data) {
-                apply_reply(&mut self.model, grad, offset_elems, &data, frame);
+                self.pulled.land(grad, offset_elems, data, frame);
                 left -= 1;
             } else {
                 // Damaged bootstrap reply: re-request the whole part.
@@ -565,14 +569,17 @@ impl WorkerMachine {
         let lo = ((self.iter as usize * cfg.global_batch) + self.w * per_worker) % data.len();
         let hi = (lo + per_worker).min(data.len());
         let (x, labels) = data.batch(lo, hi.max(lo + 1));
-        let (loss, pass) = self.model.forward_loss(&x, &labels);
+        let params = self.pulled.source();
+        let (loss, pass) = self.model.forward_loss_from(&x, &labels, params);
         self.losses.push(loss);
         pass
     }
 
     /// One compute step under the parallelism gate: the forward when `pass`
     /// is `None`, then the next backward layer, which stores its gradients
-    /// straight into their push frame. They are released at the next step,
+    /// straight into their push frame and is the last to read the layer's
+    /// pulled windows: they are let go of here, before the gradients that
+    /// close their frames' next barrier are pushed. They are released at the next step,
     /// stamped with the instant this one returned, and the link takes them
     /// while the layers below are differentiated. Time spent waiting for a
     /// permit is contention, not compute, so it lands in the wait span.
@@ -587,9 +594,11 @@ impl WorkerMachine {
         let t_open = Instant::now();
         let mut frame = self.up.frame(&self.run.map, step, step_bytes);
         let t_backward = Instant::now();
-        self.model.backward_step(&mut pass, &mut frame);
+        self.model
+            .backward_step_from(&mut pass, &mut frame, self.pulled.source());
         let t_seal = Instant::now();
         frame.seal();
+        self.pulled.release(ids.clone());
         let t_sealed = Instant::now();
         self.run.gate.release();
         let span = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
@@ -607,8 +616,7 @@ impl WorkerMachine {
 
     /// Move what can move, then answer. The pull on the wire lands once its
     /// replies are in and its bytes are due — requesting the next before
-    /// applying this one, so the link carries one while the worker applies
-    /// the other. Otherwise receive until the next due instant or (with
+    /// landing this one. Otherwise receive until the next due instant or (with
     /// live fault machinery) the earliest ack deadline, so retransmissions
     /// fire even when the shards have gone quiet — the very situation a
     /// lost message creates. With nothing charged and no tracked slices,
@@ -642,7 +650,7 @@ impl WorkerMachine {
     }
 
     /// The pull on the wire has landed: report it, put the next one on the
-    /// wire, and apply its replies.
+    /// wire, and keep its replies as the parameters the next forward reads.
     fn land(&mut self, now: u64) {
         let t = SimTime::from_nanos(now);
         let landed = self.pull.take().expect("landing without a pull").task;
@@ -654,17 +662,10 @@ impl WorkerMachine {
         let (worker, iter) = (self.w, self.iter);
         let mut replies = std::mem::take(&mut self.replies);
         for (grad, offset_elems, data, frame) in replies.drain(..) {
-            // A large apply walks the payload plus the parameter slice —
-            // gate it like any other big traversal. The wait lands in
-            // `wait_ns`, keeping the apply span pure work.
-            let gated = self.run.gate.enter(data.len(), &mut self.phases.wait_ns);
-            let t_apply = Instant::now();
-            let len_elems = apply_reply(&mut self.model, grad, offset_elems, &data, frame);
-            if gated {
-                self.run.gate.release();
-            }
-            self.phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
-            self.phases.apply_bytes += 2 * data.len() as u64;
+            let t_land = Instant::now();
+            let len_elems = data.len() / 4;
+            self.pulled.land(grad, offset_elems, data, frame);
+            self.phases.apply_ns += t_land.elapsed().as_nanos() as u64;
             if let Some(done) = self.up.core.land(grad, len_elems as u64) {
                 if let Some(attempts) = done.recovered {
                     self.tlog.emit(TraceEvent::Recovered {
@@ -689,6 +690,9 @@ impl WorkerMachine {
         if self.iter < self.until {
             return self.begin_iter(now);
         }
+        // Nothing reads the last pull: let go of its frames, so an evicted
+        // worker pins none of them past the barrier that reclaims them.
+        self.pulled.release_all();
         if self.run.mem.leaves_at(self.w).is_some() {
             // This worker's last iteration is behind it: open the eviction
             // epoch, then tell every shard — barriers for iterations beyond
@@ -1029,31 +1033,10 @@ impl WorkerMachine {
         sum.wait_ns += p.wait_ns;
         sum.store_bytes += p.store_bytes;
         sum.encode_bytes += p.encode_bytes;
-        sum.apply_bytes += p.apply_bytes;
+        sum.apply_bytes += self.pulled.assembled_bytes;
+        sum.param_read_bytes += self.pulled.read_bytes;
         events.extend(self.tlog.take_events());
     }
-}
-
-/// Land a pull reply in the model — one apply for every plan: the wire
-/// bytes decode straight into parameter tensor `grad` from element
-/// `offset_elems`, with the frame CRC streamed in the same pass. A reply
-/// that got past the receive-time verify and still mismatches is genuine
-/// memory corruption. Returns the elements landed.
-fn apply_reply(
-    model: &mut Mlp,
-    grad: usize,
-    offset_elems: usize,
-    data: &[u8],
-    frame: FrameHeader,
-) -> usize {
-    let len_elems = data.len() / 4;
-    let dst = &mut model.param_slice_mut(grad)[offset_elems..offset_elems + len_elems];
-    let got = crc32::finish(fused_crc_apply(crc32::begin(), data, dst));
-    assert_eq!(
-        got, frame.crc,
-        "pull reply fails the frame CRC it was admitted under — genuine memory corruption"
-    );
-    len_elems
 }
 
 #[cfg(test)]
