@@ -380,7 +380,7 @@ impl CheckpointSchedule {
 
     /// Is a snapshot covering through `iter` due once `iter` completes?
     pub fn due(&self, iter: u64) -> bool {
-        (iter + 1) % self.period == 0
+        (iter + 1).is_multiple_of(self.period)
     }
 
     /// Is the snapshot round covering through `iter` — written at boundary

@@ -754,7 +754,7 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
         "checkpoint retention must be >= 1"
     );
     assert!(
-        cfg.global_batch % cfg.workers == 0,
+        cfg.global_batch.is_multiple_of(cfg.workers),
         "global batch {} not divisible by {} workers",
         cfg.global_batch,
         cfg.workers

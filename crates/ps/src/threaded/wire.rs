@@ -7,17 +7,25 @@ use crate::protocol::Slice;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// CRC-32C (Castagnoli, reflected polynomial `0x82F63B78`) — the checksum
-/// every data frame carries. The polynomial is Castagnoli rather than
-/// IEEE because x86's `crc32` instruction hardwires it: on SSE4.2 hosts
-/// the hot path folds 8 bytes per cycle across four interleaved streams
-/// (the instruction is 3-cycle latency / 1-cycle throughput, so a single
-/// dependent chain runs at a third of the port limit), with lane states
-/// merged through a compile-time "advance by LANE zero bytes" operator
-/// table. Elsewhere it falls back to slicing-by-8 over compile-time
-/// tables — bit-identical output, so goldens never depend on the host.
-/// Keeping verify-on-receive at the port limit is what lets checksumming
-/// stay on unconditionally (the steady-state throughput bound in
-/// EXPERIMENTS.md is measured with it on).
+/// every data frame carries. Three kernels, picked at run time, all
+/// bit-identical, so goldens never depend on the host:
+///
+/// * on hosts with VPCLMULQDQ and AVX-512, inputs of 256 bytes and more
+///   are folded by carry-less multiplication: four 512-bit accumulators
+///   over 256-byte strides, combined and narrowed to 128 bits, which two
+///   `crc32` instructions reduce to the register value. It runs at the
+///   speed of the memory read it rides on;
+/// * otherwise, and for shorter inputs, SSE4.2's `crc32` instruction folds
+///   8 bytes per cycle across four interleaved streams (the instruction is
+///   3-cycle latency / 1-cycle throughput, so a single dependent chain
+///   runs at a third of the port limit), with lane states merged through a
+///   compile-time "advance by LANE zero bytes" operator table;
+/// * elsewhere, slicing-by-8 over compile-time tables.
+///
+/// The polynomial is Castagnoli rather than IEEE because the `crc32`
+/// instruction hardwires it. Keeping verify-on-receive at memory speed is
+/// what lets checksumming stay on unconditionally (the steady-state
+/// throughput bound in EXPERIMENTS.md is measured with it on).
 pub mod crc32 {
     const POLY: u32 = 0x82F6_3B78;
 
@@ -209,6 +217,142 @@ pub mod crc32 {
         }
     }
 
+    /// `reflect32(xⁿ mod P) << 1`: the carry-less multiplier that moves
+    /// 32 bits of register state `n − 32` bits further down the message.
+    /// Bit `i` of a reflected value is the coefficient of `x^(31 − i)`, so
+    /// multiplying by `x` is a right shift that folds `x³²` back in as the
+    /// polynomial.
+    pub(crate) const fn fold_k(n: u32) -> u64 {
+        let mut r = 1u32 << 31;
+        let mut i = 0;
+        while i < n {
+            r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+            i += 1;
+        }
+        (r as u64) << 1
+    }
+
+    /// The VPCLMULQDQ fold. A 128-bit chunk `X = X_lo·x⁶⁴ + X_hi` (its
+    /// first eight bytes are the low qword) that must travel `D` bits down
+    /// the message becomes `clmul(X_lo, k(D + 32)) ^ clmul(X_hi, k(D − 32))`
+    /// — congruent to `X·x^D` modulo the polynomial and still 128 bits
+    /// wide — and is XORed into the data found there. The register state
+    /// enters as the first four message bytes XORed with it, so the folds
+    /// compute the CRC of the whole input from a zero state.
+    #[cfg(target_arch = "x86_64")]
+    mod fold {
+        use super::{fold_k, hw};
+        use std::arch::x86_64::*;
+
+        /// Below this, the SSE4.2 kernel: one 256-byte stride at least.
+        pub const MIN: usize = 256;
+
+        /// Lane constants for a move of `n` bits, as an `_mm_set_epi64x`
+        /// pair: the low qword's multiplier in the low half.
+        const fn lane(n: u32) -> (i64, i64) {
+            (fold_k(n - 32) as i64, fold_k(n + 32) as i64)
+        }
+        const BY_2048: (i64, i64) = lane(2048);
+        const BY_512: (i64, i64) = lane(512);
+        const BY_384: (i64, i64) = lane(384);
+        const BY_256: (i64, i64) = lane(256);
+        const BY_128: (i64, i64) = lane(128);
+
+        #[inline]
+        pub fn available() -> bool {
+            std::arch::is_x86_feature_detected!("vpclmulqdq")
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("pclmulqdq")
+                && hw::available()
+        }
+
+        /// Every 128-bit lane of `x` moved by the lanes of `k`, XORed into
+        /// `data`.
+        #[inline]
+        #[target_feature(enable = "avx512f,vpclmulqdq")]
+        unsafe fn fold(x: __m512i, k: __m512i, data: __m512i) -> __m512i {
+            let lo = _mm512_clmulepi64_epi128(x, k, 0x00);
+            let hi = _mm512_clmulepi64_epi128(x, k, 0x11);
+            _mm512_ternarylogic_epi64(lo, hi, data, 0x96)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(bytes: &[u8], at: usize) -> __m512i {
+            _mm512_loadu_si512(bytes[at..at + 64].as_ptr().cast())
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn broadcast((hi, lo): (i64, i64)) -> __m512i {
+            _mm512_broadcast_i32x4(_mm_set_epi64x(hi, lo))
+        }
+
+        /// Fold `bytes` into the register state `crc`; inputs shorter
+        /// than [`MIN`] go to the SSE4.2 kernel.
+        #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
+        pub unsafe fn update(crc: u32, bytes: &[u8]) -> u32 {
+            if bytes.len() < MIN {
+                return hw::update1(crc, bytes);
+            }
+            let state = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
+            let mut x = [
+                _mm512_xor_si512(load(bytes, 0), state),
+                load(bytes, 64),
+                load(bytes, 128),
+                load(bytes, 192),
+            ];
+            let mut at = MIN;
+            let stride = broadcast(BY_2048);
+            while at + MIN <= bytes.len() {
+                for (j, acc) in x.iter_mut().enumerate() {
+                    *acc = fold(*acc, stride, load(bytes, at + 64 * j));
+                }
+                at += MIN;
+            }
+            // The four accumulators into one, then the tail's whole
+            // 64-byte blocks.
+            let block = broadcast(BY_512);
+            let mut y = fold(x[0], block, x[1]);
+            y = fold(y, block, x[2]);
+            y = fold(y, block, x[3]);
+            while at + 64 <= bytes.len() {
+                y = fold(y, block, load(bytes, at));
+                at += 64;
+            }
+            // 512 → 128 bits: lanes 0, 1 and 2 move onto lane 3.
+            let (a, b, c) = (BY_128, BY_256, BY_384);
+            let k = _mm512_set_epi64(0, 0, a.0, a.1, b.0, b.1, c.0, c.1);
+            let moved = _mm512_xor_si512(
+                _mm512_clmulepi64_epi128(y, k, 0x00),
+                _mm512_clmulepi64_epi128(y, k, 0x11),
+            );
+            let mut r = _mm_xor_si128(
+                _mm_xor_si128(
+                    _mm512_extracti32x4_epi32::<0>(moved),
+                    _mm512_extracti32x4_epi32::<1>(moved),
+                ),
+                _mm_xor_si128(
+                    _mm512_extracti32x4_epi32::<2>(moved),
+                    _mm512_extracti32x4_epi32::<3>(y),
+                ),
+            );
+            // The tail's whole 16-byte blocks.
+            let k = _mm_set_epi64x(BY_128.0, BY_128.1);
+            while at + 16 <= bytes.len() {
+                let data = _mm_loadu_si128(bytes[at..at + 16].as_ptr().cast());
+                let lo = _mm_clmulepi64_si128(r, k, 0x00);
+                let hi = _mm_clmulepi64_si128(r, k, 0x11);
+                r = _mm_xor_si128(_mm_xor_si128(lo, hi), data);
+                at += 16;
+            }
+            // The last 128 bits from a zero state, then the last bytes.
+            let c = _mm_crc32_u64(0, _mm_cvtsi128_si64(r) as u64);
+            let c = _mm_crc32_u64(c, _mm_extract_epi64::<1>(r) as u64);
+            hw::update1(c as u32, &bytes[at..])
+        }
+    }
+
     /// Fresh streaming state (feed it to [`update`], close with [`finish`]).
     pub fn begin() -> u32 {
         !0
@@ -216,6 +360,10 @@ pub mod crc32 {
 
     /// Fold `bytes` into a streaming state from [`begin`].
     pub fn update(crc: u32, bytes: &[u8]) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= fold::MIN && fold::available() {
+            return unsafe { fold::update(crc, bytes) };
+        }
         #[cfg(target_arch = "x86_64")]
         if hw::available() {
             return unsafe {
@@ -244,6 +392,29 @@ pub mod crc32 {
     #[cfg(test)]
     pub fn checksum_sw(bytes: &[u8]) -> u32 {
         finish(update_sw(begin(), bytes))
+    }
+
+    /// A kernel as a streaming update.
+    #[cfg(test)]
+    pub type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every kernel this host runs, by name, each called directly (any
+    /// input length) — test hook holding them to identical output.
+    #[cfg(test)]
+    pub fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("table", update_sw)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if hw::available() {
+                all.push(("sse4.2", |crc, bytes| unsafe { hw::update4(crc, bytes) }));
+            }
+            if fold::available() {
+                all.push(("vpclmulqdq", |crc, bytes| unsafe {
+                    fold::update(crc, bytes)
+                }));
+            }
+        }
+        all
     }
 }
 
@@ -512,7 +683,7 @@ pub fn accumulate_f32_le(bytes: &[u8], acc: &mut [f32]) {
 /// Deserialise bytes produced by [`encode_f32`]. Panics on a length that
 /// is not a multiple of 4.
 pub fn decode_f32(bytes: &Bytes) -> Vec<f32> {
-    assert!(bytes.len() % 4 == 0, "payload not f32-aligned");
+    assert!(bytes.len().is_multiple_of(4), "payload not f32-aligned");
     bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -706,19 +877,43 @@ mod tests {
 
     #[test]
     fn crc32_hardware_and_software_paths_agree() {
-        // Buffer lengths straddling every kernel boundary: sub-word tails,
-        // the single-chain range, one interleaved round, several rounds
-        // plus a ragged tail. Goldens must not depend on the host CPU.
-        let data: Vec<u8> = (0..64 * 1024u32)
+        // Every kernel the host has, called directly, against the table:
+        // every length through 1100 (the fold's 256-byte threshold, its
+        // 64- and 16-byte tails and sub-word ends), then lengths straddling
+        // the interleaved kernel's rounds and a whole mebibyte, from two
+        // initial states. Goldens must not depend on the host CPU.
+        let data: Vec<u8> = (0..(1u32 << 20) + 77)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        for len in [0, 1, 7, 8, 9, 63, 2048, 8192, 8193, 40000, 65536] {
-            assert_eq!(
-                crc32::checksum(&data[..len]),
-                crc32::checksum_sw(&data[..len]),
-                "dispatched and table paths disagree at len {len}"
-            );
+        let kernels = crc32::kernels();
+        let names: Vec<_> = kernels.iter().map(|(name, _)| *name).collect();
+        println!("crc32c kernels on this host: {names:?}");
+        let long = [2048, 8192, 8193, 40000, 65536, 1 << 20, (1 << 20) + 77];
+        for len in (0..=1100).chain(long) {
+            for init in [crc32::begin(), 0x1234_5678] {
+                let want = crc32::checksum_sw(&data[..len]);
+                let want_state = kernels[0].1(init, &data[..len]);
+                if init == crc32::begin() {
+                    assert_eq!(crc32::checksum(&data[..len]), want, "dispatch, len {len}");
+                }
+                for (name, kernel) in &kernels {
+                    let got = kernel(init, &data[..len]);
+                    assert_eq!(
+                        got, want_state,
+                        "{name} vs table, len {len}, init {init:#x}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn fold_constants_are_the_reflected_powers_of_x() {
+        // Spot values of reflect32(x^n mod P) << 1 for CRC-32C: the
+        // multipliers of a 64-byte block's low qwords (n = 544) and of a
+        // 256-byte stride's (n = 2080).
+        assert_eq!(crc32::fold_k(544), 0x740e_ef02);
+        assert_eq!(crc32::fold_k(2080), 0xdcb1_7aa4);
     }
 
     #[test]
@@ -845,8 +1040,12 @@ mod tests {
             }
 
             /// The fused pass's CRC agrees with the table-based software
-            /// path — goldens stay host-independent even when the fold
-            /// dispatches to the SSE4.2 kernel.
+            /// path — goldens stay host-independent whichever kernel the
+            /// fold dispatches to — and so does every kernel the host has,
+            /// called directly and streamed over a random split of the
+            /// bytes: cuts fall anywhere, so pieces land on both sides of
+            /// the fold's 256-byte threshold and leave every 64- and
+            /// 16-byte tail.
             #[test]
             fn fused_crc_agrees_with_software_path(
                 // Raw bit patterns: every f32, NaNs and infinities
@@ -855,8 +1054,22 @@ mod tests {
                     (0u32..=u32::MAX).prop_map(f32::from_bits),
                     0..4000,
                 ),
+                cuts in prop::collection::vec(0usize..16_000, 0..8),
             ) {
                 let wire = encode_f32(&values);
+                let want = crc32::checksum_sw(&wire);
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(wire.len());
+                for (name, kernel) in crc32::kernels() {
+                    let mut crc = crc32::begin();
+                    let mut at = 0;
+                    for &cut in &cuts {
+                        crc = kernel(crc, &wire[at..cut]);
+                        at = cut;
+                    }
+                    prop_assert_eq!(crc32::finish(crc), want, "{} over cuts {:?}", name, cuts);
+                }
                 let mut acc = vec![0.0f32; values.len()];
                 let crc = crc32::finish(
                     fused_crc_accumulate(crc32::begin(), &wire, &mut acc),
