@@ -33,6 +33,12 @@
 //! iterations: with the default 2 → 8, one round's ratio swings from 0.7
 //! to 2.3.
 //!
+//! `apply_over_compute_vgg_4w_1s` is the 4-worker 1-shard VGG cell's
+//! worker apply span over its worker compute span. Workers train on the
+//! pull frames in place, so the apply span only lands reply windows: a
+//! decode pass that comes back shows here as a ratio far above zero (it
+//! read 0.60 while every reply was decoded into a private copy).
+//!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
 
@@ -161,6 +167,14 @@ fn bench_threaded(c: &mut Criterion) {
             .map(|&(_, r)| r)
             .unwrap_or(f64::NAN)
     };
+    let phase = |id: &str, key: &str| {
+        let row = phase_rows.iter().find(|(i, _)| i == id);
+        let at = PHASE_KEYS.iter().position(|k| *k == key);
+        row.zip(at).map_or(f64::NAN, |((_, phases), at)| phases[at])
+    };
+    let apply_over_compute =
+        phase("vgg_4w_1s", "worker_apply") / phase("vgg_4w_1s", "worker_compute");
+    println!("  apply_over_compute_vgg_4w_1s: {apply_over_compute:.4}");
     let derived: Vec<(&str, f64)> = rates
         .iter()
         .map(|(id, r)| (id.as_str(), *r))
@@ -178,6 +192,7 @@ fn bench_threaded(c: &mut Criterion) {
             ),
             ("shard_scaling_8w_4s_over_1s", scaling),
             ("shard_scaling_2w_2s_over_1s", scaling_2w),
+            ("apply_over_compute_vgg_4w_1s", apply_over_compute),
         ])
         // The per-phase attribution for the VGG cells: aggregate ns per
         // steady-state iteration per span, so every optimisation claim is

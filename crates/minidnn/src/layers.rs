@@ -101,35 +101,17 @@ impl Dense {
     }
 }
 
-/// A Dense layer's own tensors as a row source: id 0 the weight, id 1
-/// the bias (one row).
-struct Own<'a> {
-    w: &'a Tensor,
-    b: &'a Tensor,
-}
-
-impl RowSource for Own<'_> {
-    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
-        let t = [self.w, self.b][tensor];
-        assert_eq!(width, t.cols, "row width mismatch");
-        t.row(k)
-    }
-}
-
 impl Layer for Dense {
     fn forward_from(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
         assert_eq!(x.cols, self.w.rows, "dense input width mismatch");
         self.cached_x = x.clone();
-        let mut own = Own {
-            w: &self.w,
-            b: &self.b,
-        };
+        let mut own = [&self.w, &self.b];
         let src: &mut dyn RowSource = match params {
             Some(p) => p,
             None => &mut own,
         };
         let mut y = Tensor::zeros(x.rows, self.w.cols);
-        x.matmul_rows_into(src, 0, &mut y);
+        x.matmul_from_into(src, 0, &mut y);
         let cols = y.cols;
         let bias = src.row(1, 0, cols);
         for r in 0..y.rows {
@@ -148,16 +130,13 @@ impl Layer for Dense {
         params: Option<&mut dyn RowSource>,
     ) -> Tensor {
         self.backward_params(grad_out, grads);
-        let mut own = Own {
-            w: &self.w,
-            b: &self.b,
-        };
+        let mut own = [&self.w, &self.b];
         let src: &mut dyn RowSource = match params {
             Some(p) => p,
             None => &mut own,
         };
         // dx = dy · wᵀ.
-        grad_out.matmul_t_rows(src, 0, self.w.rows)
+        grad_out.matmul_t_from(src, 0, self.w.rows)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {

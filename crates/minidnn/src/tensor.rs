@@ -21,11 +21,12 @@ pub trait RowSource {
     fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32];
 }
 
-/// A tensor is a source of its own rows, whatever id it is asked under.
-impl RowSource for &Tensor {
-    fn row(&mut self, _tensor: usize, k: usize, width: usize) -> &[f32] {
-        assert_eq!(width, self.cols, "row width mismatch");
-        Tensor::row(self, k)
+/// Tensors side by side are a source: tensor `i` is the `i`-th.
+impl<const N: usize> RowSource for [&Tensor; N] {
+    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
+        let t = self[tensor];
+        assert_eq!(width, t.cols, "row width mismatch");
+        t.row(k)
     }
 }
 
@@ -93,11 +94,11 @@ impl Tensor {
         out
     }
 
-    /// `out = self · other`, reusing `out`'s storage: [`Tensor::matmul_rows_into`]
+    /// `out = self · other`, reusing `out`'s storage: [`Tensor::matmul_from_into`]
     /// with `other` as the source.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        self.matmul_rows_into(&mut &*other, 0, out);
+        self.matmul_from_into(&mut [other], 0, out);
     }
 
     /// `out = self · W`, where `W` is tensor `id` of `src`, `self.cols ×
@@ -108,7 +109,7 @@ impl Tensor {
     /// many rows `self` has. Each output element still adds its products
     /// in `k` order, starting from `+0.0` and skipping zero inputs — the
     /// sums of the row-by-row (`i`-outer) product, bit for bit.
-    pub fn matmul_rows_into(&self, src: &mut dyn RowSource, id: usize, out: &mut Tensor) {
+    pub fn matmul_from_into(&self, src: &mut dyn RowSource, id: usize, out: &mut Tensor) {
         assert_eq!(out.rows, self.rows, "matmul shape mismatch");
         out.data.fill(0.0);
         let n = out.cols;
@@ -204,16 +205,16 @@ impl Tensor {
     }
 
     /// `self · otherᵀ` (used for input gradients: `dy · wᵀ`):
-    /// [`Tensor::matmul_t_rows`] with `other` as the source.
+    /// [`Tensor::matmul_t_from`] with `other` as the source.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        self.matmul_t_rows(&mut &*other, 0, other.rows)
+        self.matmul_t_from(&mut [other], 0, other.rows)
     }
 
     /// `self · Wᵀ`, where `W` is tensor `id` of `src`, `rows × self.cols`,
     /// read a row at a time: output column `j` is the eight-lane inner
     /// product of each row of `self` with row `j` of `W`.
-    pub fn matmul_t_rows(&self, src: &mut dyn RowSource, id: usize, rows: usize) -> Tensor {
+    pub fn matmul_t_from(&self, src: &mut dyn RowSource, id: usize, rows: usize) -> Tensor {
         let mut out = Tensor::zeros(self.rows, rows);
         for j in 0..rows {
             let w_row = src.row(id, j, self.cols);

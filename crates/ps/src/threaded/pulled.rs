@@ -125,11 +125,6 @@ impl Pulled {
             self.cursor[t] = 0;
         }
     }
-
-    /// Let go of every window.
-    pub(super) fn release_all(&mut self) {
-        self.release(0..self.windows.len());
-    }
 }
 
 impl RowSource for Pulled {
@@ -237,7 +232,7 @@ mod tests {
                 assert_eq!(pulled.assembled_bytes, want as u64, "cuts {cuts:?}");
             }
             assert_eq!(pulled.read_bytes, 2 * 48);
-            pulled.release_all();
+            pulled.release(0..1);
             assert!(pulled.source().is_none());
         }
     }

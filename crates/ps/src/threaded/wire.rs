@@ -268,6 +268,10 @@ pub mod crc32 {
 
         /// Every 128-bit lane of `x` moved by the lanes of `k`, XORed into
         /// `data`.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX-512F and VPCLMULQDQ ([`available`]).
         #[inline]
         #[target_feature(enable = "avx512f,vpclmulqdq")]
         unsafe fn fold(x: __m512i, k: __m512i, data: __m512i) -> __m512i {
@@ -276,12 +280,22 @@ pub mod crc32 {
             _mm512_ternarylogic_epi64(lo, hi, data, 0x96)
         }
 
+        /// The 64 bytes of `bytes` from `at` (bounds-checked).
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX-512F.
         #[inline]
         #[target_feature(enable = "avx512f")]
         unsafe fn load(bytes: &[u8], at: usize) -> __m512i {
             _mm512_loadu_si512(bytes[at..at + 64].as_ptr().cast())
         }
 
+        /// One lane pair in every 128-bit lane.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX-512F.
         #[inline]
         #[target_feature(enable = "avx512f")]
         unsafe fn broadcast((hi, lo): (i64, i64)) -> __m512i {
@@ -290,6 +304,11 @@ pub mod crc32 {
 
         /// Fold `bytes` into the register state `crc`; inputs shorter
         /// than [`MIN`] go to the SSE4.2 kernel.
+        ///
+        /// # Safety
+        ///
+        /// The host must have every feature [`available`] checks. Every
+        /// load is of a bounds-checked slice.
         #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
         pub unsafe fn update(crc: u32, bytes: &[u8]) -> u32 {
             if bytes.len() < MIN {
@@ -362,6 +381,7 @@ pub mod crc32 {
     pub fn update(crc: u32, bytes: &[u8]) -> u32 {
         #[cfg(target_arch = "x86_64")]
         if bytes.len() >= fold::MIN && fold::available() {
+            // SAFETY: `available` found every feature the kernel enables.
             return unsafe { fold::update(crc, bytes) };
         }
         #[cfg(target_arch = "x86_64")]
@@ -405,6 +425,8 @@ pub mod crc32 {
         let mut all: Vec<(&'static str, Kernel)> = vec![("table", update_sw)];
         #[cfg(target_arch = "x86_64")]
         {
+            // SAFETY: each kernel is listed only once `available` found
+            // the features it enables.
             if hw::available() {
                 all.push(("sse4.2", |crc, bytes| unsafe { hw::update4(crc, bytes) }));
             }
@@ -420,9 +442,10 @@ pub mod crc32 {
 
 /// Block size of the fused CRC+decode passes: `4 × LANE` bytes, so every
 /// full block feeds the 4-way interleaved SSE4.2 kernel exactly one round
-/// (and the software fallback one slicing-by-8 sweep) while the block —
-/// L1-resident from the checksum read — is decoded and folded before the
-/// next one is touched. One memory traversal instead of two.
+/// (the carry-less fold 32 whole strides, the software fallback one
+/// slicing-by-8 sweep) while the block — L1-resident from the checksum
+/// read — is decoded and folded before the next one is touched. One
+/// memory traversal instead of two.
 const FUSE_BLOCK: usize = 8192;
 
 /// Fold a little-endian `f32` payload into `acc` elementwise
@@ -451,7 +474,8 @@ pub fn fused_crc_accumulate(mut crc: u32, bytes: &[u8], acc: &mut [f32]) -> u32 
 
 /// The overwriting sibling of [`fused_crc_accumulate`]: decode the payload
 /// into `dst` (`dst[i] = payload[i]`) while streaming it through the CRC
-/// state. Workers verify-and-apply pull replies with it in one pass.
+/// state. No runtime path calls it: workers read their parameters from
+/// the pull replies in place instead of decoding them.
 ///
 /// Panics when the byte length is not `4 * dst.len()`.
 pub fn fused_crc_apply(mut crc: u32, bytes: &[u8], dst: &mut [f32]) -> u32 {

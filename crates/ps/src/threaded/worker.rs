@@ -2,6 +2,14 @@
 //! with the instant it is handed, and answers what its serve loop does
 //! next ([`Next`]). Compute, the communication rules and the joiner's
 //! bootstrap are phases of the one machine.
+//!
+//! The worker's model holds its parameters only until the first pull
+//! lands. From then on its parameters are the pull replies themselves:
+//! each intact reply is kept as a zero-copy window of the frame a shard
+//! encoded, the forward and backward read the rows in place
+//! ([`super::pulled`]), and nothing decodes a reply into a private copy.
+//! A layer's windows are dropped at the end of its backward step, before
+//! its gradients are pushed, and the rest when the worker's span ends.
 
 use super::pool::ArenaPool;
 use super::pulled::Pulled;
@@ -577,12 +585,13 @@ impl WorkerMachine {
 
     /// One compute step under the parallelism gate: the forward when `pass`
     /// is `None`, then the next backward layer, which stores its gradients
-    /// straight into their push frame and is the last to read the layer's
-    /// pulled windows: they are let go of here, before the gradients that
-    /// close their frames' next barrier are pushed. They are released at the next step,
+    /// straight into their push frame. They are released at the next step,
     /// stamped with the instant this one returned, and the link takes them
-    /// while the layers below are differentiated. Time spent waiting for a
-    /// permit is contention, not compute, so it lands in the wait span.
+    /// while the layers below are differentiated. The step is the last to
+    /// read the layer's pull windows, so they are dropped here, before the
+    /// gradients that close their frames' next barrier are pushed. Time
+    /// spent waiting for a permit is contention, not compute, so it lands
+    /// in the wait span.
     fn backward(&mut self, pass: Option<Backward>, step: usize, now: u64) -> Next {
         let t_gate = Instant::now();
         self.run.gate.acquire();
@@ -598,8 +607,8 @@ impl WorkerMachine {
             .backward_step_from(&mut pass, &mut frame, self.pulled.source());
         let t_seal = Instant::now();
         frame.seal();
-        self.pulled.release(ids.clone());
         let t_sealed = Instant::now();
+        self.pulled.release(ids.clone());
         self.run.gate.release();
         let span = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
         self.phases.compute_ns += span(t_compute, t_open) + span(t_backward, t_seal);
@@ -692,7 +701,7 @@ impl WorkerMachine {
         }
         // Nothing reads the last pull: let go of its frames, so an evicted
         // worker pins none of them past the barrier that reclaims them.
-        self.pulled.release_all();
+        self.pulled.release(0..self.run.tensor_elems.len());
         if self.run.mem.leaves_at(self.w).is_some() {
             // This worker's last iteration is behind it: open the eviction
             // epoch, then tell every shard — barriers for iterations beyond

@@ -23,6 +23,16 @@
 #                                           so 1.05 fails the imbalance and
 #                                           leaves the balanced map margin
 #                                           for round-to-round noise
+#     apply_over_compute_vgg_4w_1s <= 0.05  worker apply span over worker
+#                                           compute span, 4-worker 1-shard
+#                                           VGG cell. Workers read their
+#                                           parameters from the pull frames
+#                                           in place, so the apply span only
+#                                           lands reply windows; it read
+#                                           0.60 (25.26 / 41.85 ms) while
+#                                           every reply was decoded into a
+#                                           private copy, which this bound
+#                                           fails if it comes back
 #   BENCH_sim_scale.json
 #     oracle_host_growth_256_over_64 <= 13.7  host time of the 256-worker
 #                                           prophet-oracle cell over the
@@ -65,6 +75,7 @@ bounds=(
     "BENCH_threaded.json speedup_8w_4s_vgg >= 4.3 threaded"
     "BENCH_threaded.json shard_scaling_8w_4s_over_1s > 1.0 threaded"
     "BENCH_threaded.json shard_scaling_2w_2s_over_1s >= 1.05 threaded"
+    "BENCH_threaded.json apply_over_compute_vgg_4w_1s <= 0.05 threaded"
     "BENCH_sim_scale.json oracle_host_growth_256_over_64 <= 13.7 sim_scale"
     "BENCH_sim_scale.json checked_over_unchecked_host_ratio_64 <= 1.3 sim_scale"
     "BENCH_maxmin.json realloc_speedup_512 >= 10 maxmin_scale"

@@ -174,6 +174,13 @@ fn split_cfg(shards: usize) -> ThreadedConfig {
     cfg
 }
 
+/// The 64-byte partitions of this P3 cut every pull into windows of 16
+/// elements, so window edges fall mid-row in the 10-wide W0 rows and,
+/// with the part cuts, mid-row in W1's.
+const SLICED: SchedulerKind = SchedulerKind::P3 {
+    partition_bytes: 64,
+};
+
 #[test]
 fn split_tensors_are_bit_transparent_under_every_fault_kind() {
     let oracle = run_threaded_training(&split_cfg(1)).final_params;
@@ -190,15 +197,20 @@ fn split_tensors_are_bit_transparent_under_every_fault_kind() {
         // (the crash replays its part and only its part), or fails for
         // good (its part re-homes).
         let victim = map.shard_of(map.parts_of(0).start + 1);
-        for kind in [
+        let kinds = [
             "shard_crash",
             "worker_stall",
             "msg_loss",
             "link_degrade",
             "link_down",
             "shard_fail",
-        ] {
+        ];
+        for (kind, scheduler) in kinds
+            .iter()
+            .flat_map(|&k| [(k, SchedulerKind::Fifo), (k, SLICED)])
+        {
             let mut cfg = split_cfg(shards);
+            cfg.scheduler = scheduler;
             cfg.retry = fast_retry();
             cfg.fault_plan = match kind {
                 "shard_crash" => FaultPlan::new(vec![FaultSpec::ShardCrash {
@@ -218,8 +230,14 @@ fn split_tensors_are_bit_transparent_under_every_fault_kind() {
                 _ => {}
             }
             let r = run_threaded_training(&cfg);
-            let label = format!("{kind}/{shards} shards");
+            let label = format!("{kind}/{shards} shards/{}", cfg.scheduler.label());
             assert!(r.events_checked > 0, "{label}: checker not wired");
+            // Rows a part cut or a window edge splits are assembled; the
+            // rest are read from the pull windows in place.
+            assert!(
+                r.worker_phases.apply_bytes > 0,
+                "{label}: no row was assembled"
+            );
             match kind {
                 "shard_crash" => assert!(r.retries > 0, "{label}: the crash voided nothing"),
                 "msg_loss" => assert!(r.messages_lost > 0, "{label}: nothing dropped"),
@@ -299,6 +317,29 @@ fn steady_state_push_path_allocates_nothing_after_warmup() {
         assert_eq!(
             r2.arena_allocs, fixed,
             "{shards} shards: more iterations allocated more buffers"
+        );
+    }
+}
+
+/// An evicted worker lets go of its last pull's windows before its leave
+/// notice, so the barriers after the eviction still reclaim every
+/// pull-cache buffer: the run allocates exactly the warm-up buffers.
+#[test]
+fn an_evicted_worker_pins_no_pull_frame() {
+    for shards in SHARD_COUNTS {
+        let mut cfg = ThreadedConfig::small(4, SchedulerKind::Fifo);
+        cfg.ps_shards = shards;
+        cfg.iterations = 12;
+        cfg.fault_plan = FaultPlan::new(vec![FaultSpec::WorkerFail {
+            worker: 1,
+            at_iter: 5,
+        }]);
+        let r = run_threaded_training(&cfg);
+        assert_eq!(r.membership_epochs, 1, "{shards} shards: no eviction");
+        assert_eq!(
+            r.arena_allocs,
+            warm_up_buffers(&cfg),
+            "{shards} shards: a barrier after the eviction allocated a pull frame"
         );
     }
 }
