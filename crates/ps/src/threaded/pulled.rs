@@ -94,18 +94,14 @@ impl Pulled {
     ) {
         let windows = &mut self.windows[grad];
         let at = windows.partition_point(|w| w.lo < offset_elems);
-        let crc = crc32::begin();
-        let (lo, checked) = (offset_elems, 0);
-        windows.insert(
-            at,
-            Window {
-                lo,
-                data,
-                frame,
-                crc,
-                checked,
-            },
-        );
+        let window = Window {
+            lo: offset_elems,
+            data,
+            frame,
+            crc: crc32::begin(),
+            checked: 0,
+        };
+        windows.insert(at, window);
     }
 
     /// What the next pass reads its parameters from: these windows, or —
