@@ -66,16 +66,6 @@ impl GenerationModel {
         }
     }
 
-    /// No aggregation: every gradient is released the instant its backward
-    /// compute finishes. Isolates scheduling effects in tests.
-    pub fn immediate() -> Self {
-        GenerationModel {
-            flush_compute: Duration::ZERO,
-            flush_bytes: 0,
-            d2h_bps: f64::INFINITY,
-        }
-    }
-
     /// Compute the generation schedule for one backward pass.
     ///
     /// * `bwd_times[i]` — backward compute time of tensor `i` (see
@@ -167,7 +157,13 @@ mod tests {
 
     #[test]
     fn immediate_model_releases_one_by_one() {
-        let g = GenerationModel::immediate();
+        // No aggregation: every gradient is released the instant its
+        // backward compute finishes.
+        let g = GenerationModel {
+            flush_compute: Duration::ZERO,
+            flush_bytes: 0,
+            d2h_bps: f64::INFINITY,
+        };
         let times = vec![ms(1); 5];
         let bytes = vec![100u64; 5];
         let ev = g.schedule(&times, &bytes);

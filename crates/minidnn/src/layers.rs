@@ -1,11 +1,10 @@
 //! Layers with exact backpropagation.
 //!
-//! A layer's parameters reach its products through a [`RowSource`]: by
-//! default the layer's own tensors, or — through the `*_from` methods —
-//! any source that serves the same tensors, such as the threaded
-//! runtime's pulled frames. The layer keeps its own tensors either way:
-//! they give it its shape, and they are its parameters whenever no source
-//! is passed.
+//! A layer's parameters reach its products through a [`RowSource`]: the
+//! layer's own tensors when a pass is handed `None`, or any source that
+//! serves the same tensors, such as the threaded runtime's pulled frames.
+//! The layer keeps its own tensors either way: they give it its shape, and
+//! they are its parameters whenever no source is passed.
 
 use crate::tensor::{RowSource, Tensor};
 use prophet_sim::Xoshiro256StarStar;
@@ -34,25 +33,16 @@ impl GradSink for Vec<Vec<f32>> {
 /// A differentiable layer.
 pub trait Layer: Send {
     /// Forward pass on a `batch × in` activation, returning `batch × out`.
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_from(x, None)
-    }
-
-    /// [`Layer::forward`], reading the parameters from `params` — tensor
-    /// `i` of [`Layer::params`] under id `i` — or from the layer's own
-    /// tensors when `None`.
-    fn forward_from(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor;
+    /// Reads the parameters from `params` — tensor `i` of
+    /// [`Layer::params`] under id `i` — or from the layer's own tensors
+    /// when `None`.
+    fn forward(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor;
 
     /// Backward pass: gradient of the loss wrt this layer's output →
-    /// gradient wrt its input. The parameter gradients are stored into
+    /// gradient wrt its input, reading the parameters as
+    /// [`Layer::forward`] does. The parameter gradients are stored into
     /// `grads`, tensor `i` of [`Layer::params`] under id `i`.
-    fn backward(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) -> Tensor {
-        self.backward_from(grad_out, grads, None)
-    }
-
-    /// [`Layer::backward`], reading the parameters as
-    /// [`Layer::forward_from`] does.
-    fn backward_from(
+    fn backward(
         &mut self,
         grad_out: &Tensor,
         grads: &mut dyn GradSink,
@@ -63,7 +53,7 @@ pub trait Layer: Send {
     /// gradients exactly as [`Layer::backward`] does, but skip the gradient
     /// wrt the input, which nothing consumes — so no parameter is read.
     fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
-        let _ = self.backward(grad_out, grads);
+        let _ = self.backward(grad_out, grads, None);
     }
 
     /// Flattened views of this layer's parameter tensors (weights first).
@@ -102,7 +92,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward_from(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
+    fn forward(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
         assert_eq!(x.cols, self.w.rows, "dense input width mismatch");
         self.cached_x = x.clone();
         let mut own = [&self.w, &self.b];
@@ -123,7 +113,7 @@ impl Layer for Dense {
         y
     }
 
-    fn backward_from(
+    fn backward(
         &mut self,
         grad_out: &Tensor,
         grads: &mut dyn GradSink,
@@ -180,13 +170,13 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward_from(&mut self, x: &Tensor, _params: Option<&mut dyn RowSource>) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _params: Option<&mut dyn RowSource>) -> Tensor {
         self.mask = x.data.iter().map(|&v| v > 0.0).collect();
         let data = x.data.iter().map(|&v| v.max(0.0)).collect();
         Tensor::from_vec(x.rows, x.cols, data)
     }
 
-    fn backward_from(
+    fn backward(
         &mut self,
         grad_out: &Tensor,
         _grads: &mut dyn GradSink,
@@ -227,7 +217,7 @@ mod tests {
         d.w = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
         d.b = Tensor::from_vec(1, 2, vec![10., 20.]);
         let x = Tensor::from_vec(1, 2, vec![1., 1.]);
-        let y = d.forward(&x);
+        let y = d.forward(&x, None);
         assert_eq!(y.data, vec![1. + 3. + 10., 2. + 4. + 20.]);
     }
 
@@ -236,10 +226,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(2);
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Tensor::from_vec(4, 3, vec![0.5; 12]);
-        let _ = d.forward(&x);
+        let _ = d.forward(&x, None);
         let dy = Tensor::from_vec(4, 2, vec![1.0; 8]);
         let mut grads = vec![Vec::new(); 2];
-        let dx = d.backward(&dy, &mut grads);
+        let dx = d.backward(&dy, &mut grads, None);
         assert_eq!((dx.rows, dx.cols), (4, 3));
         assert_eq!(grads[0].len(), 6);
         assert_eq!(grads[1].len(), 2);
@@ -253,11 +243,11 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Tensor::from_vec(2, 3, vec![0.3, -0.1, 0.8, 0.5, 0.2, -0.7]);
         // Loss = sum of outputs; dL/dy = ones.
-        let loss = |d: &mut Dense, x: &Tensor| -> f32 { d.forward(x).data.iter().sum() };
-        let _ = d.forward(&x);
+        let loss = |d: &mut Dense, x: &Tensor| -> f32 { d.forward(x, None).data.iter().sum() };
+        let _ = d.forward(&x, None);
         let dy = Tensor::from_vec(2, 2, vec![1.0; 4]);
         let mut grads = vec![Vec::new(); 2];
-        let _ = d.backward(&dy, &mut grads);
+        let _ = d.backward(&dy, &mut grads, None);
         let analytic = &grads[0];
         let eps = 1e-3f32;
         #[allow(clippy::needless_range_loop)] // k indexes both w and analytic
@@ -281,10 +271,10 @@ mod tests {
     fn relu_masks_negative_paths() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(1, 4, vec![-1., 2., -3., 4.]);
-        let y = r.forward(&x);
+        let y = r.forward(&x, None);
         assert_eq!(y.data, vec![0., 2., 0., 4.]);
         let dy = Tensor::from_vec(1, 4, vec![10., 10., 10., 10.]);
-        let dx = r.backward(&dy, &mut Vec::new());
+        let dx = r.backward(&dy, &mut Vec::new(), None);
         assert_eq!(dx.data, vec![0., 10., 0., 10.]);
     }
 
@@ -298,9 +288,9 @@ mod tests {
         let dy = Tensor::from_vec(1, 2, vec![1., 0.25]);
         let mut passes = Vec::new();
         for _ in 0..2 {
-            let _ = d.forward(&x);
+            let _ = d.forward(&x, None);
             let mut grads = vec![Vec::new(); 2];
-            let _ = d.backward(&dy, &mut grads);
+            let _ = d.backward(&dy, &mut grads, None);
             passes.push(grads);
         }
         assert_eq!(passes[0], passes[1]);

@@ -31,5 +31,5 @@ pub use data::Dataset;
 pub use layers::{Dense, GradSink, Layer, Relu};
 pub use loss::{mse, softmax_cross_entropy};
 pub use model::{Backward, Mlp};
-pub use optim::{Adam, AdamStep, Sgd};
+pub use optim::Sgd;
 pub use tensor::{RowSource, Tensor};

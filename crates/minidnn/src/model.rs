@@ -5,9 +5,9 @@
 //! weight = gradient 0), matching the priority convention of `prophet-dnn`
 //! and the paper: gradient 0 is what the next forward pass needs first.
 //!
-//! The passes read the parameters from the model's own tensors, or — the
-//! `*_from` variants — from a [`RowSource`] that serves them under their
-//! model-wide ids.
+//! Each pass reads the parameters from the [`RowSource`] it is handed,
+//! which serves them under their model-wide ids, or from the model's own
+//! tensors when handed `None`.
 
 use crate::layers::{Dense, GradSink, Layer, Relu};
 use crate::loss::softmax_cross_entropy;
@@ -100,19 +100,14 @@ impl Mlp {
         }
     }
 
-    /// Forward pass, returning logits.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_from(x, None)
-    }
-
-    /// [`Mlp::forward`], reading the parameters from `params` (model-wide
-    /// tensor ids), or from the model's own tensors when `None`.
-    pub fn forward_from(&mut self, x: &Tensor, mut params: Option<&mut dyn RowSource>) -> Tensor {
+    /// Forward pass, returning logits. Reads the parameters from `params`
+    /// (model-wide tensor ids), or from the model's own tensors when `None`.
+    pub fn forward(&mut self, x: &Tensor, mut params: Option<&mut dyn RowSource>) -> Tensor {
         let mut act = x.clone();
         let mut first = 0;
         for layer in &mut self.layers {
             let mut src = shifted(&mut params, first);
-            act = layer.forward_from(&act, src.as_mut().map(|s| s as &mut dyn RowSource));
+            act = layer.forward(&act, src.as_mut().map(|s| s as &mut dyn RowSource));
             first += layer.params().len();
         }
         act
@@ -125,29 +120,24 @@ impl Mlp {
         let mut grads = std::mem::take(&mut self.grads);
         grads.resize_with(self.num_tensors(), Vec::new);
         grads.iter_mut().for_each(Vec::clear);
-        let (loss, mut pass) = self.forward_loss(x, labels);
-        while self.backward_step(&mut pass, &mut grads).is_some() {}
+        let (loss, mut pass) = self.forward_loss(x, labels, None);
+        while self.backward_step(&mut pass, &mut grads, None).is_some() {}
         self.grads = grads;
         loss
     }
 
-    /// Forward pass and loss: returns the mean loss and the backward pass
-    /// it opens, which [`Mlp::backward_step`] then runs one parameter
-    /// layer at a time — so a caller can ship a layer's gradients while
-    /// the layers below it are still being differentiated.
-    pub fn forward_loss(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Backward) {
-        self.forward_loss_from(x, labels, None)
-    }
-
-    /// [`Mlp::forward_loss`], reading the parameters as
-    /// [`Mlp::forward_from`] does.
-    pub fn forward_loss_from(
+    /// Forward pass and loss, reading the parameters as [`Mlp::forward`]
+    /// does: returns the mean loss and the backward pass it opens, which
+    /// [`Mlp::backward_step`] then runs one parameter layer at a time — so
+    /// a caller can ship a layer's gradients while the layers below it are
+    /// still being differentiated.
+    pub fn forward_loss(
         &mut self,
         x: &Tensor,
         labels: &[usize],
         params: Option<&mut dyn RowSource>,
     ) -> (f32, Backward) {
-        let logits = self.forward_from(x, params);
+        let logits = self.forward(x, params);
         let (loss, grad) = softmax_cross_entropy(&logits, labels);
         let pass = Backward {
             grad,
@@ -162,19 +152,11 @@ impl Mlp {
     /// into `grads` under their model-wide ids. Returns those ids — the
     /// layer's tensors, in forward order — or `None` once every layer has
     /// been stepped. [`Mlp::forward_backward`] is this loop.
+    ///
+    /// Reads the parameters as [`Mlp::forward`] does, and only those of
+    /// the layers it runs through: once it returns, nothing later in the
+    /// pass reads tensors `ids.start..` again.
     pub fn backward_step(
-        &mut self,
-        pass: &mut Backward,
-        grads: &mut dyn GradSink,
-    ) -> Option<Range<usize>> {
-        self.backward_step_from(pass, grads, None)
-    }
-
-    /// [`Mlp::backward_step`], reading the parameters as
-    /// [`Mlp::forward_from`] does. The step reads the parameters of the
-    /// layers it runs through and no others: once it returns, nothing
-    /// later in the pass reads tensors `ids.start..` again.
-    pub fn backward_step_from(
         &mut self,
         pass: &mut Backward,
         grads: &mut dyn GradSink,
@@ -195,7 +177,7 @@ impl Mlp {
             } else {
                 let mut src = shifted(&mut params, ids.start);
                 let src = src.as_mut().map(|s| s as &mut dyn RowSource);
-                pass.grad = layer.backward_from(&pass.grad, &mut sink, src);
+                pass.grad = layer.backward(&pass.grad, &mut sink, src);
             }
             if held > 0 {
                 pass.tensors = ids.start;
@@ -269,7 +251,7 @@ impl Mlp {
     /// [`f32::total_cmp`], so a diverged model whose logits are NaN still
     /// scores (its NaN rows are almost surely wrong) instead of panicking.
     pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
-        let logits = self.forward(x);
+        let logits = self.forward(x, None);
         let mut correct = 0usize;
         for (r, &label) in labels.iter().enumerate() {
             let row = logits.row(r);
@@ -304,9 +286,9 @@ mod tests {
         let mut a = Mlp::new(&[4, 8, 3], 42);
         let mut b = Mlp::new(&[4, 8, 3], 42);
         let x = Tensor::from_vec(2, 4, vec![0.1; 8]);
-        assert_eq!(a.forward(&x), b.forward(&x));
+        assert_eq!(a.forward(&x, None), b.forward(&x, None));
         let mut c = Mlp::new(&[4, 8, 3], 43);
-        assert_ne!(a.forward(&x), c.forward(&x));
+        assert_ne!(a.forward(&x, None), c.forward(&x, None));
     }
 
     #[test]
@@ -322,7 +304,7 @@ mod tests {
         };
         let x = Tensor::from_vec(2, 4, vec![0.3; 8]);
         let mut reference = Mlp::new(&[4, 8, 5, 3], 7);
-        let logits = reference.forward(&x);
+        let logits = reference.forward(&x, None);
         let (ref_loss, mut grad) = softmax_cross_entropy(&logits, &[0, 2]);
         let mut ref_grads = vec![Vec::new(); 6];
         let mut first = 6;
@@ -332,7 +314,7 @@ mod tests {
                 first,
                 sink: &mut ref_grads,
             };
-            grad = layer.backward(&grad, &mut sink);
+            grad = layer.backward(&grad, &mut sink, None);
         }
         reference.grads = ref_grads;
 
@@ -347,18 +329,20 @@ mod tests {
         );
 
         let mut stepped = Mlp::new(&[4, 8, 5, 3], 7);
-        let (step_loss, mut pass) = stepped.forward_loss(&x, &[0, 2]);
+        let (step_loss, mut pass) = stepped.forward_loss(&x, &[0, 2], None);
         let mut released = Vec::new();
         let mut grads = vec![Vec::new(); 6];
         while let Some(next) = stepped.next_tensors(&pass) {
-            let ids = stepped.backward_step(&mut pass, &mut grads).unwrap();
+            let ids = stepped.backward_step(&mut pass, &mut grads, None).unwrap();
             assert_eq!(ids, next, "next_tensors named another step");
             released.push(ids);
         }
         stepped.grads = grads;
         assert_eq!(released, vec![4..6, 2..4, 0..2]);
         assert!(
-            stepped.backward_step(&mut pass, &mut Vec::new()).is_none(),
+            stepped
+                .backward_step(&mut pass, &mut Vec::new(), None)
+                .is_none(),
             "a spent pass stays spent"
         );
         assert_eq!(step_loss.to_bits(), ref_loss.to_bits());
@@ -402,7 +386,7 @@ mod tests {
         for id in 0..other.num_tensors() {
             other.param_slice_mut(id).fill(0.0);
         }
-        let (loss, mut pass) = other.forward_loss_from(&x, &labels, Some(&mut src));
+        let (loss, mut pass) = other.forward_loss(&x, &labels, Some(&mut src));
         let forward: Vec<_> = std::mem::take(&mut src.asked);
         let rows = [4, 1, 8, 1, 5, 1];
         let want: Vec<_> = (0..6)
@@ -411,7 +395,7 @@ mod tests {
         assert_eq!(forward, want, "the forward reads every row once, in order");
         let mut grads = vec![Vec::new(); 6];
         let mut read = Vec::new();
-        while let Some(ids) = other.backward_step_from(&mut pass, &mut grads, Some(&mut src)) {
+        while let Some(ids) = other.backward_step(&mut pass, &mut grads, Some(&mut src)) {
             let asked = std::mem::take(&mut src.asked);
             assert!(
                 asked.iter().all(|&(t, _)| ids.contains(&t)),
@@ -460,11 +444,11 @@ mod tests {
             let mut bump = m.param_slices()[0].to_vec();
             bump[k] = orig + eps;
             m.set_param(0, &bump);
-            let logits = m.forward(&x);
+            let logits = m.forward(&x, None);
             let (up, _) = softmax_cross_entropy(&logits, &labels);
             bump[k] = orig - eps;
             m.set_param(0, &bump);
-            let logits = m.forward(&x);
+            let logits = m.forward(&x, None);
             let (down, _) = softmax_cross_entropy(&logits, &labels);
             bump[k] = orig;
             m.set_param(0, &bump);
@@ -494,7 +478,7 @@ mod tests {
         m.set_param(3, &[f32::NAN, 0.0, 0.0]);
         let x = Tensor::from_vec(6, 4, vec![0.5; 24]);
         let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
-        assert!(m.forward(&x).row(0)[0].is_nan());
+        assert!(m.forward(&x, None).row(0)[0].is_nan());
         let acc = m.accuracy(&x, &labels);
         assert!((0.0..=1.0).contains(&acc), "accuracy {acc}");
     }

@@ -141,10 +141,10 @@ fn gradcheck_through_loss_composition() {
         let orig = p[k];
         p[k] = orig + eps;
         m.set_param(last, &p);
-        let (up, _) = softmax_cross_entropy(&m.forward(&x), &labels);
+        let (up, _) = softmax_cross_entropy(&m.forward(&x, None), &labels);
         p[k] = orig - eps;
         m.set_param(last, &p);
-        let (down, _) = softmax_cross_entropy(&m.forward(&x), &labels);
+        let (down, _) = softmax_cross_entropy(&m.forward(&x, None), &labels);
         p[k] = orig;
         m.set_param(last, &p);
         let numeric = (up - down) / (2.0 * eps);

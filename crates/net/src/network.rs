@@ -109,7 +109,6 @@ struct FlowState {
     dst: NodeId,
     total: f64,
     phase: Phase,
-    started: SimTime,
     tag: u64,
 }
 
@@ -439,7 +438,6 @@ impl Network {
             dst,
             total: bytes as f64,
             phase,
-            started: now,
             tag,
         };
         if let Some(t) = transition_time(&flow) {
@@ -1114,15 +1112,6 @@ impl Network {
         Some(self.pace[slot].rate)
     }
 
-    /// Time the flow was started (testing/diagnostics).
-    pub fn flow_started(&self, id: FlowId) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|f| f.id == id)
-            .map(|f| f.started)
-    }
-
     /// Run the network by itself until all flows complete, returning every
     /// completion. Only meaningful when the caller has no events of its own
     /// (tests, closed-form validation).
@@ -1340,7 +1329,6 @@ mod tests {
         let mut net = ideal_net(2, 1000.0);
         let id = net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 10_000, 0);
         assert!((net.flow_rate(id).unwrap() - 1000.0).abs() < 1e-9);
-        assert_eq!(net.flow_started(id), Some(SimTime::ZERO));
         net.run_to_completion();
         assert_eq!(net.flow_rate(id), None);
     }

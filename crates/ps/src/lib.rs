@@ -32,4 +32,4 @@ pub use chaos::{
     run_sim_checked, OracleBudget, PlanVerdict,
 };
 pub use sim::{run_cluster, ClusterConfig, ElasticStats, GradTransferLog, RunResult, SyncMode};
-pub use threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, ThreadedResult};
+pub use threaded::{run_threaded_training, ThreadedConfig, ThreadedResult};

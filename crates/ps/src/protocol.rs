@@ -423,6 +423,12 @@ pub struct Fallback {
     pub bytes: u64,
 }
 
+/// Snapshot generations both engines retain per shard (simulator) or per
+/// part (threaded durable store): the GC horizon a [`GenChain`] trims to.
+/// A `CheckpointCorrupt` fault can poison the newest generation, so a
+/// restore may fall back one generation past it.
+pub const CHECKPOINT_RETENTION: usize = 2;
+
 /// One tensor's (or shard's) retained snapshot generations, oldest first.
 /// Never empty: it starts from the initial model, and GC never collects
 /// the only intact generation.

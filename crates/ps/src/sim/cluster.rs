@@ -16,6 +16,7 @@ use super::config::{ClusterConfig, SyncMode};
 use super::metrics::{ClusterStats, ElasticStats, FaultStats, RunResult};
 use crate::protocol::{
     Arrival, Barriers, CheckpointSchedule, GenChain, Generation, Membership, Windows, Worker,
+    CHECKPOINT_RETENTION,
 };
 use prophet_core::{CommScheduler, Dir, TransferTask, Transport};
 use prophet_net::{
@@ -562,9 +563,7 @@ impl Cluster {
         let ckpt_gens = owned_bytes(&owner, &sizes, shards)
             .into_iter()
             .take(armed_shards)
-            .map(|snap_bytes| {
-                GenChain::new(SimGen::new(snap_bytes, false), cfg.checkpoint_retention)
-            })
+            .map(|snap_bytes| GenChain::new(SimGen::new(snap_bytes, false), CHECKPOINT_RETENTION))
             .collect();
         let ckpt_sched = (0..armed_shards)
             .map(|s| CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period))

@@ -105,13 +105,6 @@ pub struct ClusterConfig {
     /// empty-plan runs bit-identical to pre-elastic builds
     /// ([`crate::protocol::CheckpointSchedule`]).
     pub checkpoint_period: u64,
-    /// Verified checkpoint generations to retain per shard (the durable
-    /// store's GC horizon). A `CheckpointCorrupt` fault can poison the
-    /// newest snapshot, so restores fall back to older generations; GC
-    /// keeps the last `checkpoint_retention` of them — never collecting
-    /// the only intact one — and collects the rest
-    /// ([`crate::protocol::GenChain`]). Must be ≥ 1.
-    pub checkpoint_retention: usize,
 }
 
 impl ClusterConfig {
@@ -145,7 +138,6 @@ impl ClusterConfig {
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
             checkpoint_period: 4,
-            checkpoint_retention: 2,
         }
     }
 
@@ -230,10 +222,6 @@ impl ClusterConfig {
             "fault injection requires BSP synchronisation"
         );
         assert!(self.checkpoint_period >= 1, "checkpoint period must be ≥ 1");
-        assert!(
-            self.checkpoint_retention >= 1,
-            "checkpoint retention must be ≥ 1"
-        );
     }
 
     /// Compute-speed multiplier of worker `w` (1.0 unless overridden).

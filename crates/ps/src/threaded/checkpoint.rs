@@ -1,18 +1,18 @@
 //! The durable checkpoint/ledger store behind permanent shard failure.
 //!
-//! The threaded PS treats parameters and optimiser state as shard-thread
-//! RAM; surviving a *permanent* shard death therefore needs state that
-//! outlives the thread. [`DurableStore`] models the paper repro's durable
-//! tier: per-part **epoch-stamped snapshot generations** plus a **byte
-//! ledger** of every mean gradient applied since the oldest retained
-//! snapshot (a part is the extent of a tensor one shard owns, the unit a
-//! dead shard's state re-homes in). Restoring a part is `clone(newest
-//! intact snapshot) + replay(ledger)` — the replay performs the exact same
-//! `f32` optimiser steps the dead shard performed live, in the same order,
-//! so the adopted state is **bit-identical** to the state the shard would
-//! have held had it never died. That identity is what makes the
-//! deterministic recovery contract (chaos oracle 4) hold on the threaded
-//! runtime, and it is pinned by the property test below.
+//! The threaded PS treats parameters and optimiser state (each part's SGD
+//! velocity) as shard-thread RAM; surviving a *permanent* shard death
+//! therefore needs state that outlives the thread. [`DurableStore`] models
+//! the paper repro's durable tier: per-part **epoch-stamped snapshot
+//! generations** plus a **byte ledger** of every mean gradient applied
+//! since the oldest retained snapshot (a part is the extent of a tensor
+//! one shard owns, the unit a dead shard's state re-homes in). Restoring a
+//! part is `clone(newest intact snapshot) + replay(ledger)` — the replay
+//! performs the exact same `f32` SGD steps the dead shard performed live,
+//! in the same order, so the adopted state is **bit-identical** to the
+//! state the shard would have held had it never died. That identity is
+//! what makes the deterministic recovery contract (chaos oracle 4) hold on
+//! the threaded runtime, and it is pinned by the property test below.
 //!
 //! Everything durable is **verified**: each snapshot generation stores a
 //! CRC32 of its parameters and each ledger entry stores a CRC32 of its
@@ -21,86 +21,21 @@
 //! [`DurableStore::restore`] detects the damage (recomputed CRC disagrees)
 //! and *falls back* to the next-older generation, paying a longer ledger
 //! replay instead of serving poison. Retention GC and the fallback walk are
-//! [`GenChain`]'s — the one rule the simulator's byte-cost model runs too —
-//! with this store's CRC scrub as the intactness test.
+//! [`GenChain`]'s — the one rule the simulator's byte-cost model runs too,
+//! at the same [`CHECKPOINT_RETENTION`] — with this store's CRC scrub as
+//! the intactness test.
 //!
 //! The store is dormant (zero allocation, zero locking on the hot path)
 //! unless the fault plan actually kills a shard — mirroring the simulator,
 //! whose checkpoint machinery only arms under `FaultPlan::has_shard_fail`.
+//!
+//! [`CHECKPOINT_RETENTION`]: crate::protocol::CHECKPOINT_RETENTION
 
-use super::runtime::PsOptimizer;
+use super::runtime::PS_MOMENTUM;
 use super::wire::crc32;
 use crate::protocol::{GenChain, Generation};
-use prophet_minidnn::{Adam, AdamStep, Sgd};
+use prophet_minidnn::Sgd;
 use std::sync::Mutex;
-
-/// Per-part optimiser state. One instance per part (always stepped as id
-/// 0) is bit-identical to one instance per tensor: `Sgd` velocity and
-/// `Adam` moments are per element, and every part of a tensor takes one
-/// update per barrier, so the parts' Adam timesteps advance in lockstep.
-/// It is what lets a part's optimiser state travel to an adopting shard.
-#[derive(Clone)]
-pub(crate) enum OptState {
-    /// SGD with classical momentum.
-    Sgd(Sgd),
-    /// Adam with canonical defaults.
-    Adam(Adam),
-}
-
-impl OptState {
-    /// Zero-state optimiser for one part of `elems` parameters.
-    pub(crate) fn fresh(cfg: PsOptimizer, lr: f32, elems: usize) -> Self {
-        match cfg {
-            PsOptimizer::Sgd { momentum } => OptState::Sgd(Sgd::new(lr, momentum, &[elems])),
-            PsOptimizer::Adam => OptState::Adam(Adam::new(lr, &[elems])),
-        }
-    }
-
-    /// Per-parameter state vectors a step reads and writes: SGD's
-    /// velocity (none without momentum), Adam's two moments.
-    pub(crate) fn state_vectors(&self) -> u64 {
-        match self {
-            OptState::Sgd(o) => u64::from(o.momentum != 0.0),
-            OptState::Adam(_) => 2,
-        }
-    }
-
-    /// Apply one mean gradient to `params` in place.
-    pub(crate) fn step(&mut self, params: &mut [f32], grad: &[f32]) {
-        let u = self.begin();
-        self.step_block(u, 0, params, grad);
-    }
-
-    /// Open one update: Adam's timestep and bias corrections advance here,
-    /// once per update, however many blocks [`OptState::step_block`] then
-    /// applies it in.
-    pub(crate) fn begin(&mut self) -> Update {
-        match self {
-            OptState::Sgd(_) => Update(None),
-            OptState::Adam(o) => Update(Some(o.begin_step(0))),
-        }
-    }
-
-    /// Apply update `u` to the elements from `offset` on: `params` and
-    /// `grad` are that block of the part and its mean gradient.
-    pub(crate) fn step_block(
-        &mut self,
-        u: Update,
-        offset: usize,
-        params: &mut [f32],
-        grad: &[f32],
-    ) {
-        match (self, u.0) {
-            (OptState::Sgd(o), _) => o.step_slice(0, offset, params, grad),
-            (OptState::Adam(o), Some(s)) => o.step_slice(0, s, offset, params, grad),
-            (OptState::Adam(_), None) => unreachable!("an Adam block stepped outside its update"),
-        }
-    }
-}
-
-/// One optimiser update in progress ([`OptState::begin`]).
-#[derive(Clone, Copy)]
-pub(crate) struct Update(Option<AdamStep>);
 
 /// Stream `values`' canonical little-endian encoding through a CRC32
 /// state. Goes through a fixed stack block so the byte conversion
@@ -158,7 +93,7 @@ impl DurableCopy {
 /// ledger segment of updates applied since.
 struct Snapshot {
     params: Vec<f32>,
-    opt: OptState,
+    opt: Sgd,
     /// Iteration the snapshot covers through (`None` = the initial,
     /// pre-iteration-0 model).
     upto: Option<u64>,
@@ -190,7 +125,7 @@ pub(crate) struct Restored {
     /// The rebuilt parameter vector, bit-identical to the live one.
     pub params: Vec<f32>,
     /// The rebuilt optimiser state.
-    pub opt: OptState,
+    pub opt: Sgd,
     /// Last iteration the rebuilt state reflects (`None` = initial model).
     pub upto: Option<u64>,
     /// Bytes read back: every snapshot examined (intact or not) plus every
@@ -218,21 +153,17 @@ impl DurableStore {
     /// A store seeded with the initial model (the implicit iteration-0
     /// checkpoint every run starts from). `init` is the full model, one
     /// vector per part in part-id order; dormant stores record nothing.
-    /// `retention` bounds how many generations GC keeps per part.
-    pub(crate) fn new(
-        armed: bool,
-        init: &[Vec<f32>],
-        opt_cfg: PsOptimizer,
-        lr: f32,
-        retention: usize,
-    ) -> Self {
+    /// `retention` bounds how many generations GC keeps per part: a run
+    /// passes [`crate::protocol::CHECKPOINT_RETENTION`]; the tests below
+    /// sweep it.
+    pub(crate) fn new(armed: bool, init: &[Vec<f32>], lr: f32, retention: usize) -> Self {
         let init = if armed { init } else { &[] };
         let slots = init
             .iter()
             .map(|p| {
                 let initial = Snapshot {
                     params: p.clone(),
-                    opt: OptState::fresh(opt_cfg, lr, p.len()),
+                    opt: Sgd::new(lr, PS_MOMENTUM, &[p.len()]),
                     upto: None,
                     crc: params_crc(p),
                     ledger: Vec::new(),
@@ -282,7 +213,7 @@ impl DurableStore {
         p: usize,
         iter: u64,
         params: DurableCopy,
-        opt: &OptState,
+        opt: &Sgd,
         poison: bool,
     ) {
         if !self.armed() {
@@ -318,7 +249,7 @@ impl DurableStore {
                 *crc,
                 "corrupt ledger entry for part {p} at iteration {iter}"
             );
-            opt.step(&mut params, mean);
+            opt.step(0, &mut params, mean);
             upto = Some(*iter);
         }
         Restored {
@@ -348,13 +279,13 @@ mod tests {
     /// state against the live one — params bit-exact, and still bit-exact
     /// after one *further* step (which catches optimiser-state divergence
     /// that identical params alone would hide).
-    fn roundtrip(opt_cfg: PsOptimizer, elems: usize, grads: &[Vec<f32>], ckpt_after: usize) {
+    fn roundtrip(elems: usize, grads: &[Vec<f32>], ckpt_after: usize) {
         let init = vec![vec![0.25f32; elems]];
-        let store = DurableStore::new(true, &init, opt_cfg, 0.1, 2);
+        let store = DurableStore::new(true, &init, 0.1, 2);
         let mut live_p = init[0].clone();
-        let mut live_o = OptState::fresh(opt_cfg, 0.1, elems);
+        let mut live_o = Sgd::new(0.1, PS_MOMENTUM, &[elems]);
         for (i, g) in grads.iter().enumerate() {
-            live_o.step(&mut live_p, g);
+            live_o.step(0, &mut live_p, g);
             store.note_update(0, i as u64, copy(g));
             if i + 1 == ckpt_after {
                 store.checkpoint(0, i as u64, copy(&live_p), &live_o, false);
@@ -375,8 +306,8 @@ mod tests {
             "restored params diverged"
         );
         let probe = vec![0.5f32; elems];
-        ro.step(&mut rp, &probe);
-        live_o.step(&mut live_p, &probe);
+        ro.step(0, &mut rp, &probe);
+        live_o.step(0, &mut live_p, &probe);
         assert_eq!(
             rp.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             live_p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -406,54 +337,34 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            for opt in [PsOptimizer::Sgd { momentum: 0.9 }, PsOptimizer::Adam] {
-                roundtrip(opt, elems, &grads, ckpt_after);
-            }
+            roundtrip(elems, &grads, ckpt_after);
         }
     }
 
     #[test]
     fn dormant_store_records_nothing_and_costs_nothing() {
-        let store = DurableStore::new(
-            false,
-            &[vec![1.0f32; 4]],
-            PsOptimizer::Sgd { momentum: 0.0 },
-            0.1,
-            2,
-        );
+        let store = DurableStore::new(false, &[vec![1.0f32; 4]], 0.1, 2);
         assert!(!store.armed());
         assert!(store.slots.is_empty());
         store.note_update(0, 0, copy(&[1.0; 4])); // no-op, must not panic
-        store.checkpoint(
-            0,
-            0,
-            copy(&[1.0; 4]),
-            &OptState::fresh(PsOptimizer::Adam, 0.1, 4),
-            false,
-        );
+        store.checkpoint(0, 0, copy(&[1.0; 4]), &Sgd::new(0.1, 0.0, &[4]), false);
     }
 
     #[test]
     #[should_panic(expected = "restore from a dormant store")]
     fn dormant_restore_panics() {
-        let store = DurableStore::new(
-            false,
-            &[vec![1.0f32; 4]],
-            PsOptimizer::Sgd { momentum: 0.0 },
-            0.1,
-            2,
-        );
+        let store = DurableStore::new(false, &[vec![1.0f32; 4]], 0.1, 2);
         let _ = store.restore(0);
     }
 
     #[test]
     fn checkpoint_truncates_the_ledger() {
-        let store = DurableStore::new(true, &[vec![0.0f32; 2]], PsOptimizer::Adam, 0.05, 2);
+        let store = DurableStore::new(true, &[vec![0.0f32; 2]], 0.05, 2);
         let mut p = vec![0.0f32; 2];
-        let mut o = OptState::fresh(PsOptimizer::Adam, 0.05, 2);
+        let mut o = Sgd::new(0.05, PS_MOMENTUM, &[2]);
         for i in 0..4u64 {
             let g = vec![1.0f32 + i as f32; 2];
-            o.step(&mut p, &g);
+            o.step(0, &mut p, &g);
             store.note_update(0, i, copy(&g));
         }
         store.checkpoint(0, 3, copy(&p), &o, false);
@@ -472,12 +383,12 @@ mod tests {
     #[test]
     fn restore_falls_back_past_a_corrupted_snapshot() {
         let elems = 3;
-        let store = DurableStore::new(true, &[vec![0.5f32; elems]], PsOptimizer::Adam, 0.1, 3);
+        let store = DurableStore::new(true, &[vec![0.5f32; elems]], 0.1, 3);
         let mut p = vec![0.5f32; elems];
-        let mut o = OptState::fresh(PsOptimizer::Adam, 0.1, elems);
+        let mut o = Sgd::new(0.1, PS_MOMENTUM, &[elems]);
         for i in 0..6u64 {
             let g = vec![0.25f32 * (i as f32 + 1.0); elems];
-            o.step(&mut p, &g);
+            o.step(0, &mut p, &g);
             store.note_update(0, i, copy(&g));
             if i == 1 {
                 store.checkpoint(0, i, copy(&p), &o, false);
@@ -504,12 +415,12 @@ mod tests {
     /// later clean checkpoint finally displaces it.
     #[test]
     fn gc_never_collects_the_only_intact_generation() {
-        let store = DurableStore::new(true, &[vec![1.0f32; 2]], PsOptimizer::Adam, 0.1, 1);
+        let store = DurableStore::new(true, &[vec![1.0f32; 2]], 0.1, 1);
         let mut p = vec![1.0f32; 2];
-        let mut o = OptState::fresh(PsOptimizer::Adam, 0.1, 2);
+        let mut o = Sgd::new(0.1, PS_MOMENTUM, &[2]);
         for i in 0..4u64 {
             let g = vec![0.5f32; 2];
-            o.step(&mut p, &g);
+            o.step(0, &mut p, &g);
             store.note_update(0, i, copy(&g));
             store.checkpoint(0, i, copy(&p), &o, true); // always poisoned
         }

@@ -16,15 +16,16 @@
 //! Within a block the workers fold in fixed index order, so each element
 //! sums in exactly the worker order a tensor-at-a-time fold uses, then
 //! scales, then steps: bit-identical, signed zeros and NaN payloads
-//! included, for whole and sliced payloads, SGD and Adam alike. Each
+//! included, for whole and sliced payloads, with momentum or without. Each
 //! payload's CRC streams through the same traversal; under a corruption
 //! plan the receive-time check has already turned damaged frames away, so
 //! a mismatch here is genuine memory corruption in every mode.
 
-use super::checkpoint::{DurableCopy, OptState};
+use super::checkpoint::DurableCopy;
 use super::runtime::ShardPhases;
 use super::wire::{crc32, fused_crc_accumulate, FrameWriter};
 use bytes::{Bytes, BytesMut};
+use prophet_minidnn::Sgd;
 use std::time::Instant;
 
 /// Elements per block: `FUSE_BLOCK / 4` bytes' worth, so each full block of
@@ -47,7 +48,8 @@ pub(super) struct Barrier<'a> {
     /// The mean's scale: one over the iteration's member count.
     pub inv: f32,
     pub params: &'a mut [f32],
-    pub opt: &'a mut OptState,
+    /// The part's optimiser, stepped as tensor 0.
+    pub opt: &'a mut Sgd,
     /// The armed durable ledger entry: receives the mean gradient.
     pub mean: Option<&'a mut DurableCopy>,
     /// A due checkpoint's snapshot: receives the stepped parameters.
@@ -101,7 +103,6 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
     }
 
     let mut acc = [0.0f32; BLOCK_ELEMS];
-    let update = b.opt.begin();
     let mut frame = FrameWriter::new();
     let mut t = Instant::now();
     let mut bo = 0;
@@ -122,7 +123,7 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
         let t_opt = Instant::now();
         phases.accumulate_ns += t_opt.duration_since(t).as_nanos() as u64;
         let params = &mut b.params[bo..be];
-        b.opt.step_block(update, bo, params, acc);
+        b.opt.step_slice(0, bo, params, acc);
         if let Some(mean) = b.mean.as_deref_mut() {
             mean.extend(acc);
         }
@@ -149,14 +150,15 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
     drop(streams);
     b.staged.iter_mut().for_each(Vec::clear);
     let bytes = n as u64 * 4;
-    phases.optimizer_bytes += 2 * bytes * (1 + b.opt.state_vectors());
+    // SGD with momentum reads and writes the parameters and the velocity.
+    phases.optimizer_bytes += 4 * bytes;
     phases.encode_bytes += bytes;
     crc
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::runtime::PsOptimizer;
+    use super::super::runtime::PS_MOMENTUM;
     use super::super::wire::{accumulate_f32_le, encode_f32, encode_f32_into_crc, FrameHeader};
     use super::*;
     use prophet_sim::Xoshiro256StarStar;
@@ -164,17 +166,6 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|f| f.to_bits()).collect()
-    }
-
-    /// Optimiser state as bits: SGD's velocity, Adam's two moments.
-    fn state_bits(o: &OptState) -> Vec<Vec<u32>> {
-        match o {
-            OptState::Sgd(s) => vec![bits(s.velocity(0))],
-            OptState::Adam(a) => {
-                let (m, v) = a.moments(0);
-                vec![bits(m), bits(v)]
-            }
-        }
     }
 
     /// The multi-pass sequence the barrier pass replaced: zero the
@@ -186,7 +177,7 @@ mod tests {
         staged: &[Vec<StagedSlice>],
         inv: f32,
         params: &mut [f32],
-        opt: &mut OptState,
+        opt: &mut Sgd,
     ) -> (BytesMut, u32, (Vec<f32>, u32), (Vec<f32>, u32)) {
         let mut acc = vec![0.0f32; params.len()];
         for slices in staged {
@@ -197,7 +188,7 @@ mod tests {
         for a in acc.iter_mut() {
             *a *= inv;
         }
-        opt.step(params, &acc);
+        opt.step(0, params, &acc);
         let copy = |values: &[f32]| {
             let mut c = DurableCopy::with_capacity(values.len());
             c.extend(values);
@@ -238,27 +229,23 @@ mod tests {
 
     proptest! {
         /// The barrier pass ≡ the multi-pass sequence, over three
-        /// consecutive barriers (so Adam's timestep and SGD's velocity
-        /// carry): parameters, optimiser state, pull wire bytes and CRC,
-        /// and the armed ledger entry and snapshot, bit for bit.
+        /// consecutive barriers (so the velocity carries): parameters,
+        /// optimiser state, pull wire bytes and CRC, and the armed ledger
+        /// entry and snapshot, bit for bit.
         #[test]
         fn barrier_pass_equals_the_multi_pass_sequence(
             n in 1usize..7000,
             workers in 1usize..6,
             sliced in 0u8..2,
-            which in 0u8..3,
+            plain in 0u8..2,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Xoshiro256StarStar::new(seed);
-            let cfg = match which {
-                0 => PsOptimizer::Sgd { momentum: 0.9 },
-                1 => PsOptimizer::Sgd { momentum: 0.0 },
-                _ => PsOptimizer::Adam,
-            };
+            let momentum = if plain == 1 { 0.0 } else { PS_MOMENTUM };
             let init = values(&mut rng, n);
             let (mut p_pass, mut p_ref) = (init.clone(), init);
-            let mut o_pass = OptState::fresh(cfg, 0.05, n);
-            let mut o_ref = OptState::fresh(cfg, 0.05, n);
+            let mut o_pass = Sgd::new(0.05, momentum, &[n]);
+            let mut o_ref = Sgd::new(0.05, momentum, &[n]);
             let inv = 1.0 / workers as f32;
             for _ in 0..3 {
                 let mut staged: Vec<Vec<StagedSlice>> = (0..workers)
@@ -294,7 +281,7 @@ mod tests {
                 );
                 prop_assert!(staged.iter().all(Vec::is_empty), "staged slices not drained");
                 prop_assert_eq!(bits(&p_pass), bits(&p_ref));
-                prop_assert_eq!(state_bits(&o_pass), state_bits(&o_ref));
+                prop_assert_eq!(bits(o_pass.velocity(0)), bits(o_ref.velocity(0)));
                 prop_assert_eq!(&pull[..], &want_pull[..]);
                 prop_assert_eq!(crc, want_crc);
                 let (mean, mean_crc) = mean.finish();
@@ -320,7 +307,7 @@ mod tests {
                 staged: &mut staged,
                 inv: 1.0,
                 params: &mut params,
-                opt: &mut OptState::fresh(PsOptimizer::Sgd { momentum: 0.0 }, 0.1, 4096),
+                opt: &mut Sgd::new(0.1, 0.0, &[4096]),
                 mean: None,
                 snapshot: None,
                 pull: &mut BytesMut::new(),

@@ -32,6 +32,6 @@ pub mod wire;
 mod worker;
 
 pub use runtime::{
-    run_threaded_training, PsOptimizer, ShardPhases, ThreadedConfig, ThreadedResult, WorkerPhases,
-    DATASET_NOISE,
+    run_threaded_training, ShardPhases, ThreadedConfig, ThreadedResult, WorkerPhases,
+    DATASET_NOISE, PS_MOMENTUM,
 };

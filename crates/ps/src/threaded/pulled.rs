@@ -254,7 +254,7 @@ mod tests {
             pulled.land(g, 0, data, frame);
         }
         let x = Tensor::from_vec(1, 4, vec![0.5, -1.0, 0.25, 2.0]);
-        model.forward_from(&x, pulled.source());
+        model.forward(&x, pulled.source());
     }
 
     /// The windows serve exactly the model's own answer.
@@ -262,7 +262,7 @@ mod tests {
     fn a_forward_on_windows_equals_the_forward_on_own_tensors() {
         let mut model = Mlp::new(&[5, 7, 3], 9);
         let x = Tensor::from_vec(2, 5, (0..10).map(|i| (i as f32).sin()).collect());
-        let own = model.forward(&x);
+        let own = model.forward(&x, None);
         let mut pulled = Pulled::new(4);
         let tensors: Vec<Vec<f32>> = model.param_slices().iter().map(|t| t.to_vec()).collect();
         for (g, t) in tensors.iter().enumerate() {
@@ -272,7 +272,7 @@ mod tests {
                 pulled.land(g, lo, data, frame);
             }
         }
-        let from = model.forward_from(&x, pulled.source());
+        let from = model.forward(&x, pulled.source());
         let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&from), bits(&own));
         assert!(pulled.assembled_bytes > 0);

@@ -102,7 +102,7 @@ use super::checkpoint::DurableStore;
 use super::shard::ShardMachine;
 use super::wire::{ToPs, ToWorker};
 use super::worker::WorkerMachine;
-use crate::protocol::{Membership, Windows};
+use crate::protocol::{Membership, Windows, CHECKPOINT_RETENTION};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prophet_core::shard::Part;
 use prophet_core::{SchedulerKind, ShardMap};
@@ -115,22 +115,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
-/// Which optimiser the PS runs (each shard owns the optimiser state for
-/// its parts, like MXNet's KVStore).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PsOptimizer {
-    /// SGD with classical momentum.
-    Sgd {
-        /// Momentum coefficient μ (0 = plain SGD).
-        momentum: f32,
-    },
-    /// Adam with canonical β/ε defaults.
-    Adam,
-}
-
 /// Std-dev of the Gaussian blobs ([`Dataset::blobs`]) every threaded run
 /// trains on.
 pub const DATASET_NOISE: f64 = 0.8;
+
+/// Momentum coefficient μ of the SGD every shard runs on its parts (the
+/// optimiser lives on the PS, like MXNet's KVStore optimiser).
+pub const PS_MOMENTUM: f32 = 0.9;
 
 /// Configuration of a threaded training run.
 #[derive(Clone)]
@@ -156,8 +147,6 @@ pub struct ThreadedConfig {
     pub iterations: u64,
     /// Learning rate.
     pub lr: f32,
-    /// PS-side optimiser (lives on the PS, like MXNet's KVStore optimiser).
-    pub optimizer: PsOptimizer,
     /// The communication strategy each worker runs.
     pub scheduler: SchedulerKind,
     /// Emulated per-worker link bandwidth, bytes/sec (`None` = unlimited).
@@ -182,12 +171,6 @@ pub struct ThreadedConfig {
     /// Only consulted when the fault plan kills a shard permanently (the
     /// store stays dormant otherwise — see [`FaultPlan::has_shard_fail`]).
     pub checkpoint_period: u64,
-    /// Verified snapshot generations the durable store retains per part
-    /// (its GC horizon). A `CheckpointCorrupt` fault can poison the newest
-    /// generation, so restores fall back to older ones; GC keeps the last
-    /// `checkpoint_retention` — never collecting the only intact one — and
-    /// collects the rest ([`crate::protocol::GenChain`]). Must be ≥ 1.
-    pub checkpoint_retention: usize,
 }
 
 impl ThreadedConfig {
@@ -202,14 +185,12 @@ impl ThreadedConfig {
             global_batch: 64,
             iterations: 20,
             lr: 0.1,
-            optimizer: PsOptimizer::Sgd { momentum: 0.9 },
             scheduler,
             link_bps: None,
             check_invariants: true,
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
             checkpoint_period: 4,
-            checkpoint_retention: 2,
         }
     }
 }
@@ -750,10 +731,6 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     assert!(cfg.global_batch >= 1, "global batch must be >= 1");
     assert!(cfg.checkpoint_period >= 1, "checkpoint period must be >= 1");
     assert!(
-        cfg.checkpoint_retention >= 1,
-        "checkpoint retention must be >= 1"
-    );
-    assert!(
         cfg.global_batch.is_multiple_of(cfg.workers),
         "global batch {} not divisible by {} workers",
         cfg.global_batch,
@@ -792,13 +769,7 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
     } else {
         Vec::new()
     };
-    let store = DurableStore::new(
-        armed,
-        &store_init,
-        cfg.optimizer,
-        cfg.lr,
-        cfg.checkpoint_retention,
-    );
+    let store = DurableStore::new(armed, &store_init, cfg.lr, CHECKPOINT_RETENTION);
     let run = Arc::new(Run {
         cfg: cfg.clone(),
         dataset,
@@ -1161,7 +1132,7 @@ mod tests {
                 })
                 .collect();
             let dy = Tensor::from_vec(rows, output, dy);
-            let _ = layer.forward(&x);
+            let _ = layer.forward(&x, None);
             let mut dw = Tensor::zeros(input, output);
             x.t_matmul_acc(&dy, &mut dw);
             let mut db = Tensor::zeros(1, output);
@@ -1175,7 +1146,7 @@ mod tests {
                 let windows = Arc::new(Windows::default());
                 let mut up = Uplink::new(0, &cfg, windows, &map, &elems);
                 let mut frame = up.frame(&map, 0, want.len());
-                let _ = layer.backward(&dy, &mut frame);
+                let _ = layer.backward(&dy, &mut frame, None);
                 frame.seal();
                 let what = format!("batch {rows}, {input} x {output}, {shards} shards");
                 assert_eq!(&up.bufs[0].as_ref().unwrap()[..], &want[..], "{what}");

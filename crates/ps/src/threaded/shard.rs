@@ -2,10 +2,10 @@
 //! wake-up at a time, with the instant it is handed, and answers what its
 //! serve loop does next ([`Next`]).
 
-use super::checkpoint::{DurableCopy, OptState};
+use super::checkpoint::DurableCopy;
 use super::fold::{self, StagedSlice};
 use super::pool::ArenaPool;
-use super::runtime::{Next, Run, ShardPhases, ThreadLog, ThreadedResult, TimedEvent};
+use super::runtime::{Next, Run, ShardPhases, ThreadLog, ThreadedResult, TimedEvent, PS_MOMENTUM};
 use super::transport::CorruptInjector;
 use super::wire::{
     acks_checksum, check_push, encode_f32_into_crc, FrameHeader, PushCheck, ToPs, ToWorker,
@@ -13,7 +13,7 @@ use super::wire::{
 use crate::protocol::{Arrival, Barriers, CheckpointSchedule, Slice, Window};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
-use prophet_minidnn::Mlp;
+use prophet_minidnn::{Mlp, Sgd};
 use prophet_sim::{FaultKind, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,9 +46,11 @@ struct Local {
     /// for an initial member).
     adopted_from: usize,
     /// Parameters and optimiser state: empty and `None` until an adopted
-    /// part is restored.
+    /// part is restored. The part's own `Sgd` (stepped as tensor 0) is
+    /// bit-identical to one per tensor, its velocity being per element,
+    /// and it travels with the part to an adopting shard.
     params: Vec<f32>,
-    opt: Option<OptState>,
+    opt: Option<Sgd>,
     /// The payload slices behind its open barrier, per worker, offsets
     /// relative to the part. BSP admits one open barrier per part at a
     /// time.
@@ -169,7 +171,7 @@ impl ShardMachine {
                     } else {
                         Vec::new()
                     },
-                    opt: initial.then(|| OptState::fresh(cfg.optimizer, cfg.lr, hi - lo)),
+                    opt: initial.then(|| Sgd::new(cfg.lr, PS_MOMENTUM, &[hi - lo])),
                     staged: vec![Vec::new(); workers],
                     pull: PullCache::default(),
                 })

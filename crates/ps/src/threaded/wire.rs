@@ -598,35 +598,16 @@ pub fn acks_checksum(acks: &[Slice]) -> u32 {
 /// Serialise an `f32` slice (little-endian, like the real BytePS payloads).
 pub fn encode_f32(values: &[f32]) -> Bytes {
     let mut buf = BytesMut::with_capacity(values.len() * 4);
-    encode_f32_into(values, &mut buf);
+    encode_f32_into_crc(values, &mut buf);
     buf.freeze()
 }
 
 /// Append `values` little-endian to an existing buffer — the allocation-free
-/// encode the pooled arenas use (the caller owns and recycles `buf`).
-///
-/// Conversion goes through a fixed stack block so the byte stores
-/// vectorise and the buffer takes one bulk append per block — ~8x the
-/// throughput of a per-element `put_f32_le` loop (whose per-element
-/// capacity check defeats vectorisation), at ~34 ms per 25 MB model that
-/// loop was the single largest term in the threaded runtime's iteration
-/// time.
-pub fn encode_f32_into(values: &[f32], buf: &mut BytesMut) {
-    const BLOCK: usize = 1024;
-    buf.reserve(values.len() * 4);
-    let mut tmp = [0u8; BLOCK * 4];
-    for chunk in values.chunks(BLOCK) {
-        for (t, v) in tmp.chunks_exact_mut(4).zip(chunk) {
-            t.copy_from_slice(&v.to_le_bytes());
-        }
-        buf.put_slice(&tmp[..chunk.len() * 4]);
-    }
-}
-
-/// [`encode_f32_into`] that also returns the finished CRC32C of the bytes
-/// it appended, checksummed while they are L1-hot — senders that frame the
-/// whole tensor get the header checksum for free instead of re-reading the
-/// encoded buffer. One `FrameWriter` frame.
+/// encode the pooled arenas use (the caller owns and recycles `buf`) — and
+/// return the finished CRC32C of the bytes it appended, checksummed while
+/// they are L1-hot: senders that frame the whole tensor get the header
+/// checksum for free instead of re-reading the encoded buffer. One
+/// `FrameWriter` frame.
 pub fn encode_f32_into_crc(values: &[f32], buf: &mut BytesMut) -> u32 {
     buf.reserve(values.len() * 4);
     let mut w = FrameWriter::new();
@@ -641,8 +622,13 @@ pub fn encode_f32_into_crc(values: &[f32], buf: &mut BytesMut) -> u32 {
 /// storing a gradient row at a time, a barrier pass stepping a block of
 /// parameters — hands them straight to the frame: each byte is written
 /// once, and the checksum never re-reads the buffer. The bytes and CRC
-/// equal [`encode_f32_into`] + [`crc32::checksum`] over the concatenated
+/// equal [`encode_f32`] + [`crc32::checksum`] over the concatenated
 /// values, however the pushes split them.
+///
+/// Conversion goes through the block so the byte stores vectorise and the
+/// buffer takes one bulk append per block — ~8x the throughput of a
+/// per-element `put_f32_le` loop, whose per-element capacity check defeats
+/// vectorisation.
 pub(crate) struct FrameWriter {
     block: [u8; FUSE_BLOCK],
     fill: usize,
@@ -702,16 +688,6 @@ pub fn accumulate_f32_le(bytes: &[u8], acc: &mut [f32]) {
         // [c[0], c[1], ..] form does not vectorise): 3x faster here.
         *a += f32::from_le_bytes(c.try_into().unwrap());
     }
-}
-
-/// Deserialise bytes produced by [`encode_f32`]. Panics on a length that
-/// is not a multiple of 4.
-pub fn decode_f32(bytes: &Bytes) -> Vec<f32> {
-    assert!(bytes.len().is_multiple_of(4), "payload not f32-aligned");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
 }
 
 /// Worker → PS messages.
@@ -834,6 +810,16 @@ pub enum ToWorker {
 mod tests {
     use super::*;
 
+    /// Deserialise bytes produced by [`encode_f32`]. Panics on a length that
+    /// is not a multiple of 4.
+    fn decode_f32(bytes: &Bytes) -> Vec<f32> {
+        assert!(bytes.len().is_multiple_of(4), "payload not f32-aligned");
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_preserves_bits() {
         let values = vec![
@@ -866,8 +852,8 @@ mod tests {
     #[test]
     fn encode_into_appends_without_reallocating() {
         let mut buf = bytes::BytesMut::with_capacity(12);
-        encode_f32_into(&[1.0, 2.0], &mut buf);
-        encode_f32_into(&[3.0], &mut buf);
+        encode_f32_into_crc(&[1.0, 2.0], &mut buf);
+        encode_f32_into_crc(&[3.0], &mut buf);
         assert_eq!(decode_f32(&buf.freeze()), vec![1.0, 2.0, 3.0]);
     }
 
@@ -993,11 +979,10 @@ mod tests {
     #[test]
     fn encode_with_crc_matches_plain_encode() {
         let values: Vec<f32> = (0..5000).map(|i| (i as f32).cos() * 3.0).collect();
-        let mut plain = bytes::BytesMut::new();
-        encode_f32_into(&values, &mut plain);
+        let plain: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut with_crc = bytes::BytesMut::new();
         let crc = encode_f32_into_crc(&values, &mut with_crc);
-        assert_eq!(plain, with_crc);
+        assert_eq!(&plain[..], &with_crc[..]);
         assert_eq!(crc, crc32::checksum(&plain));
     }
 

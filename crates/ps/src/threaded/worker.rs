@@ -578,7 +578,7 @@ impl WorkerMachine {
         let hi = (lo + per_worker).min(data.len());
         let (x, labels) = data.batch(lo, hi.max(lo + 1));
         let params = self.pulled.source();
-        let (loss, pass) = self.model.forward_loss_from(&x, &labels, params);
+        let (loss, pass) = self.model.forward_loss(&x, &labels, params);
         self.losses.push(loss);
         pass
     }
@@ -604,7 +604,7 @@ impl WorkerMachine {
         let mut frame = self.up.frame(&self.run.map, step, step_bytes);
         let t_backward = Instant::now();
         self.model
-            .backward_step_from(&mut pass, &mut frame, self.pulled.source());
+            .backward_step(&mut pass, &mut frame, self.pulled.source());
         let t_seal = Instant::now();
         frame.seal();
         let t_sealed = Instant::now();

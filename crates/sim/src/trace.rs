@@ -1275,8 +1275,8 @@ pub struct ShardSpan {
 
 /// Folds the typed event stream into [`GradSpan`]s — one span stream per
 /// `(worker, gradient, iteration)` — plus per-shard PS queueing
-/// [`ShardSpan`]s when a gradient → shard mapping was supplied
-/// ([`SpanCollector::with_shards`] or [`SpanCollector::with_owner_table`]).
+/// [`ShardSpan`]s when a gradient → shard placement was supplied
+/// ([`SpanCollector::with_shards`]).
 /// The collector keeps what it is fed: the cluster engine feeds it worker
 /// 0's events on every run, and every worker's under `typed_trace`.
 #[derive(Debug, Default)]
@@ -1301,13 +1301,6 @@ impl SpanCollector {
     /// Enable per-shard spans under the `g % shards` placement rule.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.placement.shards = Some(shards);
-        self
-    }
-
-    /// Enable per-shard spans under an explicit gradient → shard table
-    /// (the threaded runtime's size-balanced partition).
-    pub fn with_owner_table(mut self, owner: Vec<usize>) -> Self {
-        self.placement.table = Some(owner);
         self
     }
 
@@ -2842,7 +2835,7 @@ mod tests {
 
     #[test]
     fn shard_spans_follow_rehomes() {
-        let mut sc = SpanCollector::new().with_owner_table(vec![0]);
+        let mut sc = SpanCollector::new().with_shards(1);
         use TraceEvent::*;
         sc.on_event(
             at(0),

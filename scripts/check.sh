@@ -4,9 +4,10 @@
 # access is needed (or attempted).
 #
 # Usage: check.sh [all|debug|release]
-#   debug    fmt + clippy + rustdoc + debug-profile tests (invariant
-#            checking on; the slowest simulation suites are
-#            `#[cfg_attr(debug_assertions, ignore)]` so this tier stays fast)
+#   debug    fmt + clippy + rustdoc + a check of benchmark/ + debug-profile
+#            tests (invariant checking on; the slowest simulation suites
+#            are `#[cfg_attr(debug_assertions, ignore)]` so this tier stays
+#            fast)
 #   release  release build + release-profile tests with `--include-ignored`
 #            (the trimmed suites at full iteration counts, the 200-plan
 #            golden digest and chaos sweep), then the flake gate
@@ -35,6 +36,13 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     # Catches intra-doc links a rename or deletion left dangling, and public
     # docs linking private items.
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-going
+
+    echo "==> benchmark/ builds against the workspace"
+    # The benchmark crate is outside the workspace, so nothing above
+    # compiles it; a deleted public item it calls fails here. --locked
+    # refuses to rewrite benchmark/Cargo.lock.
+    cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml \
+        --target-dir target/benchmark-check
 
     echo "==> cargo test (debug tier)"
     timeout 15m cargo test --offline -q

@@ -7,9 +7,9 @@
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
-use prophet::minidnn::{Adam, Dataset, Mlp, Sgd};
+use prophet::minidnn::{Dataset, Mlp, Sgd};
 use prophet::ps::sim::{run_cluster, ClusterConfig};
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, DATASET_NOISE};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, DATASET_NOISE, PS_MOMENTUM};
 use prophet::ps::{judge, run_sim_checked, OracleBudget};
 use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec};
 
@@ -106,16 +106,7 @@ fn elastic_reference(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
     let classes = *cfg.widths.last().unwrap();
     let data = Dataset::blobs(cfg.samples, features, classes, DATASET_NOISE, cfg.seed);
     let model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
-    enum Opt {
-        Sgd(Sgd),
-        Adam(Adam),
-    }
-    let mut opt = match cfg.optimizer {
-        PsOptimizer::Sgd { momentum } => {
-            Opt::Sgd(Sgd::new(cfg.lr, momentum, &model.tensor_sizes()))
-        }
-        PsOptimizer::Adam => Opt::Adam(Adam::new(cfg.lr, &model.tensor_sizes())),
-    };
+    let mut opt = Sgd::new(cfg.lr, PS_MOMENTUM, &model.tensor_sizes());
     let mut params: Vec<Vec<f32>> = model.param_slices().iter().map(|p| p.to_vec()).collect();
     let total = cfg.workers + cfg.fault_plan.joined_workers();
     let per = cfg.global_batch / cfg.workers;
@@ -154,10 +145,7 @@ fn elastic_reference(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
             for v in a.iter_mut() {
                 *v *= inv;
             }
-            match &mut opt {
-                Opt::Sgd(o) => o.step(id, &mut params[id], a),
-                Opt::Adam(o) => o.step(id, &mut params[id], a),
-            }
+            opt.step(id, &mut params[id], a);
         }
     }
     params

@@ -187,16 +187,16 @@ fn restore_falls_back_past_a_corrupted_newest_snapshot() {
 }
 
 #[test]
-fn deeper_retention_survives_repeated_checkpoint_corruption() {
-    // With retention 3 the store keeps enough history that even when the
-    // newest generation is poisoned the fallback never has to walk off the
-    // end — and GC, which prefers evicting corrupt generations, never
-    // collects the only intact one.
+fn poisoned_newest_checkpoint_falls_back_exactly_one_generation() {
+    // Snapshots every 2 iterations, retention 2 (`CHECKPOINT_RETENTION`):
+    // when shard 1 dies at iteration 11 each of its parts' chains holds
+    // the intact iteration-7 snapshot and the poisoned iteration-9 one, so
+    // every part's restore walks exactly one generation back. (Retention 1
+    // would have collected the poisoned one and fallen back nowhere.)
     let mut cfg = ThreadedConfig::small(2, SchedulerKind::Fifo);
     cfg.ps_shards = 2;
     cfg.iterations = 12;
     cfg.checkpoint_period = 2;
-    cfg.checkpoint_retention = 3;
     cfg.fault_plan = FaultPlan::new(vec![
         FaultSpec::CheckpointCorrupt {
             shard: 1,
@@ -207,8 +207,12 @@ fn deeper_retention_survives_repeated_checkpoint_corruption() {
             at_iter: 11,
         },
     ]);
-    let r = assert_bit_identical_to_fault_free(&cfg, "retention-3");
+    let r = assert_bit_identical_to_fault_free(&cfg, "poisoned-newest");
     assert!(r.restore_fallbacks > 0, "fallback never exercised");
+    assert_eq!(
+        r.fallback_depth, r.restore_fallbacks,
+        "a restore walked past more than the poisoned generation"
+    );
 }
 
 // ---------------------------------------------------------------------------

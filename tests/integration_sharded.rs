@@ -7,7 +7,7 @@
 use prophet::core::{SchedulerKind, ShardMap};
 use prophet::minidnn::Mlp;
 use prophet::net::RetryPolicy;
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
 use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
 /// Shard counts the matrix sweeps. The small model's first tensor holds
@@ -250,26 +250,6 @@ fn split_tensors_are_bit_transparent_under_every_fault_kind() {
             );
         }
     }
-}
-
-/// Adam's bias correction counts updates: every part of a split tensor
-/// must take its steps in lockstep with the others, through a re-home too.
-#[test]
-fn adam_steps_split_parts_in_lockstep() {
-    let adam = |shards: usize, plan: Vec<FaultSpec>| {
-        let mut cfg = split_cfg(shards);
-        cfg.optimizer = PsOptimizer::Adam;
-        cfg.lr = 0.02;
-        cfg.fault_plan = FaultPlan::new(plan);
-        run_threaded_training(&cfg).final_params
-    };
-    let oracle = adam(1, Vec::new());
-    let fail = FaultSpec::ShardFail {
-        shard: 1,
-        at_iter: 3,
-    };
-    assert_eq!(adam(2, Vec::new()), oracle, "2 shards");
-    assert_eq!(adam(4, vec![fail]), oracle, "4 shards, shard 1 re-homed");
 }
 
 /// The wire buffers a run allocates once and recycles every iteration

@@ -4,9 +4,9 @@
 //! threads.
 
 use prophet::core::SchedulerKind;
-use prophet::minidnn::{Adam, Dataset, Mlp, Sgd};
+use prophet::minidnn::{Dataset, Mlp, Sgd};
 use prophet::net::RetryPolicy;
-use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, DATASET_NOISE};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, DATASET_NOISE, PS_MOMENTUM};
 use prophet::sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
 /// Single-process reference: whole-batch training with the same PS-side
@@ -17,16 +17,7 @@ fn reference_params(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
     let classes = *cfg.widths.last().unwrap();
     let data = Dataset::blobs(cfg.samples, features, classes, DATASET_NOISE, cfg.seed);
     let model = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
-    enum Opt {
-        Sgd(Sgd),
-        Adam(Adam),
-    }
-    let mut opt = match cfg.optimizer {
-        PsOptimizer::Sgd { momentum } => {
-            Opt::Sgd(Sgd::new(cfg.lr, momentum, &model.tensor_sizes()))
-        }
-        PsOptimizer::Adam => Opt::Adam(Adam::new(cfg.lr, &model.tensor_sizes())),
-    };
+    let mut opt = Sgd::new(cfg.lr, PS_MOMENTUM, &model.tensor_sizes());
     let mut params: Vec<Vec<f32>> = model.param_slices().iter().map(|p| p.to_vec()).collect();
     for iter in 0..cfg.iterations {
         // The threaded runtime averages per-shard mean gradients; with
@@ -54,10 +45,7 @@ fn reference_params(cfg: &ThreadedConfig) -> Vec<Vec<f32>> {
             for v in a.iter_mut() {
                 *v *= inv;
             }
-            match &mut opt {
-                Opt::Sgd(o) => o.step(id, &mut params[id], a),
-                Opt::Adam(o) => o.step(id, &mut params[id], a),
-            }
+            opt.step(id, &mut params[id], a);
         }
     }
     params
@@ -89,26 +77,6 @@ fn threaded_runs_are_deterministic() {
         assert_eq!(a.final_params, b.final_params, "{label}: nondeterministic");
         assert_eq!(a.losses, b.losses, "{label}: loss traces differ");
     }
-}
-
-#[test]
-fn adam_on_the_ps_matches_reference_and_learns() {
-    let mut cfg = ThreadedConfig::small(3, SchedulerKind::Fifo);
-    cfg.global_batch = 48;
-    cfg.iterations = 25;
-    cfg.lr = 0.02;
-    cfg.optimizer = PsOptimizer::Adam;
-    let result = run_threaded_training(&cfg);
-    assert_eq!(
-        result.final_params,
-        reference_params(&cfg),
-        "Adam-on-PS diverged from single-process Adam"
-    );
-    assert!(
-        result.losses.last().unwrap() < &(result.losses[0] * 0.5),
-        "Adam failed to learn: {:?}",
-        result.losses
-    );
 }
 
 #[test]
