@@ -39,12 +39,18 @@
 //! decode pass that comes back shows here as a ratio far above zero (it
 //! read 0.60 while every reply was decoded into a private copy).
 //!
+//! `setup_over_iter_vgg_4w_1s` is the same cell's set-up
+//! ([`ThreadedResult::setup`]: the dataset, the initial-weight draw and the
+//! machines) over its steady-state iteration time, the median of the
+//! per-sample ratios. Both halves run on one host in one sample, so the
+//! ratio does not depend on the host's speed.
+//!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
 
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
 use prophet::core::SchedulerKind;
-use prophet::ps::threaded::ThreadedConfig;
+use prophet::ps::threaded::{ThreadedConfig, ThreadedResult};
 use prophet_bench::experiments::threaded::{
     comm_bound_cfg, measure, measure_between, HI, LO, PHASE_KEYS,
 };
@@ -112,6 +118,7 @@ fn bench_threaded(c: &mut Criterion) {
     // same runs it just timed.
     let mut rates: Vec<(String, f64)> = Vec::new();
     let mut phase_rows: Vec<(String, [f64; 11])> = Vec::new();
+    let mut setup_ratios: Vec<(String, f64)> = Vec::new();
     let mut g = c.benchmark_group("threaded");
     g.sample_size(if quick { 1 } else { 3 });
     let cells: Vec<(String, ThreadedConfig)> = if quick {
@@ -128,15 +135,19 @@ fn bench_threaded(c: &mut Criterion) {
     };
     for (id, cfg) in &cells {
         let mut samples: Vec<(f64, [f64; 11])> = Vec::new();
+        let mut setup_over_iter: Vec<f64> = Vec::new();
         g.bench_function(id, |b| {
             b.iter(|| {
-                let (r, phases, _) = measure(cfg);
+                let (r, phases, hi): (f64, _, ThreadedResult) = measure(cfg);
                 samples.push((r, phases));
+                setup_over_iter.push(hi.setup.as_secs_f64() * r);
                 r
             })
         });
         samples.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
         let (median, phases) = samples[samples.len() / 2];
+        setup_over_iter.sort_by(f64::total_cmp);
+        setup_ratios.push((id.clone(), setup_over_iter[setup_over_iter.len() / 2]));
         println!(
             "  {id}: steady-state {median:.3} iters/sec (median of {})",
             samples.len()
@@ -175,6 +186,11 @@ fn bench_threaded(c: &mut Criterion) {
     let apply_over_compute =
         phase("vgg_4w_1s", "worker_apply") / phase("vgg_4w_1s", "worker_compute");
     println!("  apply_over_compute_vgg_4w_1s: {apply_over_compute:.4}");
+    let setup_over_iter = setup_ratios
+        .iter()
+        .find(|(i, _)| i == "vgg_4w_1s")
+        .map_or(f64::NAN, |&(_, r)| r);
+    println!("  setup_over_iter_vgg_4w_1s: {setup_over_iter:.4}");
     let derived: Vec<(&str, f64)> = rates
         .iter()
         .map(|(id, r)| (id.as_str(), *r))
@@ -193,6 +209,7 @@ fn bench_threaded(c: &mut Criterion) {
             ("shard_scaling_8w_4s_over_1s", scaling),
             ("shard_scaling_2w_2s_over_1s", scaling_2w),
             ("apply_over_compute_vgg_4w_1s", apply_over_compute),
+            ("setup_over_iter_vgg_4w_1s", setup_over_iter),
         ])
         // The per-phase attribution for the VGG cells: aggregate ns per
         // steady-state iteration per span, so every optimisation claim is

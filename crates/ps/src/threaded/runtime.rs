@@ -209,6 +209,10 @@ pub struct ThreadedResult {
     pub bytes_pushed: u64,
     /// Real wall-clock time of the run.
     pub wall: std::time::Duration,
+    /// The part of [`ThreadedResult::wall`] spent before any machine ran:
+    /// the dataset, the initial-weight draw and the machines with their
+    /// model copies.
+    pub setup: std::time::Duration,
     /// Typed events validated by the invariant checker (0 when
     /// [`ThreadedConfig::check_invariants`] is off).
     pub events_checked: u64,
@@ -853,8 +857,12 @@ fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> 
 pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     let start = Instant::now();
     let (run, model, machines) = build(cfg);
+    let setup = start.elapsed();
     let machines = run_threads(machines, move |m| m.drive(start));
-    finish(&run, model, machines, start)
+    ThreadedResult {
+        setup,
+        ..finish(&run, model, machines, start)
+    }
 }
 
 #[cfg(test)]
