@@ -78,10 +78,8 @@ pub struct Dense {
 impl Dense {
     /// He-initialised layer, deterministic per `rng` stream.
     pub fn new(input: usize, output: usize, rng: &mut Xoshiro256StarStar) -> Self {
-        let std = (2.0 / input as f64).sqrt();
-        let data: Vec<f32> = (0..input * output)
-            .map(|_| (rng.next_gaussian() * std) as f32)
-            .collect();
+        let mut data = vec![0.0; input * output];
+        rng.fill_gaussian_f32((2.0 / input as f64).sqrt(), &mut data);
         Dense {
             w: Tensor::from_vec(input, output, data),
             b: Tensor::zeros(1, output),

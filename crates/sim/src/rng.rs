@@ -74,7 +74,14 @@ impl Xoshiro256StarStar {
     /// Next 64 uniformly distributed bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        scramble(self.next_raw())
+    }
+
+    /// Advance one step and return the unscrambled word:
+    /// `next_u64() == scramble(next_raw())`.
+    #[inline]
+    fn next_raw(&mut self) -> u64 {
+        let raw = self.s[1];
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -82,7 +89,7 @@ impl Xoshiro256StarStar {
         self.s[0] ^= self.s[3];
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
-        result
+        raw
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -106,16 +113,111 @@ impl Xoshiro256StarStar {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// A standard-normal draw (Box–Muller, one value per call — simplicity
-    /// over speed here; this is never in a per-event hot path).
+    /// A standard-normal draw: Box–Muller on one `(u1, u2)` pair, one value
+    /// per call (the pair's sine half is not kept), with one libm `ln` and
+    /// `cos` each. To fill a buffer, use its batch sibling
+    /// [`Xoshiro256StarStar::fill_gaussian_f32`], which gives the same
+    /// values bit for bit at vector speed.
     pub fn next_gaussian(&mut self) -> f64 {
+        let (u1, u2) = self.box_muller_pair();
+        box_muller(u1, u2)
+    }
+
+    /// The uniforms of one Box–Muller draw: `u1` redrawn until it is above
+    /// `EPSILON` (so its `ln` is finite), then `u2`.
+    #[inline]
+    fn box_muller_pair(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.next_f64();
             if u1 > f64::EPSILON {
-                let u2 = self.next_f64();
-                return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                return (u1, self.next_f64());
             }
         }
+    }
+
+    /// Fill `out` with `(self.next_gaussian() * scale) as f32` per element,
+    /// in order — bit for bit those values, and the generator left where
+    /// those calls leave it.
+    ///
+    /// It draws a chunk of uniform pairs at a time, then evaluates the
+    /// chunk with polynomial `ln` and `cos` (four lanes at once on an
+    /// AVX2+FMA host) and keeps each fast value only where it provably
+    /// rounds to the `f32` the scalar expression gives; the few others are
+    /// recomputed by that expression (the `gauss` module's doc derives
+    /// the bound). On an AVX2 host a long buffer is drawn as four spans at
+    /// once, one generator per vector lane, each jumped ahead to where the
+    /// scalar calls would reach its span. A `scale` that is zero, not
+    /// finite, or of magnitude outside `[2^-500, 2^500]` takes the scalar
+    /// expression throughout.
+    pub fn fill_gaussian_f32(&mut self, scale: f64, out: &mut [f32]) {
+        if !gauss::fast_scale(scale) {
+            for v in out {
+                *v = (self.next_gaussian() * scale) as f32;
+            }
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if out.len() / 4 >= gauss::LANE_MIN && gauss::avx2::available() {
+            let span = out.len() / 4;
+            // Each draw takes two words until a `u1` is redrawn, so span
+            // `l` starts `2·span·l` words in.
+            let ahead = jump_poly(2 * span as u64);
+            let mut lanes = [self.clone(), self.clone(), self.clone(), self.clone()];
+            for l in 1..4 {
+                lanes[l] = lanes[l - 1].clone();
+                lanes[l].jump(&ahead);
+            }
+            // SAFETY: `available` found both features the kernel enables.
+            if unsafe { gauss::avx2::fill_lanes(&mut lanes, scale, &mut out[..4 * span]) } {
+                let [.., last] = lanes;
+                *self = last;
+                return self.fill_chunks(scale, &mut out[4 * span..]);
+            }
+            // A redrawn `u1` shifts every later pair: draw it all in order.
+        }
+        self.fill_chunks(scale, out);
+    }
+
+    /// [`Xoshiro256StarStar::fill_gaussian_f32`] in order, a chunk of pairs
+    /// at a time.
+    fn fill_chunks(&mut self, scale: f64, out: &mut [f32]) {
+        let (mut raw1, mut raw2) = ([0; gauss::CHUNK], [0; gauss::CHUNK]);
+        let (mut u1, mut u2) = ([0.0; gauss::CHUNK], [0.0; gauss::CHUNK]);
+        for out in out.chunks_mut(gauss::CHUNK) {
+            let n = out.len();
+            let start = self.clone();
+            for (a, b) in raw1[..n].iter_mut().zip(&mut raw2[..n]) {
+                (*a, *b) = (self.next_raw(), self.next_raw());
+            }
+            if gauss::uniforms(&raw1[..n], &raw2[..n], &mut u1[..n], &mut u2[..n]) {
+                gauss::chunk(&u1[..n], &u2[..n], scale, out);
+            } else {
+                // A `u1` at or below `EPSILON` (odds 3·2^-53 a draw) is
+                // redrawn, which shifts every later pair: redo the chunk
+                // one draw at a time.
+                *self = start;
+                for v in out {
+                    *v = (self.next_gaussian() * scale) as f32;
+                }
+            }
+        }
+    }
+
+    /// Advance by the `d` steps that `poly = x^d mod P` encodes
+    /// ([`jump_poly`]): the reference xoshiro `jump`, for any distance.
+    fn jump(&mut self, poly: &[u64; 4]) {
+        let mut acc = [0u64; 4];
+        for word in poly {
+            for bit in 0..64 {
+                if word >> bit & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(self.s) {
+                        *a ^= s;
+                    }
+                }
+                self.next_raw();
+            }
+        }
+        self.s = acc;
     }
 
     /// A multiplicative jitter factor `max(lo, 1 + stddev·N(0,1))`.
@@ -129,9 +231,592 @@ impl Xoshiro256StarStar {
     }
 }
 
+/// The characteristic polynomial `P` of xoshiro256's state transition,
+/// less its `x^256` term: bit `i` of word `w` is the coefficient of
+/// `x^(64w + i)`. Berlekamp–Massey on one state bit's sequence finds it;
+/// `x^(2^128) mod P` is the reference `jump()` constant (a test checks).
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// `a·x mod P`.
+fn times_x(a: [u64; 4]) -> [u64; 4] {
+    let mut r = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if a[3] >> 63 == 1 {
+        for (r, p) in r.iter_mut().zip(CHAR_POLY) {
+            *r ^= p;
+        }
+    }
+    r
+}
+
+/// `a·b mod P`, by Horner over `b`'s coefficients.
+fn mul_mod(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut r = [0; 4];
+    for i in (0..256).rev() {
+        r = times_x(r);
+        if b[i / 64] >> (i % 64) & 1 == 1 {
+            for (r, a) in r.iter_mut().zip(a) {
+                *r ^= a;
+            }
+        }
+    }
+    r
+}
+
+/// `x^d mod P`: the polynomial that makes [`Xoshiro256StarStar::jump`]
+/// advance `d` steps (square and multiply by `x`, top bit first).
+fn jump_poly(d: u64) -> [u64; 4] {
+    let mut r = [1, 0, 0, 0];
+    for bit in (0..u64::BITS - d.leading_zeros()).rev() {
+        r = mul_mod(&r, &r);
+        if d >> bit & 1 == 1 {
+            r = times_x(r);
+        }
+    }
+    r
+}
+
+/// xoshiro256**'s output scrambler.
+#[inline]
+fn scramble(raw: u64) -> u64 {
+    raw.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// Box–Muller's one expression: the reference [`Xoshiro256StarStar::next_gaussian`]
+/// returns and the batch kernel falls back to.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// The batch Box–Muller kernel behind [`Xoshiro256StarStar::fill_gaussian_f32`].
+///
+/// Per lane it computes `q' = fast(u1, u2)·scale`, an approximation of the
+/// reference `v = fl(fl(box_muller(u1, u2))·scale)`, and keeps `q' as f32`
+/// only when `fl(q' − δ)` and `fl(q' + δ)` round to the same `f32` bit
+/// pattern, with `δ = B·|q'|`. Round-to-nearest is monotone, so every `f64`
+/// between those two ends rounds to that `f32` too — `v` included, as long
+/// as `|q' − v|` stays below `δ` less the rounding of `q' ± δ`
+/// (≤ 2^-52·|q'|). Every other lane is recomputed by [`box_muller`].
+///
+/// **The bound.** Write `u = 2^-53` and `G = √(−2 ln u1)·cos x` exactly,
+/// where `x = fl(TAU·u2)` in both paths (the same multiply). Relative
+/// errors against `G·scale`, to first order:
+///
+/// * *`ln u1`, fast.* `u1 = m·2^e` with `m ∈ [√½, √2)` is exact (bit
+///   fields). `s = (m − 1)/(m + 1)` is within 2u (`m − 1` is exact by
+///   Sterbenz), `|s| ≤ 0.1716`, `z = s² ≤ 0.02944`. `ln m = 2s·P(z)`, `P`
+///   the atanh series `Σ z^j/(2j+1)` to `j = 8`: truncation
+///   `≤ z^9/19/(1 − z) < 2^-49.9`; Estrin's scheme adds ≤ 2u (every term
+///   is positive and `P ∈ [1, 1.0101]`). So `ln m` is within 5u + 2^-49.9.
+///   For `e = 0` that is `ln u1`; for `e ≤ −1`, `|ln m| ≤ 0.3466 ≤ |ln u1|`,
+///   and adding `e·LN2_LO` and the exact `e·LN2_HI` costs 2.1u more:
+///   `η_L ≤ 7.1u + 2^-49.9 < 2^-49`.
+/// * *`cos x`, fast.* `x = q·π/2 + r` with `q = 2j + 1` odd,
+///   `j = round(x/π − ½)`, `|r| ≤ π/2` (plus the rounding of `x/π`), and
+///   `cos x = ∓sin r` for even/odd `j`. With π/2 in 33-bit pieces
+///   `P1, P2, P3` plus `P3T` (fdlibm's; their sum is π/2 to 2^-160), each
+///   `q·Pi` is exact and the four subtractions cost ≤ u of their results.
+///   Where `|r| ≥ 0.78` that is ≤ 4u of `r`. Where `r` is small,
+///   `x − q·P1` is exact (Sterbenz) and the later results exceed `|r|` by
+///   at most `|q|·(P3 + P3T) ≤ 1.1e-20`, against `|r| ≥ 6.1e-17` (no
+///   double lies nearer π/2 or 3π/2): again ≤ 4u. `sin r = r·S(r²)`, `S`
+///   the series to `r^19`: truncation `≤ z^10/21!/(2/π) < 2^-51.8` for
+///   `z = r² ≤ 2.47`; Estrin's rounding ≤ 6.5u (its partial sums total
+///   ≤ 1.47 against `S ≥ 2/π`), and `z`'s 9u error moves `S` by ≤ 4.6u.
+///   With the product by `r`: `η_C ≤ 18.4u < 2^-48.8`.
+/// * *The products.* `√` is correctly rounded (`η_L/2 + u`), then two
+///   multiplies (2u). Fast path: `F ≤ 25u + 2^-50.9 < 2^-48`.
+/// * *The reference.* The same shape over libm's `ln` and `cos`. glibc's
+///   manual tabulates their known maximum errors at 1 ulp on x86-64
+///   (≤ 2^-52 relative); taken at 64 ulp each, the reference is within
+///   `2^-47 + 2^-46 + 3u < 2^-45.4` of `G·scale`.
+///
+/// So `|q' − v| < 2^-45·|q'|`, and `B = 2^-44` leaves twice that after the
+/// `q' ± δ` roundings. A lane falls back when one of `f32`'s rounding
+/// boundaries lies within `δ` of `q'`: a share of about `2·B·2^23`, a few
+/// per million. Scales of magnitude in `[2^-500, 2^500]` keep every
+/// intermediate a normal `f64` (`|G| ∈ [10^-24, 8.6]`), which the relative
+/// bounds assume. The uniforms themselves are exact: the vector build
+/// converts the 53-bit integer as two exact halves.
+mod gauss {
+    use super::{box_muller, scramble, Xoshiro256StarStar};
+    use std::f64::consts::{FRAC_1_PI, SQRT_2, TAU};
+
+    /// Pairs drawn per kernel call: a few kilobytes of stack.
+    pub(super) const CHUNK: usize = 256;
+
+    /// The shortest span per lane worth four jumped generators: below it
+    /// the jump polynomial (some 20 products mod `P`) costs more than the
+    /// lanes save.
+    pub(super) const LANE_MIN: usize = 1 << 12;
+
+    /// The filter's relative half-width (the module doc's `B`).
+    const B: f64 = 1.0 / (1u64 << 44) as f64;
+
+    /// Whether `scale` keeps the module doc's bound: a magnitude in
+    /// `[2^-500, 2^500]`, so no intermediate is subnormal or infinite.
+    pub(super) fn fast_scale(scale: f64) -> bool {
+        (f64::from_bits(0x20b0 << 48)..=f64::from_bits(0x5f30 << 48)).contains(&scale.abs())
+    }
+
+    /// `ln 2` as an exact-product high part (`e·LN2_HI` is exact for
+    /// `|e| ≤ 2^11`) plus the rest (fdlibm's split).
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    /// π/2 in 33-bit pieces (`k·P1`, `k·P2`, `k·P3` are exact for small
+    /// `k`) plus the tail (fdlibm's split).
+    const P1: f64 = f64::from_bits(0x3ff9_21fb_5440_0000);
+    const P2: f64 = f64::from_bits(0x3dd0_b461_1a60_0000);
+    const P3: f64 = f64::from_bits(0x3ba3_198a_2e00_0000);
+    const P3T: f64 = f64::from_bits(0x397b_839a_2520_49c1);
+    /// `1.5·2^52`: adding it rounds a small value to the nearest integer,
+    /// which lands in the sum's low mantissa bits.
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+
+    /// `atanh(s)/s = Σ z^j/(2j+1)`, `z = s²`, lowest power first.
+    const LN: [f64; 9] = [
+        1.0,
+        1.0 / 3.0,
+        1.0 / 5.0,
+        1.0 / 7.0,
+        1.0 / 9.0,
+        1.0 / 11.0,
+        1.0 / 13.0,
+        1.0 / 15.0,
+        1.0 / 17.0,
+    ];
+    /// `sin(r)/r = Σ (−z)^j/(2j+1)!`, `z = r²`, lowest power first.
+    const SIN: [f64; 10] = [
+        1.0,
+        -1.0 / 6.0,
+        1.0 / 120.0,
+        -1.0 / 5_040.0,
+        1.0 / 362_880.0,
+        -1.0 / 39_916_800.0,
+        1.0 / 6_227_020_800.0,
+        -1.0 / 1_307_674_368_000.0,
+        1.0 / 355_687_428_096_000.0,
+        -1.0 / 121_645_100_408_832_000.0,
+    ];
+
+    /// `u1[i], u2[i] = next_f64()` as the words `raw1[i], raw2[i]` from
+    /// [`Xoshiro256StarStar::next_raw`] make it (four lanes at a time on an
+    /// AVX2 host), and whether every `u1` is above `EPSILON`.
+    pub(super) fn uniforms(raw1: &[u64], raw2: &[u64], u1: &mut [f64], u2: &mut [f64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            // SAFETY: `available` found both features the kernel enables.
+            return unsafe { avx2::uniforms(raw1, raw2, u1, u2) };
+        }
+        uniforms_portable(raw1, raw2, u1, u2)
+    }
+
+    /// [`uniforms`] one lane at a time, on any host.
+    pub(super) fn uniforms_portable(
+        raw1: &[u64],
+        raw2: &[u64],
+        u1: &mut [f64],
+        u2: &mut [f64],
+    ) -> bool {
+        let unit = |raw: u64| (scramble(raw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut ok = true;
+        for (((a, b), &r1), &r2) in u1.iter_mut().zip(u2).zip(raw1).zip(raw2) {
+            (*a, *b) = (unit(r1), unit(r2));
+            ok &= *a > f64::EPSILON;
+        }
+        ok
+    }
+
+    /// Evaluate `out[i] = (box_muller(u1[i], u2[i]) * scale) as f32`
+    /// through the filtered fast path and return how many lanes fell back
+    /// to the scalar expression. `u1 ∈ (EPSILON, 1)`, `u2 ∈ [0, 1)`, and
+    /// `scale` passes [`fast_scale`].
+    pub(super) fn chunk(u1: &[f64], u2: &[f64], scale: f64, out: &mut [f32]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            // SAFETY: `available` found both features the kernel enables.
+            return unsafe { avx2::chunk(u1, u2, scale, out) };
+        }
+        chunk_portable(u1, u2, scale, out)
+    }
+
+    /// [`chunk`] one lane at a time, on any host.
+    pub(super) fn chunk_portable(u1: &[f64], u2: &[f64], scale: f64, out: &mut [f32]) -> usize {
+        let mut fallbacks = 0;
+        for ((o, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
+            let q = fast(a, b) * scale;
+            let d = q.abs() * B;
+            let (lo, hi) = ((q - d) as f32, (q + d) as f32);
+            *o = if lo.to_bits() == hi.to_bits() {
+                lo
+            } else {
+                fallbacks += 1;
+                (box_muller(a, b) * scale) as f32
+            };
+        }
+        fallbacks
+    }
+
+    /// `√(−2 ln u1)·cos(TAU·u2)` within the module doc's `F`: the steps
+    /// the AVX2 build takes four lanes at a time, without FMA.
+    pub(super) fn fast(u1: f64, u2: f64) -> f64 {
+        // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2): ln m = 2·atanh(s).
+        let bits = u1.to_bits();
+        let mut e = (bits >> 52) as f64 - 1023.0;
+        let mut m = f64::from_bits(bits & MANTISSA | ONE);
+        if m > SQRT_2 {
+            m *= 0.5;
+            e += 1.0;
+        }
+        let s = (m - 1.0) / (m + 1.0);
+        let ln = e * LN2_HI + (e * LN2_LO + (s + s) * estrin(s * s, &LN));
+        let rad = (-2.0 * ln).sqrt();
+        // cos x = ±sin r, x = (2j + 1)·π/2 + r, |r| ≤ π/2.
+        let x = TAU * u2;
+        let jr = (x * FRAC_1_PI - 0.5) + ROUND;
+        let q = 2.0 * (jr - ROUND) + 1.0;
+        let r = x - q * P1;
+        let r = r - q * P2;
+        let r = r - q * P3;
+        let r = r - q * P3T;
+        let sin = r * estrin(r * r, &SIN);
+        // cos(x) = −sin r for even j, +sin r for odd.
+        rad * if jr.to_bits() & 1 == 0 { -sin } else { sin }
+    }
+
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE: u64 = 0x3ff0_0000_0000_0000;
+
+    /// `Σ c[i]·z^i` by Estrin's scheme: pairs `c[2i] + c[2i+1]·z`, then
+    /// pairs of those by `z²`, `z⁴`, … — a dependency chain of depth
+    /// `log2(c.len())` rather than Horner's `c.len() − 1`.
+    #[inline]
+    fn estrin<const N: usize>(z: f64, c: &[f64; N]) -> f64 {
+        let mut t = [0.0; N];
+        let mut n = N.div_ceil(2);
+        for i in 0..n {
+            t[i] = if 2 * i + 1 < N {
+                c[2 * i] + c[2 * i + 1] * z
+            } else {
+                c[2 * i]
+            };
+        }
+        let mut zp = z * z;
+        while n > 1 {
+            let m = n.div_ceil(2);
+            for i in 0..m {
+                t[i] = if 2 * i + 1 < n {
+                    t[2 * i] + t[2 * i + 1] * zp
+                } else {
+                    t[2 * i]
+                };
+            }
+            zp = zp * zp;
+            n = m;
+        }
+        t[0]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    pub(super) mod avx2 {
+        use super::*;
+        use std::arch::x86_64::*;
+
+        #[inline]
+        pub fn available() -> bool {
+            // Caches in an atomic after the first probe.
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+
+        /// [`super::chunk`] four lanes at a time, in two passes — the
+        /// `√(−2 ln u1)` of every lane, then the cosines, products and
+        /// filter — so each pass's dependency chains are short enough for
+        /// the core to overlap many groups. A short last group is padded
+        /// with a harmless pair.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2 and FMA ([`available`]).
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn chunk(u1: &[f64], u2: &[f64], scale: f64, out: &mut [f32]) -> usize {
+            let n = out.len();
+            assert!(n <= CHUNK && u1.len() >= n && u2.len() >= n, "bad chunk");
+            let mut rad = [0.0; CHUNK];
+            for i in (0..n).step_by(4) {
+                _mm256_storeu_pd(rad[i..i + 4].as_mut_ptr(), radius4(load(u1, i, n, 0.5)));
+            }
+            let (sc, b) = (set(scale), set(B));
+            let abs = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+            let mut fallbacks = 0;
+            for i in (0..n).step_by(4) {
+                let g = _mm256_mul_pd(_mm256_loadu_pd(&rad[i]), cos4(load(u2, i, n, 0.0)));
+                let q = _mm256_mul_pd(g, sc);
+                let d = _mm256_mul_pd(_mm256_and_pd(q, abs), b);
+                let lo = _mm256_cvtpd_ps(_mm256_sub_pd(q, d));
+                let hi = _mm256_cvtpd_ps(_mm256_add_pd(q, d));
+                let same = _mm_cmpeq_epi32(_mm_castps_si128(lo), _mm_castps_si128(hi));
+                let same = _mm_movemask_ps(_mm_castsi128_ps(same));
+                if i + 4 <= n && same == 0b1111 {
+                    _mm_storeu_ps(out.as_mut_ptr().add(i), lo);
+                    continue;
+                }
+                let mut lanes = [0.0f32; 4];
+                _mm_storeu_ps(lanes.as_mut_ptr(), lo);
+                for l in 0..(n - i).min(4) {
+                    out[i + l] = if same >> l & 1 == 1 {
+                        lanes[l]
+                    } else {
+                        fallbacks += 1;
+                        (box_muller(u1[i + l], u2[i + l]) * scale) as f32
+                    };
+                }
+            }
+            fallbacks
+        }
+
+        /// Fill `out` as four spans of `out.len() / 4`, span `l` drawn by
+        /// `lanes[l]` in vector lane `l`, and leave each generator at its
+        /// span's end. False, with `out` part-written, if some span meets a
+        /// `u1` at or below `EPSILON`.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2 and FMA ([`available`]).
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn fill_lanes(
+            lanes: &mut [Xoshiro256StarStar; 4],
+            scale: f64,
+            out: &mut [f32],
+        ) -> bool {
+            let span = out.len() / 4;
+            let word = |k: usize| {
+                let [a, b, c, d] = [0, 1, 2, 3].map(|l| lanes[l].s[k] as i64);
+                _mm256_setr_epi64x(a, b, c, d)
+            };
+            let mut s = [word(0), word(1), word(2), word(3)];
+            let (mut u1, mut u2, mut vals) = ([0.0; CHUNK], [0.0; CHUNK], [0.0f32; CHUNK]);
+            for t0 in (0..span).step_by(CHUNK / 4) {
+                let n = (span - t0).min(CHUNK / 4);
+                // Four lanes per time step, interleaved: u1[4t + l].
+                let mut low = _mm256_setzero_pd();
+                for t in 0..n {
+                    let a = unit4(step4(&mut s));
+                    let b = unit4(step4(&mut s));
+                    low = _mm256_or_pd(low, _mm256_cmp_pd::<_CMP_LE_OQ>(a, set(f64::EPSILON)));
+                    _mm256_storeu_pd(u1[4 * t..].as_mut_ptr(), a);
+                    _mm256_storeu_pd(u2[4 * t..].as_mut_ptr(), b);
+                }
+                if _mm256_movemask_pd(low) != 0 {
+                    return false;
+                }
+                chunk(&u1[..4 * n], &u2[..4 * n], scale, &mut vals[..4 * n]);
+                for (t, v) in vals[..4 * n].chunks_exact(4).enumerate() {
+                    for (l, &v) in v.iter().enumerate() {
+                        out[l * span + t0 + t] = v;
+                    }
+                }
+            }
+            for (k, s) in s.iter().enumerate() {
+                let mut w = [0u64; 4];
+                _mm256_storeu_si256(w.as_mut_ptr().cast(), *s);
+                for (lane, w) in lanes.iter_mut().zip(w) {
+                    lane.s[k] = w;
+                }
+            }
+            true
+        }
+
+        /// The fast path's `f64` per lane, before the scale and filter.
+        #[cfg(test)]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn fast(u1: [f64; 4], u2: [f64; 4]) -> [f64; 4] {
+            let g = _mm256_mul_pd(
+                radius4(_mm256_loadu_pd(u1.as_ptr())),
+                cos4(_mm256_loadu_pd(u2.as_ptr())),
+            );
+            let mut out = [0.0; 4];
+            _mm256_storeu_pd(out.as_mut_ptr(), g);
+            out
+        }
+
+        /// One xoshiro256 step in each of four lanes, returning the
+        /// unscrambled words ([`Xoshiro256StarStar::next_raw`]).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn step4(s: &mut [__m256i; 4]) -> __m256i {
+            let raw = s[1];
+            let t = _mm256_slli_epi64::<17>(s[1]);
+            s[2] = _mm256_xor_si256(s[2], s[0]);
+            s[3] = _mm256_xor_si256(s[3], s[1]);
+            s[1] = _mm256_xor_si256(s[1], s[2]);
+            s[0] = _mm256_xor_si256(s[0], s[3]);
+            s[2] = _mm256_xor_si256(s[2], t);
+            s[3] = _mm256_or_si256(_mm256_slli_epi64::<45>(s[3]), _mm256_srli_epi64::<19>(s[3]));
+            raw
+        }
+
+        /// [`super::uniforms`] four lanes at a time.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2 and FMA ([`available`]).
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn uniforms(raw1: &[u64], raw2: &[u64], u1: &mut [f64], u2: &mut [f64]) -> bool {
+            let n = raw1.len();
+            assert!(
+                raw2.len() == n && u1.len() == n && u2.len() == n,
+                "bad uniforms"
+            );
+            // Every u1 ≥ 3·2^-53, i.e. above EPSILON = 2·2^-53.
+            let mut low = _mm256_setzero_pd();
+            let mut i = 0;
+            while i + 4 <= n {
+                let a = unit4(_mm256_loadu_si256(raw1[i..].as_ptr().cast()));
+                let b = unit4(_mm256_loadu_si256(raw2[i..].as_ptr().cast()));
+                low = _mm256_or_pd(low, _mm256_cmp_pd::<_CMP_LE_OQ>(a, set(f64::EPSILON)));
+                _mm256_storeu_pd(u1[i..].as_mut_ptr(), a);
+                _mm256_storeu_pd(u2[i..].as_mut_ptr(), b);
+                i += 4;
+            }
+            let unit = |raw: u64| (scramble(raw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            let mut ok = _mm256_movemask_pd(low) == 0;
+            for i in i..n {
+                (u1[i], u2[i]) = (unit(raw1[i]), unit(raw2[i]));
+                ok &= u1[i] > f64::EPSILON;
+            }
+            ok
+        }
+
+        /// `(scramble(raw) >> 11) as f64 · 2^-53` on four lanes: the
+        /// 53-bit integer converts exactly as its top 27 and low 26 bits.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn unit4(raw: __m256i) -> __m256d {
+            let x = _mm256_add_epi64(_mm256_slli_epi64::<2>(raw), raw);
+            let x = _mm256_or_si256(_mm256_slli_epi64::<7>(x), _mm256_srli_epi64::<57>(x));
+            let x = _mm256_add_epi64(_mm256_slli_epi64::<3>(x), x);
+            let magic = _mm256_set1_epi64x(0x4330_0000_0000_0000);
+            let two52 = set((1u64 << 52) as f64);
+            let hi = _mm256_or_si256(_mm256_srli_epi64::<37>(x), magic);
+            let lo = _mm256_and_si256(
+                _mm256_srli_epi64::<11>(x),
+                _mm256_set1_epi64x((1 << 26) - 1),
+            );
+            let lo = _mm256_or_si256(lo, magic);
+            let hi = _mm256_sub_pd(_mm256_castsi256_pd(hi), two52);
+            let lo = _mm256_sub_pd(_mm256_castsi256_pd(lo), two52);
+            let lo = _mm256_mul_pd(lo, set(1.0 / (1u64 << 53) as f64));
+            _mm256_fmadd_pd(hi, set(1.0 / (1u64 << 27) as f64), lo)
+        }
+
+        /// Lanes `i..i + 4` of `u`, those at or past `n` set to `pad`.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(u: &[f64], i: usize, n: usize, pad: f64) -> __m256d {
+            if i + 4 <= n {
+                return _mm256_loadu_pd(&u[i]);
+            }
+            let mut lanes = [pad; 4];
+            lanes[..n - i].copy_from_slice(&u[i..n]);
+            _mm256_loadu_pd(lanes.as_ptr())
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn set(v: f64) -> __m256d {
+            _mm256_set1_pd(v)
+        }
+
+        /// [`super::estrin`] on four lanes, with FMA.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn estrin<const N: usize>(z: __m256d, c: &[f64; N]) -> __m256d {
+            let mut t = [_mm256_setzero_pd(); N];
+            let mut n = N.div_ceil(2);
+            for i in 0..n {
+                t[i] = if 2 * i + 1 < N {
+                    _mm256_fmadd_pd(set(c[2 * i + 1]), z, set(c[2 * i]))
+                } else {
+                    set(c[2 * i])
+                };
+            }
+            let mut zp = _mm256_mul_pd(z, z);
+            while n > 1 {
+                let m = n.div_ceil(2);
+                for i in 0..m {
+                    t[i] = if 2 * i + 1 < n {
+                        _mm256_fmadd_pd(t[2 * i + 1], zp, t[2 * i])
+                    } else {
+                        t[2 * i]
+                    };
+                }
+                zp = _mm256_mul_pd(zp, zp);
+                n = m;
+            }
+            t[0]
+        }
+
+        /// `√(−2 ln u1)` on four lanes: [`super::fast`]'s first half, with
+        /// FMA.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radius4(u1: __m256d) -> __m256d {
+            let one = set(1.0);
+            // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2).
+            let bits = _mm256_castpd_si256(u1);
+            let mant = _mm256_and_si256(bits, _mm256_set1_epi64x(MANTISSA as i64));
+            let m = _mm256_castsi256_pd(_mm256_or_si256(mant, _mm256_set1_epi64x(ONE as i64)));
+            // The biased exponent as 2^52 + its value, exactly.
+            let exp = _mm256_srli_epi64::<52>(bits);
+            let exp = _mm256_or_si256(exp, _mm256_set1_epi64x(0x4330_0000_0000_0000));
+            let big = _mm256_cmp_pd::<_CMP_GT_OQ>(m, set(SQRT_2));
+            let m = _mm256_blendv_pd(m, _mm256_mul_pd(m, set(0.5)), big);
+            let e = _mm256_sub_pd(_mm256_castsi256_pd(exp), set(((1u64 << 52) + 1023) as f64));
+            let e = _mm256_add_pd(e, _mm256_and_pd(big, one));
+            let s = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+            let lnm = _mm256_mul_pd(_mm256_add_pd(s, s), estrin(_mm256_mul_pd(s, s), &LN));
+            let ln = _mm256_fmadd_pd(e, set(LN2_HI), _mm256_fmadd_pd(e, set(LN2_LO), lnm));
+            _mm256_sqrt_pd(_mm256_mul_pd(ln, set(-2.0)))
+        }
+
+        /// `cos(TAU·u2)` on four lanes: [`super::fast`]'s second half, with
+        /// FMA.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn cos4(u2: __m256d) -> __m256d {
+            let one = set(1.0);
+            // cos x = ±sin r, x = (2j + 1)·π/2 + r, |r| ≤ π/2.
+            let x = _mm256_mul_pd(u2, set(TAU));
+            let t = _mm256_sub_pd(_mm256_mul_pd(x, set(FRAC_1_PI)), set(0.5));
+            let jr = _mm256_add_pd(t, set(ROUND));
+            let q = _mm256_fmadd_pd(set(2.0), _mm256_sub_pd(jr, set(ROUND)), one);
+            let r = _mm256_fnmadd_pd(q, set(P1), x);
+            let r = _mm256_fnmadd_pd(q, set(P2), r);
+            let r = _mm256_fnmadd_pd(q, set(P3), r);
+            let r = _mm256_fnmadd_pd(q, set(P3T), r);
+            let sin = _mm256_mul_pd(r, estrin(_mm256_mul_pd(r, r), &SIN));
+            // cos(x) = −sin r for even j (bit 0 of `jr`), +sin r for odd.
+            let odd = _mm256_castsi256_pd(_mm256_slli_epi64::<63>(_mm256_castpd_si256(jr)));
+            _mm256_xor_pd(sin, _mm256_xor_pd(odd, set(-0.0)))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn splitmix_known_values() {
@@ -217,6 +902,222 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// What `fill_gaussian_f32` must equal: the scalar calls, in order.
+    fn scalar_fill(rng: &mut Xoshiro256StarStar, scale: f64, n: usize) -> Vec<u32> {
+        (0..n)
+            .map(|_| ((rng.next_gaussian() * scale) as f32).to_bits())
+            .collect()
+    }
+
+    fn batch_fill(rng: &mut Xoshiro256StarStar, scale: f64, n: usize) -> Vec<u32> {
+        let mut out = vec![f32::NAN; n];
+        rng.fill_gaussian_f32(scale, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The batch draw is the scalar loop, bit for bit, and leaves the
+        /// generator where the loop does: over seeds, He scales `(2/n)^½`,
+        /// and lengths off the chunk size, short of and past the lanes'
+        /// threshold.
+        #[test]
+        fn fill_gaussian_matches_the_scalar_loop(
+            seed in 0u64..u64::MAX,
+            fan_in in 1u32..4096,
+            len in (0usize..3, 0usize..700).prop_map(|(band, k)| [k, 16_380 + k % 20, 20_000 + k][band]),
+        ) {
+            let scale = (2.0 / fan_in as f64).sqrt();
+            let (mut a, mut b) = (Xoshiro256StarStar::new(seed), Xoshiro256StarStar::new(seed));
+            prop_assert_eq!(scalar_fill(&mut a, scale, len), batch_fill(&mut b, scale, len));
+            prop_assert_eq!(a, b);
+        }
+    }
+
+    /// A zero, tiny, huge, infinite or NaN scale takes the scalar path.
+    #[test]
+    fn fill_gaussian_outside_the_fast_scales_is_the_scalar_loop() {
+        for scale in [0.0, -0.0, 1e-300, 1e300, f64::INFINITY, f64::NAN, -0.5] {
+            let (mut a, mut b) = (Xoshiro256StarStar::new(8), Xoshiro256StarStar::new(8));
+            assert_eq!(
+                scalar_fill(&mut a, scale, 300),
+                batch_fill(&mut b, scale, 300)
+            );
+            assert_eq!(a, b, "scale {scale}");
+        }
+    }
+
+    /// A `u1` at or below `EPSILON` is redrawn, shifting every later pair:
+    /// a state whose next word is 0 (so `u1 = 0`) must take the in-order
+    /// path, both for a chunk and for the lanes' first span.
+    #[test]
+    fn a_redrawn_u1_takes_the_in_order_path() {
+        for n in [10, 4 * gauss::LANE_MIN + 3] {
+            let zero_next = Xoshiro256StarStar { s: [7, 0, 9, 11] };
+            let (mut a, mut b) = (zero_next.clone(), zero_next);
+            assert_eq!(scalar_fill(&mut a, 0.1, n), batch_fill(&mut b, 0.1, n));
+            assert_eq!(a, b, "length {n}");
+        }
+    }
+
+    /// `jump(x^d mod P)` is `d` steps, and `x^(2^128) mod P` is the
+    /// reference xoshiro256 `jump()` constant.
+    #[test]
+    fn jump_polynomials_advance_exactly() {
+        for d in [0u64, 1, 2, 63, 64, 65, 255, 256, 257, 1000, 65_537] {
+            let mut stepped = Xoshiro256StarStar::new(d);
+            let mut jumped = stepped.clone();
+            for _ in 0..d {
+                stepped.next_u64();
+            }
+            jumped.jump(&jump_poly(d));
+            assert_eq!(stepped, jumped, "d = {d}");
+        }
+        let x_2_128 = (0..128).fold([2, 0, 0, 0], |p, _| mul_mod(&p, &p));
+        let reference = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        assert_eq!(x_2_128, reference);
+    }
+
+    /// Pairs at the edges of the kernel's domain, passed to the chunk fn
+    /// directly: `u1` just above `EPSILON` and just below 1, `u2` at 0,
+    /// ¼, ½, ¾ and one ulp either side — where the cosine is ±1 or
+    /// nearly 0. Every lane must give the scalar expression's `f32`,
+    /// through the host's kernel and the portable one.
+    #[test]
+    fn the_chunk_fn_matches_at_the_domain_edges() {
+        let (u1s, mut u2s) = (
+            [
+                f64::EPSILON.next_up(),
+                3.0 / (1u64 << 53) as f64,
+                0.5,
+                1.0f64.next_down(),
+            ],
+            vec![],
+        );
+        for c in [0.0, 0.25, 0.5, 0.75] {
+            u2s.extend([f64::next_down(c), c, f64::next_up(c)]);
+        }
+        let (mut u1, mut u2) = (vec![], vec![]);
+        for &a in &u1s {
+            for &b in &u2s {
+                u1.push(a);
+                u2.push(b);
+            }
+        }
+        for scale in [1.0, 0.03, (2.0f64 / 3.0).sqrt()] {
+            let want: Vec<u32> = u1
+                .iter()
+                .zip(&u2)
+                .map(|(&a, &b)| ((box_muller(a, b) * scale) as f32).to_bits())
+                .collect();
+            for kernel in [gauss::chunk, gauss::chunk_portable] {
+                let mut out = vec![f32::NAN; u1.len()];
+                let fallbacks = kernel(&u1, &u2, scale, &mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "scale {scale}");
+                assert!(fallbacks <= u1.len());
+            }
+        }
+    }
+
+    /// Both builds of `gauss::uniforms` turn raw words into what
+    /// `next_f64` gives, and flag a `u1` at or below `EPSILON`.
+    #[test]
+    fn uniforms_are_next_f64() {
+        let mut rng = Xoshiro256StarStar::new(31);
+        let mut raw: Vec<u64> = (0..2 * 203).map(|_| rng.next_raw()).collect();
+        let (raw1, raw2) = raw.split_at_mut(203);
+        let want = |raw: &[u64]| -> Vec<f64> {
+            let mut r = Xoshiro256StarStar::new(0);
+            raw.iter()
+                .map(|&w| {
+                    r.s[1] = w;
+                    r.next_f64()
+                })
+                .collect()
+        };
+        for kernel in [gauss::uniforms, gauss::uniforms_portable] {
+            let (mut u1, mut u2) = (vec![0.0; 203], vec![0.0; 203]);
+            assert!(kernel(raw1, raw2, &mut u1, &mut u2));
+            assert_eq!((want(raw1), want(raw2)), (u1.clone(), u2.clone()));
+            for at in [0, 101, 202] {
+                let keep = raw1[at];
+                raw1[at] = 0;
+                assert!(!kernel(raw1, raw2, &mut u1, &mut u2), "u1 = 0 at {at}");
+                raw1[at] = keep;
+            }
+        }
+    }
+
+    /// `gauss::fast` on the host's kernel: four lanes at a time where AVX2
+    /// runs, else the portable lane.
+    fn fast_values(u1: [f64; 4], u2: [f64; 4]) -> [f64; 4] {
+        #[cfg(target_arch = "x86_64")]
+        if gauss::avx2::available() {
+            // SAFETY: `available` found both features the kernel enables.
+            return unsafe { gauss::avx2::fast(u1, u2) };
+        }
+        [0, 1, 2, 3].map(|l| gauss::fast(u1[l], u2[l]))
+    }
+
+    /// 10^8 draws through the chunk fn (an eighth of them through the
+    /// portable build): no lane differs from the scalar
+    /// expression, at most 10^-4 of them fall back, and the fast path's
+    /// largest relative error against the libm reference stays inside the
+    /// `2^-45` the module doc derives (the filter allows `2^-44`). Prints
+    /// what it saw (`--nocapture`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "10^8 draws; release tier")]
+    fn a_hundred_million_draws_match_with_rare_fallbacks() {
+        const DRAWS: usize = 100_000_000;
+        let mut rng = Xoshiro256StarStar::new(2026);
+        let (mut u1, mut u2) = ([0.0; gauss::CHUNK], [0.0; gauss::CHUNK]);
+        let mut out = [0.0f32; gauss::CHUNK];
+        let (mut mismatches, mut fallbacks, mut worst) = (0usize, 0usize, 0.0f64);
+        for c in 0..DRAWS / gauss::CHUNK {
+            let scale = (2.0 / (1 + c % 4096) as f64).sqrt();
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = rng.box_muller_pair();
+            }
+            // Every eighth chunk through the portable build.
+            let kernel = if c % 8 == 7 {
+                gauss::chunk_portable
+            } else {
+                gauss::chunk
+            };
+            fallbacks += kernel(&u1, &u2, scale, &mut out);
+            for i in 0..gauss::CHUNK {
+                let v = box_muller(u1[i], u2[i]) * scale;
+                mismatches += usize::from((v as f32).to_bits() != out[i].to_bits());
+            }
+            for i in (0..gauss::CHUNK).step_by(4) {
+                let lanes = |u: &[f64]| [u[i], u[i + 1], u[i + 2], u[i + 3]];
+                let q = fast_values(lanes(&u1), lanes(&u2));
+                for (l, q) in q.iter().enumerate() {
+                    let (q, v) = (q * scale, box_muller(u1[i + l], u2[i + l]) * scale);
+                    worst = worst.max(((q - v) / q).abs());
+                }
+            }
+        }
+        let share = fallbacks as f64 / DRAWS as f64;
+        println!(
+            "{DRAWS} draws: {mismatches} mismatches, {fallbacks} fallbacks ({share:.2e}), \
+             largest fast-path error 2^{:.2} (bound 2^-45)",
+            worst.log2()
+        );
+        assert_eq!(mismatches, 0);
+        assert!(share <= 1e-4, "fallback share {share}");
+        assert!(
+            worst < (-45f64).exp2(),
+            "fast-path error 2^{}",
+            worst.log2()
+        );
     }
 
     #[test]
