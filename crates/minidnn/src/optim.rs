@@ -57,11 +57,6 @@ impl Sgd {
         }
     }
 
-    /// Number of tensors this optimiser tracks.
-    pub fn num_tensors(&self) -> usize {
-        self.velocity.len()
-    }
-
     /// Tensor `id`'s velocity.
     pub fn velocity(&self, id: usize) -> &[f32] {
         &self.velocity[id]

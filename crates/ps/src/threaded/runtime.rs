@@ -706,8 +706,8 @@ impl Machine {
 }
 
 /// Build every machine of a run per `cfg` on the calling thread — shards
-/// first, then workers — with the [`Run`] they share and the model every
-/// worker starts from (it also evaluates the result).
+/// first, then workers — with the [`Run`] they share. Every worker starts
+/// from one drawn model: the last one takes it, the others a copy.
 ///
 /// Panics if `global_batch` is zero or not a multiple of `workers` (unequal
 /// shards would break the shard-mean ≡ batch-mean identity the PS relies
@@ -715,7 +715,7 @@ impl Machine {
 /// fewer elements than `ps_shards`, if `link_bps` is set but not a positive
 /// finite rate, or if the fault plan references nodes outside the
 /// `ps_shards`/`workers` topology.
-pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
+pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
     assert!(cfg.workers >= 1);
     assert!(cfg.ps_shards >= 1, "need at least one PS shard");
     // A zero-width layer has empty tensors, which own no element and so
@@ -793,24 +793,30 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Mlp, Vec<Machine>) {
         (0..shards).map(|_| unbounded()).unzip();
     let (worker_txs, worker_rxs): (Vec<Sender<ToWorker>>, Vec<_>) =
         (0..run.mem.total_workers()).map(|_| unbounded()).unzip();
-    let shards = shard_rxs.into_iter().enumerate().map(|(s, rx)| {
+    let shard = |(s, rx)| {
         let txs = worker_txs.clone();
         let m = ShardMachine::new(s, Arc::clone(&run), &model, txs, log.clone());
         Machine::Shard(Box::new(m), rx)
-    });
-    let workers = worker_rxs.into_iter().enumerate().map(|(w, rx)| {
-        let (model, txs) = (model.clone(), shard_txs.clone());
-        let m = WorkerMachine::new(w, Arc::clone(&run), model, txs, log.clone());
-        Machine::Worker(Box::new(m), rx)
-    });
-    let machines = shards.chain(workers).collect();
-    (run, model, machines)
+    };
+    let mut machines: Vec<Machine> = shard_rxs.into_iter().enumerate().map(shard).collect();
+    let models = std::iter::repeat_n(model, worker_rxs.len());
+    let workers = worker_rxs
+        .into_iter()
+        .zip(models)
+        .enumerate()
+        .map(|(w, (rx, model))| {
+            let m = WorkerMachine::new(w, Arc::clone(&run), model, shard_txs.clone(), log.clone());
+            Machine::Worker(Box::new(m), rx)
+        });
+    machines.extend(workers);
+    (run, machines)
 }
 
 /// Fold the finished machines into the run's result, in the order given —
 /// the loss sums are `f32`, so the order is part of the answer — then
-/// evaluate the final model and check the merged trace.
-fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
+/// evaluate the final model (on a model a worker hands back, every tensor
+/// overwritten) and check the merged trace.
+fn finish(run: &Run, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
     let cfg = &run.cfg;
     let mut r = ThreadedResult {
         losses: vec![0.0; cfg.iterations as usize],
@@ -819,12 +825,14 @@ fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> 
     };
     let mut events = Vec::new();
     let mut parts = vec![None; run.map.parts().len()];
+    let mut model = None;
     for m in machines {
         match m {
-            Machine::Worker(m, _) => m.finish(&mut r, &mut events),
+            Machine::Worker(m, _) => model = Some(m.finish(&mut r, &mut events)),
             Machine::Shard(m, _) => m.finish(&mut r, &mut parts, &mut events),
         }
     }
+    let mut model = model.expect("a run has a worker");
     // A tensor's parts tile it in part-id order.
     for (part, params) in run.map.parts().iter().zip(parts) {
         let params = params.unwrap_or_else(|| {
@@ -856,12 +864,12 @@ fn finish(run: &Run, mut model: Mlp, machines: Vec<Machine>, start: Instant) -> 
 /// own, and fail with the first of their panics, if any.
 pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     let start = Instant::now();
-    let (run, model, machines) = build(cfg);
+    let (run, machines) = build(cfg);
     let setup = start.elapsed();
     let machines = run_threads(machines, move |m| m.drive(start));
     ThreadedResult {
         setup,
-        ..finish(&run, model, machines, start)
+        ..finish(&run, machines, start)
     }
 }
 
@@ -1240,7 +1248,7 @@ mod tests {
     /// Every machine of `cfg` stepped from this thread, each inbox drained
     /// with `try_recv` in a fixed order, on a counter for a clock.
     fn step_by_hand(cfg: &ThreadedConfig) -> ThreadedResult {
-        let (run, model, mut machines) = build(cfg);
+        let (run, mut machines) = build(cfg);
         let mut next = vec![Next::Pause(0); machines.len()];
         let working = |machines: &[Machine], next: &[Next]| {
             let mut workers = machines.iter().zip(next);
@@ -1257,7 +1265,7 @@ mod tests {
             now += 1;
             assert!(now < 100_000, "the machines stopped moving");
         }
-        finish(&run, model, machines, Instant::now())
+        finish(&run, machines, Instant::now())
     }
 
     /// No transition blocks or reads the wall clock: the machines of a

@@ -772,7 +772,7 @@ mod tests {
             }]),
             ..ThreadedConfig::small(2, SchedulerKind::Fifo)
         };
-        let (_, _, mut machines) = build(&cfg);
+        let (_, mut machines) = build(&cfg);
         let [Machine::Shard(s, _), workers @ ..] = &mut machines[..] else {
             panic!("one shard, then the workers")
         };

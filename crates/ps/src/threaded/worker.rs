@@ -1018,9 +1018,9 @@ impl WorkerMachine {
     }
 
     /// Fold this finished worker's losses, counters, phase spans and trace
-    /// into the run's result. Panics if its serve loop returned before it
-    /// finished: the shards hung up mid-iteration.
-    pub(super) fn finish(mut self, r: &mut ThreadedResult, events: &mut Vec<TimedEvent>) {
+    /// into the run's result, and hand back its model. Panics if its serve
+    /// loop returned before it finished: the shards hung up mid-iteration.
+    pub(super) fn finish(mut self, r: &mut ThreadedResult, events: &mut Vec<TimedEvent>) -> Mlp {
         assert!(
             matches!(self.phase, Phase::Done),
             "worker {}: ps hung up mid-iteration",
@@ -1045,6 +1045,7 @@ impl WorkerMachine {
         sum.apply_bytes += self.pulled.assembled_bytes;
         sum.param_read_bytes += self.pulled.read_bytes;
         events.extend(self.tlog.take_events());
+        self.model
     }
 }
 
@@ -1071,7 +1072,7 @@ mod tests {
             fault_plan: FaultPlan::new(vec![stall(1, 4), stall(3, 6)]),
             ..ThreadedConfig::small(1, SchedulerKind::Fifo)
         };
-        let (_, _, mut machines) = build(&cfg);
+        let (_, mut machines) = build(&cfg);
         let Machine::Worker(m, _) = &mut machines[1] else {
             panic!("one shard, then one worker")
         };
