@@ -74,14 +74,7 @@ impl Xoshiro256StarStar {
     /// Next 64 uniformly distributed bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        scramble(self.next_raw())
-    }
-
-    /// Advance one step and return the unscrambled word:
-    /// `next_u64() == scramble(next_raw())`.
-    #[inline]
-    fn next_raw(&mut self) -> u64 {
-        let raw = self.s[1];
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -89,7 +82,7 @@ impl Xoshiro256StarStar {
         self.s[0] ^= self.s[3];
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
-        raw
+        result
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -162,11 +155,12 @@ impl Xoshiro256StarStar {
             // Each draw takes two words until a `u1` is redrawn, so span
             // `l` starts `2·span·l` words in.
             let ahead = jump_poly(2 * span as u64);
-            let mut lanes = [self.clone(), self.clone(), self.clone(), self.clone()];
-            for l in 1..4 {
-                lanes[l] = lanes[l - 1].clone();
-                lanes[l].jump(&ahead);
-            }
+            let mut next = self.clone();
+            let mut lanes = [(); 4].map(|_| {
+                let lane = next.clone();
+                next.jump(&ahead);
+                lane
+            });
             // SAFETY: `available` found both features the kernel enables.
             if unsafe { gauss::avx2::fill_lanes(&mut lanes, scale, &mut out[..4 * span]) } {
                 let [.., last] = lanes;
@@ -181,25 +175,13 @@ impl Xoshiro256StarStar {
     /// [`Xoshiro256StarStar::fill_gaussian_f32`] in order, a chunk of pairs
     /// at a time.
     fn fill_chunks(&mut self, scale: f64, out: &mut [f32]) {
-        let (mut raw1, mut raw2) = ([0; gauss::CHUNK], [0; gauss::CHUNK]);
         let (mut u1, mut u2) = ([0.0; gauss::CHUNK], [0.0; gauss::CHUNK]);
         for out in out.chunks_mut(gauss::CHUNK) {
             let n = out.len();
-            let start = self.clone();
-            for (a, b) in raw1[..n].iter_mut().zip(&mut raw2[..n]) {
-                (*a, *b) = (self.next_raw(), self.next_raw());
+            for (a, b) in u1[..n].iter_mut().zip(&mut u2[..n]) {
+                (*a, *b) = self.box_muller_pair();
             }
-            if gauss::uniforms(&raw1[..n], &raw2[..n], &mut u1[..n], &mut u2[..n]) {
-                gauss::chunk(&u1[..n], &u2[..n], scale, out);
-            } else {
-                // A `u1` at or below `EPSILON` (odds 3·2^-53 a draw) is
-                // redrawn, which shifts every later pair: redo the chunk
-                // one draw at a time.
-                *self = start;
-                for v in out {
-                    *v = (self.next_gaussian() * scale) as f32;
-                }
-            }
+            gauss::chunk(&u1[..n], &u2[..n], scale, out);
         }
     }
 
@@ -214,7 +196,7 @@ impl Xoshiro256StarStar {
                         *a ^= s;
                     }
                 }
-                self.next_raw();
+                self.next_u64();
             }
         }
         self.s = acc;
@@ -285,12 +267,6 @@ fn jump_poly(d: u64) -> [u64; 4] {
     r
 }
 
-/// xoshiro256**'s output scrambler.
-#[inline]
-fn scramble(raw: u64) -> u64 {
-    raw.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
-}
-
 /// Box–Muller's one expression: the reference [`Xoshiro256StarStar::next_gaussian`]
 /// returns and the batch kernel falls back to.
 #[inline]
@@ -314,10 +290,10 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 ///
 /// * *`ln u1`, fast.* `u1 = m·2^e` with `m ∈ [√½, √2)` is exact (bit
 ///   fields). `s = (m − 1)/(m + 1)` is within 2u (`m − 1` is exact by
-///   Sterbenz), `|s| ≤ 0.1716`, `z = s² ≤ 0.02944`. `ln m = 2s·P(z)`, `P`
+///   Sterbenz), `|s| ≤ 0.1716`, `z = s² ≤ 0.02944`. `ln m = 2s·A(z)`, `A`
 ///   the atanh series `Σ z^j/(2j+1)` to `j = 8`: truncation
 ///   `≤ z^9/19/(1 − z) < 2^-49.9`; Estrin's scheme adds ≤ 2u (every term
-///   is positive and `P ∈ [1, 1.0101]`). So `ln m` is within 5u + 2^-49.9.
+///   is positive and `A ∈ [1, 1.0101]`). So `ln m` is within 5u + 2^-49.9.
 ///   For `e = 0` that is `ln u1`; for `e ≤ −1`, `|ln m| ≤ 0.3466 ≤ |ln u1|`,
 ///   and adding `e·LN2_LO` and the exact `e·LN2_HI` costs 2.1u more:
 ///   `η_L ≤ 7.1u + 2^-49.9 < 2^-49`.
@@ -346,10 +322,10 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 /// boundaries lies within `δ` of `q'`: a share of about `2·B·2^23`, a few
 /// per million. Scales of magnitude in `[2^-500, 2^500]` keep every
 /// intermediate a normal `f64` (`|G| ∈ [10^-24, 8.6]`), which the relative
-/// bounds assume. The uniforms themselves are exact: the vector build
-/// converts the 53-bit integer as two exact halves.
+/// bounds assume. The four-lane generator's uniforms are `next_f64`'s
+/// exactly: it converts the 53-bit integer as two exact halves.
 mod gauss {
-    use super::{box_muller, scramble, Xoshiro256StarStar};
+    use super::{box_muller, Xoshiro256StarStar};
     use std::f64::consts::{FRAC_1_PI, SQRT_2, TAU};
 
     /// Pairs drawn per kernel call: a few kilobytes of stack.
@@ -408,34 +384,6 @@ mod gauss {
         1.0 / 355_687_428_096_000.0,
         -1.0 / 121_645_100_408_832_000.0,
     ];
-
-    /// `u1[i], u2[i] = next_f64()` as the words `raw1[i], raw2[i]` from
-    /// [`Xoshiro256StarStar::next_raw`] make it (four lanes at a time on an
-    /// AVX2 host), and whether every `u1` is above `EPSILON`.
-    pub(super) fn uniforms(raw1: &[u64], raw2: &[u64], u1: &mut [f64], u2: &mut [f64]) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::available() {
-            // SAFETY: `available` found both features the kernel enables.
-            return unsafe { avx2::uniforms(raw1, raw2, u1, u2) };
-        }
-        uniforms_portable(raw1, raw2, u1, u2)
-    }
-
-    /// [`uniforms`] one lane at a time, on any host.
-    pub(super) fn uniforms_portable(
-        raw1: &[u64],
-        raw2: &[u64],
-        u1: &mut [f64],
-        u2: &mut [f64],
-    ) -> bool {
-        let unit = |raw: u64| (scramble(raw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let mut ok = true;
-        for (((a, b), &r1), &r2) in u1.iter_mut().zip(u2).zip(raw1).zip(raw2) {
-            (*a, *b) = (unit(r1), unit(r2));
-            ok &= *a > f64::EPSILON;
-        }
-        ok
-    }
 
     /// Evaluate `out[i] = (box_muller(u1[i], u2[i]) * scale) as f32`
     /// through the filtered fast path and return how many lanes fell back
@@ -651,7 +599,7 @@ mod gauss {
         }
 
         /// One xoshiro256 step in each of four lanes, returning the
-        /// unscrambled words ([`Xoshiro256StarStar::next_raw`]).
+        /// words before `next_u64`'s output scrambler.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn step4(s: &mut [__m256i; 4]) -> __m256i {
@@ -666,40 +614,9 @@ mod gauss {
             raw
         }
 
-        /// [`super::uniforms`] four lanes at a time.
-        ///
-        /// # Safety
-        ///
-        /// The host must have AVX2 and FMA ([`available`]).
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn uniforms(raw1: &[u64], raw2: &[u64], u1: &mut [f64], u2: &mut [f64]) -> bool {
-            let n = raw1.len();
-            assert!(
-                raw2.len() == n && u1.len() == n && u2.len() == n,
-                "bad uniforms"
-            );
-            // Every u1 ≥ 3·2^-53, i.e. above EPSILON = 2·2^-53.
-            let mut low = _mm256_setzero_pd();
-            let mut i = 0;
-            while i + 4 <= n {
-                let a = unit4(_mm256_loadu_si256(raw1[i..].as_ptr().cast()));
-                let b = unit4(_mm256_loadu_si256(raw2[i..].as_ptr().cast()));
-                low = _mm256_or_pd(low, _mm256_cmp_pd::<_CMP_LE_OQ>(a, set(f64::EPSILON)));
-                _mm256_storeu_pd(u1[i..].as_mut_ptr(), a);
-                _mm256_storeu_pd(u2[i..].as_mut_ptr(), b);
-                i += 4;
-            }
-            let unit = |raw: u64| (scramble(raw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            let mut ok = _mm256_movemask_pd(low) == 0;
-            for i in i..n {
-                (u1[i], u2[i]) = (unit(raw1[i]), unit(raw2[i]));
-                ok &= u1[i] > f64::EPSILON;
-            }
-            ok
-        }
-
-        /// `(scramble(raw) >> 11) as f64 · 2^-53` on four lanes: the
-        /// 53-bit integer converts exactly as its top 27 and low 26 bits.
+        /// `next_f64` on four lanes, from the words [`step4`] returns:
+        /// `next_u64`'s output scrambler, then the 53-bit integer
+        /// converted exactly as its top 27 and low 26 bits.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn unit4(raw: __m256i) -> __m256d {
@@ -1022,35 +939,6 @@ mod tests {
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "scale {scale}");
                 assert!(fallbacks <= u1.len());
-            }
-        }
-    }
-
-    /// Both builds of `gauss::uniforms` turn raw words into what
-    /// `next_f64` gives, and flag a `u1` at or below `EPSILON`.
-    #[test]
-    fn uniforms_are_next_f64() {
-        let mut rng = Xoshiro256StarStar::new(31);
-        let mut raw: Vec<u64> = (0..2 * 203).map(|_| rng.next_raw()).collect();
-        let (raw1, raw2) = raw.split_at_mut(203);
-        let want = |raw: &[u64]| -> Vec<f64> {
-            let mut r = Xoshiro256StarStar::new(0);
-            raw.iter()
-                .map(|&w| {
-                    r.s[1] = w;
-                    r.next_f64()
-                })
-                .collect()
-        };
-        for kernel in [gauss::uniforms, gauss::uniforms_portable] {
-            let (mut u1, mut u2) = (vec![0.0; 203], vec![0.0; 203]);
-            assert!(kernel(raw1, raw2, &mut u1, &mut u2));
-            assert_eq!((want(raw1), want(raw2)), (u1.clone(), u2.clone()));
-            for at in [0, 101, 202] {
-                let keep = raw1[at];
-                raw1[at] = 0;
-                assert!(!kernel(raw1, raw2, &mut u1, &mut u2), "u1 = 0 at {at}");
-                raw1[at] = keep;
             }
         }
     }
