@@ -793,22 +793,17 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
         (0..shards).map(|_| unbounded()).unzip();
     let (worker_txs, worker_rxs): (Vec<Sender<ToWorker>>, Vec<_>) =
         (0..run.mem.total_workers()).map(|_| unbounded()).unzip();
-    let shard = |(s, rx)| {
+    let shards = shard_rxs.into_iter().enumerate().map(|(s, rx)| {
         let txs = worker_txs.clone();
         let m = ShardMachine::new(s, Arc::clone(&run), &model, txs, log.clone());
         Machine::Shard(Box::new(m), rx)
-    };
-    let mut machines: Vec<Machine> = shard_rxs.into_iter().enumerate().map(shard).collect();
+    });
+    let mut machines: Vec<Machine> = shards.collect();
     let models = std::iter::repeat_n(model, worker_rxs.len());
-    let workers = worker_rxs
-        .into_iter()
-        .zip(models)
-        .enumerate()
-        .map(|(w, (rx, model))| {
-            let m = WorkerMachine::new(w, Arc::clone(&run), model, shard_txs.clone(), log.clone());
-            Machine::Worker(Box::new(m), rx)
-        });
-    machines.extend(workers);
+    for (w, (rx, model)) in worker_rxs.into_iter().zip(models).enumerate() {
+        let m = WorkerMachine::new(w, Arc::clone(&run), model, shard_txs.clone(), log.clone());
+        machines.push(Machine::Worker(Box::new(m), rx));
+    }
     (run, machines)
 }
 
