@@ -349,8 +349,8 @@ mod gauss {
     /// `|e| ≤ 2^11`) plus the rest (fdlibm's split).
     const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
     const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-    /// π/2 in 33-bit pieces (`k·P1`, `k·P2`, `k·P3` are exact for small
-    /// `k`) plus the tail (fdlibm's split).
+    /// π/2 in 33-bit pieces (`q·P1`, `q·P2`, `q·P3` are exact for the
+    /// odd `|q| ≤ 5` that occur) plus the tail (fdlibm's split).
     const P1: f64 = f64::from_bits(0x3ff9_21fb_5440_0000);
     const P2: f64 = f64::from_bits(0x3dd0_b461_1a60_0000);
     const P3: f64 = f64::from_bits(0x3ba3_198a_2e00_0000);
@@ -450,16 +450,7 @@ mod gauss {
     /// `log2(c.len())` rather than Horner's `c.len() − 1`.
     #[inline]
     fn estrin<const N: usize>(z: f64, c: &[f64; N]) -> f64 {
-        let mut t = [0.0; N];
-        let mut n = N.div_ceil(2);
-        for i in 0..n {
-            t[i] = if 2 * i + 1 < N {
-                c[2 * i] + c[2 * i + 1] * z
-            } else {
-                c[2 * i]
-            };
-        }
-        let mut zp = z * z;
+        let (mut t, mut n, mut zp) = (*c, N, z);
         while n > 1 {
             let m = n.div_ceil(2);
             for i in 0..m {
@@ -659,16 +650,10 @@ mod gauss {
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn estrin<const N: usize>(z: __m256d, c: &[f64; N]) -> __m256d {
-            let mut t = [_mm256_setzero_pd(); N];
-            let mut n = N.div_ceil(2);
-            for i in 0..n {
-                t[i] = if 2 * i + 1 < N {
-                    _mm256_fmadd_pd(set(c[2 * i + 1]), z, set(c[2 * i]))
-                } else {
-                    set(c[2 * i])
-                };
+            let (mut t, mut n, mut zp) = ([z; N], N, z);
+            for (t, &c) in t.iter_mut().zip(c) {
+                *t = set(c);
             }
-            let mut zp = _mm256_mul_pd(z, z);
             while n > 1 {
                 let m = n.div_ceil(2);
                 for i in 0..m {
@@ -852,9 +837,10 @@ mod tests {
         }
     }
 
-    /// A zero, tiny, huge, infinite or NaN scale takes the scalar path.
+    /// A zero, tiny, huge, infinite or NaN scale takes the scalar path, a
+    /// negative one the fast path; each matches the scalar loop.
     #[test]
-    fn fill_gaussian_outside_the_fast_scales_is_the_scalar_loop() {
+    fn fill_gaussian_at_odd_scales_is_the_scalar_loop() {
         for scale in [0.0, -0.0, 1e-300, 1e300, f64::INFINITY, f64::NAN, -0.5] {
             let (mut a, mut b) = (Xoshiro256StarStar::new(8), Xoshiro256StarStar::new(8));
             assert_eq!(
