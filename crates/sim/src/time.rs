@@ -178,20 +178,12 @@ impl Duration {
             return Duration::MAX;
         }
         let secs = bytes / bytes_per_sec;
-        Self::ceil_nanos(secs * NANOS_PER_SEC as f64)
-    }
-
-    /// `nanos` rounded up to whole nanoseconds, [`Duration::MAX`] from
-    /// `u64::MAX` up: `nanos.ceil() as u64` without `ceil`, which is a
-    /// software call on the x86-64 baseline. The cast truncates toward zero
-    /// (and saturates negatives and NaN to 0), so a remainder adds one.
-    #[inline]
-    fn ceil_nanos(nanos: f64) -> Duration {
+        let nanos = (secs * NANOS_PER_SEC as f64).ceil();
         if nanos >= u64::MAX as f64 {
-            return Duration::MAX;
+            Duration::MAX
+        } else {
+            Duration(nanos as u64)
         }
-        let n = nanos as u64;
-        Duration(if (n as f64) < nanos { n + 1 } else { n })
     }
 }
 
@@ -304,53 +296,6 @@ impl fmt::Display for Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// `Duration::ceil_nanos` as it was written with `f64::ceil`.
-    fn ceil_nanos_by_ceil(nanos: f64) -> Duration {
-        let nanos = nanos.ceil();
-        if nanos >= u64::MAX as f64 {
-            Duration::MAX
-        } else {
-            Duration(nanos as u64)
-        }
-    }
-
-    proptest! {
-        /// Over every bit pattern — negatives, subnormals, infinities and
-        /// NaNs included — and over small fractional values.
-        #[test]
-        fn ceil_nanos_is_ceil(bits in 0u64..u64::MAX, small in -4.0f64..1e6) {
-            for t in [f64::from_bits(bits), small] {
-                prop_assert_eq!(Duration::ceil_nanos(t), ceil_nanos_by_ceil(t), "{}", t);
-            }
-        }
-    }
-
-    #[test]
-    fn ceil_nanos_is_ceil_at_the_edges() {
-        let p52 = (1u64 << 52) as f64;
-        let below_2_64 = (u64::MAX as f64).next_down();
-        for t in [
-            0.0,
-            -0.0,
-            0.5,
-            -0.5,
-            1.0,
-            p52 - 1.0,
-            p52 - 0.5,
-            p52,
-            p52 + 1.0,
-            2.0 * p52,
-            below_2_64,
-            u64::MAX as f64,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            f64::NEG_INFINITY,
-        ] {
-            assert_eq!(Duration::ceil_nanos(t), ceil_nanos_by_ceil(t), "{t}");
-        }
-    }
 
     #[test]
     fn simtime_roundtrip_secs() {
