@@ -39,21 +39,25 @@
 //! decode pass that comes back shows here as a ratio far above zero (it
 //! read 0.60 while every reply was decoded into a private copy).
 //!
-//! `setup_over_iter_vgg_4w_1s` is the same cell's set-up
-//! ([`ThreadedResult::setup`]: the dataset, the initial-weight draw and the
-//! machines) over its steady-state iteration time, the median of the
-//! per-sample ratios. Both halves run on one host in one sample, so the
-//! ratio does not depend on the host's speed.
+//! `setup_over_scalar_draw_vgg_4w_1s` is the 4-worker 1-shard VGG cell's
+//! set-up (`ThreadedResult::setup`: the dataset, the initial-weight draw
+//! and the machines) over the time one scalar `next_gaussian` per weight
+//! takes for the same model — the draw `Dense::new` made before its batch
+//! kernel. The two run back to back on one core in each round, so the
+//! ratio cancels the host's single-thread speed, which a set-up over the
+//! cell's steady-state iteration time (two cores, many threads) does not.
 //!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
 
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
 use prophet::core::SchedulerKind;
-use prophet::ps::threaded::{ThreadedConfig, ThreadedResult};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
+use prophet::sim::rng::Xoshiro256StarStar;
 use prophet_bench::experiments::threaded::{
     comm_bound_cfg, measure, measure_between, HI, LO, PHASE_KEYS,
 };
+use std::time::Instant;
 
 /// Steady-state iterations/sec of the single-shard seed runtime at
 /// 8 workers on the VGG-class model (FIFO, unlimited link, invariants
@@ -110,6 +114,56 @@ fn paired_shard_scaling(workers: usize, shards: usize, rounds: usize, span: (u64
     ratios[ratios.len() / 2]
 }
 
+/// Seconds to draw `widths`' weights the scalar way: one `next_gaussian`
+/// per weight into fresh buffers, as `Dense::new` did before its batch
+/// kernel.
+fn scalar_draw_secs(widths: &[usize]) -> f64 {
+    let t0 = Instant::now();
+    let mut rng = Xoshiro256StarStar::new(0xABCD);
+    let layers: Vec<Vec<f32>> = widths
+        .windows(2)
+        .map(|w| {
+            let scale = (2.0 / w[0] as f64).sqrt();
+            (0..w[0] * w[1])
+                .map(|_| (rng.next_gaussian() * scale) as f32)
+                .collect()
+        })
+        .collect();
+    std::hint::black_box(&layers);
+    t0.elapsed().as_secs_f64()
+}
+
+/// Median of per-round ratios of a `cfg` run's set-up over
+/// [`scalar_draw_secs`] of its model, the two timed back to back (order
+/// alternating between rounds). Odd `rounds` keeps the median a real
+/// sample.
+fn paired_setup_over_scalar_draw(cfg: &ThreadedConfig, rounds: usize) -> f64 {
+    let setup = || {
+        let cfg = ThreadedConfig {
+            iterations: LO,
+            ..cfg.clone()
+        };
+        run_threaded_training(&cfg).setup.as_secs_f64()
+    };
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let (s, d) = if round % 2 == 0 {
+            let s = setup();
+            (s, scalar_draw_secs(&cfg.widths))
+        } else {
+            let d = scalar_draw_secs(&cfg.widths);
+            (setup(), d)
+        };
+        println!(
+            "  set-up round {round}: setup {s:.4} s  scalar draw {d:.4} s  ratio {:.4}",
+            s / d
+        );
+        ratios.push(s / d);
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 fn bench_threaded(c: &mut Criterion) {
     let quick = c.is_quick();
 
@@ -118,7 +172,6 @@ fn bench_threaded(c: &mut Criterion) {
     // same runs it just timed.
     let mut rates: Vec<(String, f64)> = Vec::new();
     let mut phase_rows: Vec<(String, [f64; 11])> = Vec::new();
-    let mut setup_ratios: Vec<(String, f64)> = Vec::new();
     let mut g = c.benchmark_group("threaded");
     g.sample_size(if quick { 1 } else { 3 });
     let cells: Vec<(String, ThreadedConfig)> = if quick {
@@ -135,19 +188,15 @@ fn bench_threaded(c: &mut Criterion) {
     };
     for (id, cfg) in &cells {
         let mut samples: Vec<(f64, [f64; 11])> = Vec::new();
-        let mut setup_over_iter: Vec<f64> = Vec::new();
         g.bench_function(id, |b| {
             b.iter(|| {
-                let (r, phases, hi): (f64, _, ThreadedResult) = measure(cfg);
+                let (r, phases, _) = measure(cfg);
                 samples.push((r, phases));
-                setup_over_iter.push(hi.setup.as_secs_f64() * r);
                 r
             })
         });
         samples.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
         let (median, phases) = samples[samples.len() / 2];
-        setup_over_iter.sort_by(f64::total_cmp);
-        setup_ratios.push((id.clone(), setup_over_iter[setup_over_iter.len() / 2]));
         println!(
             "  {id}: steady-state {median:.3} iters/sec (median of {})",
             samples.len()
@@ -186,11 +235,11 @@ fn bench_threaded(c: &mut Criterion) {
     let apply_over_compute =
         phase("vgg_4w_1s", "worker_apply") / phase("vgg_4w_1s", "worker_compute");
     println!("  apply_over_compute_vgg_4w_1s: {apply_over_compute:.4}");
-    let setup_over_iter = setup_ratios
-        .iter()
-        .find(|(i, _)| i == "vgg_4w_1s")
-        .map_or(f64::NAN, |&(_, r)| r);
-    println!("  setup_over_iter_vgg_4w_1s: {setup_over_iter:.4}");
+    println!("  paired set-up rounds (VGG, 4 workers, 1 shard):");
+    let setup_over_draw = paired_setup_over_scalar_draw(&vgg_cfg(4, 1), 7);
+    println!(
+        "  setup_over_scalar_draw_vgg_4w_1s: {setup_over_draw:.4} (median of 7 paired rounds)"
+    );
     let derived: Vec<(&str, f64)> = rates
         .iter()
         .map(|(id, r)| (id.as_str(), *r))
@@ -209,7 +258,7 @@ fn bench_threaded(c: &mut Criterion) {
             ("shard_scaling_8w_4s_over_1s", scaling),
             ("shard_scaling_2w_2s_over_1s", scaling_2w),
             ("apply_over_compute_vgg_4w_1s", apply_over_compute),
-            ("setup_over_iter_vgg_4w_1s", setup_over_iter),
+            ("setup_over_scalar_draw_vgg_4w_1s", setup_over_draw),
         ])
         // The per-phase attribution for the VGG cells: aggregate ns per
         // steady-state iteration per span, so every optimisation claim is
