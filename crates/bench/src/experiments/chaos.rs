@@ -329,7 +329,8 @@ fn threaded_legs(seed: u64, profile: Profile, kind: SchedulerKind) -> Vec<Thread
                     dur: Duration::from_secs(60),
                 }]),
             );
-            let mut fallback = three(
+            // Snapshots close iterations 3 and 7 (`CHECKPOINT_PERIOD` 4).
+            let fallback = three(
                 2,
                 FaultPlan::new(vec![
                     FaultSpec::CheckpointCorrupt {
@@ -342,7 +343,6 @@ fn threaded_legs(seed: u64, profile: Profile, kind: SchedulerKind) -> Vec<Thread
                     },
                 ]),
             );
-            fallback.checkpoint_period = 4; // snapshots close iters 3 and 7
             vec![wire, fallback]
         }
         Profile::Mixed => Vec::new(),

@@ -77,11 +77,7 @@ pub fn fig3a() -> ExperimentOutput {
 /// credit wander.
 pub fn fig3b() -> ExperimentOutput {
     let kind = SchedulerKind::ByteScheduler(ByteSchedulerConfig {
-        autotune: Some(AutoTuneConfig {
-            interval_iters: 2,
-            ..AutoTuneConfig::default()
-        }),
-        ..ByteSchedulerConfig::default()
+        autotune: Some(AutoTuneConfig { interval_iters: 2 }),
     });
     let mut cfg = cell("resnet50", 64, 3, 3.0, kind);
     cfg.warmup_iters = 1;

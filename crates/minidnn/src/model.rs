@@ -217,12 +217,6 @@ impl Mlp {
             .collect()
     }
 
-    /// Copy gradient tensor `id` of the last [`Mlp::forward_backward`]
-    /// into a fresh vector.
-    pub fn gradient(&self, id: usize) -> Vec<f32> {
-        self.grads[id].clone()
-    }
-
     /// The gradient tensors of the last [`Mlp::forward_backward`], forward
     /// order, as slices (none before the first).
     pub fn grad_slices(&self) -> Vec<&[f32]> {

@@ -285,16 +285,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Max absolute elementwise difference to `other`.
-    pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.data.len(), other.data.len());
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-    }
 }
 
 #[cfg(test)]
@@ -426,8 +416,9 @@ mod tests {
     fn norm_and_diff() {
         let a = t(1, 2, &[3., 4.]);
         assert!((a.norm() - 5.0).abs() < 1e-6);
-        let b = t(1, 2, &[3., 7.]);
-        assert_eq!(a.max_abs_diff(&b), 3.0);
+        let mut b = t(1, 2, &[3., 7.]);
+        b.axpy(-1.0, &a);
+        assert_eq!(b.norm(), 3.0);
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn gradcheck_through_loss_composition() {
     let _ = m.forward_backward(&x, &labels);
     // Check a few entries of the *last* tensor (output bias).
     let last = m.num_tensors() - 1;
-    let analytic = m.gradient(last);
+    let analytic = m.grad_slices()[last].to_vec();
     let eps = 1e-2f32;
     for k in 0..analytic.len() {
         let mut p = m.param_slices()[last].to_vec();

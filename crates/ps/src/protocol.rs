@@ -358,21 +358,31 @@ fn in_span((from, until): (u64, u64), iter: u64) -> bool {
 // Checkpoint generations
 // ---------------------------------------------------------------------------
 
+/// Checkpoint cadence of both engines, in iterations: a shard snapshots
+/// its parameter state after iterations 3, 7, 11, … (the initial
+/// parameters are an implicit iteration-0 checkpoint). Only a run whose
+/// fault plan kills a shard permanently checkpoints at all: an unarmed run
+/// does no checkpoint work.
+pub const CHECKPOINT_PERIOD: u64 = 4;
+
+/// Snapshot generations both engines retain per shard (simulator) or per
+/// part (threaded durable store): the GC horizon a [`GenChain`] trims to.
+/// A `CheckpointCorrupt` fault can poison the newest generation, so a
+/// restore may fall back one generation past it.
+pub const CHECKPOINT_RETENTION: usize = 2;
+
 /// The per-shard checkpoint cadence and its one-shot `CheckpointCorrupt`.
 #[derive(Debug, Clone)]
 pub struct CheckpointSchedule {
-    period: u64,
     corrupt_at: Option<u64>,
     corrupt_done: bool,
 }
 
 impl CheckpointSchedule {
     /// The schedule of shard `shard` under `plan`, snapshotting every
-    /// `period` iterations.
-    pub fn new(plan: &FaultPlan, shard: usize, period: u64) -> Self {
-        assert!(period >= 1, "checkpoint period must be >= 1");
+    /// [`CHECKPOINT_PERIOD`] iterations.
+    pub fn new(plan: &FaultPlan, shard: usize) -> Self {
         CheckpointSchedule {
-            period,
             corrupt_at: plan.checkpoint_corrupt_at(shard),
             corrupt_done: false,
         }
@@ -380,7 +390,7 @@ impl CheckpointSchedule {
 
     /// Is a snapshot covering through `iter` due once `iter` completes?
     pub fn due(&self, iter: u64) -> bool {
-        (iter + 1).is_multiple_of(self.period)
+        (iter + 1).is_multiple_of(CHECKPOINT_PERIOD)
     }
 
     /// Is the snapshot round covering through `iter` — written at boundary
@@ -422,12 +432,6 @@ pub struct Fallback {
     /// replayed.
     pub bytes: u64,
 }
-
-/// Snapshot generations both engines retain per shard (simulator) or per
-/// part (threaded durable store): the GC horizon a [`GenChain`] trims to.
-/// A `CheckpointCorrupt` fault can poison the newest generation, so a
-/// restore may fall back one generation past it.
-pub const CHECKPOINT_RETENTION: usize = 2;
 
 /// One tensor's (or shard's) retained snapshot generations, oldest first.
 /// Never empty: it starts from the initial model, and GC never collects
@@ -1092,7 +1096,7 @@ mod tests {
             shard: 1,
             at_iter: 5,
         }]);
-        let mut sched = CheckpointSchedule::new(&plan, 1, 4);
+        let mut sched = CheckpointSchedule::new(&plan, 1);
         let due: Vec<u64> = (0..12).filter(|&i| sched.due(i)).collect();
         assert_eq!(due, vec![3, 7, 11]);
         // The round covering through 3 is written at boundary 4 < 5: clean.
@@ -1104,7 +1108,7 @@ mod tests {
         assert!(sched.poisons(7), "the whole round, not its first tensor");
         sched.round_written(7);
         assert!(!sched.poisons(11));
-        assert!(!CheckpointSchedule::new(&plan, 0, 4).poisons(7));
+        assert!(!CheckpointSchedule::new(&plan, 0).poisons(7));
     }
 
     // ---- delivery ----------------------------------------------------------

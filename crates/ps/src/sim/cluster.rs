@@ -28,9 +28,6 @@ use prophet_sim::{
 };
 use std::collections::VecDeque;
 
-/// Transport cost model of every cluster link.
-const TCP: TcpModel = TcpModel::EC2;
-
 /// How long a transmission lane stays *warm* after its last message:
 /// within this window a pipelined transport's next message skips the
 /// connection setup and slow-start (TCP congestion-window validation
@@ -494,7 +491,8 @@ impl Cluster {
         for w in 0..total_workers {
             topo.add_node(NodeSpec::symmetric(cfg.worker_bandwidth(w)));
         }
-        let net = Network::new(topo, TCP);
+        // Every link runs the transport model Prophet predicts with.
+        let net = Network::new(topo, TcpModel::EC2);
         let checker = cfg.check_invariants.then(|| {
             InvariantChecker::new(cfg.workers, cfg.sync == SyncMode::Bsp)
                 .with_shards(shards)
@@ -566,7 +564,7 @@ impl Cluster {
             .map(|snap_bytes| GenChain::new(SimGen::new(snap_bytes, false), CHECKPOINT_RETENTION))
             .collect();
         let ckpt_sched = (0..armed_shards)
-            .map(|s| CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period))
+            .map(|s| CheckpointSchedule::new(&cfg.fault_plan, s))
             .collect();
         Cluster {
             windows: Windows::new(&cfg.fault_plan, shards),
@@ -1328,7 +1326,7 @@ impl Cluster {
                 // sample would double-count it when the scheduler turns
                 // the estimate back into transfer times.
                 let elapsed = now.saturating_since(inflight.started);
-                let setup = Duration::from_secs_f64(TCP.setup_s);
+                let setup = Duration::from_secs_f64(TcpModel::EC2.setup_s);
                 let wire = elapsed.saturating_sub(setup);
                 {
                     let wk = &mut self.workers[w];
@@ -2358,11 +2356,7 @@ mod tests {
         assert!(!fixed.credit_trace.is_empty()); // fixed credit still reported
         assert!(fixed.credit_trace.iter().all(|&(_, c)| c == 12 << 20));
         let tuned_cfg = ByteSchedulerConfig {
-            autotune: Some(AutoTuneConfig {
-                interval_iters: 1,
-                ..AutoTuneConfig::default()
-            }),
-            ..ByteSchedulerConfig::default()
+            autotune: Some(AutoTuneConfig { interval_iters: 1 }),
         };
         let tuned = run_cluster(&base(SchedulerKind::ByteScheduler(tuned_cfg)), 8);
         let credits: Vec<u64> = tuned.credit_trace.iter().map(|&(_, c)| c).collect();

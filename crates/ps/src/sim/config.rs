@@ -97,14 +97,6 @@ pub struct ClusterConfig {
     /// raised — never lowered, so cells the flat value already covers are
     /// bit-identical — to cover the most-degraded link the plan configures.
     pub retry: RetryPolicy,
-    /// Shard-checkpoint cadence in iterations: each shard snapshots its
-    /// parameter state every `checkpoint_period` completed iterations
-    /// (the initial parameters are an implicit iteration-0 checkpoint).
-    /// Checkpoints are only armed when the fault plan contains a
-    /// `ShardFail` — an unarmed run does zero checkpoint work, keeping
-    /// empty-plan runs bit-identical to pre-elastic builds
-    /// ([`crate::protocol::CheckpointSchedule`]).
-    pub checkpoint_period: u64,
 }
 
 impl ClusterConfig {
@@ -137,7 +129,6 @@ impl ClusterConfig {
             worker_compute_scale: Vec::new(),
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
-            checkpoint_period: 4,
         }
     }
 
@@ -221,7 +212,6 @@ impl ClusterConfig {
             self.fault_plan.is_empty() || self.sync == SyncMode::Bsp,
             "fault injection requires BSP synchronisation"
         );
-        assert!(self.checkpoint_period >= 1, "checkpoint period must be ≥ 1");
     }
 
     /// Compute-speed multiplier of worker `w` (1.0 unless overridden).

@@ -165,12 +165,6 @@ pub struct ThreadedConfig {
     /// Ack-timeout/backoff policy for push slices whose ack never arrives
     /// (only consulted when the plan is non-empty).
     pub retry: RetryPolicy,
-    /// Checkpoint cadence in iterations: each shard snapshots its parts
-    /// into the durable store after iterations `period-1, 2·period-1, …`
-    /// ([`crate::protocol::CheckpointSchedule`]).
-    /// Only consulted when the fault plan kills a shard permanently (the
-    /// store stays dormant otherwise — see [`FaultPlan::has_shard_fail`]).
-    pub checkpoint_period: u64,
 }
 
 impl ThreadedConfig {
@@ -190,7 +184,6 @@ impl ThreadedConfig {
             check_invariants: true,
             fault_plan: FaultPlan::empty(),
             retry: RetryPolicy::paper_default(),
-            checkpoint_period: 4,
         }
     }
 }
@@ -202,8 +195,6 @@ pub struct ThreadedResult {
     pub losses: Vec<f32>,
     /// Final parameters, one vec per tensor (PS copy, global tensor order).
     pub final_params: Vec<Vec<f32>>,
-    /// Training-set accuracy of the final model.
-    pub accuracy: f64,
     /// Total gradient payload pushed by all workers, bytes (including any
     /// crash-recovery or loss-recovery retransmissions).
     pub bytes_pushed: u64,
@@ -733,7 +724,6 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
     );
     assert!(cfg.samples >= 1, "need at least one sample");
     assert!(cfg.global_batch >= 1, "global batch must be >= 1");
-    assert!(cfg.checkpoint_period >= 1, "checkpoint period must be >= 1");
     assert!(
         cfg.global_batch.is_multiple_of(cfg.workers),
         "global batch {} not divisible by {} workers",
@@ -809,8 +799,7 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
 
 /// Fold the finished machines into the run's result, in the order given —
 /// the loss sums are `f32`, so the order is part of the answer — then
-/// evaluate the final model (on a model a worker hands back, every tensor
-/// overwritten) and check the merged trace.
+/// check the merged trace.
 fn finish(run: &Run, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
     let cfg = &run.cfg;
     let mut r = ThreadedResult {
@@ -820,14 +809,12 @@ fn finish(run: &Run, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
     };
     let mut events = Vec::new();
     let mut parts = vec![None; run.map.parts().len()];
-    let mut model = None;
     for m in machines {
         match m {
-            Machine::Worker(m, _) => model = Some(m.finish(&mut r, &mut events)),
+            Machine::Worker(m, _) => m.finish(&mut r, &mut events),
             Machine::Shard(m, _) => m.finish(&mut r, &mut parts, &mut events),
         }
     }
-    let mut model = model.expect("a run has a worker");
     // A tensor's parts tile it in part-id order.
     for (part, params) in run.map.parts().iter().zip(parts) {
         let params = params.unwrap_or_else(|| {
@@ -836,12 +823,6 @@ fn finish(run: &Run, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
         });
         r.final_params[part.tensor].extend(params);
     }
-    // Evaluate the final model on the training set.
-    for (g, p) in r.final_params.iter().enumerate() {
-        model.set_param(g, p);
-    }
-    let (x, labels) = run.dataset.batch(0, run.dataset.len());
-    r.accuracy = model.accuracy(&x, &labels);
     if cfg.check_invariants {
         let joiners = cfg.fault_plan.joined_workers();
         (r.events_checked, r.retries) = check_events(events, cfg.workers, joiners, &run.map);

@@ -187,7 +187,7 @@ impl ShardMachine {
             tamper_pool: ArenaPool::new(),
             eager_verify: cfg.fault_plan.has_corruption(),
             acks_enabled: !cfg.fault_plan.is_empty(),
-            ckpt: CheckpointSchedule::new(&cfg.fault_plan, s, cfg.checkpoint_period),
+            ckpt: CheckpointSchedule::new(&cfg.fault_plan, s),
             die_at: mem.shard_dies_at(s),
             dead: false,
             crashes: run.windows.schedule(FaultKind::ShardCrash, &[s]),

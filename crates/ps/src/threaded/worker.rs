@@ -1018,9 +1018,9 @@ impl WorkerMachine {
     }
 
     /// Fold this finished worker's losses, counters, phase spans and trace
-    /// into the run's result, and hand back its model. Panics if its serve
-    /// loop returned before it finished: the shards hung up mid-iteration.
-    pub(super) fn finish(mut self, r: &mut ThreadedResult, events: &mut Vec<TimedEvent>) -> Mlp {
+    /// into the run's result. Panics if its serve loop returned before it
+    /// finished: the shards hung up mid-iteration.
+    pub(super) fn finish(mut self, r: &mut ThreadedResult, events: &mut Vec<TimedEvent>) {
         assert!(
             matches!(self.phase, Phase::Done),
             "worker {}: ps hung up mid-iteration",
@@ -1045,7 +1045,6 @@ impl WorkerMachine {
         sum.apply_bytes += self.pulled.assembled_bytes;
         sum.param_read_bytes += self.pulled.read_bytes;
         events.extend(self.tlog.take_events());
-        self.model
     }
 }
 

@@ -9,7 +9,20 @@
 //! ```
 
 use prophet::core::SchedulerKind;
-use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
+use prophet::minidnn::{Dataset, Mlp};
+use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, DATASET_NOISE};
+
+/// Training-set accuracy of the model whose tensors are `params`.
+fn accuracy(cfg: &ThreadedConfig, params: &[Vec<f32>]) -> f64 {
+    let classes = *cfg.widths.last().unwrap();
+    let data = Dataset::blobs(cfg.samples, cfg.widths[0], classes, DATASET_NOISE, cfg.seed);
+    let mut model = Mlp::new(&cfg.widths, cfg.seed);
+    for (id, p) in params.iter().enumerate() {
+        model.set_param(id, p);
+    }
+    let (x, labels) = data.batch(0, data.len());
+    model.accuracy(&x, &labels)
+}
 
 fn main() {
     let workers = 4;
@@ -26,7 +39,7 @@ fn main() {
             label,
             result.losses.first().unwrap(),
             result.losses.last().unwrap(),
-            result.accuracy * 100.0,
+            accuracy(&cfg, &result.final_params) * 100.0,
             result.bytes_pushed as f64 / 1e3,
             result.wall
         );

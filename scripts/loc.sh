@@ -12,7 +12,10 @@
 #     `protocol` rules they share: the worker core's acceptance as one
 #     number), and how many of their non-test lines name a `HashMap`,
 #     `HashSet` or `BTreeMap`;
-#   * the number of `pub` fields of `ThreadedConfig` and `ClusterConfig`;
+#   * the number of `pub` fields of the two engine configs
+#     (`ThreadedConfig`, `ClusterConfig`) and of the three scheduler configs
+#     (`ProphetConfig`, `ByteSchedulerConfig`, `AutoTuneConfig`), and their
+#     total: every value a caller can set;
 #   * every line of the Rust outside `src/` (benches, examples, tests), of
 #     all Rust outside `vendor/`, `benchmark/` and `target/`, and the number
 #     of `[[bench]]` targets — so deletions outside `src/` are numbers too.
@@ -81,8 +84,17 @@ pub_fields() {
         END { print n + 0 }' "$1"
 }
 echo "public config fields"
-printf '  %-18s %6d\n' ThreadedConfig "$(pub_fields crates/ps/src/threaded/runtime.rs ThreadedConfig)"
-printf '  %-18s %6d\n' ClusterConfig "$(pub_fields crates/ps/src/sim/config.rs ClusterConfig)"
+fields=0
+for entry in ThreadedConfig:crates/ps/src/threaded/runtime.rs \
+    ClusterConfig:crates/ps/src/sim/config.rs \
+    ProphetConfig:crates/core/src/prophet.rs \
+    ByteSchedulerConfig:crates/core/src/bytescheduler.rs \
+    AutoTuneConfig:crates/core/src/bytescheduler.rs; do
+    n="$(pub_fields "${entry#*:}" "${entry%%:*}")"
+    printf '  %-20s %4d\n' "${entry%%:*}" "$n"
+    fields=$((fields + n))
+done
+printf '  %-20s %4d\n' total "$fields"
 
 # Every line of the `*.rs` files under the given directories (none: 0).
 rs_lines() {

@@ -17,9 +17,15 @@ use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec};
 // Threaded runtime: bit-exact parity with a membership-aware reference
 // ---------------------------------------------------------------------------
 
-/// The permanent-plan matrix. Node ids: shard `s < ps_shards`, worker
-/// `ps_shards + w`; joiners take dense ids from `workers`.
-fn permanent_plans(workers: usize, shards: usize) -> Vec<(&'static str, FaultPlan)> {
+/// Snapshots close iterations 3, 7 and 11 (`CHECKPOINT_PERIOD` 4). A shard
+/// dying at iteration 4 restores from the iteration-3 snapshot alone (an
+/// empty ledger); one dying at 6 replays iterations 4 and 5 on top of it.
+const SHARD_DEATHS: [u64; 2] = [4, 6];
+
+/// The permanent-plan matrix, with every shard death at iteration `death`.
+/// Node ids: shard `s < ps_shards`, worker `ps_shards + w`; joiners take
+/// dense ids from `workers`.
+fn permanent_plans(workers: usize, shards: usize, death: u64) -> Vec<(&'static str, FaultPlan)> {
     let mut plans = vec![
         (
             "worker_fail",
@@ -54,7 +60,7 @@ fn permanent_plans(workers: usize, shards: usize) -> Vec<(&'static str, FaultPla
             "shard_fail",
             FaultPlan::new(vec![FaultSpec::ShardFail {
                 shard: shards - 1,
-                at_iter: 5,
+                at_iter: death,
             }]),
         ));
         plans.push((
@@ -66,7 +72,7 @@ fn permanent_plans(workers: usize, shards: usize) -> Vec<(&'static str, FaultPla
                 },
                 FaultSpec::ShardFail {
                     shard: 0,
-                    at_iter: 4,
+                    at_iter: death,
                 },
                 FaultSpec::WorkerJoin {
                     worker: workers,
@@ -84,11 +90,11 @@ fn permanent_plans(workers: usize, shards: usize) -> Vec<(&'static str, FaultPla
             FaultPlan::new(vec![
                 FaultSpec::ShardFail {
                     shard: 0,
-                    at_iter: 4,
+                    at_iter: death,
                 },
                 FaultSpec::ShardFail {
                     shard: 2,
-                    at_iter: 4,
+                    at_iter: death,
                 },
             ]),
         ));
@@ -162,14 +168,18 @@ fn elastic_cfg(shards: usize, kind: SchedulerKind) -> ThreadedConfig {
 #[test]
 fn threaded_permanent_plans_match_membership_reference_bitwise() {
     // {plan kind} x {shard count} under FIFO: every cell's final model must
-    // equal the membership-aware reference bit for bit. Checkpoint periods
-    // of 1, 3 and 4 exercise restore-from-snapshot, snapshot+ledger replay
-    // and the default cadence.
+    // equal the membership-aware reference bit for bit. A plan with a shard
+    // death runs at both SHARD_DEATHS — restore from a snapshot alone, then
+    // snapshot + ledger replay, which reads back more; the others run once.
     for shards in [1usize, 2, 4] {
-        for (label, plan) in permanent_plans(3, shards) {
-            for period in [1u64, 3] {
+        for i in 0..permanent_plans(3, shards, 0).len() {
+            let mut restored = Vec::new();
+            for death in SHARD_DEATHS {
+                let (label, plan) = permanent_plans(3, shards, death).swap_remove(i);
+                if !restored.is_empty() && !plan.has_shard_fail() {
+                    break;
+                }
                 let mut cfg = elastic_cfg(shards, SchedulerKind::Fifo);
-                cfg.checkpoint_period = period;
                 cfg.fault_plan = plan.clone();
                 let r = run_threaded_training(&cfg);
                 assert!(
@@ -184,8 +194,16 @@ fn threaded_permanent_plans_match_membership_reference_bitwise() {
                 assert_eq!(
                     r.final_params,
                     elastic_reference(&cfg),
-                    "{label}/{shards} shards/period {period}: \
+                    "{label}/{shards} shards/death at {death}: \
                      permanent plan changed the computed model"
+                );
+                restored.push((label, r.restore_bytes));
+            }
+            if let [(label, snapshot_only), (_, with_replay)] = restored[..] {
+                assert!(
+                    0 < snapshot_only && snapshot_only < with_replay,
+                    "{label}/{shards} shards: restored {snapshot_only} bytes \
+                     after a snapshot, {with_replay} mid-cadence"
                 );
             }
         }
@@ -268,35 +286,6 @@ fn threaded_joiner_past_horizon_stays_silent() {
         "phantom joiner changed the model"
     );
     assert_eq!(r.losses, clean.losses);
-}
-
-#[test]
-fn threaded_checkpoint_cadence_trades_restore_bytes() {
-    // A tighter checkpoint period must not change the model, and must not
-    // read back MORE bytes at restore (shorter ledgers to replay).
-    let plan = FaultPlan::new(vec![FaultSpec::ShardFail {
-        shard: 1,
-        at_iter: 7,
-    }]);
-    let run = |period: u64| {
-        let mut cfg = elastic_cfg(2, SchedulerKind::Fifo);
-        cfg.checkpoint_period = period;
-        cfg.fault_plan = plan.clone();
-        run_threaded_training(&cfg)
-    };
-    let tight = run(1);
-    let loose = run(8);
-    assert_eq!(
-        tight.final_params, loose.final_params,
-        "cadence changed the model"
-    );
-    assert!(tight.restore_bytes > 0 && loose.restore_bytes > 0);
-    assert!(
-        tight.restore_bytes <= loose.restore_bytes,
-        "period 1 restored {} bytes, period 8 restored {}",
-        tight.restore_bytes,
-        loose.restore_bytes
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -161,8 +161,7 @@ fn restore_falls_back_past_a_corrupted_newest_snapshot() {
     let mut cfg = ThreadedConfig::small(3, SchedulerKind::Fifo);
     cfg.ps_shards = 2;
     cfg.global_batch = 48;
-    cfg.iterations = 8;
-    cfg.checkpoint_period = 4; // snapshots close iters 3 and 7
+    cfg.iterations = 8; // snapshots close iters 3 and 7 (`CHECKPOINT_PERIOD` 4)
     cfg.fault_plan = FaultPlan::new(vec![
         FaultSpec::CheckpointCorrupt {
             shard: 0,
@@ -188,23 +187,23 @@ fn restore_falls_back_past_a_corrupted_newest_snapshot() {
 
 #[test]
 fn poisoned_newest_checkpoint_falls_back_exactly_one_generation() {
-    // Snapshots every 2 iterations, retention 2 (`CHECKPOINT_RETENTION`):
-    // when shard 1 dies at iteration 11 each of its parts' chains holds
-    // the intact iteration-7 snapshot and the poisoned iteration-9 one, so
-    // every part's restore walks exactly one generation back. (Retention 1
-    // would have collected the poisoned one and fallen back nowhere.)
+    // Snapshots every 4 iterations (`CHECKPOINT_PERIOD`), retention 2
+    // (`CHECKPOINT_RETENTION`): when shard 1 dies at iteration 9 each of
+    // its parts' chains holds the intact iteration-3 snapshot and the
+    // poisoned iteration-7 one, so every part's restore walks exactly one
+    // generation back. (Retention 1 would have collected the intact one
+    // and had nothing to fall back to.)
     let mut cfg = ThreadedConfig::small(2, SchedulerKind::Fifo);
     cfg.ps_shards = 2;
-    cfg.iterations = 12;
-    cfg.checkpoint_period = 2;
+    cfg.iterations = 10;
     cfg.fault_plan = FaultPlan::new(vec![
         FaultSpec::CheckpointCorrupt {
             shard: 1,
-            at_iter: 10, // poisons the iter-9 snapshot: newest before death
+            at_iter: 8, // poisons the iter-7 snapshot: newest before death
         },
         FaultSpec::ShardFail {
             shard: 1,
-            at_iter: 11,
+            at_iter: 9,
         },
     ]);
     let r = assert_bit_identical_to_fault_free(&cfg, "poisoned-newest");

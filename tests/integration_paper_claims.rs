@@ -127,11 +127,7 @@ fn fig3a_small_partitions_hurt_p3() {
 fn fig3b_autotuner_fluctuates() {
     use prophet::core::{AutoTuneConfig, ByteSchedulerConfig};
     let kind = SchedulerKind::ByteScheduler(ByteSchedulerConfig {
-        autotune: Some(AutoTuneConfig {
-            interval_iters: 2,
-            ..AutoTuneConfig::default()
-        }),
-        ..ByteSchedulerConfig::default()
+        autotune: Some(AutoTuneConfig { interval_iters: 2 }),
     });
     let mut cfg = ClusterConfig::paper_cell(3, 3.0, TrainingJob::paper_setup("resnet50", 64), kind);
     cfg.warmup_iters = 1;
