@@ -43,15 +43,17 @@ pub struct OracleBudget {
     /// the fault-free golden duration.
     pub liveness_multiple: f64,
     /// How long after the last fault window closes Prophet may legitimately
-    /// still be degraded (it needs `recover_updates` consecutive stable
-    /// monitor ticks — 5 s each in the paper cell — to re-arm).
+    /// still be degraded (it needs [`prophet_core::prophet::RECOVER_UPDATES`]
+    /// consecutive stable monitor ticks — 5 s each in the paper cell — to
+    /// re-arm).
     pub degraded_grace: Duration,
 }
 
 impl OracleBudget {
     /// Defaults sized for the paper cell: generous liveness (faults repeat
     /// whole barriers, and small cells amplify relative cost) and a grace
-    /// window covering `recover_updates` monitor ticks.
+    /// window covering [`prophet_core::prophet::RECOVER_UPDATES`] monitor
+    /// ticks.
     pub fn paper_default() -> Self {
         OracleBudget {
             liveness_multiple: 5.0,
