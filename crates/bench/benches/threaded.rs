@@ -40,12 +40,13 @@
 //! read 0.60 while every reply was decoded into a private copy).
 //!
 //! `setup_over_scalar_draw_vgg_4w_1s` is the 4-worker 1-shard VGG cell's
-//! set-up (`ThreadedResult::setup`: the dataset, the initial-weight draw
-//! and the machines) over the time one scalar `next_gaussian` per weight
-//! takes for the same model — the draw `Dense::new` made before its batch
-//! kernel. The two run back to back on one core in each round, so the
-//! ratio cancels the host's single-thread speed, which a set-up over the
-//! cell's steady-state iteration time (two cores, many threads) does not.
+//! set-up (`ThreadedResult::setup`: the dataset, the initial-weight draw,
+//! its encode into the initial frames and the machines) over the time one
+//! scalar `next_gaussian` per weight takes for the same model — the draw
+//! the weights took before the batch kernel. The two run back to back on
+//! one core in each round, so the ratio cancels the host's single-thread
+//! speed, which a set-up over the cell's steady-state iteration time (two
+//! cores, many threads) does not.
 //!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
@@ -115,7 +116,7 @@ fn paired_shard_scaling(workers: usize, shards: usize, rounds: usize, span: (u64
 }
 
 /// Seconds to draw `widths`' weights the scalar way: one `next_gaussian`
-/// per weight into fresh buffers, as `Dense::new` did before its batch
+/// per weight into fresh buffers, as the weight draw did before the batch
 /// kernel.
 fn scalar_draw_secs(widths: &[usize]) -> f64 {
     let t0 = Instant::now();

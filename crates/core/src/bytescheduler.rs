@@ -145,7 +145,6 @@ impl CreditAutoTuner {
 /// The ByteScheduler baseline (one per worker).
 pub struct ByteSchedulerScheduler {
     sizes: Vec<u64>,
-    cfg: ByteSchedulerConfig,
     credit: u64,
     push_heap: BinaryHeap<Part>,
     pull_heap: BinaryHeap<Part>,
@@ -157,13 +156,9 @@ pub struct ByteSchedulerScheduler {
 impl ByteSchedulerScheduler {
     /// Build from gradient sizes and a configuration.
     pub fn new(sizes: Vec<u64>, cfg: ByteSchedulerConfig) -> Self {
-        let tuner = cfg
-            .autotune
-            .clone()
-            .map(|t| CreditAutoTuner::new(t, CREDIT_BYTES));
+        let tuner = cfg.autotune.map(|t| CreditAutoTuner::new(t, CREDIT_BYTES));
         ByteSchedulerScheduler {
             sizes,
-            cfg,
             credit: CREDIT_BYTES,
             push_heap: BinaryHeap::new(),
             pull_heap: BinaryHeap::new(),
@@ -214,14 +209,6 @@ impl ByteSchedulerScheduler {
 }
 
 impl CommScheduler for ByteSchedulerScheduler {
-    fn name(&self) -> String {
-        if self.cfg.autotune.is_some() {
-            "bytescheduler+autotune".into()
-        } else {
-            "bytescheduler".into()
-        }
-    }
-
     fn gradient_ready(&mut self, _now: SimTime, grad: GradientId) {
         Self::enqueue(&mut self.push_heap, grad, self.sizes[grad]);
     }

@@ -34,10 +34,6 @@ impl FifoScheduler {
 }
 
 impl CommScheduler for FifoScheduler {
-    fn name(&self) -> String {
-        "fifo".into()
-    }
-
     fn gradient_ready(&mut self, _now: SimTime, grad: GradientId) {
         self.push_queue.push_back(grad);
     }

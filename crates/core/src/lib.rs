@@ -137,12 +137,42 @@ mod tests {
     use super::*;
     use prophet_dnn::TrainingJob;
 
+    /// Every kind builds a scheduler that, handed one iteration's
+    /// gradients in backward order, pushes each gradient's bytes exactly
+    /// once and then idles.
     #[test]
     fn factory_builds_every_kind() {
         let job = TrainingJob::paper_setup("resnet18", 32);
-        for kind in SchedulerKind::paper_lineup(1.25e9) {
-            let sched = kind.build(&job);
-            assert!(!sched.name().is_empty());
+        let sizes = job.sizes();
+        let autotune = ByteSchedulerConfig {
+            autotune: Some(AutoTuneConfig::default()),
+        };
+        let mut kinds = SchedulerKind::paper_lineup(1.25e9);
+        kinds.push(SchedulerKind::ByteScheduler(autotune));
+        kinds.push(SchedulerKind::Prophet(ProphetConfig::paper_default(1.25e9)));
+        let now = prophet_sim::SimTime::ZERO;
+        for kind in kinds {
+            let mut sched = kind.build(&job);
+            sched.iteration_begin(now, 0);
+            for g in (0..sizes.len()).rev() {
+                sched.gradient_ready(now, g);
+            }
+            let mut pushed = vec![0; sizes.len()];
+            loop {
+                let mut sent = Vec::new();
+                while let Some(task) = sched.next_task(now) {
+                    assert_eq!(task.dir, Dir::Push, "{}", kind.label());
+                    for &(g, bytes) in &task.pieces {
+                        pushed[g] += bytes;
+                    }
+                    sent.push(task);
+                }
+                if sent.is_empty() {
+                    break;
+                }
+                sent.iter().for_each(|t| sched.task_done(now, t));
+            }
+            assert_eq!(pushed, sizes, "{}", kind.label());
         }
     }
 
@@ -158,11 +188,25 @@ mod tests {
         assert_eq!(dedup.len(), labels.len());
     }
 
+    /// A profiling Prophet pushes like FIFO, in release order; a planned
+    /// one in priority order. Released in backward order, the last two
+    /// gradients go out lowest id first from the oracle's first iteration
+    /// on, and release order first from the online Prophet's.
     #[test]
     fn oracle_prophet_is_planned_immediately() {
         let job = TrainingJob::paper_setup("resnet18", 32);
-        let kind = SchedulerKind::ProphetOracle(ProphetConfig::paper_default(1.25e9));
-        let sched = kind.build(&job);
-        assert_eq!(sched.name(), "prophet");
+        let last = job.sizes().len() - 1;
+        let now = prophet_sim::SimTime::ZERO;
+        let first_push = |kind: SchedulerKind| {
+            let mut sched = kind.build(&job);
+            sched.iteration_begin(now, 0);
+            sched.gradient_ready(now, last);
+            sched.gradient_ready(now, last - 1);
+            sched.next_task(now).expect("nothing pushed").top_priority()
+        };
+        let cfg = ProphetConfig::paper_default(1.25e9);
+        let oracle = SchedulerKind::ProphetOracle(cfg.clone());
+        assert_eq!(first_push(oracle), last - 1);
+        assert_eq!(first_push(SchedulerKind::Prophet(cfg)), last);
     }
 }

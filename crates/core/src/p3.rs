@@ -62,10 +62,6 @@ impl P3Scheduler {
 }
 
 impl CommScheduler for P3Scheduler {
-    fn name(&self) -> String {
-        "p3".into()
-    }
-
     fn gradient_ready(&mut self, _now: SimTime, grad: GradientId) {
         Self::enqueue(
             &mut self.push_heap,

@@ -394,10 +394,6 @@ impl ProphetScheduler {
 }
 
 impl CommScheduler for ProphetScheduler {
-    fn name(&self) -> String {
-        "prophet".into()
-    }
-
     fn iteration_begin(&mut self, now: SimTime, _iter: u64) {
         self.iter_start = now;
         self.ready.clear();

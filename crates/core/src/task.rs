@@ -105,9 +105,6 @@ impl TransferTask {
 /// Implementations own all ordering/pacing decisions; the engine never
 /// reorders what `next_task` hands it.
 pub trait CommScheduler: Send {
-    /// Strategy name for reports ("fifo", "p3", "bytescheduler", "prophet").
-    fn name(&self) -> String;
-
     /// A gradient's payload became available to push at `now`.
     fn gradient_ready(&mut self, now: SimTime, grad: GradientId);
 

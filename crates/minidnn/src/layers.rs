@@ -1,10 +1,10 @@
 //! Layers with exact backpropagation.
 //!
-//! A layer's parameters reach its products through a [`RowSource`]: the
-//! layer's own tensors when a pass is handed `None`, or any source that
-//! serves the same tensors, such as the threaded runtime's pulled frames.
-//! The layer keeps its own tensors either way: they give it its shape, and
-//! they are its parameters whenever no source is passed.
+//! A layer holds no parameters: only its shape and what its forward
+//! caches for the backward. Every pass reads the parameters through the
+//! [`RowSource`] it is handed — a model's drawn tensors
+//! ([`crate::Mlp::new`]), or any source serving the same tensors, such as
+//! the threaded runtime's pulled frames.
 
 use crate::tensor::{RowSource, Tensor};
 use prophet_sim::Xoshiro256StarStar;
@@ -13,7 +13,7 @@ use prophet_sim::Xoshiro256StarStar;
 ///
 /// Layers own no gradient buffers: each gradient tensor is handed over
 /// once, as it is finished, in pieces — tensor `id`'s elements arrive in
-/// order, and a layer's tensors arrive in [`Layer::params`] order, one
+/// order, and a layer's tensors arrive in [`Layer::shapes`] order, one
 /// after the other. A sink can keep them as `f32`s (`Vec<Vec<f32>>`, what
 /// [`crate::Mlp::grad_slices`] reads) or write them straight into a wire
 /// frame without an intermediate copy.
@@ -33,77 +33,71 @@ impl GradSink for Vec<Vec<f32>> {
 /// A differentiable layer.
 pub trait Layer: Send {
     /// Forward pass on a `batch × in` activation, returning `batch × out`.
-    /// Reads the parameters from `params` — tensor `i` of
-    /// [`Layer::params`] under id `i` — or from the layer's own tensors
-    /// when `None`.
-    fn forward(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor;
+    /// Reads the parameters from `params`, tensor `i` of
+    /// [`Layer::shapes`] under id `i`.
+    fn forward(&mut self, x: &Tensor, params: &mut dyn RowSource) -> Tensor;
 
     /// Backward pass: gradient of the loss wrt this layer's output →
     /// gradient wrt its input, reading the parameters as
     /// [`Layer::forward`] does. The parameter gradients are stored into
-    /// `grads`, tensor `i` of [`Layer::params`] under id `i`.
+    /// `grads`, tensor `i` of [`Layer::shapes`] under id `i`.
     fn backward(
         &mut self,
         grad_out: &Tensor,
         grads: &mut dyn GradSink,
-        params: Option<&mut dyn RowSource>,
+        params: &mut dyn RowSource,
     ) -> Tensor;
 
     /// The backward pass of a network's first layer: store the parameter
     /// gradients exactly as [`Layer::backward`] does, but skip the gradient
     /// wrt the input, which nothing consumes — so no parameter is read.
-    fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
-        let _ = self.backward(grad_out, grads, None);
-    }
+    fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink);
 
-    /// Flattened views of this layer's parameter tensors (weights first).
-    fn params(&self) -> Vec<&[f32]>;
-
-    /// Mutable flattened parameter tensors.
-    fn params_mut(&mut self) -> Vec<&mut [f32]>;
-
-    /// A deep copy behind a fresh box (what makes a model `Clone`).
-    fn boxed_clone(&self) -> Box<dyn Layer>;
+    /// `(rows, cols)` of each parameter tensor the layer reads, weights
+    /// first.
+    fn shapes(&self) -> &[(usize, usize)];
 }
 
-/// Fully connected layer `y = x · w + b`.
-#[derive(Clone)]
+/// Fully connected layer `y = x · w + b`: `w` is `in × out`, `b` is
+/// `1 × out`.
 pub struct Dense {
-    w: Tensor,        // in × out
-    b: Tensor,        // 1 × out
+    shapes: [(usize, usize); 2],
     cached_x: Tensor, // input saved by forward for the backward pass
     row: Vec<f32>,    // scratch: the weight-gradient row being built
 }
 
 impl Dense {
-    /// He-initialised layer, deterministic per `rng` stream.
-    pub fn new(input: usize, output: usize, rng: &mut Xoshiro256StarStar) -> Self {
-        let mut data = vec![0.0; input * output];
-        rng.fill_gaussian_f32((2.0 / input as f64).sqrt(), &mut data);
+    /// An `input → output` layer.
+    pub fn new(input: usize, output: usize) -> Self {
         Dense {
-            w: Tensor::from_vec(input, output, data),
-            b: Tensor::zeros(1, output),
+            shapes: [(input, output), (1, output)],
             cached_x: Tensor::zeros(0, 0),
             row: Vec::new(),
         }
     }
+
+    /// He-initialised parameters of an `input → output` layer: the
+    /// weights drawn from `rng`, deterministic per stream, the bias zero.
+    pub fn init(input: usize, output: usize, rng: &mut Xoshiro256StarStar) -> [Tensor; 2] {
+        let mut data = vec![0.0; input * output];
+        rng.fill_gaussian_f32((2.0 / input as f64).sqrt(), &mut data);
+        [
+            Tensor::from_vec(input, output, data),
+            Tensor::zeros(1, output),
+        ]
+    }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
-        assert_eq!(x.cols, self.w.rows, "dense input width mismatch");
+    fn forward(&mut self, x: &Tensor, params: &mut dyn RowSource) -> Tensor {
+        let (input, output) = self.shapes[0];
+        assert_eq!(x.cols, input, "dense input width mismatch");
         self.cached_x = x.clone();
-        let mut own = [&self.w, &self.b];
-        let src: &mut dyn RowSource = match params {
-            Some(p) => p,
-            None => &mut own,
-        };
-        let mut y = Tensor::zeros(x.rows, self.w.cols);
-        x.matmul_from_into(src, 0, &mut y);
-        let cols = y.cols;
-        let bias = src.row(1, 0, cols);
+        let mut y = Tensor::zeros(x.rows, output);
+        x.matmul_from_into(params, 0, &mut y);
+        let bias = params.row(1, 0, output);
         for r in 0..y.rows {
-            let row = &mut y.data[r * cols..(r + 1) * cols];
+            let row = &mut y.data[r * output..(r + 1) * output];
             for (v, &b) in row.iter_mut().zip(bias) {
                 *v += b;
             }
@@ -115,16 +109,11 @@ impl Layer for Dense {
         &mut self,
         grad_out: &Tensor,
         grads: &mut dyn GradSink,
-        params: Option<&mut dyn RowSource>,
+        params: &mut dyn RowSource,
     ) -> Tensor {
         self.backward_params(grad_out, grads);
-        let mut own = [&self.w, &self.b];
-        let src: &mut dyn RowSource = match params {
-            Some(p) => p,
-            None => &mut own,
-        };
         // dx = dy · wᵀ.
-        grad_out.matmul_t_from(src, 0, self.w.rows)
+        grad_out.matmul_t_from(params, 0, self.shapes[0].0)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor, grads: &mut dyn GradSink) {
@@ -135,21 +124,12 @@ impl Layer for Dense {
         grads.store(1, &grad_out.sum_rows().data);
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        vec![&self.w.data, &self.b.data]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![&mut self.w.data, &mut self.b.data]
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn shapes(&self) -> &[(usize, usize)] {
+        &self.shapes
     }
 }
 
 /// Rectified linear unit.
-#[derive(Clone)]
 pub struct Relu {
     mask: Vec<bool>,
 }
@@ -168,7 +148,7 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _params: Option<&mut dyn RowSource>) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _params: &mut dyn RowSource) -> Tensor {
         self.mask = x.data.iter().map(|&v| v > 0.0).collect();
         let data = x.data.iter().map(|&v| v.max(0.0)).collect();
         Tensor::from_vec(x.rows, x.cols, data)
@@ -178,7 +158,7 @@ impl Layer for Relu {
         &mut self,
         grad_out: &Tensor,
         _grads: &mut dyn GradSink,
-        _params: Option<&mut dyn RowSource>,
+        _params: &mut dyn RowSource,
     ) -> Tensor {
         assert_eq!(grad_out.data.len(), self.mask.len(), "stale forward cache");
         let data = grad_out
@@ -190,16 +170,10 @@ impl Layer for Relu {
         Tensor::from_vec(grad_out.rows, grad_out.cols, data)
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        vec![]
-    }
+    fn backward_params(&mut self, _grad_out: &Tensor, _grads: &mut dyn GradSink) {}
 
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![]
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn shapes(&self) -> &[(usize, usize)] {
+        &[]
     }
 }
 
@@ -209,25 +183,25 @@ mod tests {
 
     #[test]
     fn dense_forward_known_values() {
-        let mut rng = Xoshiro256StarStar::new(1);
-        let mut d = Dense::new(2, 2, &mut rng);
-        // Overwrite with known weights.
-        d.w = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        d.b = Tensor::from_vec(1, 2, vec![10., 20.]);
+        let mut d = Dense::new(2, 2);
+        let w = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let b = Tensor::from_vec(1, 2, vec![10., 20.]);
         let x = Tensor::from_vec(1, 2, vec![1., 1.]);
-        let y = d.forward(&x, None);
+        let y = d.forward(&x, &mut [&w, &b]);
         assert_eq!(y.data, vec![1. + 3. + 10., 2. + 4. + 20.]);
     }
 
     #[test]
     fn dense_backward_gradient_shapes() {
         let mut rng = Xoshiro256StarStar::new(2);
-        let mut d = Dense::new(3, 2, &mut rng);
+        let [w, b] = Dense::init(3, 2, &mut rng);
+        let mut d = Dense::new(3, 2);
+        assert_eq!(d.shapes(), [(3, 2), (1, 2)]);
         let x = Tensor::from_vec(4, 3, vec![0.5; 12]);
-        let _ = d.forward(&x, None);
+        let _ = d.forward(&x, &mut [&w, &b]);
         let dy = Tensor::from_vec(4, 2, vec![1.0; 8]);
         let mut grads = vec![Vec::new(); 2];
-        let dx = d.backward(&dy, &mut grads, None);
+        let dx = d.backward(&dy, &mut grads, &mut [&w, &b]);
         assert_eq!((dx.rows, dx.cols), (4, 3));
         assert_eq!(grads[0].len(), 6);
         assert_eq!(grads[1].len(), 2);
@@ -238,24 +212,25 @@ mod tests {
     #[test]
     fn dense_finite_difference_gradcheck() {
         let mut rng = Xoshiro256StarStar::new(3);
-        let mut d = Dense::new(3, 2, &mut rng);
+        let [mut w, b] = Dense::init(3, 2, &mut rng);
+        let mut d = Dense::new(3, 2);
         let x = Tensor::from_vec(2, 3, vec![0.3, -0.1, 0.8, 0.5, 0.2, -0.7]);
-        // Loss = sum of outputs; dL/dy = ones.
-        let loss = |d: &mut Dense, x: &Tensor| -> f32 { d.forward(x, None).data.iter().sum() };
-        let _ = d.forward(&x, None);
+        let _ = d.forward(&x, &mut [&w, &b]);
         let dy = Tensor::from_vec(2, 2, vec![1.0; 4]);
         let mut grads = vec![Vec::new(); 2];
-        let _ = d.backward(&dy, &mut grads, None);
+        let _ = d.backward(&dy, &mut grads, &mut [&w, &b]);
         let analytic = &grads[0];
+        // Loss = sum of outputs; dL/dy = ones.
+        let mut loss = |w: &Tensor| -> f32 { d.forward(&x, &mut [w, &b]).data.iter().sum() };
         let eps = 1e-3f32;
         #[allow(clippy::needless_range_loop)] // k indexes both w and analytic
         for k in 0..6 {
-            let orig = d.w.data[k];
-            d.w.data[k] = orig + eps;
-            let up = loss(&mut d, &x);
-            d.w.data[k] = orig - eps;
-            let down = loss(&mut d, &x);
-            d.w.data[k] = orig;
+            let orig = w.data[k];
+            w.data[k] = orig + eps;
+            let up = loss(&w);
+            w.data[k] = orig - eps;
+            let down = loss(&w);
+            w.data[k] = orig;
             let numeric = (up - down) / (2.0 * eps);
             assert!(
                 (numeric - analytic[k]).abs() < 1e-2,
@@ -269,10 +244,10 @@ mod tests {
     fn relu_masks_negative_paths() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(1, 4, vec![-1., 2., -3., 4.]);
-        let y = r.forward(&x, None);
+        let y = r.forward(&x, &mut []);
         assert_eq!(y.data, vec![0., 2., 0., 4.]);
         let dy = Tensor::from_vec(1, 4, vec![10., 10., 10., 10.]);
-        let dx = r.backward(&dy, &mut Vec::new(), None);
+        let dx = r.backward(&dy, &mut Vec::new(), &mut []);
         assert_eq!(dx.data, vec![0., 10., 0., 10.]);
     }
 
@@ -281,14 +256,15 @@ mod tests {
         // A second backward over the same input hands over the same
         // gradients, bit for bit: nothing carries over between passes.
         let mut rng = Xoshiro256StarStar::new(4);
-        let mut d = Dense::new(2, 2, &mut rng);
+        let [w, b] = Dense::init(2, 2, &mut rng);
+        let mut d = Dense::new(2, 2);
         let x = Tensor::from_vec(1, 2, vec![1., -0.5]);
         let dy = Tensor::from_vec(1, 2, vec![1., 0.25]);
         let mut passes = Vec::new();
         for _ in 0..2 {
-            let _ = d.forward(&x, None);
+            let _ = d.forward(&x, &mut [&w, &b]);
             let mut grads = vec![Vec::new(); 2];
-            let _ = d.backward(&dy, &mut grads, None);
+            let _ = d.backward(&dy, &mut grads, &mut [&w, &b]);
             passes.push(grads);
         }
         assert_eq!(passes[0], passes[1]);

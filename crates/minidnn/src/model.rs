@@ -5,9 +5,10 @@
 //! weight = gradient 0), matching the priority convention of `prophet-dnn`
 //! and the paper: gradient 0 is what the next forward pass needs first.
 //!
-//! Each pass reads the parameters from the [`RowSource`] it is handed,
-//! which serves them under their model-wide ids, or from the model's own
-//! tensors when handed `None`.
+//! The layers hold no parameters. A model from [`Mlp::new`] keeps the
+//! tensors it drew in one store beside them, which a pass reads when it is
+//! handed no [`RowSource`]; a model from [`Mlp::shape`] has the layers
+//! only, and each pass reads the source it is handed.
 
 use crate::layers::{Dense, GradSink, Layer, Relu};
 use crate::loss::softmax_cross_entropy;
@@ -18,6 +19,8 @@ use std::ops::Range;
 /// A multi-layer perceptron with ReLU activations between Dense layers.
 pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
+    /// The drawn parameters, forward order (empty in a shape-only model).
+    params: Vec<Tensor>,
     /// The gradients of the last [`Mlp::forward_backward`], forward order
     /// (empty before the first). A caller stepping the backward itself
     /// stores them wherever its own [`GradSink`] says instead.
@@ -35,16 +38,6 @@ pub struct Backward {
     tensors: usize,
 }
 
-/// A deep copy: same parameter bits, without re-drawing the initialisation.
-impl Clone for Mlp {
-    fn clone(&self) -> Self {
-        Mlp {
-            layers: self.layers.iter().map(|l| l.boxed_clone()).collect(),
-            grads: self.grads.clone(),
-        }
-    }
-}
-
 /// A layer's view of the caller's sink: its local tensor ids shifted to
 /// the model's.
 struct Shifted<'a> {
@@ -58,8 +51,8 @@ impl GradSink for Shifted<'_> {
     }
 }
 
-/// A layer's view of the caller's parameter source: its local tensor ids
-/// shifted to the model's.
+/// A layer's view of the parameter source: its local tensor ids shifted
+/// to the model's.
 struct ShiftedRows<'a> {
     first: usize,
     src: &'a mut dyn RowSource,
@@ -71,51 +64,79 @@ impl RowSource for ShiftedRows<'_> {
     }
 }
 
-/// The layer whose tensors start at model id `first` reads them from
-/// `params` (shifted to its local ids), or from its own when `None`.
-fn shifted<'a>(
-    params: &'a mut Option<&mut dyn RowSource>,
-    first: usize,
-) -> Option<ShiftedRows<'a>> {
-    let src = params.as_deref_mut()?;
-    Some(ShiftedRows { first, src })
-}
-
 impl Mlp {
     /// Build from layer widths, e.g. `[64, 128, 128, 10]` = three Dense
-    /// layers with ReLU between them. Deterministic per seed.
+    /// layers with ReLU between them, He-initialised. Deterministic per
+    /// seed.
     pub fn new(widths: &[usize], seed: u64) -> Self {
-        assert!(widths.len() >= 2, "need at least input and output widths");
+        let mut model = Mlp::shape(widths);
         let mut rng = Xoshiro256StarStar::new(seed);
+        model.params = widths
+            .windows(2)
+            .flat_map(|w| Dense::init(w[0], w[1], &mut rng))
+            .collect();
+        model
+    }
+
+    /// The layers of [`Mlp::new`]`(widths, _)` without their parameters:
+    /// nothing is drawn or allocated for them, and every pass reads the
+    /// source it is handed.
+    pub fn shape(widths: &[usize]) -> Self {
+        assert!(widths.len() >= 2, "need at least input and output widths");
         let mut layers: Vec<Box<dyn Layer>> = Vec::new();
         for (i, w) in widths.windows(2).enumerate() {
-            layers.push(Box::new(Dense::new(w[0], w[1], &mut rng)));
+            layers.push(Box::new(Dense::new(w[0], w[1])));
             if i + 2 < widths.len() {
                 layers.push(Box::new(Relu::new()));
             }
         }
         Mlp {
             layers,
+            params: Vec::new(),
             grads: Vec::new(),
         }
     }
 
+    /// The layers, and what a pass reads the parameters from: `params`
+    /// (model-wide tensor ids), or the model's drawn tensors when `None`.
+    fn split<'a>(
+        &'a mut self,
+        params: Option<&'a mut (dyn RowSource + '_)>,
+    ) -> (&'a mut [Box<dyn Layer>], &'a mut dyn RowSource) {
+        let src: &mut dyn RowSource = match params {
+            Some(src) => src,
+            None => {
+                assert!(
+                    !self.params.is_empty(),
+                    "a shape-only model needs a parameter source"
+                );
+                &mut self.params
+            }
+        };
+        (&mut self.layers, src)
+    }
+
     /// Forward pass, returning logits. Reads the parameters from `params`
-    /// (model-wide tensor ids), or from the model's own tensors when `None`.
-    pub fn forward(&mut self, x: &Tensor, mut params: Option<&mut dyn RowSource>) -> Tensor {
+    /// (model-wide tensor ids), or from the model's drawn tensors when
+    /// `None`.
+    pub fn forward(&mut self, x: &Tensor, params: Option<&mut dyn RowSource>) -> Tensor {
+        let (layers, src) = self.split(params);
         let mut act = x.clone();
         let mut first = 0;
-        for layer in &mut self.layers {
-            let mut src = shifted(&mut params, first);
-            act = layer.forward(&act, src.as_mut().map(|s| s as &mut dyn RowSource));
-            first += layer.params().len();
+        for layer in layers {
+            let mut rows = ShiftedRows {
+                first,
+                src: &mut *src,
+            };
+            act = layer.forward(&act, &mut rows);
+            first += layer.shapes().len();
         }
         act
     }
 
-    /// Full training step bookkeeping: forward, loss, backward. The
-    /// gradients are kept for [`Mlp::grad_slices`], replacing the previous
-    /// pass's; returns the mean loss.
+    /// Full training step bookkeeping on the drawn tensors: forward, loss,
+    /// backward. The gradients are kept for [`Mlp::grad_slices`],
+    /// replacing the previous pass's; returns the mean loss.
     pub fn forward_backward(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         let mut grads = std::mem::take(&mut self.grads);
         grads.resize_with(self.num_tensors(), Vec::new);
@@ -160,26 +181,28 @@ impl Mlp {
         &mut self,
         pass: &mut Backward,
         grads: &mut dyn GradSink,
-        mut params: Option<&mut dyn RowSource>,
+        params: Option<&mut dyn RowSource>,
     ) -> Option<Range<usize>> {
         let ids = self.next_tensors(pass)?;
+        let (layers, src) = self.split(params);
         let mut sink = Shifted {
             first: ids.start,
             sink: grads,
         };
+        let mut src = ShiftedRows {
+            first: ids.start,
+            src,
+        };
         while pass.next > 0 {
             pass.next -= 1;
-            let layer = &mut self.layers[pass.next];
-            let held = layer.params().len();
+            let layer = &mut layers[pass.next];
             if pass.next == 0 {
                 // Nothing consumes the gradient wrt the network's input.
                 layer.backward_params(&pass.grad, &mut sink);
             } else {
-                let mut src = shifted(&mut params, ids.start);
-                let src = src.as_mut().map(|s| s as &mut dyn RowSource);
-                pass.grad = layer.backward(&pass.grad, &mut sink, src);
+                pass.grad = layer.backward(&pass.grad, &mut sink, &mut src);
             }
-            if held > 0 {
+            if !layer.shapes().is_empty() {
                 pass.tensors = ids.start;
                 return Some(ids);
             }
@@ -194,7 +217,7 @@ impl Mlp {
         let held = self.layers[..pass.next]
             .iter()
             .rev()
-            .map(|l| l.params().len())
+            .map(|l| l.shapes().len())
             .find(|&n| n > 0)?;
         Some(pass.tensors - held..pass.tensors)
     }
@@ -206,15 +229,13 @@ impl Mlp {
 
     /// Number of parameter tensors (= gradients, in the scheduling sense).
     pub fn num_tensors(&self) -> usize {
-        self.layers.iter().map(|l| l.params().len()).sum()
+        self.layers.iter().map(|l| l.shapes().len()).sum()
     }
 
     /// Sizes of each parameter tensor in elements, forward (priority) order.
     pub fn tensor_sizes(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().into_iter().map(|p| p.len()))
-            .collect()
+        let shapes = self.layers.iter().flat_map(|l| l.shapes());
+        shapes.map(|&(rows, cols)| rows * cols).collect()
     }
 
     /// The gradient tensors of the last [`Mlp::forward_backward`], forward
@@ -223,27 +244,24 @@ impl Mlp {
         self.grads.iter().map(Vec::as_slice).collect()
     }
 
-    /// All parameter tensors, forward order, as slices.
+    /// The drawn parameter tensors, forward order, as slices (none in a
+    /// shape-only model).
     pub fn param_slices(&self) -> Vec<&[f32]> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
+        self.params.iter().map(|t| t.data.as_slice()).collect()
     }
 
-    /// Overwrite parameter tensor `id` (a pulled update from the PS).
+    /// Overwrite drawn parameter tensor `id` (a pulled update from the PS).
     pub fn set_param(&mut self, id: usize, values: &[f32]) {
-        let p = self.param_slice_mut(id);
-        assert_eq!(p.len(), values.len(), "parameter size mismatch");
-        p.copy_from_slice(values);
+        let p = self.params.get_mut(id);
+        let p = p.unwrap_or_else(|| panic!("parameter tensor {id} out of range"));
+        assert_eq!(p.data.len(), values.len(), "parameter size mismatch");
+        p.data.copy_from_slice(values);
     }
 
-    /// Mutable view of parameter tensor `id`.
-    pub fn param_slice_mut(&mut self, id: usize) -> &mut [f32] {
-        let p = self.layers.iter_mut().flat_map(|l| l.params_mut()).nth(id);
-        p.unwrap_or_else(|| panic!("parameter tensor {id} out of range"))
-    }
-
-    /// Classification accuracy on `(x, labels)`. Logits are ranked by
-    /// [`f32::total_cmp`], so a diverged model whose logits are NaN still
-    /// scores (its NaN rows are almost surely wrong) instead of panicking.
+    /// Classification accuracy on `(x, labels)` with the drawn tensors.
+    /// Logits are ranked by [`f32::total_cmp`], so a diverged model whose
+    /// logits are NaN still scores (its NaN rows are almost surely wrong)
+    /// instead of panicking.
     pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         let logits = self.forward(x, None);
         let mut correct = 0usize;
@@ -303,12 +321,13 @@ mod tests {
         let mut ref_grads = vec![Vec::new(); 6];
         let mut first = 6;
         for layer in reference.layers.iter_mut().rev() {
-            first -= layer.params().len();
+            first -= layer.shapes().len();
             let mut sink = Shifted {
                 first,
                 sink: &mut ref_grads,
             };
-            grad = layer.backward(&grad, &mut sink, None);
+            let src = &mut reference.params;
+            grad = layer.backward(&grad, &mut sink, &mut ShiftedRows { first, src });
         }
         reference.grads = ref_grads;
 
@@ -361,9 +380,9 @@ mod tests {
 
     #[test]
     fn a_source_serving_the_same_tensors_computes_the_same_bits() {
-        // The model's own tensors are zeroed, so only the source can make
-        // the answer right; each pass must read every row of its tensors
-        // in order, and a backward step only the tensors it differentiates.
+        // The model holds no parameters, so only the source can make the
+        // answer right; each pass must read every row of its tensors in
+        // order, and a backward step only the tensors it differentiates.
         let x = Tensor::from_vec(
             3,
             4,
@@ -376,10 +395,7 @@ mod tests {
             tensors: own.param_slices().iter().map(|t| t.to_vec()).collect(),
             asked: Vec::new(),
         };
-        let mut other = Mlp::new(&[4, 8, 5, 3], 7);
-        for id in 0..other.num_tensors() {
-            other.param_slice_mut(id).fill(0.0);
-        }
+        let mut other = Mlp::shape(&[4, 8, 5, 3]);
         let (loss, mut pass) = other.forward_loss(&x, &labels, Some(&mut src));
         let forward: Vec<_> = std::mem::take(&mut src.asked);
         let rows = [4, 1, 8, 1, 5, 1];
@@ -407,6 +423,56 @@ mod tests {
         };
         let own_grads: Vec<Vec<f32>> = own.grad_slices().iter().map(|g| g.to_vec()).collect();
         assert_eq!(bits(&grads), bits(&own_grads));
+    }
+
+    /// The seam the threaded workers run on: a shape-only model reading a
+    /// drawn model's tensors through a source computes that model's own
+    /// `forward_backward`, loss and gradients bit for bit, pass after pass
+    /// as the drawn tensors move.
+    #[test]
+    fn a_shape_only_model_on_a_source_equals_forward_backward() {
+        let widths = [5, 9, 6, 3];
+        let mut drawn = Mlp::new(&widths, 21);
+        let mut shaped = Mlp::shape(&widths);
+        assert_eq!(shaped.tensor_sizes(), drawn.tensor_sizes());
+        assert!(shaped.param_slices().is_empty(), "a shape holds parameters");
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for step in 0..3 {
+            let x = Tensor::from_vec(4, 5, (0..20).map(|i| ((i + step) as f32).cos()).collect());
+            let labels = [step % 3, 1, 2, 0];
+            let loss = drawn.forward_backward(&x, &labels);
+            let mut src = Copies {
+                tensors: drawn.param_slices().iter().map(|t| t.to_vec()).collect(),
+                asked: Vec::new(),
+            };
+            let (shaped_loss, mut pass) = shaped.forward_loss(&x, &labels, Some(&mut src));
+            let mut grads = vec![Vec::new(); 6];
+            while shaped
+                .backward_step(&mut pass, &mut grads, Some(&mut src))
+                .is_some()
+            {}
+            assert_eq!(shaped_loss.to_bits(), loss.to_bits(), "step {step}");
+            for (id, g) in drawn.grad_slices().iter().enumerate() {
+                assert_eq!(bits(&grads[id]), bits(g), "step {step}, tensor {id}");
+            }
+            // Move the drawn tensors, as an update would.
+            let moved: Vec<Vec<f32>> = drawn
+                .param_slices()
+                .iter()
+                .zip(drawn.grad_slices())
+                .map(|(p, g)| p.iter().zip(g).map(|(p, g)| p - 0.5 * g).collect())
+                .collect();
+            for (id, p) in moved.iter().enumerate() {
+                drawn.set_param(id, p);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a parameter source")]
+    fn a_shape_only_model_reads_no_parameters_of_its_own() {
+        let x = Tensor::from_vec(1, 4, vec![0.5; 4]);
+        Mlp::shape(&[4, 8, 3]).forward(&x, None);
     }
 
     #[test]

@@ -30,6 +30,15 @@ impl<const N: usize> RowSource for [&Tensor; N] {
     }
 }
 
+/// A list of tensors is a source: tensor `i` is the `i`-th.
+impl RowSource for Vec<Tensor> {
+    fn row(&mut self, tensor: usize, k: usize, width: usize) -> &[f32] {
+        let t = &self[tensor];
+        assert_eq!(width, t.cols, "row width mismatch");
+        t.row(k)
+    }
+}
+
 /// A row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -280,11 +289,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -415,10 +419,9 @@ mod tests {
     #[test]
     fn norm_and_diff() {
         let a = t(1, 2, &[3., 4.]);
-        assert!((a.norm() - 5.0).abs() < 1e-6);
         let mut b = t(1, 2, &[3., 7.]);
         b.axpy(-1.0, &a);
-        assert_eq!(b.norm(), 3.0);
+        assert_eq!(b.data, [0.0, 3.0]);
     }
 
     #[test]

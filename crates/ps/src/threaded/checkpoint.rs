@@ -152,17 +152,17 @@ pub(crate) struct DurableStore {
 impl DurableStore {
     /// A store seeded with the initial model (the implicit iteration-0
     /// checkpoint every run starts from). `init` is the full model, one
-    /// vector per part in part-id order; dormant stores record nothing.
+    /// slice per part in part-id order; dormant stores record nothing.
     /// `retention` bounds how many generations GC keeps per part: a run
     /// passes [`crate::protocol::CHECKPOINT_RETENTION`]; the tests below
     /// sweep it.
-    pub(crate) fn new(armed: bool, init: &[Vec<f32>], lr: f32, retention: usize) -> Self {
+    pub(crate) fn new(armed: bool, init: &[&[f32]], lr: f32, retention: usize) -> Self {
         let init = if armed { init } else { &[] };
         let slots = init
             .iter()
             .map(|p| {
                 let initial = Snapshot {
-                    params: p.clone(),
+                    params: p.to_vec(),
                     opt: Sgd::new(lr, PS_MOMENTUM, &[p.len()]),
                     upto: None,
                     crc: params_crc(p),
@@ -280,9 +280,9 @@ mod tests {
     /// after one *further* step (which catches optimiser-state divergence
     /// that identical params alone would hide).
     fn roundtrip(elems: usize, grads: &[Vec<f32>], ckpt_after: usize) {
-        let init = vec![vec![0.25f32; elems]];
-        let store = DurableStore::new(true, &init, 0.1, 2);
-        let mut live_p = init[0].clone();
+        let init = vec![0.25f32; elems];
+        let store = DurableStore::new(true, &[&init], 0.1, 2);
+        let mut live_p = init.clone();
         let mut live_o = Sgd::new(0.1, PS_MOMENTUM, &[elems]);
         for (i, g) in grads.iter().enumerate() {
             live_o.step(0, &mut live_p, g);
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn dormant_store_records_nothing_and_costs_nothing() {
-        let store = DurableStore::new(false, &[vec![1.0f32; 4]], 0.1, 2);
+        let store = DurableStore::new(false, &[&[1.0f32; 4]], 0.1, 2);
         assert!(!store.armed());
         assert!(store.slots.is_empty());
         store.note_update(0, 0, copy(&[1.0; 4])); // no-op, must not panic
@@ -353,13 +353,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "restore from a dormant store")]
     fn dormant_restore_panics() {
-        let store = DurableStore::new(false, &[vec![1.0f32; 4]], 0.1, 2);
+        let store = DurableStore::new(false, &[&[1.0f32; 4]], 0.1, 2);
         let _ = store.restore(0);
     }
 
     #[test]
     fn checkpoint_truncates_the_ledger() {
-        let store = DurableStore::new(true, &[vec![0.0f32; 2]], 0.05, 2);
+        let store = DurableStore::new(true, &[&[0.0f32; 2]], 0.05, 2);
         let mut p = vec![0.0f32; 2];
         let mut o = Sgd::new(0.05, PS_MOMENTUM, &[2]);
         for i in 0..4u64 {
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn restore_falls_back_past_a_corrupted_snapshot() {
         let elems = 3;
-        let store = DurableStore::new(true, &[vec![0.5f32; elems]], 0.1, 3);
+        let store = DurableStore::new(true, &[&vec![0.5f32; elems][..]], 0.1, 3);
         let mut p = vec![0.5f32; elems];
         let mut o = Sgd::new(0.1, PS_MOMENTUM, &[elems]);
         for i in 0..6u64 {
@@ -415,7 +415,7 @@ mod tests {
     /// later clean checkpoint finally displaces it.
     #[test]
     fn gc_never_collects_the_only_intact_generation() {
-        let store = DurableStore::new(true, &[vec![1.0f32; 2]], 0.1, 1);
+        let store = DurableStore::new(true, &[&[1.0f32; 2]], 0.1, 1);
         let mut p = vec![1.0f32; 2];
         let mut o = Sgd::new(0.1, PS_MOMENTUM, &[2]);
         for i in 0..4u64 {

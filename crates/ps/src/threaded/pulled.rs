@@ -2,7 +2,9 @@
 //! step that last reads them: the intact pull replies themselves, kept as
 //! zero-copy windows into the frames the shards encoded, and read in place
 //! by the forward and the backward. Nothing decodes them into a private
-//! copy.
+//! copy. Iteration 0 reads the same way, from the drawn parameters
+//! encoded once, a frame per part ([`Pulled::initial`]), which every
+//! initial member shares as if the pull of iteration −1 had landed.
 //!
 //! * **Views.** A row that lies inside one window, with 4-byte-aligned
 //!   bytes on a little-endian target, is handed out as an `&[f32]` view of
@@ -17,12 +19,14 @@
 //!   step that last reads them, before its gradient is pushed — so every
 //!   member has let go of a frame before the barrier that reclaims it.
 
-use super::wire::{crc32, FrameHeader};
-use bytes::Bytes;
+use super::wire::{crc32, encode_f32_into_crc, FrameHeader};
+use bytes::{Bytes, BytesMut};
+use prophet_core::ShardMap;
 use prophet_minidnn::RowSource;
 use std::ops::Range;
 
 /// One intact pull reply kept as parameters: elements `lo..` of its tensor.
+#[derive(Clone)]
 struct Window {
     lo: usize,
     data: Bytes,
@@ -57,7 +61,9 @@ impl Window {
     }
 }
 
-/// The landed pull windows of every tensor, served as a [`RowSource`].
+/// The landed pull windows of every tensor, served as a [`RowSource`]. A
+/// clone shares the frames and checks their CRCs afresh.
+#[derive(Clone)]
 pub(super) struct Pulled {
     /// Per tensor, its windows in element order.
     windows: Vec<Vec<Window>>,
@@ -83,6 +89,20 @@ impl Pulled {
         }
     }
 
+    /// The windows of the parameters `parts` of `map`'s parts, each part
+    /// encoded once, as a shard encodes a pull reply.
+    pub(super) fn initial(map: &ShardMap, parts: &[&[f32]]) -> Self {
+        let mut pulled = Pulled::new(map.tensors());
+        for (part, values) in map.parts().iter().zip(parts) {
+            let mut data = BytesMut::new();
+            let crc = encode_f32_into_crc(values, &mut data);
+            let len = data.len() as u32;
+            let frame = FrameHeader { len, crc };
+            pulled.land(part.tensor, part.lo as usize, data.freeze(), frame);
+        }
+        pulled
+    }
+
     /// Keep an intact reply — `data`, elements of tensor `grad` from
     /// `offset_elems`, sent under `frame` — as parameters.
     pub(super) fn land(
@@ -102,16 +122,6 @@ impl Pulled {
             checked: 0,
         };
         windows.insert(at, window);
-    }
-
-    /// What the next pass reads its parameters from: these windows, or —
-    /// `None`, before any pull has landed — the model's own tensors.
-    pub(super) fn source(&mut self) -> Option<&mut dyn RowSource> {
-        if self.windows.iter().all(Vec::is_empty) {
-            None
-        } else {
-            Some(self)
-        }
     }
 
     /// Let go of the windows of `tensors`.
@@ -182,6 +192,17 @@ mod tests {
     use super::*;
     use prophet_minidnn::{Mlp, Tensor};
 
+    impl Pulled {
+        /// The windows of `tensor`, in element order: where each starts,
+        /// and its bytes.
+        pub(in crate::threaded) fn frames(
+            &self,
+            tensor: usize,
+        ) -> impl Iterator<Item = (usize, &Bytes)> {
+            self.windows[tensor].iter().map(|w| (w.lo, &w.data))
+        }
+    }
+
     /// Elements `range` of `values`, framed as a shard frames a pull reply.
     fn reply(values: &[f32], range: Range<usize>) -> (Bytes, FrameHeader) {
         let data = encode_f32(&values[range]);
@@ -229,7 +250,7 @@ mod tests {
             }
             assert_eq!(pulled.read_bytes, 2 * 48);
             pulled.release(0..1);
-            assert!(pulled.source().is_none());
+            assert!(pulled.windows[0].is_empty(), "released windows kept");
         }
     }
 
@@ -239,7 +260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fails the frame CRC")]
     fn a_damaged_window_panics_in_the_forward() {
-        let mut model = Mlp::new(&[4, 3, 2], 5);
+        let model = Mlp::new(&[4, 3, 2], 5);
         let tensors: Vec<Vec<f32>> = model.param_slices().iter().map(|t| t.to_vec()).collect();
         let mut pulled = Pulled::new(tensors.len());
         for (g, t) in tensors.iter().enumerate() {
@@ -254,7 +275,7 @@ mod tests {
             pulled.land(g, 0, data, frame);
         }
         let x = Tensor::from_vec(1, 4, vec![0.5, -1.0, 0.25, 2.0]);
-        model.forward(&x, pulled.source());
+        Mlp::shape(&[4, 3, 2]).forward(&x, Some(&mut pulled));
     }
 
     /// The windows serve exactly the model's own answer.
@@ -272,7 +293,7 @@ mod tests {
                 pulled.land(g, lo, data, frame);
             }
         }
-        let from = model.forward(&x, pulled.source());
+        let from = model.forward(&x, Some(&mut pulled));
         let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&from), bits(&own));
         assert!(pulled.assembled_bytes > 0);

@@ -99,6 +99,7 @@
 //! single-mutex log produced — with zero lock traffic on the hot path.
 
 use super::checkpoint::DurableStore;
+use super::pulled::Pulled;
 use super::shard::ShardMachine;
 use super::wire::{ToPs, ToWorker};
 use super::worker::WorkerMachine;
@@ -201,8 +202,8 @@ pub struct ThreadedResult {
     /// Real wall-clock time of the run.
     pub wall: std::time::Duration,
     /// The part of [`ThreadedResult::wall`] spent before any machine ran:
-    /// the dataset, the initial-weight draw and the machines with their
-    /// model copies.
+    /// the dataset, the initial-weight draw, its one encode into the
+    /// initial frames and the machines.
     pub setup: std::time::Duration,
     /// Typed events validated by the invariant checker (0 when
     /// [`ThreadedConfig::check_invariants`] is off).
@@ -345,10 +346,10 @@ pub struct WorkerPhases {
     /// window held the row as aligned `f32`s: rows straddling a part cut
     /// or a sliced pull's window edge. Every other row is read in place.
     pub apply_bytes: u64,
-    /// Parameter bytes the forward and backward read from pull windows:
-    /// every weight and bias row in the forward, and the weight rows of
-    /// every layer but the first in the backward (`dy · wᵀ`). Iterations
-    /// before the first pull lands read the model's own tensors instead.
+    /// Parameter bytes the forward and backward read from pull windows —
+    /// in iteration 0, from the initial frames: every weight and bias row
+    /// in the forward, and the weight rows of every layer but the first
+    /// in the backward (`dy · wᵀ`).
     pub param_read_bytes: u64,
 }
 
@@ -697,8 +698,8 @@ impl Machine {
 }
 
 /// Build every machine of a run per `cfg` on the calling thread — shards
-/// first, then workers — with the [`Run`] they share. Every worker starts
-/// from one drawn model: the last one takes it, the others a copy.
+/// first, then workers — with the [`Run`] they share. The model is drawn
+/// once; every initial member starts from the same frames of it.
 ///
 /// Panics if `global_batch` is zero or not a multiple of `workers` (unequal
 /// shards would break the shard-mean ≡ batch-mean identity the PS relies
@@ -756,14 +757,11 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
     // otherwise every checkpoint/ledger call is a dormant no-op and its
     // initial snapshot is never materialised.
     let armed = !mem.shard_deaths().is_empty();
-    let store_init: Vec<Vec<f32>> = if armed {
-        let params = model.param_slices();
-        let part = |p: &Part| params[p.tensor][p.lo as usize..p.hi as usize].to_vec();
-        map.parts().iter().map(part).collect()
-    } else {
-        Vec::new()
-    };
-    let store = DurableStore::new(armed, &store_init, cfg.lr, CHECKPOINT_RETENTION);
+    let params = model.param_slices();
+    let part = |p: &Part| &params[p.tensor][p.lo as usize..p.hi as usize];
+    let parts: Vec<&[f32]> = map.parts().iter().map(part).collect();
+    let store = DurableStore::new(armed, &parts, cfg.lr, CHECKPOINT_RETENTION);
+    let initial = Pulled::initial(&map, &parts);
     let run = Arc::new(Run {
         cfg: cfg.clone(),
         dataset,
@@ -785,13 +783,15 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
         (0..run.mem.total_workers()).map(|_| unbounded()).unzip();
     let shards = shard_rxs.into_iter().enumerate().map(|(s, rx)| {
         let txs = worker_txs.clone();
-        let m = ShardMachine::new(s, Arc::clone(&run), &model, txs, log.clone());
+        let m = ShardMachine::new(s, Arc::clone(&run), &parts, txs, log.clone());
         Machine::Shard(Box::new(m), rx)
     });
     let mut machines: Vec<Machine> = shards.collect();
-    let models = std::iter::repeat_n(model, worker_rxs.len());
-    for (w, (rx, model)) in worker_rxs.into_iter().zip(models).enumerate() {
-        let m = WorkerMachine::new(w, Arc::clone(&run), model, shard_txs.clone(), log.clone());
+    // A joiner starts from no window: it bootstraps.
+    let none = Pulled::new(run.tensor_elems.len());
+    for (w, rx) in worker_rxs.into_iter().enumerate() {
+        let pulled = (if w < cfg.workers { &initial } else { &none }).clone();
+        let m = WorkerMachine::new(w, Arc::clone(&run), pulled, shard_txs.clone(), log.clone());
         machines.push(Machine::Worker(Box::new(m), rx));
     }
     (run, machines)
@@ -852,7 +852,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
 #[cfg(test)]
 mod tests {
     use super::super::transport::{Link, BURST_NS};
-    use super::super::wire::encode_f32_into_crc;
+    use super::super::wire::{encode_f32, encode_f32_into_crc};
     use super::super::worker::Uplink;
     use super::*;
     use bytes::BytesMut;
@@ -1035,8 +1035,8 @@ mod tests {
     /// and checksums it once, whatever its batch; a barrier set walks
     /// (W + 5)·M — W payloads, parameters and velocity read and written,
     /// the pull frame written; and each shard receives W times its load
-    /// per iteration. From the second iteration on a worker reads its
-    /// parameters from the pull windows in place: every row in the
+    /// per iteration. Every iteration, the first included, a worker reads
+    /// its parameters from frame windows in place: every row in the
     /// forward, the weight rows of every layer but the first again in the
     /// backward, and it assembles only the rows a part cut splits.
     #[test]
@@ -1079,8 +1079,8 @@ mod tests {
             assembled += 4 * (passes * cut_rows + cut_bias) as u64 * output as u64;
         }
         assert!(assembled > 0, "no part cut splits a row");
-        assert_eq!(wp.param_read_bytes, (iters - 1) * w * read);
-        assert_eq!(wp.apply_bytes, (iters - 1) * w * assembled);
+        assert_eq!(wp.param_read_bytes, iters * w * read);
+        assert_eq!(wp.apply_bytes, iters * w * assembled);
         let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
         assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
         assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
@@ -1103,7 +1103,8 @@ mod tests {
         let cfg = ThreadedConfig::small(1, SchedulerKind::Fifo);
         for (rows, input, output) in [(1, 4, 3), (1, 5, 2100), (3, 4, 3), (3, 6, 2100)] {
             let mut rng = Xoshiro256StarStar::new(9);
-            let mut layer = Dense::new(input, output, &mut rng);
+            let [w, b] = Dense::init(input, output, &mut rng);
+            let mut layer = Dense::new(input, output);
             // Every third input is zero; the rest alternate sign.
             let x: Vec<f32> = (0..rows * input)
                 .map(|i| {
@@ -1124,7 +1125,7 @@ mod tests {
                 })
                 .collect();
             let dy = Tensor::from_vec(rows, output, dy);
-            let _ = layer.forward(&x, None);
+            let _ = layer.forward(&x, &mut [&w, &b]);
             let mut dw = Tensor::zeros(input, output);
             x.t_matmul_acc(&dy, &mut dw);
             let mut db = Tensor::zeros(1, output);
@@ -1138,7 +1139,7 @@ mod tests {
                 let windows = Arc::new(Windows::default());
                 let mut up = Uplink::new(0, &cfg, windows, &map, &elems);
                 let mut frame = up.frame(&map, 0, want.len());
-                let _ = layer.backward(&dy, &mut frame, None);
+                let _ = layer.backward(&dy, &mut frame, &mut [&w, &b]);
                 frame.seal();
                 let what = format!("batch {rows}, {input} x {output}, {shards} shards");
                 assert_eq!(&up.bufs[0].as_ref().unwrap()[..], &want[..], "{what}");
@@ -1154,6 +1155,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `build` keeps no parameter in any worker, and encodes the drawn
+    /// model once: every initial member holds each part's initial frame
+    /// as the one shared allocation, and a joiner holds none.
+    #[test]
+    fn build_hands_every_member_the_one_initial_frame_per_part() {
+        let cfg = ThreadedConfig {
+            ps_shards: 2,
+            fault_plan: FaultPlan::new(vec![FaultSpec::WorkerJoin {
+                worker: 2,
+                at_iter: 3,
+            }]),
+            ..ThreadedConfig::small(2, SchedulerKind::Fifo)
+        };
+        let (run, machines) = build(&cfg);
+        let workers: Vec<&WorkerMachine> = machines
+            .iter()
+            .filter_map(|m| match m {
+                Machine::Worker(m, _) => Some(&**m),
+                Machine::Shard(..) => None,
+            })
+            .collect();
+        let drawn = Mlp::new(&cfg.widths, cfg.seed ^ 0xABCD);
+        let params = drawn.param_slices();
+        assert!(run.map.parts().len() > params.len(), "no tensor is cut");
+        // Every part's `(tensor, first element, frame)`, in part order.
+        let part = |p: &Part| {
+            let (lo, hi) = (p.lo as usize, p.hi as usize);
+            (p.tensor, lo, encode_f32(&params[p.tensor][lo..hi]))
+        };
+        let want: Vec<_> = run.map.parts().iter().map(part).collect();
+        let windows = |m: &WorkerMachine| {
+            let mut all = Vec::new();
+            for t in 0..params.len() {
+                all.extend(m.pulled.frames(t).map(|(lo, d)| (t, lo, d.clone())));
+            }
+            all
+        };
+        let ptrs = |m| -> Vec<_> { windows(m).iter().map(|(.., d)| d.as_ptr()).collect() };
+        let (members, joiner) = workers.split_at(cfg.workers);
+        assert_eq!((members.len(), joiner.len()), (2, 1));
+        for m in &workers {
+            let held = m.model.param_slices();
+            assert!(held.is_empty(), "a worker holds parameters");
+        }
+        for m in members {
+            assert_eq!(windows(m), want, "one window per drawn part");
+            assert_eq!(ptrs(m), ptrs(members[0]), "a copy, not the one frame");
+        }
+        assert!(windows(joiner[0]).is_empty(), "a joiner holds a window");
     }
 
     #[test]

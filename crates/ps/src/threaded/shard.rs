@@ -13,7 +13,7 @@ use super::wire::{
 use crate::protocol::{Arrival, Barriers, CheckpointSchedule, Slice, Window};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
-use prophet_minidnn::{Mlp, Sgd};
+use prophet_minidnn::Sgd;
 use prophet_sim::{FaultKind, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
@@ -140,13 +140,13 @@ pub(super) struct ShardMachine {
 }
 
 impl ShardMachine {
-    /// Shard `s` of `run`, serving the parts it ever owns: initial members
-    /// start from `model`'s parameters, adopted ones materialise from the
-    /// durable store on first touch.
+    /// Shard `s` of `run`, serving the parts it ever owns: initial member
+    /// `p` starts from the drawn parameters `drawn[p]`, adopted ones
+    /// materialise from the durable store on first touch.
     pub(super) fn new(
         s: usize,
         run: Arc<Run>,
-        model: &Mlp,
+        drawn: &[&[f32]],
         worker_txs: Vec<Sender<ToWorker>>,
         tlog: ThreadLog,
     ) -> Self {
@@ -156,7 +156,7 @@ impl ShardMachine {
         let locals: Vec<Local> = parts
             .filter_map(|(p, part)| {
                 let idx = owner_epochs.iter().position(|(_, table)| table[p] == s)?;
-                let (g, lo, hi) = (part.tensor, part.lo as usize, part.hi as usize);
+                let (lo, hi) = (part.lo as usize, part.hi as usize);
                 let initial = idx == 0;
                 Some(Local {
                     p,
@@ -167,7 +167,7 @@ impl ShardMachine {
                         .checked_sub(1)
                         .map_or(usize::MAX, |i| owner_epochs[i].1[p]),
                     params: if initial {
-                        model.param_slices()[g][lo..hi].to_vec()
+                        drawn[p].to_vec()
                     } else {
                         Vec::new()
                     },

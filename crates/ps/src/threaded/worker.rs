@@ -3,12 +3,12 @@
 //! next ([`Next`]). Compute, the communication rules and the joiner's
 //! bootstrap are phases of the one machine.
 //!
-//! The worker's model holds its parameters only until the first pull
-//! lands. From then on its parameters are the pull replies themselves:
-//! each intact reply is kept as a zero-copy window of the frame a shard
-//! encoded, the forward and backward read the rows in place
-//! ([`super::pulled`]), and nothing decodes a reply into a private copy.
-//! A layer's windows are dropped at the end of its backward step, before
+//! The worker's model is the network's shape only: it holds no parameter.
+//! Its parameters are frames it was handed — the drawn model's initial
+//! frames for iteration 0, the pull replies after that — each kept as a
+//! zero-copy window, whose rows the forward and backward read in place
+//! ([`super::pulled`]); nothing decodes a frame into a private copy. A
+//! layer's windows are dropped at the end of its backward step, before
 //! its gradients are pushed, and the rest when the worker's span ends.
 
 use super::pool::ArenaPool;
@@ -286,7 +286,7 @@ enum Phase {
 pub(super) struct WorkerMachine {
     w: usize,
     run: Arc<Run>,
-    model: Mlp,
+    pub(super) model: Mlp,
     sched: Box<dyn CommScheduler>,
     up: Uplink,
     txs: Vec<Sender<ToPs>>,
@@ -309,10 +309,9 @@ pub(super) struct WorkerMachine {
     /// Per tensor, its parts whose barrier this iteration has closed: the
     /// tensor's parameters may be pulled once all of them have.
     parts_ready: Vec<usize>,
-    /// The landed pull replies, which the next forward and backward read
-    /// as the parameters; the model's own tensors serve only until the
-    /// first pull lands.
-    pulled: Pulled,
+    /// The landed frames, which the next forward and backward read as the
+    /// parameters.
+    pub(super) pulled: Pulled,
     /// Verify pull replies at receive — only under a corruption plan;
     /// without one the frame CRC is checked as the forward first reads
     /// each window instead of costing its own traversal.
@@ -328,12 +327,12 @@ pub(super) struct WorkerMachine {
 }
 
 impl WorkerMachine {
-    /// Worker `w` of `run`, starting from `model` and sending on `txs`
-    /// (one channel per shard).
+    /// Worker `w` of `run`, starting from the windows `pulled` and
+    /// sending on `txs` (one channel per shard).
     pub(super) fn new(
         w: usize,
         run: Arc<Run>,
-        model: Mlp,
+        pulled: Pulled,
         txs: Vec<Sender<ToPs>>,
         tlog: ThreadLog,
     ) -> Self {
@@ -343,7 +342,7 @@ impl WorkerMachine {
         let windows = Arc::clone(&run.windows);
         WorkerMachine {
             w,
-            model,
+            model: Mlp::shape(&cfg.widths),
             sched: cfg.scheduler.build_from_sizes(sizes),
             up: Uplink::new(w, cfg, windows, &run.map, &run.tensor_elems),
             ps_epochs: vec![0; txs.len()],
@@ -357,7 +356,7 @@ impl WorkerMachine {
             next_pull: None,
             replies: Vec::new(),
             parts_ready: vec![0; run.tensor_elems.len()],
-            pulled: Pulled::new(run.tensor_elems.len()),
+            pulled,
             eager_pull: cfg.fault_plan.has_corruption(),
             waiting: None,
             losses: Vec::with_capacity(until.saturating_sub(from) as usize),
@@ -577,8 +576,7 @@ impl WorkerMachine {
         let lo = ((self.iter as usize * cfg.global_batch) + self.w * per_worker) % data.len();
         let hi = (lo + per_worker).min(data.len());
         let (x, labels) = data.batch(lo, hi.max(lo + 1));
-        let params = self.pulled.source();
-        let (loss, pass) = self.model.forward_loss(&x, &labels, params);
+        let (loss, pass) = self.model.forward_loss(&x, &labels, Some(&mut self.pulled));
         self.losses.push(loss);
         pass
     }
@@ -604,7 +602,7 @@ impl WorkerMachine {
         let mut frame = self.up.frame(&self.run.map, step, step_bytes);
         let t_backward = Instant::now();
         self.model
-            .backward_step(&mut pass, &mut frame, self.pulled.source());
+            .backward_step(&mut pass, &mut frame, Some(&mut self.pulled));
         let t_seal = Instant::now();
         frame.seal();
         let t_sealed = Instant::now();

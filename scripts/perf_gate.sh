@@ -36,8 +36,9 @@
 #     setup_over_scalar_draw_vgg_4w_1s <= 0.69  the same cell's set-up
 #                                           (ThreadedResult::setup: the
 #                                           dataset, the initial-weight
-#                                           draw, the machines and their
-#                                           model copies) over one scalar
+#                                           draw, its encode into the
+#                                           initial frames and the
+#                                           machines) over one scalar
 #                                           next_gaussian per weight of
 #                                           its model, timed back to back
 #                                           on one core (median of 7
