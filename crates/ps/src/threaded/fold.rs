@@ -2,15 +2,15 @@
 //! in one traversal.
 //!
 //! A barrier folds every worker's staged push payload into the mean
-//! gradient, steps the optimiser and re-encodes the pull frame. Run as
-//! separate passes — zero-fill, fold, scale, optimiser, encode — a tensor
-//! of B bytes with W whole payloads costs about (W + 12)·B bytes of memory
-//! traffic, and at the model sizes the runtime moves every pass is a DRAM
-//! walk. [`barrier_pass`] instead advances one [`BLOCK_ELEMS`] block at a
-//! time and finishes the block before it touches the next: the
-//! mean-gradient block never leaves L1, the parameters and optimiser state
-//! are read and written once, and the pull frame is written once — (W +
-//! 5)·B for SGD with momentum.
+//! gradient and steps the parameters, which live in the part's pull frame.
+//! Run as separate passes — zero-fill, fold, scale, optimiser, encode — a
+//! tensor of B bytes with W whole payloads costs about (W + 12)·B bytes of
+//! memory traffic, each pass a DRAM walk. [`barrier_pass`] instead finishes
+//! one [`BLOCK_ELEMS`] block before it touches the next: the mean block
+//! never leaves L1, the frame and optimiser state are read and written
+//! once, and the frame CRC reads each block just stepped — (W + 4)·B for
+//! SGD with momentum. While a window of the frame is held (a late reply, a
+//! retransmit) it writes a fresh frame, same bytes and CRC: (W + 5)·B.
 //!
 //! The traversal order changes; the arithmetic order per element does not.
 //! Within a block the workers fold in fixed index order, so each element
@@ -47,15 +47,14 @@ pub(super) struct Barrier<'a> {
     pub staged: &'a mut [Vec<StagedSlice>],
     /// The mean's scale: one over the iteration's member count.
     pub inv: f32,
-    pub params: &'a mut [f32],
+    /// The pull frame: the parameters the pass steps.
+    pub frame: Bytes,
     /// The part's optimiser, stepped as tensor 0.
     pub opt: &'a mut Sgd,
     /// The armed durable ledger entry: receives the mean gradient.
     pub mean: Option<&'a mut DurableCopy>,
     /// A due checkpoint's snapshot: receives the stepped parameters.
     pub snapshot: Option<&'a mut DurableCopy>,
-    /// The pull frame: receives the stepped parameters, encoded.
-    pub pull: &'a mut BytesMut,
 }
 
 /// One staged slice being folded.
@@ -74,13 +73,13 @@ impl Stream<'_> {
     }
 }
 
-/// Close barrier `b`: fold, scale, step and encode the tensor a block at a
-/// time, booking each stage's time and bytes walked to `phases`. Returns
-/// the pull frame's CRC.
+/// Close barrier `b`: fold, scale and step the tensor a block at a time,
+/// booking each stage's time and bytes walked to `phases`. Returns the
+/// stepped frame, its CRC, and whether it was stepped in place.
 ///
 /// Panics when a staged payload fails the frame CRC it was admitted under.
-pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 {
-    let n = b.params.len();
+pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> (Bytes, u32, bool) {
+    let n = b.frame.len() / 4;
     // In worker order. A worker's slices are disjoint, so their order
     // among themselves changes no sum.
     let mut streams: Vec<Stream<'_>> = Vec::new();
@@ -102,8 +101,19 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
         }
     }
 
+    // In place only on the frame's one handle, holding `f32`s as stored.
+    let le = cfg!(target_endian = "little");
+    let (mut own, old) = match b.frame.try_into_mut() {
+        Ok(m) if le && m.as_ptr().align_offset(4) == 0 => (Some(m), Bytes::new()),
+        Ok(m) => (None, m.freeze()),
+        Err(held) => (None, held),
+    };
+    let in_place = own.is_some();
+    let mut fresh = BytesMut::with_capacity(if in_place { 0 } else { n * 4 });
+    let mut writer = FrameWriter::new();
+    let mut crc = crc32::begin();
+    let mut scratch = [0.0f32; BLOCK_ELEMS];
     let mut acc = [0.0f32; BLOCK_ELEMS];
-    let mut frame = FrameWriter::new();
     let mut t = Instant::now();
     let mut bo = 0;
     while bo < n {
@@ -122,22 +132,43 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
         }
         let t_opt = Instant::now();
         phases.accumulate_ns += t_opt.duration_since(t).as_nanos() as u64;
-        let params = &mut b.params[bo..be];
+        let bytes = bo * 4..be * 4;
+        let params = match &mut own {
+            // SAFETY: every bit pattern is a valid `f32`, and the block is
+            // aligned for one, so `align_to_mut` leaves no head or tail.
+            Some(own) => unsafe { own[bytes.clone()].align_to_mut().1 },
+            None => {
+                let params = &mut scratch[..be - bo];
+                for (p, c) in params.iter_mut().zip(old[bytes.clone()].chunks_exact(4)) {
+                    *p = f32::from_le_bytes(c.try_into().unwrap());
+                }
+                params
+            }
+        };
         b.opt.step_slice(0, bo, params, acc);
         if let Some(mean) = b.mean.as_deref_mut() {
             mean.extend(acc);
         }
         let t_encode = Instant::now();
         phases.optimizer_ns += t_encode.duration_since(t_opt).as_nanos() as u64;
-        frame.push(params, b.pull);
         if let Some(snapshot) = b.snapshot.as_deref_mut() {
             snapshot.extend(params);
+        }
+        if !in_place {
+            writer.push(params, &mut fresh);
+        } else if let Some(own) = &own {
+            crc = crc32::update(crc, &own[bytes]);
         }
         t = Instant::now();
         phases.encode_ns += t.duration_since(t_encode).as_nanos() as u64;
         bo = be;
     }
-    let crc = frame.finish(b.pull);
+    let crc = if in_place {
+        crc32::finish(crc)
+    } else {
+        writer.finish(&mut fresh)
+    };
+    let frame = own.unwrap_or(fresh).freeze();
     for s in &streams {
         assert_eq!(
             crc32::finish(s.crc),
@@ -149,11 +180,10 @@ pub(super) fn barrier_pass(mut b: Barrier<'_>, phases: &mut ShardPhases) -> u32 
     }
     drop(streams);
     b.staged.iter_mut().for_each(Vec::clear);
-    let bytes = n as u64 * 4;
     // SGD with momentum reads and writes the parameters and the velocity.
-    phases.optimizer_bytes += 4 * bytes;
-    phases.encode_bytes += bytes;
-    crc
+    phases.optimizer_bytes += 16 * n as u64;
+    phases.encode_bytes += if in_place { 0 } else { 4 * n as u64 };
+    (frame, crc, in_place)
 }
 
 #[cfg(test)]
@@ -227,27 +257,39 @@ mod tests {
         out
     }
 
+    /// The `f32`s of a frame's little-endian bytes.
+    fn decode(frame: &[u8]) -> Vec<f32> {
+        let vals = frame
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()));
+        vals.collect()
+    }
+
     proptest! {
         /// The barrier pass ≡ the multi-pass sequence, over three
         /// consecutive barriers (so the velocity carries): parameters,
         /// optimiser state, pull wire bytes and CRC, and the armed ledger
-        /// entry and snapshot, bit for bit.
+        /// entry and snapshot, bit for bit — stepped in place when the pass
+        /// holds the frame's only handle, into a fresh buffer when a window
+        /// of it is held across the barrier (`held`, one bit per barrier),
+        /// which then still reads the old parameters.
         #[test]
         fn barrier_pass_equals_the_multi_pass_sequence(
             n in 1usize..7000,
             workers in 1usize..6,
             sliced in 0u8..2,
             plain in 0u8..2,
+            held in 0u8..8,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Xoshiro256StarStar::new(seed);
             let momentum = if plain == 1 { 0.0 } else { PS_MOMENTUM };
-            let init = values(&mut rng, n);
-            let (mut p_pass, mut p_ref) = (init.clone(), init);
+            let mut p_ref = values(&mut rng, n);
+            let mut frame = encode_f32(&p_ref);
             let mut o_pass = Sgd::new(0.05, momentum, &[n]);
             let mut o_ref = Sgd::new(0.05, momentum, &[n]);
             let inv = 1.0 / workers as f32;
-            for _ in 0..3 {
+            for barrier in 0..3 {
                 let mut staged: Vec<Vec<StagedSlice>> = (0..workers)
                     .map(|_| {
                         let grad = values(&mut rng, n);
@@ -261,34 +303,45 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                let old = frame.to_vec();
+                let window = (held >> barrier & 1 == 1).then(|| frame.slice(4 * (n / 2)..));
+                let unique = window.is_none()
+                    && frame.as_ptr().align_offset(4) == 0
+                    && cfg!(target_endian = "little");
+                let ptr = frame.as_ptr();
                 let (want_pull, want_crc, want_mean, want_snap) =
                     multi_pass(&staged, inv, &mut p_ref, &mut o_ref);
                 let mut mean = DurableCopy::with_capacity(n);
                 let mut snapshot = DurableCopy::with_capacity(n);
-                let mut pull = BytesMut::new();
                 let mut phases = ShardPhases::default();
-                let crc = barrier_pass(
+                let (stepped, crc, in_place) = barrier_pass(
                     Barrier {
                         staged: &mut staged,
                         inv,
-                        params: &mut p_pass,
+                        frame,
                         opt: &mut o_pass,
                         mean: Some(&mut mean),
                         snapshot: Some(&mut snapshot),
-                        pull: &mut pull,
                     },
                     &mut phases,
                 );
+                frame = stepped;
+                prop_assert_eq!(in_place, unique);
+                prop_assert_eq!(frame.as_ptr() == ptr, in_place, "in place iff the same allocation");
+                if let Some(window) = window {
+                    prop_assert_eq!(&window[..], &old[4 * (n / 2)..], "a held window changed");
+                }
                 prop_assert!(staged.iter().all(Vec::is_empty), "staged slices not drained");
-                prop_assert_eq!(bits(&p_pass), bits(&p_ref));
+                prop_assert_eq!(bits(&decode(&frame)), bits(&p_ref));
                 prop_assert_eq!(bits(o_pass.velocity(0)), bits(o_ref.velocity(0)));
-                prop_assert_eq!(&pull[..], &want_pull[..]);
+                prop_assert_eq!(&frame[..], &want_pull[..]);
                 prop_assert_eq!(crc, want_crc);
                 let (mean, mean_crc) = mean.finish();
                 prop_assert_eq!((bits(&mean), mean_crc), (bits(&want_mean.0), want_mean.1));
                 let (snap, snap_crc) = snapshot.finish();
                 prop_assert_eq!((bits(&snap), snap_crc), (bits(&want_snap.0), want_snap.1));
                 prop_assert_eq!(phases.fold_bytes, (workers * n * 4) as u64);
+                prop_assert_eq!(phases.encode_bytes, if in_place { 0 } else { n as u64 * 4 });
             }
         }
     }
@@ -301,16 +354,14 @@ mod tests {
         let mut damaged = wire.to_vec();
         damaged[100] ^= 0x01;
         let mut staged = vec![vec![(0, Bytes::from(damaged), crc)]];
-        let mut params = vec![0.0f32; 4096];
         barrier_pass(
             Barrier {
                 staged: &mut staged,
                 inv: 1.0,
-                params: &mut params,
+                frame: encode_f32(&[0.0f32; 4096]),
                 opt: &mut Sgd::new(0.1, 0.0, &[4096]),
                 mean: None,
                 snapshot: None,
-                pull: &mut BytesMut::new(),
             },
             &mut ShardPhases::default(),
         );

@@ -3,8 +3,8 @@
 //! zero-copy windows into the frames the shards encoded, and read in place
 //! by the forward and the backward. Nothing decodes them into a private
 //! copy. Iteration 0 reads the same way, from the drawn parameters
-//! encoded once, a frame per part ([`Pulled::initial`]), which every
-//! initial member shares as if the pull of iteration −1 had landed.
+//! encoded once, a frame per part, which every initial member shares as if
+//! the pull of iteration −1 had landed, and the part's shard then steps.
 //!
 //! * **Views.** A row that lies inside one window, with 4-byte-aligned
 //!   bytes on a little-endian target, is handed out as an `&[f32]` view of
@@ -89,16 +89,11 @@ impl Pulled {
         }
     }
 
-    /// The windows of the parameters `parts` of `map`'s parts, each part
-    /// encoded once, as a shard encodes a pull reply.
-    pub(super) fn initial(map: &ShardMap, parts: &[&[f32]]) -> Self {
+    /// The windows of `frames`, one per part of `map`, shared.
+    pub(super) fn initial(map: &ShardMap, frames: &[(Bytes, FrameHeader)]) -> Self {
         let mut pulled = Pulled::new(map.tensors());
-        for (part, values) in map.parts().iter().zip(parts) {
-            let mut data = BytesMut::new();
-            let crc = encode_f32_into_crc(values, &mut data);
-            let len = data.len() as u32;
-            let frame = FrameHeader { len, crc };
-            pulled.land(part.tensor, part.lo as usize, data.freeze(), frame);
+        for (part, (data, frame)) in map.parts().iter().zip(frames) {
+            pulled.land(part.tensor, part.lo as usize, data.clone(), *frame);
         }
         pulled
     }
@@ -131,6 +126,14 @@ impl Pulled {
             self.cursor[t] = 0;
         }
     }
+}
+
+/// `values` encoded into a pull frame of their own.
+pub(super) fn frame(values: &[f32]) -> (Bytes, FrameHeader) {
+    let mut data = BytesMut::new();
+    let crc = encode_f32_into_crc(values, &mut data);
+    let len = data.len() as u32;
+    (data.freeze(), FrameHeader { len, crc })
 }
 
 impl RowSource for Pulled {

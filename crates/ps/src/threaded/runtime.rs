@@ -17,7 +17,7 @@
 //! [`ShardMap`] that cuts the model's flat element range into near-equal
 //! contiguous extents, so a tensor straddling a cut is split into one
 //! *part* per shard. Everything per owner is per part — barriers, staged
-//! payloads, optimiser state, pull caches, durable snapshots, re-homes —
+//! payloads, optimiser state, pull frames, durable snapshots, re-homes —
 //! while everything the worker schedules stays per tensor: a worker cuts
 //! each push slice and pull request at the part boundaries and routes each
 //! piece to its part's owner. Each shard owns its own crash schedule and
@@ -34,12 +34,12 @@
 //! * a shard stages incoming slices **as the wire bytes themselves** and
 //!   closes a barrier in one blocked pass ([`super::fold`]): fold in fixed
 //!   worker order (so results stay bit-identical to the single-shard and
-//!   single-process runs), mean, optimiser step and pull re-encode per
-//!   block;
+//!   single-process runs), mean, and the optimiser step of the pull
+//!   frame in place per block;
 //! * push acks coalesce into one [`ToWorker::PushAcks`] batch per
 //!   (worker, inbox drain);
-//! * pull replies are encoded once per parameter update and served as
-//!   shared slices of that one buffer to every worker.
+//! * the pull frame is the part's parameters, served as shared slices of
+//!   that one buffer to every worker.
 //!
 //! # Fault parity with the discrete-event cluster
 //!
@@ -99,7 +99,7 @@
 //! single-mutex log produced — with zero lock traffic on the hot path.
 
 use super::checkpoint::DurableStore;
-use super::pulled::Pulled;
+use super::pulled::{self, Pulled};
 use super::shard::ShardMachine;
 use super::wire::{ToPs, ToWorker};
 use super::worker::WorkerMachine;
@@ -215,13 +215,13 @@ pub struct ThreadedResult {
     /// never reached a shard).
     pub messages_lost: u64,
     /// Wire buffers served by a fresh heap allocation, summed over every
-    /// worker's per-layer gradient pools and every shard pull cache (one
+    /// worker's per-layer gradient pools and every shard pull frame (one
     /// per worker per layer, plus one per part). Flat in the iteration
     /// count when the zero-copy recycling works (the steady-state hot path
     /// allocates nothing); see [`ThreadedResult::arena_recycles`].
     pub arena_allocs: u64,
-    /// Wire buffers served from recycled storage. Scales with iterations
-    /// in steady state.
+    /// Wire buffers served from recycled storage, a pull frame stepped in
+    /// place included. Scales with iterations in steady state.
     pub arena_recycles: u64,
     /// [`ToWorker::PushAcks`] batches flushed by all shards (each batch
     /// acknowledges every slice accepted from one worker since the last
@@ -289,8 +289,8 @@ pub struct ShardPhases {
     /// Barrier pass, optimiser stage: the step of each block, plus its
     /// durable-ledger copy when the store is armed.
     pub optimizer_ns: u64,
-    /// Pull-frame encode + frame checksum: the barrier pass's encode stage,
-    /// cold encodes, and serving windows of the cached frame.
+    /// Pull-frame checksum and encode: the barrier pass's frame CRC (or
+    /// fresh frame write), and serving windows of the frame.
     pub encode_ns: u64,
     /// Ack-batch assembly and flush.
     pub ack_ns: u64,
@@ -309,9 +309,9 @@ pub struct ShardPhases {
     /// Bytes the optimiser step walked: the parameters and every
     /// per-parameter state vector, each read and written once.
     pub optimizer_bytes: u64,
-    /// Bytes the pull-frame encode walked: the frame written (the barrier
-    /// pass reads the parameters it just stepped, still in L1), plus the
-    /// parameters read by a cold encode.
+    /// Bytes the pull-frame encode walked: none when a barrier steps the
+    /// frame in place (its CRC reads each block just stepped, in L1), the
+    /// fresh frame written otherwise, and a restore's read and write.
     pub encode_bytes: u64,
     /// Push payload bytes received, every slice counted as it arrives
     /// (retransmissions, duplicates and rejected frames included). In a
@@ -456,17 +456,16 @@ fn check_events(
 
 /// A counting semaphore bounding how many large memory traversals run
 /// simultaneously across the whole runtime: worker compute steps (whose
-/// backward writes the push frames), shard barrier passes and cold shard
-/// pull encodes. Permits equal the host's available
-/// parallelism, so on a machine with at least one core per thread the
-/// gate never blocks. On an oversubscribed host it stops the OS from
-/// time-slicing several multi-megabyte walks against each other: each
-/// section's working set (weights, push frames, payloads, parameters) spans
-/// megabytes, and round-robin preemption forces a full re-fetch of that
-/// set from DRAM every slice. Admitting only as many walks as there are
-/// cores keeps each one cache-resident to completion — the BSP barrier
-/// serialises iteration progress anyway, so ordering the walks costs no
-/// parallelism the hardware actually has.
+/// backward writes the push frames) and shard barrier passes. Permits
+/// equal the host's available parallelism, so on a machine with at least
+/// one core per thread the gate never blocks. On an oversubscribed host
+/// it stops the OS from time-slicing several multi-megabyte walks against
+/// each other: each section's working set (weights, push frames,
+/// payloads, parameters) spans megabytes, and round-robin preemption
+/// forces a full re-fetch of that set from DRAM every slice. Admitting
+/// only as many walks as there are cores keeps each one cache-resident to
+/// completion — the BSP barrier serialises iteration progress anyway, so
+/// ordering the walks costs no parallelism the hardware actually has.
 ///
 /// Deadlock-freedom: a permit is only ever held across straight-line
 /// memory work inside one step of one machine — never across a step's
@@ -761,7 +760,8 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
     let part = |p: &Part| &params[p.tensor][p.lo as usize..p.hi as usize];
     let parts: Vec<&[f32]> = map.parts().iter().map(part).collect();
     let store = DurableStore::new(armed, &parts, cfg.lr, CHECKPOINT_RETENTION);
-    let initial = Pulled::initial(&map, &parts);
+    let frames: Vec<_> = parts.iter().map(|p| pulled::frame(p)).collect();
+    let initial = Pulled::initial(&map, &frames);
     let run = Arc::new(Run {
         cfg: cfg.clone(),
         dataset,
@@ -783,7 +783,7 @@ pub(super) fn build(cfg: &ThreadedConfig) -> (Arc<Run>, Vec<Machine>) {
         (0..run.mem.total_workers()).map(|_| unbounded()).unzip();
     let shards = shard_rxs.into_iter().enumerate().map(|(s, rx)| {
         let txs = worker_txs.clone();
-        let m = ShardMachine::new(s, Arc::clone(&run), &parts, txs, log.clone());
+        let m = ShardMachine::new(s, Arc::clone(&run), &frames, txs, log.clone());
         Machine::Shard(Box::new(m), rx)
     });
     let mut machines: Vec<Machine> = shards.collect();
@@ -816,12 +816,15 @@ fn finish(run: &Run, machines: Vec<Machine>, start: Instant) -> ThreadedResult {
         }
     }
     // A tensor's parts tile it in part-id order.
-    for (part, params) in run.map.parts().iter().zip(parts) {
-        let params = params.unwrap_or_else(|| {
+    for (part, frame) in run.map.parts().iter().zip(parts) {
+        let frame = frame.unwrap_or_else(|| {
             let (g, lo, hi) = (part.tensor, part.lo, part.hi);
             panic!("no shard owned elements {lo}..{hi} of tensor {g} at the end")
         });
-        r.final_params[part.tensor].extend(params);
+        let values = frame
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()));
+        r.final_params[part.tensor].extend(values);
     }
     if cfg.check_invariants {
         let joiners = cfg.fault_plan.joined_workers();
@@ -1033,12 +1036,13 @@ mod tests {
     /// payloads, SGD with momentum, 32 sample rows per worker) equals its
     /// closed form in model bytes M: a worker writes each gradient once
     /// and checksums it once, whatever its batch; a barrier set walks
-    /// (W + 5)·M — W payloads, parameters and velocity read and written,
-    /// the pull frame written; and each shard receives W times its load
-    /// per iteration. Every iteration, the first included, a worker reads
-    /// its parameters from frame windows in place: every row in the
-    /// forward, the weight rows of every layer but the first again in the
-    /// backward, and it assembles only the rows a part cut splits.
+    /// (W + 4)·M — W payloads, and the parameters (the pull frame, stepped
+    /// in place) and velocity read and written; and each shard receives W
+    /// times its load per iteration. Every iteration, the first included,
+    /// a worker reads its parameters from frame windows in place: every
+    /// row in the forward, the weight rows of every layer but the first
+    /// again in the backward, and it assembles only the rows a part cut
+    /// splits.
     #[test]
     fn bytes_walked_match_their_closed_forms() {
         let cfg = ThreadedConfig {
@@ -1084,7 +1088,7 @@ mod tests {
         let shards = |f: fn(&ShardPhases) -> u64| r.shard_phases.iter().map(f).sum::<u64>();
         assert_eq!(shards(|p| p.fold_bytes), iters * w * m);
         assert_eq!(shards(|p| p.optimizer_bytes), iters * 4 * m);
-        assert_eq!(shards(|p| p.encode_bytes), iters * m);
+        assert_eq!(shards(|p| p.encode_bytes), 0);
         // Each shard receives exactly the load the placement gave it.
         for (s, p) in r.shard_phases.iter().enumerate() {
             assert_eq!(p.push_bytes, iters * w * 4 * map.load(s), "shard {s}");

@@ -1,30 +1,29 @@
 //! One parameter-server shard as a step machine: it takes one message or
 //! wake-up at a time, with the instant it is handed, and answers what its
 //! serve loop does next ([`Next`]).
+//!
+//! A part's pull frame is its only parameter store ([`PullCache`]).
 
 use super::checkpoint::DurableCopy;
 use super::fold::{self, StagedSlice};
 use super::pool::ArenaPool;
+use super::pulled;
 use super::runtime::{Next, Run, ShardPhases, ThreadLog, ThreadedResult, TimedEvent, PS_MOMENTUM};
 use super::transport::CorruptInjector;
-use super::wire::{
-    acks_checksum, check_push, encode_f32_into_crc, FrameHeader, PushCheck, ToPs, ToWorker,
-};
+use super::wire::{acks_checksum, check_push, FrameHeader, PushCheck, ToPs, ToWorker};
 use crate::protocol::{Arrival, Barriers, CheckpointSchedule, Slice, Window};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::Sender;
 use prophet_minidnn::Sgd;
 use prophet_sim::{FaultKind, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-part pull-reply cache: parameters are encoded once per update and
-/// every pull (any worker, any slice) is served as a shared window of that
-/// one buffer. `spare` is the reclaimed storage awaiting re-encode.
-#[derive(Default)]
+/// Per-part pull frame: the part's parameters — `build`'s initial frame,
+/// or one encoded at an adopted part's restore (`None` until then) —
+/// stepped by each barrier, and served to every pull as a shared window.
 struct PullCache {
     wire: Option<Bytes>,
-    spare: Option<BytesMut>,
     /// The last served window's `(offset_elems, len_elems)` frame header,
     /// offsets relative to the part: in steady state every worker pulls
     /// the same whole-part window, so the reply checksum is computed once
@@ -45,11 +44,10 @@ struct Local {
     /// For an adopted part, the dead shard it re-homed off (`usize::MAX`
     /// for an initial member).
     adopted_from: usize,
-    /// Parameters and optimiser state: empty and `None` until an adopted
-    /// part is restored. The part's own `Sgd` (stepped as tensor 0) is
-    /// bit-identical to one per tensor, its velocity being per element,
-    /// and it travels with the part to an adopting shard.
-    params: Vec<f32>,
+    /// Optimiser state: `None` until an adopted part is restored. The
+    /// part's own `Sgd` (stepped as tensor 0) is bit-identical to one per
+    /// tensor, its velocity being per element, and it travels with the
+    /// part to an adopting shard.
     opt: Option<Sgd>,
     /// The payload slices behind its open barrier, per worker, offsets
     /// relative to the part. BSP admits one open barrier per part at a
@@ -134,19 +132,20 @@ pub(super) struct ShardMachine {
     idle_since: Option<u64>,
     tlog: ThreadLog,
     phases: ShardPhases,
-    /// This shard's share of the run's counters (pull-cache buffers,
-    /// ack batches, restores, rejected frames).
+    /// This shard's share of the run's counters (pull frames, ack
+    /// batches, restores, rejected frames).
     out: ThreadedResult,
 }
 
 impl ShardMachine {
     /// Shard `s` of `run`, serving the parts it ever owns: initial member
-    /// `p` starts from the drawn parameters `drawn[p]`, adopted ones
-    /// materialise from the durable store on first touch.
+    /// `p` starts from the drawn model's frame `drawn[p]` (counted as its
+    /// allocation), adopted ones materialise from the durable store on
+    /// first touch.
     pub(super) fn new(
         s: usize,
         run: Arc<Run>,
-        drawn: &[&[f32]],
+        drawn: &[(Bytes, FrameHeader)],
         worker_txs: Vec<Sender<ToWorker>>,
         tlog: ThreadLog,
     ) -> Self {
@@ -166,17 +165,16 @@ impl ShardMachine {
                     adopted_from: idx
                         .checked_sub(1)
                         .map_or(usize::MAX, |i| owner_epochs[i].1[p]),
-                    params: if initial {
-                        drawn[p].to_vec()
-                    } else {
-                        Vec::new()
-                    },
                     opt: initial.then(|| Sgd::new(cfg.lr, PS_MOMENTUM, &[hi - lo])),
                     staged: vec![Vec::new(); workers],
-                    pull: PullCache::default(),
+                    pull: PullCache {
+                        wire: initial.then(|| drawn[p].0.clone()),
+                        frame: initial.then_some((0, hi - lo, drawn[p].1)),
+                    },
                 })
             })
             .collect();
+        let arena_allocs = locals.iter().filter(|t| t.pull.wire.is_some()).count() as u64;
         let sizes = locals.iter().map(|t| t.len as u64);
         ShardMachine {
             s,
@@ -201,7 +199,10 @@ impl ShardMachine {
             idle_since: None,
             tlog,
             phases: ShardPhases::default(),
-            out: ThreadedResult::default(),
+            out: ThreadedResult {
+                arena_allocs,
+                ..ThreadedResult::default()
+            },
             run,
         }
     }
@@ -305,8 +306,8 @@ impl ShardMachine {
         self.locals.iter().filter(|t| t.from <= iter).count()
     }
 
-    /// Materialise an adopted part from the durable store: bit-exact
-    /// snapshot + ledger replay, then announce the re-home.
+    /// Materialise an adopted part's frame from the durable store:
+    /// bit-exact snapshot + ledger replay, then announce the re-home.
     fn ensure_restored(&mut self, l: usize) {
         let t = &mut self.locals[l];
         if t.opt.is_some() {
@@ -314,7 +315,11 @@ impl ShardMachine {
         }
         let (p, from) = (t.p, t.adopted_from);
         let r = self.run.store.restore(p);
-        (t.params, t.opt) = (r.params, Some(r.opt));
+        let (wire, frame) = pulled::frame(&r.params);
+        self.phases.encode_bytes += 2 * wire.len() as u64;
+        self.out.arena_allocs += 1;
+        t.opt = Some(r.opt);
+        self.cache_pull(l, wire, frame.crc);
         self.barriers.adopt(l, r.upto);
         self.out.restore_bytes += r.bytes;
         if r.depth > 0 {
@@ -469,56 +474,51 @@ impl ShardMachine {
 
     /// The BSP barrier for local part `l` is complete: fold the staged
     /// wire slices in fixed worker order (bit-identical to the
-    /// single-shard and single-process sums), step the optimiser and
-    /// re-encode the pull frame in one [`fold::barrier_pass`], record the
+    /// single-shard and single-process sums) and step the pull frame's
+    /// parameters in one [`fold::barrier_pass`], record the
     /// update in the durable ledger, run the iteration-close bookkeeping
     /// (checkpoint cadence, this shard's own death), and notify the
     /// iteration's members.
     fn finish_barrier(&mut self, l: usize, iter: u64) {
         let (p, size) = (self.locals[l].p, self.locals[l].len);
         // The pass runs under the cache-residency gate: it walks every
-        // staged payload plus the parameters, optimiser state and pull
-        // frame, and interleaving it with another thread's compute or
-        // fold re-fetches all of it from DRAM. Released before the
-        // ParamReady broadcast — the rare cold pull in `drain_deferred`
-        // takes its own token inside `serve_pull` (the gate is not
-        // reentrant). The wait lands in `idle_ns`, keeping the pass's
-        // spans pure work.
+        // staged payload plus the pull frame and optimiser state, and
+        // interleaving it with another thread's compute or fold re-fetches
+        // all of it from DRAM. Released before the ParamReady broadcast.
+        // The wait lands in `idle_ns`, keeping the pass's spans pure work.
         let gated = self.run.gate.enter(size * 4, &mut self.phases.idle_ns);
-        // The cached pull encoding goes stale with this update: reclaim
-        // its storage (every member applied its windows before pushing the
-        // gradients this barrier closes) and let the pass re-encode into
-        // it, block by block, while the optimiser's writes are L1-hot.
-        // Every worker pulls every update, so the encode is never wasted.
+        // Every member let go of its windows before pushing the gradients
+        // this barrier closes, so the pass normally steps it in place.
         let cache = &mut self.locals[l].pull;
         cache.frame = None;
-        if let Some(b) = cache.wire.take() {
-            cache.spare = b.try_into_mut().ok();
-        }
-        let mut pull = self.pull_buffer(l);
+        let frame = cache.wire.take().expect("barrier on unrestored part");
         let store = &self.run.store;
         let checkpoint_due = store.armed() && self.ckpt.due(iter);
         let mut mean = store.armed().then(|| DurableCopy::with_capacity(size));
         let mut snapshot = checkpoint_due.then(|| DurableCopy::with_capacity(size));
         let t = &mut self.locals[l];
-        let crc = fold::barrier_pass(
+        let (wire, crc, in_place) = fold::barrier_pass(
             fold::Barrier {
                 staged: &mut t.staged,
                 inv: 1.0 / self.run.mem.expected(iter) as f32,
-                params: &mut t.params,
+                frame,
                 opt: t.opt.as_mut().expect("barrier on unrestored part"),
                 mean: mean.as_mut(),
                 snapshot: snapshot.as_mut(),
-                pull: &mut pull,
             },
             &mut self.phases,
         );
+        if in_place {
+            self.out.arena_recycles += 1;
+        } else {
+            self.out.arena_allocs += 1;
+        }
         if let Some(mean) = mean {
             store.note_update(p, iter, mean);
         }
         self.phases.barriers += 1;
         let iteration_closed = self.barriers.close(iter, l, self.owned_count_at(iter));
-        self.cache_pull(l, pull, crc);
+        self.cache_pull(l, wire, crc);
         self.tlog.emit(TraceEvent::Barrier { iter, grad: p });
         if let Some(snapshot) = snapshot {
             // A scheduled CheckpointCorrupt poisons every snapshot written
@@ -591,27 +591,9 @@ impl ShardMachine {
         }
     }
 
-    /// Storage for local part `l`'s next pull frame: the reclaimed
-    /// previous encoding when its windows have all been dropped, a counted
-    /// fresh allocation otherwise.
-    fn pull_buffer(&mut self, l: usize) -> BytesMut {
-        match self.locals[l].pull.spare.take() {
-            Some(mut m) => {
-                m.clear();
-                self.out.arena_recycles += 1;
-                m
-            }
-            None => {
-                self.out.arena_allocs += 1;
-                BytesMut::with_capacity(self.locals[l].len * 4)
-            }
-        }
-    }
-
-    /// Cache `buf`, local part `l`'s whole-part pull frame with checksum
+    /// Cache `wire`, local part `l`'s whole-part pull frame with checksum
     /// `crc`: every pull until the next update is a zero-copy window of it.
-    fn cache_pull(&mut self, l: usize, buf: BytesMut, crc: u32) {
-        let wire = buf.freeze();
+    fn cache_pull(&mut self, l: usize, wire: Bytes, crc: u32) {
         let frame = FrameHeader {
             len: wire.len() as u32,
             crc,
@@ -625,31 +607,12 @@ impl ShardMachine {
     /// an extent inside one local part.
     fn serve_pull(&mut self, worker: usize, grad: usize, offset_elems: usize, len_elems: usize) {
         let l = self.local(grad, offset_elems);
-        debug_assert!(self.locals[l].opt.is_some(), "serving an unrestored part");
         let at = offset_elems - self.locals[l].lo;
-        if self.locals[l].pull.wire.is_none() {
-            // Cold pull — bootstrap, or a part adopted/restored since its
-            // last local barrier (steady-state pulls hit the cache
-            // refreshed by `finish_barrier`). A large encode walks the
-            // full parameter vector, so it runs under the cache-residency
-            // gate (the wait lands in `idle_ns`, keeping the encode span
-            // pure work).
-            let bytes = self.locals[l].len * 4;
-            let gated = self.run.gate.enter(bytes, &mut self.phases.idle_ns);
-            let t_fill = Instant::now();
-            let mut buf = self.pull_buffer(l);
-            let crc = encode_f32_into_crc(&self.locals[l].params, &mut buf);
-            self.phases.encode_ns += t_fill.elapsed().as_nanos() as u64;
-            self.phases.encode_bytes += 2 * buf.len() as u64;
-            self.cache_pull(l, buf, crc);
-            if gated {
-                self.run.gate.release();
-            }
-        }
         let t_encode = Instant::now();
         let clean = {
-            let wire = self.locals[l].pull.wire.as_ref().expect("encoded above");
-            wire.slice(at * 4..(at + len_elems) * 4)
+            let wire = self.locals[l].pull.wire.as_ref();
+            wire.expect("serving an unrestored part")
+                .slice(at * 4..(at + len_elems) * 4)
         };
         // Pull replies can be bit-flipped or truncated in flight but never
         // NaN-poisoned: parameters travel checksummed, so memory-corrupt
@@ -717,13 +680,14 @@ impl ShardMachine {
     }
 
     /// The workers are gone: flush the remaining acks for the count, then
-    /// hand over in `parts` exactly the parts this shard owns in the final
-    /// membership epoch — adopted ones included, lost ones excluded — and
-    /// fold its counters, phase spans and trace into the run's result.
+    /// hand over in `parts` the frames of exactly the parts this shard owns
+    /// in the final membership epoch — adopted ones included, lost ones
+    /// excluded — and fold its counters, phase spans and trace into the
+    /// run's result.
     pub(super) fn finish(
         mut self,
         r: &mut ThreadedResult,
-        parts: &mut [Option<Vec<f32>>],
+        parts: &mut [Option<Bytes>],
         events: &mut Vec<TimedEvent>,
     ) {
         self.flush_acks();
@@ -740,9 +704,8 @@ impl ShardMachine {
             .filter(|t| final_owner[t.p] == self.s)
         {
             let p = t.p;
-            debug_assert!(t.opt.is_some(), "final owner never restored part {p}");
             debug_assert!(parts[p].is_none(), "part {p} returned twice");
-            parts[p] = Some(t.params);
+            parts[p] = Some(t.pull.wire.expect("final owner never restored its part"));
         }
         r.add_counters(&self.out);
         r.shard_phases.push(self.phases);
@@ -753,11 +716,100 @@ impl ShardMachine {
 #[cfg(test)]
 mod tests {
     use super::super::runtime::{build, Machine, ThreadedConfig};
+    use super::super::wire::encode_f32;
     use super::*;
     use prophet_core::SchedulerKind;
     use prophet_sim::{Duration, FaultPlan, FaultSpec, SimTime};
 
     const MS: u64 = 1_000_000;
+
+    /// Feed one shard of a 2-worker run three iterations of whole-tensor
+    /// pushes on a hand-fed clock and record tensor 0's pull frame, build's
+    /// and then each barrier's: its address and its bytes. The workers let
+    /// go of their initial windows first, as their backward does. With
+    /// `hold`, worker 0's pull of iteration 1's frame sits unread in its
+    /// inbox across the next barrier, as a late reply would.
+    fn frames_after_barriers(hold: bool) -> Vec<(usize, Vec<u8>)> {
+        let cfg = ThreadedConfig::small(2, SchedulerKind::Fifo);
+        let (run, mut machines) = build(&cfg);
+        let tensors = run.tensor_elems.len();
+        for m in &mut machines {
+            if let Machine::Worker(w, _) = m {
+                w.pulled.release(0..tensors);
+            }
+        }
+        let Machine::Shard(s, _) = &mut machines[0] else {
+            panic!("the shard comes first")
+        };
+        let frame = |s: &ShardMachine| {
+            let wire = s.locals[0].pull.wire.as_ref().expect("a restored part");
+            (wire.as_ptr() as usize, wire.to_vec())
+        };
+        let mut seen = vec![frame(s)];
+        let n = run.tensor_elems[0];
+        for iter in 0..3u64 {
+            if hold && iter == 2 {
+                let (worker, grad, offset_elems, len_elems) = (0, 0, 0, n);
+                let req = ToPs::PullReq {
+                    worker,
+                    grad,
+                    offset_elems,
+                    len_elems,
+                    min_done: None,
+                };
+                s.step(Some(req), iter * MS);
+            }
+            for (tensor, &len) in run.tensor_elems.iter().enumerate() {
+                for worker in 0..cfg.workers {
+                    let grad: Vec<f32> = (0..len)
+                        .map(|i| ((i + worker) as f32 * 0.37).sin() / (iter + 1) as f32)
+                        .collect();
+                    let data = encode_f32(&grad);
+                    let frame = FrameHeader::for_payload(&data);
+                    let (offset, len) = (0, len as u64);
+                    let slice = Slice {
+                        iter,
+                        tensor,
+                        offset,
+                        len,
+                        epoch: 0,
+                    };
+                    let push = ToPs::Push {
+                        worker,
+                        slice,
+                        data,
+                        frame,
+                    };
+                    s.step(Some(push), iter * MS);
+                }
+            }
+            assert_eq!(s.barriers.closed_through(0), Some(iter));
+            seen.push(frame(s));
+        }
+        seen
+    }
+
+    /// While no window of a part's frame is held, every barrier steps the
+    /// parameters in the frame's own allocation; a window held across a
+    /// barrier makes it write a fresh buffer, with the very bytes the
+    /// in-place step leaves.
+    #[test]
+    fn barriers_step_the_frame_in_place_unless_a_window_is_held() {
+        let free = frames_after_barriers(false);
+        assert!(
+            free.iter().all(|f| f.0 == free[0].0),
+            "a barrier reallocated"
+        );
+        assert!(
+            free.windows(2).all(|f| f[0].1 != f[1].1),
+            "a barrier left the frame as it was"
+        );
+        let held = frames_after_barriers(true);
+        assert!(held[..3].iter().all(|f| f.0 == held[0].0));
+        assert_ne!(held[3].0, held[2].0, "stepped in place under a held window");
+        let bytes = |f: &[(usize, Vec<u8>)]| f.iter().map(|f| f.1.clone()).collect::<Vec<_>>();
+        assert_eq!(bytes(&held), bytes(&free));
+    }
 
     /// A `ShardCrash` window makes the shard pause until its end, bump its
     /// epoch and broadcast `ShardRestarted` once — on a hand-fed clock, with

@@ -255,7 +255,7 @@ fn split_tensors_are_bit_transparent_under_every_fault_kind() {
 /// The wire buffers a run allocates once and recycles every iteration
 /// after: each worker encodes one buffer per backward step (a layer's
 /// gradients are frozen and on the wire before the next layer's exist),
-/// and the shards hold one pull-cache buffer per part.
+/// and each part has one pull frame, its shard's parameter store.
 fn warm_up_buffers(cfg: &ThreadedConfig) -> u64 {
     let sizes: Vec<u64> = Mlp::new(&cfg.widths, 0)
         .tensor_sizes()
@@ -263,15 +263,25 @@ fn warm_up_buffers(cfg: &ThreadedConfig) -> u64 {
         .map(|&n| n as u64)
         .collect();
     let parts = ShardMap::balanced(&sizes, cfg.ps_shards).parts().len() as u64;
-    let steps = cfg.widths.len() as u64 - 1;
-    cfg.workers as u64 * steps + parts
+    worker_buffers(cfg) + parts
+}
+
+fn worker_buffers(cfg: &ThreadedConfig) -> u64 {
+    cfg.workers as u64 * (cfg.widths.len() as u64 - 1)
+}
+
+/// The recycles of a steady run: a worker's layer buffer serves every
+/// iteration after the first, and a part's pull frame — encoded at build
+/// as the iteration-0 parameters — is stepped in place at every barrier.
+fn recycled_buffers(cfg: &ThreadedConfig) -> u64 {
+    cfg.iterations * warm_up_buffers(cfg) - worker_buffers(cfg)
 }
 
 #[test]
 fn steady_state_push_path_allocates_nothing_after_warmup() {
     // The zero-copy contract, asserted through the pool counters: every
     // worker allocates exactly one buffer per layer for the whole run,
-    // every shard allocates exactly one pull-cache buffer per owned part,
+    // every part has exactly one pull frame, which its shard steps in place,
     // and every later iteration is served entirely from recycled storage.
     // Doubling the iteration count must leave the allocation count
     // untouched.
@@ -287,7 +297,7 @@ fn steady_state_push_path_allocates_nothing_after_warmup() {
         );
         assert_eq!(
             r.arena_recycles,
-            (cfg.iterations - 1) * fixed,
+            recycled_buffers(&cfg),
             "{shards} shards: steady-state iterations not fully served from the pool"
         );
 
@@ -302,8 +312,8 @@ fn steady_state_push_path_allocates_nothing_after_warmup() {
 }
 
 /// An evicted worker lets go of its last pull's windows before its leave
-/// notice, so the barriers after the eviction still reclaim every
-/// pull-cache buffer: the run allocates exactly the warm-up buffers.
+/// notice, so the barriers after the eviction still step every pull
+/// frame in place: the run allocates exactly the warm-up buffers.
 #[test]
 fn an_evicted_worker_pins_no_pull_frame() {
     for shards in SHARD_COUNTS {
@@ -391,7 +401,7 @@ fn armed_ack_path_stays_zero_alloc_in_steady_state() {
         );
         assert_eq!(
             r.arena_recycles,
-            (cfg.iterations - 1) * fixed,
+            recycled_buffers(&cfg),
             "{shards} shards: armed steady state not fully pool-served"
         );
     }
@@ -430,7 +440,7 @@ fn nack_retransmits_come_from_pooled_copies() {
     // iteration still round-trips each buffer through the pool.
     assert_eq!(
         r.arena_recycles,
-        (cfg.iterations - 1) * fixed,
+        recycled_buffers(&cfg),
         "corruption recovery broke steady-state pool recycling"
     );
     // And the computation itself stays bit-transparent (the matrix test
