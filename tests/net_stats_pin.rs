@@ -1,11 +1,17 @@
-//! The network engine's work counters on a many-component cell, pinned.
+//! The network engine's work counters, pinned in both regimes the
+//! benchmark runs.
 //!
-//! A 32-worker, 32-shard cell shaped like the `sim_scale` benchmark
-//! (ResNet18 bs16, 10 Gb/s, co-located shards, one warm-up iteration plus
-//! one measured) for each strategy of the paper's line-up. Every
-//! [`NetStats`] field is exact per seed, so the whole struct is pinned: a
-//! change to how the engine re-fills components must say, field by field,
-//! which counts it moves.
+//! - A 32-worker, 32-shard cell shaped like the `sim_scale` benchmark
+//!   (ResNet18 bs16, 10 Gb/s, co-located shards, one warm-up iteration
+//!   plus one measured): many components, fills that resume.
+//! - A Table 2 cell shaped like the `sim_paper` benchmark (3 workers + 1
+//!   PS, ResNet50 bs64, 4 Gb/s, four warm-up iterations plus 26
+//!   measured): one component of at most four flows, round-1 fills.
+//!
+//! Each runs once per strategy of the paper's line-up. Every [`NetStats`]
+//! field is exact per seed, so the whole struct is pinned: a change to how
+//! the engine re-fills components must say, field by field, which counts
+//! it moves.
 //!
 //! Resumable fills moved three: `flows_refilled` and `fill_rounds` count
 //! only the rates set and rounds run, and `rounds_reused` the rounds taken
@@ -20,13 +26,21 @@ use prophet::dnn::TrainingJob;
 use prophet::net::NetStats;
 use prophet::ps::sim::{run_cluster, ClusterConfig};
 
-fn cell(kind: SchedulerKind) -> ClusterConfig {
+fn scale_cell(kind: SchedulerKind) -> ClusterConfig {
     let job = TrainingJob::paper_setup("resnet18", 16);
     let mut cfg = ClusterConfig::paper_cell(32, 10.0, job, kind);
     cfg.ps_shards = 32;
     cfg.warmup_iters = 1;
     // The invariant checker does not touch the network's counters; leaving
     // it off keeps the debug tier quick.
+    cfg.check_invariants = false;
+    cfg
+}
+
+fn paper_cell(kind: SchedulerKind) -> ClusterConfig {
+    let job = TrainingJob::paper_setup("resnet50", 64);
+    let mut cfg = ClusterConfig::paper_cell(3, 4.0, job, kind);
+    cfg.warmup_iters = 4;
     cfg.check_invariants = false;
     cfg
 }
@@ -75,7 +89,38 @@ fn sim_scale_shaped_cell_counts_are_pinned() {
     assert_eq!(lineup.len(), want.len());
     for (kind, (label, counts)) in lineup.into_iter().zip(want) {
         assert_eq!(kind.label(), label);
-        let got = run_cluster(&cell(kind), 2).net_stats;
+        let got = run_cluster(&scale_cell(kind), 2).net_stats;
+        assert_eq!(got, stats(counts), "{label}");
+    }
+}
+
+#[test]
+fn sim_paper_shaped_cell_counts_are_pinned() {
+    // refills, flows_refilled, fill_rounds, rounds_reused, rate_changes,
+    // index_pushes, index_stale_pops, split_checks, completions
+    let want = [
+        (
+            "mxnet-fifo",
+            [36067, 180349, 51029, 0, 83148, 36050, 16731, 21079, 28980],
+        ),
+        (
+            "p3",
+            [51218, 179957, 87219, 0, 140925, 48958, 28849, 27824, 30420],
+        ),
+        (
+            "bytescheduler",
+            [39815, 200432, 53813, 0, 90990, 39798, 19548, 27457, 30420],
+        ),
+        (
+            "prophet-oracle",
+            [69928, 357801, 95493, 0, 158393, 69911, 34126, 49514, 54989],
+        ),
+    ];
+    let lineup = SchedulerKind::paper_lineup(4e9 / 8.0);
+    assert_eq!(lineup.len(), want.len());
+    for (kind, (label, counts)) in lineup.into_iter().zip(want) {
+        assert_eq!(kind.label(), label);
+        let got = run_cluster(&paper_cell(kind), 30).net_stats;
         assert_eq!(got, stats(counts), "{label}");
     }
 }
