@@ -170,6 +170,8 @@ struct Comp {
     /// `pred_end` among the members, if any is moving); entries carrying
     /// any other stamp are stale.
     stamp: u64,
+    /// The clock of the last fill (`SimTime::MAX` before the first).
+    filled_at: SimTime,
 }
 
 fn transition_time(f: &FlowState) -> Option<SimTime> {
@@ -240,6 +242,9 @@ pub struct NetStats {
     pub split_checks: u64,
     /// Flows that delivered their last byte.
     pub completions: u64,
+    /// Fills of a component at the instant of its previous fill (the
+    /// full-resolve oracle counts one per component per extra call).
+    pub same_instant_refills: u64,
 }
 
 /// The fluid network engine. See the module docs for the driving contract.
@@ -827,6 +832,7 @@ impl Network {
                 live: false,
                 dirty: false,
                 stamp: 0,
+                filled_at: SimTime::MAX,
             });
             (self.comps.len() - 1) as u32
         });
@@ -834,6 +840,7 @@ impl Network {
         let comp = &mut self.comps[c as usize];
         comp.live = true;
         comp.stamp = stamp;
+        comp.filled_at = SimTime::MAX;
         c
     }
 
@@ -1036,6 +1043,10 @@ impl Network {
         let comp = &mut self.comps[c as usize];
         comp.nodes = nodes;
         comp.stamp = stamp;
+        if comp.filled_at == clock {
+            self.stats.same_instant_refills += 1;
+        }
+        comp.filled_at = clock;
         if earliest != SimTime::MAX {
             self.completions.push(Reverse((earliest, stamp, c)));
             self.stats.index_pushes += 1;

@@ -13,6 +13,10 @@
 //! the engine re-fills components must say, field by field, which counts
 //! it moves.
 //!
+//! `same_instant_refills` counts the fills of a component at the instant
+//! of its previous fill: the work that filling right after a completion,
+//! and again after the launches it triggers, spends on the same instant.
+//!
 //! Resumable fills moved three: `flows_refilled` and `fill_rounds` count
 //! only the rates set and rounds run, and `rounds_reused` the rounds taken
 //! from a component's previous fill. Before them, every fill ran every
@@ -45,8 +49,8 @@ fn paper_cell(kind: SchedulerKind) -> ClusterConfig {
     cfg
 }
 
-fn stats(v: [u64; 9]) -> NetStats {
-    let [refills, flows_refilled, fill_rounds, rounds_reused, rate_changes, index_pushes, index_stale_pops, split_checks, completions] =
+fn stats(v: [u64; 10]) -> NetStats {
+    let [refills, flows_refilled, fill_rounds, rounds_reused, rate_changes, index_pushes, index_stale_pops, split_checks, completions, same_instant_refills] =
         v;
     NetStats {
         refills,
@@ -58,30 +62,34 @@ fn stats(v: [u64; 9]) -> NetStats {
         index_stale_pops,
         split_checks,
         completions,
+        same_instant_refills,
     }
 }
 
 #[test]
 fn sim_scale_shaped_cell_counts_are_pinned() {
     // refills, flows_refilled, fill_rounds, rounds_reused, rate_changes,
-    // index_pushes, index_stale_pops, split_checks, completions
+    // index_pushes, index_stale_pops, split_checks, completions,
+    // same_instant_refills
     let want = [
         (
             "mxnet-fifo",
-            [8306, 40299, 9531, 11767, 26076, 8230, 4652, 2799, 7936],
+            [8306, 40299, 9531, 11767, 26076, 8230, 4652, 2799, 7936, 883],
         ),
         (
             "p3",
-            [9932, 77756, 17954, 12995, 36333, 9561, 5713, 6380, 8832],
+            [9932, 77756, 17954, 12995, 36333, 9561, 5713, 6380, 8832, 98],
         ),
         (
             "bytescheduler",
-            [4169, 137426, 11179, 8931, 77560, 4169, 1666, 7825, 8832],
+            [
+                4169, 137426, 11179, 8931, 77560, 4169, 1666, 7825, 8832, 1135,
+            ],
         ),
         (
             "prophet-oracle",
             [
-                12840, 510486, 31354, 25869, 274632, 12840, 5742, 11582, 13788,
+                12840, 510486, 31354, 25869, 274632, 12840, 5742, 11582, 13788, 5065,
             ],
         ),
     ];
@@ -97,23 +105,32 @@ fn sim_scale_shaped_cell_counts_are_pinned() {
 #[test]
 fn sim_paper_shaped_cell_counts_are_pinned() {
     // refills, flows_refilled, fill_rounds, rounds_reused, rate_changes,
-    // index_pushes, index_stale_pops, split_checks, completions
+    // index_pushes, index_stale_pops, split_checks, completions,
+    // same_instant_refills
     let want = [
         (
             "mxnet-fifo",
-            [36067, 180349, 51029, 0, 83148, 36050, 16731, 21079, 28980],
+            [
+                36067, 180349, 51029, 0, 83148, 36050, 16731, 21079, 28980, 16658,
+            ],
         ),
         (
             "p3",
-            [51218, 179957, 87219, 0, 140925, 48958, 28849, 27824, 30420],
+            [
+                51218, 179957, 87219, 0, 140925, 48958, 28849, 27824, 30420, 0,
+            ],
         ),
         (
             "bytescheduler",
-            [39815, 200432, 53813, 0, 90990, 39798, 19548, 27457, 30420],
+            [
+                39815, 200432, 53813, 0, 90990, 39798, 19548, 27457, 30420, 19475,
+            ],
         ),
         (
             "prophet-oracle",
-            [69928, 357801, 95493, 0, 158393, 69911, 34126, 49514, 54989],
+            [
+                69928, 357801, 95493, 0, 158393, 69911, 34126, 49514, 54989, 34067,
+            ],
         ),
     ];
     let lineup = SchedulerKind::paper_lineup(4e9 / 8.0);
