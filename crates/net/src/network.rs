@@ -13,14 +13,45 @@
 //! ```text
 //! loop {
 //!     t = min(caller's own events, net.next_event_time());
-//!     completions = net.advance_to(t);   // always safe, also for t < next
-//!     ... handle completions, maybe net.start_flow(...) ...
+//!     net.advance_into(t, &mut ends);    // always safe, also for t < next
+//!     ... handle ends, maybe net.start_flow(...) / kill_flow(...) at t ...
 //! }
 //! ```
+//!
+//! `next_event_time` may return the engine's current instant: a zero-byte
+//! flow whose handshake has just ended is due there, and the next
+//! `advance_into` harvests it.
 //!
 //! A caller that traces flows needs no side channel: a flow's start is
 //! the call it made, and its end or kill comes back as a [`FlowEnd`] or
 //! [`KilledFlow`] carrying the bytes the integrator moved.
+//!
+//! # When the engine fills
+//!
+//! Arrivals, departures, kills, phase transitions and capacity changes
+//! only mark their component dirty. A dirty component is re-filled at two
+//! points only: when time is about to pass (an [`Network::advance_into`]
+//! segment that moves the clock fills first), and when a rate consumer
+//! asks ([`Network::next_event_time`], [`Network::flow_rate`]). So a
+//! completion, the transitions due with it and the launches the caller
+//! makes in reply at that instant cost one fill between them.
+//!
+//! Deferring is exact because no time passes before the fill. Every byte
+//! position is integrated to the current instant under the rates that held
+//! until it, and the fill sets the rates for the time after it. A flow the
+//! old predictions make due at the instant has moved its bytes under the
+//! old rates, so harvesting it before the fill is right. A flow that only
+//! the new rates would complete at the instant must finish in zero time,
+//! which a flow with bytes left cannot. Only a flow with none left does: a
+//! zero-byte flow whose handshake has just ended, or one whose last
+//! sub-byte remainder the integration rounded away. The fill indexes it at
+//! the current instant, so `next_event_time` returns that instant and the
+//! next `advance_into` harvests it. The argument is not that same-instant
+//! changes only move
+//! completions later. Max-min rates are not monotone in the flow set: with
+//! `A` and `B` sharing one link and `B` and `C` another, `A`'s departure
+//! raises `B`, which then takes a larger share of the second link and
+//! can lower `C`.
 //!
 //! # Scaling architecture
 //!
@@ -242,8 +273,11 @@ pub struct NetStats {
     pub split_checks: u64,
     /// Flows that delivered their last byte.
     pub completions: u64,
-    /// Fills of a component at the instant of its previous fill (the
-    /// full-resolve oracle counts one per component per extra call).
+    /// Fills of a component at the instant of its previous fill. Under
+    /// the module docs' fill rule only a flow that ends in zero time (a
+    /// zero-byte message whose handshake has just ended) brings one about;
+    /// the full-resolve oracle also counts one per component per extra
+    /// call.
     pub same_instant_refills: u64,
 }
 
@@ -451,18 +485,9 @@ impl Network {
         self.slots[slot as usize] = Some(flow);
         self.pace[slot as usize] = Pace::idle(src, dst, bytes, now);
         self.n_active += 1;
+        // The component is only marked dirty; the module docs' fill rule
+        // says when it is re-filled.
         self.attach_flow(slot);
-        // Deliberately NOT re-allocating here: the component is only marked
-        // dirty, and the re-fill is deferred to the next rate consumer
-        // ([`Network::next_event_time`] or a time-advancing
-        // [`Network::advance_to`]). Progressive filling is memoryless — the
-        // rates it produces depend only on the topology and the live demand
-        // set — so collapsing a burst of same-instant starts into one fill
-        // yields bit-identical rates to filling after every start, while
-        // turning an O(flows²) wave into a single O(flows) resolve. No time
-        // can pass and no prediction can be consumed before the deferred
-        // fill runs, so no output of the simulation can observe the
-        // difference.
         id
     }
 
@@ -482,7 +507,8 @@ impl Network {
     }
 
     /// Change a node's NIC capacities at `now` (dynamic / heterogeneous
-    /// bandwidth experiments). In-flight flows are re-allocated immediately.
+    /// bandwidth experiments). The node's component is re-filled by the
+    /// module docs' fill rule, before any time passes.
     ///
     /// Any completions that fall at exactly `now` are returned — callers
     /// must handle them just like [`Network::advance_to`] results.
@@ -503,7 +529,6 @@ impl Network {
         if c != NO_COMP {
             self.mark_dirty(c);
         }
-        self.reallocate();
         done
     }
 
@@ -568,7 +593,6 @@ impl Network {
         };
         self.detach_flow(slot);
         self.free_slot(slot);
-        self.reallocate();
         killed
     }
 
@@ -600,18 +624,22 @@ impl Network {
     /// [`Network::advance_to`], appending the completions to `completed`
     /// instead of returning a fresh list, so a caller that drains every
     /// instant can keep one buffer.
+    ///
+    /// Each segment that moves the clock first fills every dirty component
+    /// (the module docs' fill rule). The segment that ends at `now` leaves
+    /// the components its transitions and completions touched dirty, so
+    /// the flows the caller starts or kills at `now` join the same fill.
     pub fn advance_into(&mut self, now: SimTime, completed: &mut Vec<FlowEnd>) {
         debug_assert!(now >= self.clock, "network advanced backwards");
-        // Time is about to pass: any deferred re-fills must land first so
-        // the completion predictions segmenting `[clock, now]` are current.
-        // At `now == clock` the deferral can keep riding — deferred dirt
-        // only comes from same-instant starts, which push every completion
-        // *later*, so nothing can become due at `now` that the index does
-        // not already know about.
-        if now > self.clock {
-            self.reallocate();
-        }
         loop {
+            // The one rule: fill only when time is about to pass, so the
+            // predictions that segment `[clock, now]` are current. The
+            // transitions and completions a segment ends on leave their
+            // components dirty, and the fill waits for the next segment or
+            // for the caller's launches at the same instant.
+            if now > self.clock {
+                self.reallocate();
+            }
             let mut seg_end = now;
             if let Some(t) = self.peek_transition() {
                 seg_end = seg_end.min(t);
@@ -620,20 +648,19 @@ impl Network {
                 seg_end = seg_end.min(t);
             }
             debug_assert!(seg_end >= self.clock, "event index went backwards");
+            debug_assert!(
+                seg_end == self.clock || self.dirty.is_empty(),
+                "time passed over a dirty component"
+            );
             self.clock = seg_end;
-            let mut processed = false;
             while let Some(slot) = self.pop_transition_due(seg_end) {
                 self.apply_transition(slot, seg_end);
-                processed = true;
             }
-            if processed {
-                self.reallocate();
-            }
-            if self.harvest_due(seg_end, completed) {
-                self.reallocate();
-                processed = true;
-            }
-            if seg_end >= now && !processed {
+            self.harvest_due(seg_end, completed);
+            // Without a fill nothing new falls due at `now`: a transition
+            // schedules its successor an RTT on, and the index holds no
+            // entry at or before `now` that the harvest did not pop.
+            if seg_end == now {
                 break;
             }
         }
@@ -680,9 +707,9 @@ impl Network {
 
     /// Complete every flow predicted to end at or before `t`, in
     /// `(pred_end, flow id)` order — flow-start order within an instant.
-    /// Only components whose index entry is due are scanned, and each of
-    /// those is about to be re-filled anyway. True if anything completed.
-    fn harvest_due(&mut self, t: SimTime, out: &mut Vec<FlowEnd>) -> bool {
+    /// Only components whose index entry is due are scanned, and each
+    /// departure leaves its component dirty.
+    fn harvest_due(&mut self, t: SimTime, out: &mut Vec<FlowEnd>) {
         let mut due = std::mem::take(&mut self.due);
         while let Some(et) = self.peek_completion() {
             if et > t {
@@ -702,10 +729,8 @@ impl Network {
         for &(_, _, slot) in &due {
             self.harvest(slot, t, out);
         }
-        let any = !due.is_empty();
         due.clear();
         self.due = due;
-        any
     }
 
     /// Apply one setup-completion or window-doubling transition due at `t`.
@@ -1138,6 +1163,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxmin::{self, FlowDemand};
 
     fn ideal_net(n: usize, bps: f64) -> Network {
         Network::new(
@@ -1586,6 +1612,89 @@ mod tests {
         net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30, 3);
         assert_eq!(net.flow_rate(a), Some(500.0));
         assert_eq!(net.flow_rate(b), Some(1000.0));
+    }
+
+    /// Node 0's downlink (1000 B/s) carries A (2 → 0) and B (1 → 0); node
+    /// 1's uplink (3000 B/s) carries B and C (1 → 3).
+    fn shared_links() -> (Network, [FlowDemand; 3]) {
+        let mut topo = Topology::new();
+        for bps in [1000.0, 3000.0, 1e4, 1e4] {
+            topo.add_node(NodeSpec::symmetric(bps));
+        }
+        let demand = |src, dst| FlowDemand {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            cap_bps: f64::INFINITY,
+        };
+        let flows = [demand(2, 0), demand(1, 0), demand(1, 3)];
+        (Network::new(topo, TcpModel::IDEAL), flows)
+    }
+
+    #[test]
+    fn a_completion_and_a_start_at_one_instant_cost_one_fill() {
+        let (mut net, [a, b, c]) = shared_links();
+        let t0 = SimTime::ZERO;
+        net.start_flow(t0, a.src, a.dst, 1000, 0);
+        let id_b = net.start_flow(t0, b.src, b.dst, 1 << 30, 1);
+        let id_c = net.start_flow(t0, c.src, c.dst, 1 << 30, 2);
+        assert_eq!(net.flow_rate(id_c), Some(2500.0));
+        // A alone finishes, at 500 B/s.
+        let t = net.next_event_time().unwrap();
+        let before = net.stats();
+        let done = net.advance_to(t);
+        assert_eq!(done.iter().map(|d| d.tag).collect::<Vec<_>>(), vec![0]);
+        // Left alone, the departure would raise B to 1000 and lower C to
+        // 2000: max-min rates are not monotone in the flow set.
+        let survivors = maxmin::allocate(net.topology(), &[b, c]);
+        assert_eq!(survivors, vec![1000.0, 2000.0]);
+        // D takes A's place at the same instant: one fill for both.
+        let id_d = net.start_flow(t, a.src, a.dst, 1 << 30, 3);
+        assert_eq!(net.next_event_time().map(|n| n > t), Some(true));
+        let after = net.stats();
+        assert_eq!(after.refills, before.refills + 1, "{after:?}");
+        assert_eq!(after.same_instant_refills, 0);
+        let want = maxmin::allocate(net.topology(), &[b, c, a]);
+        let got: Vec<f64> = [id_b, id_c, id_d]
+            .iter()
+            .map(|&id| net.flow_rate(id).unwrap())
+            .collect();
+        assert_eq!(
+            got.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            net.stats().refills,
+            after.refills,
+            "reading rates fills nothing"
+        );
+    }
+
+    #[test]
+    fn a_zero_byte_flow_released_at_the_callers_instant_is_harvested_there() {
+        let tcp = TcpModel {
+            rtt_s: 0.0,
+            setup_s: 0.25,
+            init_cwnd_bytes: f64::INFINITY,
+        };
+        let mut net = Network::new(Topology::uniform(2, NodeSpec::symmetric(1000.0)), tcp);
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 0, 9);
+        let t = SimTime::ZERO + Duration::from_secs_f64(0.25);
+        // Overshooting the handshake's end harvests the flow there...
+        let done = net.clone().advance_to(t + Duration::from_secs(1));
+        assert_eq!(
+            done.iter().map(|d| (d.tag, d.finished)).collect::<Vec<_>>(),
+            vec![(9, t)]
+        );
+        // ...and a caller woken at that very instant is sent back to it.
+        assert!(net.advance_to(t).is_empty(), "no fill has released it yet");
+        assert_eq!(net.next_event_time(), Some(t));
+        let done = net.advance_to(t);
+        assert_eq!(
+            done.iter().map(|d| (d.tag, d.finished)).collect::<Vec<_>>(),
+            vec![(9, t)]
+        );
+        assert_eq!(net.active_flows(), 0);
+        assert_eq!(net.stats().same_instant_refills, 0);
     }
 
     #[test]
