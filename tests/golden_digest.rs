@@ -8,9 +8,12 @@
 //! co-located shards, and VGG19 cells whose gradient releases are not in
 //! schedule order — with the invariant checker and the typed trace on,
 //! and folds *named fields* of each [`RunResult`] into one number per
-//! group. The constants below were recorded at the commit before the
-//! engine's in-flight tables were rebuilt (ISSUE 20) and must not be edited
-//! by a change that claims to compute the same thing.
+//! group. The constants below were last re-recorded when the network
+//! engine moved to one fill per instant, a change of the model's numbers:
+//! a rate that a same-instant fill used to replace and then restore no
+//! longer re-predicts its flow's completion, so completion times move by
+//! rounding. They must not be edited by a change that claims to compute
+//! the same thing.
 //!
 //! Fields are hashed one by one rather than through `Debug`, so adding a
 //! field to `RunResult` does not void the record; changing what the engine
@@ -27,12 +30,12 @@ use prophet::ps::run_sim_checked;
 use prophet::ps::sim::{ClusterConfig, RunResult};
 use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec, SimTime, SpanKind};
 
-// ---- recorded at the parent of ISSUE 20's engine change --------------------
-const CHAOS_TIER1: u64 = 0xf226_c280_094c_8884;
-const CHAOS_FULL: u64 = 0x2fdd_37ae_5125_5c74;
-const CLEAN_3X1: u64 = 0x9ae4_979a_0949_2ec3;
-const COLOCATED: u64 = 0x4b67_9846_853f_eb8f;
-const UNSORTED_RELEASES: u64 = 0xfbf4_04af_144b_fbcf;
+// ---- recorded with one fill per instant ------------------------------------
+const CHAOS_TIER1: u64 = 0xf9aa_a2d0_1d2e_e9ce;
+const CHAOS_FULL: u64 = 0xf322_f88c_fbe2_12a9;
+const CLEAN_3X1: u64 = 0x6da9_eea2_804e_5f7b;
+const COLOCATED: u64 = 0xb920_ade1_3f07_462c;
+const UNSORTED_RELEASES: u64 = 0x9e6b_90f9_0c1d_943b;
 
 const TIER1_PLANS: usize = 24;
 const FULL_PLANS: usize = 200;

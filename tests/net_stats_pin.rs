@@ -17,13 +17,27 @@
 //! of its previous fill: the work that filling right after a completion,
 //! and again after the launches it triggers, spends on the same instant.
 //!
+//! One fill per instant (the engine fills only when time is about to pass
+//! or a rate is read) moved the fill counts of every cell but P3's Table 2
+//! cell, which never re-filled at one instant. `completions` did not move;
+//! `split_checks` moved in the ByteScheduler and oracle Table 2 cells,
+//! whose departures now interleave differently. Before it, listed FIFO /
+//! P3 / ByteScheduler / prophet-oracle:
+//!
+//! | field | 32 × 32 | Table 2 |
+//! |---|---|---|
+//! | `refills` | 8 306 / 9 932 / 4 169 / 12 840 | 36 067 / 51 218 / 39 815 / 69 928 |
+//! | `rate_changes` | 26 076 / 36 333 / 77 560 / 274 632 | 83 148 / 140 925 / 90 990 / 158 393 |
+//! | `index_stale_pops` | 4 652 / 5 713 / 1 666 / 5 742 | 16 731 / 28 849 / 19 548 / 34 126 |
+//! | `split_checks` | unchanged | 21 079 / 27 824 / 27 457 / 49 514 |
+//! | `same_instant_refills` | 883 / 98 / 1 135 / 5 065 | 16 658 / 0 / 19 475 / 34 067 |
+//!
 //! Resumable fills moved three: `flows_refilled` and `fill_rounds` count
 //! only the rates set and rounds run, and `rounds_reused` the rounds taken
 //! from a component's previous fill. Before them, every fill ran every
 //! round and rated every member: `flows_refilled` was 357 722 / 337 770 /
 //! 486 217 / 1 605 828 and `fill_rounds` 21 298 / 30 949 / 20 110 / 57 223
-//! (FIFO / P3 / ByteScheduler / prophet-oracle). Every other field is the
-//! same as it was then.
+//! in the 32 × 32 cell.
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
@@ -74,22 +88,20 @@ fn sim_scale_shaped_cell_counts_are_pinned() {
     let want = [
         (
             "mxnet-fifo",
-            [8306, 40299, 9531, 11767, 26076, 8230, 4652, 2799, 7936, 883],
+            [7394, 39586, 9324, 10023, 25996, 7339, 3761, 2799, 7936, 0],
         ),
         (
             "p3",
-            [9932, 77756, 17954, 12995, 36333, 9561, 5713, 6380, 8832, 98],
+            [9505, 76006, 17712, 12995, 35962, 9341, 5493, 6380, 8832, 0],
         ),
         (
             "bytescheduler",
-            [
-                4169, 137426, 11179, 8931, 77560, 4169, 1666, 7825, 8832, 1135,
-            ],
+            [3034, 101962, 8666, 6316, 44540, 3034, 531, 7825, 8832, 0],
         ),
         (
             "prophet-oracle",
             [
-                12840, 510486, 31354, 25869, 274632, 12840, 5742, 11582, 13788, 5065,
+                7775, 317285, 19741, 16096, 63238, 7775, 677, 11582, 13788, 0,
             ],
         ),
     ];
@@ -110,9 +122,7 @@ fn sim_paper_shaped_cell_counts_are_pinned() {
     let want = [
         (
             "mxnet-fifo",
-            [
-                36067, 180349, 51029, 0, 83148, 36050, 16731, 21079, 28980, 16658,
-            ],
+            [19350, 104936, 20902, 0, 29428, 19350, 90, 21079, 28980, 0],
         ),
         (
             "p3",
@@ -122,15 +132,11 @@ fn sim_paper_shaped_cell_counts_are_pinned() {
         ),
         (
             "bytescheduler",
-            [
-                39815, 200432, 53813, 0, 90990, 39798, 19548, 27457, 30420, 19475,
-            ],
+            [20310, 115741, 20538, 0, 30868, 20310, 90, 27427, 30420, 0],
         ),
         (
             "prophet-oracle",
-            [
-                69928, 357801, 95493, 0, 158393, 69911, 34126, 49514, 54989, 34067,
-            ],
+            [35855, 206840, 36425, 0, 55465, 35855, 76, 49511, 54989, 0],
         ),
     ];
     let lineup = SchedulerKind::paper_lineup(4e9 / 8.0);
