@@ -95,6 +95,12 @@ fn bench_sim_scale(c: &mut Criterion) {
         format!("oracle_host_growth_256_over_{}", SCALES[0]),
         median("prophet-oracle_256") / median(&format!("prophet-oracle_{}", SCALES[0])),
     ));
+    // The same growth over the top of the grid, where the oracle's
+    // components are largest.
+    derived.push((
+        "oracle_host_growth_1024_over_256".to_string(),
+        median("prophet-oracle_1024") / median("prophet-oracle_256"),
+    ));
     derived.push((
         format!("checked_over_unchecked_host_ratio_{}", SCALES[0]),
         median(&format!("mxnet-fifo_{}_checked", SCALES[0]))

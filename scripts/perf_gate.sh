@@ -65,6 +65,16 @@
 #                                           when FIFO got faster (3.4 ->
 #                                           6.7 with resumable fills). 12.49
 #                                           when the bound was set
+#     oracle_host_growth_1024_over_256 <= 18.5  the same ratio over the
+#                                           top of the grid: the 1024-worker
+#                                           oracle cell over the 256-worker
+#                                           one. Five sessions read 12.87,
+#                                           13.38, 13.75, 15.86 and 16.78
+#                                           with one fill per instant; the
+#                                           bound is the highest plus 10 %.
+#                                           13.02 while a completion and
+#                                           the launches at its instant
+#                                           cost two fills
 #     checked_over_unchecked_host_ratio_64 <= 1.3  host time of the
 #                                           64-worker FIFO cell with the
 #                                           InvariantChecker on over the
@@ -95,6 +105,7 @@ bounds=(
     "BENCH_threaded.json apply_over_compute_vgg_4w_1s <= 0.05 threaded"
     "BENCH_threaded.json setup_over_scalar_draw_vgg_4w_1s <= 0.69 threaded"
     "BENCH_sim_scale.json oracle_host_growth_256_over_64 <= 13.7 sim_scale"
+    "BENCH_sim_scale.json oracle_host_growth_1024_over_256 <= 18.5 sim_scale"
     "BENCH_sim_scale.json checked_over_unchecked_host_ratio_64 <= 1.3 sim_scale"
     "BENCH_maxmin.json realloc_speedup_512 >= 10 maxmin_scale"
 )
