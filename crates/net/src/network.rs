@@ -47,11 +47,10 @@
 //! sub-byte remainder the integration rounded away. The fill indexes it at
 //! the current instant, so `next_event_time` returns that instant and the
 //! next `advance_into` harvests it. The argument is not that same-instant
-//! changes only move
-//! completions later. Max-min rates are not monotone in the flow set: with
-//! `A` and `B` sharing one link and `B` and `C` another, `A`'s departure
-//! raises `B`, which then takes a larger share of the second link and
-//! can lower `C`.
+//! changes only move completions later. Max-min rates are not monotone in
+//! the flow set: with `A` and `B` sharing one link and `B` and `C`
+//! another, `A`'s departure raises `B`, which then takes a larger share of
+//! the second link and can lower `C`.
 //!
 //! # Scaling architecture
 //!
