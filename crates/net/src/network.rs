@@ -20,7 +20,12 @@
 //!
 //! `next_event_time` may return the engine's current instant: a zero-byte
 //! flow whose handshake has just ended is due there, and the next
-//! `advance_into` harvests it.
+//! `advance_into` harvests it. So a caller that reads a rate
+//! (`next_event_time`, `flow_rate`) at the instant it has drained must
+//! drain again before it counts that instant's completions as final.
+//! Starts and kills at the drained instant never harvest: such a flow
+//! stays in flight for the next drain, and a kill that names it before
+//! then kills it (see [`Network::kill_flow`]).
 //!
 //! A caller that traces flows needs no side channel: a flow's start is
 //! the call it made, and its end or kill comes back as a [`FlowEnd`] or
@@ -445,6 +450,11 @@ impl Network {
     /// connection are warm; the first message after an idle period, or any
     /// message on a blocking transport that waits for per-message acks,
     /// is cold.
+    ///
+    /// `now` is at or after the last drain ([`Network::advance_into`]), and
+    /// every completion before `now` has been drained. A start at the
+    /// drained instant harvests nothing, so a flow a rate read released at
+    /// `now` is left for the next drain.
     pub fn start_flow_with_warmth(
         &mut self,
         now: SimTime,
@@ -455,13 +465,7 @@ impl Network {
         warm: bool,
     ) -> FlowId {
         debug_assert!(now >= self.clock, "flow started in the past");
-        // Advance cannot complete anything the caller hasn't seen: callers
-        // drive advance_to() before acting, but be defensive and assert.
-        let done = self.advance_to(now);
-        debug_assert!(
-            done.is_empty(),
-            "start_flow raced past unharvested completions"
-        );
+        self.catch_up(now, "start_flow");
         let id = FlowId(self.next_id);
         self.next_id += 1;
         let phase = if warm {
@@ -537,12 +541,15 @@ impl Network {
     /// message, so the caller must not credit them to any gradient.
     /// Returns `None` if no in-flight flow carries `tag` (it may have
     /// completed at exactly `now`; drain completions first).
+    ///
+    /// Draining at `now` does not release a zero-byte flow whose handshake
+    /// ends at `now`: only a fill does (a rate read, or the next drain that
+    /// moves the clock). Until then the flow is in flight, and a kill at
+    /// `now` kills it with `delivered` 0. Like
+    /// [`Network::start_flow_with_warmth`], a kill at the drained instant
+    /// harvests nothing.
     pub fn kill_flow(&mut self, now: SimTime, tag: u64) -> Option<KilledFlow> {
-        let done = self.advance_to(now);
-        debug_assert!(
-            done.is_empty(),
-            "kill_flow raced past unharvested completions"
-        );
+        self.catch_up(now, "kill_flow");
         // Earliest-started match.
         let (_, slot) = self
             .slots
@@ -561,8 +568,7 @@ impl Network {
     /// killed flows in flow-start order. See [`Network::kill_flow`] for the
     /// byte-accounting contract.
     pub fn kill_flows_touching(&mut self, now: SimTime, node: NodeId) -> Vec<KilledFlow> {
-        let done = self.advance_to(now);
-        debug_assert!(done.is_empty(), "kill raced past unharvested completions");
+        self.catch_up(now, "kill_flows_touching");
         let n = node.0 as u32;
         let mut victims: Vec<(u64, u32)> = self
             .fill
@@ -577,6 +583,19 @@ impl Network {
             .into_iter()
             .map(|(_, s)| self.remove_killed(s))
             .collect()
+    }
+
+    /// Move the clock to `now` before a start or a kill. A caller that has
+    /// not drained at `now` has nothing due up to it, so moving the clock
+    /// harvests nothing. At the clock's own instant nothing moves: a flow
+    /// that a rate read there released (a zero-byte flow whose handshake
+    /// ends there) stays in flight for the caller's next drain instead of
+    /// being harvested here, where its [`FlowEnd`] would be lost.
+    fn catch_up(&mut self, now: SimTime, call: &str) {
+        if now > self.clock {
+            let done = self.advance_to(now);
+            debug_assert!(done.is_empty(), "{call} raced past unharvested completions");
+        }
     }
 
     fn remove_killed(&mut self, slot: u32) -> KilledFlow {
@@ -1694,6 +1713,41 @@ mod tests {
         );
         assert_eq!(net.active_flows(), 0);
         assert_eq!(net.stats().same_instant_refills, 0);
+    }
+
+    #[test]
+    fn starts_and_kills_at_the_release_instant_leave_the_zero_byte_flow_to_the_next_drain() {
+        let tcp = TcpModel {
+            rtt_s: 0.0,
+            setup_s: 0.25,
+            init_cwnd_bytes: f64::INFINITY,
+        };
+        let mut net = Network::new(Topology::uniform(4, NodeSpec::symmetric(1000.0)), tcp);
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 0, 9);
+        net.start_flow(SimTime::ZERO, NodeId(2), NodeId(3), 1 << 30, 5);
+        let t = SimTime::ZERO + Duration::from_secs_f64(0.25);
+        assert!(net.advance_to(t).is_empty());
+        let mut drained = net.clone();
+        // A rate read releases the zero-byte flow at `t`; a start and a
+        // kill at `t` leave it in flight instead of harvesting it.
+        assert_eq!(net.next_event_time(), Some(t));
+        net.start_flow(t, NodeId(2), NodeId(3), 1 << 30, 6);
+        let killed = net.kill_flow(t, 5).expect("flow 5 in flight");
+        assert_eq!(killed.tag, 5);
+        let touching = net.kill_flows_touching(t, NodeId(3));
+        assert_eq!(touching.iter().map(|k| k.tag).collect::<Vec<_>>(), vec![6]);
+        assert_eq!(
+            net.advance_to(t)
+                .iter()
+                .map(|d| (d.tag, d.finished))
+                .collect::<Vec<_>>(),
+            vec![(9, t)]
+        );
+        // Without a rate read no fill has released it: a kill at `t` after
+        // the drain kills it, having delivered its 0 bytes.
+        let killed = drained.kill_flow(t, 9).expect("flow 9 in flight");
+        assert_eq!((killed.tag, killed.delivered), (9, 0.0));
+        assert_eq!(drained.active_flows(), 1);
     }
 
     #[test]
