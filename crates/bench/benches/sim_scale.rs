@@ -117,7 +117,6 @@ fn bench_sim_scale(c: &mut Criterion) {
             ("index_pushes", s.index_pushes),
             ("index_stale_pops", s.index_stale_pops),
             ("split_checks", s.split_checks),
-            ("same_instant_refills", s.same_instant_refills),
         ] {
             derived.push((format!("{id}_{name}_per_msg"), count as f64 / msgs));
         }

@@ -8,12 +8,9 @@
 //! co-located shards, and VGG19 cells whose gradient releases are not in
 //! schedule order — with the invariant checker and the typed trace on,
 //! and folds *named fields* of each [`RunResult`] into one number per
-//! group. The constants below were last re-recorded when the network
-//! engine moved to one fill per instant, a change of the model's numbers:
-//! a rate that a same-instant fill used to replace and then restore no
-//! longer re-predicts its flow's completion, so completion times move by
-//! rounding. They must not be edited by a change that claims to compute
-//! the same thing.
+//! group. The constants below were last re-recorded for one fill per
+//! instant (CHANGES.md lists the fields that moved) and must not be edited
+//! by a change that claims to compute the same thing.
 //!
 //! Fields are hashed one by one rather than through `Debug`, so adding a
 //! field to `RunResult` does not void the record; changing what the engine

@@ -14,30 +14,8 @@
 //! it moves.
 //!
 //! `same_instant_refills` counts the fills of a component at the instant
-//! of its previous fill: the work that filling right after a completion,
-//! and again after the launches it triggers, spends on the same instant.
-//!
-//! One fill per instant (the engine fills only when time is about to pass
-//! or a rate is read) moved the fill counts of every cell but P3's Table 2
-//! cell, which never re-filled at one instant. `completions` did not move;
-//! `split_checks` moved in the ByteScheduler and oracle Table 2 cells,
-//! whose departures now interleave differently. Before it, listed FIFO /
-//! P3 / ByteScheduler / prophet-oracle:
-//!
-//! | field | 32 × 32 | Table 2 |
-//! |---|---|---|
-//! | `refills` | 8 306 / 9 932 / 4 169 / 12 840 | 36 067 / 51 218 / 39 815 / 69 928 |
-//! | `rate_changes` | 26 076 / 36 333 / 77 560 / 274 632 | 83 148 / 140 925 / 90 990 / 158 393 |
-//! | `index_stale_pops` | 4 652 / 5 713 / 1 666 / 5 742 | 16 731 / 28 849 / 19 548 / 34 126 |
-//! | `split_checks` | unchanged | 21 079 / 27 824 / 27 457 / 49 514 |
-//! | `same_instant_refills` | 883 / 98 / 1 135 / 5 065 | 16 658 / 0 / 19 475 / 34 067 |
-//!
-//! Resumable fills moved three: `flows_refilled` and `fill_rounds` count
-//! only the rates set and rounds run, and `rounds_reused` the rounds taken
-//! from a component's previous fill. Before them, every fill ran every
-//! round and rated every member: `flows_refilled` was 357 722 / 337 770 /
-//! 486 217 / 1 605 828 and `fill_rounds` 21 298 / 30 949 / 20 110 / 57 223
-//! in the 32 × 32 cell.
+//! of its previous fill; it stays 0 in every cell. CHANGES.md records what
+//! each re-record of these pins moved.
 
 use prophet::core::SchedulerKind;
 use prophet::dnn::TrainingJob;
